@@ -52,10 +52,6 @@ from .retrievers import (
     RetrieverConfig,
     Strategy,
     retrieve,
-    retrieve_base,
-    retrieve_c2p,
-    retrieve_hrr,
-    retrieve_s2p,
 )
 from .sentences import split_sentences
 from .synth import CorpusSpec, SyntheticCorpus, generate

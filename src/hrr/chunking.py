@@ -37,7 +37,8 @@ class ChunkingConfig:
     intermediate_overlap: int = 0
     #: Budget for the C2P-only side tier; None skips building it.
     sub_intermediate_size: int | None = 256
-    #: Hard-split fallback applied by the sentence splitter.
+    #: Sentences longer than this are hard-split at token boundaries (and
+    #: flagged) before packing.
     max_sentence_tokens: int = 400
 
     def validate(self) -> None:
@@ -113,9 +114,7 @@ def chunk_document(
     config.validate()
     tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
 
-    # The chunker applies the sentence cap itself (rather than letting the
-    # splitter do it) so hard-split pieces carry their mid-sentence flags.
-    sentence_spans = split_sentences(text, tokenizer=tokenizer, max_tokens=0)
+    sentence_spans = split_sentences(text)
     if not sentence_spans:
         raise EmptyDocumentError(f"document {doc_id!r} has no chunkable content")
 

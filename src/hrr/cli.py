@@ -118,10 +118,11 @@ def _apply_overrides(config: EngineConfig, args: argparse.Namespace) -> EngineCo
     retriever = config.retriever
     if getattr(args, "strategy", None):
         retriever = dataclasses.replace(retriever, strategy=Strategy(args.strategy))
-    if getattr(args, "k", None):
+    if getattr(args, "k", None) is not None:
         retriever = dataclasses.replace(retriever, similarity_top_k=args.k)
-    if getattr(args, "rerank_k", None):
+    if getattr(args, "rerank_k", None) is not None:
         retriever = dataclasses.replace(retriever, rerank_top_k=args.rerank_k)
+    retriever.validate()
     return dataclasses.replace(config, retriever=retriever)
 
 

@@ -15,6 +15,7 @@ above, so documents reassemble byte-for-byte from their parent chunks.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -120,6 +121,11 @@ class Corpus:
             pid: tuple(ids) for pid, ids in sub_children.items()
         }
 
+        self._parents_by_doc: dict[str, list[ChunkNode]] = {}
+        for node in self.nodes:
+            if node.level is Level.PARENT:
+                self._parents_by_doc.setdefault(node.doc_id, []).append(node)
+
         self._doc_bytes: dict[str, bytes] = {
             doc_id: text.encode("utf-8") for doc_id, text in self.documents.items()
         }
@@ -140,6 +146,19 @@ class Corpus:
         if level is Level.SUB_INTERMEDIATE:
             return self.sub_nodes
         return tuple(n for n in self.nodes if n.level is level)
+
+    def parent_at(self, doc_id: str, byte: int) -> str | None:
+        """Id of the parent chunk owning byte offset ``byte`` of ``doc_id``.
+
+        A document's parent spans end in strictly increasing order, even with
+        overlap, so the first span ending after ``byte`` owns it, provided
+        that span starts at or before it. None when no parent covers it.
+        """
+        parents = self._parents_by_doc.get(doc_id, ())
+        i = bisect.bisect_right(parents, byte, key=lambda node: node.char_span[1])
+        if i < len(parents) and parents[i].char_span[0] <= byte:
+            return parents[i].id
+        return None
 
     def document_bytes(self, doc_id: str) -> bytes:
         return self._doc_bytes[doc_id]

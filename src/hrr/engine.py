@@ -18,6 +18,7 @@ from .config import (
     EngineConfig,
 )
 from .corpus import (
+    HIERARCHY_LEVELS,
     Corpus,
     Level,
     load_corpus,
@@ -77,6 +78,13 @@ class IngestSummary:
     dimension: int
 
 
+def _indexed_levels(corpus: Corpus) -> tuple[Level, ...]:
+    """The hierarchy levels, plus the side tier when the corpus has one."""
+    if corpus.sub_nodes:
+        return (*HIERARCHY_LEVELS, Level.SUB_INTERMEDIATE)
+    return HIERARCHY_LEVELS
+
+
 def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     """Chunk, validate, embed, index, and persist a document directory."""
     documents = read_documents(docs_dir)
@@ -94,11 +102,8 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
 
     index_dir = Path(config.paths.index_dir)
     index_dir.mkdir(parents=True, exist_ok=True)
-    levels = [Level.PARENT, Level.INTERMEDIATE, Level.SENTENCE]
-    if config.chunking.sub_intermediate_size is not None:
-        levels.append(Level.SUB_INTERMEDIATE)
     counts: dict[str, int] = {}
-    for level in levels:
+    for level in _indexed_levels(corpus):
         index = build_index(corpus, level, embedder)
         save_index(index, index_dir / f"{level.value}{_INDEX_SUFFIX}")
         counts[level.value] = len(index)
@@ -146,10 +151,7 @@ def context_for(
 ) -> RetrievalContext:
     """Build a context directly from an in-memory corpus (no persistence)."""
     embedder = embedder if embedder is not None else make_embedder(config)
-    levels = [Level.PARENT, Level.INTERMEDIATE, Level.SENTENCE]
-    if corpus.sub_nodes:
-        levels.append(Level.SUB_INTERMEDIATE)
-    indices = {level: build_index(corpus, level, embedder) for level in levels}
+    indices = {level: build_index(corpus, level, embedder) for level in _indexed_levels(corpus)}
     return RetrievalContext(
         corpus=corpus,
         indices=indices,

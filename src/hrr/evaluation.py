@@ -93,24 +93,12 @@ def compare(
         _check_gold(gold, ctx.corpus)
     summaries = []
     for strategy in strategies:
-        strategy_ctx = replace_strategy(ctx, strategy)
+        strategy_ctx = replace(ctx, config=replace(ctx.config, strategy=strategy))
         records = [
             score_query(retrieve(gold.query, strategy_ctx), gold) for gold in queries
         ]
         summaries.append(summarize(records, strategy=strategy.value))
     return summaries
-
-
-def replace_strategy(ctx: RetrievalContext, strategy: Strategy) -> RetrievalContext:
-    return RetrievalContext(
-        corpus=ctx.corpus,
-        indices=ctx.indices,
-        embedder=ctx.embedder,
-        reranker=ctx.reranker,
-        config=replace(ctx.config, strategy=strategy),
-        rerank_fallback=ctx.rerank_fallback,
-        rerank_mix_lambda=ctx.rerank_mix_lambda,
-    )
 
 
 def _check_gold(gold: LabeledQuery, corpus: Corpus) -> None:
@@ -170,23 +158,16 @@ def _record_to_query(rec: dict, corpus: Corpus | None, line_no: int) -> LabeledQ
                 f"line {line_no}: span-based gold needs a corpus to resolve"
             )
         span = (int(rec["gold_char_span"][0]), int(rec["gold_char_span"][1]))
+        doc_id = rec["gold_doc_id"]
+        parent_id = corpus.parent_at(doc_id, span[0]) if isinstance(doc_id, str) else None
+        if parent_id is None:
+            raise GoldNotInCorpusError(f"no parent chunk covers byte {span[0]} of {doc_id!r}")
         return LabeledQuery(
-            query=rec["query"],
-            gold_parent=_resolve_span(corpus, rec["gold_doc_id"], span[0]),
-            gold_doc=rec["gold_doc_id"],
-            gold_span=span,
+            query=rec["query"], gold_parent=parent_id, gold_doc=doc_id, gold_span=span
         )
     raise GoldNotInCorpusError(
         f"line {line_no}: record needs gold_parent_id or gold_doc_id + gold_char_span"
     )
-
-
-def _resolve_span(corpus: Corpus, doc_id: str, byte_start: int) -> str:
-    for node in corpus.nodes:
-        if node.level is Level.PARENT and node.doc_id == doc_id:
-            if node.char_span[0] <= byte_start < node.char_span[1]:
-                return node.id
-    raise GoldNotInCorpusError(f"no parent chunk covers byte {byte_start} of {doc_id!r}")
 
 
 def save_query_set(path: str | Path, queries: Iterable[LabeledQuery]) -> None:

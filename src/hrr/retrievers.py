@@ -1,9 +1,10 @@
 """Retrieval strategies: the hierarchical pipeline and three baselines.
 
-All strategies share one interface: given a query and a retrieval context
-(corpus, per-level indices, providers, config) they return an ordered list
-of unique parent chunks plus a per-stage trace of every candidate list,
-so any run can be audited stage by stage.
+All strategies run one pipeline and differ only in the levels they search
+and the level they rerank (the ``_PLANS`` table). Given a query and a
+retrieval context (corpus, per-level indices, providers, config) they
+return an ordered list of unique parent chunks plus a per-stage trace of
+every candidate list, so any run can be audited stage by stage.
 
   * ``hrr``  searches sentences and intermediates, maps sentence hits to
     their intermediates, dedups, reranks the 512-token pool, takes the top
@@ -118,122 +119,71 @@ class RetrievalContext:
             ) from None
 
 
+#: Each strategy as (levels searched, in trace order; level reranked). Hits
+#: from levels below the rerank level map up to their ancestor there.
+_PLANS: dict[Strategy, tuple[tuple[Level, ...], Level]] = {
+    Strategy.HRR: ((Level.SENTENCE, Level.INTERMEDIATE), Level.INTERMEDIATE),
+    Strategy.BASE: ((Level.PARENT,), Level.PARENT),
+    Strategy.C2P: ((Level.PARENT, Level.INTERMEDIATE, Level.SUB_INTERMEDIATE), Level.PARENT),
+    Strategy.S2P: ((Level.SENTENCE,), Level.PARENT),
+}
+
+
 def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
-    """Run the strategy selected by ``ctx.config.strategy``."""
+    """Run the strategy selected by ``ctx.config.strategy``.
+
+    Embed the query, search each planned level, map hits up to the rerank
+    level, dedup, rerank, keep the top k, and map to unique parents.
+    """
     ctx.config.validate()
     if not ctx.corpus.nodes:
         raise EmptyCorpusError("corpus has no chunks")
-    return _STRATEGIES[ctx.config.strategy](query, ctx)
-
-
-def retrieve_hrr(query: str, ctx: RetrievalContext) -> RetrievalResult:
-    """Sentence and intermediate retrieval, mid-tier rerank, parent mapping."""
-    k = ctx.config.similarity_top_k
+    strategy = ctx.config.strategy
+    search_levels, rerank_level = _PLANS[strategy]
     query_vec = embed_batch(ctx.embedder, [query])[0]
 
-    sentence_hits = ctx.index(Level.SENTENCE).search(query_vec, k)
-    intermediate_hits = ctx.index(Level.INTERMEDIATE).search(query_vec, k)
+    trace: list[StageTrace] = []
+    direct: list[ScoredCandidate] = []
+    mapped: list[ScoredCandidate] = []
+    for level in search_levels:
+        hits = _as_candidates(ctx.index(level).search(query_vec, ctx.config.similarity_top_k))
+        trace.append(StageTrace(f"{level.value}_hits", tuple(hits)))
+        if level is rerank_level:
+            direct.extend(hits)
+        else:
+            mapped.extend(
+                ScoredCandidate(resolve_parent(ctx.corpus, c.chunk_id, rerank_level), c.score)
+                for c in hits
+            )
 
-    mapped = [
-        ScoredCandidate(
-            resolve_parent(ctx.corpus, hit.chunk_id, Level.INTERMEDIATE), hit.score
-        )
-        for hit in sentence_hits
+    # A mid-tier rerank (hrr) shows its sentence mapping and feeds the mapped
+    # sentence scores to the reranker's optional score mix.
+    sentence_bonus = None
+    if rerank_level is Level.INTERMEDIATE:
+        trace.append(StageTrace("sentence_to_intermediate", tuple(mapped)))
+        sentence_bonus = _best_scores(mapped)
+
+    pool = _dedup_best(mapped + direct)
+    request = RerankRequest(
+        query, tuple((c.chunk_id, ctx.corpus.chunk_text(c.chunk_id)) for c in pool)
+    )
+    reranked = rerank(
+        ctx.reranker,
+        request,
+        fallback=ctx.rerank_fallback,
+        mix_lambda=ctx.rerank_mix_lambda,
+        sentence_bonus=sentence_bonus,
+    )
+    reranked_top = top_k(reranked, ctx.config.rerank_top_k)
+    parents = _map_to_parents(reranked_top, ctx.corpus)
+
+    trace += [
+        StageTrace("rerank_pool", tuple(pool)),
+        StageTrace("reranked", tuple(reranked)),
+        StageTrace("rerank_top_k", tuple(reranked_top)),
+        StageTrace("parents", tuple(parents)),
     ]
-
-    pool = _dedup_best(mapped + _as_candidates(intermediate_hits))
-    reranked, reranked_top = _rerank_pool(query, pool, ctx, sentence_bonus=_best_scores(mapped))
-    parents = _map_to_parents(reranked_top, ctx.corpus)
-
-    trace = (
-        StageTrace("sentence_hits", tuple(_as_candidates(sentence_hits))),
-        StageTrace("intermediate_hits", tuple(_as_candidates(intermediate_hits))),
-        StageTrace("sentence_to_intermediate", tuple(mapped)),
-        StageTrace("rerank_pool", tuple(pool)),
-        StageTrace("reranked", tuple(reranked)),
-        StageTrace("rerank_top_k", tuple(reranked_top)),
-        StageTrace("parents", tuple(parents)),
-    )
-    return RetrievalResult(query, Strategy.HRR, tuple(parents), trace)
-
-
-def retrieve_base(query: str, ctx: RetrievalContext) -> RetrievalResult:
-    """Single-granularity baseline: search and rerank 2048-token chunks."""
-    query_vec = embed_batch(ctx.embedder, [query])[0]
-    hits = ctx.index(Level.PARENT).search(query_vec, ctx.config.similarity_top_k)
-    pool = _as_candidates(hits)
-    reranked, reranked_top = _rerank_pool(query, pool, ctx)
-    parents = _map_to_parents(reranked_top, ctx.corpus)
-    trace = (
-        StageTrace("parent_hits", tuple(pool)),
-        StageTrace("rerank_pool", tuple(pool)),
-        StageTrace("reranked", tuple(reranked)),
-        StageTrace("rerank_top_k", tuple(reranked_top)),
-        StageTrace("parents", tuple(parents)),
-    )
-    return RetrievalResult(query, Strategy.BASE, tuple(parents), trace)
-
-
-def retrieve_c2p(query: str, ctx: RetrievalContext) -> RetrievalResult:
-    """Child-to-parent baseline over the 2048/512/256 tiers.
-
-    Needs the sub-intermediate index, which is only built when the chunking
-    config enables the side tier.
-    """
-    k = ctx.config.similarity_top_k
-    query_vec = embed_batch(ctx.embedder, [query])[0]
-
-    parent_hits = ctx.index(Level.PARENT).search(query_vec, k)
-    intermediate_hits = ctx.index(Level.INTERMEDIATE).search(query_vec, k)
-    sub_hits = ctx.index(Level.SUB_INTERMEDIATE).search(query_vec, k)
-
-    mapped = [
-        ScoredCandidate(resolve_parent(ctx.corpus, hit.chunk_id, Level.PARENT), hit.score)
-        for hit in (*parent_hits, *intermediate_hits, *sub_hits)
-    ]
-    pool = _dedup_best(mapped)
-    reranked, reranked_top = _rerank_pool(query, pool, ctx)
-    parents = _map_to_parents(reranked_top, ctx.corpus)
-
-    trace = (
-        StageTrace("parent_hits", tuple(_as_candidates(parent_hits))),
-        StageTrace("intermediate_hits", tuple(_as_candidates(intermediate_hits))),
-        StageTrace("sub_intermediate_hits", tuple(_as_candidates(sub_hits))),
-        StageTrace("rerank_pool", tuple(pool)),
-        StageTrace("reranked", tuple(reranked)),
-        StageTrace("rerank_top_k", tuple(reranked_top)),
-        StageTrace("parents", tuple(parents)),
-    )
-    return RetrievalResult(query, Strategy.C2P, tuple(parents), trace)
-
-
-def retrieve_s2p(query: str, ctx: RetrievalContext) -> RetrievalResult:
-    """Sentence-to-parent baseline: sentence retrieval, parent rerank."""
-    query_vec = embed_batch(ctx.embedder, [query])[0]
-    sentence_hits = ctx.index(Level.SENTENCE).search(query_vec, ctx.config.similarity_top_k)
-    mapped = [
-        ScoredCandidate(resolve_parent(ctx.corpus, hit.chunk_id, Level.PARENT), hit.score)
-        for hit in sentence_hits
-    ]
-    pool = _dedup_best(mapped)
-    reranked, reranked_top = _rerank_pool(query, pool, ctx)
-    parents = _map_to_parents(reranked_top, ctx.corpus)
-    trace = (
-        StageTrace("sentence_hits", tuple(_as_candidates(sentence_hits))),
-        StageTrace("rerank_pool", tuple(pool)),
-        StageTrace("reranked", tuple(reranked)),
-        StageTrace("rerank_top_k", tuple(reranked_top)),
-        StageTrace("parents", tuple(parents)),
-    )
-    return RetrievalResult(query, Strategy.S2P, tuple(parents), trace)
-
-
-_STRATEGIES = {
-    Strategy.HRR: retrieve_hrr,
-    Strategy.BASE: retrieve_base,
-    Strategy.C2P: retrieve_c2p,
-    Strategy.S2P: retrieve_s2p,
-}
+    return RetrievalResult(query, strategy, tuple(parents), tuple(trace))
 
 
 def _as_candidates(hits: list[SearchHit]) -> list[ScoredCandidate]:
@@ -255,27 +205,6 @@ def _dedup_best(candidates: list[ScoredCandidate]) -> list[ScoredCandidate]:
         ScoredCandidate(cid, score)
         for cid, score in sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
-
-
-def _rerank_pool(
-    query: str,
-    pool: list[ScoredCandidate],
-    ctx: RetrievalContext,
-    *,
-    sentence_bonus: Mapping[str, float] | None = None,
-) -> tuple[list[ScoredCandidate], list[ScoredCandidate]]:
-    request = RerankRequest(
-        query,
-        tuple((c.chunk_id, ctx.corpus.chunk_text(c.chunk_id)) for c in pool),
-    )
-    reranked = rerank(
-        ctx.reranker,
-        request,
-        fallback=ctx.rerank_fallback,
-        mix_lambda=ctx.rerank_mix_lambda,
-        sentence_bonus=sentence_bonus,
-    )
-    return reranked, top_k(reranked, ctx.config.rerank_top_k)
 
 
 def _map_to_parents(

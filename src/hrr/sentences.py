@@ -9,9 +9,10 @@ are reproducible everywhere:
     known abbreviation, or is a single letter directly preceded by another
     period (dotted abbreviations like "e.g.");
   * a blank line always ends a sentence, terminator or not;
-  * end of text ends a sentence;
-  * any sentence still longer than ``max_tokens`` is hard-split at token
-    boundaries so no downstream budget has to deal with unbounded spans.
+  * end of text ends a sentence.
+
+Sentences are never length-capped here; the chunker hard-splits any
+sentence longer than ``ChunkingConfig.max_sentence_tokens``.
 
 Returned spans are tight: they start and end on non-whitespace characters,
 never overlap, and together cover every non-whitespace character of the
@@ -21,8 +22,6 @@ input.
 from __future__ import annotations
 
 import re
-
-from .tokens import Tokenizer, WordPunctTokenizer
 
 #: Words whose trailing period does not end a sentence. Single letters are
 #: suppressed by rule and need not be listed.
@@ -38,29 +37,16 @@ _TERMINATOR_RE = re.compile(r"[.!?]+")
 _BLANK_LINE_RE = re.compile(r"\n[ \t\r]*\n")
 _WORD_BEFORE_RE = re.compile(r"(\w+)\Z")
 
-_DEFAULT_TOKENIZER = WordPunctTokenizer()
 
-DEFAULT_MAX_SENTENCE_TOKENS = 400
-
-
-def split_sentences(
-    text: str,
-    *,
-    tokenizer: Tokenizer | None = None,
-    max_tokens: int = DEFAULT_MAX_SENTENCE_TOKENS,
-) -> list[tuple[int, int]]:
+def split_sentences(text: str) -> list[tuple[int, int]]:
     """Split ``text`` into ordered, non-overlapping sentence spans.
 
     Spans are (start, end) character offsets. Whitespace-only input yields
-    an empty list. ``max_tokens`` bounds the hard-split fallback; pass 0 to
-    disable it.
+    an empty list.
     """
     spans: list[tuple[int, int]] = []
     for block_start, block_end in _blocks(text):
         spans.extend(_split_block(text, block_start, block_end))
-    if max_tokens:
-        tok = tokenizer if tokenizer is not None else _DEFAULT_TOKENIZER
-        spans = _cap_span_tokens(text, spans, tok, max_tokens)
     return spans
 
 
@@ -127,21 +113,3 @@ def _trim_ws(text: str, start: int, end: int) -> int:
     while end > start and text[end - 1].isspace():
         end -= 1
     return end
-
-
-def _cap_span_tokens(
-    text: str,
-    spans: list[tuple[int, int]],
-    tokenizer: Tokenizer,
-    max_tokens: int,
-) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for start, end in spans:
-        if tokenizer.count_tokens(text[start:end]) <= max_tokens:
-            out.append((start, end))
-            continue
-        token_spans = tokenizer.token_spans(text[start:end])
-        for i in range(0, len(token_spans), max_tokens):
-            piece = token_spans[i : i + max_tokens]
-            out.append((start + piece[0][0], start + piece[-1][1]))
-    return out

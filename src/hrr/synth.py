@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .chunking import ChunkingConfig, build_corpus
-from .corpus import Corpus, Level
+from .corpus import Corpus
 from .embedding import _bucket
 from .errors import ConfigError, SpecInfeasibleError
 from .evaluation import LabeledQuery
@@ -285,11 +285,7 @@ def _locate_needle(corpus: Corpus, needle: Needle) -> tuple[str, tuple[int, int]
         raise SpecInfeasibleError(f"needle sentence lost during assembly: {needle}")
     byte_start = len(text[:char_idx].encode("utf-8"))
     byte_span = (byte_start, byte_start + len(needle.sentence.encode("utf-8")))
-    for node in corpus.nodes:
-        if (
-            node.level is Level.PARENT
-            and node.doc_id == needle.doc_id
-            and node.char_span[0] <= byte_start < node.char_span[1]
-        ):
-            return node.id, byte_span
-    raise SpecInfeasibleError(f"no parent chunk covers needle at byte {byte_start}")
+    parent_id = corpus.parent_at(needle.doc_id, byte_start)
+    if parent_id is None:
+        raise SpecInfeasibleError(f"no parent chunk covers needle at byte {byte_start}")
+    return parent_id, byte_span

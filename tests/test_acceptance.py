@@ -35,7 +35,7 @@ from hrr.rerank import (
     RerankRequest,
     rerank,
 )
-from hrr.retrievers import Strategy, retrieve_hrr
+from hrr.retrievers import Strategy, retrieve
 from hrr.synth import CorpusSpec, generate
 
 from stub_services import MODE_HANG, MODE_WRONG_DIMENSION, StubServices
@@ -206,7 +206,7 @@ def test_criterion_4_pipeline_conformance():
         corpus, EngineConfig(chunking=chunking), embedder=embedder, reranker=scorer
     )
     query = "zorblat fenwick grant money"
-    result = retrieve_hrr(query, ctx)
+    result = retrieve(query, ctx)
 
     assert [t.stage for t in result.trace] == EXPECTED_STAGES
 

@@ -57,7 +57,7 @@ class TestDerivedSizes:
         by_level = levels_of(fragment)
         assert len(by_level[Level.PARENT]) == 1
         inters = by_level[Level.INTERMEDIATE]
-        # the 400-token splitter cap yields fragments of 400 + 200 tokens
+        # the 400-token sentence cap yields fragments of 400 + 200 tokens
         assert [i.token_count for i in inters] == [400, 200]
         assert all(i.token_count <= 512 for i in inters)
         assert all(i.hard_split for i in inters)

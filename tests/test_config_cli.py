@@ -211,6 +211,13 @@ class TestCliErrors:
         Path("empty").mkdir()
         assert main(["ingest", "empty", "--config", "engine.json"]) == EXIT_IO
 
+    @pytest.mark.parametrize("flag", ["--k", "--rerank-k"])
+    def test_zero_top_k_flag_is_config_error(self, workdir, capsys, flag):
+        # No artifacts exist, so a flag that was silently ignored would exit 3.
+        assert main(["query", "x", flag, "0", "--config", "engine.json"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_query_before_ingest_is_io_error(self, workdir):
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
 

@@ -71,6 +71,48 @@ class TestResolveParent:
             assert via == resolve_parent(corpus, node.id, Level.PARENT)
 
 
+def _scan_parent_at(corpus, doc_id, byte):
+    """Reference: the first parent of the document whose span holds ``byte``."""
+    for node in corpus.nodes_at(Level.PARENT):
+        if node.doc_id == doc_id and node.char_span[0] <= byte < node.char_span[1]:
+            return node.id
+    return None
+
+
+class TestParentAt:
+    DOCS = {
+        "ascii": " ".join(
+            f"Sentence {i} has {'some ' * (i % 5)}words in it." for i in range(40)
+        ),
+        "multibyte": " ".join(f"Été {i} brûle ça {'déjà ' * (i % 4)}fini." for i in range(30)),
+    }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ChunkingConfig(parent_size=24, intermediate_size=10, sub_intermediate_size=None),
+            ChunkingConfig(parent_size=40, parent_overlap=15, intermediate_size=12,
+                           intermediate_overlap=5, sub_intermediate_size=None),
+            ChunkingConfig(parent_size=30, parent_overlap=29, intermediate_size=8,
+                           sub_intermediate_size=None),
+        ],
+    )
+    def test_matches_linear_scan_at_every_byte(self, config):
+        corpus = build_corpus(self.DOCS, config)
+        for doc_id in (*self.DOCS, "unknown"):
+            size = len(corpus.documents.get(doc_id, "").encode("utf-8"))
+            for byte in range(-2, size + 3):
+                assert corpus.parent_at(doc_id, byte) == _scan_parent_at(corpus, doc_id, byte)
+
+    def test_overlap_byte_belongs_to_earlier_parent(self):
+        config = ChunkingConfig(parent_size=40, parent_overlap=15, intermediate_size=12,
+                                sub_intermediate_size=None)
+        corpus = build_corpus(self.DOCS, config)
+        p0, p1 = [n for n in corpus.nodes_at(Level.PARENT) if n.doc_id == "ascii"][:2]
+        assert p1.char_span[0] < p0.char_span[1]  # the spans really overlap
+        assert corpus.parent_at("ascii", p1.char_span[0]) == p0.id
+
+
 class TestValidateCorpus:
     def test_chunker_output_is_clean(self, corpus):
         assert validate_corpus(corpus) == []

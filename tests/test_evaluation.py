@@ -3,11 +3,14 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrr.config import EngineConfig
+from hrr.engine import context_for
 from hrr.errors import EmptyQuerySetError, GoldNotInCorpusError
 from hrr.evaluation import (
     EvalRecord,
@@ -22,6 +25,7 @@ from hrr.evaluation import (
 )
 from hrr.rerank import ScoredCandidate
 from hrr.retrievers import RetrievalResult, Strategy
+from hrr.synth import CorpusSpec, generate
 
 
 def result_with(parent_ids, query="q"):
@@ -151,6 +155,17 @@ class TestTableFormat:
         payload = json.loads(summaries_to_json([EvalSummary("s2p", 0.5, 0.25, 8)]))
         assert payload == [{"strategy": "s2p", "hit_rate": 0.5, "mrr": 0.25, "n": 8}]
 
+    def test_readme_quickstart_table_is_current(self):
+        # The README's quickstart shows `hrr eval` on the seed-42 synth corpus
+        # at default settings; the table there must be what compare() prints.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```")
+        shown = [b.strip() for b in blocks[1::2] if b.strip().startswith("Retriever")]
+        assert len(shown) == 1
+        synthetic = generate(CorpusSpec(seed=42))
+        ctx = context_for(synthetic.corpus, EngineConfig())
+        assert shown[0] == format_table(compare(ctx, synthetic.queries, list(Strategy)))
+
 
 class TestQuerySetFiles:
     def test_round_trip(self, tmp_path, toy_corpus):
@@ -176,6 +191,16 @@ class TestQuerySetFiles:
         path.write_text(json.dumps(rec) + "\n")
         loaded = load_query_set(path, toy_corpus)
         assert loaded[0].gold_parent == "beta:p1"
+
+    @pytest.mark.parametrize(
+        "doc_id,start", [("ghost", 0), (["beta"], 0), ("beta", 10**6), ("beta", -1)]
+    )
+    def test_uncovered_span_rejected(self, tmp_path, toy_corpus, doc_id, start):
+        rec = {"query": "x", "gold_doc_id": doc_id, "gold_char_span": [start, start + 4]}
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(GoldNotInCorpusError, match="no parent chunk covers"):
+            load_query_set(path, toy_corpus)
 
     def test_span_without_corpus_rejected(self, tmp_path):
         path = tmp_path / "q.jsonl"

@@ -22,7 +22,6 @@ from hrr.retrievers import (
     RetrievalContext,
     Strategy,
     retrieve,
-    retrieve_hrr,
 )
 
 from conftest import TOY_CHUNKING
@@ -78,7 +77,7 @@ QUERY = "zorblat fenwick grant money"
 
 class TestHrrStageConformance:
     def test_stage_sequence(self, toy_context):
-        result = retrieve_hrr(QUERY, toy_context)
+        result = retrieve(QUERY, toy_context)
         assert [t.stage for t in result.trace] == [
             "sentence_hits",
             "intermediate_hits",
@@ -92,7 +91,7 @@ class TestHrrStageConformance:
     def test_every_stage_matches_oracle(self, toy_context):
         ctx = toy_context
         k = ctx.config.similarity_top_k
-        result = retrieve_hrr(QUERY, ctx)
+        result = retrieve(QUERY, ctx)
         qv = embed_one(ctx, QUERY)
 
         sent = brute_force_hits(ctx, Level.SENTENCE, qv, k)
@@ -126,7 +125,7 @@ class TestHrrStageConformance:
         assert as_pairs(result.parents) == parents
 
     def test_pool_is_exactly_the_union(self, toy_context):
-        result = retrieve_hrr(QUERY, toy_context)
+        result = retrieve(QUERY, toy_context)
         from_sentences = {c.chunk_id for c in result.stage("sentence_to_intermediate")}
         direct = {c.chunk_id for c in result.stage("intermediate_hits")}
         pool = {c.chunk_id for c in result.stage("rerank_pool")}
@@ -135,7 +134,7 @@ class TestHrrStageConformance:
     def test_frozen_toy_expectations(self, toy_context):
         # The needle words live in one alpha sentence; its intermediate must
         # win the rerank and alpha's parent must come back first.
-        result = retrieve_hrr(QUERY, toy_context)
+        result = retrieve(QUERY, toy_context)
         top_sentence = result.stage("sentence_hits")[0]
         assert "zorblat fenwick" in toy_context.corpus.chunk_text(top_sentence.chunk_id)
         best = result.stage("reranked")[0]
@@ -261,7 +260,24 @@ class TestS2P:
         assert hrr_levels == {Level.INTERMEDIATE}
 
 
+RERANK_STAGES = ["rerank_pool", "reranked", "rerank_top_k", "parents"]
+
+
 class TestSharedBehavior:
+    # hrr's stage list is pinned by TestHrrStageConformance.
+    @pytest.mark.parametrize(
+        "strategy,stages",
+        [
+            (Strategy.BASE, ["parent_hits", *RERANK_STAGES]),
+            (Strategy.C2P, ["parent_hits", "intermediate_hits", "sub_intermediate_hits",
+                            *RERANK_STAGES]),
+            (Strategy.S2P, ["sentence_hits", *RERANK_STAGES]),
+        ],
+    )
+    def test_baseline_stage_sequence(self, toy_context, strategy, stages):
+        result = retrieve(QUERY, with_strategy(toy_context, strategy))
+        assert [t.stage for t in result.trace] == stages
+
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_parents_unique_parent_level_bounded(self, toy_context, strategy):
         result = retrieve(QUERY, with_strategy(toy_context, strategy))
@@ -328,8 +344,8 @@ class TestScoreMixingIntegration:
             toy_corpus, config, embedder=HashedBowEmbedder(dimension=64)
         )
         mixed_ctx = dataclasses.replace(base_ctx, rerank_mix_lambda=0.5)
-        plain = retrieve_hrr(QUERY, base_ctx)
-        mixed = retrieve_hrr(QUERY, mixed_ctx)
+        plain = retrieve(QUERY, base_ctx)
+        mixed = retrieve(QUERY, mixed_ctx)
         plain_scores = {c.chunk_id: c.score for c in plain.stage("reranked")}
         mixed_scores = {c.chunk_id: c.score for c in mixed.stage("reranked")}
         boosted: dict[str, float] = {}

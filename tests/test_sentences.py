@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrr.chunking import ChunkingConfig, chunk_document
+from hrr.corpus import Level
 from hrr.sentences import split_sentences
-from hrr.tokens import WordPunctTokenizer
 
 
-def sentences_of(text, **kwargs):
-    return [text[s:e] for s, e in split_sentences(text, **kwargs)]
+def sentences_of(text):
+    return [text[s:e] for s, e in split_sentences(text)]
 
 
 class TestBasicRules:
@@ -66,15 +67,17 @@ class TestAbbreviations:
 
 class TestHardSplitFallback:
     def test_long_sentence_capped(self):
+        # The chunker, not the splitter, caps long sentences.
         words = " ".join(f"w{i}" for i in range(1000))  # 1000 tokens, no terminator
-        spans = split_sentences(words, max_tokens=400)
-        tok = WordPunctTokenizer()
-        counts = [tok.count_tokens(words[s:e]) for s, e in spans]
-        assert counts == [400, 400, 200]
+        fragment = chunk_document("d", words, ChunkingConfig(max_sentence_tokens=400))
+        sentences = [n for n in fragment.nodes if n.level is Level.SENTENCE]
+        assert [n.token_count for n in sentences] == [400, 400, 200]
+        assert all(n.hard_split for n in sentences)
 
     def test_cap_disabled(self):
-        words = " ".join(f"w{i}" for i in range(500))
-        assert len(split_sentences(words, max_tokens=0)) == 1
+        # The splitter never caps a long sentence.
+        words = " ".join(f"w{i}" for i in range(1000))
+        assert split_sentences(words) == [(0, len(words))]
 
 
 class TestCoverageProperty:
