@@ -7,8 +7,8 @@ typos fail loudly instead of silently falling back to defaults.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,14 +98,13 @@ def config_from_dict(data: dict) -> EngineConfig:
     """Build an ``EngineConfig`` from parsed JSON, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    hints = typing.get_type_hints(EngineConfig)
     kwargs = {}
     for key, value in data.items():
         if key in _SECTIONS:
             kwargs[key] = _section_from_dict(_SECTIONS[key], value, key)
-        elif key == "tokenizer":
-            kwargs[key] = str(value)
-        elif key == "seed":
-            kwargs[key] = int(value)
+        elif key in ("tokenizer", "seed"):
+            kwargs[key] = _typed_value(value, hints[key], key)
         else:
             raise ConfigError(f"unknown config key {key!r}")
     config = EngineConfig(**kwargs)
@@ -116,10 +115,10 @@ def config_from_dict(data: dict) -> EngineConfig:
 def _section_from_dict(section_type, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path!r} must be an object")
-    known = {f.name: f for f in dataclasses.fields(section_type)}
+    hints = typing.get_type_hints(section_type)
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"unknown config key '{path}.{key}'")
         if section_type is RetrieverConfig and key == "strategy":
             try:
@@ -128,11 +127,33 @@ def _section_from_dict(section_type, data, path: str):
                 raise ConfigError(
                     f"{path}.strategy must be one of {[s.value for s in Strategy]}"
                 ) from None
+        else:
+            value = _typed_value(value, hints[key], f"{path}.{key}")
         kwargs[key] = value
-    try:
-        return section_type(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config section {path!r}: {exc}") from exc
+    return section_type(**kwargs)
+
+
+def _typed_value(value, hint, path: str):
+    """Return ``value`` if JSON gave it the field's type, else raise.
+
+    An int field rejects strings, bools and floats; a float field also
+    takes an int, stored as a float.
+    """
+    for allowed in typing.get_args(hint) or (hint,):
+        if allowed is type(None) and value is None:
+            return value
+        if allowed in (int, str) and type(value) is allowed:
+            return value
+        if allowed is float and type(value) in (int, float):
+            return float(value)
+    raise ConfigError(f"{path} must be {_type_name(hint)}, got {json.dumps(value)}")
+
+
+def _type_name(hint) -> str:
+    names = {int: "an integer", float: "a number", str: "a string"}
+    return " or ".join(
+        "null" if t is type(None) else names[t] for t in typing.get_args(hint) or (hint,)
+    )
 
 
 def load_config(path: str | Path | None) -> EngineConfig:

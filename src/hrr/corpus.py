@@ -395,43 +395,72 @@ def save_corpus(corpus: Corpus, directory: str | Path, *, include_text: bool = F
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load a corpus previously written by ``save_corpus``."""
+    """Load a corpus previously written by ``save_corpus``.
+
+    A line that is not a well-formed record raises ``SnapshotFormatError``
+    naming the file and line.
+    """
     from .chunking import ChunkingConfig
 
     directory = Path(directory)
     documents: dict[str, str] = {}
-    with open(directory / DOCUMENTS_FILE, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            documents[rec["doc_id"]] = rec["text"]
+    path = directory / DOCUMENTS_FILE
+    with open(path, encoding="utf-8") as fh:
+        line_no = 0
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                rec = json.loads(line)
+                documents[rec["doc_id"]] = rec["text"]
+        except MALFORMED_RECORD_ERRORS as exc:
+            raise malformed_record(path, line_no, exc) from None
 
-    with open(directory / CHUNKS_FILE, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != _FORMAT or header.get("version") != _VERSION:
-            raise SnapshotFormatError(f"unsupported corpus file header: {header}")
-        config = ChunkingConfig(**header["chunking"])
-        nodes: list[ChunkNode] = []
-        sub_nodes: list[ChunkNode] = []
-        for line in fh:
-            rec = json.loads(line)
-            node = ChunkNode(
-                id=rec["id"],
-                level=Level(rec["level"]),
-                doc_id=rec["doc_id"],
-                parent_id=rec["parent_id"],
-                char_span=(rec["char_span"][0], rec["char_span"][1]),
-                token_count=rec["token_count"],
-                hard_split=rec["hard_split"],
-            )
-            if node.level is Level.SUB_INTERMEDIATE:
-                sub_nodes.append(node)
-            else:
-                nodes.append(node)
+    path = directory / CHUNKS_FILE
+    with open(path, encoding="utf-8") as fh:
+        line_no = 1
+        try:
+            header = json.loads(fh.readline())
+            if (
+                not isinstance(header, dict)
+                or header.get("format") != _FORMAT
+                or header.get("version") != _VERSION
+            ):
+                raise SnapshotFormatError(f"{path}: unsupported corpus file header: {header}")
+            config = ChunkingConfig(**header["chunking"])
+            tokenizer_name = header["tokenizer"]
+            nodes: list[ChunkNode] = []
+            sub_nodes: list[ChunkNode] = []
+            for line_no, line in enumerate(fh, start=2):
+                rec = json.loads(line)
+                node = ChunkNode(
+                    id=rec["id"],
+                    level=Level(rec["level"]),
+                    doc_id=rec["doc_id"],
+                    parent_id=rec["parent_id"],
+                    char_span=(rec["char_span"][0], rec["char_span"][1]),
+                    token_count=rec["token_count"],
+                    hard_split=rec["hard_split"],
+                )
+                if node.level is Level.SUB_INTERMEDIATE:
+                    sub_nodes.append(node)
+                else:
+                    nodes.append(node)
+        except MALFORMED_RECORD_ERRORS as exc:
+            raise malformed_record(path, line_no, exc) from None
 
     return Corpus(
         documents,
         nodes,
         sub_nodes,
         config=config,
-        tokenizer_name=header["tokenizer"],
+        tokenizer_name=tokenizer_name,
     )
+
+
+#: What reading fields from one parsed JSON line can raise when the line is
+#: not a well-formed record (``json.JSONDecodeError`` is a ``ValueError``).
+MALFORMED_RECORD_ERRORS = (ValueError, KeyError, TypeError, IndexError)
+
+
+def malformed_record(path: Path | str, line_no: int, exc: Exception) -> SnapshotFormatError:
+    """The one-line error for a bad line in a JSON-lines file."""
+    return SnapshotFormatError(f"{path} line {line_no}: malformed record ({exc})")

@@ -69,8 +69,9 @@ def ensure_unit(vector, dimension: int | None = None) -> np.ndarray:
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two unit vectors, computed in float64.
 
-    This is the one scoring routine in the package; the index scan calls it
-    per entry so exact search is reproducible against a naive rescan.
+    This is the one scoring routine in the package; index search rescores
+    its candidates with it so exact search is reproducible against a naive
+    rescan.
     """
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")

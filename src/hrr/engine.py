@@ -26,7 +26,12 @@ from .corpus import (
     validate_corpus,
 )
 from .embedding import EmbeddingProvider, HashedBowEmbedder, RemoteEmbedder
-from .errors import InvalidCorpusError, MissingIndexError, NoDocumentsError
+from .errors import (
+    InvalidCorpusError,
+    MissingIndexError,
+    NoDocumentsError,
+    SnapshotFormatError,
+)
 from .index import LevelIndex, build_index, load_index, save_index
 from .rerank import LexicalOverlapReranker, RemoteReranker, RerankProvider
 from .retrievers import RetrievalContext
@@ -128,11 +133,27 @@ def load_indices(config: EngineConfig) -> dict[Level, LevelIndex]:
 
 
 def load_context(config: EngineConfig) -> RetrievalContext:
-    """Load persisted artifacts into a ready-to-query retrieval context."""
+    """Load persisted artifacts into a ready-to-query retrieval context.
+
+    Each loaded index must hold exactly the corpus's chunk ids at its level,
+    in corpus order; artifacts from different ingests, or a truncated
+    corpus, raise ``SnapshotFormatError``.
+    """
     corpus = load_corpus(config.paths.corpus_dir)
+    indices = load_indices(config)
+    corpus_ids: dict[Level, list[str]] = {level: [] for level in Level}
+    for node in (*corpus.nodes, *corpus.sub_nodes):
+        corpus_ids[node.level].append(node.id)
+    for level, index in indices.items():
+        expected = corpus_ids[level]
+        if list(index.chunk_ids) != expected:
+            raise SnapshotFormatError(
+                f"{level.value} index holds {len(index)} chunk ids that do not match "
+                f"the corpus's {len(expected)} chunks at that level; re-run ingest"
+            )
     ctx = RetrievalContext(
         corpus=corpus,
-        indices=load_indices(config),
+        indices=indices,
         embedder=make_embedder(config),
         reranker=make_reranker(config),
         config=config.retriever,

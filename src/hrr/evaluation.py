@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Level
+from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, malformed_record
 from .errors import EmptyQuerySetError, GoldNotInCorpusError
 from .retrievers import RetrievalContext, RetrievalResult, Strategy, retrieve
 
@@ -120,7 +120,9 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
     Records carry either ``gold_parent_id`` directly, or ``gold_doc_id`` plus
     ``gold_char_span`` which is resolved (at its start offset) to the parent
     chunk covering it; resolution requires ``corpus``. When a corpus is given
-    every gold parent is validated against it.
+    every gold parent is validated against it. A line that is not a
+    well-formed record raises ``SnapshotFormatError`` naming the file and
+    line.
     """
     queries: list[LabeledQuery] = []
     problems: list[str] = []
@@ -129,14 +131,15 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
             try:
-                gold = _record_to_query(rec, corpus, line_no)
+                gold = _record_to_query(json.loads(line), corpus, line_no)
                 if corpus is not None:
                     _check_gold(gold, corpus)
             except GoldNotInCorpusError as exc:
                 problems.append(str(exc))
                 continue
+            except MALFORMED_RECORD_ERRORS as exc:
+                raise malformed_record(path, line_no, exc) from None
             queries.append(gold)
     if problems:
         raise GoldNotInCorpusError(

@@ -129,6 +129,14 @@ def generate(
 
     forbidden = {_bucket(w, DEFAULT_EMBED_DIMENSION) for w in SHARED_POOL}
     forbidden.add(_bucket(".", DEFAULT_EMBED_DIMENSION))
+    free = DEFAULT_EMBED_DIMENSION - len(forbidden)
+    max_needles = free // _KEYWORDS_PER_NEEDLE
+    if spec.n_needles > max_needles:
+        raise SpecInfeasibleError(
+            f"{spec.n_needles} needles need {spec.n_needles * _KEYWORDS_PER_NEEDLE} "
+            f"keyword hash buckets, but only {free} of {DEFAULT_EMBED_DIMENSION} are free "
+            f"of boilerplate words: at most {max_needles} needles"
+        )
     keywords = _coin_words(
         rng, spec.n_needles * _KEYWORDS_PER_NEEDLE, forbidden, avoid_buckets=True
     )
@@ -223,7 +231,8 @@ def _coin_words(
 
     With ``avoid_buckets`` the coined words also avoid every hash bucket in
     ``taken_buckets`` (and each other's), which is what makes needle scores
-    provably separable from boilerplate under the default embedder.
+    provably separable from boilerplate under the default embedder. The
+    caller must leave at least ``count`` buckets free, or this never returns.
     """
     words: list[str] = []
     seen_buckets = set(taken_buckets)

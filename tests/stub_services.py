@@ -9,6 +9,7 @@ are switchable per instance to drive the error-path tests.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -23,6 +24,15 @@ MODE_SERVER_ERROR = "server-error"
 MODE_BAD_REQUEST = "bad-request"
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        """Stay silent when a client hung up first: a timed-out request's
+        handler thread finishes later, and its traceback would land in the
+        stderr of whichever test runs then."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 class StubServices:
     """Runs a tiny threading HTTP server until used as a context manager."""
 
@@ -34,7 +44,7 @@ class StubServices:
         self.reranker = LexicalOverlapReranker()
         self.seen_headers: list[dict[str, str]] = []
         self.request_count = 0
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler_class())
+        self._server = _Server(("127.0.0.1", 0), self._handler_class())
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     @property

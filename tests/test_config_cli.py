@@ -71,6 +71,21 @@ class TestConfigLoading:
         # untouched sections keep defaults
         assert config.embedding.provider == "hashed-bow"
 
+    def test_value_types_checked(self):
+        config = config_from_dict({"embedding": {"timeout": 5, "base_url": None}})
+        assert config.embedding.timeout == 5.0 and isinstance(config.embedding.timeout, float)
+        for section, key, value in [
+            ("retriever", "similarity_top_k", 10.0),
+            ("retriever", "rerank_top_k", True),
+            ("chunking", "sub_intermediate_size", "8"),
+            ("embedding", "timeout", "5"),
+            ("paths", "corpus_dir", 3),
+        ]:
+            with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+                config_from_dict({section: {key: value}})
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            config_from_dict({"seed": "x"})
+
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
@@ -231,6 +246,57 @@ class TestCliErrors:
             ["eval", "--query-set", "bad_queries.jsonl", "--config", "engine.json"]
         )
         assert code == EXIT_ERROR
+
+    def test_wrong_type_config_value_is_config_error(self, workdir, capsys):
+        config = json.loads(Path("engine.json").read_text())
+        config["retriever"]["similarity_top_k"] = "10"
+        Path("typed.json").write_text(json.dumps(config))
+        assert main(["query", "x", "--config", "typed.json"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "retriever.similarity_top_k must be an integer" in err
+        assert err.count("\n") == 1
+
+    def test_malformed_query_set_line_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        good = (workdir / "synth" / "queries.jsonl").read_text().splitlines()[0]
+        Path("queries.jsonl").write_text(good + '\n{"query": "x", "gold_parent_id"\n')
+        capsys.readouterr()
+        code = main(["eval", "--query-set", "queries.jsonl", "--config", "engine.json"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "queries.jsonl line 2: malformed record" in err and err.count("\n") == 1
+
+    def test_malformed_corpus_line_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        chunks = Path("corpus") / "chunks.jsonl"
+        data = chunks.read_text()
+        chunks.write_text(data[: len(data) // 2])  # cut mid-record
+        lines = chunks.read_text().count("\n") + 1
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"chunks.jsonl line {lines}: malformed record" in err and err.count("\n") == 1
+
+    def test_corpus_truncated_at_line_boundary_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        chunks = Path("corpus") / "chunks.jsonl"
+        lines = chunks.read_text().splitlines(keepends=True)
+        chunks.write_text("".join(lines[: len(lines) // 2]))
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "do not match the corpus" in err and err.count("\n") == 1
+
+    def test_non_finite_index_row_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        snapshot = Path("indexes") / "parent.idx"
+        data = bytearray(snapshot.read_bytes())
+        data[-4:] = bytes.fromhex("0000c07f")  # little-endian float32 NaN
+        snapshot.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "parent.idx" in err and "not finite" in err and err.count("\n") == 1
 
     def test_unreachable_remote_provider_exit_code(self, workdir):
         config = json.loads(Path("engine.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.corpus import Level
-from hrr.embedding import HashedBowEmbedder, cosine_similarity, ensure_unit
+from hrr.embedding import HashedBowEmbedder, cosine_similarity, embed_batch, ensure_unit
 from hrr.errors import (
     DimensionMismatchError,
     InvalidCorpusError,
@@ -81,6 +81,89 @@ class TestSearchOracle:
         first = index.search(query, 10)
         for _ in range(3):
             assert index.search(query, 10) == first
+
+
+def assert_matches_oracle(index: LevelIndex, query: np.ndarray, ks) -> None:
+    """Search equals the full scan for each k, ids and float scores alike."""
+    unit = ensure_unit(query, index.dimension)
+    for k in ks:
+        hits = index.search(query, k)
+        assert [(h.chunk_id, h.score) for h in hits] == naive_top_k(index, unit, k), k
+
+
+class TestSearchNearTies:
+    """Cases where the prefilter's approximate scores tie or nearly tie."""
+
+    def test_duplicate_rows(self):
+        # BLAS kernels score identical rows differently by position, so the
+        # approximate scores of one duplicate group spread over a few ulps.
+        rng = random.Random(21)
+        base = random_index(rng, 12, 33)
+        rows = np.stack([base.vectors[rng.randrange(12)] for _ in range(266)])
+        index = LevelIndex(Level.SENTENCE, [f"d{i:03d}" for i in range(266)], rows)
+        probes = list(base.vectors) + [
+            np.array([rng.gauss(0, 1) for _ in range(33)], dtype=np.float32) for _ in range(12)
+        ]
+        for probe in probes:
+            assert_matches_oracle(index, probe, [1, 7, 25, 26, 150, 265])
+
+    def test_rows_one_ulp_apart(self):
+        rng = random.Random(22)
+        base = random_index(rng, 8, 64).vectors
+        nprng = np.random.default_rng(22)
+        rows = []
+        for i in range(400):
+            row = base[i % 8].copy()
+            step = nprng.integers(-1, 2, size=row.shape)
+            row[step > 0] = np.nextafter(row[step > 0], np.float32(np.inf))
+            row[step < 0] = np.nextafter(row[step < 0], np.float32(-np.inf))
+            rows.append(row)
+        index = LevelIndex(Level.SENTENCE, [f"u{i:03d}" for i in range(400)], np.stack(rows))
+        for probe in range(8):
+            assert_matches_oracle(index, base[probe], [1, 3, 50, 51, 52, 399])
+
+    @pytest.mark.parametrize("n, dim", [(131, 33), (266, 64), (998, 384)])
+    def test_all_equal_rows(self, n, dim):
+        rng = random.Random(n)
+        row = random_index(rng, 1, dim).vectors[0]
+        ids = [f"e{i:04d}" for i in range(n - 1, -1, -1)]
+        index = LevelIndex(Level.SENTENCE, ids, np.stack([row] * n))
+        query = np.array([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
+        for probe in (row, query):
+            assert_matches_oracle(index, probe, [1, 2, 10, n // 2, n - 1])
+        assert [h.chunk_id for h in index.search(query, 3)] == ["e0000", "e0001", "e0002"]
+
+    def test_k_at_or_above_row_count(self):
+        rng = random.Random(23)
+        index = random_index(rng, 40, 16)
+        query = np.array([rng.gauss(0, 1) for _ in range(16)], dtype=np.float32)
+        assert_matches_oracle(index, query, [39, 40, 41, 1000])
+        assert len(index.search(query, 1000)) == 40
+
+    def test_non_unit_query(self):
+        rng = random.Random(24)
+        index = random_index(rng, 200, 32)
+        raw = np.array([rng.gauss(0, 1) for _ in range(32)], dtype=np.float32)
+        for scale in (1e-3, 0.5, 7.0, 3e4):
+            assert_matches_oracle(index, raw * np.float32(scale), [1, 10, 64])
+
+    def test_hashed_bow_index_with_ties_straddling_kth(self):
+        words = "budget road school grain depot canal water permit".split()
+        texts = [
+            " ".join([words[i % 8], words[i % 5], words[i % 3], words[(i // 7) % 8]])
+            for i in range(2400)
+        ]
+        vectors = embed_batch(HashedBowEmbedder(dimension=384), texts)
+        index = LevelIndex(Level.SENTENCE, [f"s{i:05d}" for i in range(2400)], np.stack(vectors))
+        embedder = HashedBowEmbedder(dimension=384)
+        straddled = 0
+        for query in ("budget road", "grain depot canal", "water", "school permit road"):
+            q = embedder.embed_batch([query])[0]
+            ranked = naive_top_k(index, q, len(index))
+            ks = [k for k in range(1, 400) if ranked[k - 1][1] == ranked[k][1]][::25]
+            straddled += len(ks)
+            assert_matches_oracle(index, q, ks + [1, 10, 2399, 2400])
+        assert straddled >= 20
 
 
 class TestSearchValidation:
@@ -159,6 +242,24 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"{not json", b'{"level": "sentence"}', b'{"level": "leaf", "dimension": 6, "count": 1}',
+         b'{"level": "sentence", "dimension": -6, "count": 1}', b"\xff\xfe", b"[1, 2]"],
+    )
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "h.idx"
+        path.write_bytes(b"HRRIDX1\n" + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(SnapshotFormatError):
+            load_index(path)
+
+    def test_count_beyond_file_size(self, tmp_path):
+        header = b'{"level": "sentence", "dimension": 6, "count": 10000000000000}'
+        path = tmp_path / "c.idx"
+        path.write_bytes(b"HRRIDX1\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 64)
+        with pytest.raises(SnapshotFormatError, match="exceeds the file"):
+            load_index(path)
+
     def test_trailing_garbage(self, tmp_path):
         index = random_index(random.Random(4), 4, 6)
         path = tmp_path / "g.idx"
@@ -177,3 +278,22 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(InvalidCorpusError):
             LevelIndex(Level.PARENT, [], np.zeros((0, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
+        vecs[1, 2] = bad
+        with pytest.raises(InvalidCorpusError, match="'y'"):
+            LevelIndex(Level.PARENT, ["x", "y"], vecs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_snapshot_with_non_finite_row_rejected(self, tmp_path, bad):
+        index = random_index(random.Random(4), 10, 6)
+        path = tmp_path / "nan.idx"
+        save_index(index, path)
+        data = bytearray(path.read_bytes())
+        last_entry = len(data) - 4 * 6
+        data[last_entry : last_entry + 4] = np.array([bad], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotFormatError, match="not finite"):
+            load_index(path)

@@ -1,5 +1,7 @@
 """Synthetic corpus generator: determinism, uniqueness, provable relevance."""
 
+import threading
+
 import pytest
 
 from hrr.corpus import Level, validate_corpus
@@ -99,6 +101,23 @@ class TestSpecValidation:
     def test_infeasible_needle_count(self):
         with pytest.raises(SpecInfeasibleError):
             generate(CorpusSpec(seed=1, n_docs=1, tokens_per_doc=30, n_needles=50))
+
+    def test_needles_beyond_free_hash_buckets_fail_fast(self):
+        # 67 needles need 201 keyword buckets; only 199 are free at 384, and
+        # coining used to loop forever. Run it on a thread to bound a hang.
+        outcome = []
+
+        def run():
+            try:
+                generate(CorpusSpec(n_needles=67))
+            except SpecInfeasibleError as exc:
+                outcome.append(str(exc))
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "generate() did not return within 30 s"
+        assert len(outcome) == 1 and "at most 66 needles" in outcome[0]
 
     @pytest.mark.parametrize(
         "kwargs",
