@@ -12,9 +12,12 @@ add up exactly and documents reassemble byte-for-byte. With overlap > 0 a
 chunk's span additionally covers the tail sentences of its predecessor, but
 those sentences still belong to the earlier chunk for hierarchy purposes.
 
-An optional fourth tier of sub-intermediate chunks (256 tokens, consumed
+An optional side tier of sub-intermediate chunks (256 tokens, consumed
 only by the child-to-parent retrieval strategy) is cut from each
-intermediate the same way and kept outside the main hierarchy.
+intermediate the same way, without overlap. Its nodes are emitted after
+their intermediate's sentences, into the same node list as every other
+level; it is a level outside ``HIERARCHY_LEVELS``, linked to its
+intermediate.
 """
 
 from __future__ import annotations
@@ -63,11 +66,10 @@ class ChunkingConfig:
 
 @dataclass(frozen=True)
 class DocumentChunks:
-    """All chunk nodes for one document, in emission order."""
+    """All chunk nodes for one document, every level, in emission order."""
 
     doc_id: str
     nodes: tuple[ChunkNode, ...]
-    sub_nodes: tuple[ChunkNode, ...]
 
 
 @dataclass
@@ -125,7 +127,6 @@ def chunk_document(
     to_bytes = _ByteOffsets(text)
 
     nodes: list[ChunkNode] = []
-    sub_nodes: list[ChunkNode] = []
 
     parent_frags = _split_to_budget(fragments, config.parent_size, text, tokenizer)
     parent_groups = _pack(parent_frags, config.parent_size, config.parent_overlap)
@@ -168,14 +169,14 @@ def chunk_document(
                 sub_groups = _pack(sub_frags, config.sub_intermediate_size, 0)
                 sub_regions = _regions(sub_groups, *i_region.owned)
                 for c_ord, (c_group, c_region) in enumerate(zip(sub_groups, sub_regions)):
-                    sub_nodes.append(
+                    nodes.append(
                         _make_node(
                             f"{inter_id}.c{c_ord}", Level.SUB_INTERMEDIATE, doc_id,
                             inter_id, c_group, c_region, text, tokenizer, to_bytes,
                         )
                     )
 
-    return DocumentChunks(doc_id, tuple(nodes), tuple(sub_nodes))
+    return DocumentChunks(doc_id, tuple(nodes))
 
 
 def build_corpus(
@@ -187,14 +188,9 @@ def build_corpus(
     config = config if config is not None else ChunkingConfig()
     tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
     nodes: list[ChunkNode] = []
-    sub_nodes: list[ChunkNode] = []
     for doc_id, text in documents.items():
-        fragment = chunk_document(doc_id, text, config, tokenizer)
-        nodes.extend(fragment.nodes)
-        sub_nodes.extend(fragment.sub_nodes)
-    return Corpus(
-        documents, nodes, sub_nodes, config=config, tokenizer_name=tokenizer.name
-    )
+        nodes.extend(chunk_document(doc_id, text, config, tokenizer).nodes)
+    return Corpus(documents, nodes, config=config, tokenizer_name=tokenizer.name)
 
 
 # ---------------------------------------------------------------------------

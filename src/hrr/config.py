@@ -14,12 +14,10 @@ from pathlib import Path
 
 from .chunking import ChunkingConfig
 from .errors import ConfigError
-from .rerank import FALLBACK_ERROR, FALLBACK_PASSTHROUGH
+from .rerank import PROVIDER_REMOTE, RerankProviderConfig
 from .retrievers import RetrieverConfig, Strategy
 
 PROVIDER_LOCAL_EMBED = "hashed-bow"
-PROVIDER_LOCAL_RERANK = "lexical-overlap"
-PROVIDER_REMOTE = "remote"
 
 
 @dataclass(frozen=True)
@@ -43,25 +41,6 @@ class EmbeddingConfig:
 
 
 @dataclass(frozen=True)
-class RerankProviderConfig:
-    provider: str = PROVIDER_LOCAL_RERANK
-    base_url: str | None = None
-    timeout: float = 10.0
-    retries: int = 3
-    fallback: str = FALLBACK_ERROR
-    mix_lambda: float = 0.0
-    api_key_env: str | None = None
-
-    def validate(self) -> None:
-        if self.provider not in (PROVIDER_LOCAL_RERANK, PROVIDER_REMOTE):
-            raise ConfigError(f"unknown rerank provider {self.provider!r}")
-        if self.provider == PROVIDER_REMOTE and not self.base_url:
-            raise ConfigError("rerank.base_url is required for the remote provider")
-        if self.fallback not in (FALLBACK_ERROR, FALLBACK_PASSTHROUGH):
-            raise ConfigError(f"rerank.fallback must be error or passthrough")
-
-
-@dataclass(frozen=True)
 class PathsConfig:
     corpus_dir: str = "corpus"
     index_dir: str = "indexes"
@@ -76,7 +55,6 @@ class EngineConfig:
     rerank: RerankProviderConfig = field(default_factory=RerankProviderConfig)
     retriever: RetrieverConfig = field(default_factory=RetrieverConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
-    seed: int = 0
 
     def validate(self) -> None:
         self.chunking.validate()
@@ -103,7 +81,7 @@ def config_from_dict(data: dict) -> EngineConfig:
     for key, value in data.items():
         if key in _SECTIONS:
             kwargs[key] = _section_from_dict(_SECTIONS[key], value, key)
-        elif key in ("tokenizer", "seed"):
+        elif key == "tokenizer":
             kwargs[key] = _typed_value(value, hints[key], key)
         else:
             raise ConfigError(f"unknown config key {key!r}")

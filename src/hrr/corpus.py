@@ -1,10 +1,11 @@
 """Document and chunk hierarchy model.
 
-A corpus holds plain-text documents plus the chunk nodes produced by the
-chunker: parent chunks, intermediate chunks nested in parents, and sentence
-chunks nested in intermediates. An optional side tier of sub-intermediate
-chunks (used only by the child-to-parent retrieval strategy) also nests in
-intermediates but stays outside the main three-level hierarchy, so sentence
+A corpus holds plain-text documents plus one table of the chunk nodes
+produced by the chunker, keyed by id and by level: parent chunks,
+intermediate chunks nested in parents, and sentence chunks nested in
+intermediates. The sub-intermediate side tier (used only by the
+child-to-parent retrieval strategy) is stored the same way; it also nests in
+intermediates, but it is a level outside ``HIERARCHY_LEVELS``, so sentence
 nodes always sit exactly two hops below their parent chunk.
 
 Chunk text is never stored on the nodes; every node carries a (start, end)
@@ -20,7 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import LevelViolationError, SnapshotFormatError, UnknownChunkError
 from .tokens import get_tokenizer
@@ -74,78 +75,86 @@ class Violation:
 
 
 class Corpus:
-    """Immutable container for documents and their chunk hierarchy.
+    """Immutable container for documents and one table of chunk nodes.
 
-    Safe for concurrent readers once constructed. ``nodes`` preserves the
-    chunker's emission order (parents in document order, each followed by
-    its intermediates and their sentences), which downstream code relies on
-    for deterministic iteration. ``sub_nodes`` holds the optional
-    sub-intermediate side tier.
+    Safe for concurrent readers once constructed. Every level, the side tier
+    included, is stored alike: ``chunks`` maps each id to its node,
+    ``children`` maps a node id to its children at every level, and
+    ``nodes_at`` gives one level's nodes in emission order. ``nodes`` holds
+    the ``HIERARCHY_LEVELS`` in the chunker's emission order (parents in
+    document order, each followed by its intermediates and their sentences),
+    which downstream code relies on for deterministic iteration; iterating
+    the corpus yields those, then every other level's nodes.
     """
 
     def __init__(
         self,
         documents: Mapping[str, str],
         nodes: Iterable[ChunkNode],
-        sub_nodes: Iterable[ChunkNode] = (),
         *,
         config: "ChunkingConfig",
         tokenizer_name: str = "word-punct",
     ) -> None:
         self.documents: dict[str, str] = dict(documents)
-        self.nodes: tuple[ChunkNode, ...] = tuple(nodes)
-        self.sub_nodes: tuple[ChunkNode, ...] = tuple(sub_nodes)
         self.config = config
         self.tokenizer_name = tokenizer_name
 
+        hierarchy: list[ChunkNode] = []
+        by_level: dict[Level, list[ChunkNode]] = {level: [] for level in Level}
         self.chunks: dict[str, ChunkNode] = {}
-        for node in self.nodes:
-            self.chunks.setdefault(node.id, node)
-        self.sub_chunks: dict[str, ChunkNode] = {}
-        for node in self.sub_nodes:
-            self.sub_chunks.setdefault(node.id, node)
-
         children: dict[str, list[str]] = {}
-        for node in self.nodes:
+        for node in nodes:
+            by_level[node.level].append(node)
+            if node.level in HIERARCHY_LEVELS:
+                hierarchy.append(node)
+            self.chunks.setdefault(node.id, node)
             if node.parent_id is not None:
                 children.setdefault(node.parent_id, []).append(node.id)
+        self.nodes: tuple[ChunkNode, ...] = tuple(hierarchy)
+        self._by_level = {level: tuple(ns) for level, ns in by_level.items()}
         self.children: dict[str, tuple[str, ...]] = {
             pid: tuple(ids) for pid, ids in children.items()
         }
 
-        sub_children: dict[str, list[str]] = {}
-        for node in self.sub_nodes:
-            if node.parent_id is not None:
-                sub_children.setdefault(node.parent_id, []).append(node.id)
-        self.sub_children: dict[str, tuple[str, ...]] = {
-            pid: tuple(ids) for pid, ids in sub_children.items()
-        }
-
         self._parents_by_doc: dict[str, list[ChunkNode]] = {}
-        for node in self.nodes:
-            if node.level is Level.PARENT:
-                self._parents_by_doc.setdefault(node.doc_id, []).append(node)
+        for node in self._by_level[Level.PARENT]:
+            self._parents_by_doc.setdefault(node.doc_id, []).append(node)
 
         self._doc_bytes: dict[str, bytes] = {
             doc_id: text.encode("utf-8") for doc_id, text in self.documents.items()
         }
 
     def __len__(self) -> int:
-        return len(self.nodes) + len(self.sub_nodes)
+        return sum(map(len, self._by_level.values()))
+
+    def __iter__(self) -> Iterator[ChunkNode]:
+        """Every node: ``nodes``, then each other level's, as saved."""
+        yield from self.nodes
+        for level in Level:
+            if level not in HIERARCHY_LEVELS:
+                yield from self._by_level[level]
 
     def get(self, chunk_id: str) -> ChunkNode:
-        node = self.chunks.get(chunk_id) or self.sub_chunks.get(chunk_id)
+        node = self.chunks.get(chunk_id)
         if node is None:
             raise UnknownChunkError(f"no chunk {chunk_id!r} in corpus")
         return node
 
     def __contains__(self, chunk_id: str) -> bool:
-        return chunk_id in self.chunks or chunk_id in self.sub_chunks
+        return chunk_id in self.chunks
 
     def nodes_at(self, level: Level) -> tuple[ChunkNode, ...]:
-        if level is Level.SUB_INTERMEDIATE:
-            return self.sub_nodes
-        return tuple(n for n in self.nodes if n.level is level)
+        return self._by_level[level]
+
+    @property
+    def levels(self) -> tuple[Level, ...]:
+        """The levels that hold at least one node, top to bottom."""
+        return tuple(level for level, nodes in self._by_level.items() if nodes)
+
+    @property
+    def sub_nodes(self) -> tuple[ChunkNode, ...]:
+        """The side tier, ``nodes_at(Level.SUB_INTERMEDIATE)``."""
+        return self._by_level[Level.SUB_INTERMEDIATE]
 
     def parent_at(self, doc_id: str, byte: int) -> str | None:
         """Id of the parent chunk owning byte offset ``byte`` of ``doc_id``.
@@ -208,7 +217,7 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     cfg = corpus.config
 
     seen: set[str] = set()
-    for node in (*corpus.nodes, *corpus.sub_nodes):
+    for node in corpus:
         if node.id in seen:
             violations.append(Violation("DuplicateId", node.id, "chunk id reused"))
         seen.add(node.id)
@@ -220,7 +229,7 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
         Level.SUB_INTERMEDIATE: cfg.sub_intermediate_size,
     }
 
-    for node in (*corpus.nodes, *corpus.sub_nodes):
+    for node in corpus:
         violations.extend(_check_node(corpus, node, budgets, tokenizer))
 
     if cfg.parent_overlap == 0 and cfg.intermediate_overlap == 0:
@@ -283,37 +292,33 @@ def _check_node(corpus, node, budgets, tokenizer) -> list[Violation]:
 
 
 def _check_partitions(corpus: Corpus) -> list[Violation]:
+    """Parents cover their document, and each owner's children at one level
+    cover the owner and sum to its token count."""
     out: list[Violation] = []
 
-    by_doc: dict[str, list[ChunkNode]] = {}
-    for node in corpus.nodes:
-        if node.level is Level.PARENT:
-            by_doc.setdefault(node.doc_id, []).append(node)
-    for doc_id, parents in by_doc.items():
+    for doc_id, parents in corpus._parents_by_doc.items():
         out.extend(_check_cover(parents, 0, len(corpus.document_bytes(doc_id)), doc_id))
 
-    for parent_id, child_ids in corpus.children.items():
-        parent = corpus.chunks.get(parent_id)
-        if parent is None:
+    for owner_id, child_ids in corpus.children.items():
+        owner = corpus.chunks.get(owner_id)
+        if owner is None:
             continue
-        children = [corpus.chunks[c] for c in child_ids if c in corpus.chunks]
-        out.extend(_check_cover(children, *parent.char_span, parent_id))
-        token_sum = sum(c.token_count for c in children)
-        if children and token_sum != parent.token_count:
-            out.append(
-                Violation(
-                    "TokenSumMismatch",
-                    parent_id,
-                    f"children sum {token_sum} != {parent.token_count}",
+        by_level: dict[Level, list[ChunkNode]] = {}
+        for child_id in child_ids:
+            child = corpus.chunks[child_id]
+            by_level.setdefault(child.level, []).append(child)
+        for children in by_level.values():
+            out.extend(_check_cover(children, *owner.char_span, owner_id))
+            token_sum = sum(c.token_count for c in children)
+            if token_sum != owner.token_count:
+                out.append(
+                    Violation(
+                        "TokenSumMismatch",
+                        owner_id,
+                        f"{children[0].level.value} children sum {token_sum} "
+                        f"!= {owner.token_count}",
+                    )
                 )
-            )
-
-    for inter_id, sub_ids in corpus.sub_children.items():
-        parent = corpus.chunks.get(inter_id)
-        if parent is None:
-            continue
-        subs = [corpus.sub_chunks[c] for c in sub_ids]
-        out.extend(_check_cover(subs, *parent.char_span, inter_id))
     return out
 
 
@@ -367,7 +372,8 @@ def save_corpus(corpus: Corpus, directory: str | Path, *, include_text: bool = F
     """Write the corpus as two line-delimited record files.
 
     ``chunks.jsonl`` starts with a header record (format version, tokenizer,
-    chunking settings) followed by one record per chunk in emission order;
+    chunking settings) followed by one record per chunk, in the corpus's
+    iteration order (the hierarchy in emission order, then the side tier);
     text is omitted unless ``include_text`` since it is recoverable from the
     source and span.
     """
@@ -388,9 +394,7 @@ def save_corpus(corpus: Corpus, directory: str | Path, *, include_text: bool = F
     }
     with open(directory / CHUNKS_FILE, "w", encoding="utf-8") as fh:
         fh.write(_dumps(header) + "\n")
-        for node in corpus.nodes:
-            fh.write(_dumps(_node_record(node, corpus, include_text)) + "\n")
-        for node in corpus.sub_nodes:
+        for node in corpus:
             fh.write(_dumps(_node_record(node, corpus, include_text)) + "\n")
 
 
@@ -428,7 +432,6 @@ def load_corpus(directory: str | Path) -> Corpus:
             config = ChunkingConfig(**header["chunking"])
             tokenizer_name = header["tokenizer"]
             nodes: list[ChunkNode] = []
-            sub_nodes: list[ChunkNode] = []
             for line_no, line in enumerate(fh, start=2):
                 rec = json.loads(line)
                 node = ChunkNode(
@@ -440,20 +443,11 @@ def load_corpus(directory: str | Path) -> Corpus:
                     token_count=rec["token_count"],
                     hard_split=rec["hard_split"],
                 )
-                if node.level is Level.SUB_INTERMEDIATE:
-                    sub_nodes.append(node)
-                else:
-                    nodes.append(node)
+                nodes.append(node)
         except MALFORMED_RECORD_ERRORS as exc:
             raise malformed_record(path, line_no, exc) from None
 
-    return Corpus(
-        documents,
-        nodes,
-        sub_nodes,
-        config=config,
-        tokenizer_name=tokenizer_name,
-    )
+    return Corpus(documents, nodes, config=config, tokenizer_name=tokenizer_name)
 
 
 #: What reading fields from one parsed JSON line can raise when the line is

@@ -1,7 +1,8 @@
 """Ingest and artifact orchestration shared by the CLI and tests.
 
 Ingest reads plain-text documents, chunks them, validates the hierarchy,
-builds one index per level, and persists everything; loading reverses it.
+builds one index per level the corpus holds, and persists everything;
+loading reverses it, and the loaded corpus decides which indexes load.
 All steps are pure functions of (config, inputs), so re-running ingest on
 unchanged inputs rewrites byte-identical artifacts.
 """
@@ -12,19 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chunking import build_corpus
-from .config import (
-    PROVIDER_LOCAL_EMBED,
-    PROVIDER_LOCAL_RERANK,
-    EngineConfig,
-)
-from .corpus import (
-    HIERARCHY_LEVELS,
-    Corpus,
-    Level,
-    load_corpus,
-    save_corpus,
-    validate_corpus,
-)
+from .config import PROVIDER_LOCAL_EMBED, EngineConfig
+from .corpus import Corpus, load_corpus, save_corpus, validate_corpus
 from .embedding import EmbeddingProvider, HashedBowEmbedder, RemoteEmbedder
 from .errors import (
     InvalidCorpusError,
@@ -32,8 +22,8 @@ from .errors import (
     NoDocumentsError,
     SnapshotFormatError,
 )
-from .index import LevelIndex, build_index, load_index, save_index
-from .rerank import LexicalOverlapReranker, RemoteReranker, RerankProvider
+from .index import build_index, load_index, save_index
+from .rerank import PROVIDER_LOCAL_RERANK, LexicalOverlapReranker, RemoteReranker, RerankProvider
 from .retrievers import RetrievalContext
 from .tokens import get_tokenizer
 
@@ -83,13 +73,6 @@ class IngestSummary:
     dimension: int
 
 
-def _indexed_levels(corpus: Corpus) -> tuple[Level, ...]:
-    """The hierarchy levels, plus the side tier when the corpus has one."""
-    if corpus.sub_nodes:
-        return (*HIERARCHY_LEVELS, Level.SUB_INTERMEDIATE)
-    return HIERARCHY_LEVELS
-
-
 def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     """Chunk, validate, embed, index, and persist a document directory."""
     documents = read_documents(docs_dir)
@@ -108,7 +91,7 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     index_dir = Path(config.paths.index_dir)
     index_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
-    for level in _indexed_levels(corpus):
+    for level in corpus.levels:
         index = build_index(corpus, level, embedder)
         save_index(index, index_dir / f"{level.value}{_INDEX_SUFFIX}")
         counts[level.value] = len(index)
@@ -120,47 +103,49 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     )
 
 
-def load_indices(config: EngineConfig) -> dict[Level, LevelIndex]:
-    index_dir = Path(config.paths.index_dir)
-    indices: dict[Level, LevelIndex] = {}
-    for level in Level:
-        path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
-        if path.exists():
-            indices[level] = load_index(path)
-    if not indices:
-        raise MissingIndexError(f"no index snapshots under {index_dir}; run ingest first")
-    return indices
-
-
 def load_context(config: EngineConfig) -> RetrievalContext:
     """Load persisted artifacts into a ready-to-query retrieval context.
 
-    Each loaded index must hold exactly the corpus's chunk ids at its level,
-    in corpus order; artifacts from different ingests, or a truncated
-    corpus, raise ``SnapshotFormatError``.
+    The corpus decides which indexes load: one per level it holds, and
+    snapshots for other levels are ignored. A missing snapshot raises
+    ``MissingIndexError``. A snapshot whose dimension differs from the
+    configured embedding dimension, or whose ids are not exactly the
+    corpus's chunk ids at its level in corpus order (artifacts from
+    different ingests, or a truncated corpus), raises ``SnapshotFormatError``.
     """
     corpus = load_corpus(config.paths.corpus_dir)
-    indices = load_indices(config)
-    corpus_ids: dict[Level, list[str]] = {level: [] for level in Level}
-    for node in (*corpus.nodes, *corpus.sub_nodes):
-        corpus_ids[node.level].append(node.id)
-    for level, index in indices.items():
-        expected = corpus_ids[level]
+    index_dir = Path(config.paths.index_dir)
+    dimension = config.embedding.dimension
+    indices = {}
+    for level in corpus.levels:
+        path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
+        try:
+            index = load_index(path)
+        except FileNotFoundError:
+            raise MissingIndexError(
+                f"no index snapshot {path} for the corpus's {level.value} chunks; "
+                f"run ingest first"
+            ) from None
+        if index.dimension != dimension:
+            raise SnapshotFormatError(
+                f"{path}: index dimension {index.dimension} differs from the "
+                f"configured embedding dimension {dimension}; re-run ingest"
+            )
+        expected = [node.id for node in corpus.nodes_at(level)]
         if list(index.chunk_ids) != expected:
             raise SnapshotFormatError(
                 f"{level.value} index holds {len(index)} chunk ids that do not match "
                 f"the corpus's {len(expected)} chunks at that level; re-run ingest"
             )
-    ctx = RetrievalContext(
+        indices[level] = index
+    return RetrievalContext(
         corpus=corpus,
         indices=indices,
         embedder=make_embedder(config),
         reranker=make_reranker(config),
         config=config.retriever,
-        rerank_fallback=config.rerank.fallback,
-        rerank_mix_lambda=config.rerank.mix_lambda,
+        rerank=config.rerank,
     )
-    return ctx
 
 
 def context_for(
@@ -172,15 +157,14 @@ def context_for(
 ) -> RetrievalContext:
     """Build a context directly from an in-memory corpus (no persistence)."""
     embedder = embedder if embedder is not None else make_embedder(config)
-    indices = {level: build_index(corpus, level, embedder) for level in _indexed_levels(corpus)}
+    indices = {level: build_index(corpus, level, embedder) for level in corpus.levels}
     return RetrievalContext(
         corpus=corpus,
         indices=indices,
         embedder=embedder,
         reranker=reranker if reranker is not None else make_reranker(config),
         config=config.retriever,
-        rerank_fallback=config.rerank.fallback,
-        rerank_mix_lambda=config.rerank.mix_lambda,
+        rerank=config.rerank,
     )
 
 
@@ -189,7 +173,6 @@ __all__ = [
     "context_for",
     "ingest",
     "load_context",
-    "load_indices",
     "make_embedder",
     "make_reranker",
     "read_documents",

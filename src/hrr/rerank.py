@@ -15,11 +15,33 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 import requests
 
 from ._http import auth_headers, post_json
-from .errors import InvalidInputError, InvalidRequestError, ProviderUnavailableError
+from .errors import ConfigError, InvalidInputError, InvalidRequestError, ProviderUnavailableError
 from .tokens import WordPunctTokenizer
 
 FALLBACK_ERROR = "error"
 FALLBACK_PASSTHROUGH = "passthrough"
+
+PROVIDER_LOCAL_RERANK = "lexical-overlap"
+PROVIDER_REMOTE = "remote"
+
+
+@dataclass(frozen=True)
+class RerankProviderConfig:
+    provider: str = PROVIDER_LOCAL_RERANK
+    base_url: str | None = None
+    timeout: float = 10.0
+    retries: int = 3
+    fallback: str = FALLBACK_ERROR
+    mix_lambda: float = 0.0
+    api_key_env: str | None = None
+
+    def validate(self) -> None:
+        if self.provider not in (PROVIDER_LOCAL_RERANK, PROVIDER_REMOTE):
+            raise ConfigError(f"unknown rerank provider {self.provider!r}")
+        if self.provider == PROVIDER_REMOTE and not self.base_url:
+            raise ConfigError("rerank.base_url is required for the remote provider")
+        if self.fallback not in (FALLBACK_ERROR, FALLBACK_PASSTHROUGH):
+            raise ConfigError(f"rerank.fallback must be error or passthrough")
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .embedding import EmbeddingProvider, embed_batch
 from .errors import ConfigError, EmptyCorpusError, MissingIndexError
 from .index import LevelIndex, SearchHit
 from .rerank import (
-    FALLBACK_ERROR,
     RerankProvider,
+    RerankProviderConfig,
     RerankRequest,
     ScoredCandidate,
     rerank,
@@ -107,8 +107,7 @@ class RetrievalContext:
     embedder: EmbeddingProvider
     reranker: RerankProvider
     config: RetrieverConfig = field(default_factory=RetrieverConfig)
-    rerank_fallback: str = FALLBACK_ERROR
-    rerank_mix_lambda: float = 0.0
+    rerank: RerankProviderConfig = field(default_factory=RerankProviderConfig)
 
     def index(self, level: Level) -> LevelIndex:
         try:
@@ -170,8 +169,8 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
     reranked = rerank(
         ctx.reranker,
         request,
-        fallback=ctx.rerank_fallback,
-        mix_lambda=ctx.rerank_mix_lambda,
+        fallback=ctx.rerank.fallback,
+        mix_lambda=ctx.rerank.mix_lambda,
         sentence_bonus=sentence_bonus,
     )
     reranked_top = top_k(reranked, ctx.config.rerank_top_k)

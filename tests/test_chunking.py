@@ -29,7 +29,6 @@ def levels_of(fragment):
     out = {level: [] for level in Level}
     for node in fragment.nodes:
         out[node.level].append(node)
-    out[Level.SUB_INTERMEDIATE] = list(fragment.sub_nodes)
     return out
 
 
@@ -114,7 +113,7 @@ class TestHardSplitFlagging:
         fragment = chunk_document("d", text, cfg)
         giant = [n for n in fragment.nodes if "y" * 5000 in _text(fragment, n, text)]
         assert giant, "giant token must survive chunking"
-        corpus = Corpus({"d": text}, fragment.nodes, fragment.sub_nodes, config=cfg)
+        corpus = Corpus({"d": text}, fragment.nodes, config=cfg)
         assert validate_corpus(corpus) == []
 
 

@@ -1,5 +1,6 @@
 """Config loading rules and the CLI workflow end to end."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -60,14 +61,12 @@ class TestConfigLoading:
                                  "sub_intermediate_size": 8},
                     "retriever": {"similarity_top_k": 4, "rerank_top_k": 2,
                                   "strategy": "s2p"},
-                    "seed": 9,
                 }
             )
         )
         config = load_config(path)
         assert config.chunking.parent_size == 64
         assert config.retriever.strategy.value == "s2p"
-        assert config.seed == 9
         # untouched sections keep defaults
         assert config.embedding.provider == "hashed-bow"
 
@@ -83,8 +82,9 @@ class TestConfigLoading:
         ]:
             with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
                 config_from_dict({section: {key: value}})
-        with pytest.raises(ConfigError, match="seed must be an integer"):
-            config_from_dict({"seed": "x"})
+        # There is no engine seed (``hrr synth --seed`` seeds the generator).
+        with pytest.raises(ConfigError, match="unknown config key 'seed'"):
+            config_from_dict({"seed": 9})
 
 
 @pytest.fixture()
@@ -209,6 +209,28 @@ class TestCliWorkflow:
         assert first == second
 
 
+    #: sha256 of every artifact the workdir ingest writes (side tier
+    #: included). Any change to chunking, serialization or the index format
+    #: shows up here.
+    GOLDEN_DIGESTS = {
+        "corpus/documents.jsonl": "c842a4834bd45e8b37e37d0826193bd941d9f58ff58952bf511ef9031d472b29",
+        "corpus/chunks.jsonl": "69011d2057c96b97820465977578a8d98e9ad8e4230a4e67344f74f817297f6e",
+        "indexes/parent.idx": "fd53f6119a03d7601ddf5e91532232422c399992004d1bc6e5ee84c05581d3af",
+        "indexes/intermediate.idx": "5713690b0f297e4123ba812074837da3aed69d07698e13d9caae94e1d704e0d6",
+        "indexes/sentence.idx": "0ddca1a87849787f934e4e2d66a13245fed059d9f516c99e2f6976287bfb27b2",
+        "indexes/sub_intermediate.idx": "85a713021ab36aaff17155cc8461cb52db941d1c3d692345e2e297f1de32b373",
+    }
+
+    def test_ingest_artifacts_match_golden_digests(self, workdir):
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
+        written = sorted(
+            p.as_posix() for p in [*Path("corpus").iterdir(), *Path("indexes").iterdir()]
+        )
+        assert written == sorted(self.GOLDEN_DIGESTS)
+        digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in written}
+        assert digests == self.GOLDEN_DIGESTS
+
+
 class TestCliErrors:
     def test_unknown_strategy_is_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:
@@ -297,6 +319,41 @@ class TestCliErrors:
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
         assert "parent.idx" in err and "not finite" in err and err.count("\n") == 1
+
+    def test_stale_side_tier_index_is_ignored(self, workdir, capsys):
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
+        config = json.loads(Path("engine.json").read_text())
+        config["chunking"]["sub_intermediate_size"] = None
+        Path("no_side_tier.json").write_text(json.dumps(config))
+        assert main(["ingest", "synth/docs", "--config", "no_side_tier.json"]) == EXIT_OK
+        assert (Path("indexes") / "sub_intermediate.idx").exists()  # left from the first ingest
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "no_side_tier.json"]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["query", "x", "--strategy", "c2p", "--config", "no_side_tier.json"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "sub_intermediate" in err and err.count("\n") == 1
+
+    def test_missing_index_for_corpus_level_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        (Path("indexes") / "sub_intermediate.idx").unlink()
+        capsys.readouterr()
+        # hrr never searches the side tier, yet the corpus has it, so loading fails.
+        assert main(["query", "x", "--strategy", "hrr", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "sub_intermediate.idx" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["query", "x"], ["eval", "--query-set", "synth/queries.jsonl"]])
+    def test_index_dimension_differs_from_config_is_io_error(self, workdir, capsys, command):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        config = json.loads(Path("engine.json").read_text())
+        config["embedding"]["dimension"] = 32
+        Path("dim32.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([*command, "--config", "dim32.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "64" in err and "32" in err and err.count("\n") == 1
 
     def test_unreachable_remote_provider_exit_code(self, workdir):
         config = json.loads(Path("engine.json").read_text())

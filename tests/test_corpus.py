@@ -170,6 +170,50 @@ class TestValidateCorpus:
         assert [v.rule for v in validate_corpus(bad)] == ["SpanOutOfBounds", "CoverageGap"]
 
 
+    # "alpha beta gamma delta": one parent, intermediate and sentence over the
+    # whole 22-byte, 4-token document, plus a side tier under the intermediate.
+    SIDE_DOC = {"d": "alpha beta gamma delta"}
+
+    def _side_corpus(self, *side_nodes):
+        nodes = [
+            ChunkNode("d:p0", Level.PARENT, "d", None, (0, 22), 4),
+            ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p0", (0, 22), 4),
+            ChunkNode("d:p0.i0.s0", Level.SENTENCE, "d", "d:p0.i0", (0, 22), 4),
+            *side_nodes,
+        ]
+        return Corpus(self.SIDE_DOC, nodes, config=CFG)
+
+    def test_clean_side_tier(self):
+        good = self._side_corpus(
+            ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (0, 11), 2),
+            ChunkNode("d:p0.i0.c1", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (11, 22), 2),
+        )
+        assert validate_corpus(good) == []
+
+    def test_side_tier_linked_to_parent(self):
+        bad = self._side_corpus(
+            ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0", (0, 22), 4),
+        )
+        assert "HierarchySkip" in [v.rule for v in validate_corpus(bad)]
+
+    def test_side_tier_gap(self):
+        bad = self._side_corpus(
+            ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (0, 11), 2),
+            ChunkNode("d:p0.i0.c1", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (17, 22), 1),
+        )
+        gaps = [v for v in validate_corpus(bad) if v.rule == "CoverageGap"]
+        assert [v.chunk_id for v in gaps] == ["d:p0.i0.c1"]
+
+    def test_side_tier_token_sum(self):
+        # The cut falls inside "beta", so the two pieces hold 2 + 3 tokens.
+        bad = self._side_corpus(
+            ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (0, 8), 2),
+            ChunkNode("d:p0.i0.c1", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (8, 22), 3),
+        )
+        violations = validate_corpus(bad)
+        assert [(v.rule, v.chunk_id) for v in violations] == [("TokenSumMismatch", "d:p0.i0")]
+
+
 class TestRoundTrip:
     def test_parents_reassemble_document(self, corpus):
         for doc_id, text in corpus.documents.items():

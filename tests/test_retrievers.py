@@ -319,7 +319,9 @@ class TestRerankFallbackIntegration:
             embedder=HashedBowEmbedder(dimension=64),
             reranker=_DownReranker(),
         )
-        ctx = dataclasses.replace(ctx, rerank_fallback=FALLBACK_PASSTHROUGH)
+        ctx = dataclasses.replace(
+            ctx, rerank=dataclasses.replace(ctx.rerank, fallback=FALLBACK_PASSTHROUGH)
+        )
         result = retrieve(QUERY, ctx)
         pool_ids = [c.chunk_id for c in result.stage("rerank_pool")]
         reranked_ids = [c.chunk_id for c in result.stage("reranked")]
@@ -343,7 +345,9 @@ class TestScoreMixingIntegration:
         base_ctx = context_for(
             toy_corpus, config, embedder=HashedBowEmbedder(dimension=64)
         )
-        mixed_ctx = dataclasses.replace(base_ctx, rerank_mix_lambda=0.5)
+        mixed_ctx = dataclasses.replace(
+            base_ctx, rerank=dataclasses.replace(base_ctx.rerank, mix_lambda=0.5)
+        )
         plain = retrieve(QUERY, base_ctx)
         mixed = retrieve(QUERY, mixed_ctx)
         plain_scores = {c.chunk_id: c.score for c in plain.stage("reranked")}
