@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -18,6 +19,15 @@ def auth_headers(api_key_env: str | None) -> dict[str, str]:
     if key is None:
         raise ConfigError(f"credential environment variable {api_key_env!r} is not set")
     return {"Authorization": f"Bearer {key}"}
+
+
+def check_http_settings(section: str, timeout: float, retries: int) -> None:
+    """Reject a timeout that is not a positive, finite number of seconds, and
+    a negative retry count, which would never send a request."""
+    if not (timeout > 0 and math.isfinite(timeout)):
+        raise ConfigError(f"{section}.timeout must be a positive number, got {timeout}")
+    if retries < 0:
+        raise ConfigError(f"{section}.retries must be >= 0, got {retries}")
 
 
 def post_json(

@@ -12,6 +12,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._http import check_http_settings
 from .chunking import ChunkingConfig
 from .errors import ConfigError
 from .rerank import PROVIDER_REMOTE, RerankProviderConfig
@@ -38,6 +39,11 @@ class EmbeddingConfig:
             raise ConfigError("embedding.base_url is required for the remote provider")
         if self.dimension < 1:
             raise ConfigError("embedding.dimension must be >= 1")
+        check_http_settings("embedding", self.timeout, self.retries)
+        if self.batch_size < 1:
+            raise ConfigError(f"embedding.batch_size must be >= 1, got {self.batch_size}")
+        if self.max_in_flight < 1:
+            raise ConfigError(f"embedding.max_in_flight must be >= 1, got {self.max_in_flight}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Ingest and artifact orchestration shared by the CLI and tests.
 
 Ingest reads plain-text documents, chunks them, validates the hierarchy,
-builds one index per level the corpus holds, and persists everything;
+builds one index per level the corpus holds, and persists everything,
+removing the snapshots of levels an earlier ingest held and this one lacks;
 loading reverses it, and the loaded corpus decides which indexes load.
 All steps are pure functions of (config, inputs), so re-running ingest on
 unchanged inputs rewrites byte-identical artifacts.
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .chunking import build_corpus
 from .config import PROVIDER_LOCAL_EMBED, EngineConfig
-from .corpus import Corpus, load_corpus, save_corpus, validate_corpus
+from .corpus import Corpus, Level, load_corpus, save_corpus, validate_corpus
 from .embedding import EmbeddingProvider, HashedBowEmbedder, RemoteEmbedder
 from .errors import (
     InvalidCorpusError,
@@ -95,6 +96,10 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
         index = build_index(corpus, level, embedder)
         save_index(index, index_dir / f"{level.value}{_INDEX_SUFFIX}")
         counts[level.value] = len(index)
+    # A snapshot for a level this corpus lacks is left from an earlier ingest.
+    for level in Level:
+        if level not in corpus.levels:
+            (index_dir / f"{level.value}{_INDEX_SUFFIX}").unlink(missing_ok=True)
 
     return IngestSummary(
         documents=len(documents),

@@ -53,6 +53,10 @@ class WordPunctTokenizer:
     def token_spans(self, text: str) -> list[tuple[int, int]]:
         return [m.span() for m in _TOKEN_RE.finditer(text)]
 
+    def tokens(self, text: str) -> list[str]:
+        """The token strings, ``[text[s:e] for s, e in token_spans(text)]``."""
+        return _TOKEN_RE.findall(text)
+
 
 _TOKENIZERS = {WordPunctTokenizer.name: WordPunctTokenizer}
 

@@ -278,6 +278,32 @@ class TestCliErrors:
         assert "retriever.similarity_top_k must be an integer" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["query", "x"], ["ingest", "synth/docs"]])
+    @pytest.mark.parametrize(
+        "section, settings, message",
+        [
+            ("rerank", {"mix_lambda": float("nan")}, "rerank.mix_lambda must be finite"),
+            ("rerank", {"provider": "remote", "base_url": "http://127.0.0.1:9", "timeout": 0},
+             "rerank.timeout must be a positive number"),
+            ("rerank", {"provider": "remote", "base_url": "http://127.0.0.1:9", "retries": -1},
+             "rerank.retries must be >= 0"),
+            ("embedding", {"provider": "remote", "base_url": "http://127.0.0.1:9",
+                           "batch_size": 0}, "embedding.batch_size must be >= 1"),
+            ("embedding", {"max_in_flight": 0}, "embedding.max_in_flight must be >= 1"),
+        ],
+        ids=["nan-mix-lambda", "zero-timeout", "negative-retries", "zero-batch", "zero-in-flight"],
+    )
+    def test_out_of_range_provider_setting_is_config_error(
+        self, workdir, capsys, command, section, settings, message
+    ):
+        config = json.loads(Path("engine.json").read_text())
+        config.setdefault(section, {}).update(settings)
+        Path("bad.json").write_text(json.dumps(config))  # NaN is written as a bare NaN
+        capsys.readouterr()
+        assert main([*command, "--config", "bad.json"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
     def test_malformed_query_set_line_is_io_error(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])
         good = (workdir / "synth" / "queries.jsonl").read_text().splitlines()[0]
@@ -326,7 +352,7 @@ class TestCliErrors:
         config["chunking"]["sub_intermediate_size"] = None
         Path("no_side_tier.json").write_text(json.dumps(config))
         assert main(["ingest", "synth/docs", "--config", "no_side_tier.json"]) == EXIT_OK
-        assert (Path("indexes") / "sub_intermediate.idx").exists()  # left from the first ingest
+        assert not (Path("indexes") / "sub_intermediate.idx").exists()  # removed by the second
         capsys.readouterr()
         assert main(["query", "x", "--config", "no_side_tier.json"]) == EXIT_OK
         capsys.readouterr()

@@ -14,12 +14,25 @@ from hrr.embedding import (
     ensure_unit,
 )
 from hrr.errors import DimensionMismatchError, InvalidInputError
+from hrr.tokens import WordPunctTokenizer
 
 
 def reference_bucket(token: str, dimension: int) -> int:
     """Independent re-derivation of the documented hash rule."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dimension
+
+
+def reference_vector(text: str, dimension: int) -> np.ndarray:
+    """The documented recipe, one float64 count per token span."""
+    lowered = text.lower()
+    counts = np.zeros(dimension)
+    for start, end in WordPunctTokenizer().token_spans(lowered):
+        counts[reference_bucket(lowered[start:end], dimension)] += 1.0
+    norm = float(np.linalg.norm(counts))
+    if norm == 0.0:
+        counts[0], norm = 1.0, 1.0
+    return (counts / norm).astype(np.float32)
 
 
 class TestHashedBow:
@@ -58,6 +71,13 @@ class TestHashedBow:
         expected = np.zeros(8, dtype=np.float32)
         expected[0] = 1.0
         assert np.array_equal(vec, expected)
+
+    @given(st.lists(st.text(max_size=60), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_recipe_bitwise(self, texts):
+        provider = HashedBowEmbedder(dimension=16)
+        for text, vec in zip(texts, provider.embed_batch(texts)):
+            assert vec.tobytes() == reference_vector(text, 16).tobytes()
 
     @given(st.lists(st.text(min_size=1, max_size=30), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)

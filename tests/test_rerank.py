@@ -1,20 +1,36 @@
 """Rerank scoring, ordering, truncation, and fallback behavior."""
 
+import importlib
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrr.config import EngineConfig
+from hrr.engine import context_for
 from hrr.errors import InvalidInputError, InvalidRequestError, ProviderUnavailableError
+from hrr.evaluation import compare
 from hrr.rerank import (
     FALLBACK_PASSTHROUGH,
+    TOKEN_SET_CACHE_SIZE,
     LexicalOverlapReranker,
     RerankRequest,
     ScoredCandidate,
     rerank,
     top_k,
 )
+from hrr.retrievers import Strategy
+from hrr.synth import CorpusSpec, generate
+from hrr.tokens import WordPunctTokenizer
 
 SCORER = LexicalOverlapReranker()
+rerank_module = importlib.import_module("hrr.rerank")  # the package re-exports rerank()
+
+#: Text where word, digit, underscore and punctuation runs meet, with letters
+#: whose lowercase is longer (İ) or context-dependent (Σ).
+TRICKY_TEXT = st.text(alphabet="aZİıßΣς09_!?.,-'\" \t\n", max_size=40)
 
 
 def make_request(query, pairs):
@@ -45,6 +61,87 @@ class TestLexicalScorer:
     def test_duplicates_in_text_do_not_inflate(self):
         a, b = SCORER.score_pairs("solar", ["solar solar solar", "solar"])
         assert a == b == 1.0
+
+
+def reference_score(query: str, text: str) -> float:
+    """The scorer's definition, from token spans and with no cache."""
+
+    def token_set(s: str) -> set[str]:
+        lowered = s.lower()
+        return {lowered[a:b] for a, b in WordPunctTokenizer().token_spans(lowered)}
+
+    q = token_set(query)
+    return len(q & token_set(text)) / len(q) if q else 0.0
+
+
+def count_tokenized(monkeypatch) -> Counter:
+    """Count every ``WordPunctTokenizer.tokens`` call by its text from now on."""
+    calls: Counter = Counter()
+    original = WordPunctTokenizer.tokens
+
+    def counting(self, text):
+        calls[text] += 1
+        return original(self, text)
+
+    monkeypatch.setattr(WordPunctTokenizer, "tokens", counting)
+    return calls
+
+
+class TestTokenSetCache:
+    @given(
+        st.one_of(TRICKY_TEXT, st.text(max_size=30)),
+        st.lists(st.one_of(TRICKY_TEXT, st.text(max_size=40)), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_scores_match_definition(self, query, texts):
+        with mock.patch.object(rerank_module, "TOKEN_SET_CACHE_SIZE", 4):
+            scorer = LexicalOverlapReranker()
+        expected = [reference_score(query, text) for text in texts]
+        for _ in range(2):  # cold, then warm or partly evicted
+            # Float equality is bitwise here: no NaN, no negative zero.
+            assert scorer.score_pairs(query, texts) == expected
+            assert scorer._candidate_set.cache_info().currsize <= 4
+
+    def test_bound_is_the_module_constant(self):
+        assert LexicalOverlapReranker()._candidate_set.cache_info().maxsize == TOKEN_SET_CACHE_SIZE
+
+    def test_query_is_not_cached(self, monkeypatch):
+        calls = count_tokenized(monkeypatch)
+        scorer = LexicalOverlapReranker()
+        for _ in range(3):
+            assert scorer.score_pairs("solar grant", ["solar panels"]) == [0.5]
+        assert calls == {"solar grant": 3, "solar panels": 1}
+        assert scorer._candidate_set.cache_info().currsize == 1
+
+    def test_instances_do_not_share_a_cache(self, monkeypatch):
+        calls = count_tokenized(monkeypatch)
+        first, second = LexicalOverlapReranker(), LexicalOverlapReranker()
+        first.score_pairs("q", ["solar panels"])
+        second.score_pairs("q", ["solar panels"])
+        first.score_pairs("q", ["solar panels"])
+        assert calls["solar panels"] == 2
+
+    def test_compare_tokenizes_each_candidate_once(self, monkeypatch):
+        synthetic = generate(CorpusSpec(seed=42))
+        candidates: set[str] = set()
+
+        class Recording(LexicalOverlapReranker):
+            def score_pairs(self, query, texts):
+                candidates.update(texts)
+                return super().score_pairs(query, texts)
+
+        ctx = context_for(synthetic.corpus, EngineConfig(), reranker=Recording())
+        queries = {q.query.lower() for q in synthetic.queries}
+        calls = count_tokenized(monkeypatch)
+        compare(ctx, synthetic.queries, list(Strategy))
+        lowered = Counter(text.lower() for text in candidates)
+        assert len(candidates) == 243 and queries.isdisjoint(lowered)
+        # Besides the queries (embedded and scored uncached), each distinct
+        # candidate text is tokenized exactly once over the four strategies.
+        assert {text: n for text, n in calls.items() if text not in queries} == lowered
+        calls.clear()
+        compare(ctx, synthetic.queries, list(Strategy))
+        assert calls and set(calls) <= queries
 
 
 class TestRerankOperation:

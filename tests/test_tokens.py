@@ -8,6 +8,11 @@ from hrr.errors import ConfigError
 from hrr.tokens import WordPunctTokenizer, get_tokenizer
 
 
+#: Text where word, digit, underscore and punctuation runs meet, with letters
+#: whose lowercase is longer (İ) or context-dependent (Σ).
+TRICKY_TEXT = st.text(alphabet="aZİıßΣς09_!?.,-'\" \t\n", max_size=60)
+
+
 @pytest.fixture(scope="module")
 def tok():
     return WordPunctTokenizer()
@@ -54,6 +59,13 @@ class TestContract:
     def test_concatenation_never_inflates(self, a, b):
         tok = WordPunctTokenizer()
         assert tok.count_tokens(a + b) <= tok.count_tokens(a) + tok.count_tokens(b) + 1
+
+    @given(st.one_of(st.text(max_size=200), TRICKY_TEXT))
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_are_the_span_slices(self, text):
+        tok = WordPunctTokenizer()
+        for s in (text, text.lower()):
+            assert tok.tokens(s) == [s[a:b] for a, b in tok.token_spans(s)]
 
     def test_deterministic(self, tok):
         text = "Some mixed: text, with 42 numbers étoile."
