@@ -18,13 +18,24 @@ intermediate the same way, without overlap. Its nodes are emitted after
 their intermediate's sentences, into the same node list as every other
 level; it is a level outside ``HIERARCHY_LEVELS``, linked to its
 intermediate.
+
+Each document is tokenized once. Every chunk boundary falls on a token
+boundary: a sentence ends after a terminator that whitespace follows, or
+before trimmed whitespace; a hard split falls at the end of a token; and
+padding between chunks is whitespace. So, by the ``Tokenizer`` locality
+contract, a chunk's tokens are exactly the document tokens inside its
+span, and every count and hard split is read off the document's spans. A
+tokenizer that breaks the contract leaves counts that ``validate_corpus``
+reports as ``TokenCountDrift``, and ingest fails.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
+
+import numpy as np
 
 from .corpus import ChunkNode, Corpus, Level
 from .errors import ConfigError, EmptyDocumentError
@@ -89,16 +100,34 @@ class _Group:
     tail: list[_Fragment] = field(default_factory=list)  # overlap from predecessor
 
 
-class _ByteOffsets:
-    """Converts character offsets to UTF-8 byte offsets in O(1) per query."""
+class _DocTokens:
+    """One document's token starts and ends, from a single tokenizer pass.
 
-    def __init__(self, text: str) -> None:
-        self._cum = list(
-            itertools.accumulate((len(ch.encode("utf-8")) for ch in text), initial=0)
-        )
+    A region whose ends split no token holds exactly the document tokens
+    inside it (see the module docstring), found by two bisections.
+    """
 
-    def __call__(self, char_offset: int) -> int:
-        return self._cum[char_offset]
+    def __init__(self, text: str, tokenizer: Tokenizer) -> None:
+        spans = tokenizer.token_spans(text)
+        self.starts = [s for s, _ in spans]
+        self.ends = [e for _, e in spans]
+
+    def bounds(self, start: int, end: int) -> tuple[int, int]:
+        """Indexes ``[lo, hi)`` of the document tokens inside ``[start, end)``."""
+        return bisect_left(self.starts, start), bisect_right(self.ends, end)
+
+    def count(self, start: int, end: int) -> int:
+        lo, hi = self.bounds(start, end)
+        return hi - lo
+
+
+def _byte_offsets(text: str) -> Callable[[int], int]:
+    """Maps character offsets to UTF-8 byte offsets in O(1) per query."""
+    code_points = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    widths = 1 + (code_points >= 0x80) + (code_points >= 0x800) + (code_points >= 0x10000)
+    cumulative = np.zeros(len(code_points) + 1, dtype=np.int64)
+    np.cumsum(widths, out=cumulative[1:])
+    return cumulative.item
 
 
 def chunk_document(
@@ -120,27 +149,24 @@ def chunk_document(
     if not sentence_spans:
         raise EmptyDocumentError(f"document {doc_id!r} has no chunkable content")
 
-    fragments = [
-        _Fragment(s, e, tokenizer.count_tokens(text[s:e])) for s, e in sentence_spans
-    ]
-    fragments = _split_to_budget(fragments, config.max_sentence_tokens, text, tokenizer)
-    to_bytes = _ByteOffsets(text)
+    tokens = _DocTokens(text, tokenizer)
+    fragments = [_Fragment(s, e, tokens.count(s, e)) for s, e in sentence_spans]
+    fragments = _split_to_budget(fragments, config.max_sentence_tokens, tokens)
+    to_bytes = _byte_offsets(text)
 
     nodes: list[ChunkNode] = []
 
-    parent_frags = _split_to_budget(fragments, config.parent_size, text, tokenizer)
+    parent_frags = _split_to_budget(fragments, config.parent_size, tokens)
     parent_groups = _pack(parent_frags, config.parent_size, config.parent_overlap)
     parent_regions = _regions(parent_groups, 0, len(text))
 
     for p_ord, (p_group, p_region) in enumerate(zip(parent_groups, parent_regions)):
         parent_id = f"{doc_id}:p{p_ord}"
         nodes.append(
-            _make_node(parent_id, Level.PARENT, doc_id, None, p_group, p_region, text, tokenizer, to_bytes)
+            _make_node(parent_id, Level.PARENT, doc_id, None, p_group, p_region, tokens, to_bytes)
         )
 
-        inter_frags = _split_to_budget(
-            p_group.owned, config.intermediate_size, text, tokenizer
-        )
+        inter_frags = _split_to_budget(p_group.owned, config.intermediate_size, tokens)
         inter_groups = _pack(
             inter_frags, config.intermediate_size, config.intermediate_overlap
         )
@@ -149,7 +175,7 @@ def chunk_document(
         for i_ord, (i_group, i_region) in enumerate(zip(inter_groups, inter_regions)):
             inter_id = f"{parent_id}.i{i_ord}"
             nodes.append(
-                _make_node(inter_id, Level.INTERMEDIATE, doc_id, parent_id, i_group, i_region, text, tokenizer, to_bytes)
+                _make_node(inter_id, Level.INTERMEDIATE, doc_id, parent_id, i_group, i_region, tokens, to_bytes)
             )
 
             sent_groups = [_Group([f]) for f in i_group.owned]
@@ -158,21 +184,19 @@ def chunk_document(
                 nodes.append(
                     _make_node(
                         f"{inter_id}.s{s_ord}", Level.SENTENCE, doc_id, inter_id,
-                        s_group, s_region, text, tokenizer, to_bytes,
+                        s_group, s_region, tokens, to_bytes,
                     )
                 )
 
             if config.sub_intermediate_size is not None:
-                sub_frags = _split_to_budget(
-                    i_group.owned, config.sub_intermediate_size, text, tokenizer
-                )
+                sub_frags = _split_to_budget(i_group.owned, config.sub_intermediate_size, tokens)
                 sub_groups = _pack(sub_frags, config.sub_intermediate_size, 0)
                 sub_regions = _regions(sub_groups, *i_region.owned)
                 for c_ord, (c_group, c_region) in enumerate(zip(sub_groups, sub_regions)):
                     nodes.append(
                         _make_node(
                             f"{inter_id}.c{c_ord}", Level.SUB_INTERMEDIATE, doc_id,
-                            inter_id, c_group, c_region, text, tokenizer, to_bytes,
+                            inter_id, c_group, c_region, tokens, to_bytes,
                         )
                     )
 
@@ -199,7 +223,7 @@ def build_corpus(
 
 
 def _split_to_budget(
-    fragments: list[_Fragment], budget: int, text: str, tokenizer: Tokenizer
+    fragments: list[_Fragment], budget: int, tokens: _DocTokens
 ) -> list[_Fragment]:
     """Hard-split any fragment exceeding ``budget`` at token boundaries."""
     out: list[_Fragment] = []
@@ -207,16 +231,16 @@ def _split_to_budget(
         if frag.tokens <= budget:
             out.append(frag)
             continue
-        spans = tokenizer.token_spans(text[frag.start : frag.end])
-        for i in range(0, len(spans), budget):
-            piece = spans[i : i + budget]
+        lo, hi = tokens.bounds(frag.start, frag.end)
+        for i in range(lo, hi, budget):
+            last = min(i + budget, hi) - 1
             out.append(
                 _Fragment(
-                    start=frag.start + piece[0][0],
-                    end=frag.start + piece[-1][1],
-                    tokens=len(piece),
-                    split_head=frag.split_head if i == 0 else True,
-                    split_tail=frag.split_tail if i + budget >= len(spans) else True,
+                    start=tokens.starts[i],
+                    end=tokens.ends[last],
+                    tokens=last + 1 - i,
+                    split_head=frag.split_head if i == lo else True,
+                    split_tail=frag.split_tail if last == hi - 1 else True,
                 )
             )
     return out
@@ -285,9 +309,8 @@ def _make_node(
     parent_id: str | None,
     group: _Group,
     region: _Region,
-    text: str,
-    tokenizer: Tokenizer,
-    to_bytes: _ByteOffsets,
+    tokens: _DocTokens,
+    to_bytes: Callable[[int], int],
 ) -> ChunkNode:
     start, end = region.span
     return ChunkNode(
@@ -296,6 +319,6 @@ def _make_node(
         doc_id=doc_id,
         parent_id=parent_id,
         char_span=(to_bytes(start), to_bytes(end)),
-        token_count=tokenizer.count_tokens(text[start:end]),
+        token_count=tokens.count(start, end),
         hard_split=group.owned[0].split_head or group.owned[-1].split_tail,
     )

@@ -5,8 +5,8 @@ document directory), query (ad-hoc retrieval), eval (Hit Rate / MRR table
 over a labeled query set), validate (corpus invariant check), inspect
 (dump a chunk and its ancestry).
 
-Exit codes: 0 success, 2 config or usage errors, 3 missing files or bad
-artifacts, 4 provider failures, 1 anything else.
+Exit codes: 0 success, 2 config or usage errors, 3 missing or unreadable
+files and bad artifacts, 4 provider failures, 1 anything else.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     ProviderUnavailableError,
     SnapshotFormatError,
     UnknownChunkError,
+    UnreadableDocumentError,
 )
 from .evaluation import compare, format_table, load_query_set, summaries_to_json
 from .retrievers import RetrievalResult, Strategy, retrieve
@@ -247,6 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         MissingIndexError,
         SnapshotFormatError,
         UnknownChunkError,
+        UnreadableDocumentError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -41,7 +41,13 @@ class EmbeddingProvider(Protocol):
     @property
     def dimension(self) -> int: ...
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text, in order: an ``(n, dimension)`` float32 block.
+
+        The block must be a fresh array that passes to the caller, which may
+        normalize its rows in place and freeze it inside an index.
+        """
+        ...
 
 
 def ensure_unit(vector, dimension: int | None = None) -> np.ndarray:
@@ -78,12 +84,15 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)))
 
 
-def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> list[np.ndarray]:
+def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
     """Embed texts through ``provider`` with boundary validation.
 
-    Order-preserving, one unit-norm vector per input. Rejects an empty list
-    and empty strings; whitespace-only text is allowed (providers map it to
-    a documented fallback vector).
+    Order-preserving: one unit-norm float32 row per input, in one
+    ``(n, dimension)`` block. Each row goes through ``ensure_unit``; a
+    writeable float32 array from the provider is validated in place and
+    returned without a copy. Rejects an empty list and empty strings;
+    whitespace-only text is allowed (providers map it to a documented
+    fallback vector).
     """
     if len(texts) == 0:
         raise InvalidInputError("embed_batch requires at least one text")
@@ -95,7 +104,14 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> list[np.nd
         raise ProviderUnavailableError(
             f"provider {provider.name!r} returned {len(vectors)} vectors for {len(texts)} texts"
         )
-    return [ensure_unit(v, provider.dimension) for v in vectors]
+    dimension = provider.dimension
+    if isinstance(vectors, np.ndarray) and vectors.dtype == np.float32 and vectors.flags.writeable:
+        block = vectors
+    else:
+        block = np.empty((len(texts), dimension), dtype=np.float32)
+    for i, vector in enumerate(vectors):
+        block[i] = ensure_unit(vector, dimension)
+    return block
 
 
 @lru_cache(maxsize=1 << 16)
@@ -128,7 +144,7 @@ class HashedBowEmbedder:
     def dimension(self) -> int:
         return self._dimension
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         dimension = self._dimension
         # One block for every output row: a float32 array per text, allocated
         # between the per-text temporaries, fragments the heap (+15 MB peak
@@ -142,7 +158,7 @@ class HashedBowEmbedder:
                 counts[0] = 1.0
                 norm = 1.0
             row[:] = counts / norm
-        return list(out)
+        return out
 
 
 class RemoteEmbedder:
@@ -183,20 +199,24 @@ class RemoteEmbedder:
     def dimension(self) -> int:
         return self._dimension
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        batches = [
-            list(texts[i : i + self._batch_size])
-            for i in range(0, len(texts), self._batch_size)
-        ]
-        if len(batches) == 1:
-            results = [self._embed_one_batch(batches[0])]
-        else:
-            workers = min(self._max_in_flight, len(batches))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(self._embed_one_batch, batches))
-        return [vec for batch in results for vec in batch]
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        out = np.empty((len(texts), self._dimension), dtype=np.float32)
+        starts = range(0, len(texts), self._batch_size)
 
-    def _embed_one_batch(self, texts: list[str]) -> list[np.ndarray]:
+        def fill(start: int) -> None:
+            end = start + self._batch_size
+            self._embed_one_batch(list(texts[start:end]), out[start:end])
+
+        if len(starts) == 1:
+            fill(0)
+        else:
+            workers = min(self._max_in_flight, len(starts))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(fill, starts))
+        return out
+
+    def _embed_one_batch(self, texts: list[str], out: np.ndarray) -> None:
+        """Embed one request's texts into the rows of ``out``."""
         payload = post_json(
             self._session, self._url, {"texts": texts},
             timeout=self._timeout, retries=self._retries, headers=self._headers,
@@ -214,8 +234,7 @@ class RemoteEmbedder:
             raise ProviderUnavailableError(
                 f"embed response has {len(vectors)} vectors for {len(texts)} texts"
             )
-        out = []
-        for vec in vectors:
+        for row, vec in zip(out, vectors):
             arr = np.asarray(vec, dtype=np.float32)
             if arr.ndim != 1 or arr.shape[0] != self._dimension:
                 raise DimensionMismatchError(
@@ -224,5 +243,4 @@ class RemoteEmbedder:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ProviderUnavailableError("embed response contains non-finite values")
-            out.append(ensure_unit(arr))
-        return out
+            row[:] = ensure_unit(arr)

@@ -22,6 +22,7 @@ from .errors import (
     MissingIndexError,
     NoDocumentsError,
     SnapshotFormatError,
+    UnreadableDocumentError,
 )
 from .index import build_index, load_index, save_index
 from .rerank import PROVIDER_LOCAL_RERANK, LexicalOverlapReranker, RemoteReranker, RerankProvider
@@ -59,12 +60,26 @@ def make_reranker(config: EngineConfig) -> RerankProvider:
 
 
 def read_documents(docs_dir: str | Path) -> dict[str, str]:
-    """Read every ``*.txt`` file (sorted by name) as one document."""
+    """Read every ``*.txt`` file (sorted by name) as one document.
+
+    A path that is not a readable UTF-8 file raises
+    ``UnreadableDocumentError`` naming it.
+    """
     docs_dir = Path(docs_dir)
     paths = sorted(docs_dir.glob("*.txt"))
     if not paths:
         raise NoDocumentsError(f"no .txt documents in {docs_dir}")
-    return {path.stem: path.read_text(encoding="utf-8") for path in paths}
+    documents = {}
+    for path in paths:
+        try:
+            documents[path.stem] = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnreadableDocumentError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+        except OSError as exc:
+            raise UnreadableDocumentError(f"{path}: cannot read ({exc.strerror})") from None
+    return documents
 
 
 @dataclass(frozen=True)

@@ -67,3 +67,7 @@ class SpecInfeasibleError(HrrError):
 
 class NoDocumentsError(HrrError):
     """Ingest directory contains no documents."""
+
+
+class UnreadableDocumentError(HrrError):
+    """A document file cannot be read as UTF-8 text."""

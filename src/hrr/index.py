@@ -157,8 +157,7 @@ def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> Le
     if not nodes:
         raise InvalidCorpusError(f"corpus has no chunks at level {level.value!r}")
     texts = [corpus.chunk_text(node.id) for node in nodes]
-    vectors = embed_batch(provider, texts)
-    return LevelIndex(level, [node.id for node in nodes], np.stack(vectors))
+    return LevelIndex(level, [node.id for node in nodes], embed_batch(provider, texts))
 
 
 def save_index(index: LevelIndex, path: str | Path) -> None:

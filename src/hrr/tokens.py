@@ -23,6 +23,15 @@ class Tokenizer(Protocol):
     Implementations must be deterministic across runs and platforms, and
     concatenation must never inflate counts beyond
     ``count_tokens(a) + count_tokens(b) + 1``.
+
+    Tokenization must also be *local*: for any cut points ``s <= e`` that
+    split no token of ``text``, ``token_spans(text[s:e])`` equals the spans
+    of ``token_spans(text)`` that lie inside ``[s, e)``, shifted by ``-s``,
+    and ``count_tokens`` agrees with their number. The chunker tokenizes
+    each document once and counts every chunk from those spans, which is
+    exact only under this property. A tokenizer that breaks it yields
+    stored counts that ``validate_corpus`` recounts as ``TokenCountDrift``,
+    so ingest fails instead of persisting them.
     """
 
     name: str
@@ -48,7 +57,7 @@ class WordPunctTokenizer:
     name = "word-punct"
 
     def count_tokens(self, text: str) -> int:
-        return sum(1 for _ in _TOKEN_RE.finditer(text))
+        return len(_TOKEN_RE.findall(text))
 
     def token_spans(self, text: str) -> list[tuple[int, int]]:
         return [m.span() for m in _TOKEN_RE.finditer(text)]

@@ -1,15 +1,17 @@
 """Chunker behavior: budgets, nesting, partitions, determinism."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrr.chunking import ChunkingConfig, build_corpus, chunk_document
+from hrr.chunking import ChunkingConfig, _byte_offsets, build_corpus, chunk_document
 from hrr.corpus import Corpus, Level, validate_corpus
 from hrr.errors import ConfigError, EmptyDocumentError
-from hrr.tokens import WordPunctTokenizer
+from hrr.synth import CorpusSpec, generate
+from hrr.tokens import _TOKENIZERS, WordPunctTokenizer
 
 TOK = WordPunctTokenizer()
 
@@ -203,3 +205,102 @@ class TestMonotoneNesting:
         for parent_id, child_ids in corpus.children.items():
             spans = [corpus.chunks[c].char_span for c in child_ids]
             assert spans == sorted(spans)
+
+
+class TestByteOffsets:
+    @given(
+        st.one_of(
+            st.text(alphabet="ab .,\n", max_size=80),
+            st.text(max_size=200),
+            st.text(alphabet="aé€𝔞😀İ \n", max_size=80),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_utf8_prefix_lengths(self, text):
+        to_bytes = _byte_offsets(text)
+        for i in range(len(text) + 1):
+            assert to_bytes(i) == len(text[:i].encode("utf-8"))
+            assert type(to_bytes(i)) is int  # offsets are written to JSON
+
+
+#: Words mixing multibyte, astral and dotted-capital letters, digits and _.
+WORDS = st.text(alphabet="abzé€𝔞😀İı09_", min_size=1, max_size=8)
+PUNCTUATION = st.sampled_from([",", "-", "'", ";", "...", "--", "(", ")"])
+
+
+@st.composite
+def multi_sentence_text(draw):
+    sentences = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        sentence = draw(st.sampled_from(["The", "İt", "Élan", "A1"]))
+        for piece in draw(st.lists(st.one_of(WORDS, PUNCTUATION), max_size=14)):
+            sentence += draw(st.sampled_from([" ", "", "  "])) + piece
+        sentences.append(sentence + draw(st.sampled_from([".", "!", "?", "?!", "..."])))
+    text = sentences[0]
+    for sentence in sentences[1:]:
+        text += draw(st.sampled_from([" ", "\n", "\n\n", " \t", "\u00a0"])) + sentence
+    return text
+
+
+class TestCountsFromDocumentSpans:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ChunkingConfig(),
+            ChunkingConfig(parent_overlap=15, intermediate_overlap=3),
+            ChunkingConfig(
+                parent_size=64, intermediate_size=16, sub_intermediate_size=8,
+                max_sentence_tokens=5,
+            ),
+            ChunkingConfig(
+                parent_size=64, parent_overlap=15, intermediate_size=16,
+                intermediate_overlap=3, sub_intermediate_size=8, max_sentence_tokens=5,
+            ),
+        ],
+        ids=["default", "default-overlap", "small", "small-overlap"],
+    )
+    @given(text=multi_sentence_text())
+    @settings(max_examples=60, deadline=None)
+    def test_every_count_equals_a_recount(self, config, text):
+        corpus = build_corpus({"d": text}, config)
+        encoded = text.encode("utf-8")
+        for node in corpus:
+            start, end = node.char_span
+            assert node.token_count == TOK.count_tokens(encoded[start:end].decode("utf-8"))
+        assert validate_corpus(corpus) == []
+
+    def test_non_local_tokenizer_fails_validation(self, monkeypatch):
+        class PairTokenizer(WordPunctTokenizer):
+            """Breaks locality: each span joins two tokens, paired from the start."""
+
+            name = "pairs"
+
+            def token_spans(self, text):
+                spans = super().token_spans(text)
+                return [(spans[i][0], spans[min(i + 1, len(spans) - 1)][1])
+                        for i in range(0, len(spans), 2)]
+
+            def count_tokens(self, text):
+                return len(self.token_spans(text))
+
+        monkeypatch.setitem(_TOKENIZERS, PairTokenizer.name, PairTokenizer)
+        corpus = build_corpus({"d": doc_of_sentences(5, 2)}, tokenizer=PairTokenizer())
+        assert "TokenCountDrift" in {v.rule for v in validate_corpus(corpus)}
+
+    def test_one_span_pass_per_document(self, monkeypatch):
+        documents = generate(CorpusSpec(seed=42)).documents
+        calls = Counter()
+        for method in ("token_spans", "count_tokens"):
+            original = getattr(WordPunctTokenizer, method)
+
+            def counted(self, text, _original=original, _method=method):
+                calls[_method] += 1
+                return _original(self, text)
+
+            monkeypatch.setattr(WordPunctTokenizer, method, counted)
+        corpus = build_corpus(documents)
+        assert calls == {"token_spans": len(documents)}
+        # Validation stays an independent oracle: one recount per node.
+        calls.clear()
+        assert validate_corpus(corpus) == []
+        assert calls == {"count_tokens": len(corpus)}

@@ -248,6 +248,20 @@ class TestCliErrors:
         Path("empty").mkdir()
         assert main(["ingest", "empty", "--config", "engine.json"]) == EXIT_IO
 
+    def test_non_utf8_document_is_io_error(self, workdir, capsys):
+        Path("synth/docs/latin1.txt").write_bytes(b"Caf\xe9 au lait.\n")
+        capsys.readouterr()
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "latin1.txt: not valid UTF-8" in err and err.count("\n") == 1
+
+    def test_directory_named_like_a_document_is_io_error(self, workdir, capsys):
+        Path("synth/docs/folder.txt").mkdir()
+        capsys.readouterr()
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "folder.txt: cannot read" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--k", "--rerank-k"])
     def test_zero_top_k_flag_is_config_error(self, workdir, capsys, flag):
         # No artifacts exist, so a flag that was silently ignored would exit 3.

@@ -11,6 +11,8 @@ from hrr.tokens import WordPunctTokenizer, get_tokenizer
 #: Text where word, digit, underscore and punctuation runs meet, with letters
 #: whose lowercase is longer (İ) or context-dependent (Σ).
 TRICKY_TEXT = st.text(alphabet="aZİıßΣς09_!?.,-'\" \t\n", max_size=60)
+#: Multibyte, astral and non-ASCII whitespace characters beside the above.
+WIDE_TEXT = st.text(alphabet="aZé€𝔞😀İı09_!.,-' \n\u00a0\u2003", max_size=60)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,21 @@ class TestContract:
         tok = WordPunctTokenizer()
         for s in (text, text.lower()):
             assert tok.tokens(s) == [s[a:b] for a, b in tok.token_spans(s)]
+
+    @given(st.one_of(st.text(max_size=200), TRICKY_TEXT, WIDE_TEXT), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tokenization_is_local(self, text, data):
+        # Cut anywhere that splits no token: the piece's spans are the
+        # document spans inside the cut, shifted, and are what it counts.
+        tok = WordPunctTokenizer()
+        spans = tok.token_spans(text)
+        inside = {i for s, e in spans for i in range(s + 1, e)}
+        cuts = [i for i in range(len(text) + 1) if i not in inside]
+        start = data.draw(st.sampled_from(cuts))
+        end = data.draw(st.sampled_from([c for c in cuts if c >= start]))
+        expected = [(s - start, e - start) for s, e in spans if start <= s and e <= end]
+        assert tok.token_spans(text[start:end]) == expected
+        assert tok.count_tokens(text[start:end]) == len(expected)
 
     def test_deterministic(self, tok):
         text = "Some mixed: text, with 42 numbers étoile."
