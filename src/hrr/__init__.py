@@ -37,7 +37,7 @@ from .evaluation import (
     score_query,
     summarize,
 )
-from .index import LevelIndex, SearchHit, build_index, load_index, save_index
+from .index import LevelIndex, build_index, load_index, save_index
 from .rerank import (
     LexicalOverlapReranker,
     RemoteReranker,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from urllib.parse import urlsplit
 
 import requests
 
@@ -21,9 +22,14 @@ def auth_headers(api_key_env: str | None) -> dict[str, str]:
     return {"Authorization": f"Bearer {key}"}
 
 
-def check_http_settings(section: str, timeout: float, retries: int) -> None:
-    """Reject a timeout that is not a positive, finite number of seconds, and
-    a negative retry count, which would never send a request."""
+def check_http_settings(section: str, base_url: str | None, timeout: float, retries: int) -> None:
+    """Reject a base URL that is not an absolute http(s) URL, a timeout that
+    is not a positive, finite number of seconds, and a negative retry count,
+    which would never send a request."""
+    if base_url is not None:
+        url = urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise ConfigError(f"{section}.base_url must be an http:// or https:// URL, got {base_url!r}")
     if not (timeout > 0 and math.isfinite(timeout)):
         raise ConfigError(f"{section}.timeout must be a positive number, got {timeout}")
     if retries < 0:

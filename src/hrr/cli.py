@@ -5,8 +5,8 @@ document directory), query (ad-hoc retrieval), eval (Hit Rate / MRR table
 over a labeled query set), validate (corpus invariant check), inspect
 (dump a chunk and its ancestry).
 
-Exit codes: 0 success, 2 config or usage errors, 3 missing or unreadable
-files and bad artifacts, 4 provider failures, 1 anything else.
+Exit codes: 0 success, 2 config or usage errors, 3 missing, unreadable or
+unwritable files and bad artifacts, 4 provider failures, 1 anything else.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        FileNotFoundError,
+        OSError,
         NoDocumentsError,
         MissingIndexError,
         SnapshotFormatError,

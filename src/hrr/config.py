@@ -39,7 +39,7 @@ class EmbeddingConfig:
             raise ConfigError("embedding.base_url is required for the remote provider")
         if self.dimension < 1:
             raise ConfigError("embedding.dimension must be >= 1")
-        check_http_settings("embedding", self.timeout, self.retries)
+        check_http_settings("embedding", self.base_url, self.timeout, self.retries)
         if self.batch_size < 1:
             raise ConfigError(f"embedding.batch_size must be >= 1, got {self.batch_size}")
         if self.max_in_flight < 1:
@@ -151,6 +151,8 @@ def load_config(path: str | Path | None) -> EngineConfig:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read ({exc.strerror})") from None
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

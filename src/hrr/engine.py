@@ -109,7 +109,7 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     counts: dict[str, int] = {}
     for level in corpus.levels:
         index = build_index(corpus, level, embedder)
-        save_index(index, index_dir / f"{level.value}{_INDEX_SUFFIX}")
+        save_index(index, index_dir / f"{level.value}{_INDEX_SUFFIX}", embedder.name)
         counts[level.value] = len(index)
     # A snapshot for a level this corpus lacks is left from an earlier ingest.
     for level in Level:
@@ -127,41 +127,36 @@ def load_context(config: EngineConfig) -> RetrievalContext:
     """Load persisted artifacts into a ready-to-query retrieval context.
 
     The corpus decides which indexes load: one per level it holds, and
-    snapshots for other levels are ignored. A missing snapshot raises
-    ``MissingIndexError``. A snapshot whose dimension differs from the
-    configured embedding dimension, or whose ids are not exactly the
-    corpus's chunk ids at its level in corpus order (artifacts from
-    different ingests, or a truncated corpus), raises ``SnapshotFormatError``.
+    snapshots for other levels are ignored. Row ``i`` of a level's index is
+    ``corpus.nodes_at(level)[i]``. A missing snapshot raises
+    ``MissingIndexError``. A snapshot made by another embedding provider or
+    at another dimension than the config names, or for other chunk ids
+    (artifacts from different ingests, or a truncated corpus), raises
+    ``SnapshotFormatError``.
     """
     corpus = load_corpus(config.paths.corpus_dir)
     index_dir = Path(config.paths.index_dir)
-    dimension = config.embedding.dimension
+    embedder = make_embedder(config)
     indices = {}
     for level in corpus.levels:
         path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
         try:
-            index = load_index(path)
+            index = load_index(path, [node.id for node in corpus.nodes_at(level)], embedder.name)
         except FileNotFoundError:
             raise MissingIndexError(
                 f"no index snapshot {path} for the corpus's {level.value} chunks; "
                 f"run ingest first"
             ) from None
-        if index.dimension != dimension:
+        if index.dimension != embedder.dimension:
             raise SnapshotFormatError(
                 f"{path}: index dimension {index.dimension} differs from the "
-                f"configured embedding dimension {dimension}; re-run ingest"
-            )
-        expected = [node.id for node in corpus.nodes_at(level)]
-        if list(index.chunk_ids) != expected:
-            raise SnapshotFormatError(
-                f"{level.value} index holds {len(index)} chunk ids that do not match "
-                f"the corpus's {len(expected)} chunks at that level; re-run ingest"
+                f"configured embedding dimension {embedder.dimension}; re-run ingest"
             )
         indices[level] = index
     return RetrievalContext(
         corpus=corpus,
         indices=indices,
-        embedder=make_embedder(config),
+        embedder=embedder,
         reranker=make_reranker(config),
         config=config.retriever,
         rerank=config.rerank,

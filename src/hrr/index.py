@@ -16,13 +16,12 @@ the proof that this never drops an entry of the true top k.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import json
 import math
-import mmap
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,14 +29,10 @@ import numpy as np
 
 from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level
 from .embedding import EmbeddingProvider, cosine_similarity, embed_batch, ensure_unit
-from .errors import (
-    DimensionMismatchError,
-    InvalidCorpusError,
-    InvalidInputError,
-    SnapshotFormatError,
-)
+from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
+from .rerank import ScoredCandidate
 
-_MAGIC = b"HRRIDX1\n"
+_MAGIC = b"HRRIDX2\n"
 
 #: Unit roundoffs of float32 and float64, and the float32 underflow unit
 #: (its smallest subnormal).
@@ -49,12 +44,6 @@ _ETA32 = float(np.finfo(np.float32).smallest_subnormal)
 def _gamma(d: int, u: float) -> float:
     """Higham's gamma_d: bounds the relative error of a length-d dot product."""
     return d * u / (1.0 - d * u)
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    chunk_id: str
-    score: float
 
 
 class LevelIndex:
@@ -69,7 +58,7 @@ class LevelIndex:
             raise InvalidCorpusError(f"no entries for level {level.value!r}")
         if len(set(chunk_ids)) != len(chunk_ids):
             raise InvalidCorpusError("duplicate chunk ids in index")
-        vectors = np.asarray(vectors, dtype=np.float32)
+        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[0] != len(chunk_ids):
             raise InvalidInputError(
                 f"vectors shape {vectors.shape} does not match {len(chunk_ids)} ids"
@@ -99,7 +88,7 @@ class LevelIndex:
     def __len__(self) -> int:
         return len(self.chunk_ids)
 
-    def search(self, query: np.ndarray, k: int) -> list[SearchHit]:
+    def search(self, query: np.ndarray, k: int) -> list[ScoredCandidate]:
         """Exact top-k by cosine, ties broken by chunk id ascending.
 
         Bit-identical to scoring every row with ``cosine_similarity`` and
@@ -131,10 +120,6 @@ class LevelIndex:
         if k < 1:
             raise InvalidInputError("k must be >= 1")
         query = ensure_unit(query, self.dimension)
-        if query.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"query dimension {query.shape[0]} != index dimension {self.dimension}"
-            )
         n = len(self)
         if k >= n:
             candidates = range(n)
@@ -148,7 +133,7 @@ class LevelIndex:
             candidates = np.flatnonzero(approx >= cut).tolist()
         scores = {i: cosine_similarity(self.vectors[i], query) for i in candidates}
         best = heapq.nsmallest(k, scores, key=lambda i: (-scores[i], self.chunk_ids[i]))
-        return [SearchHit(self.chunk_ids[i], scores[i]) for i in best]
+        return [ScoredCandidate(self.chunk_ids[i], scores[i]) for i in best]
 
 
 def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> LevelIndex:
@@ -160,27 +145,37 @@ def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> Le
     return LevelIndex(level, [node.id for node in nodes], embed_batch(provider, texts))
 
 
-def save_index(index: LevelIndex, path: str | Path) -> None:
-    """Write a versioned binary snapshot: magic, JSON header, raw entries."""
-    header = json.dumps(
-        {"level": index.level.value, "dimension": index.dimension, "count": len(index)},
-        sort_keys=True,
-    ).encode("utf-8")
+def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:
+    """Write a versioned snapshot of ``index``, whose vectors ``embedder`` made.
+
+    Layout: magic, ``<I`` header length, a JSON header (level, dimension,
+    count, embedder name, and ``ids_sha256``, the digest of the level's chunk
+    ids in row order), then the ``count x dimension`` little-endian float32
+    matrix as one block. Row ``i`` belongs to the ``i``-th chunk id, so the
+    ids themselves live only in the corpus.
+    """
+    fields = {"level": index.level.value, "dimension": index.dimension, "count": len(index),
+              "embedder": embedder, "ids_sha256": _ids_digest(index.chunk_ids)}
+    header = json.dumps(fields, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for chunk_id, vector in zip(index.chunk_ids, index.vectors):
-            id_bytes = chunk_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(vector.astype("<f4").tobytes())
+        fh.write(memoryview(index.vectors.astype("<f4", copy=False)))
 
 
-def load_index(path: str | Path) -> LevelIndex:
-    """Load a snapshot written by ``save_index``; search results round-trip."""
+def load_index(path: str | Path, chunk_ids: Sequence[str], embedder: str) -> LevelIndex:
+    """Load a snapshot written by ``save_index`` for rows ``chunk_ids``.
+
+    ``chunk_ids`` are the level's ids in corpus order and ``embedder`` the
+    name of the provider queries will use. A file of another format version,
+    a header that does not fit the file, other ids or another embedder raise
+    ``SnapshotFormatError`` naming the file, before the matrix is read.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
+        if magic == b"HRRIDX1\n":
+            raise SnapshotFormatError(f"{path}: snapshot format v1 is not read; re-run ingest")
         if magic != _MAGIC:
             raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
@@ -190,43 +185,40 @@ def load_index(path: str | Path) -> LevelIndex:
             level = Level(header["level"])
             dimension = int(header["dimension"])
             count = int(header["count"])
+            built_by = header["embedder"]
+            ids_sha256 = header["ids_sha256"]
         except MALFORMED_RECORD_ERRORS as exc:
             raise SnapshotFormatError(f"{path}: malformed header ({exc})") from None
         if dimension < 1 or count < 0:
             raise SnapshotFormatError(f"{path}: bad header sizes {header}")
-        if count * (2 + 4 * dimension) > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise SnapshotFormatError(f"{path}: header count {count} exceeds the file")
-        ids: list[str] = []
-        vectors = _mapped_matrix(count, dimension)
-        for row in range(count):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            ids.append(_read_exact(fh, id_len, path).decode("utf-8"))
-            if fh.readinto(vectors[row]) != 4 * dimension:
-                raise SnapshotFormatError(f"{path}: truncated snapshot")
-        if fh.read(1):
-            raise SnapshotFormatError(f"{path}: trailing bytes after {count} entries")
+        size = 4 * count * dimension
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != remaining:
+            raise SnapshotFormatError(
+                f"{path}: {count} rows of dimension {dimension} take {size} bytes, "
+                f"but {remaining} follow the header"
+            )
+        if built_by != embedder:
+            raise SnapshotFormatError(
+                f"{path}: vectors from the {built_by!r} embedder, not {embedder!r}; re-run ingest"
+            )
+        if count != len(chunk_ids) or ids_sha256 != _ids_digest(chunk_ids):
+            raise SnapshotFormatError(
+                f"{path}: {count} {level.value} rows whose ids do not match the corpus's "
+                f"{len(chunk_ids)} chunks at that level; re-run ingest"
+            )
+        vectors = np.empty((count, dimension), dtype="<f4")
+        if fh.readinto(vectors) != size:
+            raise SnapshotFormatError(f"{path}: truncated snapshot")
     try:
-        return LevelIndex(level, ids, vectors)
+        return LevelIndex(level, chunk_ids, vectors)
     except InvalidCorpusError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from None
 
 
-def _mapped_matrix(rows: int, cols: int) -> np.ndarray:
-    """A zeroed little-endian float32 matrix, the snapshot's byte order, in
-    its own anonymous memory mapping.
-
-    A loaded index outlives much of the smaller data allocated while it is
-    searched. Had it come from the malloc heap, one small live block above
-    it would keep its whole span resident after it is freed, and a reload
-    could then hold two matrices' worth of memory. A mapping is returned to
-    the system as soon as the index is dropped. Like numpy's own large
-    arrays, it asks for transparent huge pages where the system has them,
-    which makes it faster to fill.
-    """
-    buffer = mmap.mmap(-1, max(rows * cols * 4, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buffer.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buffer, dtype="<f4", count=rows * cols).reshape(rows, cols)
+def _ids_digest(chunk_ids: Sequence[str]) -> str:
+    """sha256 of the ids as one JSON array, an encoding no id can forge."""
+    return hashlib.sha256(json.dumps(list(chunk_ids)).encode("ascii")).hexdigest()
 
 
 def _read_exact(fh, n: int, path) -> bytes:

@@ -52,7 +52,7 @@ class RerankProviderConfig:
             raise ConfigError(
                 f"rerank.fallback must be error or passthrough, got {self.fallback!r}"
             )
-        check_http_settings("rerank", self.timeout, self.retries)
+        check_http_settings("rerank", self.base_url, self.timeout, self.retries)
         if not math.isfinite(self.mix_lambda):
             raise ConfigError(f"rerank.mix_lambda must be finite, got {self.mix_lambda}")
 

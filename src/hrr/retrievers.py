@@ -29,7 +29,7 @@ from typing import Mapping
 from .corpus import Corpus, Level, resolve_parent
 from .embedding import EmbeddingProvider, embed_batch
 from .errors import ConfigError, EmptyCorpusError, MissingIndexError
-from .index import LevelIndex, SearchHit
+from .index import LevelIndex
 from .rerank import (
     RerankProvider,
     RerankProviderConfig,
@@ -145,7 +145,7 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
     direct: list[ScoredCandidate] = []
     mapped: list[ScoredCandidate] = []
     for level in search_levels:
-        hits = _as_candidates(ctx.index(level).search(query_vec, ctx.config.similarity_top_k))
+        hits = ctx.index(level).search(query_vec, ctx.config.similarity_top_k)
         trace.append(StageTrace(f"{level.value}_hits", tuple(hits)))
         if level is rerank_level:
             direct.extend(hits)
@@ -183,10 +183,6 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
         StageTrace("parents", tuple(parents)),
     ]
     return RetrievalResult(query, strategy, tuple(parents), tuple(trace))
-
-
-def _as_candidates(hits: list[SearchHit]) -> list[ScoredCandidate]:
-    return [ScoredCandidate(h.chunk_id, h.score) for h in hits]
 
 
 def _best_scores(candidates: list[ScoredCandidate]) -> dict[str, float]:

@@ -215,10 +215,10 @@ class TestCliWorkflow:
     GOLDEN_DIGESTS = {
         "corpus/documents.jsonl": "c842a4834bd45e8b37e37d0826193bd941d9f58ff58952bf511ef9031d472b29",
         "corpus/chunks.jsonl": "69011d2057c96b97820465977578a8d98e9ad8e4230a4e67344f74f817297f6e",
-        "indexes/parent.idx": "fd53f6119a03d7601ddf5e91532232422c399992004d1bc6e5ee84c05581d3af",
-        "indexes/intermediate.idx": "5713690b0f297e4123ba812074837da3aed69d07698e13d9caae94e1d704e0d6",
-        "indexes/sentence.idx": "0ddca1a87849787f934e4e2d66a13245fed059d9f516c99e2f6976287bfb27b2",
-        "indexes/sub_intermediate.idx": "85a713021ab36aaff17155cc8461cb52db941d1c3d692345e2e297f1de32b373",
+        "indexes/parent.idx": "de5126e240fe48e970d71831f6c4f0b3c1a0655c3a8092ec51c68cf069abd951",
+        "indexes/intermediate.idx": "3a17b3aaa5a52b724492ad4f63420eacdfe50916de109a463ec6e80e0e533e27",
+        "indexes/sentence.idx": "370ff56f67045ad7f5f1333fc45244ff6b49778a77da071a62650d708d69c840",
+        "indexes/sub_intermediate.idx": "ece7f9bf919473b11b781c6177c5c0386154577fa0f14be1dc18381a5e920a60",
     }
 
     def test_ingest_artifacts_match_golden_digests(self, workdir):
@@ -304,8 +304,13 @@ class TestCliErrors:
             ("embedding", {"provider": "remote", "base_url": "http://127.0.0.1:9",
                            "batch_size": 0}, "embedding.batch_size must be >= 1"),
             ("embedding", {"max_in_flight": 0}, "embedding.max_in_flight must be >= 1"),
+            ("embedding", {"provider": "remote", "base_url": "foo"},
+             "embedding.base_url must be an http:// or https:// URL"),
+            ("rerank", {"provider": "remote", "base_url": "127.0.0.1:9"},
+             "rerank.base_url must be an http:// or https:// URL"),
         ],
-        ids=["nan-mix-lambda", "zero-timeout", "negative-retries", "zero-batch", "zero-in-flight"],
+        ids=["nan-mix-lambda", "zero-timeout", "negative-retries", "zero-batch", "zero-in-flight",
+             "schemeless-embed-url", "schemeless-rerank-url"],
     )
     def test_out_of_range_provider_setting_is_config_error(
         self, workdir, capsys, command, section, settings, message
@@ -394,6 +399,55 @@ class TestCliErrors:
         assert main([*command, "--config", "dim32.json"]) == EXIT_IO
         err = capsys.readouterr().err
         assert "64" in err and "32" in err and err.count("\n") == 1
+
+    def test_index_from_other_embedder_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        config = json.loads(Path("engine.json").read_text())
+        config["embedding"] = {
+            "provider": "remote",
+            "base_url": "http://127.0.0.1:9",  # discard port: a request would exit 4
+            "dimension": 64,
+            "retries": 0,
+        }
+        Path("remote.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "remote.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert ".idx" in err and "'hashed-bow'" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "artifact, command",
+        [(Path("indexes") / "parent.idx", ["query", "x"]),
+         (Path("corpus") / "chunks.jsonl", ["query", "x"]),
+         (Path("corpus") / "chunks.jsonl", ["validate"])],
+        ids=["index-query", "chunks-query", "chunks-validate"],
+    )
+    def test_directory_in_place_of_artifact_is_io_error(self, workdir, capsys, artifact, command):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        artifact.unlink()
+        artifact.mkdir()
+        capsys.readouterr()
+        assert main([*command, "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert artifact.name in err and err.count("\n") == 1
+
+    def test_query_set_directory_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        Path("queries_dir").mkdir()
+        capsys.readouterr()
+        assert main(["eval", "--query-set", "queries_dir", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "queries_dir" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, workdir, capsys, kind):
+        if kind == "directory":
+            Path("bad_config").mkdir()
+        else:
+            Path("bad_config").write_bytes(b'{"embedding": {"dimension": 6\xff}}')
+        assert main(["validate", "--config", "bad_config"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad_config" in err and err.count("\n") == 1
 
     def test_unreachable_remote_provider_exit_code(self, workdir):
         config = json.loads(Path("engine.json").read_text())

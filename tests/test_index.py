@@ -208,65 +208,134 @@ class TestBuildIndex:
         assert np.array_equal(a.vectors, b.vectors)
 
 
+EMBEDDER = "hashed-bow"
+
+
 class TestSnapshots:
     def test_round_trip_preserves_search(self, tmp_path):
         rng = random.Random(3)
         index = random_index(rng, 50, 12)
         path = tmp_path / "sentence.idx"
-        save_index(index, path)
-        loaded = load_index(path)
+        save_index(index, path, EMBEDDER)
+        loaded = load_index(path, index.chunk_ids, EMBEDDER)
         assert loaded.level is index.level
         assert loaded.chunk_ids == index.chunk_ids
         assert np.array_equal(loaded.vectors, index.vectors)
         query = ensure_unit(np.array([rng.gauss(0, 1) for _ in range(12)]))
         assert loaded.search(query, 10) == index.search(query, 10)
 
+    def test_round_trip_search_equals_naive_scan(self, tmp_path):
+        rng = random.Random(31)
+        index = random_index(rng, 300, 33)
+        path = tmp_path / "sentence.idx"
+        save_index(index, path, EMBEDDER)
+        loaded = load_index(path, index.chunk_ids, EMBEDDER)
+        for _ in range(5):
+            query = np.array([rng.gauss(0, 1) for _ in range(33)], dtype=np.float32)
+            assert_matches_oracle(loaded, query, [1, 10, 299, 300])
+
+    def test_file_holds_header_and_matrix_only(self, tmp_path):
+        index = random_index(random.Random(4), 10, 6)
+        path = tmp_path / "s.idx"
+        save_index(index, path, EMBEDDER)
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[8:12], "little")
+        assert len(data) == 12 + header_len + 4 * 10 * 6
+        assert data[12 + header_len :] == index.vectors.astype("<f4").tobytes()
+        assert b"c0003" not in data
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         index = random_index(random.Random(4), 10, 6)
-        save_index(index, tmp_path / "a.idx")
-        save_index(index, tmp_path / "b.idx")
+        save_index(index, tmp_path / "a.idx", EMBEDDER)
+        save_index(index, tmp_path / "b.idx", EMBEDDER)
         assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(b"NOTANIDX" + b"\x00" * 32)
         with pytest.raises(SnapshotFormatError):
-            load_index(path)
+            load_index(path, ["c0000"], EMBEDDER)
+
+    def test_v1_file_asks_for_reingest(self, tmp_path):
+        header = b'{"count": 1, "dimension": 6, "level": "sentence"}'
+        path = tmp_path / "v1.idx"
+        path.write_bytes(
+            b"HRRIDX1\n" + len(header).to_bytes(4, "little") + header
+            + (5).to_bytes(2, "little") + b"c0000" + b"\x00" * 24
+        )
+        with pytest.raises(SnapshotFormatError, match="re-run ingest") as exc:
+            load_index(path, ["c0000"], EMBEDDER)
+        assert "\n" not in str(exc.value)
 
     def test_truncated_file(self, tmp_path):
         index = random_index(random.Random(4), 10, 6)
         path = tmp_path / "t.idx"
-        save_index(index, path)
+        save_index(index, path, EMBEDDER)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 7])
         with pytest.raises(SnapshotFormatError):
-            load_index(path)
+            load_index(path, index.chunk_ids, EMBEDDER)
 
+    # Each header but the one under test carries every field a v2 header needs.
     @pytest.mark.parametrize(
         "header",
-        [b"{not json", b'{"level": "sentence"}', b'{"level": "leaf", "dimension": 6, "count": 1}',
-         b'{"level": "sentence", "dimension": -6, "count": 1}', b"\xff\xfe", b"[1, 2]"],
+        [b"{not json", b'{"level": "sentence"}',
+         b'{"level":"leaf","dimension":6,"count":1,"embedder":"hashed-bow","ids_sha256":""}',
+         b'{"level": "sentence", "dimension": -6, "count": 1, "embedder": "hashed-bow", '
+         b'"ids_sha256": ""}',
+         b'{"embedder": "hashed-bow", "level": "sentence", "dimension": 6, "count": 1}',
+         b'{"ids_sha256": "", "level": "sentence", "dimension": 6, "count": 1}',
+         b"\xff\xfe", b"[1, 2]"],
     )
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "h.idx"
-        path.write_bytes(b"HRRIDX1\n" + len(header).to_bytes(4, "little") + header)
+        path.write_bytes(b"HRRIDX2\n" + len(header).to_bytes(4, "little") + header)
         with pytest.raises(SnapshotFormatError):
-            load_index(path)
+            load_index(path, ["c0000"], EMBEDDER)
 
     def test_count_beyond_file_size(self, tmp_path):
-        header = b'{"level": "sentence", "dimension": 6, "count": 10000000000000}'
+        header = (
+            b'{"level": "sentence", "dimension": 6, "count": 10000000000000, '
+            b'"embedder": "hashed-bow", "ids_sha256": ""}'
+        )
         path = tmp_path / "c.idx"
-        path.write_bytes(b"HRRIDX1\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 64)
-        with pytest.raises(SnapshotFormatError, match="exceeds the file"):
-            load_index(path)
+        path.write_bytes(b"HRRIDX2\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 64)
+        with pytest.raises(SnapshotFormatError, match="bytes, but 64 follow the header"):
+            load_index(path, ["c0000"], EMBEDDER)
 
     def test_trailing_garbage(self, tmp_path):
         index = random_index(random.Random(4), 4, 6)
         path = tmp_path / "g.idx"
-        save_index(index, path)
+        save_index(index, path, EMBEDDER)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(SnapshotFormatError):
-            load_index(path)
+            load_index(path, index.chunk_ids, EMBEDDER)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [lambda ids: ids[1:] + ids[:1], lambda ids: ids[:-1], lambda ids: ids + ["c9999"]],
+        ids=["reordered", "fewer", "more"],
+    )
+    def test_other_chunk_ids_rejected(self, tmp_path, ids):
+        index = random_index(random.Random(4), 10, 6)
+        path = tmp_path / "sentence.idx"
+        save_index(index, path, EMBEDDER)
+        with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
+            load_index(path, ids(list(index.chunk_ids)), EMBEDDER)
+
+    def test_id_digest_is_injective_over_newlines(self, tmp_path):
+        vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
+        path = tmp_path / "sentence.idx"
+        save_index(LevelIndex(Level.SENTENCE, ["a\nb", "c"], vecs), path, EMBEDDER)
+        with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
+            load_index(path, ["a", "b\nc"], EMBEDDER)
+
+    def test_other_embedder_rejected(self, tmp_path):
+        index = random_index(random.Random(4), 10, 6)
+        path = tmp_path / "sentence.idx"
+        save_index(index, path, EMBEDDER)
+        with pytest.raises(SnapshotFormatError, match="'hashed-bow' embedder, not 'remote'"):
+            load_index(path, index.chunk_ids, "remote")
 
 
 class TestConstruction:
@@ -290,10 +359,10 @@ class TestConstruction:
     def test_snapshot_with_non_finite_row_rejected(self, tmp_path, bad):
         index = random_index(random.Random(4), 10, 6)
         path = tmp_path / "nan.idx"
-        save_index(index, path)
+        save_index(index, path, EMBEDDER)
         data = bytearray(path.read_bytes())
         last_entry = len(data) - 4 * 6
         data[last_entry : last_entry + 4] = np.array([bad], dtype="<f4").tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match="not finite"):
-            load_index(path)
+            load_index(path, index.chunk_ids, EMBEDDER)
