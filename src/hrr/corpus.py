@@ -451,8 +451,10 @@ def load_corpus(directory: str | Path) -> Corpus:
 
 
 #: What reading fields from one parsed JSON line can raise when the line is
-#: not a well-formed record (``json.JSONDecodeError`` is a ``ValueError``).
-MALFORMED_RECORD_ERRORS = (ValueError, KeyError, TypeError, IndexError)
+#: not a well-formed record (``json.JSONDecodeError`` is a ``ValueError``;
+#: ``int()`` of a number too large for a float, such as ``1e400``, raises
+#: ``OverflowError``).
+MALFORMED_RECORD_ERRORS = (ValueError, KeyError, TypeError, IndexError, OverflowError)
 
 
 def malformed_record(path: Path | str, line_no: int, exc: Exception) -> SnapshotFormatError:

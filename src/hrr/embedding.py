@@ -224,18 +224,27 @@ class RemoteEmbedder:
         try:
             vectors = payload["vectors"]
             reported = int(payload["dimension"])
+            received = len(vectors)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailableError(f"malformed embed response: {exc}") from exc
         if reported != self._dimension:
             raise DimensionMismatchError(
                 f"service reports dimension {reported}, configured {self._dimension}"
             )
-        if len(vectors) != len(texts):
+        if received != len(texts):
             raise ProviderUnavailableError(
-                f"embed response has {len(vectors)} vectors for {len(texts)} texts"
+                f"embed response has {received} vectors for {len(texts)} texts"
             )
         for row, vec in zip(out, vectors):
-            arr = np.asarray(vec, dtype=np.float32)
+            try:
+                arr = np.asarray(vec)
+            except ValueError as exc:  # ragged nesting
+                raise ProviderUnavailableError(f"malformed embed response: {exc}") from exc
+            if arr.dtype.kind not in "iuf":
+                raise ProviderUnavailableError(
+                    f"malformed embed response: vector elements are not numbers ({arr.dtype})"
+                )
+            arr = arr.astype(np.float32)
             if arr.ndim != 1 or arr.shape[0] != self._dimension:
                 raise DimensionMismatchError(
                     f"service returned a vector of dimension {arr.shape}, "

@@ -21,7 +21,6 @@ from .errors import (
     InvalidCorpusError,
     MissingIndexError,
     NoDocumentsError,
-    SnapshotFormatError,
     UnreadableDocumentError,
 )
 from .index import build_index, load_index, save_index
@@ -108,9 +107,10 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     index_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
     for level in corpus.levels:
-        index = build_index(corpus, level, embedder)
-        save_index(index, index_dir / f"{level.value}{_INDEX_SUFFIX}", embedder.name)
-        counts[level.value] = len(index)
+        # Each level's index is freed before the next is built.
+        path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
+        save_index(build_index(corpus, level, embedder), path, embedder.name)
+        counts[level.value] = len(corpus.nodes_at(level))
     # A snapshot for a level this corpus lacks is left from an earlier ingest.
     for level in Level:
         if level not in corpus.levels:
@@ -140,19 +140,14 @@ def load_context(config: EngineConfig) -> RetrievalContext:
     indices = {}
     for level in corpus.levels:
         path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
+        ids = [node.id for node in corpus.nodes_at(level)]
         try:
-            index = load_index(path, [node.id for node in corpus.nodes_at(level)], embedder.name)
+            indices[level] = load_index(path, ids, embedder.name, embedder.dimension)
         except FileNotFoundError:
             raise MissingIndexError(
                 f"no index snapshot {path} for the corpus's {level.value} chunks; "
                 f"run ingest first"
             ) from None
-        if index.dimension != embedder.dimension:
-            raise SnapshotFormatError(
-                f"{path}: index dimension {index.dimension} differs from the "
-                f"configured embedding dimension {embedder.dimension}; re-run ingest"
-            )
-        indices[level] = index
     return RetrievalContext(
         corpus=corpus,
         indices=indices,

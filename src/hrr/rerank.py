@@ -160,6 +160,9 @@ class RemoteReranker:
             scores = [float(s) for s in payload["scores"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailableError(f"malformed rerank response: {exc}") from exc
+        # requests parses the non-JSON tokens NaN and Infinity as floats.
+        if not all(map(math.isfinite, scores)):
+            raise ProviderUnavailableError("malformed rerank response: a score is not finite")
         if len(scores) != len(texts):
             raise ProviderUnavailableError(
                 f"rerank response has {len(scores)} scores for {len(texts)} documents"

@@ -3,7 +3,8 @@
 The happy path answers with the local hashed bag-of-words embedder and the
 lexical reranker, so a pipeline pointed at the stub must reproduce a fully
 local run bit for bit. Failure modes (wrong dimension, hang, server error)
-are switchable per instance to drive the error-path tests.
+are switchable per instance to drive the error-path tests, and ``raw_body``
+replaces every answer with fixed bytes, for malformed responses.
 """
 
 from __future__ import annotations
@@ -36,10 +37,17 @@ class _Server(ThreadingHTTPServer):
 class StubServices:
     """Runs a tiny threading HTTP server until used as a context manager."""
 
-    def __init__(self, dimension: int = 64, mode: str = MODE_OK, hang_seconds: float = 5.0):
+    def __init__(
+        self,
+        dimension: int = 64,
+        mode: str = MODE_OK,
+        hang_seconds: float = 5.0,
+        raw_body: bytes | None = None,
+    ):
         self.dimension = dimension
         self.mode = mode
         self.hang_seconds = hang_seconds
+        self.raw_body = raw_body
         self.embedder = HashedBowEmbedder(dimension=dimension)
         self.reranker = LexicalOverlapReranker()
         self.seen_headers: list[dict[str, str]] = []
@@ -91,7 +99,7 @@ class StubServices:
                     self.send_response(404)
                     self.end_headers()
                     return
-                data = json.dumps(payload).encode("utf-8")
+                data = stub.raw_body or json.dumps(payload).encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

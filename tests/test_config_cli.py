@@ -215,10 +215,10 @@ class TestCliWorkflow:
     GOLDEN_DIGESTS = {
         "corpus/documents.jsonl": "c842a4834bd45e8b37e37d0826193bd941d9f58ff58952bf511ef9031d472b29",
         "corpus/chunks.jsonl": "69011d2057c96b97820465977578a8d98e9ad8e4230a4e67344f74f817297f6e",
-        "indexes/parent.idx": "de5126e240fe48e970d71831f6c4f0b3c1a0655c3a8092ec51c68cf069abd951",
-        "indexes/intermediate.idx": "3a17b3aaa5a52b724492ad4f63420eacdfe50916de109a463ec6e80e0e533e27",
-        "indexes/sentence.idx": "370ff56f67045ad7f5f1333fc45244ff6b49778a77da071a62650d708d69c840",
-        "indexes/sub_intermediate.idx": "ece7f9bf919473b11b781c6177c5c0386154577fa0f14be1dc18381a5e920a60",
+        "indexes/parent.idx": "fb5b122264fb1e53ef081cb240ef47c1f09136fbc4c8bc3e9fb6dbf1cf789b40",
+        "indexes/intermediate.idx": "d43bc84f554ef5b0a5ffb80a589969b05a7a98436538d2977e4099f90717805a",
+        "indexes/sentence.idx": "3dce58924dd4cf239ee776d55e17d5021eb57481a633760d200766caa2f2f233",
+        "indexes/sub_intermediate.idx": "2f9287d22eb11a74c85529cde4c5c5f0af1f1079b6dc3b14f0b38d500ad2f26c",
     }
 
     def test_ingest_artifacts_match_golden_digests(self, workdir):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hrr.config import EngineConfig
 from hrr.engine import context_for
-from hrr.errors import EmptyQuerySetError, GoldNotInCorpusError
+from hrr.errors import EmptyQuerySetError, GoldNotInCorpusError, SnapshotFormatError
 from hrr.evaluation import (
     EvalRecord,
     LabeledQuery,
@@ -230,6 +230,12 @@ class TestQuerySetFiles:
         path.write_text('{"query": "x"}\n')
         with pytest.raises(GoldNotInCorpusError):
             load_query_set(path)
+
+    def test_span_too_large_for_an_int_is_malformed(self, tmp_path, toy_corpus):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"query": "x", "gold_doc_id": "beta", "gold_char_span": [1e400, 5]}\n')
+        with pytest.raises(SnapshotFormatError, match="line 1: malformed record"):
+            load_query_set(path, toy_corpus)
 
 
 class TestInvariantOnRealRuns:

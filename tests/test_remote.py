@@ -79,6 +79,18 @@ class TestRemoteEmbedder:
                 remote.embed_batch(["text"])
             assert stub.request_count == 1
 
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"vectors": [["a", 1]], "dimension": 2}', b'{"vectors": [[null, 1]], "dimension": 2}',
+         b'{"vectors": [[[1], 2]], "dimension": 2}', b'{"vectors": 5, "dimension": 2}'],
+        ids=["string-element", "null-element", "ragged-element", "vectors-not-a-list"],
+    )
+    def test_malformed_vectors_are_provider_error(self, body):
+        with StubServices(dimension=2, raw_body=body) as stub:
+            remote = RemoteEmbedder(stub.base_url, 2, timeout=5.0, retries=0)
+            with pytest.raises(ProviderUnavailableError, match="malformed embed response"):
+                remote.embed_batch(["text"])
+
     def test_credentials_header_sent(self, monkeypatch):
         monkeypatch.setenv("HRR_TEST_KEY", "sekrit")
         with StubServices(dimension=DIM) as stub:
@@ -123,6 +135,21 @@ class TestRemoteReranker:
         with StubServices(dimension=DIM, mode=MODE_SERVER_ERROR) as stub:
             with pytest.raises(ProviderUnavailableError):
                 rerank(RemoteReranker(stub.base_url, timeout=5.0, retries=0), request)
+
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"scores": [NaN, 0.5]}', b'{"scores": [0.5, Infinity]}', b'{"scores": [-Infinity, 0.5]}'],
+        ids=["nan", "infinity", "minus-infinity"],
+    )
+    def test_non_finite_score_is_provider_error(self, body):
+        request = RerankRequest("q", (("a", "one"), ("b", "two")))
+        with StubServices(dimension=DIM, raw_body=body) as stub:
+            reranker = RemoteReranker(stub.base_url, timeout=5.0, retries=0)
+            with pytest.raises(ProviderUnavailableError, match="malformed rerank response"):
+                rerank(reranker, request)
+            ranked = rerank(reranker, request, fallback=FALLBACK_PASSTHROUGH)
+        assert [(c.chunk_id, c.score) for c in ranked] == [("a", None), ("b", None)]
 
 
 class TestEndToEndOverTheWire:
