@@ -8,6 +8,14 @@ child-to-parent retrieval strategy) is stored the same way; it also nests in
 intermediates, but it is a level outside ``HIERARCHY_LEVELS``, so sentence
 nodes always sit exactly two hops below their parent chunk.
 
+The table is columnar: one numpy array per node field plus one list of
+ids, row ``i`` being the ``i``-th node in iteration order. A ``ChunkNode``
+is built only when one is asked for; ancestor walks, text lookups and
+byte-to-parent lookups read the columns. This is the layout column stores
+use to scan only what a query touches (Abadi, Madden and Hachem,
+"Column-Stores vs. Row-Stores", SIGMOD 2008), and it is also the on-disk
+layout, so loading a corpus builds no per-node object.
+
 Chunk text is never stored on the nodes; every node carries a (start, end)
 byte span into its source document's UTF-8 encoding, and the corpus decodes
 on demand. With zero overlap the spans at each level partition the level
@@ -16,14 +24,24 @@ above, so documents reassemble byte-for-byte from their parent chunks.
 
 from __future__ import annotations
 
-import bisect
 import json
-from dataclasses import dataclass
+import os
+import struct
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import LevelViolationError, SnapshotFormatError, UnknownChunkError
+import numpy as np
+
+from .errors import (
+    ConfigError,
+    InvalidCorpusError,
+    LevelViolationError,
+    SnapshotFormatError,
+    UnknownChunkError,
+)
 from .tokens import get_tokenizer
 
 if TYPE_CHECKING:
@@ -40,6 +58,11 @@ class Level(str, Enum):
 
 #: The three levels of the document hierarchy proper, top to bottom.
 HIERARCHY_LEVELS = (Level.PARENT, Level.INTERMEDIATE, Level.SENTENCE)
+
+#: A node's level is stored as its position in ``Level``.
+_LEVELS = tuple(Level)
+_CODES = {level: code for code, level in enumerate(_LEVELS)}
+_HIERARCHY_CODES = [_CODES[level] for level in HIERARCHY_LEVELS]
 
 
 @dataclass(frozen=True)
@@ -74,17 +97,39 @@ class Violation:
         return f"{self.rule}({self.chunk_id or '-'}: {self.detail})"
 
 
+class _Columns(NamedTuple):
+    """The node table, one array per field; row ``i`` is node ``i``."""
+
+    level: np.ndarray  #: position of the node's level in ``Level``
+    doc: np.ndarray  #: row of the node's document
+    parent: np.ndarray  #: row of the parent node, -1 for none
+    start: np.ndarray  #: the byte span into the document
+    end: np.ndarray
+    token_count: np.ndarray
+    hard_split: np.ndarray  #: 0 or 1
+
+
+#: Each column's dtype, in file order.
+_DTYPES = _Columns("u1", "<u4", "<i4", "<i8", "<i8", "<u4", "u1")
+_ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in _DTYPES)
+
+
 class Corpus:
     """Immutable container for documents and one table of chunk nodes.
 
     Safe for concurrent readers once constructed. Every level, the side tier
     included, is stored alike: ``chunks`` maps each id to its node,
-    ``children`` maps a node id to its children at every level, and
+    ``children`` maps a node id to its children's ids at every level, and
     ``nodes_at`` gives one level's nodes in emission order. ``nodes`` holds
     the ``HIERARCHY_LEVELS`` in the chunker's emission order (parents in
     document order, each followed by its intermediates and their sentences),
     which downstream code relies on for deterministic iteration; iterating
-    the corpus yields those, then every other level's nodes.
+    the corpus yields those, then every other level's nodes. Each of these
+    builds its nodes when called; the corpus keeps none.
+
+    Row order is that iteration order. An id used twice names its first
+    row; a parent or document the corpus lacks is kept for
+    ``validate_corpus`` to report.
     """
 
     def __init__(
@@ -95,66 +140,179 @@ class Corpus:
         config: "ChunkingConfig",
         tokenizer_name: str = "word-punct",
     ) -> None:
+        # Row order: the hierarchy, then every other level.
+        rows: list[ChunkNode] = []
+        side: list[ChunkNode] = []
+        for node in nodes:
+            (rows if node.level in HIERARCHY_LEVELS else side).append(node)
+        rows += side
+        doc_rows = {doc_id: row for row, doc_id in enumerate(documents)}
+        for node in rows:
+            doc_rows.setdefault(node.doc_id, len(doc_rows))
+        ids = [node.id for node in rows]
+        index = _first_rows(ids)
+        dangling: dict[int, str] = {}
+
+        def parent_row(row: int, node: ChunkNode) -> int:
+            parent = -1 if node.parent_id is None else index.get(node.parent_id)
+            if parent is None:
+                dangling[row] = node.parent_id
+                parent = -1
+            return parent
+
+        def column(values, dtype) -> np.ndarray:
+            return np.fromiter(values, dtype=dtype, count=len(rows))
+
+        # Generators, not lists: no column's values exist as Python objects
+        # all at once beside the nodes.
+        columns = _Columns(
+            column((_CODES[node.level] for node in rows), _DTYPES.level),
+            column((doc_rows[node.doc_id] for node in rows), _DTYPES.doc),
+            column(map(parent_row, range(len(rows)), rows), _DTYPES.parent),
+            column((node.char_span[0] for node in rows), _DTYPES.start),
+            column((node.char_span[1] for node in rows), _DTYPES.end),
+            column((node.token_count for node in rows), _DTYPES.token_count),
+            column((node.hard_split for node in rows), _DTYPES.hard_split),
+        )
+        self._setup(documents, list(doc_rows), ids, index, columns, dangling,
+                    config=config, tokenizer_name=tokenizer_name)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        documents: Mapping[str, str],
+        ids: list[str],
+        columns: _Columns,
+        *,
+        config: "ChunkingConfig",
+        tokenizer_name: str,
+    ) -> "Corpus":
+        """A corpus over an existing node table whose documents are ``documents``."""
+        corpus = cls.__new__(cls)
+        corpus._setup(documents, list(documents), ids, _first_rows(ids), columns, {},
+                      config=config, tokenizer_name=tokenizer_name)
+        return corpus
+
+    def _setup(self, documents, doc_ids, ids, index, columns, dangling, *, config,
+               tokenizer_name) -> None:
         self.documents: dict[str, str] = dict(documents)
         self.config = config
         self.tokenizer_name = tokenizer_name
+        self._ids: list[str] = ids
+        self._index: dict[str, int] = index
+        # In native byte order (no copy on a little-endian host), since a
+        # memoryview of another order cannot be indexed.
+        self._cols = columns = _Columns(
+            *(column.astype(column.dtype.newbyteorder("="), copy=False) for column in columns)
+        )
+        #: The columns as memoryviews too, whose items read as Python ints
+        #: several times faster than numpy scalars; per-row lookups use them.
+        self._view = _Columns(*map(memoryview, columns))
+        #: Row ``r`` names parent ``_dangling[r]``, which the corpus lacks.
+        self._dangling = dangling
+        #: Documents by row, with their UTF-8 bytes; rows past ``documents``
+        #: are ones the nodes name but the corpus lacks, and hold no bytes.
+        self._doc_ids: list[str] = doc_ids
+        self._doc_rows = {doc_id: row for row, doc_id in enumerate(doc_ids)}
+        self._doc_bytes = [text.encode("utf-8") for text in self.documents.values()]
+        self._doc_bytes += [b""] * (len(doc_ids) - len(self.documents))
+        self._level_counts = np.bincount(columns.level, minlength=len(_LEVELS))
 
-        hierarchy: list[ChunkNode] = []
-        by_level: dict[Level, list[ChunkNode]] = {level: [] for level in Level}
-        self.chunks: dict[str, ChunkNode] = {}
-        children: dict[str, list[str]] = {}
-        for node in nodes:
-            by_level[node.level].append(node)
-            if node.level in HIERARCHY_LEVELS:
-                hierarchy.append(node)
-            self.chunks.setdefault(node.id, node)
-            if node.parent_id is not None:
-                children.setdefault(node.parent_id, []).append(node.id)
-        self.nodes: tuple[ChunkNode, ...] = tuple(hierarchy)
-        self._by_level = {level: tuple(ns) for level, ns in by_level.items()}
-        self.children: dict[str, tuple[str, ...]] = {
-            pid: tuple(ids) for pid, ids in children.items()
-        }
+        # Parent rows grouped by document, each group in row order: document
+        # d's are _parent_rows[_parent_bounds[d]:_parent_bounds[d + 1]].
+        parent_rows = np.flatnonzero(columns.level == _CODES[Level.PARENT])
+        parent_rows = parent_rows[np.argsort(columns.doc[parent_rows], kind="stable")]
+        self._parent_rows = parent_rows
+        self._parent_ends = columns.end[parent_rows]
+        self._parent_bounds = np.searchsorted(
+            columns.doc[parent_rows], np.arange(len(doc_ids) + 1)
+        ).tolist()
 
-        self._parents_by_doc: dict[str, list[ChunkNode]] = {}
-        for node in self._by_level[Level.PARENT]:
-            self._parents_by_doc.setdefault(node.doc_id, []).append(node)
-
-        self._doc_bytes: dict[str, bytes] = {
-            doc_id: text.encode("utf-8") for doc_id, text in self.documents.items()
-        }
+    # -- the table ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(map(len, self._by_level.values()))
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[ChunkNode]:
         """Every node: ``nodes``, then each other level's, as saved."""
         yield from self.nodes
         for level in Level:
             if level not in HIERARCHY_LEVELS:
-                yield from self._by_level[level]
+                yield from self.nodes_at(level)
+
+    def _row(self, chunk_id: str) -> int:
+        row = self._index.get(chunk_id)
+        if row is None:
+            raise UnknownChunkError(f"no chunk {chunk_id!r} in corpus")
+        return row
+
+    def _node(self, row: int) -> ChunkNode:
+        """The node at ``row``, built from the columns."""
+        view, ids = self._view, self._ids
+        parent = view.parent[row]
+        return ChunkNode(
+            ids[row], _LEVELS[view.level[row]], self._doc_ids[view.doc[row]],
+            ids[parent] if parent >= 0 else self._dangling.get(row),
+            (view.start[row], view.end[row]), view.token_count[row], bool(view.hard_split[row]),
+        )
+
+    def _nodes(self, rows: np.ndarray) -> tuple[ChunkNode, ...]:
+        return tuple(map(self._node, rows.tolist()))
 
     def get(self, chunk_id: str) -> ChunkNode:
-        node = self.chunks.get(chunk_id)
-        if node is None:
-            raise UnknownChunkError(f"no chunk {chunk_id!r} in corpus")
-        return node
+        return self._node(self._row(chunk_id))
 
     def __contains__(self, chunk_id: str) -> bool:
-        return chunk_id in self.chunks
+        return chunk_id in self._index
+
+    @property
+    def chunks(self) -> Mapping[str, ChunkNode]:
+        """Read-only view: each id to its node, built on lookup."""
+        return _ChunkMap(self)
+
+    @property
+    def children(self) -> Mapping[str, tuple[str, ...]]:
+        """Read-only view: each node id with children to their ids, in row order."""
+        return _ChildMap(self)
+
+    def _child_groups(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """(owner rows ascending, group bounds, child rows grouped by owner).
+
+        Owner ``owners[g]``'s children are ``rows[bounds[g]:bounds[g + 1]]``,
+        in row order.
+        """
+        parent = self._cols.parent
+        linked = np.flatnonzero(parent >= 0)
+        rows = linked[np.argsort(parent[linked], kind="stable")]
+        owners, starts = np.unique(parent[rows], return_index=True)
+        return owners, [*starts.tolist(), len(rows)], rows
+
+    def _rows_at(self, level: Level) -> np.ndarray:
+        return np.flatnonzero(self._cols.level == _CODES[level])
 
     def nodes_at(self, level: Level) -> tuple[ChunkNode, ...]:
-        return self._by_level[level]
+        return self._nodes(self._rows_at(level))
+
+    def ids_at(self, level: Level) -> tuple[str, ...]:
+        """The ids of ``nodes_at(level)``, without building the nodes."""
+        return tuple(map(self._ids.__getitem__, self._rows_at(level).tolist()))
+
+    @property
+    def nodes(self) -> tuple[ChunkNode, ...]:
+        """The ``HIERARCHY_LEVELS`` nodes in emission order."""
+        return self._nodes(np.flatnonzero(np.isin(self._cols.level, _HIERARCHY_CODES)))
 
     @property
     def levels(self) -> tuple[Level, ...]:
         """The levels that hold at least one node, top to bottom."""
-        return tuple(level for level, nodes in self._by_level.items() if nodes)
+        return tuple(level for level, count in zip(_LEVELS, self._level_counts) if count)
 
     @property
     def sub_nodes(self) -> tuple[ChunkNode, ...]:
         """The side tier, ``nodes_at(Level.SUB_INTERMEDIATE)``."""
-        return self._by_level[Level.SUB_INTERMEDIATE]
+        return self.nodes_at(Level.SUB_INTERMEDIATE)
+
+    # -- lookups that build no node --------------------------------------------
 
     def parent_at(self, doc_id: str, byte: int) -> str | None:
         """Id of the parent chunk owning byte offset ``byte`` of ``doc_id``.
@@ -163,19 +321,72 @@ class Corpus:
         overlap, so the first span ending after ``byte`` owns it, provided
         that span starts at or before it. None when no parent covers it.
         """
-        parents = self._parents_by_doc.get(doc_id, ())
-        i = bisect.bisect_right(parents, byte, key=lambda node: node.char_span[1])
-        if i < len(parents) and parents[i].char_span[0] <= byte:
-            return parents[i].id
+        doc = self._doc_rows.get(doc_id)
+        if doc is None or not 0 <= byte < len(self._doc_bytes[doc]):
+            return None
+        lo, hi = self._parent_bounds[doc], self._parent_bounds[doc + 1]
+        i = lo + int(np.searchsorted(self._parent_ends[lo:hi], byte, side="right"))
+        if i < hi:
+            row = int(self._parent_rows[i])
+            if self._view.start[row] <= byte:
+                return self._ids[row]
         return None
 
     def document_bytes(self, doc_id: str) -> bytes:
-        return self._doc_bytes[doc_id]
+        return self._doc_bytes[self._doc_rows[doc_id]]
 
     def chunk_text(self, chunk_id: str) -> str:
-        node = self.get(chunk_id)
-        start, end = node.char_span
-        return self._doc_bytes[node.doc_id][start:end].decode("utf-8")
+        row = self._row(chunk_id)
+        view = self._view
+        return self._doc_bytes[view.doc[row]][view.start[row] : view.end[row]].decode("utf-8")
+
+
+def _first_rows(ids: list[str]) -> dict[str, int]:
+    """Each id to the first row holding it, in row order."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        index = {}
+        for row, chunk_id in enumerate(ids):
+            index.setdefault(chunk_id, row)
+    return index
+
+
+class _ChunkMap(Mapping):
+    def __init__(self, corpus: Corpus) -> None:
+        self._corpus = corpus
+
+    def __getitem__(self, chunk_id: str) -> ChunkNode:
+        return self._corpus._node(self._corpus._index[chunk_id])
+
+    def __contains__(self, chunk_id) -> bool:
+        return chunk_id in self._corpus._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._corpus._index)
+
+    def __len__(self) -> int:
+        return len(self._corpus._index)
+
+
+class _ChildMap(Mapping):
+    def __init__(self, corpus: Corpus) -> None:
+        self._corpus = corpus
+        self._owners, self._bounds, self._rows = corpus._child_groups()
+
+    def __getitem__(self, chunk_id: str) -> tuple[str, ...]:
+        row = self._corpus._index[chunk_id]
+        g = int(np.searchsorted(self._owners, row))
+        if g == len(self._owners) or self._owners[g] != row:
+            raise KeyError(chunk_id)
+        ids = self._corpus._ids
+        return tuple(ids[r] for r in self._rows[self._bounds[g] : self._bounds[g + 1]].tolist())
+
+    def __iter__(self) -> Iterator[str]:
+        ids = self._corpus._ids
+        return (ids[row] for row in self._owners.tolist())
+
+    def __len__(self) -> int:
+        return len(self._owners)
 
 
 def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
@@ -186,16 +397,20 @@ def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
     on the chunk's ancestor chain (anything below it, or the sentence and
     sub-intermediate tiers of other branches).
     """
-    node = corpus.get(chunk_id)
-    while True:
-        if node.level is target_level:
-            return node.id
-        if node.parent_id is None:
+    row = corpus._row(chunk_id)
+    levels, parents = corpus._view.level, corpus._view.parent
+    target = _CODES[target_level]
+    while levels[row] != target:
+        up = parents[row]
+        if up < 0:
+            if row in corpus._dangling:
+                raise UnknownChunkError(f"no chunk {corpus._dangling[row]!r} in corpus")
             raise LevelViolationError(
-                f"{chunk_id!r} ({node.level.value}) has no ancestor at "
+                f"{chunk_id!r} ({_LEVELS[levels[row]].value}) has no ancestor at "
                 f"{target_level.value!r}"
             )
-        node = corpus.get(node.parent_id)
+        row = up
+    return corpus._ids[row]
 
 
 _EXPECTED_PARENT_LEVEL = {
@@ -210,17 +425,16 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 
     Pure function: same corpus, same violations, in a deterministic order.
     Coverage and token-sum rules only apply at overlap 0, where spans are
-    required to partition exactly.
+    required to partition exactly. Reads the node table row by row and
+    builds no node.
     """
     violations: list[Violation] = []
     tokenizer = get_tokenizer(corpus.tokenizer_name)
     cfg = corpus.config
 
-    seen: set[str] = set()
-    for node in corpus:
-        if node.id in seen:
-            violations.append(Violation("DuplicateId", node.id, "chunk id reused"))
-        seen.add(node.id)
+    for row, chunk_id in enumerate(corpus._ids):
+        if corpus._index[chunk_id] != row:
+            violations.append(Violation("DuplicateId", chunk_id, "chunk id reused"))
 
     budgets = {
         Level.PARENT: cfg.parent_size,
@@ -229,8 +443,8 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
         Level.SUB_INTERMEDIATE: cfg.sub_intermediate_size,
     }
 
-    for node in corpus:
-        violations.extend(_check_node(corpus, node, budgets, tokenizer))
+    for row in range(len(corpus)):
+        violations.extend(_check_row(corpus, row, budgets, tokenizer))
 
     if cfg.parent_overlap == 0 and cfg.intermediate_overlap == 0:
         violations.extend(_check_partitions(corpus))
@@ -238,55 +452,60 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     return violations
 
 
-def _check_node(corpus, node, budgets, tokenizer) -> list[Violation]:
+def _check_row(corpus: Corpus, row: int, budgets, tokenizer) -> list[Violation]:
     out: list[Violation] = []
-    if node.doc_id not in corpus.documents:
-        out.append(Violation("UnknownDocument", node.id, f"doc {node.doc_id!r} missing"))
+    view = corpus._view
+    chunk_id, level, doc = corpus._ids[row], _LEVELS[view.level[row]], view.doc[row]
+    if doc >= len(corpus.documents):
+        doc_id = corpus._doc_ids[doc]
+        out.append(Violation("UnknownDocument", chunk_id, f"doc {doc_id!r} missing"))
         return out
 
-    doc = corpus.document_bytes(node.doc_id)
-    start, end = node.char_span
-    if not (0 <= start < end <= len(doc)):
-        out.append(Violation("SpanOutOfBounds", node.id, f"span {node.char_span}"))
+    data = corpus._doc_bytes[doc]
+    start, end = view.start[row], view.end[row]
+    if not (0 <= start < end <= len(data)):
+        out.append(Violation("SpanOutOfBounds", chunk_id, f"span {(start, end)}"))
         return out
     try:
-        text = doc[start:end].decode("utf-8")
+        text = data[start:end].decode("utf-8")
     except UnicodeDecodeError:
-        out.append(Violation("SpanNotCharAligned", node.id, f"span {node.char_span}"))
+        out.append(Violation("SpanNotCharAligned", chunk_id, f"span {(start, end)}"))
         return out
 
-    expected = _EXPECTED_PARENT_LEVEL.get(node.level)
+    expected = _EXPECTED_PARENT_LEVEL.get(level)
+    parent = view.parent[row]
     if expected is None:
-        if node.parent_id is not None:
-            out.append(Violation("HierarchySkip", node.id, "parent-level node has a parent link"))
-    elif node.parent_id is None:
-        out.append(Violation("HierarchySkip", node.id, f"{node.level.value} node has no parent link"))
-    else:
-        parent = corpus.chunks.get(node.parent_id)
-        if parent is None:
-            out.append(Violation("DanglingParent", node.id, f"parent {node.parent_id!r} missing"))
-        elif parent.level is not expected:
-            out.append(
-                Violation(
-                    "HierarchySkip",
-                    node.id,
-                    f"{node.level.value} links to {parent.level.value}, expected {expected.value}",
-                )
+        if parent >= 0 or row in corpus._dangling:
+            out.append(Violation("HierarchySkip", chunk_id, "parent-level node has a parent link"))
+    elif row in corpus._dangling:
+        out.append(
+            Violation("DanglingParent", chunk_id, f"parent {corpus._dangling[row]!r} missing")
+        )
+    elif parent < 0:
+        out.append(Violation("HierarchySkip", chunk_id, f"{level.value} node has no parent link"))
+    elif _LEVELS[view.level[parent]] is not expected:
+        out.append(
+            Violation(
+                "HierarchySkip",
+                chunk_id,
+                f"{level.value} links to {_LEVELS[view.level[parent]].value}, "
+                f"expected {expected.value}",
             )
+        )
 
     actual_tokens = tokenizer.count_tokens(text)
-    if actual_tokens != node.token_count:
+    if actual_tokens != view.token_count[row]:
         out.append(
             Violation(
                 "TokenCountDrift",
-                node.id,
-                f"stored {node.token_count}, counted {actual_tokens}",
+                chunk_id,
+                f"stored {view.token_count[row]}, counted {actual_tokens}",
             )
         )
-    budget = budgets.get(node.level)
+    budget = budgets.get(level)
     if budget is not None and actual_tokens > budget:
         out.append(
-            Violation("BudgetExceeded", node.id, f"{actual_tokens} tokens > {budget}")
+            Violation("BudgetExceeded", chunk_id, f"{actual_tokens} tokens > {budget}")
         )
     return out
 
@@ -295,43 +514,48 @@ def _check_partitions(corpus: Corpus) -> list[Violation]:
     """Parents cover their document, and each owner's children at one level
     cover the owner and sum to its token count."""
     out: list[Violation] = []
+    view = corpus._view
 
-    for doc_id, parents in corpus._parents_by_doc.items():
-        out.extend(_check_cover(parents, 0, len(corpus.document_bytes(doc_id)), doc_id))
+    bounds = corpus._parent_bounds
+    parent_rows = memoryview(corpus._parent_rows)
+    for doc, doc_id in enumerate(corpus._doc_ids):
+        rows = parent_rows[bounds[doc] : bounds[doc + 1]]
+        if len(rows):
+            out.extend(_check_cover(corpus, rows, 0, len(corpus._doc_bytes[doc]), doc_id))
 
-    for owner_id, child_ids in corpus.children.items():
-        owner = corpus.chunks.get(owner_id)
-        if owner is None:
-            continue
-        by_level: dict[Level, list[ChunkNode]] = {}
-        for child_id in child_ids:
-            child = corpus.chunks[child_id]
-            by_level.setdefault(child.level, []).append(child)
-        for children in by_level.values():
-            out.extend(_check_cover(children, *owner.char_span, owner_id))
-            token_sum = sum(c.token_count for c in children)
-            if token_sum != owner.token_count:
+    owners, group_bounds, child_rows = corpus._child_groups()
+    child_rows = memoryview(child_rows)
+    for g, owner in enumerate(owners.tolist()):
+        by_level: dict[Level, list[int]] = {}
+        for child in child_rows[group_bounds[g] : group_bounds[g + 1]]:
+            by_level.setdefault(_LEVELS[view.level[child]], []).append(child)
+        owner_id = corpus._ids[owner]
+        for level, rows in by_level.items():
+            out.extend(_check_cover(corpus, rows, view.start[owner], view.end[owner], owner_id))
+            token_sum = sum(view.token_count[row] for row in rows)
+            if token_sum != view.token_count[owner]:
                 out.append(
                     Violation(
                         "TokenSumMismatch",
                         owner_id,
-                        f"{children[0].level.value} children sum {token_sum} "
-                        f"!= {owner.token_count}",
+                        f"{level.value} children sum {token_sum} != {view.token_count[owner]}",
                     )
                 )
     return out
 
 
-def _check_cover(nodes: list[ChunkNode], start: int, end: int, owner: str) -> list[Violation]:
+def _check_cover(
+    corpus: Corpus, rows: Sequence[int], start: int, end: int, owner: str
+) -> list[Violation]:
     out: list[Violation] = []
     pos = start
-    for node in nodes:
-        s, e = node.char_span
+    for row in rows:
+        s, e, chunk_id = corpus._view.start[row], corpus._view.end[row], corpus._ids[row]
         if s < pos:
-            out.append(Violation("OrderViolation", node.id, f"span starts at {s}, before {pos}"))
+            out.append(Violation("OrderViolation", chunk_id, f"span starts at {s}, before {pos}"))
             return out
         if s > pos:
-            out.append(Violation("CoverageGap", node.id, f"gap [{pos}, {s}) under {owner}"))
+            out.append(Violation("CoverageGap", chunk_id, f"gap [{pos}, {s}) under {owner}"))
         pos = e
     if pos != end:
         out.append(Violation("CoverageGap", None, f"[{pos}, {end}) uncovered under {owner}"))
@@ -339,70 +563,95 @@ def _check_cover(nodes: list[ChunkNode], start: int, end: int, owner: str) -> li
 
 
 # ---------------------------------------------------------------------------
-# Serialization: documents.jsonl + chunks.jsonl (line-delimited records)
+# Serialization: documents.jsonl (line-delimited records) + nodes.bin
 # ---------------------------------------------------------------------------
 
-_FORMAT = "hrr-corpus"
-_VERSION = 1
+#: Format version 1 was ``chunks.jsonl``, one JSON record per node.
+_MAGIC = b"HRRNODE\n"
+_VERSION = 2
 
 DOCUMENTS_FILE = "documents.jsonl"
-CHUNKS_FILE = "chunks.jsonl"
+NODES_FILE = "nodes.bin"
+_RETIRED_NODES_FILE = "chunks.jsonl"
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def _node_record(node: ChunkNode, corpus: Corpus, include_text: bool) -> dict:
-    rec = {
-        "id": node.id,
-        "level": node.level.value,
-        "doc_id": node.doc_id,
-        "parent_id": node.parent_id,
-        "char_span": list(node.char_span),
-        "token_count": node.token_count,
-        "hard_split": node.hard_split,
-    }
-    if include_text:
-        rec["text"] = corpus.chunk_text(node.id)
-    return rec
+def save_corpus(corpus: Corpus, directory: str | Path) -> None:
+    """Write the corpus as ``documents.jsonl`` and the node file ``nodes.bin``.
 
-
-def save_corpus(corpus: Corpus, directory: str | Path, *, include_text: bool = False) -> None:
-    """Write the corpus as two line-delimited record files.
-
-    ``chunks.jsonl`` starts with a header record (format version, tokenizer,
-    chunking settings) followed by one record per chunk, in the corpus's
-    iteration order (the hierarchy in emission order, then the side tier);
-    text is omitted unless ``include_text`` since it is recoverable from the
-    source and span.
+    ``documents.jsonl`` holds one record per document. ``nodes.bin`` is the
+    magic, a ``<I`` header length, a JSON header (format version,
+    tokenizer, chunking settings, node count, the document ids in row
+    order and ``ids_bytes``), then each column of the node table as
+    little-endian fixed-width values (``level`` u1, document row ``<u4``,
+    parent row ``<i4``, -1 for none, byte ``start`` and ``end`` ``<i8``,
+    ``token_count`` ``<u4``, ``hard_split`` u1), then the ids as one JSON
+    array of ``ids_bytes`` bytes. Rows are in the corpus's iteration order
+    (the hierarchy in emission order, then the side tier), so a parent row
+    always precedes its children's. Each file is written under a temporary
+    name and renamed into place, so an interrupted save leaves the earlier
+    file whole; a ``chunks.jsonl`` of format v1 is removed. A corpus whose
+    nodes name parents or documents it lacks is refused.
     """
-    from dataclasses import asdict
-
+    if corpus._dangling or len(corpus._doc_ids) > len(corpus.documents):
+        raise InvalidCorpusError("cannot save nodes whose parent or document is missing")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    with open(directory / DOCUMENTS_FILE, "w", encoding="utf-8") as fh:
+    with _replacing(directory / DOCUMENTS_FILE) as fh:
         for doc_id, text in corpus.documents.items():
-            fh.write(_dumps({"doc_id": doc_id, "text": text}) + "\n")
+            fh.write((_dumps({"doc_id": doc_id, "text": text}) + "\n").encode("utf-8"))
 
+    ids = json.dumps(corpus._ids, separators=(",", ":")).encode("ascii")
     header = {
-        "format": _FORMAT,
         "version": _VERSION,
         "tokenizer": corpus.tokenizer_name,
         "chunking": asdict(corpus.config),
+        "count": len(corpus),
+        "documents": list(corpus.documents),
+        "ids_bytes": len(ids),
     }
-    with open(directory / CHUNKS_FILE, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
-        for node in corpus:
-            fh.write(_dumps(_node_record(node, corpus, include_text)) + "\n")
+    header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
+    with _replacing(directory / NODES_FILE) as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(header_bytes)
+        for column, dtype in zip(corpus._cols, _DTYPES):
+            fh.write(memoryview(column.astype(dtype, copy=False)))
+        fh.write(ids)
+    (directory / _RETIRED_NODES_FILE).unlink(missing_ok=True)
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """Write ``path``'s temporary sibling, and rename it over ``path`` once
+    written whole; a write that fails removes it."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_corpus(directory: str | Path) -> Corpus:
     """Load a corpus previously written by ``save_corpus``.
 
-    A line that is not a well-formed record raises ``SnapshotFormatError``
-    naming the file and line.
+    A line of ``documents.jsonl`` that is not a well-formed record raises
+    ``SnapshotFormatError`` naming the file and line. So does any
+    ``nodes.bin`` that could not have been saved: another magic or format
+    version; header sizes that disagree with the file's length (checked
+    before anything is allocated); other document ids than
+    ``documents.jsonl`` holds; an id table that is not a JSON array of
+    ``count`` strings; a level code of 4 or more; a document row out of
+    range, or a parent row that is neither -1 nor an earlier row; a span
+    that is empty or reversed, ends beyond its document or cuts a UTF-8
+    character; a ``hard_split`` flag other than 0 or 1; an unknown
+    tokenizer or invalid chunking settings. Loading builds no ``ChunkNode``.
     """
     from .chunking import ChunkingConfig
 
@@ -418,43 +667,114 @@ def load_corpus(directory: str | Path) -> Corpus:
         except MALFORMED_RECORD_ERRORS as exc:
             raise malformed_record(path, line_no, exc) from None
 
-    path = directory / CHUNKS_FILE
-    with open(path, encoding="utf-8") as fh:
-        line_no = 1
+    path = directory / NODES_FILE
+    if not path.exists() and (directory / _RETIRED_NODES_FILE).exists():
+        raise SnapshotFormatError(
+            f"{directory / _RETIRED_NODES_FILE}: corpus format v1 is not read; re-run ingest"
+        )
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_MAGIC))
+        if magic != _MAGIC:
+            raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
+        (header_len,) = struct.unpack("<I", read_exact(fh, 4, path))
         try:
-            header = json.loads(fh.readline())
-            if (
-                not isinstance(header, dict)
-                or header.get("format") != _FORMAT
-                or header.get("version") != _VERSION
-            ):
-                raise SnapshotFormatError(f"{path}: unsupported corpus file header: {header}")
-            config = ChunkingConfig(**header["chunking"])
-            tokenizer_name = header["tokenizer"]
-            nodes: list[ChunkNode] = []
-            for line_no, line in enumerate(fh, start=2):
-                rec = json.loads(line)
-                node = ChunkNode(
-                    id=rec["id"],
-                    level=Level(rec["level"]),
-                    doc_id=rec["doc_id"],
-                    parent_id=rec["parent_id"],
-                    char_span=(rec["char_span"][0], rec["char_span"][1]),
-                    token_count=rec["token_count"],
-                    hard_split=rec["hard_split"],
-                )
-                nodes.append(node)
-        except MALFORMED_RECORD_ERRORS as exc:
-            raise malformed_record(path, line_no, exc) from None
+            header = json.loads(read_exact(fh, header_len, path).decode("utf-8"))
+            version = header["version"]
+            if version == _VERSION:
+                config = ChunkingConfig(**header["chunking"])
+                config.validate()
+                tokenizer_name = header["tokenizer"]
+                get_tokenizer(tokenizer_name)
+                count = int(header["count"])
+                doc_ids = header["documents"]
+                ids_bytes = int(header["ids_bytes"])
+        except (*MALFORMED_RECORD_ERRORS, ConfigError) as exc:
+            raise SnapshotFormatError(f"{path}: malformed header ({exc})") from None
+        if version != _VERSION:
+            raise SnapshotFormatError(
+                f"{path}: corpus format version {version!r} is not read; re-run ingest"
+            )
+        if doc_ids != list(documents):
+            raise SnapshotFormatError(
+                f"{path}: its document ids do not match the {len(documents)} in {DOCUMENTS_FILE}"
+            )
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count < 0 or ids_bytes < 0 or count * _ROW_BYTES + ids_bytes != remaining:
+            raise SnapshotFormatError(
+                f"{path}: {count} nodes of {_ROW_BYTES} bytes and {ids_bytes} bytes of ids "
+                f"do not fill the {remaining} bytes that follow the header"
+            )
+        columns = _Columns(*(read_array(fh, (count,), dtype, path) for dtype in _DTYPES))
+        try:
+            ids = json.loads(read_exact(fh, ids_bytes, path).decode("utf-8"))
+        except (ValueError, RecursionError):
+            ids = None
+        if not (isinstance(ids, list) and len(ids) == count and set(map(type, ids)) <= {str}):
+            raise SnapshotFormatError(
+                f"{path}: the id table is not a JSON array of {count} strings"
+            )
 
-    return Corpus(documents, nodes, config=config, tokenizer_name=tokenizer_name)
+    corpus = Corpus._from_columns(
+        documents, ids, columns, config=config, tokenizer_name=tokenizer_name
+    )
+    problem = _table_problem(corpus)
+    if problem:
+        raise SnapshotFormatError(f"{path}: {problem}; re-run ingest")
+    return corpus
+
+
+def _table_problem(corpus: Corpus) -> str | None:
+    """What makes a loaded node table one ``save_corpus`` could not have written."""
+    level, doc, parent, start, end, _, hard_split = corpus._cols
+    if (level >= len(_LEVELS)).any():
+        return f"a level code is not below {len(_LEVELS)}"
+    if (doc >= len(corpus.documents)).any():
+        return "a document row is out of range"
+    if ((parent < -1) | (parent >= np.arange(len(parent)))).any():
+        return "a parent row is neither -1 nor an earlier row"
+    sizes = np.array([len(data) for data in corpus._doc_bytes], dtype=np.int64)
+    if ((start < 0) | (start >= end) | (end > sizes[doc])).any():
+        return "a span is empty, reversed or ends beyond its document"
+    # Each document's rows, found from one sort by document.
+    order = np.argsort(doc, kind="stable")
+    bounds = np.searchsorted(doc[order], np.arange(len(sizes) + 1)).tolist()
+    for d, data in enumerate(corpus._doc_bytes):
+        text = np.frombuffer(data, dtype=np.uint8)
+        rows = order[bounds[d] : bounds[d + 1]]
+        for bound in (start[rows], end[rows]):
+            if ((text[bound[bound < len(text)]] & 0xC0) == 0x80).any():  # a continuation byte
+                return "a span cuts a UTF-8 character"
+    if (hard_split > 1).any():
+        return "a hard_split flag is not 0 or 1"
+    return None
+
+
+def read_exact(fh, n: int, path) -> bytes:
+    """Exactly ``n`` bytes of ``fh``; fewer raise ``SnapshotFormatError``,
+    before anything is allocated."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise SnapshotFormatError(f"{path}: truncated snapshot")
+    data = fh.read(n)
+    if len(data) != n:
+        raise SnapshotFormatError(f"{path}: truncated snapshot")
+    return data
+
+
+def read_array(fh, shape: tuple[int, ...], dtype: str, path) -> np.ndarray:
+    """One ``shape`` array of ``dtype`` read from ``fh`` without a copy."""
+    array = np.empty(shape, dtype=dtype)
+    if fh.readinto(array) != array.nbytes:
+        raise SnapshotFormatError(f"{path}: truncated snapshot")
+    return array
 
 
 #: What reading fields from one parsed JSON line can raise when the line is
 #: not a well-formed record (``json.JSONDecodeError`` is a ``ValueError``;
 #: ``int()`` of a number too large for a float, such as ``1e400``, raises
-#: ``OverflowError``).
-MALFORMED_RECORD_ERRORS = (ValueError, KeyError, TypeError, IndexError, OverflowError)
+#: ``OverflowError``; arrays nested thousands deep raise ``RecursionError``).
+MALFORMED_RECORD_ERRORS = (
+    ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError
+)
 
 
 def malformed_record(path: Path | str, line_no: int, exc: Exception) -> SnapshotFormatError:

@@ -110,7 +110,7 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
         # Each level's index is freed before the next is built.
         path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
         save_index(build_index(corpus, level, embedder), path, embedder.name)
-        counts[level.value] = len(corpus.nodes_at(level))
+        counts[level.value] = len(corpus.ids_at(level))
     # A snapshot for a level this corpus lacks is left from an earlier ingest.
     for level in Level:
         if level not in corpus.levels:
@@ -128,11 +128,11 @@ def load_context(config: EngineConfig) -> RetrievalContext:
 
     The corpus decides which indexes load: one per level it holds, and
     snapshots for other levels are ignored. Row ``i`` of a level's index is
-    ``corpus.nodes_at(level)[i]``. A missing snapshot raises
-    ``MissingIndexError``. A snapshot made by another embedding provider or
-    at another dimension than the config names, or for other chunk ids
-    (artifacts from different ingests, or a truncated corpus), raises
-    ``SnapshotFormatError``.
+    ``corpus.ids_at(level)[i]``; loading builds no ``ChunkNode``. A missing
+    snapshot raises ``MissingIndexError``. A snapshot made by another
+    embedding provider or at another dimension than the config names, or for
+    other chunk ids (artifacts from different ingests, or a truncated
+    corpus), raises ``SnapshotFormatError``.
     """
     corpus = load_corpus(config.paths.corpus_dir)
     index_dir = Path(config.paths.index_dir)
@@ -140,9 +140,10 @@ def load_context(config: EngineConfig) -> RetrievalContext:
     indices = {}
     for level in corpus.levels:
         path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
-        ids = [node.id for node in corpus.nodes_at(level)]
         try:
-            indices[level] = load_index(path, ids, embedder.name, embedder.dimension)
+            indices[level] = load_index(
+                path, corpus.ids_at(level), embedder.name, embedder.dimension
+            )
         except FileNotFoundError:
             raise MissingIndexError(
                 f"no index snapshot {path} for the corpus's {level.value} chunks; "

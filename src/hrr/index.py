@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level
+from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, read_array, read_exact
 from .embedding import EmbeddingProvider, cosine_similarity, embed_batch, ensure_unit
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
@@ -350,13 +350,13 @@ class LevelIndex:
 
 def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> LevelIndex:
     """Embed every chunk at ``level`` and index it, one entry per chunk."""
-    nodes = corpus.nodes_at(level)
-    if not nodes:
+    ids = corpus.ids_at(level)
+    if not ids:
         raise InvalidCorpusError(f"corpus has no chunks at level {level.value!r}")
     # Nested calls free the texts once embedded and the block once compacted,
     # so a CSR index builds its postings beside neither.
-    rows = _compact(embed_batch(provider, [corpus.chunk_text(node.id) for node in nodes]))
-    return LevelIndex(level, [node.id for node in nodes], rows)
+    rows = _compact(embed_batch(provider, [corpus.chunk_text(chunk_id) for chunk_id in ids]))
+    return LevelIndex(level, ids, rows)
 
 
 def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:
@@ -403,8 +403,8 @@ def load_index(
             )
         if magic != _MAGIC:
             raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        header_bytes = _read_exact(fh, header_len, path)
+        (header_len,) = struct.unpack("<I", read_exact(fh, 4, path))
+        header_bytes = read_exact(fh, header_len, path)
         try:
             header = json.loads(header_bytes.decode("utf-8"))
             level = Level(header["level"])
@@ -445,12 +445,7 @@ def load_index(
                 f"{path}: {count} {level.value} rows whose ids do not match the corpus's "
                 f"{len(chunk_ids)} chunks at that level; re-run ingest"
             )
-        arrays = []
-        for shape, dtype in shapes:
-            array = np.empty(shape, dtype=dtype)
-            if fh.readinto(array) != array.nbytes:
-                raise SnapshotFormatError(f"{path}: truncated snapshot")
-            arrays.append(array)
+        arrays = [read_array(fh, shape, dtype, path) for shape, dtype in shapes]
     try:
         if layout == LAYOUT_DENSE:
             index = LevelIndex(level, chunk_ids, arrays[0])
@@ -468,10 +463,3 @@ def load_index(
 def _ids_digest(chunk_ids: Sequence[str]) -> str:
     """sha256 of the ids as one JSON array, an encoding no id can forge."""
     return hashlib.sha256(json.dumps(list(chunk_ids)).encode("ascii")).hexdigest()
-
-
-def _read_exact(fh, n: int, path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise SnapshotFormatError(f"{path}: truncated snapshot")
-    return data

@@ -157,8 +157,12 @@ class RemoteReranker:
             timeout=self._timeout, retries=self._retries, headers=self._headers,
         )
         try:
-            scores = [float(s) for s in payload["scores"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            scores = payload["scores"]
+            # A JSON string iterates as characters and a bool is an int; take neither.
+            if not isinstance(scores, list) or any(type(s) not in (int, float) for s in scores):
+                raise TypeError(f"scores are not a list of numbers: {scores!r:.80}")
+            scores = [float(s) for s in scores]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProviderUnavailableError(f"malformed rerank response: {exc}") from exc
         # requests parses the non-JSON tokens NaN and Infinity as floats.
         if not all(map(math.isfinite, scores)):

@@ -135,7 +135,7 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
     level, dedup, rerank, keep the top k, and map to unique parents.
     """
     ctx.config.validate()
-    if not ctx.corpus.nodes:
+    if len(ctx.corpus) == 0:
         raise EmptyCorpusError("corpus has no chunks")
     strategy = ctx.config.strategy
     search_levels, rerank_level = _PLANS[strategy]

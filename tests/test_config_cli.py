@@ -8,7 +8,10 @@ import pytest
 
 from hrr.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PROVIDER, main
 from hrr.config import config_from_dict, load_config
+from hrr.corpus import ChunkNode, Corpus, Level, load_corpus, save_corpus
+from hrr.engine import load_context
 from hrr.errors import ConfigError
+from hrr.evaluation import load_query_set
 
 
 class TestConfigLoading:
@@ -209,12 +212,31 @@ class TestCliWorkflow:
         assert first == second
 
 
+    def test_cold_load_and_query_build_no_chunk_node(self, workdir, monkeypatch, capsys):
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
+        query = load_query_set(workdir / "synth" / "queries.jsonl", load_corpus("corpus"))[0].query
+        built = []
+        original = ChunkNode.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["id"])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChunkNode, "__init__", counted)
+        ctx = load_context(load_config("engine.json"))
+        assert built == []
+        for argv in (["query", query], ["query", query, "--trace", "--format", "machine"]):
+            assert main([*argv, "--config", "engine.json"]) == EXIT_OK
+        assert built == []
+        ctx.corpus.get(ctx.corpus.ids_at(Level.PARENT)[0])  # the count sees a build
+        assert len(built) == 1
+
     #: sha256 of every artifact the workdir ingest writes (side tier
     #: included). Any change to chunking, serialization or the index format
     #: shows up here.
     GOLDEN_DIGESTS = {
         "corpus/documents.jsonl": "c842a4834bd45e8b37e37d0826193bd941d9f58ff58952bf511ef9031d472b29",
-        "corpus/chunks.jsonl": "69011d2057c96b97820465977578a8d98e9ad8e4230a4e67344f74f817297f6e",
+        "corpus/nodes.bin": "7eff3a2eab125c27a0c042c320b71d24d6ed3457fd30f12f4ddadbfa3f9a6267",
         "indexes/parent.idx": "fb5b122264fb1e53ef081cb240ef47c1f09136fbc4c8bc3e9fb6dbf1cf789b40",
         "indexes/intermediate.idx": "d43bc84f554ef5b0a5ffb80a589969b05a7a98436538d2977e4099f90717805a",
         "indexes/sentence.idx": "3dce58924dd4cf239ee776d55e17d5021eb57481a633760d200766caa2f2f233",
@@ -334,21 +356,25 @@ class TestCliErrors:
         assert "queries.jsonl line 2: malformed record" in err and err.count("\n") == 1
 
     def test_malformed_corpus_line_is_io_error(self, workdir, capsys):
+        """A node file cut in the middle of its columns."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
-        chunks = Path("corpus") / "chunks.jsonl"
-        data = chunks.read_text()
-        chunks.write_text(data[: len(data) // 2])  # cut mid-record
-        lines = chunks.read_text().count("\n") + 1
+        nodes = Path("corpus") / "nodes.bin"
+        data = nodes.read_bytes()
+        nodes.write_bytes(data[: len(data) // 2])
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
-        assert f"chunks.jsonl line {lines}: malformed record" in err and err.count("\n") == 1
+        assert "nodes.bin" in err and "do not fill" in err and err.count("\n") == 1
 
     def test_corpus_truncated_at_line_boundary_is_io_error(self, workdir, capsys):
+        """A whole, valid corpus of half the documents written over the ingested one."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
-        chunks = Path("corpus") / "chunks.jsonl"
-        lines = chunks.read_text().splitlines(keepends=True)
-        chunks.write_text("".join(lines[: len(lines) // 2]))
+        corpus = load_corpus("corpus")
+        half = dict(list(corpus.documents.items())[: len(corpus.documents) // 2])
+        save_corpus(
+            Corpus(half, [n for n in corpus if n.doc_id in half], config=corpus.config),
+            "corpus",
+        )
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
@@ -418,8 +444,8 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "artifact, command",
         [(Path("indexes") / "parent.idx", ["query", "x"]),
-         (Path("corpus") / "chunks.jsonl", ["query", "x"]),
-         (Path("corpus") / "chunks.jsonl", ["validate"])],
+         (Path("corpus") / "nodes.bin", ["query", "x"]),
+         (Path("corpus") / "nodes.bin", ["validate"])],
         ids=["index-query", "chunks-query", "chunks-validate"],
     )
     def test_directory_in_place_of_artifact_is_io_error(self, workdir, capsys, artifact, command):

@@ -1,8 +1,18 @@
 """Hierarchy model, ancestor resolution, validation, and serialization."""
 
-import pytest
+import json
+import random
+import struct
+import tempfile
+from types import SimpleNamespace
 
-from hrr.chunking import ChunkingConfig, build_corpus
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hrr.corpus as corpus_module
+from hrr.chunking import ChunkingConfig, build_corpus, chunk_document
 from hrr.corpus import (
     ChunkNode,
     Corpus,
@@ -12,7 +22,13 @@ from hrr.corpus import (
     save_corpus,
     validate_corpus,
 )
-from hrr.errors import LevelViolationError, SnapshotFormatError, UnknownChunkError
+from hrr.errors import (
+    InvalidCorpusError,
+    LevelViolationError,
+    SnapshotFormatError,
+    UnknownChunkError,
+)
+from hrr.synth import CorpusSpec, generate
 
 CFG = ChunkingConfig(parent_size=24, intermediate_size=10, sub_intermediate_size=5)
 
@@ -247,24 +263,262 @@ class TestSerialization:
     def test_rewrite_is_byte_identical(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path / "one")
         save_corpus(corpus, tmp_path / "two")
-        for name in ("documents.jsonl", "chunks.jsonl"):
+        for name in ("documents.jsonl", "nodes.bin"):
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
             ).read_bytes()
 
-    def test_optional_text_field(self, corpus, tmp_path):
-        save_corpus(corpus, tmp_path, include_text=True)
-        lines = (tmp_path / "chunks.jsonl").read_text().splitlines()
-        import json
+    def test_save_leaves_no_temporary_file(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        save_corpus(corpus, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["documents.jsonl", "nodes.bin"]
 
-        rec = json.loads(lines[1])
-        assert rec["text"] == corpus.chunk_text(rec["id"])
+    def test_interrupted_save_keeps_the_earlier_file(self, corpus, tmp_path, monkeypatch):
+        save_corpus(corpus, tmp_path)
+        before = (tmp_path / "nodes.bin").read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        # The write fails after the magic, with part of the node file written.
+        monkeypatch.setattr(corpus_module, "struct", SimpleNamespace(pack=fail))
+        with pytest.raises(OSError, match="disk full"):
+            save_corpus(corpus, tmp_path)
+        monkeypatch.undo()
+        assert (tmp_path / "nodes.bin").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["documents.jsonl", "nodes.bin"]
+        assert load_corpus(tmp_path).nodes == corpus.nodes
 
     def test_bad_header_rejected(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)
-        chunks = tmp_path / "chunks.jsonl"
-        lines = chunks.read_text().splitlines()
-        lines[0] = '{"format":"other","version":9}'
-        chunks.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SnapshotFormatError):
+        header, columns, ids = _read_nodes(tmp_path / "nodes.bin")
+        _write_nodes(tmp_path / "nodes.bin", dict(header, version=9), columns, ids)
+        with pytest.raises(SnapshotFormatError, match="version 9"):
             load_corpus(tmp_path)
+
+    def test_retired_line_format_asks_for_reingest(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        (tmp_path / "nodes.bin").rename(tmp_path / "chunks.jsonl")
+        with pytest.raises(SnapshotFormatError, match="chunks.jsonl: corpus format v1"):
+            load_corpus(tmp_path)
+        save_corpus(corpus, tmp_path)  # a re-ingest replaces it
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["documents.jsonl", "nodes.bin"]
+
+    def test_unsaveable_corpus_refused(self):
+        doc = {"d": "alpha beta"}
+        dangling = Corpus(doc, [ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2)],
+                          config=CFG)
+        with pytest.raises(InvalidCorpusError):
+            save_corpus(dangling, "unused")
+
+
+#: The node file's layout, spelled out apart from ``hrr.corpus``: magic,
+#: ``<I`` header length, JSON header, these columns, then the ids.
+NODE_MAGIC = b"HRRNODE\n"
+NODE_COLUMNS = (("level", "u1"), ("doc", "<u4"), ("parent", "<i4"), ("start", "<i8"),
+                ("end", "<i8"), ("token_count", "<u4"), ("hard_split", "u1"))
+
+
+def _read_nodes(path):
+    data = path.read_bytes()
+    assert data[: len(NODE_MAGIC)] == NODE_MAGIC
+    (header_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + header_len])
+    pos = 12 + header_len
+    columns = {}
+    for name, dtype in NODE_COLUMNS:
+        columns[name] = np.frombuffer(data, dtype=dtype, count=header["count"], offset=pos).copy()
+        pos += columns[name].nbytes
+    assert len(data) - pos == header["ids_bytes"]
+    return header, columns, data[pos:]
+
+
+def _write_nodes(path, header, columns, ids, *, magic=NODE_MAGIC):
+    body = json.dumps(header).encode("utf-8")
+    data = b"".join(columns[name].astype(dtype).tobytes() for name, dtype in NODE_COLUMNS)
+    path.write_bytes(magic + struct.pack("<I", len(body)) + body + data + ids)
+
+
+def _set(column, row, value):
+    def edit(header, columns, ids):
+        columns[column][row] = value
+        return header, columns, ids
+
+    return edit
+
+
+def _ids(table):
+    def edit(header, columns, ids):
+        return dict(header, ids_bytes=len(table)), columns, table
+
+    return edit
+
+
+#: Each edit of a saved node file, with a fragment of the one-line error.
+CORRUPTIONS = {
+    "version": (lambda h, c, i: (dict(h, version=1), c, i), "version 1"),
+    "header-fields": (lambda h, c, i: ({"version": 2}, c, i), "malformed header"),
+    "chunking": (lambda h, c, i: (dict(h, chunking={"parent_size": "x"}), c, i),
+                 "malformed header"),
+    "documents": (lambda h, c, i: (dict(h, documents=["b", "a"]), c, i), "document ids"),
+    "huge-count": (lambda h, c, i: (dict(h, count=10**13), c, i), "do not fill"),
+    "count-off-by-one": (lambda h, c, i: (dict(h, count=h["count"] - 1), c, i), "do not fill"),
+    "ids-bytes": (lambda h, c, i: (dict(h, ids_bytes=h["ids_bytes"] + 1), c, i), "do not fill"),
+    "ids-not-json": (_ids(b"[\"a:p0\""), "id table"),
+    "ids-nested-deep": (_ids(b"[" * 100_000 + b"]" * 100_000), "id table"),
+    "tokenizer": (lambda h, c, i: (dict(h, tokenizer=["word-punct"]), c, i), "malformed header"),
+    "ids-not-array": (_ids(b'{"a:p0": 1}'), "id table"),
+    "ids-too-few": (_ids(b'["a:p0"]'), "id table"),
+    "ids-not-strings": (lambda h, c, i: _ids(json.dumps(list(range(h["count"]))).encode())(h, c, i),
+                        "id table"),
+    "level-code": (_set("level", 3, 4), "level code"),
+    "document-row": (_set("doc", 0, 2), "document row"),
+    "parent-row-later": (_set("parent", 1, 1), "parent row"),
+    "parent-row-negative": (_set("parent", 1, -2), "parent row"),
+    "empty-span": (_set("end", 2, 0), "span"),
+    "negative-start": (_set("start", 0, -1), "span"),
+    "beyond-document": (_set("end", 0, 10**6), "span"),
+    "hard-split-flag": (_set("hard_split", 0, 2), "hard_split"),
+}
+
+
+class TestNodeFileFailsClosed:
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_corruption_is_one_line_error(self, corpus, tmp_path, name):
+        edit, message = CORRUPTIONS[name]
+        save_corpus(corpus, tmp_path)
+        path = tmp_path / "nodes.bin"
+        _write_nodes(path, *edit(*_read_nodes(path)))
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_corpus(tmp_path)
+        assert "nodes.bin" in str(exc.value) and message in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("cut", [0, 5, 11, 40, -1], ids=["empty", "magic", "length",
+                                                            "header", "ids"])
+    def test_truncation_is_one_line_error(self, corpus, tmp_path, cut):
+        save_corpus(corpus, tmp_path)
+        path = tmp_path / "nodes.bin"
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(SnapshotFormatError, match="nodes.bin"):
+            load_corpus(tmp_path)
+
+    def test_trailing_bytes_rejected(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        path = tmp_path / "nodes.bin"
+        path.write_bytes(path.read_bytes() + b" ")
+        with pytest.raises(SnapshotFormatError, match="do not fill"):
+            load_corpus(tmp_path)
+
+    def test_bad_magic_rejected(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        path = tmp_path / "nodes.bin"
+        _write_nodes(path, *_read_nodes(path), magic=b"HRRNODX\n")
+        with pytest.raises(SnapshotFormatError, match="bad magic"):
+            load_corpus(tmp_path)
+
+    def test_huge_header_length_rejected_before_reading(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        path = tmp_path / "nodes.bin"
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + struct.pack("<I", 2**32 - 1) + data[12:])
+        with pytest.raises(SnapshotFormatError, match="truncated"):
+            load_corpus(tmp_path)
+
+    def test_deeply_nested_header_rejected(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        header = b"[" * 100_000 + b"]" * 100_000
+        (tmp_path / "nodes.bin").write_bytes(NODE_MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(SnapshotFormatError, match="malformed header"):
+            load_corpus(tmp_path)
+
+    def test_span_cutting_a_character_rejected(self, tmp_path):
+        multibyte = build_corpus({"u": "Été brûle. Ça va très bien."}, CFG)
+        save_corpus(multibyte, tmp_path)
+        path = tmp_path / "nodes.bin"
+        header, columns, ids = _read_nodes(path)
+        columns["start"][0] = 1  # inside the two bytes of "É"
+        _write_nodes(path, header, columns, ids)
+        with pytest.raises(SnapshotFormatError, match="cuts a UTF-8 character"):
+            load_corpus(tmp_path)
+
+
+def _chunker_nodes(documents, config):
+    """The chunker's nodes, hierarchy first, then the side tier: the oracle."""
+    nodes = [n for doc_id, text in documents.items()
+             for n in chunk_document(doc_id, text, config).nodes]
+    return ([n for n in nodes if n.level is not Level.SUB_INTERMEDIATE]
+            + [n for n in nodes if n.level is Level.SUB_INTERMEDIATE])
+
+
+def _assert_matches_chunker(loaded, documents, config):
+    expected = _chunker_nodes(documents, config)
+    assert list(loaded) == expected
+    assert loaded.nodes == tuple(n for n in expected if n.level is not Level.SUB_INTERMEDIATE)
+    assert loaded.sub_nodes == tuple(n for n in expected if n.level is Level.SUB_INTERMEDIATE)
+    for level in Level:
+        at_level = tuple(n for n in expected if n.level is level)
+        assert loaded.nodes_at(level) == at_level
+        assert loaded.ids_at(level) == tuple(n.id for n in at_level)
+    assert loaded.levels == tuple(level for level in Level if loaded.nodes_at(level))
+    assert len(loaded) == len(expected)
+    children = {}
+    for node in expected:
+        if node.parent_id is not None:
+            children.setdefault(node.parent_id, []).append(node.id)
+    assert dict(loaded.children) == {pid: tuple(ids) for pid, ids in children.items()}
+    assert dict(loaded.chunks) == {n.id: n for n in expected}
+    for node in expected:
+        assert loaded.chunk_text(node.id) == (
+            documents[node.doc_id].encode("utf-8")[slice(*node.char_span)].decode("utf-8")
+        )
+        assert resolve_parent(loaded, node.id, Level.PARENT) == (
+            node.id if node.level is Level.PARENT else
+            resolve_parent(loaded, node.parent_id, Level.PARENT)
+        )
+    parents = [n for n in expected if n.level is Level.PARENT]
+    for doc_id, text in documents.items():
+        size = len(text.encode("utf-8"))
+        for byte in range(-1, size + 2, 7):
+            owner = next((n.id for n in parents if n.doc_id == doc_id
+                          and n.char_span[0] <= byte < n.char_span[1]), None)
+            assert loaded.parent_at(doc_id, byte) == owner
+
+
+class TestLoadMatchesChunker:
+    @pytest.mark.parametrize(
+        "seed, config",
+        [(42, ChunkingConfig()),
+         (5, ChunkingConfig(parent_size=256, parent_overlap=60, intermediate_size=64,
+                            intermediate_overlap=10, sub_intermediate_size=32))],
+        ids=["seed42-default", "seed5-256-64-32-overlap"],
+    )
+    def test_loaded_corpus_equals_chunker_output(self, tmp_path, seed, config):
+        documents = generate(CorpusSpec(seed=seed, n_docs=4 if seed == 5 else 20),
+                             chunking=config).documents
+        save_corpus(build_corpus(documents, config), tmp_path)
+        loaded = load_corpus(tmp_path)
+        assert loaded.documents == documents
+        assert loaded.config == config
+        _assert_matches_chunker(loaded, documents, config)
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3, unique=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_with_any_document_ids(self, doc_ids, seed):
+        rng = random.Random(seed)
+        words = ["alpha", "été", "çà", "naïve", "日本", "x", "zed"]
+        documents = {
+            doc_id: " ".join(
+                " ".join(rng.choice(words) for _ in range(rng.randint(1, 9))) + "."
+                for _ in range(rng.randint(1, 8))
+            )
+            for doc_id in doc_ids
+        }
+        with tempfile.TemporaryDirectory() as directory:
+            save_corpus(build_corpus(documents, CFG), directory)
+            loaded = load_corpus(directory)
+        assert list(loaded.documents) == doc_ids
+        _assert_matches_chunker(loaded, documents, CFG)

@@ -238,6 +238,13 @@ class TestQuerySetFiles:
             load_query_set(path, toy_corpus)
 
 
+    def test_deeply_nested_line_is_malformed(self, tmp_path, toy_corpus):
+        path = tmp_path / "q.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(SnapshotFormatError, match="line 1: malformed record"):
+            load_query_set(path, toy_corpus)
+
+
 class TestInvariantOnRealRuns:
     def test_mrr_never_exceeds_hit_rate(self, toy_context):
         rng = random.Random(0)

@@ -152,6 +152,24 @@ class TestRemoteReranker:
         assert [(c.chunk_id, c.score) for c in ranked] == [("a", None), ("b", None)]
 
 
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"scores": "12"}', b'{"scores": [true, false]}', b'{"scores": ["1", "2"]}',
+         b'{"scores": 12}', b'{"scores": [null, 1]}', b'{"scores": [[1], 2]}',
+         b'{"scores": [1' + b"0" * 400 + b', 2]}', b'[1, 2]'],
+        ids=["string", "bools", "numeric-strings", "not-a-list", "null-element",
+             "nested-element", "int-beyond-float", "no-scores-key"],
+    )
+    def test_non_numeric_scores_are_provider_error(self, body):
+        request = RerankRequest("q", (("a", "one"), ("b", "two")))
+        with StubServices(dimension=DIM, raw_body=body) as stub:
+            reranker = RemoteReranker(stub.base_url, timeout=5.0, retries=0)
+            with pytest.raises(ProviderUnavailableError, match="malformed rerank response"):
+                rerank(reranker, request)
+            ranked = rerank(reranker, request, fallback=FALLBACK_PASSTHROUGH)
+        assert [(c.chunk_id, c.score) for c in ranked] == [("a", None), ("b", None)]
+
+
 class TestEndToEndOverTheWire:
     def test_remote_eval_equals_local_eval(self):
         syn = generate(
