@@ -46,13 +46,14 @@ def post_json(
     headers: dict[str, str],
     backoff: float = 0.1,
 ) -> dict:
-    """POST with exponential-backoff retries on timeouts, connection errors,
-    and 5xx responses. 4xx responses fail immediately."""
+    """POST with exponential-backoff retries on transport errors (any
+    ``requests.RequestException``: timeouts, refused connections, a body cut
+    off mid-stream) and 5xx responses. 4xx responses fail immediately."""
     last: Exception | None = None
     for attempt in range(retries + 1):
         try:
             resp = session.post(url, json=body, timeout=timeout, headers=headers)
-        except (requests.Timeout, requests.ConnectionError) as exc:
+        except requests.RequestException as exc:
             last = exc
         else:
             if resp.status_code < 400:

@@ -2,7 +2,7 @@
 
 Subcommands: synth (write a synthetic corpus), ingest (chunk + index a
 document directory), query (ad-hoc retrieval), eval (Hit Rate / MRR table
-over a labeled query set), validate (corpus invariant check), inspect
+over a labeled query set), validate (corpus content check), inspect
 (dump a chunk and its ancestry).
 
 Exit codes: 0 success, 2 config or usage errors, 3 missing, unreadable or
@@ -85,7 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="also write machine-readable results to this file")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_validate = sub.add_parser("validate", help="check corpus invariants", parents=[common])
+    p_validate = sub.add_parser(
+        "validate",
+        help="check token counts, budgets, coverage and token sums",
+        description="Check the ingested corpus's token counts, level budgets, coverage and "
+        "token sums. Its structure (ids, parent links, levels, spans) is checked whenever "
+        "a corpus is built or loaded.",
+        parents=[common],
+    )
     p_validate.set_defaults(func=cmd_validate)
 
     p_inspect = sub.add_parser("inspect", help="dump one chunk and its ancestry", parents=[common])

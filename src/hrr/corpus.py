@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -63,6 +64,15 @@ HIERARCHY_LEVELS = (Level.PARENT, Level.INTERMEDIATE, Level.SENTENCE)
 _LEVELS = tuple(Level)
 _CODES = {level: code for code, level in enumerate(_LEVELS)}
 _HIERARCHY_CODES = [_CODES[level] for level in HIERARCHY_LEVELS]
+
+#: The level of each level's parent node; a parent-level node has none.
+_EXPECTED_PARENT_LEVEL = {
+    Level.INTERMEDIATE: Level.PARENT,
+    Level.SENTENCE: Level.INTERMEDIATE,
+    Level.SUB_INTERMEDIATE: Level.INTERMEDIATE,
+}
+#: The same by level code, -1 for none.
+_PARENT_CODES = np.array([_CODES.get(_EXPECTED_PARENT_LEVEL.get(level), -1) for level in _LEVELS])
 
 
 @dataclass(frozen=True)
@@ -118,8 +128,7 @@ class Corpus:
     """Immutable container for documents and one table of chunk nodes.
 
     Safe for concurrent readers once constructed. Every level, the side tier
-    included, is stored alike: ``chunks`` maps each id to its node,
-    ``children`` maps a node id to its children's ids at every level, and
+    included, is stored alike: ``chunks`` maps each id to its node and
     ``nodes_at`` gives one level's nodes in emission order. ``nodes`` holds
     the ``HIERARCHY_LEVELS`` in the chunker's emission order (parents in
     document order, each followed by its intermediates and their sentences),
@@ -127,9 +136,15 @@ class Corpus:
     the corpus yields those, then every other level's nodes. Each of these
     builds its nodes when called; the corpus keeps none.
 
-    Row order is that iteration order. An id used twice names its first
-    row; a parent or document the corpus lacks is kept for
-    ``validate_corpus`` to report.
+    Row order is that iteration order. Construction checks the table's
+    structure, built or loaded alike, and raises ``InvalidCorpusError``
+    naming the first node that breaks it: ids are unique; every node names
+    one of ``documents``; a parent-level node has no parent, and every other
+    node's parent is an earlier node of the same document, at the level
+    ``_EXPECTED_PARENT_LEVEL`` names (so a sentence sits exactly two hops
+    below its parent chunk); every span is non-empty, inside its document
+    and on UTF-8 character boundaries; every ``hard_split`` flag is 0 or 1.
+    ``validate_corpus`` checks the content.
     """
 
     def __init__(
@@ -147,35 +162,29 @@ class Corpus:
             (rows if node.level in HIERARCHY_LEVELS else side).append(node)
         rows += side
         doc_rows = {doc_id: row for row, doc_id in enumerate(documents)}
-        for node in rows:
-            doc_rows.setdefault(node.doc_id, len(doc_rows))
         ids = [node.id for node in rows]
-        index = _first_rows(ids)
-        dangling: dict[int, str] = {}
-
-        def parent_row(row: int, node: ChunkNode) -> int:
-            parent = -1 if node.parent_id is None else index.get(node.parent_id)
-            if parent is None:
-                dangling[row] = node.parent_id
-                parent = -1
-            return parent
+        index = dict(zip(ids, range(len(ids))))
 
         def column(values, dtype) -> np.ndarray:
             return np.fromiter(values, dtype=dtype, count=len(rows))
 
         # Generators, not lists: no column's values exist as Python objects
-        # all at once beside the nodes.
-        columns = _Columns(
-            column((_CODES[node.level] for node in rows), _DTYPES.level),
-            column((doc_rows[node.doc_id] for node in rows), _DTYPES.doc),
-            column(map(parent_row, range(len(rows)), rows), _DTYPES.parent),
-            column((node.char_span[0] for node in rows), _DTYPES.start),
-            column((node.char_span[1] for node in rows), _DTYPES.end),
-            column((node.token_count for node in rows), _DTYPES.token_count),
-            column((node.hard_split for node in rows), _DTYPES.hard_split),
-        )
-        self._setup(documents, list(doc_rows), ids, index, columns, dangling,
-                    config=config, tokenizer_name=tokenizer_name)
+        # all at once beside the nodes. A document or parent the corpus
+        # lacks gets a row the structure check refuses.
+        try:
+            columns = _Columns(
+                column((_CODES[node.level] for node in rows), _DTYPES.level),
+                column((doc_rows.get(node.doc_id, len(doc_rows)) for node in rows), _DTYPES.doc),
+                column((-1 if node.parent_id is None else index.get(node.parent_id, -2)
+                        for node in rows), _DTYPES.parent),
+                column((node.char_span[0] for node in rows), _DTYPES.start),
+                column((node.char_span[1] for node in rows), _DTYPES.end),
+                column((node.token_count for node in rows), _DTYPES.token_count),
+                column((node.hard_split for node in rows), _DTYPES.hard_split),
+            )
+        except OverflowError as exc:  # a span or token count beyond its column's range
+            raise InvalidCorpusError(f"a node field does not fit the node table ({exc})") from None
+        self._setup(documents, ids, index, columns, config=config, tokenizer_name=tokenizer_name)
 
     @classmethod
     def _from_columns(
@@ -189,12 +198,11 @@ class Corpus:
     ) -> "Corpus":
         """A corpus over an existing node table whose documents are ``documents``."""
         corpus = cls.__new__(cls)
-        corpus._setup(documents, list(documents), ids, _first_rows(ids), columns, {},
+        corpus._setup(documents, ids, dict(zip(ids, range(len(ids)))), columns,
                       config=config, tokenizer_name=tokenizer_name)
         return corpus
 
-    def _setup(self, documents, doc_ids, ids, index, columns, dangling, *, config,
-               tokenizer_name) -> None:
+    def _setup(self, documents, ids, index, columns, *, config, tokenizer_name) -> None:
         self.documents: dict[str, str] = dict(documents)
         self.config = config
         self.tokenizer_name = tokenizer_name
@@ -208,14 +216,11 @@ class Corpus:
         #: The columns as memoryviews too, whose items read as Python ints
         #: several times faster than numpy scalars; per-row lookups use them.
         self._view = _Columns(*map(memoryview, columns))
-        #: Row ``r`` names parent ``_dangling[r]``, which the corpus lacks.
-        self._dangling = dangling
-        #: Documents by row, with their UTF-8 bytes; rows past ``documents``
-        #: are ones the nodes name but the corpus lacks, and hold no bytes.
-        self._doc_ids: list[str] = doc_ids
-        self._doc_rows = {doc_id: row for row, doc_id in enumerate(doc_ids)}
+        #: Documents by row, with their UTF-8 bytes.
+        self._doc_ids: list[str] = list(self.documents)
+        self._doc_rows = {doc_id: row for row, doc_id in enumerate(self._doc_ids)}
         self._doc_bytes = [text.encode("utf-8") for text in self.documents.values()]
-        self._doc_bytes += [b""] * (len(doc_ids) - len(self.documents))
+        _check_structure(self)
         self._level_counts = np.bincount(columns.level, minlength=len(_LEVELS))
 
         # Parent rows grouped by document, each group in row order: document
@@ -225,7 +230,7 @@ class Corpus:
         self._parent_rows = parent_rows
         self._parent_ends = columns.end[parent_rows]
         self._parent_bounds = np.searchsorted(
-            columns.doc[parent_rows], np.arange(len(doc_ids) + 1)
+            columns.doc[parent_rows], np.arange(len(self._doc_ids) + 1)
         ).tolist()
 
     # -- the table ------------------------------------------------------------
@@ -252,7 +257,7 @@ class Corpus:
         parent = view.parent[row]
         return ChunkNode(
             ids[row], _LEVELS[view.level[row]], self._doc_ids[view.doc[row]],
-            ids[parent] if parent >= 0 else self._dangling.get(row),
+            ids[parent] if parent >= 0 else None,
             (view.start[row], view.end[row]), view.token_count[row], bool(view.hard_split[row]),
         )
 
@@ -269,11 +274,6 @@ class Corpus:
     def chunks(self) -> Mapping[str, ChunkNode]:
         """Read-only view: each id to its node, built on lookup."""
         return _ChunkMap(self)
-
-    @property
-    def children(self) -> Mapping[str, tuple[str, ...]]:
-        """Read-only view: each node id with children to their ids, in row order."""
-        return _ChildMap(self)
 
     def _child_groups(self) -> tuple[np.ndarray, list[int], np.ndarray]:
         """(owner rows ascending, group bounds, child rows grouped by owner).
@@ -341,16 +341,6 @@ class Corpus:
         return self._doc_bytes[view.doc[row]][view.start[row] : view.end[row]].decode("utf-8")
 
 
-def _first_rows(ids: list[str]) -> dict[str, int]:
-    """Each id to the first row holding it, in row order."""
-    index = dict(zip(ids, range(len(ids))))
-    if len(index) != len(ids):
-        index = {}
-        for row, chunk_id in enumerate(ids):
-            index.setdefault(chunk_id, row)
-    return index
-
-
 class _ChunkMap(Mapping):
     def __init__(self, corpus: Corpus) -> None:
         self._corpus = corpus
@@ -368,34 +358,15 @@ class _ChunkMap(Mapping):
         return len(self._corpus._index)
 
 
-class _ChildMap(Mapping):
-    def __init__(self, corpus: Corpus) -> None:
-        self._corpus = corpus
-        self._owners, self._bounds, self._rows = corpus._child_groups()
-
-    def __getitem__(self, chunk_id: str) -> tuple[str, ...]:
-        row = self._corpus._index[chunk_id]
-        g = int(np.searchsorted(self._owners, row))
-        if g == len(self._owners) or self._owners[g] != row:
-            raise KeyError(chunk_id)
-        ids = self._corpus._ids
-        return tuple(ids[r] for r in self._rows[self._bounds[g] : self._bounds[g + 1]].tolist())
-
-    def __iter__(self) -> Iterator[str]:
-        ids = self._corpus._ids
-        return (ids[row] for row in self._owners.tolist())
-
-    def __len__(self) -> int:
-        return len(self._owners)
-
-
 def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
     """Return the id of ``chunk_id``'s unique ancestor at ``target_level``.
 
-    Identity when the levels already match. Raises ``UnknownChunkError`` for
-    a missing chunk and ``LevelViolationError`` when the target level is not
-    on the chunk's ancestor chain (anything below it, or the sentence and
-    sub-intermediate tiers of other branches).
+    Identity when the levels already match. Every ancestor chain ends at a
+    parent-level node, since the corpus checks its structure when built or
+    loaded, so the walk reads only the parent and level columns. Raises
+    ``UnknownChunkError`` for a missing chunk and ``LevelViolationError``
+    when the target level is not on the chunk's ancestor chain (anything
+    below it, or the sentence and sub-intermediate tiers of other branches).
     """
     row = corpus._row(chunk_id)
     levels, parents = corpus._view.level, corpus._view.parent
@@ -403,8 +374,6 @@ def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
     while levels[row] != target:
         up = parents[row]
         if up < 0:
-            if row in corpus._dangling:
-                raise UnknownChunkError(f"no chunk {corpus._dangling[row]!r} in corpus")
             raise LevelViolationError(
                 f"{chunk_id!r} ({_LEVELS[levels[row]].value}) has no ancestor at "
                 f"{target_level.value!r}"
@@ -413,29 +382,23 @@ def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
     return corpus._ids[row]
 
 
-_EXPECTED_PARENT_LEVEL = {
-    Level.INTERMEDIATE: Level.PARENT,
-    Level.SENTENCE: Level.INTERMEDIATE,
-    Level.SUB_INTERMEDIATE: Level.INTERMEDIATE,
-}
-
-
 def validate_corpus(corpus: Corpus) -> list[Violation]:
-    """Check every corpus invariant; an empty list means the corpus is sound.
+    """Check the corpus's content; an empty list means the corpus is sound.
 
-    Pure function: same corpus, same violations, in a deterministic order.
-    Coverage and token-sum rules only apply at overlap 0, where spans are
-    required to partition exactly. Reads the node table row by row and
-    builds no node.
+    The structure (unique ids, parent links, levels, spans) is checked
+    whenever a corpus is built or loaded, so this checks what it does not:
+    each stored token count against a recount of the node's text
+    (``TokenCountDrift``), the level budgets (``BudgetExceeded``) and, at
+    overlap 0, where spans are required to partition exactly, that each
+    level's spans cover the one above in order (``CoverageGap``,
+    ``OrderViolation``) and that children's token counts sum to their
+    owner's (``TokenSumMismatch``). Pure function: same corpus, same
+    violations, in a deterministic order. Reads the node table row by row
+    and builds no node.
     """
     violations: list[Violation] = []
     tokenizer = get_tokenizer(corpus.tokenizer_name)
     cfg = corpus.config
-
-    for row, chunk_id in enumerate(corpus._ids):
-        if corpus._index[chunk_id] != row:
-            violations.append(Violation("DuplicateId", chunk_id, "chunk id reused"))
-
     budgets = {
         Level.PARENT: cfg.parent_size,
         Level.INTERMEDIATE: cfg.intermediate_size,
@@ -455,44 +418,8 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 def _check_row(corpus: Corpus, row: int, budgets, tokenizer) -> list[Violation]:
     out: list[Violation] = []
     view = corpus._view
-    chunk_id, level, doc = corpus._ids[row], _LEVELS[view.level[row]], view.doc[row]
-    if doc >= len(corpus.documents):
-        doc_id = corpus._doc_ids[doc]
-        out.append(Violation("UnknownDocument", chunk_id, f"doc {doc_id!r} missing"))
-        return out
-
-    data = corpus._doc_bytes[doc]
-    start, end = view.start[row], view.end[row]
-    if not (0 <= start < end <= len(data)):
-        out.append(Violation("SpanOutOfBounds", chunk_id, f"span {(start, end)}"))
-        return out
-    try:
-        text = data[start:end].decode("utf-8")
-    except UnicodeDecodeError:
-        out.append(Violation("SpanNotCharAligned", chunk_id, f"span {(start, end)}"))
-        return out
-
-    expected = _EXPECTED_PARENT_LEVEL.get(level)
-    parent = view.parent[row]
-    if expected is None:
-        if parent >= 0 or row in corpus._dangling:
-            out.append(Violation("HierarchySkip", chunk_id, "parent-level node has a parent link"))
-    elif row in corpus._dangling:
-        out.append(
-            Violation("DanglingParent", chunk_id, f"parent {corpus._dangling[row]!r} missing")
-        )
-    elif parent < 0:
-        out.append(Violation("HierarchySkip", chunk_id, f"{level.value} node has no parent link"))
-    elif _LEVELS[view.level[parent]] is not expected:
-        out.append(
-            Violation(
-                "HierarchySkip",
-                chunk_id,
-                f"{level.value} links to {_LEVELS[view.level[parent]].value}, "
-                f"expected {expected.value}",
-            )
-        )
-
+    chunk_id, level = corpus._ids[row], _LEVELS[view.level[row]]
+    text = corpus._doc_bytes[view.doc[row]][view.start[row] : view.end[row]].decode("utf-8")
     actual_tokens = tokenizer.count_tokens(text)
     if actual_tokens != view.token_count[row]:
         out.append(
@@ -518,7 +445,7 @@ def _check_partitions(corpus: Corpus) -> list[Violation]:
 
     bounds = corpus._parent_bounds
     parent_rows = memoryview(corpus._parent_rows)
-    for doc, doc_id in enumerate(corpus._doc_ids):
+    for doc, doc_id in enumerate(corpus.documents):
         rows = parent_rows[bounds[doc] : bounds[doc + 1]]
         if len(rows):
             out.extend(_check_cover(corpus, rows, 0, len(corpus._doc_bytes[doc]), doc_id))
@@ -593,11 +520,10 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     (the hierarchy in emission order, then the side tier), so a parent row
     always precedes its children's. Each file is written under a temporary
     name and renamed into place, so an interrupted save leaves the earlier
-    file whole; a ``chunks.jsonl`` of format v1 is removed. A corpus whose
-    nodes name parents or documents it lacks is refused.
+    file whole; a ``chunks.jsonl`` of format v1 is removed. A corpus checks
+    its structure when constructed, so every corpus saves, and what is
+    saved loads back.
     """
-    if corpus._dangling or len(corpus._doc_ids) > len(corpus.documents):
-        raise InvalidCorpusError("cannot save nodes whose parent or document is missing")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -647,11 +573,14 @@ def load_corpus(directory: str | Path) -> Corpus:
     version; header sizes that disagree with the file's length (checked
     before anything is allocated); other document ids than
     ``documents.jsonl`` holds; an id table that is not a JSON array of
-    ``count`` strings; a level code of 4 or more; a document row out of
-    range, or a parent row that is neither -1 nor an earlier row; a span
-    that is empty or reversed, ends beyond its document or cuts a UTF-8
-    character; a ``hard_split`` flag other than 0 or 1; an unknown
-    tokenizer or invalid chunking settings. Loading builds no ``ChunkNode``.
+    ``count`` strings; an unknown tokenizer or invalid chunking settings;
+    and a node table that breaks a rule ``Corpus`` checks when constructed
+    (a duplicate id; a level code of 4 or more; a document row out of range;
+    a parent-level node with a parent row, or another node whose parent row
+    is not an earlier row of the same document at the level above it; a
+    span that is empty or reversed, ends beyond its document or cuts a UTF-8
+    character; a ``hard_split`` flag other than 0 or 1), whose message the
+    error carries. Loading builds no ``ChunkNode``.
     """
     from .chunking import ChunkingConfig
 
@@ -714,39 +643,60 @@ def load_corpus(directory: str | Path) -> Corpus:
                 f"{path}: the id table is not a JSON array of {count} strings"
             )
 
-    corpus = Corpus._from_columns(
-        documents, ids, columns, config=config, tokenizer_name=tokenizer_name
-    )
-    problem = _table_problem(corpus)
-    if problem:
-        raise SnapshotFormatError(f"{path}: {problem}; re-run ingest")
-    return corpus
+    try:
+        return Corpus._from_columns(
+            documents, ids, columns, config=config, tokenizer_name=tokenizer_name
+        )
+    except InvalidCorpusError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
 
 
-def _table_problem(corpus: Corpus) -> str | None:
-    """What makes a loaded node table one ``save_corpus`` could not have written."""
+def _check_structure(corpus: Corpus) -> None:
+    """Raise ``InvalidCorpusError`` naming the first node, in row order
+    within each rule, that breaks the node table's structure (the rules
+    ``Corpus`` lists)."""
+    ids = corpus._ids
+    if len(corpus._index) != len(ids):
+        duplicate = next(chunk_id for chunk_id, n in Counter(ids).items() if n > 1)
+        raise InvalidCorpusError(f"id {duplicate!r} names more than one node")
+
+    def refuse(bad: np.ndarray, problem: str, rows: np.ndarray | None = None) -> None:
+        """Raise for the first true entry of ``bad``, which stands for row
+        ``rows[i]`` (row ``i`` when ``rows`` is None)."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            row = row if rows is None else int(rows[row])
+            raise InvalidCorpusError(f"node {ids[row]!r}: {problem}")
+
     level, doc, parent, start, end, _, hard_split = corpus._cols
-    if (level >= len(_LEVELS)).any():
-        return f"a level code is not below {len(_LEVELS)}"
-    if (doc >= len(corpus.documents)).any():
-        return "a document row is out of range"
-    if ((parent < -1) | (parent >= np.arange(len(parent)))).any():
-        return "a parent row is neither -1 nor an earlier row"
+    refuse(level >= len(_LEVELS), f"its level code is not below {len(_LEVELS)}")
+    refuse(doc >= len(corpus.documents), "its document row is not one of the corpus's documents")
+    top = level == _CODES[Level.PARENT]
+    refuse(top & (parent != -1), "it is a parent-level node with a parent link")
+    refuse(~top & (parent == -1), "its parent link is missing")
+    linked = np.flatnonzero(~top)
+    up = parent[linked]
+    refuse((up < 0) | (up >= linked), "its parent row is not an earlier row", linked)
+    refuse(level[up] != _PARENT_CODES[level[linked]],
+           "its parent is not at the level above it", linked)
+    refuse(doc[up] != doc[linked], "its parent is in another document", linked)
     sizes = np.array([len(data) for data in corpus._doc_bytes], dtype=np.int64)
-    if ((start < 0) | (start >= end) | (end > sizes[doc])).any():
-        return "a span is empty, reversed or ends beyond its document"
-    # Each document's rows, found from one sort by document.
+    refuse((start < 0) | (start >= end) | (end > sizes[doc]),
+           "its span is empty, reversed or ends beyond its document")
+    # A span cuts a character where its start or end is a continuation byte
+    # (10xxxxxx); an end at the end of its document cuts none. Each
+    # document's rows are found from one sort by document.
     order = np.argsort(doc, kind="stable")
     bounds = np.searchsorted(doc[order], np.arange(len(sizes) + 1)).tolist()
+    cuts = np.zeros(len(ids), dtype=bool)
     for d, data in enumerate(corpus._doc_bytes):
         text = np.frombuffer(data, dtype=np.uint8)
         rows = order[bounds[d] : bounds[d + 1]]
-        for bound in (start[rows], end[rows]):
-            if ((text[bound[bound < len(text)]] & 0xC0) == 0x80).any():  # a continuation byte
-                return "a span cuts a UTF-8 character"
-    if (hard_split > 1).any():
-        return "a hard_split flag is not 0 or 1"
-    return None
+        ends = end[rows]
+        at_end = np.where(ends < len(text), text[np.minimum(ends, len(text) - 1)], 0)
+        cuts[rows] = ((text[start[rows]] & 0xC0) == 0x80) | ((at_end & 0xC0) == 0x80)
+    refuse(cuts, "its span cuts a UTF-8 character")
+    refuse(hard_split > 1, "its hard_split flag is not 0 or 1")
 
 
 def read_exact(fh, n: int, path) -> bytes:

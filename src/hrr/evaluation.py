@@ -121,7 +121,8 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
     ``gold_char_span`` which is resolved (at its start offset) to the parent
     chunk covering it; resolution requires ``corpus``. When a corpus is given
     every gold parent is validated against it. A line that is not a
-    well-formed record raises ``SnapshotFormatError`` naming the file and
+    well-formed record, including one whose ``query`` is not a string with
+    non-whitespace text, raises ``SnapshotFormatError`` naming the file and
     line.
     """
     queries: list[LabeledQuery] = []
@@ -149,9 +150,12 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
 
 
 def _record_to_query(rec: dict, corpus: Corpus | None, line_no: int) -> LabeledQuery:
+    query = rec["query"]
+    if not (isinstance(query, str) and query.strip()):
+        raise ValueError("query is not a string with non-whitespace text")
     if "gold_parent_id" in rec:
         return LabeledQuery(
-            query=rec["query"],
+            query=query,
             gold_parent=rec["gold_parent_id"],
             gold_doc=rec.get("gold_doc_id"),
         )
@@ -166,7 +170,7 @@ def _record_to_query(rec: dict, corpus: Corpus | None, line_no: int) -> LabeledQ
         if parent_id is None:
             raise GoldNotInCorpusError(f"no parent chunk covers byte {span[0]} of {doc_id!r}")
         return LabeledQuery(
-            query=rec["query"], gold_parent=parent_id, gold_doc=doc_id, gold_span=span
+            query=query, gold_parent=parent_id, gold_doc=doc_id, gold_span=span
         )
     raise GoldNotInCorpusError(
         f"line {line_no}: record needs gold_parent_id or gold_doc_id + gold_char_span"

@@ -202,8 +202,12 @@ class TestMonotoneNesting:
     def test_children_follow_text_order(self):
         text = doc_of_sentences(40)
         corpus = build_corpus({"d": text}, ChunkingConfig(parent_size=64, intermediate_size=24, sub_intermediate_size=None))
-        for parent_id, child_ids in corpus.children.items():
-            spans = [corpus.chunks[c].char_span for c in child_ids]
+        spans_by_parent = {}
+        for node in corpus.nodes:
+            if node.parent_id is not None:
+                spans_by_parent.setdefault(node.parent_id, []).append(node.char_span)
+        assert spans_by_parent
+        for spans in spans_by_parent.values():
             assert spans == sorted(spans)
 
 

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+import requests
 
 from hrr.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PROVIDER, main
 from hrr.config import config_from_dict, load_config
@@ -12,6 +13,8 @@ from hrr.corpus import ChunkNode, Corpus, Level, load_corpus, save_corpus
 from hrr.engine import load_context
 from hrr.errors import ConfigError
 from hrr.evaluation import load_query_set
+
+from test_corpus import _read_nodes, _write_nodes
 
 
 class TestConfigLoading:
@@ -355,6 +358,34 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "queries.jsonl line 2: malformed record" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("query", [5, "", ["a"], None, " \t\n"],
+                             ids=["number", "empty", "list", "null", "whitespace"])
+    def test_query_without_text_is_io_error(self, workdir, capsys, query):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        good = json.loads((workdir / "synth" / "queries.jsonl").read_text().splitlines()[0])
+        Path("queries.jsonl").write_text(
+            json.dumps(good) + "\n" + json.dumps(dict(good, query=query)) + "\n"
+        )
+        capsys.readouterr()
+        code = main(["eval", "--query-set", "queries.jsonl", "--config", "engine.json"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "queries.jsonl line 2: malformed record" in err and err.count("\n") == 1
+
+    def test_sentence_linked_to_its_grandparent_is_io_error(self, workdir, capsys):
+        """A node file whose sentences skip their intermediate."""
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        header, columns, ids = _read_nodes(path)
+        parent = columns["parent"]
+        sentences = columns["level"] == list(Level).index(Level.SENTENCE)
+        parent[sentences] = parent[parent[sentences]]
+        _write_nodes(path, header, columns, ids)
+        capsys.readouterr()
+        assert main(["query", "x", "--strategy", "hrr", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "nodes.bin" in err and "not at the level above" in err and err.count("\n") == 1
+
     def test_malformed_corpus_line_is_io_error(self, workdir, capsys):
         """A node file cut in the middle of its columns."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
@@ -474,6 +505,22 @@ class TestCliErrors:
         assert main(["validate", "--config", "bad_config"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bad_config" in err and err.count("\n") == 1
+
+    def test_broken_rerank_stream_is_provider_error(self, workdir, capsys, monkeypatch):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        config = json.loads(Path("engine.json").read_text())
+        config["rerank"] = {"provider": "remote", "base_url": "http://127.0.0.1:9",
+                            "retries": 1}
+        Path("remote.json").write_text(json.dumps(config))
+
+        def post(self, *args, **kwargs):
+            raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "remote.json"]) == EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert "after 2 attempts" in err and err.count("\n") == 1
 
     def test_unreachable_remote_provider_exit_code(self, workdir):
         config = json.loads(Path("engine.json").read_text())

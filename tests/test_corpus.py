@@ -4,6 +4,7 @@ import json
 import random
 import struct
 import tempfile
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import hrr.corpus as corpus_module
 from hrr.chunking import ChunkingConfig, build_corpus, chunk_document
 from hrr.corpus import (
+    HIERARCHY_LEVELS,
     ChunkNode,
     Corpus,
     Level,
@@ -136,6 +138,9 @@ class TestValidateCorpus:
     def test_pure_function(self, corpus):
         assert validate_corpus(corpus) == validate_corpus(corpus)
 
+    # Structure is refused when a corpus is constructed, so the structural
+    # cases below never reach ``validate_corpus``.
+
     def test_hierarchy_skip(self):
         doc = {"d": "alpha beta"}
         nodes = [
@@ -144,9 +149,8 @@ class TestValidateCorpus:
             # sentence wired straight to the parent-level node
             ChunkNode("d:p0.i0.s0", Level.SENTENCE, "d", "d:p0", (0, 10), 2),
         ]
-        bad = Corpus(doc, nodes, config=CFG)
-        rules = [v.rule for v in validate_corpus(bad)]
-        assert "HierarchySkip" in rules
+        with pytest.raises(InvalidCorpusError, match="'d:p0.i0.s0': its parent is not at"):
+            Corpus(doc, nodes, config=CFG)
 
     def test_duplicate_id(self):
         doc = {"d": "alpha beta"}
@@ -154,8 +158,8 @@ class TestValidateCorpus:
             ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
             ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
         ]
-        bad = Corpus(doc, nodes, config=CFG)
-        assert "DuplicateId" in [v.rule for v in validate_corpus(bad)]
+        with pytest.raises(InvalidCorpusError, match="'d:p0' names more than one node"):
+            Corpus(doc, nodes, config=CFG)
 
     def test_dangling_parent(self):
         doc = {"d": "alpha beta"}
@@ -163,8 +167,8 @@ class TestValidateCorpus:
             ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
             ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2),
         ]
-        bad = Corpus(doc, nodes, config=CFG)
-        assert "DanglingParent" in [v.rule for v in validate_corpus(bad)]
+        with pytest.raises(InvalidCorpusError, match="'d:p0.i0': its parent row is not"):
+            Corpus(doc, nodes, config=CFG)
 
     def test_budget_and_drift(self):
         doc = {"d": "one two three four five six seven eight nine ten eleven twelve"}
@@ -182,8 +186,8 @@ class TestValidateCorpus:
     def test_span_out_of_bounds(self):
         doc = {"d": "tiny"}
         nodes = [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 99), 1)]
-        bad = Corpus(doc, nodes, config=CFG)
-        assert [v.rule for v in validate_corpus(bad)] == ["SpanOutOfBounds", "CoverageGap"]
+        with pytest.raises(InvalidCorpusError, match="'d:p0': its span"):
+            Corpus(doc, nodes, config=CFG)
 
 
     # "alpha beta gamma delta": one parent, intermediate and sentence over the
@@ -207,10 +211,10 @@ class TestValidateCorpus:
         assert validate_corpus(good) == []
 
     def test_side_tier_linked_to_parent(self):
-        bad = self._side_corpus(
-            ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0", (0, 22), 4),
-        )
-        assert "HierarchySkip" in [v.rule for v in validate_corpus(bad)]
+        with pytest.raises(InvalidCorpusError, match="'d:p0.i0.c0': its parent is not at"):
+            self._side_corpus(
+                ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0", (0, 22), 4),
+            )
 
     def test_side_tier_gap(self):
         bad = self._side_corpus(
@@ -305,11 +309,11 @@ class TestSerialization:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["documents.jsonl", "nodes.bin"]
 
     def test_unsaveable_corpus_refused(self):
+        """A corpus that could not be saved is not constructed."""
         doc = {"d": "alpha beta"}
-        dangling = Corpus(doc, [ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2)],
-                          config=CFG)
-        with pytest.raises(InvalidCorpusError):
-            save_corpus(dangling, "unused")
+        with pytest.raises(InvalidCorpusError, match="'d:p0.i0'"):
+            Corpus(doc, [ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2)],
+                   config=CFG)
 
 
 #: The node file's layout, spelled out apart from ``hrr.corpus``: magic,
@@ -354,6 +358,12 @@ def _ids(table):
     return edit
 
 
+def _last_named_first(ids):
+    """The id table with the last node given the first node's id."""
+    table = json.loads(ids)
+    return json.dumps([*table[:-1], table[0]]).encode()
+
+
 #: Each edit of a saved node file, with a fragment of the one-line error.
 CORRUPTIONS = {
     "version": (lambda h, c, i: (dict(h, version=1), c, i), "version 1"),
@@ -379,6 +389,15 @@ CORRUPTIONS = {
     "negative-start": (_set("start", 0, -1), "span"),
     "beyond-document": (_set("end", 0, 10**6), "span"),
     "hard-split-flag": (_set("hard_split", 0, 2), "hard_split"),
+    # In the fixture, row 0 is "a:p0", row 2 the sentence "a:p0.i0.s0", row 7
+    # the parent chunk "b:p0", row 9 the sentence "b:p0.i0.s0" (bytes 0-16 of
+    # "b") and rows 13-19 the side tier, 13 under "a:p0.i0".
+    "sentence-to-parent-level": (_set("parent", 2, 0), "not at the level above"),
+    "side-tier-to-parent-level": (_set("parent", 13, 0), "not at the level above"),
+    "parent-level-with-parent": (_set("parent", 7, 0), "parent-level node with a parent link"),
+    "other-document": (_set("doc", 9, 0), "another document"),
+    "duplicate-id": (lambda h, c, i: _ids(_last_named_first(i))(h, c, i),
+                     "'a:p0' names more than one node"),
 }
 
 
@@ -443,12 +462,72 @@ class TestNodeFileFailsClosed:
             load_corpus(tmp_path)
 
 
+class TestStructureGate:
+    """Built and loaded corpora pass one structure check."""
+
+    DOCS = {"a": "Été brûle. Ça va très bien.", "b": "Short doc here. Another line follows."}
+
+    def test_span_ending_inside_a_character(self):
+        # "É" is bytes 0-1 of "Été".
+        with pytest.raises(InvalidCorpusError, match="'d:p0': its span cuts a UTF-8 character"):
+            Corpus({"d": "Été"}, [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 1), 1)],
+                   config=CFG)
+
+    def test_span_one_byte_past_the_document(self):
+        with pytest.raises(InvalidCorpusError, match="'d:p0': its span"):
+            Corpus({"d": "alpha beta"}, [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 11), 2)],
+                   config=CFG)
+
+    def test_intermediate_without_parent_link(self):
+        nodes = [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
+                 ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", None, (0, 10), 2)]
+        with pytest.raises(InvalidCorpusError, match="'d:p0.i0': its parent link is missing"):
+            Corpus({"d": "alpha beta"}, nodes, config=CFG)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_edited_field_is_refused_or_round_trips(self, data):
+        nodes = list(build_corpus(self.DOCS, CFG))
+        ids = [node.id for node in nodes]
+        values = {
+            "id": st.sampled_from([*ids, "fresh"]),
+            "level": st.sampled_from(Level),
+            "doc_id": st.sampled_from([*self.DOCS, "missing"]),
+            "parent_id": st.sampled_from([None, "missing", *ids]),
+            "char_span": st.tuples(st.integers(-1, 40), st.integers(-1, 40) | st.just(2**63)),
+            "token_count": st.integers(0, 40) | st.sampled_from([-1, 2**32]),
+            "hard_split": st.booleans(),
+        }
+        row = data.draw(st.integers(0, len(nodes) - 1), label="row")
+        field = data.draw(st.sampled_from(sorted(values)), label="field")
+        nodes[row] = replace(nodes[row], **{field: data.draw(values[field], label="value")})
+        try:
+            corpus = Corpus(self.DOCS, nodes, config=CFG)
+        except InvalidCorpusError:
+            return
+        with tempfile.TemporaryDirectory() as directory:
+            save_corpus(corpus, directory)
+            loaded = load_corpus(directory)
+        # Row order: the hierarchy as given, then the side tier.
+        assert list(loaded) == ([n for n in nodes if n.level in HIERARCHY_LEVELS]
+                                + [n for n in nodes if n.level not in HIERARCHY_LEVELS])
+
+
 def _chunker_nodes(documents, config):
     """The chunker's nodes, hierarchy first, then the side tier: the oracle."""
     nodes = [n for doc_id, text in documents.items()
              for n in chunk_document(doc_id, text, config).nodes]
     return ([n for n in nodes if n.level is not Level.SUB_INTERMEDIATE]
             + [n for n in nodes if n.level is Level.SUB_INTERMEDIATE])
+
+
+def _children(nodes):
+    """Each parent id to its children's ids, in the order given."""
+    children = {}
+    for node in nodes:
+        if node.parent_id is not None:
+            children.setdefault(node.parent_id, []).append(node.id)
+    return children
 
 
 def _assert_matches_chunker(loaded, documents, config):
@@ -462,11 +541,7 @@ def _assert_matches_chunker(loaded, documents, config):
         assert loaded.ids_at(level) == tuple(n.id for n in at_level)
     assert loaded.levels == tuple(level for level in Level if loaded.nodes_at(level))
     assert len(loaded) == len(expected)
-    children = {}
-    for node in expected:
-        if node.parent_id is not None:
-            children.setdefault(node.parent_id, []).append(node.id)
-    assert dict(loaded.children) == {pid: tuple(ids) for pid, ids in children.items()}
+    assert _children(loaded.nodes + loaded.sub_nodes) == _children(expected)
     assert dict(loaded.chunks) == {n.id: n for n in expected}
     for node in expected:
         assert loaded.chunk_text(node.id) == (

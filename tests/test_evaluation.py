@@ -54,7 +54,7 @@ class TestScoreQuery:
         with pytest.raises(GoldNotInCorpusError):
             score_query(result_with(["x"]), LabeledQuery("q", "missing:p0"), toy_corpus)
         # an intermediate id is not a valid gold parent either
-        inter = next(iter(toy_corpus.children["alpha:p0"]))
+        inter = next(n.id for n in toy_corpus.nodes if n.parent_id == "alpha:p0")
         with pytest.raises(GoldNotInCorpusError):
             score_query(result_with(["x"]), LabeledQuery("q", inter), toy_corpus)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import requests
 
 from hrr.embedding import HashedBowEmbedder, RemoteEmbedder, embed_batch
 from hrr.engine import context_for
@@ -168,6 +169,31 @@ class TestRemoteReranker:
                 rerank(reranker, request)
             ranked = rerank(reranker, request, fallback=FALLBACK_PASSTHROUGH)
         assert [(c.chunk_id, c.score) for c in ranked] == [("a", None), ("b", None)]
+
+
+class _BrokenStreamSession:
+    """A session whose every POST fails mid-body, as when a server drops
+    the connection while sending its response."""
+
+    def __init__(self) -> None:
+        self.attempts = 0
+
+    def post(self, *args, **kwargs):
+        self.attempts += 1
+        raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+
+
+class TestTransportErrors:
+    def test_broken_stream_is_retried_then_provider_error(self):
+        session = _BrokenStreamSession()
+        reranker = RemoteReranker("http://127.0.0.1:9", timeout=1.0, retries=2, session=session)
+        request = RerankRequest("q", (("b", "two"), ("a", "one")))
+        with pytest.raises(ProviderUnavailableError, match="after 3 attempts"):
+            rerank(reranker, request)
+        assert session.attempts == 3
+        ranked = rerank(reranker, request, fallback=FALLBACK_PASSTHROUGH)
+        assert [(c.chunk_id, c.score) for c in ranked] == [("b", None), ("a", None)]
+        assert session.attempts == 6
 
 
 class TestEndToEndOverTheWire:
