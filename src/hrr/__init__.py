@@ -7,7 +7,7 @@ to unique parent chunks. Three single-granularity baselines and a
 Hit Rate / MRR evaluation harness share the same interfaces.
 """
 
-from .chunking import ChunkingConfig, DocumentChunks, build_corpus, chunk_document
+from .chunking import ChunkingConfig, build_corpus
 from .config import EngineConfig, load_config
 from .corpus import (
     ChunkNode,

@@ -14,10 +14,16 @@ those sentences still belong to the earlier chunk for hierarchy purposes.
 
 An optional side tier of sub-intermediate chunks (256 tokens, consumed
 only by the child-to-parent retrieval strategy) is cut from each
-intermediate the same way, without overlap. Its nodes are emitted after
-their intermediate's sentences, into the same node list as every other
-level; it is a level outside ``HIERARCHY_LEVELS``, linked to its
-intermediate.
+intermediate the same way, without overlap. It is a level outside
+``HIERARCHY_LEVELS``, linked to its intermediate, and its rows of the node
+table follow every hierarchy row.
+
+One recursive ``cut`` makes every level, driven by a table that gives each
+level its id letter, budget, overlap and the levels cut from its chunks:
+parents yield intermediates, and intermediates yield sentences (the level
+without a budget: one chunk per sentence fragment), then the side tier. The
+chunker writes the node table's rows directly; a ``ChunkNode`` is built
+only when the corpus is asked for one.
 
 Each document is tokenized once. Every chunk boundary falls on a token
 boundary: a sentence ends after a terminator that whitespace follows, or
@@ -33,11 +39,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import ChunkNode, Corpus, Level
+from .corpus import HIERARCHY_LEVELS, Corpus, Level
 from .errors import ConfigError, EmptyDocumentError
 from .sentences import split_sentences
 from .tokens import Tokenizer, WordPunctTokenizer
@@ -73,14 +79,6 @@ class ChunkingConfig:
                 )
         if self.max_sentence_tokens < 1:
             raise ConfigError("max_sentence_tokens must be >= 1")
-
-
-@dataclass(frozen=True)
-class DocumentChunks:
-    """All chunk nodes for one document, every level, in emission order."""
-
-    doc_id: str
-    nodes: tuple[ChunkNode, ...]
 
 
 @dataclass
@@ -130,77 +128,28 @@ def _byte_offsets(text: str) -> Callable[[int], int]:
     return cumulative.item
 
 
-def chunk_document(
-    doc_id: str,
-    text: str,
-    config: ChunkingConfig | None = None,
-    tokenizer: Tokenizer | None = None,
-) -> DocumentChunks:
-    """Chunk one document into all three levels (plus the optional side tier).
+class _Tier(NamedTuple):
+    """How one level is cut from each chunk of the level above it."""
 
-    Pure and deterministic: the same inputs always yield the same nodes.
-    Raises ``EmptyDocumentError`` when the text holds no sentences.
-    """
-    config = config if config is not None else ChunkingConfig()
-    config.validate()
-    tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
+    letter: str  #: the level's letter in chunk ids, as in ``d:p0.i1.s2``
+    budget: int | None  #: None: each sentence fragment is a chunk of its own
+    overlap: int
+    children: tuple[Level, ...]  #: the levels cut from each of its chunks, in order
 
-    sentence_spans = split_sentences(text)
-    if not sentence_spans:
-        raise EmptyDocumentError(f"document {doc_id!r} has no chunkable content")
 
-    tokens = _DocTokens(text, tokenizer)
-    fragments = [_Fragment(s, e, tokens.count(s, e)) for s, e in sentence_spans]
-    fragments = _split_to_budget(fragments, config.max_sentence_tokens, tokens)
-    to_bytes = _byte_offsets(text)
+def _tiers(config: ChunkingConfig) -> dict[Level, _Tier]:
+    side = () if config.sub_intermediate_size is None else (Level.SUB_INTERMEDIATE,)
+    return {
+        Level.PARENT: _Tier("p", config.parent_size, config.parent_overlap, (Level.INTERMEDIATE,)),
+        Level.INTERMEDIATE: _Tier("i", config.intermediate_size, config.intermediate_overlap,
+                                  (Level.SENTENCE, *side)),
+        Level.SENTENCE: _Tier("s", None, 0, ()),
+        Level.SUB_INTERMEDIATE: _Tier("c", config.sub_intermediate_size, 0, ()),
+    }
 
-    nodes: list[ChunkNode] = []
 
-    parent_frags = _split_to_budget(fragments, config.parent_size, tokens)
-    parent_groups = _pack(parent_frags, config.parent_size, config.parent_overlap)
-    parent_regions = _regions(parent_groups, 0, len(text))
-
-    for p_ord, (p_group, p_region) in enumerate(zip(parent_groups, parent_regions)):
-        parent_id = f"{doc_id}:p{p_ord}"
-        nodes.append(
-            _make_node(parent_id, Level.PARENT, doc_id, None, p_group, p_region, tokens, to_bytes)
-        )
-
-        inter_frags = _split_to_budget(p_group.owned, config.intermediate_size, tokens)
-        inter_groups = _pack(
-            inter_frags, config.intermediate_size, config.intermediate_overlap
-        )
-        inter_regions = _regions(inter_groups, *p_region.owned)
-
-        for i_ord, (i_group, i_region) in enumerate(zip(inter_groups, inter_regions)):
-            inter_id = f"{parent_id}.i{i_ord}"
-            nodes.append(
-                _make_node(inter_id, Level.INTERMEDIATE, doc_id, parent_id, i_group, i_region, tokens, to_bytes)
-            )
-
-            sent_groups = [_Group([f]) for f in i_group.owned]
-            sent_regions = _regions(sent_groups, *i_region.owned)
-            for s_ord, (s_group, s_region) in enumerate(zip(sent_groups, sent_regions)):
-                nodes.append(
-                    _make_node(
-                        f"{inter_id}.s{s_ord}", Level.SENTENCE, doc_id, inter_id,
-                        s_group, s_region, tokens, to_bytes,
-                    )
-                )
-
-            if config.sub_intermediate_size is not None:
-                sub_frags = _split_to_budget(i_group.owned, config.sub_intermediate_size, tokens)
-                sub_groups = _pack(sub_frags, config.sub_intermediate_size, 0)
-                sub_regions = _regions(sub_groups, *i_region.owned)
-                for c_ord, (c_group, c_region) in enumerate(zip(sub_groups, sub_regions)):
-                    nodes.append(
-                        _make_node(
-                            f"{inter_id}.c{c_ord}", Level.SUB_INTERMEDIATE, doc_id,
-                            inter_id, c_group, c_region, tokens, to_bytes,
-                        )
-                    )
-
-    return DocumentChunks(doc_id, tuple(nodes))
+#: The node table stores a level as its position in ``Level``.
+_LEVEL_CODES = {level: code for code, level in enumerate(Level)}
 
 
 def build_corpus(
@@ -208,13 +157,60 @@ def build_corpus(
     config: ChunkingConfig | None = None,
     tokenizer: Tokenizer | None = None,
 ) -> Corpus:
-    """Chunk every document (in mapping order) and assemble a corpus."""
+    """Chunk every document (in mapping order) into the corpus's node table.
+
+    Pure and deterministic: the same inputs always yield the same table.
+    Rows are the hierarchy in emission order (each parent, then each of its
+    intermediates followed by that intermediate's sentences), then the side
+    tier in the same order. Raises ``EmptyDocumentError`` for a document
+    that holds no sentences.
+    """
     config = config if config is not None else ChunkingConfig()
+    config.validate()
     tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
-    nodes: list[ChunkNode] = []
-    for doc_id, text in documents.items():
-        nodes.extend(chunk_document(doc_id, text, config, tokenizer).nodes)
-    return Corpus(documents, nodes, config=config, tokenizer_name=tokenizer.name)
+    tiers = _tiers(config)
+    # One (id, level, document, parent, start, end, tokens, hard split)
+    # tuple per row; the side tier's rows follow every hierarchy row and
+    # point only at intermediate rows, so no row number changes when the
+    # two lists are joined.
+    hierarchy: list[tuple] = []
+    side: list[tuple] = []
+
+    for doc, (doc_id, text) in enumerate(documents.items()):
+        sentence_spans = split_sentences(text)
+        if not sentence_spans:
+            raise EmptyDocumentError(f"document {doc_id!r} has no chunkable content")
+        tokens = _DocTokens(text, tokenizer)
+        to_bytes = _byte_offsets(text)
+
+        def cut(level, fragments, region, parent_row, id_prefix) -> None:
+            """Cut ``level``'s chunks from the fragments owning ``region``."""
+            tier = tiers[level]
+            if tier.budget is None:
+                groups = [_Group([fragment]) for fragment in fragments]
+            else:
+                fragments = _split_to_budget(fragments, tier.budget, tokens)
+                groups = _pack(fragments, tier.budget, tier.overlap)
+            rows = hierarchy if level in HIERARCHY_LEVELS else side
+            for ordinal, (group, group_region) in enumerate(zip(groups, _regions(groups, *region))):
+                chunk_id = f"{id_prefix}{tier.letter}{ordinal}"
+                # The chunk's row, for a hierarchy level; only those have children.
+                row = len(rows)
+                start, end = group_region.span
+                rows.append((
+                    chunk_id, _LEVEL_CODES[level], doc, parent_row, to_bytes(start), to_bytes(end),
+                    tokens.count(start, end),
+                    group.owned[0].split_head or group.owned[-1].split_tail,
+                ))
+                for child in tier.children:
+                    cut(child, group.owned, group_region.owned, row, f"{chunk_id}.")
+
+        fragments = [_Fragment(s, e, tokens.count(s, e)) for s, e in sentence_spans]
+        fragments = _split_to_budget(fragments, config.max_sentence_tokens, tokens)
+        cut(Level.PARENT, fragments, (0, len(text)), -1, f"{doc_id}:")
+
+    ids, *columns = zip(*hierarchy, *side) if hierarchy else [()] * 8
+    return Corpus(documents, ids, columns, config=config, tokenizer_name=tokenizer.name)
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +296,3 @@ def _regions(groups: list[_Group], region_start: int, region_end: int) -> list[_
         span_start = group.tail[0].start if group.tail else owned[0]
         out.append(_Region(span=(span_start, owned[1]), owned=owned))
     return out
-
-
-def _make_node(
-    chunk_id: str,
-    level: Level,
-    doc_id: str,
-    parent_id: str | None,
-    group: _Group,
-    region: _Region,
-    tokens: _DocTokens,
-    to_bytes: Callable[[int], int],
-) -> ChunkNode:
-    start, end = region.span
-    return ChunkNode(
-        id=chunk_id,
-        level=level,
-        doc_id=doc_id,
-        parent_id=parent_id,
-        char_span=(to_bytes(start), to_bytes(end)),
-        token_count=tokens.count(start, end),
-        hard_split=group.owned[0].split_head or group.owned[-1].split_tail,
-    )

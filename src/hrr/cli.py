@@ -27,6 +27,7 @@ from .errors import (
     NoDocumentsError,
     ProviderUnavailableError,
     SnapshotFormatError,
+    SpecInfeasibleError,
     UnknownChunkError,
     UnreadableDocumentError,
 )
@@ -135,6 +136,8 @@ def _apply_overrides(config: EngineConfig, args: argparse.Namespace) -> EngineCo
 
 
 def cmd_query(args: argparse.Namespace, config: EngineConfig) -> int:
+    if not args.query.strip():
+        raise ConfigError("the query text is blank")
     config = _apply_overrides(config, args)
     ctx = engine.load_context(config)
     result = retrieve(args.query, ctx)
@@ -246,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(getattr(args, "config", None))
         return args.func(args, config)
-    except ConfigError as exc:
+    except (ConfigError, SpecInfeasibleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

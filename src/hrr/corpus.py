@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,11 +136,12 @@ class Corpus:
     the corpus yields those, then every other level's nodes. Each of these
     builds its nodes when called; the corpus keeps none.
 
-    Row order is that iteration order. Construction checks the table's
-    structure, built or loaded alike, and raises ``InvalidCorpusError``
-    naming the first node that breaks it: ids are unique; every node names
-    one of ``documents``; a parent-level node has no parent, and every other
-    node's parent is an earlier node of the same document, at the level
+    The chunker's rows, and so a saved corpus's, are in that iteration
+    order. Construction checks the table's structure, built or loaded
+    alike, and raises ``InvalidCorpusError`` naming the first node that
+    breaks it: ids are unique; every node names one of ``documents``; a
+    parent-level node has no parent, and every other node's parent is an
+    earlier node of the same document, at the level
     ``_EXPECTED_PARENT_LEVEL`` names (so a sentence sits exactly two hops
     below its parent chunk); every span is non-empty, inside its document
     and on UTF-8 character boundaries; every ``hard_split`` flag is 0 or 1.
@@ -150,69 +151,35 @@ class Corpus:
     def __init__(
         self,
         documents: Mapping[str, str],
-        nodes: Iterable[ChunkNode],
-        *,
-        config: "ChunkingConfig",
-        tokenizer_name: str = "word-punct",
-    ) -> None:
-        # Row order: the hierarchy, then every other level.
-        rows: list[ChunkNode] = []
-        side: list[ChunkNode] = []
-        for node in nodes:
-            (rows if node.level in HIERARCHY_LEVELS else side).append(node)
-        rows += side
-        doc_rows = {doc_id: row for row, doc_id in enumerate(documents)}
-        ids = [node.id for node in rows]
-        index = dict(zip(ids, range(len(ids))))
-
-        def column(values, dtype) -> np.ndarray:
-            return np.fromiter(values, dtype=dtype, count=len(rows))
-
-        # Generators, not lists: no column's values exist as Python objects
-        # all at once beside the nodes. A document or parent the corpus
-        # lacks gets a row the structure check refuses.
-        try:
-            columns = _Columns(
-                column((_CODES[node.level] for node in rows), _DTYPES.level),
-                column((doc_rows.get(node.doc_id, len(doc_rows)) for node in rows), _DTYPES.doc),
-                column((-1 if node.parent_id is None else index.get(node.parent_id, -2)
-                        for node in rows), _DTYPES.parent),
-                column((node.char_span[0] for node in rows), _DTYPES.start),
-                column((node.char_span[1] for node in rows), _DTYPES.end),
-                column((node.token_count for node in rows), _DTYPES.token_count),
-                column((node.hard_split for node in rows), _DTYPES.hard_split),
-            )
-        except OverflowError as exc:  # a span or token count beyond its column's range
-            raise InvalidCorpusError(f"a node field does not fit the node table ({exc})") from None
-        self._setup(documents, ids, index, columns, config=config, tokenizer_name=tokenizer_name)
-
-    @classmethod
-    def _from_columns(
-        cls,
-        documents: Mapping[str, str],
-        ids: list[str],
-        columns: _Columns,
+        ids: Sequence[str],
+        columns: Sequence[Sequence[int]],
         *,
         config: "ChunkingConfig",
         tokenizer_name: str,
-    ) -> "Corpus":
-        """A corpus over an existing node table whose documents are ``documents``."""
-        corpus = cls.__new__(cls)
-        corpus._setup(documents, ids, dict(zip(ids, range(len(ids)))), columns,
-                      config=config, tokenizer_name=tokenizer_name)
-        return corpus
+    ) -> None:
+        """A corpus over ``documents`` and the node table ``ids``, ``columns``.
 
-    def _setup(self, documents, ids, index, columns, *, config, tokenizer_name) -> None:
+        Row ``i`` is node ``ids[i]``. ``columns`` holds one sequence of ints
+        per field, in this order: the node's level as its position in
+        ``Level``, its document's position in ``documents``, its parent's
+        row (-1 for none), the start and end of its byte span, its token
+        count and its hard-split flag (0 or 1). A value that does not fit
+        its column raises ``InvalidCorpusError``, as a broken structure does.
+        """
+        try:
+            # Converted, never cast, so an out-of-range value raises; in
+            # native byte order, since a memoryview of another order cannot
+            # be indexed (no copy of a loaded column on a little-endian host).
+            columns = _Columns(*(np.asarray(values, dtype=np.dtype(dtype).newbyteorder("="))
+                                 for values, dtype in zip(columns, _DTYPES, strict=True)))
+        except OverflowError as exc:
+            raise InvalidCorpusError(f"a node field does not fit the node table ({exc})") from None
         self.documents: dict[str, str] = dict(documents)
         self.config = config
         self.tokenizer_name = tokenizer_name
-        self._ids: list[str] = ids
-        self._index: dict[str, int] = index
-        # In native byte order (no copy on a little-endian host), since a
-        # memoryview of another order cannot be indexed.
-        self._cols = columns = _Columns(
-            *(column.astype(column.dtype.newbyteorder("="), copy=False) for column in columns)
-        )
+        self._ids = ids
+        self._index: dict[str, int] = dict(zip(ids, range(len(ids))))
+        self._cols = columns
         #: The columns as memoryviews too, whose items read as Python ints
         #: several times faster than numpy scalars; per-row lookups use them.
         self._view = _Columns(*map(memoryview, columns))
@@ -368,17 +335,16 @@ def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
     when the target level is not on the chunk's ancestor chain (anything
     below it, or the sentence and sub-intermediate tiers of other branches).
     """
-    row = corpus._row(chunk_id)
+    row = start = corpus._row(chunk_id)
     levels, parents = corpus._view.level, corpus._view.parent
     target = _CODES[target_level]
     while levels[row] != target:
-        up = parents[row]
-        if up < 0:
+        row = parents[row]
+        if row < 0:
             raise LevelViolationError(
-                f"{chunk_id!r} ({_LEVELS[levels[row]].value}) has no ancestor at "
+                f"{chunk_id!r} ({_LEVELS[levels[start]].value}) has no ancestor at "
                 f"{target_level.value!r}"
             )
-        row = up
     return corpus._ids[row]
 
 
@@ -527,7 +493,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    with _replacing(directory / DOCUMENTS_FILE) as fh:
+    with replacing(directory / DOCUMENTS_FILE) as fh:
         for doc_id, text in corpus.documents.items():
             fh.write((_dumps({"doc_id": doc_id, "text": text}) + "\n").encode("utf-8"))
 
@@ -541,7 +507,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
         "ids_bytes": len(ids),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
-    with _replacing(directory / NODES_FILE) as fh:
+    with replacing(directory / NODES_FILE) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
@@ -552,9 +518,10 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
 
 
 @contextmanager
-def _replacing(path: Path) -> Iterator[BinaryIO]:
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
     """Write ``path``'s temporary sibling, and rename it over ``path`` once
     written whole; a write that fails removes it."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -644,9 +611,7 @@ def load_corpus(directory: str | Path) -> Corpus:
             )
 
     try:
-        return Corpus._from_columns(
-            documents, ids, columns, config=config, tokenizer_name=tokenizer_name
-        )
+        return Corpus(documents, ids, columns, config=config, tokenizer_name=tokenizer_name)
     except InvalidCorpusError as exc:
         raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
 

@@ -61,8 +61,8 @@ def make_reranker(config: EngineConfig) -> RerankProvider:
 def read_documents(docs_dir: str | Path) -> dict[str, str]:
     """Read every ``*.txt`` file (sorted by name) as one document.
 
-    A path that is not a readable UTF-8 file raises
-    ``UnreadableDocumentError`` naming it.
+    A path that is not a readable UTF-8 file, or whose text is empty or
+    only whitespace, raises ``UnreadableDocumentError`` naming it.
     """
     docs_dir = Path(docs_dir)
     paths = sorted(docs_dir.glob("*.txt"))
@@ -71,13 +71,16 @@ def read_documents(docs_dir: str | Path) -> dict[str, str]:
     documents = {}
     for path in paths:
         try:
-            documents[path.stem] = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise UnreadableDocumentError(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
         except OSError as exc:
             raise UnreadableDocumentError(f"{path}: cannot read ({exc.strerror})") from None
+        if not text.strip():
+            raise UnreadableDocumentError(f"{path}: no text to chunk, only whitespace")
+        documents[path.stem] = text
     return documents
 
 

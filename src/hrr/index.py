@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, read_array, read_exact
+from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, read_array, read_exact, replacing
 from .embedding import EmbeddingProvider, cosine_similarity, embed_batch, ensure_unit
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
@@ -369,13 +369,14 @@ def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:
     float32 matrix; a CSR body is the ``count + 1`` ``<i8`` row pointers,
     the ``nnz`` ``<u2`` columns and the ``nnz`` ``<f4`` values. Row ``i``
     belongs to the ``i``-th chunk id, so the ids themselves live only in
-    the corpus.
+    the corpus. The file is written under a temporary name and renamed into
+    place, so an interrupted save leaves the earlier snapshot whole.
     """
     fields = {"level": index.level.value, "dimension": index.dimension, "count": len(index),
               "embedder": embedder, "ids_sha256": _ids_digest(index.chunk_ids),
               "layout": index.layout, "nnz": index.nnz}
     header = json.dumps(fields, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrr.chunking import ChunkingConfig, _byte_offsets, build_corpus, chunk_document
-from hrr.corpus import Corpus, Level, validate_corpus
+from hrr.chunking import ChunkingConfig, _byte_offsets, build_corpus
+from hrr.corpus import Level, validate_corpus
 from hrr.errors import ConfigError, EmptyDocumentError
 from hrr.synth import CorpusSpec, generate
 from hrr.tokens import _TOKENIZERS, WordPunctTokenizer
@@ -27,9 +27,14 @@ def doc_of_sentences(n_sentences: int, words_per_sentence: int = 7) -> str:
     return " ".join(sents)
 
 
-def levels_of(fragment):
+def chunk(text, config):
+    """The chunker's nodes for one document ``d``, hierarchy then side tier."""
+    return list(build_corpus({"d": text}, config))
+
+
+def levels_of(nodes):
     out = {level: [] for level in Level}
-    for node in fragment.nodes:
+    for node in nodes:
         out[node.level].append(node)
     return out
 
@@ -39,23 +44,23 @@ class TestDerivedSizes:
         # 625 sentences x (7 words + period) = 5000 tokens; 2048 = 256 * 8
         text = doc_of_sentences(625)
         assert TOK.count_tokens(text) == 5000  # brute-force oracle for the premise
-        fragment = chunk_document("d", text, ChunkingConfig())
-        parents = levels_of(fragment)[Level.PARENT]
+        nodes = chunk(text, ChunkingConfig())
+        parents = levels_of(nodes)[Level.PARENT]
         assert [p.token_count for p in parents] == [2048, 2048, 904]
         assert sum(p.token_count for p in parents) == 5000
 
     def test_small_doc_single_parent_single_intermediate(self):
         text = doc_of_sentences(12)  # 96 tokens
-        fragment = chunk_document("d", text, ChunkingConfig())
-        by_level = levels_of(fragment)
+        nodes = chunk(text, ChunkingConfig())
+        by_level = levels_of(nodes)
         assert len(by_level[Level.PARENT]) == 1
         assert len(by_level[Level.INTERMEDIATE]) == 1
         assert len(by_level[Level.SENTENCE]) == 12
 
     def test_600_token_sentence_hard_splits(self):
         text = " ".join(f"w{i}" for i in range(600))  # one 600-token "sentence"
-        fragment = chunk_document("d", text, ChunkingConfig())
-        by_level = levels_of(fragment)
+        nodes = chunk(text, ChunkingConfig())
+        by_level = levels_of(nodes)
         assert len(by_level[Level.PARENT]) == 1
         inters = by_level[Level.INTERMEDIATE]
         # the 400-token sentence cap yields fragments of 400 + 200 tokens
@@ -71,11 +76,11 @@ class TestDerivedSizes:
 class TestErrors:
     def test_empty_document(self):
         with pytest.raises(EmptyDocumentError):
-            chunk_document("d", "", ChunkingConfig())
+            chunk("", ChunkingConfig())
 
     def test_whitespace_only(self):
         with pytest.raises(EmptyDocumentError):
-            chunk_document("d", "  \n\n  ", ChunkingConfig())
+            chunk("  \n\n  ", ChunkingConfig())
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -100,28 +105,21 @@ class TestHardSplitFlagging:
             parent_size=10, intermediate_size=4, sub_intermediate_size=None,
             max_sentence_tokens=400,
         )
-        fragment = chunk_document("d", text, cfg)
-        by_level = levels_of(fragment)
+        corpus = build_corpus({"d": text}, cfg)
+        by_level = levels_of(corpus)
         assert all(p.token_count <= 10 for p in by_level[Level.PARENT])
         assert all(i.token_count <= 4 for i in by_level[Level.INTERMEDIATE])
-        assert any(n.hard_split for n in fragment.nodes)
+        assert any(n.hard_split for n in corpus)
         # nothing truncated: parents reassemble the source
-        corpus = Corpus({"d": text}, fragment.nodes, config=cfg)
         assert validate_corpus(corpus) == []
 
     def test_giant_single_token_is_kept_and_flagged(self):
         text = "start. " + "y" * 5000 + " more words follow. The end."
         cfg = ChunkingConfig(parent_size=12, intermediate_size=6, sub_intermediate_size=None)
-        fragment = chunk_document("d", text, cfg)
-        giant = [n for n in fragment.nodes if "y" * 5000 in _text(fragment, n, text)]
+        corpus = build_corpus({"d": text}, cfg)
+        giant = [n for n in corpus if "y" * 5000 in corpus.chunk_text(n.id)]
         assert giant, "giant token must survive chunking"
-        corpus = Corpus({"d": text}, fragment.nodes, config=cfg)
         assert validate_corpus(corpus) == []
-
-
-def _text(fragment, node, text):
-    start, end = node.char_span
-    return text.encode("utf-8")[start:end].decode("utf-8")
 
 
 class TestOverlap:
@@ -131,21 +129,21 @@ class TestOverlap:
             parent_size=80, parent_overlap=16, intermediate_size=40,
             sub_intermediate_size=None,
         )
-        fragment = chunk_document("d", text, cfg)
-        parents = levels_of(fragment)[Level.PARENT]
+        nodes = chunk(text, cfg)
+        parents = levels_of(nodes)[Level.PARENT]
         assert len(parents) >= 2
         # second parent's span reaches left of the first parent's end
         assert parents[1].char_span[0] < parents[0].char_span[1]
         assert all(p.token_count <= 80 for p in parents)
         # every sentence still has exactly one parent chain
-        sentences = levels_of(fragment)[Level.SENTENCE]
-        inter_ids = {i.id for i in levels_of(fragment)[Level.INTERMEDIATE]}
+        sentences = levels_of(nodes)[Level.SENTENCE]
+        inter_ids = {i.id for i in levels_of(nodes)[Level.INTERMEDIATE]}
         assert all(s.parent_id in inter_ids for s in sentences)
 
     def test_zero_overlap_partitions(self):
         text = doc_of_sentences(30)
-        fragment = chunk_document("d", text, ChunkingConfig(parent_size=80, intermediate_size=40, sub_intermediate_size=None))
-        parents = levels_of(fragment)[Level.PARENT]
+        nodes = chunk(text, ChunkingConfig(parent_size=80, intermediate_size=40, sub_intermediate_size=None))
+        parents = levels_of(nodes)[Level.PARENT]
         for prev, nxt in zip(parents, parents[1:]):
             assert prev.char_span[1] == nxt.char_span[0]
 
@@ -193,8 +191,8 @@ class TestInvariantsFuzzed:
     def test_determinism(self):
         rng = random.Random(7)
         text = random_document(rng, 500)
-        a = chunk_document("d", text, ChunkingConfig(parent_size=64, intermediate_size=16, sub_intermediate_size=8))
-        b = chunk_document("d", text, ChunkingConfig(parent_size=64, intermediate_size=16, sub_intermediate_size=8))
+        a = chunk(text, ChunkingConfig(parent_size=64, intermediate_size=16, sub_intermediate_size=8))
+        b = chunk(text, ChunkingConfig(parent_size=64, intermediate_size=16, sub_intermediate_size=8))
         assert a == b
 
 

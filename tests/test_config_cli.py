@@ -9,7 +9,8 @@ import requests
 
 from hrr.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PROVIDER, main
 from hrr.config import config_from_dict, load_config
-from hrr.corpus import ChunkNode, Corpus, Level, load_corpus, save_corpus
+from hrr.chunking import build_corpus
+from hrr.corpus import ChunkNode, Level, load_corpus, save_corpus
 from hrr.engine import load_context
 from hrr.errors import ConfigError
 from hrr.evaluation import load_query_set
@@ -234,6 +235,13 @@ class TestCliWorkflow:
         ctx.corpus.get(ctx.corpus.ids_at(Level.PARENT)[0])  # the count sees a build
         assert len(built) == 1
 
+    def test_ingest_builds_no_chunk_node(self, workdir, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("ingest built a ChunkNode")
+
+        monkeypatch.setattr(ChunkNode, "__init__", refuse)
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
+
     #: sha256 of every artifact the workdir ingest writes (side tier
     #: included). Any change to chunking, serialization or the index format
     #: shows up here.
@@ -279,6 +287,28 @@ class TestCliErrors:
         assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
         assert "latin1.txt: not valid UTF-8" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n "], ids=["empty", "whitespace"])
+    def test_blank_document_is_io_error(self, workdir, capsys, text):
+        Path("synth/docs/blank.txt").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "blank.txt: no text to chunk" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("query", ["", "   ", "\n\t"])
+    def test_blank_query_is_usage_error_before_loading(self, workdir, capsys, query):
+        # No ingest ran, so loading any artifact would exit 3.
+        capsys.readouterr()
+        assert main(["query", query, "--config", "engine.json"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "query text is blank" in err and err.count("\n") == 1
+
+    def test_infeasible_synth_spec_is_usage_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["synth", "--needles", "1000", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_directory_named_like_a_document_is_io_error(self, workdir, capsys):
         Path("synth/docs/folder.txt").mkdir()
@@ -402,10 +432,7 @@ class TestCliErrors:
         main(["ingest", "synth/docs", "--config", "engine.json"])
         corpus = load_corpus("corpus")
         half = dict(list(corpus.documents.items())[: len(corpus.documents) // 2])
-        save_corpus(
-            Corpus(half, [n for n in corpus if n.doc_id in half], config=corpus.config),
-            "corpus",
-        )
+        save_corpus(build_corpus(half, corpus.config), "corpus")
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err

@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrr.corpus as corpus_module
-from hrr.chunking import ChunkingConfig, build_corpus, chunk_document
+from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.corpus import (
     HIERARCHY_LEVELS,
     ChunkNode,
-    Corpus,
     Level,
     load_corpus,
     resolve_parent,
@@ -31,6 +30,8 @@ from hrr.errors import (
     UnknownChunkError,
 )
 from hrr.synth import CorpusSpec, generate
+
+from node_table import corpus_of
 
 CFG = ChunkingConfig(parent_size=24, intermediate_size=10, sub_intermediate_size=5)
 
@@ -80,6 +81,17 @@ class TestResolveParent:
         sentence = _node(corpus, Level.SENTENCE)
         with pytest.raises(LevelViolationError):
             resolve_parent(corpus, sentence.id, Level.SUB_INTERMEDIATE)
+
+    @pytest.mark.parametrize("level, target", [(Level.SENTENCE, Level.SUB_INTERMEDIATE),
+                                               (Level.INTERMEDIATE, Level.SENTENCE),
+                                               (Level.SUB_INTERMEDIATE, Level.SENTENCE)])
+    def test_violation_names_the_chunks_own_level(self, corpus, level, target):
+        chunk_id = _node(corpus, level).id
+        with pytest.raises(LevelViolationError) as exc:
+            resolve_parent(corpus, chunk_id, target)
+        assert str(exc.value) == (
+            f"{chunk_id!r} ({level.value}) has no ancestor at {target.value!r}"
+        )
 
     def test_two_hop_equals_one_hop_for_all_sentences(self, corpus):
         for node in corpus.nodes_at(Level.SENTENCE):
@@ -150,7 +162,7 @@ class TestValidateCorpus:
             ChunkNode("d:p0.i0.s0", Level.SENTENCE, "d", "d:p0", (0, 10), 2),
         ]
         with pytest.raises(InvalidCorpusError, match="'d:p0.i0.s0': its parent is not at"):
-            Corpus(doc, nodes, config=CFG)
+            corpus_of(doc, nodes, CFG)
 
     def test_duplicate_id(self):
         doc = {"d": "alpha beta"}
@@ -159,7 +171,7 @@ class TestValidateCorpus:
             ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
         ]
         with pytest.raises(InvalidCorpusError, match="'d:p0' names more than one node"):
-            Corpus(doc, nodes, config=CFG)
+            corpus_of(doc, nodes, CFG)
 
     def test_dangling_parent(self):
         doc = {"d": "alpha beta"}
@@ -168,26 +180,26 @@ class TestValidateCorpus:
             ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2),
         ]
         with pytest.raises(InvalidCorpusError, match="'d:p0.i0': its parent row is not"):
-            Corpus(doc, nodes, config=CFG)
+            corpus_of(doc, nodes, CFG)
 
     def test_budget_and_drift(self):
         doc = {"d": "one two three four five six seven eight nine ten eleven twelve"}
         nodes = [ChunkNode("d:p0", Level.PARENT, "d", None, (0, len(doc["d"])), 3)]
-        bad = Corpus(doc, nodes, config=ChunkingConfig(parent_size=5, intermediate_size=2))
+        bad = corpus_of(doc, nodes, ChunkingConfig(parent_size=5, intermediate_size=2))
         rules = [v.rule for v in validate_corpus(bad)]
         assert "TokenCountDrift" in rules and "BudgetExceeded" in rules
 
     def test_coverage_gap(self):
         doc = {"d": "abcdef ghijkl"}
         nodes = [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 6), 1)]
-        bad = Corpus(doc, nodes, config=CFG)
+        bad = corpus_of(doc, nodes, CFG)
         assert "CoverageGap" in [v.rule for v in validate_corpus(bad)]
 
     def test_span_out_of_bounds(self):
         doc = {"d": "tiny"}
         nodes = [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 99), 1)]
         with pytest.raises(InvalidCorpusError, match="'d:p0': its span"):
-            Corpus(doc, nodes, config=CFG)
+            corpus_of(doc, nodes, CFG)
 
 
     # "alpha beta gamma delta": one parent, intermediate and sentence over the
@@ -201,7 +213,7 @@ class TestValidateCorpus:
             ChunkNode("d:p0.i0.s0", Level.SENTENCE, "d", "d:p0.i0", (0, 22), 4),
             *side_nodes,
         ]
-        return Corpus(self.SIDE_DOC, nodes, config=CFG)
+        return corpus_of(self.SIDE_DOC, nodes, CFG)
 
     def test_clean_side_tier(self):
         good = self._side_corpus(
@@ -312,8 +324,8 @@ class TestSerialization:
         """A corpus that could not be saved is not constructed."""
         doc = {"d": "alpha beta"}
         with pytest.raises(InvalidCorpusError, match="'d:p0.i0'"):
-            Corpus(doc, [ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2)],
-                   config=CFG)
+            corpus_of(doc, [ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2)],
+                      CFG)
 
 
 #: The node file's layout, spelled out apart from ``hrr.corpus``: magic,
@@ -470,19 +482,19 @@ class TestStructureGate:
     def test_span_ending_inside_a_character(self):
         # "É" is bytes 0-1 of "Été".
         with pytest.raises(InvalidCorpusError, match="'d:p0': its span cuts a UTF-8 character"):
-            Corpus({"d": "Été"}, [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 1), 1)],
-                   config=CFG)
+            corpus_of({"d": "Été"}, [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 1), 1)],
+                      CFG)
 
     def test_span_one_byte_past_the_document(self):
         with pytest.raises(InvalidCorpusError, match="'d:p0': its span"):
-            Corpus({"d": "alpha beta"}, [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 11), 2)],
-                   config=CFG)
+            corpus_of({"d": "alpha beta"},
+                      [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 11), 2)], CFG)
 
     def test_intermediate_without_parent_link(self):
         nodes = [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
                  ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", None, (0, 10), 2)]
         with pytest.raises(InvalidCorpusError, match="'d:p0.i0': its parent link is missing"):
-            Corpus({"d": "alpha beta"}, nodes, config=CFG)
+            corpus_of({"d": "alpha beta"}, nodes, CFG)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -502,7 +514,7 @@ class TestStructureGate:
         field = data.draw(st.sampled_from(sorted(values)), label="field")
         nodes[row] = replace(nodes[row], **{field: data.draw(values[field], label="value")})
         try:
-            corpus = Corpus(self.DOCS, nodes, config=CFG)
+            corpus = corpus_of(self.DOCS, nodes, CFG)
         except InvalidCorpusError:
             return
         with tempfile.TemporaryDirectory() as directory:
@@ -514,9 +526,10 @@ class TestStructureGate:
 
 
 def _chunker_nodes(documents, config):
-    """The chunker's nodes, hierarchy first, then the side tier: the oracle."""
+    """The chunker's nodes, hierarchy first, then the side tier: the oracle,
+    chunked one document at a time."""
     nodes = [n for doc_id, text in documents.items()
-             for n in chunk_document(doc_id, text, config).nodes]
+             for n in build_corpus({doc_id: text}, config)]
     return ([n for n in nodes if n.level is not Level.SUB_INTERMEDIATE]
             + [n for n in nodes if n.level is Level.SUB_INTERMEDIATE])
 

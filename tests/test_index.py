@@ -371,6 +371,27 @@ class TestSnapshots:
         save_index(index, tmp_path / "b.idx", EMBEDDER)
         assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
 
+    def test_interrupted_save_keeps_the_earlier_snapshot(self, tmp_path, layout, monkeypatch):
+        dim = dim_for(layout, 6)
+        index = random_index(random.Random(5), 10, dim, layout)
+        path = tmp_path / "sentence.idx"
+        save_index(index, path, EMBEDDER)
+        before = path.read_bytes()
+        array, dtype = index._rows.blocks()[0]
+
+        def fail_partway():
+            yield array[: len(array) // 2], dtype
+            raise OSError("disk full")
+
+        # The write fails partway through the body.
+        monkeypatch.setattr(index._rows, "blocks", fail_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(index, path, EMBEDDER)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sentence.idx"]
+        assert np.array_equal(load_index(path, index.chunk_ids, EMBEDDER, dim).vectors,
+                              index.vectors)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(b"NOTANIDX" + b"\x00" * 32)

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from hrr.chunking import ChunkingConfig, build_corpus
-from hrr.corpus import Corpus, Level
+from hrr.corpus import Level
 from hrr.embedding import HashedBowEmbedder, cosine_similarity, embed_batch
 from hrr.engine import context_for
 from hrr.config import EngineConfig
@@ -293,7 +293,7 @@ class TestSharedBehavior:
         assert retrieve(QUERY, ctx) == retrieve(QUERY, ctx)
 
     def test_empty_corpus_rejected(self):
-        empty = Corpus({}, [], config=TOY_CHUNKING)
+        empty = build_corpus({}, TOY_CHUNKING)
         ctx = RetrievalContext(
             corpus=empty,
             indices={},

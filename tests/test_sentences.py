@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrr.chunking import ChunkingConfig, chunk_document
+from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.corpus import Level
 from hrr.sentences import split_sentences
 
@@ -69,8 +69,8 @@ class TestHardSplitFallback:
     def test_long_sentence_capped(self):
         # The chunker, not the splitter, caps long sentences.
         words = " ".join(f"w{i}" for i in range(1000))  # 1000 tokens, no terminator
-        fragment = chunk_document("d", words, ChunkingConfig(max_sentence_tokens=400))
-        sentences = [n for n in fragment.nodes if n.level is Level.SENTENCE]
+        corpus = build_corpus({"d": words}, ChunkingConfig(max_sentence_tokens=400))
+        sentences = list(corpus.nodes_at(Level.SENTENCE))
         assert [n.token_count for n in sentences] == [400, 400, 200]
         assert all(n.hard_split for n in sentences)
 
