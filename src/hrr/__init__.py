@@ -20,6 +20,7 @@ from .corpus import (
     validate_corpus,
 )
 from .embedding import (
+    CsrBatch,
     EmbeddingProvider,
     HashedBowEmbedder,
     RemoteEmbedder,

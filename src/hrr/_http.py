@@ -1,15 +1,21 @@
-"""Shared HTTP plumbing for the remote embed and rerank clients."""
+"""Shared HTTP plumbing for the remote embed and rerank clients.
+
+``requests`` is imported only when a remote client is built or called, so
+that the local pipeline never pays for loading it.
+"""
 
 from __future__ import annotations
 
 import math
 import os
 import time
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
-import requests
-
 from .errors import ConfigError, ProviderUnavailableError
+
+if TYPE_CHECKING:
+    import requests
 
 
 def auth_headers(api_key_env: str | None) -> dict[str, str]:
@@ -36,6 +42,13 @@ def check_http_settings(section: str, base_url: str | None, timeout: float, retr
         raise ConfigError(f"{section}.retries must be >= 0, got {retries}")
 
 
+def new_session() -> requests.Session:
+    """A ``requests.Session`` for a remote client."""
+    import requests
+
+    return requests.Session()
+
+
 def post_json(
     session: requests.Session,
     url: str,
@@ -49,6 +62,8 @@ def post_json(
     """POST with exponential-backoff retries on transport errors (any
     ``requests.RequestException``: timeouts, refused connections, a body cut
     off mid-stream) and 5xx responses. 4xx responses fail immediately."""
+    import requests
+
     last: Exception | None = None
     for attempt in range(retries + 1):
         try:

@@ -4,19 +4,23 @@ All vectors entering the pipeline are float32, finite, and unit-norm, so
 the index can use a plain dot product as cosine similarity. Two providers
 ship with the package: a deterministic hashed bag-of-words embedder for
 offline runs and tests, and a client for a remote embedding service.
+
+A provider returns a batch as a dense ``(n, d)`` float32 block or as
+compressed sparse rows (``CsrBatch``). A hashed bag-of-words row holds a
+dozen non-zeros of 384 buckets, so that embedder returns CSR and no dense
+block of its rows is ever built.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-import requests
 
-from ._http import auth_headers, post_json
+from ._http import auth_headers, new_session, post_json
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -25,7 +29,108 @@ from .errors import (
 )
 from .tokens import WordPunctTokenizer
 
+if TYPE_CHECKING:
+    import requests
+
 _NORM_TOLERANCE = 1e-6
+
+#: CSR rows whose norms are taken at a time, which bounds the temporaries.
+_NORM_ROWS = 1024
+
+
+class CsrBatch:
+    """A batch of float32 rows in compressed sparse row (CSR) form.
+
+    Row ``i`` holds ``values[indptr[i]:indptr[i + 1]]`` at the columns in
+    the same slice of ``columns``, ascending; its other entries are 0. The
+    batch reads as a sequence of dense rows: ``len``, ``batch[i]`` and
+    iteration give ``(dimension,)`` float32 arrays, and ``np.asarray(batch)``
+    the ``(n, dimension)`` matrix.
+    """
+
+    __slots__ = ("indptr", "columns", "values", "dimension")
+
+    def __init__(
+        self, indptr: np.ndarray, columns: np.ndarray, values: np.ndarray, dimension: int
+    ) -> None:
+        self.indptr = indptr
+        self.columns = columns
+        self.values = values
+        self.dimension = dimension
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries."""
+        return len(self.values)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if i < 0:
+            i += len(self)
+            if i < 0:
+                raise IndexError("row index out of range")
+        # Past the last row, indptr[i + 1] raises the IndexError.
+        start, end = self.indptr[i], self.indptr[i + 1]
+        out = np.zeros(self.dimension, dtype=np.float32)
+        out[self.columns[start:end]] = self.values[start:end]
+        return out
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a CsrBatch becomes a dense array only by a copy")
+        out = np.zeros((len(self), self.dimension), dtype=np.float32)
+        out[self.entry_rows(), self.columns] = self.values
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def problem(self) -> str | None:
+        """What keeps these arrays from being a CSR matrix, or None.
+
+        The row pointers must rise from 0 to ``nnz``, with one column index
+        per value, and each row's columns must be strictly ascending and in
+        ``[0, dimension)``, so that no row can index out of range.
+        """
+        indptr, columns, nnz = self.indptr, self.columns, self.nnz
+        if len(columns) != nnz:
+            return f"{len(columns)} column indexes for {nnz} values"
+        if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
+            return f"row pointers do not rise from 0 to the {nnz} stored non-zeros"
+        if nnz and not (0 <= int(columns.min()) and int(columns.max()) < self.dimension):
+            return f"a column index lies outside [0, {self.dimension})"
+        # Entries p - 1 and p may descend only where p starts a row.
+        descending = columns[1:] <= columns[:-1]
+        starts = indptr[(indptr > 0) & (indptr < nnz)]
+        descending[starts - 1] = False
+        if descending.any():
+            return "columns are not strictly ascending within a row"
+        return None
+
+    def squared_norms(self) -> np.ndarray:
+        """Each row's float64 sum of the exact squares of its entries.
+
+        Taken ``_NORM_ROWS`` rows at a time, so the temporaries stay small
+        beside the batch. Needs arrays that ``problem`` accepts.
+        """
+        out = np.zeros(len(self))
+        for start in range(0, len(self), _NORM_ROWS):
+            ptr = self.indptr[start : start + _NORM_ROWS + 1]
+            # An empty row adds nothing, so each non-empty row's run of
+            # entries ends where the next non-empty row's begins.
+            nonempty = np.flatnonzero(ptr[1:] > ptr[:-1])
+            if nonempty.size:
+                squares = np.square(self.values[ptr[0] : ptr[-1]], dtype=np.float64)
+                out[start + nonempty] = np.add.reduceat(squares, ptr[nonempty] - ptr[0])
+        return out
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        indptr = self.indptr
+        dtype = np.int32 if len(indptr) <= 2**31 else np.int64
+        return np.repeat(np.arange(len(indptr) - 1, dtype=dtype), indptr[1:] - indptr[:-1])
 
 
 @runtime_checkable
@@ -41,11 +146,15 @@ class EmbeddingProvider(Protocol):
     @property
     def dimension(self) -> int: ...
 
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text, in order: an ``(n, dimension)`` float32 block.
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray | CsrBatch:
+        """One row per text, in order: an ``(n, dimension)`` float32 block,
+        or the same rows as a ``CsrBatch``.
 
-        The block must be a fresh array that passes to the caller, which may
-        normalize its rows in place and freeze it inside an index.
+        The rows must be fresh arrays that pass to the caller, which may
+        normalize rows in place and freeze them inside an index. A provider
+        whose rows are mostly zeros returns CSR, so that no dense block is
+        built for them; the index stores them as CSR too when that is
+        smaller, and densifies them otherwise.
         """
         ...
 
@@ -84,15 +193,18 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)))
 
 
-def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
+def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray | CsrBatch:
     """Embed texts through ``provider`` with boundary validation.
 
-    Order-preserving: one unit-norm float32 row per input, in one
-    ``(n, dimension)`` block. Each row goes through ``ensure_unit``; a
-    writeable float32 array from the provider is validated in place and
-    returned without a copy. Rejects an empty list and empty strings;
-    whitespace-only text is allowed (providers map it to a documented
-    fallback vector).
+    Order-preserving: one unit-norm float32 row per input, as the
+    provider's ``(n, dimension)`` block or ``CsrBatch``. Every row comes
+    out as ``ensure_unit`` would return it, by one check over all the rows'
+    norms: the rows plainly within tolerance of unit norm pass untouched,
+    and only the others -- off unit, near the tolerance, zero or not finite
+    -- go through ``ensure_unit`` itself. A writeable float32 block and a
+    ``CsrBatch`` are validated in place and returned without a copy.
+    Rejects an empty list and empty strings; whitespace-only text is
+    allowed (providers map it to a documented fallback vector).
     """
     if len(texts) == 0:
         raise InvalidInputError("embed_batch requires at least one text")
@@ -105,19 +217,90 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
             f"provider {provider.name!r} returned {len(vectors)} vectors for {len(texts)} texts"
         )
     dimension = provider.dimension
-    if isinstance(vectors, np.ndarray) and vectors.dtype == np.float32 and vectors.flags.writeable:
-        block = vectors
-    else:
-        block = np.empty((len(texts), dimension), dtype=np.float32)
-    for i, vector in enumerate(vectors):
-        block[i] = ensure_unit(vector, dimension)
+    if isinstance(vectors, CsrBatch):
+        _check_csr(vectors, dimension)
+        indptr, columns, values = vectors.indptr, vectors.columns, vectors.values
+        for i in _rows_off_unit(vectors.squared_norms(), dimension):
+            start, end = indptr[i], indptr[i + 1]
+            values[start:end] = ensure_unit(vectors[i])[columns[start:end]]
+        return vectors
+    block = vectors
+    if not (isinstance(block, np.ndarray) and block.dtype == np.float32 and block.flags.writeable):
+        try:
+            block = np.array(vectors, dtype=np.float32)
+        except ValueError as exc:
+            raise InvalidInputError(f"provider rows do not form one block: {exc}") from None
+    if block.ndim != 2:
+        raise InvalidInputError(f"expected an (n, d) block of vectors, got shape {block.shape}")
+    if block.shape[1] != dimension:
+        raise DimensionMismatchError(f"expected dimension {dimension}, got {block.shape[1]}")
+    # einsum casts a buffer at a time, so no float64 copy of the block is made.
+    for i in _rows_off_unit(np.einsum("ij,ij->i", block, block, dtype=np.float64), dimension):
+        block[i] = ensure_unit(block[i])
     return block
 
 
-@lru_cache(maxsize=1 << 16)
+def _check_csr(batch: CsrBatch, dimension: int) -> None:
+    """Reject CSR rows of another dimension, not float32, or not a CSR matrix."""
+    if batch.dimension != dimension:
+        raise DimensionMismatchError(f"expected dimension {dimension}, got {batch.dimension}")
+    if batch.values.dtype != np.float32:
+        raise InvalidInputError(f"CSR values must be float32, got {batch.values.dtype}")
+    problem = batch.problem()
+    if problem is not None:
+        raise InvalidInputError(f"malformed CSR rows: {problem}")
+
+
+def _rows_off_unit(squared_norms: np.ndarray, dimension: int) -> np.ndarray | tuple[()]:
+    """The rows ``ensure_unit`` might not pass through unchanged.
+
+    ``squared_norms`` are float64 sums of the exact squares of float32 rows,
+    in any order. Each differs from the sum ``ensure_unit`` takes by at most
+    ``2 * gamma_d(f64)`` of its value (Higham, 3.1), so a row whose norm lies
+    within the tolerance by ``d * 2**-50`` or more, a margin that also
+    covers the rounding of the square root, is one that ``ensure_unit``
+    passes through bit-identically. With ``t`` the tolerance less that
+    margin, ``|s - 1| <= 2t - t**2`` puts ``sqrt(s)`` within ``t`` of 1; near
+    1, ``s - 1`` is exact. Every other row -- off unit, near the tolerance,
+    zero or not finite -- is returned, to be handed to ``ensure_unit``.
+    """
+    t = _NORM_TOLERANCE - dimension * 2.0**-50
+    bound = 2.0 * t - t * t
+    off = np.abs(squared_norms - 1.0)
+    if off.max() <= bound:
+        return ()
+    return np.flatnonzero(~(off <= bound))
+
+
 def _bucket(token: str, dimension: int) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dimension
+
+
+#: Distinct tokens one hashed-bow embedder remembers the buckets of.
+_BUCKET_MEMO_SIZE = 1 << 16
+
+
+class _BucketMemo(dict):
+    """Token to bucket, each computed by ``_bucket`` on first sight.
+
+    Emptied when it holds ``_BUCKET_MEMO_SIZE`` tokens, which bounds it.
+    """
+
+    def __init__(self, dimension: int) -> None:
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= _BUCKET_MEMO_SIZE:
+            self.clear()
+        bucket = self[token] = _bucket(token, self.dimension)
+        return bucket
+
+
+#: Count cells (rows times dimension) one block of a hashed-bow batch holds;
+#: the temporaries of an embed stay near 8 bytes per cell.
+_BLOCK_CELLS = 1 << 15
 
 
 class HashedBowEmbedder:
@@ -130,6 +313,14 @@ class HashedBowEmbedder:
     it captures keyword overlap, not semantics, which is exactly what
     deterministic offline runs need. Text with no tokens maps to the first
     basis vector.
+
+    A batch comes back as a ``CsrBatch``, built a block of rows at a time:
+    one ``np.bincount`` counts every (row, bucket) pair of the block, so no
+    dense row is made. Each value is ``float32(count / norm)`` with the
+    norm taken over exact float64 integer squares, so the rows are
+    bit-identical to the recipe applied one text at a time. A batch of one
+    text, a query, comes back as a dense ``(1, d)`` block instead: search
+    reads the query dense, and one row is built with fewer numpy calls so.
     """
 
     name = "hashed-bow"
@@ -139,26 +330,62 @@ class HashedBowEmbedder:
             raise ConfigError("dimension must be >= 1")
         self._dimension = dimension
         self._tokenizer = WordPunctTokenizer()
+        self._buckets = _BucketMemo(dimension)
+        self._column_dtype = np.uint16 if dimension <= 1 << 16 else np.int64
 
     @property
     def dimension(self) -> int:
         return self._dimension
 
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_batch(self, texts: Sequence[str]) -> CsrBatch | np.ndarray:
+        if len(texts) == 1:
+            return self._embed_one(texts[0])
         dimension = self._dimension
-        # One block for every output row: a float32 array per text, allocated
-        # between the per-text temporaries, fragments the heap (+15 MB peak
-        # RSS over the 75k texts of a 200-doc ingest).
-        out = np.empty((len(texts), dimension), dtype=np.float32)
-        for row, text in zip(out, texts):
-            buckets = [_bucket(token, dimension) for token in self._tokenizer.tokens(text.lower())]
-            counts = np.bincount(buckets, minlength=dimension).astype(np.float64)
-            norm = float(np.linalg.norm(counts))
-            if norm == 0.0:
-                counts[0] = 1.0
-                norm = 1.0
-            row[:] = counts / norm
-        return out
+        step = max(1, _BLOCK_CELLS // dimension)
+        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+        columns, values = [], []
+        for start in range(0, len(texts), step):
+            block = texts[start : start + step]
+            counts = np.bincount(self._bucket_cells(block))
+            cells = np.flatnonzero(counts)
+            rows, cols = np.divmod(cells, dimension)
+            counts = counts[cells].astype(np.float64)
+            norms = np.sqrt(np.bincount(rows, weights=counts * counts))
+            values.append((counts / norms[rows]).astype(np.float32))
+            columns.append(cols.astype(self._column_dtype))
+            row_ends = indptr[start + 1 : start + 1 + len(block)]
+            np.cumsum(np.bincount(rows, minlength=len(block)), out=row_ends)
+            row_ends += indptr[start]
+        # One array joined at a time, its pieces freed before the next.
+        values = np.concatenate(values)
+        return CsrBatch(indptr, np.concatenate(columns), values, dimension)
+
+    def _embed_one(self, text: str) -> np.ndarray:
+        """The ``(1, d)`` block of one text."""
+        buckets = list(map(self._buckets.__getitem__, self._tokenizer.tokens(text.lower())))
+        counts = np.bincount(buckets or [0], minlength=self._dimension)
+        # An integer dot product, exact, as is its conversion to float.
+        norm = math.sqrt(counts @ counts)
+        return (counts / norm).astype(np.float32).reshape(1, -1)
+
+    def _bucket_cells(self, block: Sequence[str]) -> np.ndarray:
+        """``row * dimension + bucket`` for every token of every text in ``block``.
+
+        A text without tokens counts once in bucket 0.
+        """
+        tokens = self._tokenizer.tokens
+        bucket = self._buckets.__getitem__
+        flat: list[int] = []
+        lengths: list[int] = []
+        for text in block:
+            before = len(flat)
+            flat.extend(map(bucket, tokens(text.lower())))
+            if len(flat) == before:
+                flat.append(0)
+            lengths.append(len(flat) - before)
+        cells = np.array(flat, dtype=np.int64)
+        cells += np.repeat(np.arange(0, len(block) * self._dimension, self._dimension), lengths)
+        return cells
 
 
 class RemoteEmbedder:
@@ -192,7 +419,7 @@ class RemoteEmbedder:
         self._retries = retries
         self._batch_size = batch_size
         self._max_in_flight = max_in_flight
-        self._session = session if session is not None else requests.Session()
+        self._session = session if session is not None else new_session()
         self._headers = auth_headers(api_key_env)
 
     @property
@@ -252,4 +479,4 @@ class RemoteEmbedder:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ProviderUnavailableError("embed response contains non-finite values")
-            row[:] = ensure_unit(arr)
+            row[:] = arr

@@ -32,12 +32,12 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, read_array, read_exact, replacing
-from .embedding import EmbeddingProvider, cosine_similarity, embed_batch, ensure_unit
+from .embedding import CsrBatch, EmbeddingProvider, cosine_similarity, embed_batch, ensure_unit
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
 
@@ -68,19 +68,6 @@ def _csr_is_smaller(count: int, dimension: int, nnz: int) -> bool:
     at most 65,536 buckets.
     """
     return dimension <= 1 << 16 and 6 * nnz + 8 * (count + 1) < 4 * count * dimension
-
-
-class _Csr(NamedTuple):
-    """A CSR matrix as plain arrays.
-
-    Row ``i`` holds ``values[indptr[i]:indptr[i + 1]]`` at the same slice of
-    ``columns``.
-    """
-
-    indptr: np.ndarray
-    columns: np.ndarray
-    values: np.ndarray
-    dimension: int
 
 
 class _DenseRows:
@@ -115,7 +102,7 @@ class _DenseRows:
 _COMPACT_ROWS = 4096
 
 
-def _compact(block: np.ndarray) -> _DenseRows | _Csr:
+def _compact(block: np.ndarray) -> _DenseRows | CsrBatch:
     """Keep an ``(n, d)`` float32 block dense, or take its CSR arrays when smaller.
 
     The block is read ``_COMPACT_ROWS`` rows at a time, so that compacting
@@ -141,57 +128,42 @@ def _compact(block: np.ndarray) -> _DenseRows | _Csr:
         ends += offset
         columns[offset : offset + len(flat)] = cols
         values[offset : offset + len(flat)] = part.reshape(-1)[flat]
-    return _Csr(indptr, columns, values, dimension)
+    return CsrBatch(indptr, columns, values, dimension)
 
 
 class _CsrRows:
     """Compressed sparse rows plus column-wise postings.
 
-    The arrays are checked first, so that no search can index out of range:
-    the row pointers rise from 0 to ``nnz``, and each row's columns are
-    strictly ascending and below the dimension.
+    The arrays are checked first (``CsrBatch.problem``), so that no search
+    can index out of range.
     """
 
     layout = LAYOUT_CSR
 
-    def __init__(self, csr: _Csr) -> None:
-        indptr, columns, values, dimension = csr
-        nnz = len(values)
-        if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
-            raise InvalidCorpusError(
-                f"row pointers do not rise from 0 to the {nnz} stored non-zeros"
-            )
-        if nnz and int(columns.max()) >= dimension:
-            raise InvalidCorpusError(f"a column index is not below the dimension {dimension}")
-        # Entries p - 1 and p may descend only where p starts a row.
-        descending = columns[1:] <= columns[:-1]
-        starts = indptr[(indptr > 0) & (indptr < nnz)]
-        descending[starts - 1] = False
-        if descending.any():
-            raise InvalidCorpusError("columns are not strictly ascending within a row")
-        self.indptr = indptr
-        self.columns = columns
-        self.values = values
-        self.count = len(indptr) - 1
+    def __init__(self, csr: CsrBatch) -> None:
+        problem = csr.problem()
+        if problem is not None:
+            raise InvalidCorpusError(problem)
+        columns, values, dimension = csr.columns, csr.values, csr.dimension
+        self.csr = csr
+        #: Row ``i`` as a dense float32 vector; search rescores with it.
+        self.row = csr.__getitem__
+        self.count = len(csr)
         self.dimension = dimension
-        self.nnz = nnz
+        self.nnz = csr.nnz
         # Postings: bucket j's entries are _posting_rows / _posting_values
-        # [_posting_starts[j]:_posting_starts[j + 1]], rows ascending.
-        order = np.argsort(columns, kind="stable")
-        self._posting_rows = self._entry_rows()[order]
-        self._posting_values = values[order]
+        # [_posting_starts[j]:_posting_starts[j + 1]], rows ascending. The
+        # bincount, which takes a wide copy of the columns, runs first, while
+        # no other temporary is held.
         starts = np.zeros(dimension + 1, dtype=np.int64)
         np.cumsum(np.bincount(columns, minlength=dimension), out=starts[1:])
         self._posting_starts = starts.tolist()
-
-    def _entry_rows(self) -> np.ndarray:
-        """The row of every stored entry."""
-        dtype = np.int32 if self.count < 2**31 else np.int64
-        return np.repeat(np.arange(self.count, dtype=dtype), np.diff(self.indptr))
+        order = np.argsort(columns, kind="stable")
+        self._posting_rows = csr.entry_rows()[order]
+        self._posting_values = values[order]
 
     def squared_norms(self) -> np.ndarray:
-        squares = np.square(self.values, dtype=np.float64)
-        return np.bincount(self._entry_rows(), weights=squares, minlength=self.count)
+        return self.csr.squared_norms()
 
     def approx_scores(self, query: np.ndarray) -> np.ndarray:
         starts = self._posting_starts
@@ -204,47 +176,41 @@ class _CsrRows:
         )
         return np.bincount(rows, weights=weights, minlength=self.count)
 
-    def row(self, i: int) -> np.ndarray:
-        start, end = self.indptr[i], self.indptr[i + 1]
-        out = np.zeros(self.dimension, dtype=np.float32)
-        out[self.columns[start:end]] = self.values[start:end]
-        return out
-
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.count, self.dimension), dtype=np.float32)
-        out[self._entry_rows(), self.columns] = self.values
-        return out
+        return np.asarray(self.csr)
 
     def blocks(self) -> list[tuple[np.ndarray, str]]:
         """The arrays a snapshot body holds, in file order, with their file dtypes."""
-        return [(self.indptr, "<i8"), (self.columns, "<u2"), (self.values, "<f4")]
+        csr = self.csr
+        return [(csr.indptr, "<i8"), (csr.columns, "<u2"), (csr.values, "<f4")]
 
 
 class LevelIndex:
     """Immutable (chunk id, embedding) store for one hierarchy level.
 
     Built from the level's ``(n, d)`` float32 block, it keeps the rows dense
-    or as CSR, whichever takes fewer bytes (``layout``); no dense copy of a
-    CSR index is kept. Every row must be finite with a squared norm inside
-    float32 range; the search's error bound rests on it.
+    or as CSR, whichever takes fewer bytes (``layout``); built from a
+    ``CsrBatch``, it keeps that. No dense copy of a CSR index is kept. Every
+    row must be finite with a squared norm inside float32 range; the
+    search's error bound rests on it.
     """
 
     def __init__(
-        self, level: Level, chunk_ids: Sequence[str], vectors: np.ndarray | _DenseRows | _Csr
+        self, level: Level, chunk_ids: Sequence[str], vectors: np.ndarray | _DenseRows | CsrBatch
     ) -> None:
-        """``vectors`` is the ``(n, d)`` block, or what ``_compact`` made of it."""
+        """``vectors`` is the ``(n, d)`` block, CSR rows, or what ``_compact`` made of a block."""
         if len(chunk_ids) == 0:
             raise InvalidCorpusError(f"no entries for level {level.value!r}")
         if len(set(chunk_ids)) != len(chunk_ids):
             raise InvalidCorpusError("duplicate chunk ids in index")
-        if not isinstance(vectors, (_DenseRows, _Csr)):
+        if not isinstance(vectors, (_DenseRows, CsrBatch)):
             vectors = np.asarray(vectors, dtype=np.float32)
             if vectors.ndim != 2 or vectors.shape[0] != len(chunk_ids):
                 raise InvalidInputError(
                     f"vectors shape {vectors.shape} does not match {len(chunk_ids)} ids"
                 )
             vectors = _compact(vectors)
-        rows = _CsrRows(vectors) if isinstance(vectors, _Csr) else vectors
+        rows = _CsrRows(vectors) if isinstance(vectors, CsrBatch) else vectors
         squared_norms = rows.squared_norms()
         bad = np.flatnonzero(~(squared_norms <= _F32_MAX))
         if bad.size:
@@ -349,13 +315,22 @@ class LevelIndex:
 
 
 def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> LevelIndex:
-    """Embed every chunk at ``level`` and index it, one entry per chunk."""
+    """Embed every chunk at ``level`` and index it, one entry per chunk.
+
+    The level is embedded in one ``embed_batch`` call. Rows that come back
+    as a ``CsrBatch`` are indexed as they are when CSR takes fewer bytes
+    (``_csr_is_smaller``), so no dense block of them is made; otherwise
+    they are densified. A dense block is kept, or compacted to CSR when
+    that is smaller. Either way the layout, and the snapshot bytes, are
+    those the dense rows would get.
+    """
     ids = corpus.ids_at(level)
     if not ids:
         raise InvalidCorpusError(f"corpus has no chunks at level {level.value!r}")
-    # Nested calls free the texts once embedded and the block once compacted,
-    # so a CSR index builds its postings beside neither.
-    rows = _compact(embed_batch(provider, [corpus.chunk_text(chunk_id) for chunk_id in ids]))
+    # The texts are freed once embedded, so the index is built beside none.
+    rows = embed_batch(provider, [corpus.chunk_text(chunk_id) for chunk_id in ids])
+    if not (isinstance(rows, CsrBatch) and _csr_is_smaller(len(rows), rows.dimension, rows.nnz)):
+        rows = _compact(np.asarray(rows))
     return LevelIndex(level, ids, rows)
 
 
@@ -451,7 +426,7 @@ def load_index(
         if layout == LAYOUT_DENSE:
             index = LevelIndex(level, chunk_ids, arrays[0])
         else:
-            index = LevelIndex(level, chunk_ids, _Csr(*arrays, stored_dimension))
+            index = LevelIndex(level, chunk_ids, CsrBatch(*arrays, stored_dimension))
     except InvalidCorpusError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from None
     if index.nnz != nnz:

@@ -13,13 +13,14 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
-import requests
-
-from ._http import auth_headers, check_http_settings, post_json
+from ._http import auth_headers, check_http_settings, new_session, post_json
 from .errors import ConfigError, InvalidInputError, InvalidRequestError, ProviderUnavailableError
 from .tokens import WordPunctTokenizer
+
+if TYPE_CHECKING:
+    import requests
 
 FALLBACK_ERROR = "error"
 FALLBACK_PASSTHROUGH = "passthrough"
@@ -148,7 +149,7 @@ class RemoteReranker:
         self._url = base_url.rstrip("/") + "/rerank"
         self._timeout = timeout
         self._retries = retries
-        self._session = session if session is not None else requests.Session()
+        self._session = session if session is not None else new_session()
         self._headers = auth_headers(api_key_env)
 
     def score_pairs(self, query: str, texts: Sequence[str]) -> list[float]:

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import requests
 
+import hrr
 from hrr.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_IO, EXIT_OK, EXIT_PROVIDER, main
 from hrr.config import config_from_dict, load_config
 from hrr.chunking import build_corpus
@@ -262,6 +266,25 @@ class TestCliWorkflow:
         assert written == sorted(self.GOLDEN_DIGESTS)
         digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in written}
         assert digests == self.GOLDEN_DIGESTS
+
+    def test_local_commands_never_import_requests(self, workdir):
+        """Only a remote provider needs ``requests``; a local ingest and
+        query run without loading it."""
+        script = (
+            "import sys\n"
+            "from hrr.cli import main\n"
+            "codes = [main(['ingest', 'synth/docs', '--config', 'engine.json']),\n"
+            "         main(['query', 'which permit', '--config', 'engine.json'])]\n"
+            "print(codes, 'requests' in sys.modules)\n"
+        )
+        src = str(Path(hrr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=workdir, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] False"
 
 
 class TestCliErrors:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrr import embedding
 from hrr.embedding import (
+    CsrBatch,
     HashedBowEmbedder,
     cosine_similarity,
     embed_batch,
@@ -87,6 +89,162 @@ class TestHashedBow:
             assert vec.shape == (16,)
             assert vec.dtype == np.float32
             assert abs(float(np.linalg.norm(vec.astype(np.float64))) - 1.0) <= 1e-6
+
+
+#: Characters whose lowercasing or tokenizing is easy to get wrong: a dotted
+#: capital I that lowercases to two code points, final and medial sigma, a
+#: sharp s, astral letters and symbols, punctuation and whitespace.
+TRICKY = "İiΣσςßẞ𐐀𐐨𝔘😀a1_.,!?-—'\" \t\n"
+
+#: Non-empty texts: tricky characters, runs of punctuation, whitespace only.
+TEXTS = st.one_of(
+    st.text(alphabet=TRICKY, min_size=1, max_size=40),
+    st.text(min_size=1, max_size=40),
+    st.text(alphabet="?!.,;:-", min_size=1, max_size=12),
+    st.text(alphabet=" \t\n\r", min_size=1, max_size=5),
+)
+
+
+class TestBatchOracle:
+    """Every row of a batch is the per-text recipe, bit for bit."""
+
+    @given(
+        texts=st.lists(TEXTS, min_size=1, max_size=12),
+        dimension=st.sampled_from([16, 384]),
+        block_rows=st.integers(1, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_reference_across_block_edges(self, texts, dimension, block_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embedding, "_BLOCK_CELLS", block_rows * dimension)
+            rows = embed_batch(HashedBowEmbedder(dimension), texts)
+        assert len(rows) == len(texts)
+        for text, row in zip(texts, rows):
+            assert row.dtype == np.float32
+            assert row.tobytes() == reference_vector(text, dimension).tobytes()
+
+    def test_multi_text_batch_is_csr(self):
+        rows = embed_batch(HashedBowEmbedder(384), ["alpha beta", "gamma", " "])
+        assert isinstance(rows, CsrBatch)
+        assert rows.columns.dtype == np.uint16
+        assert np.diff(rows.indptr).tolist() == [2, 1, 1]
+        assert rows[2].tobytes() == reference_vector(" ", 384).tobytes()
+
+    def test_csr_reads_as_dense_rows(self):
+        texts = ["one two two", "three", "four five six"]
+        rows = embed_batch(HashedBowEmbedder(32), texts)
+        dense = np.asarray(rows)
+        assert dense.shape == (3, 32) and dense.dtype == np.float32
+        assert [r.tobytes() for r in rows] == [r.tobytes() for r in dense]
+        assert rows[-1].tobytes() == dense[2].tobytes()
+        with pytest.raises(IndexError):
+            rows[3]
+
+
+def _stub_provider(rows):
+    """A provider that returns ``rows``, as a remote one hands back its block."""
+
+    class Stub:
+        name = "stub"
+        dimension = rows.shape[1] if isinstance(rows, np.ndarray) else rows.dimension
+
+        def embed_batch(self, texts):
+            if isinstance(rows, CsrBatch):
+                return CsrBatch(rows.indptr.copy(), rows.columns.copy(), rows.values.copy(),
+                                rows.dimension)
+            return rows.copy()
+
+    return Stub()
+
+
+def _scaled_unit_row(offset: float) -> np.ndarray:
+    """A float32 row whose norm is ``1 + offset``, give or take float32 rounding."""
+    row = np.float32([0.6, 0.0, 0.8, 0.0]) * np.float32(1.0 + offset)
+    assert abs(np.linalg.norm(row.astype(np.float64)) - 1.0 - offset) < 1e-7
+    return row
+
+
+class TestBlockValidation:
+    """The one check over a provider's rows keeps ``ensure_unit``'s semantics."""
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_row_off_unit_is_renormalized_like_ensure_unit(self, layout):
+        off = _scaled_unit_row(2e-6)
+        rows = np.stack([_scaled_unit_row(0.0), off])
+        provider = _stub_provider(rows if layout == "dense" else _to_csr(rows))
+        got = embed_batch(provider, ["a", "b"])
+        assert got[1].tobytes() == ensure_unit(off).tobytes()
+        assert got[1].tobytes() != off.tobytes()
+        assert got[0].tobytes() == rows[0].tobytes()
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_row_within_tolerance_passes_unchanged(self, layout):
+        near = _scaled_unit_row(5e-7)
+        rows = np.stack([near, near])
+        provider = _stub_provider(rows if layout == "dense" else _to_csr(rows))
+        got = embed_batch(provider, ["a", "b"])
+        assert got[0].tobytes() == near.tobytes() == ensure_unit(near).tobytes()
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize(
+        "bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite"), (0.0, "zero vector")]
+    )
+    def test_bad_row_raises_what_ensure_unit_raises(self, layout, bad, message):
+        rows = np.stack([_scaled_unit_row(0.0), np.full(4, bad, dtype=np.float32)])
+        provider = _stub_provider(rows if layout == "dense" else _to_csr(rows))
+        with pytest.raises(InvalidInputError, match=message):
+            ensure_unit(rows[1])
+        with pytest.raises(InvalidInputError, match=message):
+            embed_batch(provider, ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda b: b.columns.__setitem__(1, 4), "outside"),
+            (lambda b: b.indptr.__setitem__(1, 9), "row pointers"),
+            (lambda b: setattr(b, "values", b.values.astype(np.float64)), "float32"),
+        ],
+        ids=["column-past-dim", "indptr-not-rising", "float64-values"],
+    )
+    def test_malformed_csr_rows_rejected(self, corrupt, message):
+        rows = _to_csr(np.stack([_scaled_unit_row(0.0)] * 2))
+        corrupt(rows)
+        with pytest.raises(InvalidInputError, match=message):
+            embed_batch(_stub_provider(rows), ["a", "b"])
+
+    def test_wrong_dimension_rejected(self):
+        provider = _stub_provider(np.ones((1, 4), dtype=np.float32))
+        provider.dimension = 5
+        with pytest.raises(DimensionMismatchError):
+            embed_batch(provider, ["a"])
+
+    @given(
+        scales=st.lists(st.floats(-3e-6, 3e-6), min_size=1, max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_ensure_unit_row_by_row(self, scales, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((len(scales), 24))
+        unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        rows = (unit * (1.0 + np.array(scales))[:, None]).astype(np.float32)
+        got = embed_batch(_stub_provider(rows), ["t"] * len(rows))
+        for row, out in zip(rows, got):
+            assert out.tobytes() == ensure_unit(row).tobytes()
+
+    def test_norms_near_the_tolerance_go_to_ensure_unit(self):
+        tol = 1e-6
+        squared = np.array([1.0, (1 + tol) ** 2, (1 - tol) ** 2, (1 + tol / 2) ** 2, 0.0, np.nan])
+        assert list(embedding._rows_off_unit(squared, 384)) == [1, 2, 4, 5]
+        assert len(embedding._rows_off_unit(np.ones(3), 384)) == 0
+
+
+def _to_csr(rows: np.ndarray) -> CsrBatch:
+    """Every entry of ``rows`` stored, zeros too, as CSR."""
+    count, dimension = rows.shape
+    columns = np.tile(np.arange(dimension, dtype=np.uint16), count)
+    indptr = np.arange(0, count * dimension + 1, dimension, dtype=np.int64)
+    return CsrBatch(indptr, columns, rows.reshape(-1).copy(), dimension)
 
 
 class TestEmbedBatchValidation:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,10 @@ from hrr.errors import (
     SnapshotFormatError,
 )
 from hrr.index import LevelIndex, build_index, load_index, save_index
+from hrr.synth import CorpusSpec, generate
+
+from conftest import TOY_CHUNKING, TOY_DOCS
+from test_embedding import reference_vector
 
 
 def naive_top_k(index: LevelIndex, query: np.ndarray, k: int):
@@ -311,6 +316,37 @@ class TestBuildIndex:
         b = build_index(corpus, Level.SENTENCE, HashedBowEmbedder(dimension=16))
         assert a.chunk_ids == b.chunk_ids
         assert np.array_equal(a.vectors, b.vectors)
+
+    def test_hashed_bow_build_makes_no_dense_block(self):
+        """The sentence level of the 20-doc synth corpus, 6,845 rows: building
+        its index allocates well under the (n, d) float32 block a dense embed
+        would take."""
+        corpus = generate(CorpusSpec()).corpus
+        n, dimension = len(corpus.ids_at(Level.SENTENCE)), 384
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = build_index(corpus, Level.SENTENCE, HashedBowEmbedder(dimension))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index) == n > 5000 and index.layout == "csr"
+        assert peak < n * dimension * 4 / 4
+
+    def test_dimension_beyond_u2_columns_stays_dense(self, tmp_path):
+        corpus = build_corpus(TOY_DOCS, TOY_CHUNKING)
+        dimension = 70_000
+        index = build_index(corpus, Level.SENTENCE, HashedBowEmbedder(dimension))
+        assert index.layout == "dense"
+        for chunk_id, row in zip(index.chunk_ids, index.vectors):
+            expected = reference_vector(corpus.chunk_text(chunk_id), dimension)
+            assert row.tobytes() == expected.tobytes()
+        save_index(index, tmp_path / "a.idx", EMBEDDER)
+        loaded = load_index(tmp_path / "a.idx", index.chunk_ids, EMBEDDER, dimension)
+        assert loaded.layout == "dense"
+        assert np.array_equal(loaded.vectors, index.vectors)
+        save_index(loaded, tmp_path / "b.idx", EMBEDDER)
+        assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
 
 
 EMBEDDER = "hashed-bow"
