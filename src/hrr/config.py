@@ -14,6 +14,7 @@ from pathlib import Path
 
 from ._http import check_http_settings
 from .chunking import ChunkingConfig
+from .embedding import MAX_CSR_DIMENSION
 from .errors import ConfigError
 from .rerank import PROVIDER_REMOTE, RerankProviderConfig
 from .retrievers import RetrieverConfig, Strategy
@@ -37,8 +38,12 @@ class EmbeddingConfig:
             raise ConfigError(f"unknown embedding provider {self.provider!r}")
         if self.provider == PROVIDER_REMOTE and not self.base_url:
             raise ConfigError("embedding.base_url is required for the remote provider")
-        if self.dimension < 1:
-            raise ConfigError("embedding.dimension must be >= 1")
+        # Any larger dimension is one no CSR index can address.
+        if not 1 <= self.dimension <= MAX_CSR_DIMENSION:
+            raise ConfigError(
+                f"embedding.dimension must be between 1 and {MAX_CSR_DIMENSION}, "
+                f"got {self.dimension}"
+            )
         check_http_settings("embedding", self.base_url, self.timeout, self.retries)
         if self.batch_size < 1:
             raise ConfigError(f"embedding.batch_size must be >= 1, got {self.batch_size}")

@@ -37,6 +37,9 @@ _NORM_TOLERANCE = 1e-6
 #: CSR rows whose norms are taken at a time, which bounds the temporaries.
 _NORM_ROWS = 1024
 
+#: The most columns a ``<u2`` CSR column index addresses.
+MAX_CSR_DIMENSION = 1 << 16
+
 
 class CsrBatch:
     """A batch of float32 rows in compressed sparse row (CSR) form.
@@ -331,7 +334,7 @@ class HashedBowEmbedder:
         self._dimension = dimension
         self._tokenizer = WordPunctTokenizer()
         self._buckets = _BucketMemo(dimension)
-        self._column_dtype = np.uint16 if dimension <= 1 << 16 else np.int64
+        self._column_dtype = np.uint16 if dimension <= MAX_CSR_DIMENSION else np.int64
 
     @property
     def dimension(self) -> int:

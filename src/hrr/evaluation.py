@@ -122,8 +122,9 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
     chunk covering it; resolution requires ``corpus``. When a corpus is given
     every gold parent is validated against it. A line that is not a
     well-formed record, including one whose ``query`` is not a string with
-    non-whitespace text, raises ``SnapshotFormatError`` naming the file and
-    line.
+    non-whitespace text or whose ``gold_char_span`` is not two integers
+    ``[start, end]`` with ``start < end``, raises ``SnapshotFormatError``
+    naming the file and line.
     """
     queries: list[LabeledQuery] = []
     problems: list[str] = []
@@ -153,18 +154,18 @@ def _record_to_query(rec: dict, corpus: Corpus | None, line_no: int) -> LabeledQ
     query = rec["query"]
     if not (isinstance(query, str) and query.strip()):
         raise ValueError("query is not a string with non-whitespace text")
+    span = _gold_span(rec["gold_char_span"]) if "gold_char_span" in rec else None
     if "gold_parent_id" in rec:
         return LabeledQuery(
             query=query,
             gold_parent=rec["gold_parent_id"],
             gold_doc=rec.get("gold_doc_id"),
         )
-    if "gold_doc_id" in rec and "gold_char_span" in rec:
+    if "gold_doc_id" in rec and span is not None:
         if corpus is None:
             raise GoldNotInCorpusError(
                 f"line {line_no}: span-based gold needs a corpus to resolve"
             )
-        span = (int(rec["gold_char_span"][0]), int(rec["gold_char_span"][1]))
         doc_id = rec["gold_doc_id"]
         parent_id = corpus.parent_at(doc_id, span[0]) if isinstance(doc_id, str) else None
         if parent_id is None:
@@ -175,6 +176,20 @@ def _record_to_query(rec: dict, corpus: Corpus | None, line_no: int) -> LabeledQ
     raise GoldNotInCorpusError(
         f"line {line_no}: record needs gold_parent_id or gold_doc_id + gold_char_span"
     )
+
+
+def _gold_span(value: object) -> tuple[int, int]:
+    """A record's ``gold_char_span``: two integers, start before end."""
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(type(v) is int for v in value)
+        and value[0] < value[1]
+    ):
+        raise ValueError(
+            f"gold_char_span {value!r} is not two integers [start, end] with start < end"
+        )
+    return value[0], value[1]
 
 
 def save_query_set(path: str | Path, queries: Iterable[LabeledQuery]) -> None:

@@ -19,7 +19,9 @@ product, or compressed sparse rows (CSR) when those take fewer bytes, as
 hashed bag-of-words rows do. A CSR index also keeps column-wise postings,
 so its first pass reads only the postings of the query's non-zero buckets:
 exact inverted-file scoring (Zobel and Moffat, "Inverted files for text
-search engines", ACM Computing Surveys 2006).
+search engines", ACM Computing Surveys 2006). The postings are built on a
+level's first search, so loading or building an index that is never
+searched, or only searched for all its rows, builds none.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, read_array, read_exact, replacing
-from .embedding import CsrBatch, EmbeddingProvider, cosine_similarity, embed_batch, ensure_unit
+from .embedding import (
+    MAX_CSR_DIMENSION,
+    CsrBatch,
+    EmbeddingProvider,
+    cosine_similarity,
+    embed_batch,
+    ensure_unit,
+)
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
 
@@ -67,7 +76,7 @@ def _csr_is_smaller(count: int, dimension: int, nnz: int) -> bool:
     and a ``<f4`` value) against 4 per entry dense; ``<u2`` columns address
     at most 65,536 buckets.
     """
-    return dimension <= 1 << 16 and 6 * nnz + 8 * (count + 1) < 4 * count * dimension
+    return dimension <= MAX_CSR_DIMENSION and 6 * nnz + 8 * (count + 1) < 4 * count * dimension
 
 
 class _DenseRows:
@@ -134,8 +143,9 @@ def _compact(block: np.ndarray) -> _DenseRows | CsrBatch:
 class _CsrRows:
     """Compressed sparse rows plus column-wise postings.
 
-    The arrays are checked first (``CsrBatch.problem``), so that no search
-    can index out of range.
+    The arrays are checked here (``CsrBatch.problem``), so that no search
+    can index out of range. The postings are built by the first
+    ``approx_scores`` call and kept.
     """
 
     layout = LAYOUT_CSR
@@ -144,35 +154,40 @@ class _CsrRows:
         problem = csr.problem()
         if problem is not None:
             raise InvalidCorpusError(problem)
-        columns, values, dimension = csr.columns, csr.values, csr.dimension
         self.csr = csr
         #: Row ``i`` as a dense float32 vector; search rescores with it.
         self.row = csr.__getitem__
         self.count = len(csr)
-        self.dimension = dimension
+        self.dimension = csr.dimension
         self.nnz = csr.nnz
-        # Postings: bucket j's entries are _posting_rows / _posting_values
-        # [_posting_starts[j]:_posting_starts[j + 1]], rows ascending. The
-        # bincount, which takes a wide copy of the columns, runs first, while
-        # no other temporary is held.
+
+    @functools.cached_property
+    def _postings(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """``(starts, rows, values)``: bucket j's entries are ``rows`` and
+        ``values`` ``[starts[j]:starts[j + 1]]``, rows ascending.
+
+        Built on the level's first search, as one tuple stored at once, so a
+        concurrent first search sees either none or all of it.
+        """
+        csr, dimension = self.csr, self.dimension
+        # The bincount, which takes a wide copy of the columns, runs first,
+        # while no other temporary is held.
         starts = np.zeros(dimension + 1, dtype=np.int64)
-        np.cumsum(np.bincount(columns, minlength=dimension), out=starts[1:])
-        self._posting_starts = starts.tolist()
-        order = np.argsort(columns, kind="stable")
-        self._posting_rows = csr.entry_rows()[order]
-        self._posting_values = values[order]
+        np.cumsum(np.bincount(csr.columns, minlength=dimension), out=starts[1:])
+        order = np.argsort(csr.columns, kind="stable")
+        return starts.tolist(), csr.entry_rows()[order], csr.values[order]
 
     def squared_norms(self) -> np.ndarray:
         return self.csr.squared_norms()
 
     def approx_scores(self, query: np.ndarray) -> np.ndarray:
-        starts = self._posting_starts
+        starts, posting_rows, posting_values = self._postings
         buckets = np.flatnonzero(query).tolist()
         spans = [(starts[j], starts[j + 1], float(query[j])) for j in buckets]
-        rows = np.concatenate([self._posting_rows[s:e] for s, e, _ in spans])
+        rows = np.concatenate([posting_rows[s:e] for s, e, _ in spans])
         # Products of float32 values are exact in float64.
         weights = np.concatenate(
-            [np.multiply(self._posting_values[s:e], q, dtype=np.float64) for s, e, q in spans]
+            [np.multiply(posting_values[s:e], q, dtype=np.float64) for s, e, q in spans]
         )
         return np.bincount(rows, weights=weights, minlength=self.count)
 

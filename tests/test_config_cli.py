@@ -93,6 +93,7 @@ class TestConfigLoading:
         ]:
             with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
                 config_from_dict({section: {key: value}})
+        assert config_from_dict({"embedding": {"dimension": 65536}}).embedding.dimension == 65536
         # There is no engine seed (``hrr synth --seed`` seeds the generator).
         with pytest.raises(ConfigError, match="unknown config key 'seed'"):
             config_from_dict({"seed": 9})
@@ -386,9 +387,14 @@ class TestCliErrors:
              "embedding.base_url must be an http:// or https:// URL"),
             ("rerank", {"provider": "remote", "base_url": "127.0.0.1:9"},
              "rerank.base_url must be an http:// or https:// URL"),
+            ("embedding", {"dimension": 1 << 40},
+             "embedding.dimension must be between 1 and 65536, got 1099511627776"),
+            ("embedding", {"dimension": 65537},
+             "embedding.dimension must be between 1 and 65536, got 65537"),
         ],
         ids=["nan-mix-lambda", "zero-timeout", "negative-retries", "zero-batch", "zero-in-flight",
-             "schemeless-embed-url", "schemeless-rerank-url"],
+             "schemeless-embed-url", "schemeless-rerank-url", "huge-dimension",
+             "dimension-past-u2-columns"],
     )
     def test_out_of_range_provider_setting_is_config_error(
         self, workdir, capsys, command, section, settings, message

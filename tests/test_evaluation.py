@@ -202,6 +202,23 @@ class TestQuerySetFiles:
         with pytest.raises(GoldNotInCorpusError, match="no parent chunk covers"):
             load_query_set(path, toy_corpus)
 
+    @pytest.mark.parametrize(
+        "span",
+        [[0, 10, 99], ["3", "9"], [5, 2], [4, 4], [True, 4], [2.0, 9], [0], "0-4", None],
+        ids=["three", "strings", "reversed", "empty", "bool", "float", "one", "string", "null"],
+    )
+    def test_span_not_two_ascending_integers_is_malformed(self, tmp_path, toy_corpus, span):
+        path = tmp_path / "q.jsonl"
+        good = json.dumps({"query": "y", "gold_parent_id": "beta:p0"})
+        message = r"q\.jsonl line 2: malformed record \(gold_char_span"
+        # Span-based, and beside a gold parent, whose span would go unused.
+        for gold in ({"gold_doc_id": "beta"}, {"gold_parent_id": "beta:p1"}):
+            rec = {"query": "x", **gold, "gold_char_span": span}
+            path.write_text(f"{good}\n{json.dumps(rec)}\n")
+            for corpus in (toy_corpus, None):
+                with pytest.raises(SnapshotFormatError, match=message):
+                    load_query_set(path, corpus)
+
     def test_span_without_corpus_rejected(self, tmp_path):
         path = tmp_path / "q.jsonl"
         path.write_text('{"query": "x", "gold_doc_id": "d", "gold_char_span": [0, 4]}\n')

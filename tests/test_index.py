@@ -2,7 +2,10 @@
 
 import json
 import random
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.cli import EXIT_OK, main
+from hrr.config import EmbeddingConfig, EngineConfig, PathsConfig
 from hrr.corpus import Level
 from hrr.embedding import HashedBowEmbedder, cosine_similarity, embed_batch, ensure_unit
 from hrr.errors import (
@@ -18,7 +22,9 @@ from hrr.errors import (
     InvalidInputError,
     SnapshotFormatError,
 )
+from hrr.engine import ingest, load_context
 from hrr.index import LevelIndex, build_index, load_index, save_index
+from hrr.retrievers import _PLANS, Strategy, retrieve
 from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING, TOY_DOCS
@@ -596,6 +602,74 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="dimension 6 differs from the configured "
                            "embedding dimension 7"):
             load_index(path, index.chunk_ids, EMBEDDER, 7)
+
+
+def has_postings(index: LevelIndex) -> bool:
+    """Whether a CSR index has built its column postings."""
+    return "_postings" in vars(index._rows)
+
+
+class TestPostingsOnFirstSearch:
+    @pytest.fixture(scope="class")
+    def toy_artifacts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("toy")
+        (root / "docs").mkdir()
+        for doc_id, text in TOY_DOCS.items():
+            (root / "docs" / f"{doc_id}.txt").write_text(text)
+        config = EngineConfig(
+            chunking=TOY_CHUNKING,
+            embedding=EmbeddingConfig(dimension=64),
+            paths=PathsConfig(corpus_dir=str(root / "corpus"), index_dir=str(root / "indexes")),
+        )
+        ingest(root / "docs", config)
+        return config
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_load_builds_none_and_a_query_only_its_levels(self, toy_artifacts, strategy):
+        ctx = load_context(toy_artifacts)
+        indices = ctx.indices
+        assert all(index.layout == "csr" for index in indices.values())
+        assert not any(has_postings(index) for index in indices.values())
+        ctx = replace(ctx, config=replace(ctx.config, strategy=strategy))
+        retrieve("zorblat fenwick grant", ctx)
+        # A search for k >= n rows scores every row and needs no postings;
+        # the 6 toy parents are that case at the default k of 10.
+        k = ctx.config.similarity_top_k
+        searched = {level for level in _PLANS[strategy][0] if len(indices[level]) > k}
+        assert {level for level, index in indices.items() if has_postings(index)} == searched
+
+    def test_build_and_save_build_none(self, tmp_path, toy_corpus):
+        for level in toy_corpus.levels:
+            index = build_index(toy_corpus, level, HashedBowEmbedder(dimension=64))
+            save_index(index, tmp_path / f"{level.value}.idx", EMBEDDER)
+            assert index.layout == "csr" and not has_postings(index)
+
+    def test_concurrent_first_searches_match_the_scan(self, tmp_path):
+        rng = random.Random(41)
+        index = random_index(rng, 3000, 64, "csr")
+        save_index(index, tmp_path / "s.idx", EMBEDDER)
+        loaded = load_index(tmp_path / "s.idx", index.chunk_ids, EMBEDDER, 64)
+        query = ensure_unit(np.array([rng.gauss(0, 1) for _ in range(64)], dtype=np.float32))
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def first_search(slot: int) -> None:
+            barrier.wait(timeout=30)
+            results[slot] = [(h.chunk_id, h.score) for h in loaded.search(query, 10)]
+
+        threads = [threading.Thread(target=first_search, args=(i,)) for i in range(4)]
+        assert not has_postings(loaded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [naive_top_k(loaded, query, 10)] * 4
 
 
 class TestConstruction:
