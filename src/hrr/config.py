@@ -126,7 +126,7 @@ def _typed_value(value, hint, path: str):
     """Return ``value`` if JSON gave it the field's type, else raise.
 
     An int field rejects strings, bools and floats; a float field also
-    takes an int, stored as a float.
+    takes an int within float range, stored as a float.
     """
     for allowed in typing.get_args(hint) or (hint,):
         if allowed is type(None) and value is None:
@@ -134,7 +134,10 @@ def _typed_value(value, hint, path: str):
         if allowed in (int, str) and type(value) is allowed:
             return value
         if allowed is float and type(value) in (int, float):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ConfigError(f"{path} is an integer beyond float range") from None
     raise ConfigError(f"{path} must be {_type_name(hint)}, got {json.dumps(value)}")
 
 

@@ -154,10 +154,10 @@ class EmbeddingProvider(Protocol):
         or the same rows as a ``CsrBatch``.
 
         The rows must be fresh arrays that pass to the caller, which may
-        normalize rows in place and freeze them inside an index. A provider
-        whose rows are mostly zeros returns CSR, so that no dense block is
-        built for them; the index stores them as CSR too when that is
-        smaller, and densifies them otherwise.
+        normalize rows in place and freeze them inside an index. The type
+        returned is the index's layout: CSR rows are stored as CSR and a
+        block dense. A provider whose rows are mostly zeros returns CSR, so
+        that no dense block is built or stored for them.
         """
         ...
 
@@ -315,7 +315,8 @@ class HashedBowEmbedder:
     counts, L2-normalize. The vector is therefore invariant to word order;
     it captures keyword overlap, not semantics, which is exactly what
     deterministic offline runs need. Text with no tokens maps to the first
-    basis vector.
+    basis vector. The dimension lies in ``1..MAX_CSR_DIMENSION``, so that
+    every bucket fits a ``<u2`` CSR column.
 
     A batch comes back as a ``CsrBatch``, built a block of rows at a time:
     one ``np.bincount`` counts every (row, bucket) pair of the block, so no
@@ -329,12 +330,11 @@ class HashedBowEmbedder:
     name = "hashed-bow"
 
     def __init__(self, dimension: int = 384) -> None:
-        if dimension < 1:
-            raise ConfigError("dimension must be >= 1")
+        if not 1 <= dimension <= MAX_CSR_DIMENSION:
+            raise ConfigError(f"dimension must be between 1 and {MAX_CSR_DIMENSION}")
         self._dimension = dimension
         self._tokenizer = WordPunctTokenizer()
         self._buckets = _BucketMemo(dimension)
-        self._column_dtype = np.uint16 if dimension <= MAX_CSR_DIMENSION else np.int64
 
     @property
     def dimension(self) -> int:
@@ -355,7 +355,7 @@ class HashedBowEmbedder:
             counts = counts[cells].astype(np.float64)
             norms = np.sqrt(np.bincount(rows, weights=counts * counts))
             values.append((counts / norms[rows]).astype(np.float32))
-            columns.append(cols.astype(self._column_dtype))
+            columns.append(cols.astype(np.uint16))
             row_ends = indptr[start + 1 : start + 1 + len(block)]
             np.cumsum(np.bincount(rows, minlength=len(block)), out=row_ends)
             row_ends += indptr[start]

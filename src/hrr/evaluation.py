@@ -107,6 +107,11 @@ def _check_gold(gold: LabeledQuery, corpus: Corpus) -> None:
         raise GoldNotInCorpusError(
             f"gold parent {gold.gold_parent!r} is not a parent-level chunk"
         )
+    if gold.gold_doc is not None and gold.gold_doc != node.doc_id:
+        raise GoldNotInCorpusError(
+            f"gold parent {gold.gold_parent!r} is in document {node.doc_id!r}, "
+            f"not {gold.gold_doc!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +125,14 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
     Records carry either ``gold_parent_id`` directly, or ``gold_doc_id`` plus
     ``gold_char_span`` which is resolved (at its start offset) to the parent
     chunk covering it; resolution requires ``corpus``. When a corpus is given
-    every gold parent is validated against it. A line that is not a
-    well-formed record, including one whose ``query`` is not a string with
-    non-whitespace text or whose ``gold_char_span`` is not two integers
-    ``[start, end]`` with ``start < end``, raises ``SnapshotFormatError``
-    naming the file and line.
+    every gold parent is validated against it, and so is a ``gold_doc_id``
+    beside a ``gold_parent_id``: it must name that parent's document. A
+    line that is not a well-formed record raises ``SnapshotFormatError``
+    naming the file and line: one with a key other than these four, whose
+    ``query`` is not a string with non-whitespace text, whose gold ids are
+    not strings, whose ``gold_char_span`` is not two integers ``[start,
+    end]`` with ``start < end``, or that has a span beside a
+    ``gold_parent_id``, where it would go unused.
     """
     queries: list[LabeledQuery] = []
     problems: list[str] = []
@@ -150,24 +158,32 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
     return queries
 
 
+#: The keys a query-set record may hold.
+_RECORD_KEYS = frozenset({"query", "gold_parent_id", "gold_doc_id", "gold_char_span"})
+
+
 def _record_to_query(rec: dict, corpus: Corpus | None, line_no: int) -> LabeledQuery:
     query = rec["query"]
     if not (isinstance(query, str) and query.strip()):
         raise ValueError("query is not a string with non-whitespace text")
+    unknown = sorted(rec.keys() - _RECORD_KEYS)
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    for key in ("gold_parent_id", "gold_doc_id"):
+        if key in rec and not isinstance(rec[key], str):
+            raise ValueError(f"{key} {rec[key]!r} is not a string")
+    doc_id = rec.get("gold_doc_id")
     span = _gold_span(rec["gold_char_span"]) if "gold_char_span" in rec else None
     if "gold_parent_id" in rec:
-        return LabeledQuery(
-            query=query,
-            gold_parent=rec["gold_parent_id"],
-            gold_doc=rec.get("gold_doc_id"),
-        )
-    if "gold_doc_id" in rec and span is not None:
+        if span is not None:
+            raise ValueError("gold_char_span beside a gold_parent_id would go unused")
+        return LabeledQuery(query=query, gold_parent=rec["gold_parent_id"], gold_doc=doc_id)
+    if doc_id is not None and span is not None:
         if corpus is None:
             raise GoldNotInCorpusError(
                 f"line {line_no}: span-based gold needs a corpus to resolve"
             )
-        doc_id = rec["gold_doc_id"]
-        parent_id = corpus.parent_at(doc_id, span[0]) if isinstance(doc_id, str) else None
+        parent_id = corpus.parent_at(doc_id, span[0])
         if parent_id is None:
             raise GoldNotInCorpusError(f"no parent chunk covers byte {span[0]} of {doc_id!r}")
         return LabeledQuery(

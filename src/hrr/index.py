@@ -13,15 +13,17 @@ a proven rounding-error margin of the k-th best are rescored with the
 canonical routine. ``LevelIndex.search`` holds the proof that this never
 drops an entry of the true top k.
 
-Rows are kept in one of two layouts, picked from the data when an index is
-built: a dense float32 matrix, whose first pass is one BLAS matrix-vector
-product, or compressed sparse rows (CSR) when those take fewer bytes, as
-hashed bag-of-words rows do. A CSR index also keeps column-wise postings,
-so its first pass reads only the postings of the query's non-zero buckets:
-exact inverted-file scoring (Zobel and Moffat, "Inverted files for text
-search engines", ACM Computing Surveys 2006). The postings are built on a
-level's first search, so loading or building an index that is never
-searched, or only searched for all its rows, builds none.
+Rows are kept in the layout the embedding provider returned: a
+``CsrBatch``, as hashed bag-of-words rows come, is kept as compressed
+sparse rows (CSR), and an ``(n, d)`` block as a dense float32 matrix, whose
+first pass is one BLAS matrix-vector product. Building, saving and loading
+an index convert no rows between the two. A CSR index also keeps
+column-wise postings, so its first pass reads only the postings of the
+query's non-zero buckets: exact inverted-file scoring (Zobel and Moffat,
+"Inverted files for text search engines", ACM Computing Surveys 2006). The
+postings are built on a level's first search, so loading or building an
+index that is never searched, or only searched for all its rows, builds
+none.
 """
 
 from __future__ import annotations
@@ -39,14 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, read_array, read_exact, replacing
-from .embedding import (
-    MAX_CSR_DIMENSION,
-    CsrBatch,
-    EmbeddingProvider,
-    cosine_similarity,
-    embed_batch,
-    ensure_unit,
-)
+from .embedding import CsrBatch, EmbeddingProvider, cosine_similarity, embed_batch, ensure_unit
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
 
@@ -69,25 +64,18 @@ def _gamma(d: int, u: float) -> float:
     return d * u / (1.0 - d * u)
 
 
-def _csr_is_smaller(count: int, dimension: int, nnz: int) -> bool:
-    """Whether CSR takes fewer bytes than the dense matrix.
-
-    CSR spends 8 bytes per row pointer and 6 per non-zero (a ``<u2`` column
-    and a ``<f4`` value) against 4 per entry dense; ``<u2`` columns address
-    at most 65,536 buckets.
-    """
-    return dimension <= MAX_CSR_DIMENSION and 6 * nnz + 8 * (count + 1) < 4 * count * dimension
-
-
 class _DenseRows:
     """Rows as one C-contiguous ``(n, d)`` float32 matrix."""
 
     layout = LAYOUT_DENSE
 
-    def __init__(self, matrix: np.ndarray) -> None:
+    def __init__(self, block: np.ndarray) -> None:
+        matrix = np.ascontiguousarray(block, dtype=np.float32)
+        if matrix.ndim != 2:
+            raise InvalidInputError(f"vectors shape {matrix.shape} is not (n, d)")
         matrix.setflags(write=False)
         self.matrix = matrix
-        self.dimension = matrix.shape[1]
+        self.count, self.dimension = matrix.shape
         self.nnz = int(np.count_nonzero(matrix))
 
     def squared_norms(self) -> np.ndarray:
@@ -105,39 +93,6 @@ class _DenseRows:
     def blocks(self) -> list[tuple[np.ndarray, str]]:
         """The arrays a snapshot body holds, in file order, with their file dtypes."""
         return [(self.matrix, "<f4")]
-
-
-#: Rows compacted at a time, which bounds the temporaries beside the block.
-_COMPACT_ROWS = 4096
-
-
-def _compact(block: np.ndarray) -> _DenseRows | CsrBatch:
-    """Keep an ``(n, d)`` float32 block dense, or take its CSR arrays when smaller.
-
-    The block is read ``_COMPACT_ROWS`` rows at a time, so that compacting
-    it needs little memory beside it.
-    """
-    block = np.ascontiguousarray(block)
-    dense = _DenseRows(block)
-    count, dimension = block.shape
-    if not _csr_is_smaller(count, dimension, dense.nnz):
-        return dense
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    columns = np.empty(dense.nnz, dtype=np.uint16)
-    values = np.empty(dense.nnz, dtype=np.float32)
-    for start in range(0, count, _COMPACT_ROWS):
-        part = block[start : start + _COMPACT_ROWS]
-        # The non-zeros of a bool mask are found several times faster than
-        # those of the floats.
-        flat = np.flatnonzero(part != 0)
-        rows, cols = np.divmod(flat, dimension)
-        offset = indptr[start]
-        ends = indptr[start + 1 : start + 1 + len(part)]
-        np.cumsum(np.bincount(rows, minlength=len(part)), out=ends)
-        ends += offset
-        columns[offset : offset + len(flat)] = cols
-        values[offset : offset + len(flat)] = part.reshape(-1)[flat]
-    return CsrBatch(indptr, columns, values, dimension)
 
 
 class _CsrRows:
@@ -203,29 +158,22 @@ class _CsrRows:
 class LevelIndex:
     """Immutable (chunk id, embedding) store for one hierarchy level.
 
-    Built from the level's ``(n, d)`` float32 block, it keeps the rows dense
-    or as CSR, whichever takes fewer bytes (``layout``); built from a
-    ``CsrBatch``, it keeps that. No dense copy of a CSR index is kept. Every
-    row must be finite with a squared norm inside float32 range; the
-    search's error bound rests on it.
+    Built from a ``CsrBatch``, it keeps the rows as CSR; built from an
+    ``(n, d)`` float32 block, it keeps them dense (``layout``). No dense
+    copy of a CSR index is kept. Every row must be finite with a squared
+    norm inside float32 range; the search's error bound rests on it.
     """
 
     def __init__(
-        self, level: Level, chunk_ids: Sequence[str], vectors: np.ndarray | _DenseRows | CsrBatch
+        self, level: Level, chunk_ids: Sequence[str], vectors: np.ndarray | CsrBatch
     ) -> None:
-        """``vectors`` is the ``(n, d)`` block, CSR rows, or what ``_compact`` made of a block."""
         if len(chunk_ids) == 0:
             raise InvalidCorpusError(f"no entries for level {level.value!r}")
         if len(set(chunk_ids)) != len(chunk_ids):
             raise InvalidCorpusError("duplicate chunk ids in index")
-        if not isinstance(vectors, (_DenseRows, CsrBatch)):
-            vectors = np.asarray(vectors, dtype=np.float32)
-            if vectors.ndim != 2 or vectors.shape[0] != len(chunk_ids):
-                raise InvalidInputError(
-                    f"vectors shape {vectors.shape} does not match {len(chunk_ids)} ids"
-                )
-            vectors = _compact(vectors)
-        rows = _CsrRows(vectors) if isinstance(vectors, CsrBatch) else vectors
+        rows = _CsrRows(vectors) if isinstance(vectors, CsrBatch) else _DenseRows(vectors)
+        if rows.count != len(chunk_ids):
+            raise InvalidInputError(f"{rows.count} rows do not match {len(chunk_ids)} ids")
         squared_norms = rows.squared_norms()
         bad = np.flatnonzero(~(squared_norms <= _F32_MAX))
         if bad.size:
@@ -332,21 +280,15 @@ class LevelIndex:
 def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> LevelIndex:
     """Embed every chunk at ``level`` and index it, one entry per chunk.
 
-    The level is embedded in one ``embed_batch`` call. Rows that come back
-    as a ``CsrBatch`` are indexed as they are when CSR takes fewer bytes
-    (``_csr_is_smaller``), so no dense block of them is made; otherwise
-    they are densified. A dense block is kept, or compacted to CSR when
-    that is smaller. Either way the layout, and the snapshot bytes, are
-    those the dense rows would get.
+    The level is embedded in one ``embed_batch`` call, and the index keeps
+    the rows in the layout the provider returned: a ``CsrBatch`` as CSR,
+    with no dense block of it made, and an ``(n, d)`` block dense.
     """
     ids = corpus.ids_at(level)
     if not ids:
         raise InvalidCorpusError(f"corpus has no chunks at level {level.value!r}")
     # The texts are freed once embedded, so the index is built beside none.
-    rows = embed_batch(provider, [corpus.chunk_text(chunk_id) for chunk_id in ids])
-    if not (isinstance(rows, CsrBatch) and _csr_is_smaller(len(rows), rows.dimension, rows.nnz)):
-        rows = _compact(np.asarray(rows))
-    return LevelIndex(level, ids, rows)
+    return LevelIndex(level, ids, embed_batch(provider, [corpus.chunk_text(i) for i in ids]))
 
 
 def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:

@@ -371,7 +371,7 @@ class TestCliErrors:
         assert "retriever.similarity_top_k must be an integer" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", [["query", "x"], ["ingest", "synth/docs"]])
+    @pytest.mark.parametrize("command", [["query", "x"], ["ingest", "synth/docs"], ["validate"]])
     @pytest.mark.parametrize(
         "section, settings, message",
         [
@@ -391,10 +391,13 @@ class TestCliErrors:
              "embedding.dimension must be between 1 and 65536, got 1099511627776"),
             ("embedding", {"dimension": 65537},
              "embedding.dimension must be between 1 and 65536, got 65537"),
+            ("rerank", {"timeout": 10**400}, "rerank.timeout is an integer beyond float range"),
+            ("rerank", {"mix_lambda": 10**400},
+             "rerank.mix_lambda is an integer beyond float range"),
         ],
         ids=["nan-mix-lambda", "zero-timeout", "negative-retries", "zero-batch", "zero-in-flight",
              "schemeless-embed-url", "schemeless-rerank-url", "huge-dimension",
-             "dimension-past-u2-columns"],
+             "dimension-past-u2-columns", "timeout-past-float", "mix-lambda-past-float"],
     )
     def test_out_of_range_provider_setting_is_config_error(
         self, workdir, capsys, command, section, settings, message

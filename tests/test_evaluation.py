@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrr.cli import EXIT_OK, main
 from hrr.config import EngineConfig
 from hrr.engine import context_for
 from hrr.errors import EmptyQuerySetError, GoldNotInCorpusError, SnapshotFormatError
@@ -192,9 +194,7 @@ class TestQuerySetFiles:
         loaded = load_query_set(path, toy_corpus)
         assert loaded[0].gold_parent == "beta:p1"
 
-    @pytest.mark.parametrize(
-        "doc_id,start", [("ghost", 0), (["beta"], 0), ("beta", 10**6), ("beta", -1)]
-    )
+    @pytest.mark.parametrize("doc_id,start", [("ghost", 0), ("beta", 10**6), ("beta", -1)])
     def test_uncovered_span_rejected(self, tmp_path, toy_corpus, doc_id, start):
         rec = {"query": "x", "gold_doc_id": doc_id, "gold_char_span": [start, start + 4]}
         path = tmp_path / "q.jsonl"
@@ -218,6 +218,60 @@ class TestQuerySetFiles:
             for corpus in (toy_corpus, None):
                 with pytest.raises(SnapshotFormatError, match=message):
                     load_query_set(path, corpus)
+
+    @pytest.mark.parametrize(
+        "rec, message",
+        [
+            ({"query": "x", "gold_parent_id": "alpha:p0", "gold_span_typo": [1, 2]},
+             r"unknown keys \['gold_span_typo'\]"),
+            ({"query": "x", "gold_doc_id": "beta", "gold_char_span": [0, 4], "note": ""},
+             r"unknown keys \['note'\]"),
+            ({"query": "x", "gold_parent_id": "alpha:p0", "gold_doc_id": 7},
+             "gold_doc_id 7 is not a string"),
+            ({"query": "x", "gold_doc_id": ["beta"], "gold_char_span": [0, 4]},
+             r"gold_doc_id \['beta'\] is not a string"),
+            ({"query": "x", "gold_parent_id": "alpha:p0", "gold_doc_id": None},
+             "gold_doc_id None is not a string"),
+            ({"query": "x", "gold_parent_id": 3}, "gold_parent_id 3 is not a string"),
+            ({"query": "x", "gold_parent_id": "beta:p1", "gold_doc_id": "beta",
+              "gold_char_span": [0, 4]}, "gold_char_span beside a gold_parent_id"),
+        ],
+        ids=["unknown-key", "unknown-key-span-based", "int-doc", "list-doc", "null-doc",
+             "int-parent", "span-beside-parent"],
+    )
+    def test_record_fails_closed(self, tmp_path, toy_corpus, rec, message):
+        path = tmp_path / "q.jsonl"
+        good = json.dumps({"query": "y", "gold_parent_id": "beta:p0"})
+        path.write_text(f"{good}\n{json.dumps(rec)}\n")
+        for corpus in (toy_corpus, None):
+            with pytest.raises(SnapshotFormatError, match=r"q\.jsonl line 2: malformed record \("):
+                load_query_set(path, corpus)
+            with pytest.raises(SnapshotFormatError, match=message):
+                load_query_set(path, corpus)
+
+    def test_gold_doc_must_hold_the_gold_parent(self, tmp_path, toy_corpus):
+        path = tmp_path / "q.jsonl"
+        path.write_text(
+            '{"query": "x", "gold_parent_id": "alpha:p0", "gold_doc_id": "gamma"}\n'
+            '{"query": "y", "gold_parent_id": "alpha:p0", "gold_doc_id": "alpha"}\n'
+            '{"query": "z", "gold_parent_id": "ghost:p7"}\n'
+        )
+        with pytest.raises(GoldNotInCorpusError, match="2 bad records") as exc:
+            load_query_set(path, toy_corpus)
+        assert "'alpha:p0' is in document 'alpha', not 'gamma'" in str(exc.value)
+        assert "ghost:p7" in str(exc.value)
+        # Without a corpus there is no document to check against.
+        assert [q.gold_doc for q in load_query_set(path)] == ["gamma", "alpha", None]
+
+    def test_saved_and_synth_query_sets_load_unchanged(self, tmp_path, capsys):
+        synthetic = generate(CorpusSpec(seed=42))
+        assert main(["synth", "--seed", "42", "--out", str(tmp_path / "synth")]) == EXIT_OK
+        path = tmp_path / "synth" / "queries.jsonl"
+        assert load_query_set(path, synthetic.corpus) == list(synthetic.queries)
+        # Parent-based records, each with its gold document.
+        by_parent = [replace(q, gold_span=None) for q in synthetic.queries]
+        save_query_set(path, by_parent)
+        assert load_query_set(path, synthetic.corpus) == by_parent
 
     def test_span_without_corpus_rejected(self, tmp_path):
         path = tmp_path / "q.jsonl"

@@ -15,8 +15,15 @@ from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.cli import EXIT_OK, main
 from hrr.config import EmbeddingConfig, EngineConfig, PathsConfig
 from hrr.corpus import Level
-from hrr.embedding import HashedBowEmbedder, cosine_similarity, embed_batch, ensure_unit
+from hrr.embedding import (
+    CsrBatch,
+    HashedBowEmbedder,
+    cosine_similarity,
+    embed_batch,
+    ensure_unit,
+)
 from hrr.errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidCorpusError,
     InvalidInputError,
@@ -58,18 +65,32 @@ def sparse_rows(rng: random.Random, n: int, dim: int) -> np.ndarray:
     return rows
 
 
-#: Each layout's row generator: the index picks its layout from the data.
+def csr_batch(rows: np.ndarray) -> CsrBatch:
+    """The non-zero entries of ``rows`` as CSR, as a sparse provider returns them."""
+    rows = np.asarray(rows, dtype=np.float32)
+    entry_rows, columns = np.nonzero(rows)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(rows, axis=1), out=indptr[1:])
+    return CsrBatch(indptr, columns.astype(np.uint16), rows[entry_rows, columns], rows.shape[1])
+
+
+#: Each layout's row generator.
 ROWS = {"dense": gaussian_rows, "csr": sparse_rows}
 
 
+def in_layout(rows: np.ndarray, layout: str) -> np.ndarray | CsrBatch:
+    """``rows`` as the provider of ``layout`` returns them: a block, or CSR."""
+    return rows if layout == "dense" else csr_batch(rows)
+
+
 def dim_for(layout: str, dense_dim: int) -> int:
-    """A CSR index needs enough buckets for its sparse rows to beat dense."""
+    """The dimension a test uses in ``layout``: sparse rows get 64 buckets."""
     return dense_dim if layout == "dense" else 64
 
 
 def random_index(rng: random.Random, n: int, dim: int, layout: str = "dense") -> LevelIndex:
     ids = [f"c{i:04d}" for i in range(n)]
-    index = LevelIndex(Level.SENTENCE, ids, ROWS[layout](rng, n, dim))
+    index = LevelIndex(Level.SENTENCE, ids, in_layout(ROWS[layout](rng, n, dim), layout))
     assert index.layout == layout
     return index
 
@@ -112,7 +133,7 @@ class TestSearchOracle:
     def test_ties_broken_by_id_ascending(self, layout):
         vec = ensure_unit(np.r_[1.0, 1.0, np.zeros(dim_for(layout, 4) - 2)])
         vectors = np.stack([vec, vec, vec])
-        index = LevelIndex(Level.SENTENCE, ["zz", "aa", "mm"], vectors)
+        index = LevelIndex(Level.SENTENCE, ["zz", "aa", "mm"], in_layout(vectors, layout))
         assert index.layout == layout
         hits = index.search(vec, 3)
         assert [h.chunk_id for h in hits] == ["aa", "mm", "zz"]
@@ -144,7 +165,8 @@ class TestSearchNearTies:
         rng = random.Random(21)
         base = random_index(rng, 12, 33, layout)
         rows = np.stack([base.vectors[rng.randrange(12)] for _ in range(266)])
-        index = LevelIndex(Level.SENTENCE, [f"d{i:03d}" for i in range(266)], rows)
+        ids = [f"d{i:03d}" for i in range(266)]
+        index = LevelIndex(Level.SENTENCE, ids, in_layout(rows, layout))
         assert index.layout == layout
         probes = list(base.vectors) + [
             np.array([rng.gauss(0, 1) for _ in range(33)], dtype=np.float32) for _ in range(12)
@@ -164,7 +186,8 @@ class TestSearchNearTies:
             row[step > 0] = np.nextafter(row[step > 0], np.float32(np.inf))
             row[step < 0] = np.nextafter(row[step < 0], np.float32(-np.inf))
             rows.append(row)
-        index = LevelIndex(Level.SENTENCE, [f"u{i:03d}" for i in range(400)], np.stack(rows))
+        ids = [f"u{i:03d}" for i in range(400)]
+        index = LevelIndex(Level.SENTENCE, ids, in_layout(np.stack(rows), layout))
         assert index.layout == layout
         for probe in range(8):
             assert_matches_oracle(index, base[probe], [1, 3, 50, 51, 52, 399])
@@ -174,7 +197,7 @@ class TestSearchNearTies:
         rng = random.Random(n)
         row = random_index(rng, 1, dim, layout).vectors[0]
         ids = [f"e{i:04d}" for i in range(n - 1, -1, -1)]
-        index = LevelIndex(Level.SENTENCE, ids, np.stack([row] * n))
+        index = LevelIndex(Level.SENTENCE, ids, in_layout(np.stack([row] * n), layout))
         assert index.layout == layout
         query = np.array([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
         for probe in (row, query):
@@ -213,7 +236,8 @@ class TestSearchNearTies:
             else:
                 row[j] = np.nextafter(row[j], np.float32(rng.choice([-np.inf, np.inf])))
             rows.append(row)
-        index = LevelIndex(Level.SENTENCE, [f"b{i:03d}" for i in range(300)], np.stack(rows))
+        ids = [f"b{i:03d}" for i in range(300)]
+        index = LevelIndex(Level.SENTENCE, ids, csr_batch(np.stack(rows)))
         assert index.layout == "csr"
         for probe in [base, rows[0], rows[1], rows[150]]:
             assert_matches_oracle(index, probe, [1, 2, 20, 149, 150, 151, 299])
@@ -228,7 +252,7 @@ class TestSearchNearTies:
         for row in rows:
             row[rng.sample(range(16), 12)] = values
         rows = np.stack([ensure_unit(row) for row in rows])
-        index = LevelIndex(Level.SENTENCE, [f"p{i:03d}" for i in range(400)], rows)
+        index = LevelIndex(Level.SENTENCE, [f"p{i:03d}" for i in range(400)], csr_batch(rows))
         assert index.layout == "csr"
         query = np.r_[np.ones(16), np.zeros(48)].astype(np.float32)
         assert len({h.score for h in index.search(query, 400)}) >= 3
@@ -243,7 +267,7 @@ class TestSearchNearTies:
         rows[40:, :8] = 0.0
         rows = np.stack([ensure_unit(row) for row in rows])
         ids = [f"z{i:03d}" for i in rng.sample(range(260), 260)]
-        index = LevelIndex(Level.SENTENCE, ids, rows)
+        index = LevelIndex(Level.SENTENCE, ids, csr_batch(rows))
         assert index.layout == "csr"
         query = ensure_unit(np.r_[np.ones(8), np.zeros(376)])
         assert_matches_oracle(index, query, [1, 39, 40, 41, 100, 259, 260, 261, 1000])
@@ -269,7 +293,7 @@ class TestSearchNearTies:
             for i in range(2400)
         ]
         vectors = embed_batch(HashedBowEmbedder(dimension=384), texts)
-        index = LevelIndex(Level.SENTENCE, [f"s{i:05d}" for i in range(2400)], np.stack(vectors))
+        index = LevelIndex(Level.SENTENCE, [f"s{i:05d}" for i in range(2400)], vectors)
         assert index.layout == "csr"
         embedder = HashedBowEmbedder(dimension=384)
         straddled = 0
@@ -339,20 +363,39 @@ class TestBuildIndex:
         assert len(index) == n > 5000 and index.layout == "csr"
         assert peak < n * dimension * 4 / 4
 
-    def test_dimension_beyond_u2_columns_stays_dense(self, tmp_path):
+    def test_dimension_beyond_u2_columns_rejected(self):
+        with pytest.raises(ConfigError, match="between 1 and 65536"):
+            HashedBowEmbedder(65_537)
+
+    @pytest.mark.parametrize("dimension", [8, 65_536])
+    def test_hashed_bow_builds_csr_at_any_dimension(self, tmp_path, dimension):
+        # At dimension 8 most toy rows fill most buckets; 65,536 buckets
+        # are the most a <u2 column addresses.
         corpus = build_corpus(TOY_DOCS, TOY_CHUNKING)
-        dimension = 70_000
         index = build_index(corpus, Level.SENTENCE, HashedBowEmbedder(dimension))
-        assert index.layout == "dense"
+        assert index.layout == "csr"
         for chunk_id, row in zip(index.chunk_ids, index.vectors):
             expected = reference_vector(corpus.chunk_text(chunk_id), dimension)
             assert row.tobytes() == expected.tobytes()
         save_index(index, tmp_path / "a.idx", EMBEDDER)
         loaded = load_index(tmp_path / "a.idx", index.chunk_ids, EMBEDDER, dimension)
-        assert loaded.layout == "dense"
+        assert loaded.layout == "csr"
         assert np.array_equal(loaded.vectors, index.vectors)
         save_index(loaded, tmp_path / "b.idx", EMBEDDER)
         assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
+
+    def test_one_chunk_level_loads_back_dense(self, tmp_path):
+        # One text comes back as one dense row, and the index keeps it so.
+        corpus = build_corpus(
+            {"d": "One two."},
+            ChunkingConfig(parent_size=30, intermediate_size=10, sub_intermediate_size=None),
+        )
+        assert len(corpus.ids_at(Level.PARENT)) == 1
+        index = build_index(corpus, Level.PARENT, HashedBowEmbedder(dimension=384))
+        save_index(index, tmp_path / "parent.idx", EMBEDDER)
+        loaded = load_index(tmp_path / "parent.idx", index.chunk_ids, EMBEDDER, 384)
+        assert index.layout == loaded.layout == "dense"
+        assert loaded.vectors[0].tobytes() == reference_vector("One two.", 384).tobytes()
 
 
 EMBEDDER = "hashed-bow"
@@ -673,6 +716,13 @@ class TestPostingsOnFirstSearch:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_row_count_other_than_ids_rejected(self, layout, rows):
+        vectors = in_layout(sparse_rows(random.Random(9), rows, 64), layout)
+        with pytest.raises(InvalidInputError, match=f"{rows} rows do not match 3 ids"):
+            LevelIndex(Level.PARENT, ["x", "y", "z"], vectors)
+
     def test_duplicate_ids_rejected(self):
         vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.ones(4))])
         with pytest.raises(InvalidCorpusError):

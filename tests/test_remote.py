@@ -9,6 +9,7 @@ from hrr.engine import context_for
 from hrr.config import EngineConfig
 from hrr.errors import ConfigError, DimensionMismatchError, ProviderUnavailableError
 from hrr.evaluation import compare
+from hrr.index import build_index, load_index, save_index
 from hrr.rerank import (
     FALLBACK_PASSTHROUGH,
     LexicalOverlapReranker,
@@ -20,6 +21,7 @@ from hrr.retrievers import Strategy
 from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING
+from test_index import naive_top_k
 from stub_services import (
     MODE_BAD_REQUEST,
     MODE_HANG,
@@ -52,6 +54,26 @@ class TestRemoteEmbedder:
         local = embed_batch(HashedBowEmbedder(dimension=DIM), texts)
         for a, b in zip(local, got):
             assert np.array_equal(a, b)
+
+    def test_indexes_stay_dense_and_exact(self, toy_corpus, tmp_path):
+        # The stub serves hashed-bow rows, mostly zeros, as a dense block.
+        queries = ["zorblat fenwick grant", "depot storage", "canal water schedule"]
+        query_rows = embed_batch(HashedBowEmbedder(dimension=DIM), queries)
+        with StubServices(dimension=DIM) as stub:
+            remote = RemoteEmbedder(stub.base_url, DIM, timeout=5.0, retries=0)
+            for level in toy_corpus.levels:
+                index = build_index(toy_corpus, level, remote)
+                assert index.layout == "dense"
+                for query in query_rows:
+                    for k in (1, 3, len(index)):
+                        hits = [(h.chunk_id, h.score) for h in index.search(query, k)]
+                        assert hits == naive_top_k(index, query, k)
+                a, b = tmp_path / f"{level.value}.a.idx", tmp_path / f"{level.value}.b.idx"
+                save_index(index, a, remote.name)
+                loaded = load_index(a, index.chunk_ids, remote.name, DIM)
+                assert loaded.layout == "dense"
+                save_index(loaded, b, remote.name)
+                assert a.read_bytes() == b.read_bytes()
 
     def test_wrong_dimension_raises(self):
         with StubServices(dimension=DIM, mode=MODE_WRONG_DIMENSION) as stub:
