@@ -20,6 +20,7 @@ from pathlib import Path
 from . import engine
 from .config import EngineConfig, load_config
 from .corpus import load_corpus, validate_corpus
+from .embedding import encodes_as_utf8
 from .errors import (
     ConfigError,
     HrrError,
@@ -138,6 +139,8 @@ def _apply_overrides(config: EngineConfig, args: argparse.Namespace) -> EngineCo
 def cmd_query(args: argparse.Namespace, config: EngineConfig) -> int:
     if not args.query.strip():
         raise ConfigError("the query text is blank")
+    if not encodes_as_utf8(args.query):
+        raise ConfigError("the query text is not valid UTF-8")
     config = _apply_overrides(config, args)
     ctx = engine.load_context(config)
     result = retrieve(args.query, ctx)

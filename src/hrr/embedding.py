@@ -196,6 +196,19 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)))
 
 
+def encodes_as_utf8(text: str) -> bool:
+    """Whether ``text`` holds no lone surrogate, the one thing UTF-8 cannot
+    encode: what Python makes of undecodable bytes in a name or an argument,
+    or of a ``\\udc80`` escape in JSON."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray | CsrBatch:
     """Embed texts through ``provider`` with boundary validation.
 
@@ -206,14 +219,17 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
     and only the others -- off unit, near the tolerance, zero or not finite
     -- go through ``ensure_unit`` itself. A writeable float32 block and a
     ``CsrBatch`` are validated in place and returned without a copy.
-    Rejects an empty list and empty strings; whitespace-only text is
-    allowed (providers map it to a documented fallback vector).
+    Rejects an empty list, empty strings and strings that UTF-8 cannot
+    encode; whitespace-only text is allowed (providers map it to a
+    documented fallback vector).
     """
     if len(texts) == 0:
         raise InvalidInputError("embed_batch requires at least one text")
     for i, text in enumerate(texts):
         if not isinstance(text, str) or text == "":
             raise InvalidInputError(f"texts[{i}] is not a non-empty string")
+        if not encodes_as_utf8(text):
+            raise InvalidInputError(f"texts[{i}] holds a lone surrogate, not UTF-8 text")
     vectors = provider.embed_batch(texts)
     if len(vectors) != len(texts):
         raise ProviderUnavailableError(

@@ -10,13 +10,14 @@ unchanged inputs rewrites byte-identical artifacts.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .chunking import build_corpus
 from .config import PROVIDER_LOCAL_EMBED, EngineConfig
 from .corpus import Corpus, Level, load_corpus, save_corpus, validate_corpus
-from .embedding import EmbeddingProvider, HashedBowEmbedder, RemoteEmbedder
+from .embedding import EmbeddingProvider, HashedBowEmbedder, RemoteEmbedder, encodes_as_utf8
 from .errors import (
     InvalidCorpusError,
     MissingIndexError,
@@ -61,8 +62,9 @@ def make_reranker(config: EngineConfig) -> RerankProvider:
 def read_documents(docs_dir: str | Path) -> dict[str, str]:
     """Read every ``*.txt`` file (sorted by name) as one document.
 
-    A path that is not a readable UTF-8 file, or whose text is empty or
-    only whitespace, raises ``UnreadableDocumentError`` naming it.
+    A path that is not a readable UTF-8 file, whose name is not UTF-8
+    (the name is the document id), or whose text is empty or only
+    whitespace, raises ``UnreadableDocumentError`` naming it.
     """
     docs_dir = Path(docs_dir)
     paths = sorted(docs_dir.glob("*.txt"))
@@ -70,6 +72,9 @@ def read_documents(docs_dir: str | Path) -> dict[str, str]:
         raise NoDocumentsError(f"no .txt documents in {docs_dir}")
     documents = {}
     for path in paths:
+        if not encodes_as_utf8(path.name):
+            shown = os.fsencode(path).decode("utf-8", "backslashreplace")
+            raise UnreadableDocumentError(f"{shown}: the file name is not valid UTF-8")
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, malformed_record
+from .embedding import encodes_as_utf8
 from .errors import EmptyQuerySetError, GoldNotInCorpusError
 from .retrievers import RetrievalContext, RetrievalResult, Strategy, retrieve
 
@@ -129,10 +130,10 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
     beside a ``gold_parent_id``: it must name that parent's document. A
     line that is not a well-formed record raises ``SnapshotFormatError``
     naming the file and line: one with a key other than these four, whose
-    ``query`` is not a string with non-whitespace text, whose gold ids are
-    not strings, whose ``gold_char_span`` is not two integers ``[start,
-    end]`` with ``start < end``, or that has a span beside a
-    ``gold_parent_id``, where it would go unused.
+    ``query`` is not a string with non-whitespace text that UTF-8 can
+    encode, whose gold ids are not strings, whose ``gold_char_span`` is not
+    two integers ``[start, end]`` with ``start < end``, or that has a span
+    beside a ``gold_parent_id``, where it would go unused.
     """
     queries: list[LabeledQuery] = []
     problems: list[str] = []
@@ -166,6 +167,8 @@ def _record_to_query(rec: dict, corpus: Corpus | None, line_no: int) -> LabeledQ
     query = rec["query"]
     if not (isinstance(query, str) and query.strip()):
         raise ValueError("query is not a string with non-whitespace text")
+    if not encodes_as_utf8(query):
+        raise ValueError("query holds a lone surrogate, which UTF-8 cannot encode")
     unknown = sorted(rec.keys() - _RECORD_KEYS)
     if unknown:
         raise ValueError(f"unknown keys {unknown}")

@@ -9,9 +9,12 @@ rescan stays the correctness oracle in the tests.
 The scan is done in two passes, the structure of an exact flat index
 (Johnson, Douze, Jegou, arXiv 1702.08734). A first pass gives every entry
 an approximate score; only the entries whose approximate score lies within
-a proven rounding-error margin of the k-th best are rescored with the
-canonical routine. ``LevelIndex.search`` holds the proof that this never
-drops an entry of the true top k.
+a proven rounding-error margin of the k-th best stay candidates, and each
+gets its canonical score. A dense candidate is rescored with the canonical
+routine. A CSR candidate whose first-pass sum added at most two stored
+entries keeps that sum, which is bit for bit the canonical score but for
+the sign of a zero; it is rescored only if it is returned with a score of
+0. ``LevelIndex.search`` holds the proof of both steps.
 
 Rows are kept in the layout the embedding provider returned: a
 ``CsrBatch``, as hashed bag-of-words rows come, is kept as compressed
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import heapq
 import json
 import math
 import os
@@ -64,6 +66,18 @@ def _gamma(d: int, u: float) -> float:
     return d * u / (1.0 - d * u)
 
 
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """The k-th largest of ``values``, as the k-th smallest of a negated copy
+    partitioned in place.
+
+    np.partition is many times slower at a kth near the end of an array
+    holding many equal values (a CSR index's untouched rows all score 0).
+    """
+    negated = -values
+    negated.partition(k - 1)
+    return -float(negated[k - 1])
+
+
 class _DenseRows:
     """Rows as one C-contiguous ``(n, d)`` float32 matrix."""
 
@@ -81,8 +95,9 @@ class _DenseRows:
     def squared_norms(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.matrix, self.matrix)
 
-    def approx_scores(self, query: np.ndarray) -> np.ndarray:
-        return self.matrix @ query
+    def approx_scores(self, query: np.ndarray) -> tuple[np.ndarray, None]:
+        """Each row's float32 ``V @ q``; no row's score is exact."""
+        return self.matrix @ query, None
 
     def row(self, i: int) -> np.ndarray:
         return self.matrix[i]
@@ -135,7 +150,9 @@ class _CsrRows:
     def squared_norms(self) -> np.ndarray:
         return self.csr.squared_norms()
 
-    def approx_scores(self, query: np.ndarray) -> np.ndarray:
+    def approx_scores(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's float64 sum of ``x_ij q_j`` over the query's non-zero
+        buckets, and the number of stored entries that sum added."""
         starts, posting_rows, posting_values = self._postings
         buckets = np.flatnonzero(query).tolist()
         spans = [(starts[j], starts[j + 1], float(query[j])) for j in buckets]
@@ -144,7 +161,8 @@ class _CsrRows:
         weights = np.concatenate(
             [np.multiply(posting_values[s:e], q, dtype=np.float64) for s, e, q in spans]
         )
-        return np.bincount(rows, weights=weights, minlength=self.count)
+        sums = np.bincount(rows, weights=weights, minlength=self.count)
+        return sums, np.bincount(rows, minlength=self.count)
 
     def dense(self) -> np.ndarray:
         return np.asarray(self.csr)
@@ -227,10 +245,12 @@ class LevelIndex:
         sorting. Pass 1 takes an approximate score ``a_i`` of every row and
         the k-th largest of them, ``t``: ``(V @ q)_i`` in float32 for a
         dense index, the float64 sum of ``x_ij q_j`` over the query's
-        non-zero buckets for a CSR one. Pass 2 rescores canonically only the
-        rows with ``a_i >= t - 2E``, where
+        non-zero buckets for a CSR one. Pass 2 keeps only the rows with
+        ``a_i >= t - 2E`` as candidates, where
 
             E = (gamma_d(f32) + gamma_d(f64)) * max_i |x_i| * |q| + d * eta
+
+        and scores them canonically.
 
         Why no row of the true top k is missed: let ``c_i`` be the
         canonical score. Its float64 products of float32 inputs are exact,
@@ -244,37 +264,71 @@ class LevelIndex:
         At least k rows have ``a_i >= t``, hence ``c_i >= t - E``, so the
         k-th best canonical score ``c_(k)`` is at least ``t - E``. Every
         row with ``c_i >= c_(k)`` -- the true top k and everything tied
-        with its last score -- has ``a_i >= c_i - E >= t - 2E`` and is
-        rescored; every other row has ``c_i <= a_i + E < t - E <= c_(k)``
-        and could not be selected. Selecting among the rescored rows under
+        with its last score -- has ``a_i >= c_i - E >= t - 2E`` and is a
+        candidate; every other row has ``c_i <= a_i + E < t - E <= c_(k)``
+        and could not be selected. Selecting among the candidates under
         the same order therefore returns the full scan's hits exactly.
         Finite rows keep every term finite. E is evaluated in float64: the
         norm inflation in ``__init__`` leaves it a relative slack of about
         gamma_d(f32) / 2, far above those few roundings, and the cut is
-        rounded down. A CSR row is densified before it is rescored; its
-        stored zeros are exact, so the canonical score is the same.
+        rounded down.
+
+        Which candidates are rescored: a dense row always; a CSR row only
+        when its sum added three or more stored entries. A CSR row that
+        shares at most two buckets with the query keeps its sum, which is
+        already its canonical score: the canonical dot of the densified row
+        holds the same one or two exact products ``p1``, ``p2`` and exact
+        zeros; adding a zero to a non-zero value is exact, and ``p1 + p2``
+        rounds once in either order, so every summation order, with FMA or
+        without, gives the same bits. Only the sign of a zero sum may differ
+        (``np.dot`` of one ``-0.0`` product can give ``-0.0`` where
+        ``bincount`` gives ``+0.0``), and signed zeros compare equal, so the
+        selection stands and each returned row whose kept sum is 0 is
+        rescored.
         """
         if k < 1:
             raise InvalidInputError("k must be >= 1")
         query = ensure_unit(query, self.dimension)
         n = len(self)
         if k >= n:
-            candidates = range(n)
+            candidates = np.arange(n)
+            scores = np.zeros(n)
+            kept = np.zeros(n, dtype=bool)
         else:
-            approx = self._rows.approx_scores(query)
-            # The k-th smallest of -a: np.partition is many times slower at a
-            # kth near the end of an array holding many equal values (a CSR
-            # index's untouched rows all score 0).
-            t = -float(np.partition(-approx, k - 1)[k - 1])
+            approx, entries = self._rows.approx_scores(query)
+            t = _kth_largest(approx, k)
             d = self.dimension
             q_norm = float(np.linalg.norm(query.astype(np.float64)))
             bound = (_gamma(d, _U32) + _gamma(d, _U64)) * self._max_norm * q_norm + d * _ETA32
             cut = np.nextafter(t - 2.0 * bound, -math.inf)
-            candidates = np.flatnonzero(approx >= cut).tolist()
+            candidates = np.flatnonzero(approx >= cut)
+            scores = approx[candidates].astype(np.float64, copy=False)
+            if entries is None:
+                kept = np.zeros(len(candidates), dtype=bool)
+            else:
+                kept = entries[candidates] <= 2
         row = self._rows.row
-        scores = {i: cosine_similarity(row(i), query) for i in candidates}
-        best = heapq.nsmallest(k, scores, key=lambda i: (-scores[i], self.chunk_ids[i]))
-        return [ScoredCandidate(self.chunk_ids[i], scores[i]) for i in best]
+        for p in np.flatnonzero(~kept).tolist():
+            scores[p] = cosine_similarity(row(candidates[p]), query)
+        hits = []
+        for p in self._best(candidates, scores, k):
+            i = candidates[p]
+            score = cosine_similarity(row(i), query) if kept[p] and scores[p] == 0 else scores[p]
+            hits.append(ScoredCandidate(self.chunk_ids[i], float(score)))
+        return hits
+
+    def _best(self, rows: np.ndarray, scores: np.ndarray, k: int) -> list[int]:
+        """The positions of the top k ``scores``, best first, under (score
+        descending, chunk id of ``rows`` ascending). ``rows`` ascend."""
+        ids = self.chunk_ids
+        keep = range(len(scores))
+        if len(scores) > k:
+            kth = _kth_largest(scores, k)
+            above = np.flatnonzero(scores > kth).tolist()
+            # Chunk ids are compared only among the rows tied with the k-th.
+            tied = sorted(rows[scores == kth].tolist(), key=ids.__getitem__)
+            keep = above + np.searchsorted(rows, tied[: k - len(above)]).tolist()
+        return sorted(keep, key=lambda p: (-scores[p], ids[rows[p]]))
 
 
 def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> LevelIndex:

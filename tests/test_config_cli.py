@@ -328,6 +328,31 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "query text is blank" in err and err.count("\n") == 1
 
+    def test_non_utf8_query_is_usage_error_before_loading(self, workdir, capsys):
+        # Python decodes the argument byte 0xff as the lone surrogate U+DCFF.
+        capsys.readouterr()
+        assert main(["query", "caf\udcff", "--config", "engine.json"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "query text is not valid UTF-8" in err and err.count("\n") == 1
+
+    def test_non_utf8_query_argument_exits_2_in_one_line(self, workdir):
+        src = str(Path(hrr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrr.cli", "query", b"caf\xff", "--config", "engine.json"],
+            cwd=workdir, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == b"config error: the query text is not valid UTF-8\n"
+
+    def test_non_utf8_file_name_is_io_error_before_writing(self, workdir, capsys):
+        Path(os.fsdecode(b"synth/docs/d\xff.txt")).write_text("Some text.\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "d\\xff.txt: the file name is not valid UTF-8" in err and err.count("\n") == 1
+        assert not Path("corpus").exists() and not Path("indexes").exists()
+
     def test_infeasible_synth_spec_is_usage_error(self, tmp_path, capsys):
         capsys.readouterr()
         assert main(["synth", "--needles", "1000", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
@@ -428,6 +453,18 @@ class TestCliErrors:
         Path("queries.jsonl").write_text(
             json.dumps(good) + "\n" + json.dumps(dict(good, query=query)) + "\n"
         )
+        capsys.readouterr()
+        code = main(["eval", "--query-set", "queries.jsonl", "--config", "engine.json"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "queries.jsonl line 2: malformed record" in err and err.count("\n") == 1
+
+    def test_query_with_lone_surrogate_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        good = json.loads((workdir / "synth" / "queries.jsonl").read_text().splitlines()[0])
+        bad = json.dumps(dict(good, query="x\udc80y"))
+        assert "\\udc80" in bad
+        Path("queries.jsonl").write_text(json.dumps(good) + "\n" + bad + "\n")
         capsys.readouterr()
         code = main(["eval", "--query-set", "queries.jsonl", "--config", "engine.json"])
         assert code == EXIT_IO

@@ -256,6 +256,10 @@ class TestEmbedBatchValidation:
         with pytest.raises(InvalidInputError):
             embed_batch(HashedBowEmbedder(dimension=8), ["ok", ""])
 
+    def test_lone_surrogate_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"texts\[1\] holds a lone surrogate"):
+            embed_batch(HashedBowEmbedder(dimension=8), ["ok", "x\udc80y"])
+
     def test_order_preserving(self):
         provider = HashedBowEmbedder(dimension=16)
         texts = ["one", "two", "three"]

@@ -309,6 +309,12 @@ class TestQuerySetFiles:
             load_query_set(path, toy_corpus)
 
 
+    def test_query_with_lone_surrogate_is_malformed(self, tmp_path, toy_corpus):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"query": "x\\udc80y", "gold_parent_id": "alpha:p0"}\n')
+        with pytest.raises(SnapshotFormatError, match="line 1: malformed record .*surrogate"):
+            load_query_set(path, toy_corpus)
+
     def test_deeply_nested_line_is_malformed(self, tmp_path, toy_corpus):
         path = tmp_path / "q.jsonl"
         path.write_text("[" * 100_000 + "]" * 100_000 + "\n")

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.cli import EXIT_OK, main
@@ -30,6 +32,7 @@ from hrr.errors import (
     SnapshotFormatError,
 )
 from hrr.engine import ingest, load_context
+import hrr.index as index_module
 from hrr.index import LevelIndex, build_index, load_index, save_index
 from hrr.retrievers import _PLANS, Strategy, retrieve
 from hrr.synth import CorpusSpec, generate
@@ -46,6 +49,15 @@ def naive_top_k(index: LevelIndex, query: np.ndarray, k: int):
     ]
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:k]
+
+
+def assert_hits_are(hits, expected, *context) -> None:
+    """Search hits equal the oracle's ``(chunk id, score)`` pairs bit for bit.
+
+    Scores are compared by ``float.hex``, so ``-0.0`` and ``0.0`` differ.
+    """
+    got = [(h.chunk_id, float.hex(h.score)) for h in hits]
+    assert got == [(chunk_id, float.hex(score)) for chunk_id, score in expected], context
 
 
 def gaussian_rows(rng: random.Random, n: int, dim: int) -> np.ndarray:
@@ -109,9 +121,7 @@ class TestSearchOracle:
             index = random_index(rng, n, dim, layout)
             query = ROWS[layout](rng, 1, dim)[0]
             k = rng.randint(1, n + 3)
-            hits = index.search(query, k)
-            expected = naive_top_k(index, query, k)
-            assert [(h.chunk_id, h.score) for h in hits] == expected
+            assert_hits_are(index.search(query, k), naive_top_k(index, query, k))
 
     def test_self_match_scores_one(self, layout):
         rng = random.Random(5)
@@ -152,8 +162,7 @@ def assert_matches_oracle(index: LevelIndex, query: np.ndarray, ks) -> None:
     """Search equals the full scan for each k, ids and float scores alike."""
     unit = ensure_unit(query, index.dimension)
     for k in ks:
-        hits = index.search(query, k)
-        assert [(h.chunk_id, h.score) for h in hits] == naive_top_k(index, unit, k), k
+        assert_hits_are(index.search(query, k), naive_top_k(index, unit, k), k)
 
 
 class TestSearchNearTies:
@@ -304,6 +313,143 @@ class TestSearchNearTies:
             straddled += len(ks)
             assert_matches_oracle(index, q, ks + [1, 10, 2399, 2400])
         assert straddled >= 20
+
+
+#: Stored CSR values: float32s ``m * 2**e`` of both signs over thirty
+#: binades, with full 24-bit significands, so that sums of three or more
+#: products round differently in different orders; and signed zeros, drawn
+#: for the lowest ``m``.
+CSR_VALUES = st.builds(
+    lambda sign, m, e: sign * (m if m >= 2**23 else 0) * 2.0**e,
+    st.sampled_from([1.0, -1.0]), st.integers(2**23 - 2**20, 2**24 - 1), st.integers(-54, -24),
+)
+
+
+@st.composite
+def csr_search_cases(draw):
+    """``(dimension, query, rows, ids, k)``: each row a ``{column: value}``
+    dict, sharing 0 to 4 of the query's non-zero buckets, some with stored
+    ``±0.0`` entries or two products that cancel exactly."""
+    d = draw(st.sampled_from([1, 2, 16, 64]))
+    buckets = draw(
+        st.lists(st.integers(0, d - 1), min_size=min(d, 3), max_size=6, unique=True)
+    )
+    # Powers of two keep their ratios through ensure_unit's scaling.
+    query = {j: draw(st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])) for j in buckets}
+    others = [j for j in range(d) if j not in query]
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        shared = draw(st.permutations(buckets))[: draw(st.integers(0, 4))]
+        extra = draw(st.lists(st.sampled_from(others), max_size=3, unique=True)) if others else []
+        row = {j: draw(CSR_VALUES) for j in shared + extra}
+        if len(shared) >= 2 and draw(st.booleans()):
+            a, b = shared[:2]  # x_b q_b = -x_a q_a, exactly
+            row[b] = -row[a] * query[a] / query[b]
+        rows.append(row)
+    ids = draw(st.permutations([f"r{i:02d}" for i in range(len(rows))]))
+    return d, query, rows, ids, draw(st.integers(1, len(rows) + 2))
+
+
+def csr_index_of(d: int, rows: list[dict[int, float]], ids) -> LevelIndex:
+    """A CSR index holding exactly the given entries, stored zeros included."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    entries = [(j, row[j]) for row in rows for j in sorted(row)]
+    columns = np.array([j for j, _ in entries], dtype=np.uint16)
+    values = np.array([v for _, v in entries], dtype=np.float32)
+    return LevelIndex(Level.SENTENCE, ids, CsrBatch(indptr, columns, values, d))
+
+
+#: Rows for a query on buckets 0, 5 and 10 of 16: the first row's three
+#: products, added in column order, round differently from ``np.dot`` on
+#: x86-64 OpenBLAS (scipy-openblas 0.3.31), whose kernel adds them in
+#: another order.
+THREE_ENTRIES = [
+    {0: 0.11208245903253555, 5: -5.74876776227029e-06, 10: -0.08048609644174576}, {}
+]
+
+
+class TestCsrSearchBitwise:
+    """A CSR row keeps its postings sum as its score when the sum added at
+    most two stored entries; those scores must be the canonical ones bit for
+    bit, a zero's sign included."""
+
+    @given(csr_search_cases())
+    @example((1, {0: -1.0}, [{0: 0.5}, {}, {0: 0.0}, {0: -0.0}], ["a", "b", "c", "d"], 3))
+    @example((16, {0: 1.0, 5: 1.0, 10: 1.0}, THREE_ENTRIES, ["x", "y"], 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scan_bit_for_bit(self, case):
+        d, query, rows, ids, k = case
+        index = csr_index_of(d, rows, ids)
+        q = np.zeros(d, dtype=np.float32)
+        q[list(query)] = list(query.values())
+        assert_hits_are(index.search(q, k), naive_top_k(index, ensure_unit(q), k))
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """Count ``cosine_similarity`` calls in search; ``rescored(index)`` also
+    records which rows that index's searches densify from then on."""
+    calls = []
+    real = index_module.cosine_similarity
+
+    def counting(row, query):
+        calls.append(row)
+        return real(row, query)
+
+    monkeypatch.setattr(index_module, "cosine_similarity", counting)
+
+    def recorder(index: LevelIndex) -> tuple[list[int], list[np.ndarray]]:
+        """``(rows, calls)``: the rows densified and the rows scored from now on."""
+        rows = []
+        densify = index._rows.row
+
+        def row(i):
+            rows.append(int(i))
+            return densify(i)
+
+        monkeypatch.setattr(index._rows, "row", row)
+        calls.clear()
+        return rows, calls
+
+    return recorder
+
+
+class TestRescoringCount:
+    """How many rows search rescores canonically: a CSR row only when its
+    postings sum added three or more stored entries, or when it is returned
+    with a sum of 0."""
+
+    def test_query_matching_fewer_than_k_rows_rescores_at_most_k(self, rescored):
+        rng = random.Random(31)
+        words = "budget road school grain depot canal water permit".split()
+        texts = [" ".join(rng.choice(words) for _ in range(6)) for _ in range(3000)]
+        for i in (17, 1400, 2999):
+            texts[i] += " zorblat"
+        embedder = HashedBowEmbedder(dimension=384)
+        index = LevelIndex(Level.SENTENCE, [f"s{i:04d}" for i in range(3000)],
+                           embed_batch(embedder, texts))
+        assert index.layout == "csr"
+        query = embedder.embed_batch(["zorblat"])[0]
+        assert np.count_nonzero(index.vectors[:, query != 0]) == 3
+        rows, calls = rescored(index)
+        hits = index.search(query, 10)
+        # Only the seven returned rows that score 0 are rescored, not all 3,000.
+        assert len(calls) == len(rows) == 7
+        assert_hits_are(hits, naive_top_k(index, query, 10))
+
+    def test_needle_query_rescores_rows_with_three_shared_entries(self, toy_context, rescored):
+        index = toy_context.index(Level.SENTENCE)
+        assert index.layout == "csr"
+        query = toy_context.embedder.embed_batch(["zorblat fenwick grant money"])[0]
+        shared = np.count_nonzero(index.vectors[:, query != 0], axis=1)
+        for k in (1, 3, 10):
+            rows, calls = rescored(index)
+            hits = index.search(query, k)
+            assert_hits_are(hits, naive_top_k(index, query, k))
+            returned_zeros = {index.chunk_ids.index(h.chunk_id) for h in hits if h.score == 0}
+            assert len(calls) == len(rows) == len(set(rows))
+            assert all(shared[i] >= 3 or i in returned_zeros for i in rows)
+            assert len(rows) < len(index)
 
 
 class TestSearchValidation:
@@ -698,7 +844,7 @@ class TestPostingsOnFirstSearch:
 
         def first_search(slot: int) -> None:
             barrier.wait(timeout=30)
-            results[slot] = [(h.chunk_id, h.score) for h in loaded.search(query, 10)]
+            results[slot] = loaded.search(query, 10)
 
         threads = [threading.Thread(target=first_search, args=(i,)) for i in range(4)]
         assert not has_postings(loaded)
@@ -712,7 +858,8 @@ class TestPostingsOnFirstSearch:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert results == [naive_top_k(loaded, query, 10)] * 4
+        for hits in results:
+            assert_hits_are(hits, naive_top_k(loaded, query, 10))
 
 
 class TestConstruction:

@@ -21,7 +21,7 @@ from hrr.retrievers import Strategy
 from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING
-from test_index import naive_top_k
+from test_index import assert_hits_are, naive_top_k
 from stub_services import (
     MODE_BAD_REQUEST,
     MODE_HANG,
@@ -66,8 +66,7 @@ class TestRemoteEmbedder:
                 assert index.layout == "dense"
                 for query in query_rows:
                     for k in (1, 3, len(index)):
-                        hits = [(h.chunk_id, h.score) for h in index.search(query, k)]
-                        assert hits == naive_top_k(index, query, k)
+                        assert_hits_are(index.search(query, k), naive_top_k(index, query, k))
                 a, b = tmp_path / f"{level.value}.a.idx", tmp_path / f"{level.value}.b.idx"
                 save_index(index, a, remote.name)
                 loaded = load_index(a, index.chunk_ids, remote.name, DIM)

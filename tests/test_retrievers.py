@@ -16,7 +16,12 @@ from hrr.corpus import Level
 from hrr.embedding import HashedBowEmbedder, cosine_similarity, embed_batch
 from hrr.engine import context_for
 from hrr.config import EngineConfig
-from hrr.errors import EmptyCorpusError, MissingIndexError, ProviderUnavailableError
+from hrr.errors import (
+    EmptyCorpusError,
+    InvalidInputError,
+    MissingIndexError,
+    ProviderUnavailableError,
+)
 from hrr.rerank import FALLBACK_PASSTHROUGH, LexicalOverlapReranker
 from hrr.retrievers import (
     RetrievalContext,
@@ -291,6 +296,10 @@ class TestSharedBehavior:
     def test_rerun_identical(self, toy_context, strategy):
         ctx = with_strategy(toy_context, strategy)
         assert retrieve(QUERY, ctx) == retrieve(QUERY, ctx)
+
+    def test_query_with_lone_surrogate_rejected(self, toy_context):
+        with pytest.raises(InvalidInputError, match="surrogate"):
+            retrieve("caf\udcff", toy_context)
 
     def test_empty_corpus_rejected(self):
         empty = build_corpus({}, TOY_CHUNKING)
