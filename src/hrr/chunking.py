@@ -43,7 +43,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import HIERARCHY_LEVELS, Corpus, Level
+from .corpus import _CODES, HIERARCHY_LEVELS, Corpus, Level
 from .errors import ConfigError, EmptyDocumentError
 from .sentences import split_sentences
 from .tokens import Tokenizer, WordPunctTokenizer
@@ -79,6 +79,16 @@ class ChunkingConfig:
                 )
         if self.max_sentence_tokens < 1:
             raise ConfigError("max_sentence_tokens must be >= 1")
+
+    def budget(self, level: Level) -> int | None:
+        """The most tokens a chunk at ``level`` holds; None for sentences,
+        which are cut one per sentence fragment."""
+        return {
+            Level.PARENT: self.parent_size,
+            Level.INTERMEDIATE: self.intermediate_size,
+            Level.SENTENCE: None,
+            Level.SUB_INTERMEDIATE: self.sub_intermediate_size,
+        }[level]
 
 
 @dataclass
@@ -139,17 +149,14 @@ class _Tier(NamedTuple):
 
 def _tiers(config: ChunkingConfig) -> dict[Level, _Tier]:
     side = () if config.sub_intermediate_size is None else (Level.SUB_INTERMEDIATE,)
-    return {
-        Level.PARENT: _Tier("p", config.parent_size, config.parent_overlap, (Level.INTERMEDIATE,)),
-        Level.INTERMEDIATE: _Tier("i", config.intermediate_size, config.intermediate_overlap,
-                                  (Level.SENTENCE, *side)),
-        Level.SENTENCE: _Tier("s", None, 0, ()),
-        Level.SUB_INTERMEDIATE: _Tier("c", config.sub_intermediate_size, 0, ()),
+    rest = {
+        Level.PARENT: ("p", config.parent_overlap, (Level.INTERMEDIATE,)),
+        Level.INTERMEDIATE: ("i", config.intermediate_overlap, (Level.SENTENCE, *side)),
+        Level.SENTENCE: ("s", 0, ()),
+        Level.SUB_INTERMEDIATE: ("c", 0, ()),
     }
-
-
-#: The node table stores a level as its position in ``Level``.
-_LEVEL_CODES = {level: code for code, level in enumerate(Level)}
+    return {level: _Tier(letter, config.budget(level), overlap, children)
+            for level, (letter, overlap, children) in rest.items()}
 
 
 def build_corpus(
@@ -198,7 +205,7 @@ def build_corpus(
                 row = len(rows)
                 start, end = group_region.span
                 rows.append((
-                    chunk_id, _LEVEL_CODES[level], doc, parent_row, to_bytes(start), to_bytes(end),
+                    chunk_id, _CODES[level], doc, parent_row, to_bytes(start), to_bytes(end),
                     tokens.count(start, end),
                     group.owned[0].split_head or group.owned[-1].split_tail,
                 ))

@@ -20,19 +20,24 @@ Chunk text is never stored on the nodes; every node carries a (start, end)
 byte span into its source document's UTF-8 encoding, and the corpus decodes
 on demand. With zero overlap the spans at each level partition the level
 above, so documents reassemble byte-for-byte from their parent chunks.
+
+A corpus is saved as one file, ``nodes.bin``: the node table's columns, the
+chunk ids, then the documents' UTF-8 bytes, so one rename replaces texts and
+spans together. Its container (magic, header length, JSON header, blocks
+whose sizes the header gives) is the one the index snapshots use too;
+``write_snapshot`` and ``read_snapshot`` frame both.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -365,12 +370,7 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     violations: list[Violation] = []
     tokenizer = get_tokenizer(corpus.tokenizer_name)
     cfg = corpus.config
-    budgets = {
-        Level.PARENT: cfg.parent_size,
-        Level.INTERMEDIATE: cfg.intermediate_size,
-        Level.SENTENCE: None,
-        Level.SUB_INTERMEDIATE: cfg.sub_intermediate_size,
-    }
+    budgets = {level: cfg.budget(level) for level in Level}
 
     for row in range(len(corpus)):
         violations.extend(_check_row(corpus, row, budgets, tokenizer))
@@ -395,7 +395,7 @@ def _check_row(corpus: Corpus, row: int, budgets, tokenizer) -> list[Violation]:
                 f"stored {view.token_count[row]}, counted {actual_tokens}",
             )
         )
-    budget = budgets.get(level)
+    budget = budgets[level]
     if budget is not None and actual_tokens > budget:
         out.append(
             Violation("BudgetExceeded", chunk_id, f"{actual_tokens} tokens > {budget}")
@@ -456,47 +456,41 @@ def _check_cover(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: documents.jsonl (line-delimited records) + nodes.bin
+# Serialization: one nodes.bin per corpus, in the snapshot container that
+# the index snapshots share
 # ---------------------------------------------------------------------------
 
-#: Format version 1 was ``chunks.jsonl``, one JSON record per node.
+#: Format version 1 was ``chunks.jsonl``, one JSON record per node; version
+#: 2 kept the documents apart from ``nodes.bin``, in ``documents.jsonl``.
 _MAGIC = b"HRRNODE\n"
-_VERSION = 2
+_VERSION = 3
 
-DOCUMENTS_FILE = "documents.jsonl"
 NODES_FILE = "nodes.bin"
 _RETIRED_NODES_FILE = "chunks.jsonl"
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+_RETIRED_DOCUMENTS_FILE = "documents.jsonl"
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    """Write the corpus as ``documents.jsonl`` and the node file ``nodes.bin``.
+    """Write the corpus as the one file ``nodes.bin``.
 
-    ``documents.jsonl`` holds one record per document. ``nodes.bin`` is the
-    magic, a ``<I`` header length, a JSON header (format version,
-    tokenizer, chunking settings, node count, the document ids in row
-    order and ``ids_bytes``), then each column of the node table as
+    It is a snapshot (``write_snapshot``) whose JSON header holds the format
+    version, tokenizer, chunking settings, node count, the document ids in
+    row order, each document's length in bytes (``document_bytes``) and
+    ``ids_bytes``. The body is each column of the node table as
     little-endian fixed-width values (``level`` u1, document row ``<u4``,
     parent row ``<i4``, -1 for none, byte ``start`` and ``end`` ``<i8``,
     ``token_count`` ``<u4``, ``hard_split`` u1), then the ids as one JSON
-    array of ``ids_bytes`` bytes. Rows are in the corpus's iteration order
-    (the hierarchy in emission order, then the side tier), so a parent row
-    always precedes its children's. Each file is written under a temporary
-    name and renamed into place, so an interrupted save leaves the earlier
-    file whole; a ``chunks.jsonl`` of format v1 is removed. A corpus checks
-    its structure when constructed, so every corpus saves, and what is
-    saved loads back.
+    array of ``ids_bytes`` bytes, then each document's UTF-8 bytes. Rows
+    are in the corpus's iteration order (the hierarchy in emission order,
+    then the side tier), so a parent row always precedes its children's.
+    The file is replaced by one rename, so an interrupted save leaves the
+    earlier corpus whole, texts and spans alike; the ``chunks.jsonl`` and
+    ``documents.jsonl`` of retired formats are removed. A corpus checks its
+    structure when constructed, so every corpus saves, and what is saved
+    loads back.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    with replacing(directory / DOCUMENTS_FILE) as fh:
-        for doc_id, text in corpus.documents.items():
-            fh.write((_dumps({"doc_id": doc_id, "text": text}) + "\n").encode("utf-8"))
-
     ids = json.dumps(corpus._ids, separators=(",", ":")).encode("ascii")
     header = {
         "version": _VERSION,
@@ -504,17 +498,156 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
         "chunking": asdict(corpus.config),
         "count": len(corpus),
         "documents": list(corpus.documents),
+        "document_bytes": list(map(len, corpus._doc_bytes)),
         "ids_bytes": len(ids),
     }
+    columns = [column.astype(dtype, copy=False) for column, dtype in zip(corpus._cols, _DTYPES)]
+    write_snapshot(directory / NODES_FILE, _MAGIC, header, [*columns, ids, *corpus._doc_bytes])
+    for retired in (_RETIRED_NODES_FILE, _RETIRED_DOCUMENTS_FILE):
+        (directory / retired).unlink(missing_ok=True)
+
+
+def load_corpus(directory: str | Path) -> Corpus:
+    """Load a corpus previously written by ``save_corpus``.
+
+    A ``nodes.bin`` that could not have been saved raises
+    ``SnapshotFormatError`` naming it, in one line: anything
+    ``read_snapshot`` refuses (another magic, a malformed header, sizes
+    that do not fill the file exactly); another format version, which asks
+    for a re-ingest; an unknown tokenizer or invalid chunking settings;
+    document ids that are not one string per length, or that name a
+    document twice; a document that is not UTF-8; an id table that is not
+    a JSON array of ``count`` strings; and a node table that breaks a rule
+    ``Corpus`` checks when constructed (a duplicate id; a level code of 4
+    or more; a document row out of range; a parent-level node with a
+    parent row, or another node whose parent row is not an earlier row of
+    the same document at the level above it; a span that is empty or
+    reversed, ends beyond its document or cuts a UTF-8 character; a
+    ``hard_split`` flag other than 0 or 1), whose message the error
+    carries. Loading builds no ``ChunkNode``.
+    """
+    from .chunking import ChunkingConfig
+
+    directory = Path(directory)
+    path = directory / NODES_FILE
+    if not path.exists() and (directory / _RETIRED_NODES_FILE).exists():
+        raise SnapshotFormatError(
+            f"{directory / _RETIRED_NODES_FILE}: corpus format v1 is not read; re-run ingest"
+        )
+
+    def parse(header):
+        if header["version"] != _VERSION:
+            raise SnapshotFormatError(
+                f"corpus format version {header['version']!r} is not read; re-run ingest"
+            )
+        config = ChunkingConfig(**header["chunking"])
+        config.validate()
+        get_tokenizer(header["tokenizer"])
+        count, doc_ids = int(header["count"]), header["documents"]
+        lengths = header["document_bytes"]
+        if not (isinstance(lengths, list) and _is_strings(doc_ids, len(lengths))):
+            raise SnapshotFormatError("the document ids are not one string per document length")
+        if len(set(doc_ids)) != len(doc_ids):
+            duplicate = next(doc_id for doc_id, n in Counter(doc_ids).items() if n > 1)
+            raise SnapshotFormatError(f"document id {duplicate!r} is used twice")
+        sizes = [count * np.dtype(dtype).itemsize for dtype in _DTYPES]
+        sizes += [int(header["ids_bytes"]), *map(int, lengths)]
+        return (config, header["tokenizer"], count, doc_ids), sizes
+
+    with closing(read_snapshot(path, _MAGIC, parse)) as snapshot:
+        config, tokenizer_name, count, doc_ids = next(snapshot)
+        columns = [np.frombuffer(next(snapshot), dtype) for dtype in _DTYPES]
+        try:
+            ids = json.loads(next(snapshot).decode("utf-8"))
+        except (ValueError, RecursionError):
+            ids = None
+        if not _is_strings(ids, count):
+            raise SnapshotFormatError(
+                f"{path}: the id table is not a JSON array of {count} strings"
+            )
+        documents = {}
+        for doc_id, data in zip(doc_ids, snapshot):
+            try:
+                documents[doc_id] = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SnapshotFormatError(
+                    f"{path}: document {doc_id!r} is not UTF-8 ({exc.reason} at byte {exc.start})"
+                ) from None
+    try:
+        return Corpus(documents, ids, columns, config=config, tokenizer_name=tokenizer_name)
+    except InvalidCorpusError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
+
+
+def _is_strings(value, count: int) -> bool:
+    """Whether ``value`` is a list of ``count`` strings."""
+    return isinstance(value, list) and len(value) == count and set(map(type, value)) <= {str}
+
+
+def write_snapshot(path: str | Path, magic: bytes, header: Mapping, blocks) -> None:
+    """Write a snapshot: ``magic``, a ``<I`` header length, ``header`` as
+    JSON with sorted keys, then each of ``blocks`` (bytes-like, arrays
+    already in their file dtypes) as it is. The file is written under a
+    temporary name and renamed into place, so an interrupted write leaves
+    the earlier file whole."""
     header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
-    with replacing(directory / NODES_FILE) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
+    with replacing(path) as fh:
+        fh.write(magic)
+        fh.write(len(header_bytes).to_bytes(4, "little"))
         fh.write(header_bytes)
-        for column, dtype in zip(corpus._cols, _DTYPES):
-            fh.write(memoryview(column.astype(dtype, copy=False)))
-        fh.write(ids)
-    (directory / _RETIRED_NODES_FILE).unlink(missing_ok=True)
+        for block in blocks:
+            fh.write(block)
+
+
+def read_snapshot(
+    path: str | Path, magic: bytes, parse: Callable, retired: Mapping[bytes, str] = {}
+) -> Iterator:
+    """Read a snapshot ``write_snapshot`` wrote, as a generator: its first
+    value is the header's fields, each later one a block of the body as
+    ``bytes``, read only when it is asked for, so a caller can check the
+    fields before any block is read. A caller that may stop early closes it
+    (``contextlib.closing``), which closes the file.
+
+    ``parse`` takes the decoded header and returns ``(fields, sizes)``,
+    the values its caller needs and the byte size of each block; it raises
+    ``SnapshotFormatError`` for a header it refuses, and what reading a
+    malformed record raises for one that lacks a field. Every failure is a
+    one-line ``SnapshotFormatError`` naming ``path``, raised before the
+    fields are given: a magic of ``retired`` (which names the retired
+    format and asks for a re-ingest) or another magic; a header length or
+    header that the file cannot hold; a malformed header; a negative size;
+    and sizes that do not fill the rest of the file exactly, so no block is
+    read from a file that could not have been written.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        found = fh.read(len(magic))
+        if found in retired:
+            raise SnapshotFormatError(f"{path}: snapshot format {retired[found]} is not read; "
+                                      "re-run ingest")
+        if found != magic:
+            raise SnapshotFormatError(f"{path}: bad magic {found!r}")
+        length = fh.read(4)
+        header_len = int.from_bytes(length, "little")
+        if len(length) != 4 or header_len > size - fh.tell():
+            raise SnapshotFormatError(f"{path}: truncated snapshot")
+        try:
+            fields, sizes = parse(json.loads(fh.read(header_len).decode("utf-8")))
+        except (*MALFORMED_RECORD_ERRORS, ConfigError) as exc:
+            raise SnapshotFormatError(f"{path}: malformed header ({exc})") from None
+        except SnapshotFormatError as exc:
+            raise SnapshotFormatError(f"{path}: {exc}") from None
+        remaining = size - fh.tell()
+        if min(sizes, default=0) < 0:
+            raise SnapshotFormatError(f"{path}: its header gives a negative size")
+        if sum(sizes) != remaining:
+            raise SnapshotFormatError(
+                f"{path}: its header's sizes do not fill the file: they take {sum(sizes)} bytes, "
+                f"but {remaining} follow the header"
+            )
+        yield fields
+        for n in sizes:
+            yield fh.read(n)
 
 
 @contextmanager
@@ -529,91 +662,6 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def load_corpus(directory: str | Path) -> Corpus:
-    """Load a corpus previously written by ``save_corpus``.
-
-    A line of ``documents.jsonl`` that is not a well-formed record raises
-    ``SnapshotFormatError`` naming the file and line. So does any
-    ``nodes.bin`` that could not have been saved: another magic or format
-    version; header sizes that disagree with the file's length (checked
-    before anything is allocated); other document ids than
-    ``documents.jsonl`` holds; an id table that is not a JSON array of
-    ``count`` strings; an unknown tokenizer or invalid chunking settings;
-    and a node table that breaks a rule ``Corpus`` checks when constructed
-    (a duplicate id; a level code of 4 or more; a document row out of range;
-    a parent-level node with a parent row, or another node whose parent row
-    is not an earlier row of the same document at the level above it; a
-    span that is empty or reversed, ends beyond its document or cuts a UTF-8
-    character; a ``hard_split`` flag other than 0 or 1), whose message the
-    error carries. Loading builds no ``ChunkNode``.
-    """
-    from .chunking import ChunkingConfig
-
-    directory = Path(directory)
-    documents: dict[str, str] = {}
-    path = directory / DOCUMENTS_FILE
-    with open(path, encoding="utf-8") as fh:
-        line_no = 0
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                rec = json.loads(line)
-                documents[rec["doc_id"]] = rec["text"]
-        except MALFORMED_RECORD_ERRORS as exc:
-            raise malformed_record(path, line_no, exc) from None
-
-    path = directory / NODES_FILE
-    if not path.exists() and (directory / _RETIRED_NODES_FILE).exists():
-        raise SnapshotFormatError(
-            f"{directory / _RETIRED_NODES_FILE}: corpus format v1 is not read; re-run ingest"
-        )
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<I", read_exact(fh, 4, path))
-        try:
-            header = json.loads(read_exact(fh, header_len, path).decode("utf-8"))
-            version = header["version"]
-            if version == _VERSION:
-                config = ChunkingConfig(**header["chunking"])
-                config.validate()
-                tokenizer_name = header["tokenizer"]
-                get_tokenizer(tokenizer_name)
-                count = int(header["count"])
-                doc_ids = header["documents"]
-                ids_bytes = int(header["ids_bytes"])
-        except (*MALFORMED_RECORD_ERRORS, ConfigError) as exc:
-            raise SnapshotFormatError(f"{path}: malformed header ({exc})") from None
-        if version != _VERSION:
-            raise SnapshotFormatError(
-                f"{path}: corpus format version {version!r} is not read; re-run ingest"
-            )
-        if doc_ids != list(documents):
-            raise SnapshotFormatError(
-                f"{path}: its document ids do not match the {len(documents)} in {DOCUMENTS_FILE}"
-            )
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        if count < 0 or ids_bytes < 0 or count * _ROW_BYTES + ids_bytes != remaining:
-            raise SnapshotFormatError(
-                f"{path}: {count} nodes of {_ROW_BYTES} bytes and {ids_bytes} bytes of ids "
-                f"do not fill the {remaining} bytes that follow the header"
-            )
-        columns = _Columns(*(read_array(fh, (count,), dtype, path) for dtype in _DTYPES))
-        try:
-            ids = json.loads(read_exact(fh, ids_bytes, path).decode("utf-8"))
-        except (ValueError, RecursionError):
-            ids = None
-        if not (isinstance(ids, list) and len(ids) == count and set(map(type, ids)) <= {str}):
-            raise SnapshotFormatError(
-                f"{path}: the id table is not a JSON array of {count} strings"
-            )
-
-    try:
-        return Corpus(documents, ids, columns, config=config, tokenizer_name=tokenizer_name)
-    except InvalidCorpusError as exc:
-        raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
 
 
 def _check_structure(corpus: Corpus) -> None:
@@ -664,34 +712,10 @@ def _check_structure(corpus: Corpus) -> None:
     refuse(hard_split > 1, "its hard_split flag is not 0 or 1")
 
 
-def read_exact(fh, n: int, path) -> bytes:
-    """Exactly ``n`` bytes of ``fh``; fewer raise ``SnapshotFormatError``,
-    before anything is allocated."""
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise SnapshotFormatError(f"{path}: truncated snapshot")
-    data = fh.read(n)
-    if len(data) != n:
-        raise SnapshotFormatError(f"{path}: truncated snapshot")
-    return data
-
-
-def read_array(fh, shape: tuple[int, ...], dtype: str, path) -> np.ndarray:
-    """One ``shape`` array of ``dtype`` read from ``fh`` without a copy."""
-    array = np.empty(shape, dtype=dtype)
-    if fh.readinto(array) != array.nbytes:
-        raise SnapshotFormatError(f"{path}: truncated snapshot")
-    return array
-
-
-#: What reading fields from one parsed JSON line can raise when the line is
-#: not a well-formed record (``json.JSONDecodeError`` is a ``ValueError``;
-#: ``int()`` of a number too large for a float, such as ``1e400``, raises
-#: ``OverflowError``; arrays nested thousands deep raise ``RecursionError``).
+#: What reading fields from a parsed JSON record or header can raise when it
+#: is malformed (``json.JSONDecodeError`` is a ``ValueError``; ``int()`` of a
+#: number too large for a float, such as ``1e400``, raises ``OverflowError``;
+#: arrays nested thousands deep raise ``RecursionError``).
 MALFORMED_RECORD_ERRORS = (
     ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError
 )
-
-
-def malformed_record(path: Path | str, line_no: int, exc: Exception) -> SnapshotFormatError:
-    """The one-line error for a bad line in a JSON-lines file."""
-    return SnapshotFormatError(f"{path} line {line_no}: malformed record ({exc})")

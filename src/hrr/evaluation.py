@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, malformed_record
+from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level
 from .embedding import encodes_as_utf8
-from .errors import EmptyQuerySetError, GoldNotInCorpusError
+from .errors import EmptyQuerySetError, GoldNotInCorpusError, SnapshotFormatError
 from .retrievers import RetrievalContext, RetrievalResult, Strategy, retrieve
 
 #: Row labels for the comparison table, matching the published layout.
@@ -150,7 +150,9 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
                 problems.append(str(exc))
                 continue
             except MALFORMED_RECORD_ERRORS as exc:
-                raise malformed_record(path, line_no, exc) from None
+                raise SnapshotFormatError(
+                    f"{path} line {line_no}: malformed record ({exc})"
+                ) from None
             queries.append(gold)
     if problems:
         raise GoldNotInCorpusError(

@@ -35,15 +35,21 @@ import functools
 import hashlib
 import json
 import math
-import os
-import struct
+from contextlib import closing
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level, read_array, read_exact, replacing
-from .embedding import CsrBatch, EmbeddingProvider, cosine_similarity, embed_batch, ensure_unit
+from .corpus import Corpus, Level, read_snapshot, write_snapshot
+from .embedding import (
+    _NORM_TOLERANCE,
+    CsrBatch,
+    EmbeddingProvider,
+    cosine_similarity,
+    embed_batch,
+    ensure_unit,
+)
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
 
@@ -105,9 +111,9 @@ class _DenseRows:
     def dense(self) -> np.ndarray:
         return self.matrix
 
-    def blocks(self) -> list[tuple[np.ndarray, str]]:
-        """The arrays a snapshot body holds, in file order, with their file dtypes."""
-        return [(self.matrix, "<f4")]
+    def blocks(self) -> list[np.ndarray]:
+        """The arrays a snapshot body holds, in file order."""
+        return [self.matrix]
 
 
 class _CsrRows:
@@ -167,10 +173,10 @@ class _CsrRows:
     def dense(self) -> np.ndarray:
         return np.asarray(self.csr)
 
-    def blocks(self) -> list[tuple[np.ndarray, str]]:
-        """The arrays a snapshot body holds, in file order, with their file dtypes."""
+    def blocks(self) -> list[np.ndarray]:
+        """The arrays a snapshot body holds, in file order."""
         csr = self.csr
-        return [(csr.indptr, "<i8"), (csr.columns, "<u2"), (csr.values, "<f4")]
+        return [csr.indptr, csr.columns, csr.values]
 
 
 class LevelIndex:
@@ -206,6 +212,10 @@ class LevelIndex:
         self._max_norm = math.sqrt(
             float(squared_norms.max()) * (1.0 + 2.0 * _gamma(dim, _U32)) + dim * _ETA32
         )
+        worst = int(np.argmax(np.abs(squared_norms - 1.0)))
+        #: The row whose squared norm lies furthest from 1, and that norm;
+        #: ``load_index`` refuses a snapshot whose rows are not unit.
+        self._least_unit_row = (chunk_ids[worst], float(squared_norms[worst]))
         self.level = level
         self.chunk_ids: tuple[str, ...] = tuple(chunk_ids)
         self._rows = rows
@@ -348,26 +358,20 @@ def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> Le
 def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:
     """Write a versioned snapshot of ``index``, whose vectors ``embedder`` made.
 
-    Layout: magic, ``<I`` header length, a JSON header (level, dimension,
-    count, embedder name, ``ids_sha256``, the digest of the level's chunk
-    ids in row order, ``layout`` and ``nnz``, the number of non-zeros),
-    then the body. A dense body is the ``count x dimension`` little-endian
+    A snapshot (``corpus.write_snapshot``) whose JSON header holds the
+    level, dimension, count, embedder name, ``ids_sha256``, the digest of
+    the level's chunk ids in row order, ``layout`` and ``nnz``, the number
+    of non-zeros. A dense body is the ``count x dimension`` little-endian
     float32 matrix; a CSR body is the ``count + 1`` ``<i8`` row pointers,
     the ``nnz`` ``<u2`` columns and the ``nnz`` ``<f4`` values. Row ``i``
     belongs to the ``i``-th chunk id, so the ids themselves live only in
-    the corpus. The file is written under a temporary name and renamed into
-    place, so an interrupted save leaves the earlier snapshot whole.
+    the corpus. An interrupted save leaves the earlier snapshot whole.
     """
     fields = {"level": index.level.value, "dimension": index.dimension, "count": len(index),
               "embedder": embedder, "ids_sha256": _ids_digest(index.chunk_ids),
               "layout": index.layout, "nnz": index.nnz}
-    header = json.dumps(fields, sort_keys=True).encode("utf-8")
-    with replacing(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for array, dtype in index._rows.blocks():
-            fh.write(memoryview(array.astype(dtype, copy=False)))
+    blocks = zip(index._rows.blocks(), _DTYPES[index.layout])
+    write_snapshot(path, _MAGIC, fields, (a.astype(dtype, copy=False) for a, dtype in blocks))
 
 
 def load_index(
@@ -377,47 +381,15 @@ def load_index(
 
     ``chunk_ids`` are the level's ids in corpus order, and ``embedder`` and
     ``dimension`` name the provider queries will use. A file of another
-    format version, a header that does not fit the file, another embedder or
-    dimension, or other ids raise ``SnapshotFormatError`` naming the file,
-    before the body is read; so do CSR arrays that do not form a valid
-    matrix and non-finite values.
+    format version, a malformed header (an unknown layout, say), sizes that
+    do not fit the file (all refused by ``corpus.read_snapshot``), another
+    embedder or dimension, or other ids raise ``SnapshotFormatError`` naming
+    the file, before the body is read; so do CSR arrays that do not form a
+    valid matrix, non-finite values, and rows that are not unit:
+    ``embed_batch`` stores only rows within its tolerance of unit norm.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic in _RETIRED_MAGICS:
-            raise SnapshotFormatError(
-                f"{path}: snapshot format {_RETIRED_MAGICS[magic]} is not read; re-run ingest"
-            )
-        if magic != _MAGIC:
-            raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<I", read_exact(fh, 4, path))
-        header_bytes = read_exact(fh, header_len, path)
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-            level = Level(header["level"])
-            stored_dimension = int(header["dimension"])
-            count = int(header["count"])
-            built_by = header["embedder"]
-            ids_sha256 = header["ids_sha256"]
-            layout = header["layout"]
-            nnz = int(header["nnz"])
-        except MALFORMED_RECORD_ERRORS as exc:
-            raise SnapshotFormatError(f"{path}: malformed header ({exc})") from None
-        if stored_dimension < 1 or count < 0 or not 0 <= nnz <= count * stored_dimension:
-            raise SnapshotFormatError(f"{path}: bad header sizes {header}")
-        if layout == LAYOUT_DENSE:
-            shapes = [((count, stored_dimension), "<f4")]
-        elif layout == LAYOUT_CSR:
-            shapes = [((count + 1,), "<i8"), ((nnz,), "<u2"), ((nnz,), "<f4")]
-        else:
-            raise SnapshotFormatError(f"{path}: unknown layout {layout!r}")
-        size = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in shapes)
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != remaining:
-            raise SnapshotFormatError(
-                f"{path}: {count} {layout} rows of dimension {stored_dimension} with {nnz} "
-                f"non-zeros take {size} bytes, but {remaining} follow the header"
-            )
+    with closing(read_snapshot(path, _MAGIC, _parse_header, _RETIRED_MAGICS)) as blocks:
+        level, stored_dimension, count, built_by, ids_sha256, layout, nnz = next(blocks)
         if built_by != embedder:
             raise SnapshotFormatError(
                 f"{path}: vectors from the {built_by!r} embedder, not {embedder!r}; re-run ingest"
@@ -432,19 +404,50 @@ def load_index(
                 f"{path}: {count} {level.value} rows whose ids do not match the corpus's "
                 f"{len(chunk_ids)} chunks at that level; re-run ingest"
             )
-        arrays = [read_array(fh, shape, dtype, path) for shape, dtype in shapes]
+        arrays = [np.frombuffer(block, dtype) for block, dtype in zip(blocks, _DTYPES[layout])]
+    if layout == LAYOUT_DENSE:
+        vectors = arrays[0].reshape(count, stored_dimension)
+    else:
+        vectors = CsrBatch(*arrays, stored_dimension)
     try:
-        if layout == LAYOUT_DENSE:
-            index = LevelIndex(level, chunk_ids, arrays[0])
-        else:
-            index = LevelIndex(level, chunk_ids, CsrBatch(*arrays, stored_dimension))
+        index = LevelIndex(level, chunk_ids, vectors)
     except InvalidCorpusError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from None
     if index.nnz != nnz:
         raise SnapshotFormatError(
             f"{path}: the header counts {nnz} non-zeros, the rows hold {index.nnz}"
         )
+    # The stored rows' squared norms lie within (1 +- tolerance)**2 of 1; a
+    # float32 sum of squares errs by at most gamma_d(f32) plus d * eta of
+    # underflow (a CSR one, of exact float64 squares, far less), and the
+    # doubled gamma also covers the float64 norm the tolerance was checked on.
+    d = index.dimension
+    slack = (1.0 + _NORM_TOLERANCE) ** 2 * (1.0 + 2.0 * _gamma(d, _U32)) - 1.0 + d * _ETA32
+    chunk_id, squared_norm = index._least_unit_row
+    if not abs(squared_norm - 1.0) <= slack:
+        raise SnapshotFormatError(
+            f"{path}: row {chunk_id!r} is not unit (squared norm {squared_norm!r})"
+        )
     return index
+
+
+#: Each layout's body blocks, as file dtypes, in file order.
+_DTYPES = {LAYOUT_DENSE: ("<f4",), LAYOUT_CSR: ("<i8", "<u2", "<f4")}
+
+
+def _parse_header(header) -> tuple[tuple, list[int]]:
+    """An index snapshot header's fields, and its body's block sizes."""
+    level = Level(header["level"])
+    dimension, count, nnz = int(header["dimension"]), int(header["count"]), int(header["nnz"])
+    layout = header["layout"]
+    if dimension < 1 or not 0 <= nnz <= count * dimension:
+        raise SnapshotFormatError(f"bad header sizes {header}")
+    if layout not in _DTYPES:
+        raise SnapshotFormatError(f"unknown layout {layout!r}")
+    lengths = [count * dimension] if layout == LAYOUT_DENSE else [count + 1, nnz, nnz]
+    sizes = [n * np.dtype(dtype).itemsize for n, dtype in zip(lengths, _DTYPES[layout])]
+    fields = (level, dimension, count, header["embedder"], header["ids_sha256"], layout, nnz)
+    return fields, sizes
 
 
 def _ids_digest(chunk_ids: Sequence[str]) -> str:

@@ -137,18 +137,14 @@ def generate(
             f"keyword hash buckets, but only {free} of {DEFAULT_EMBED_DIMENSION} are free "
             f"of boilerplate words: at most {max_needles} needles"
         )
-    keywords = _coin_words(
-        rng, spec.n_needles * _KEYWORDS_PER_NEEDLE, forbidden, avoid_buckets=True
-    )
+    keywords = _coin_words(rng, spec.n_needles * _KEYWORDS_PER_NEEDLE, forbidden)
     keyword_buckets = {_bucket(w, DEFAULT_EMBED_DIMENSION) for w in keywords}
 
     doc_ids = [f"doc{d:03d}" for d in range(spec.n_docs)]
     doc_sentences: dict[str, list[str]] = {}
     for doc_id in doc_ids:
-        local_pool = _coin_words(rng, _LOCAL_POOL_SIZE, keyword_buckets, avoid_buckets=True)
-        doc_sentences[doc_id] = _build_sentences(
-            rng, spec, local_pool, tokenizer
-        )
+        local_pool = _coin_words(rng, _LOCAL_POOL_SIZE, keyword_buckets)
+        doc_sentences[doc_id] = _build_sentences(rng, spec, local_pool)
 
     total_sentences = sum(len(s) for s in doc_sentences.values())
     if spec.n_needles > total_sentences:
@@ -224,15 +220,13 @@ def _plant_needles(
             doc_sentences[doc_id].insert(position, needle.sentence)
 
 
-def _coin_words(
-    rng: random.Random, count: int, taken_buckets: set[int], *, avoid_buckets: bool
-) -> list[str]:
+def _coin_words(rng: random.Random, count: int, taken_buckets: set[int]) -> list[str]:
     """Coin pronounceable words absent from the shared pool.
 
-    With ``avoid_buckets`` the coined words also avoid every hash bucket in
-    ``taken_buckets`` (and each other's), which is what makes needle scores
-    provably separable from boilerplate under the default embedder. The
-    caller must leave at least ``count`` buckets free, or this never returns.
+    The coined words also avoid every hash bucket in ``taken_buckets`` (and
+    each other's), which is what makes needle scores provably separable from
+    boilerplate under the default embedder. The caller must leave at least
+    ``count`` buckets free, or this never returns.
     """
     words: list[str] = []
     seen_buckets = set(taken_buckets)
@@ -242,7 +236,7 @@ def _coin_words(
         if word in seen_words:
             continue
         bucket = _bucket(word, DEFAULT_EMBED_DIMENSION)
-        if avoid_buckets and bucket in seen_buckets:
+        if bucket in seen_buckets:
             continue
         seen_words.add(word)
         seen_buckets.add(bucket)
@@ -250,12 +244,7 @@ def _coin_words(
     return words
 
 
-def _build_sentences(
-    rng: random.Random,
-    spec: CorpusSpec,
-    local_pool: list[str],
-    tokenizer: Tokenizer,
-) -> list[str]:
+def _build_sentences(rng: random.Random, spec: CorpusSpec, local_pool: list[str]) -> list[str]:
     sentences: list[str] = []
     tokens = 0
     while tokens < spec.tokens_per_doc:

@@ -19,7 +19,7 @@ from hrr.engine import load_context
 from hrr.errors import ConfigError
 from hrr.evaluation import load_query_set
 
-from test_corpus import _read_nodes, _write_nodes
+from test_corpus import _read_nodes, _write_nodes, write_v2_corpus
 
 
 class TestConfigLoading:
@@ -251,8 +251,7 @@ class TestCliWorkflow:
     #: included). Any change to chunking, serialization or the index format
     #: shows up here.
     GOLDEN_DIGESTS = {
-        "corpus/documents.jsonl": "c842a4834bd45e8b37e37d0826193bd941d9f58ff58952bf511ef9031d472b29",
-        "corpus/nodes.bin": "7eff3a2eab125c27a0c042c320b71d24d6ed3457fd30f12f4ddadbfa3f9a6267",
+        "corpus/nodes.bin": "f1079eaa5a9855afad792e75bcf7a6eec3a7e4f551b88d843896d1acb80560e2",
         "indexes/parent.idx": "fb5b122264fb1e53ef081cb240ef47c1f09136fbc4c8bc3e9fb6dbf1cf789b40",
         "indexes/intermediate.idx": "d43bc84f554ef5b0a5ffb80a589969b05a7a98436538d2977e4099f90717805a",
         "indexes/sentence.idx": "3dce58924dd4cf239ee776d55e17d5021eb57481a633760d200766caa2f2f233",
@@ -475,11 +474,11 @@ class TestCliErrors:
         """A node file whose sentences skip their intermediate."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
         path = Path("corpus") / "nodes.bin"
-        header, columns, ids = _read_nodes(path)
-        parent = columns["parent"]
-        sentences = columns["level"] == list(Level).index(Level.SENTENCE)
+        nodes = _read_nodes(path)
+        parent = nodes.columns["parent"]
+        sentences = nodes.columns["level"] == list(Level).index(Level.SENTENCE)
         parent[sentences] = parent[parent[sentences]]
-        _write_nodes(path, header, columns, ids)
+        _write_nodes(path, nodes)
         capsys.readouterr()
         assert main(["query", "x", "--strategy", "hrr", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
@@ -517,6 +516,34 @@ class TestCliErrors:
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
         assert "parent.idx" in err and "not finite" in err and err.count("\n") == 1
+
+    def test_index_row_made_not_unit_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        snapshot = Path("indexes") / "sentence.idx"
+        data = bytearray(snapshot.read_bytes())
+        data[-1] ^= 0x01  # an exponent bit of the last CSR value: times or over 4
+        snapshot.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "sentence.idx" in err and "is not unit" in err and err.count("\n") == 1
+
+    def test_v2_corpus_directory_asks_for_reingest(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        write_v2_corpus(Path("corpus"))
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == (f"error: {Path('corpus') / 'nodes.bin'}: corpus format version 2 is not "
+                       f"read; re-run ingest\n")
+
+    def test_reingest_over_a_v2_corpus_directory_leaves_one_file(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        write_v2_corpus(Path("corpus"))
+        assert sorted(p.name for p in Path("corpus").iterdir()) == ["documents.jsonl", "nodes.bin"]
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
+        assert sorted(p.name for p in Path("corpus").iterdir()) == ["nodes.bin"]
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_OK
 
     def test_stale_side_tier_index_is_ignored(self, workdir, capsys):
         assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK

@@ -4,8 +4,9 @@ import json
 import random
 import struct
 import tempfile
-from dataclasses import replace
-from types import SimpleNamespace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from hrr.corpus import (
     ChunkNode,
     Level,
     load_corpus,
+    read_snapshot,
     resolve_parent,
     save_corpus,
     validate_corpus,
+    write_snapshot,
 )
 from hrr.errors import (
     InvalidCorpusError,
@@ -279,36 +282,48 @@ class TestSerialization:
     def test_rewrite_is_byte_identical(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path / "one")
         save_corpus(corpus, tmp_path / "two")
-        for name in ("documents.jsonl", "nodes.bin"):
-            assert (tmp_path / "one" / name).read_bytes() == (
-                tmp_path / "two" / name
-            ).read_bytes()
+        assert (tmp_path / "one" / "nodes.bin").read_bytes() == (
+            tmp_path / "two" / "nodes.bin"
+        ).read_bytes()
 
     def test_save_leaves_no_temporary_file(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)
         save_corpus(corpus, tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["documents.jsonl", "nodes.bin"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.bin"]
 
-    def test_interrupted_save_keeps_the_earlier_file(self, corpus, tmp_path, monkeypatch):
-        save_corpus(corpus, tmp_path)
-        before = (tmp_path / "nodes.bin").read_bytes()
+    def test_failed_save_keeps_the_earlier_corpus(self, tmp_path, monkeypatch):
+        """A save that fails while writing ``nodes.bin`` leaves the earlier
+        corpus whole: its texts, not the new ones under its spans."""
+        before = build_corpus({"a": "Omega alpha beta. Gamma delta epsilon. Theta kappa."}, CFG)
+        after = build_corpus({"a": "Omega alpha beta. Gamma delta epsilon. Theta kappa mu."}, CFG)
+        save_corpus(before, tmp_path)
+        written = (tmp_path / "nodes.bin").read_bytes()
+        replacing = corpus_module.replacing
 
-        def fail(*args):
-            raise OSError("disk full")
+        @contextmanager
+        def failing(path):
+            with replacing(path) as fh:
+                if Path(path).name == "nodes.bin":
+                    fh.write(NODE_MAGIC)
+                    raise OSError("disk full")
+                yield fh
 
-        # The write fails after the magic, with part of the node file written.
-        monkeypatch.setattr(corpus_module, "struct", SimpleNamespace(pack=fail))
+        monkeypatch.setattr(corpus_module, "replacing", failing)
         with pytest.raises(OSError, match="disk full"):
-            save_corpus(corpus, tmp_path)
+            save_corpus(after, tmp_path)
         monkeypatch.undo()
-        assert (tmp_path / "nodes.bin").read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["documents.jsonl", "nodes.bin"]
-        assert load_corpus(tmp_path).nodes == corpus.nodes
+        loaded = load_corpus(tmp_path)
+        assert loaded.documents == before.documents
+        parents = before.ids_at(Level.PARENT)
+        assert [loaded.chunk_text(i) for i in parents] == [before.chunk_text(i) for i in parents]
+        assert (tmp_path / "nodes.bin").read_bytes() == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.bin"]
 
     def test_bad_header_rejected(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)
-        header, columns, ids = _read_nodes(tmp_path / "nodes.bin")
-        _write_nodes(tmp_path / "nodes.bin", dict(header, version=9), columns, ids)
+        nodes = _read_nodes(tmp_path / "nodes.bin")
+        nodes.header["version"] = 9
+        _write_nodes(tmp_path / "nodes.bin", nodes)
         with pytest.raises(SnapshotFormatError, match="version 9"):
             load_corpus(tmp_path)
 
@@ -318,7 +333,19 @@ class TestSerialization:
         with pytest.raises(SnapshotFormatError, match="chunks.jsonl: corpus format v1"):
             load_corpus(tmp_path)
         save_corpus(corpus, tmp_path)  # a re-ingest replaces it
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["documents.jsonl", "nodes.bin"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.bin"]
+
+    def test_v2_directory_asks_for_reingest(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        write_v2_corpus(tmp_path)
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value) == (
+            f"{tmp_path / 'nodes.bin'}: corpus format version 2 is not read; re-run ingest"
+        )
+        save_corpus(corpus, tmp_path)  # a re-ingest replaces both files with one
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.bin"]
+        assert load_corpus(tmp_path).documents == corpus.documents
 
     def test_unsaveable_corpus_refused(self):
         """A corpus that could not be saved is not constructed."""
@@ -328,71 +355,109 @@ class TestSerialization:
                       CFG)
 
 
-#: The node file's layout, spelled out apart from ``hrr.corpus``: magic,
-#: ``<I`` header length, JSON header, these columns, then the ids.
+#: The node file (corpus format v3), spelled out apart from ``hrr.corpus``:
+#: in the snapshot container, the header's sizes give the body's blocks,
+#: which are these columns, the ids as one JSON array, then each document's
+#: UTF-8 bytes.
 NODE_MAGIC = b"HRRNODE\n"
 NODE_COLUMNS = (("level", "u1"), ("doc", "<u4"), ("parent", "<i4"), ("start", "<i8"),
                 ("end", "<i8"), ("token_count", "<u4"), ("hard_split", "u1"))
 
 
-def _read_nodes(path):
-    data = path.read_bytes()
-    assert data[: len(NODE_MAGIC)] == NODE_MAGIC
-    (header_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + header_len])
-    pos = 12 + header_len
-    columns = {}
-    for name, dtype in NODE_COLUMNS:
-        columns[name] = np.frombuffer(data, dtype=dtype, count=header["count"], offset=pos).copy()
-        pos += columns[name].nbytes
-    assert len(data) - pos == header["ids_bytes"]
-    return header, columns, data[pos:]
+@dataclass
+class NodeFile:
+    header: dict
+    columns: dict[str, np.ndarray]
+    ids: bytes
+    documents: list[bytes]
 
 
-def _write_nodes(path, header, columns, ids, *, magic=NODE_MAGIC):
-    body = json.dumps(header).encode("utf-8")
-    data = b"".join(columns[name].astype(dtype).tobytes() for name, dtype in NODE_COLUMNS)
-    path.write_bytes(magic + struct.pack("<I", len(body)) + body + data + ids)
+def _read_nodes(path) -> NodeFile:
+    def sizes(header):
+        columns = [header["count"] * np.dtype(dtype).itemsize for _, dtype in NODE_COLUMNS]
+        return header, [*columns, header["ids_bytes"], *header["document_bytes"]]
+
+    snapshot = read_snapshot(path, NODE_MAGIC, sizes)
+    header = next(snapshot)
+    columns = {name: np.frombuffer(next(snapshot), dtype).copy() for name, dtype in NODE_COLUMNS}
+    ids, *documents = snapshot
+    return NodeFile(header, columns, ids, documents)
+
+
+def _write_nodes(path, nodes: NodeFile, *, magic=NODE_MAGIC):
+    columns = [nodes.columns[name].astype(dtype) for name, dtype in NODE_COLUMNS]
+    write_snapshot(path, magic, nodes.header, [*columns, nodes.ids, *nodes.documents])
+
+
+def write_v2_corpus(directory) -> None:
+    """Rewrite the corpus saved in ``directory`` in format v2: the documents
+    in ``documents.jsonl``, and a ``nodes.bin`` of version 2 without them."""
+    nodes = _read_nodes(directory / "nodes.bin")
+    with open(directory / "documents.jsonl", "w", encoding="utf-8") as fh:
+        for doc_id, data in zip(nodes.header.pop("documents"), nodes.documents):
+            record = {"doc_id": doc_id, "text": data.decode("utf-8")}
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    del nodes.header["document_bytes"]
+    nodes.header["version"] = 2
+    _write_nodes(directory / "nodes.bin", replace(nodes, documents=[]))
+
+
+def _header(**fields):
+    return lambda nodes: nodes.header.update(fields)
 
 
 def _set(column, row, value):
-    def edit(header, columns, ids):
-        columns[column][row] = value
-        return header, columns, ids
-
-    return edit
+    return lambda nodes: nodes.columns[column].__setitem__(row, value)
 
 
 def _ids(table):
-    def edit(header, columns, ids):
-        return dict(header, ids_bytes=len(table)), columns, table
+    def edit(nodes):
+        nodes.ids = table
+        nodes.header["ids_bytes"] = len(table)
 
     return edit
 
 
-def _last_named_first(ids):
-    """The id table with the last node given the first node's id."""
-    table = json.loads(ids)
-    return json.dumps([*table[:-1], table[0]]).encode()
+def _lengths(*deltas):
+    """Add ``deltas`` to the documents' lengths in the header."""
+    def edit(nodes):
+        lengths = nodes.header["document_bytes"]
+        lengths[:] = [n + delta for n, delta in zip(lengths, deltas)] + lengths[len(deltas):]
+
+    return edit
+
+
+def _not_utf8(nodes):
+    """Document "b" with its first byte, "S", made a lone continuation byte."""
+    nodes.documents[1] = b"\x80" + nodes.documents[1][1:]
 
 
 #: Each edit of a saved node file, with a fragment of the one-line error.
 CORRUPTIONS = {
-    "version": (lambda h, c, i: (dict(h, version=1), c, i), "version 1"),
-    "header-fields": (lambda h, c, i: ({"version": 2}, c, i), "malformed header"),
-    "chunking": (lambda h, c, i: (dict(h, chunking={"parent_size": "x"}), c, i),
-                 "malformed header"),
-    "documents": (lambda h, c, i: (dict(h, documents=["b", "a"]), c, i), "document ids"),
-    "huge-count": (lambda h, c, i: (dict(h, count=10**13), c, i), "do not fill"),
-    "count-off-by-one": (lambda h, c, i: (dict(h, count=h["count"] - 1), c, i), "do not fill"),
-    "ids-bytes": (lambda h, c, i: (dict(h, ids_bytes=h["ids_bytes"] + 1), c, i), "do not fill"),
+    "version": (_header(version=1), "version 1"),
+    "header-fields": (lambda nodes: setattr(nodes, "header", {"version": 3}), "malformed header"),
+    "chunking": (_header(chunking={"parent_size": "x"}), "malformed header"),
+    "huge-count": (_header(count=10**13), "do not fill"),
+    "count-off-by-one": (lambda nodes: _header(count=nodes.header["count"] - 1)(nodes),
+                         "do not fill"),
+    "ids-bytes": (lambda nodes: _header(ids_bytes=nodes.header["ids_bytes"] + 1)(nodes),
+                  "do not fill"),
     "ids-not-json": (_ids(b"[\"a:p0\""), "id table"),
     "ids-nested-deep": (_ids(b"[" * 100_000 + b"]" * 100_000), "id table"),
-    "tokenizer": (lambda h, c, i: (dict(h, tokenizer=["word-punct"]), c, i), "malformed header"),
+    "tokenizer": (_header(tokenizer=["word-punct"]), "malformed header"),
     "ids-not-array": (_ids(b'{"a:p0": 1}'), "id table"),
     "ids-too-few": (_ids(b'["a:p0"]'), "id table"),
-    "ids-not-strings": (lambda h, c, i: _ids(json.dumps(list(range(h["count"]))).encode())(h, c, i),
-                        "id table"),
+    "ids-not-strings": (lambda nodes: _ids(json.dumps(list(range(nodes.header["count"])))
+                                           .encode())(nodes), "id table"),
+    "document-lengths-short": (_lengths(-1), "do not fill"),
+    "document-lengths-long": (_lengths(0, 1), "do not fill"),
+    # The sum stays that of the bytes the documents fill.
+    "document-length-negative": (_lengths(-100, 100), "negative size"),
+    "document-lengths-too-few": (lambda nodes: nodes.header["document_bytes"].pop(),
+                                 "one string per document length"),
+    "document-ids-not-strings": (_header(documents=[1, 2]), "one string per document length"),
+    "document-id-twice": (_header(documents=["a", "a"]), "document id 'a' is used twice"),
+    "document-not-utf8": (_not_utf8, "document 'b' is not UTF-8 (invalid start byte at byte 0)"),
     "level-code": (_set("level", 3, 4), "level code"),
     "document-row": (_set("doc", 0, 2), "document row"),
     "parent-row-later": (_set("parent", 1, 1), "parent row"),
@@ -408,9 +473,15 @@ CORRUPTIONS = {
     "side-tier-to-parent-level": (_set("parent", 13, 0), "not at the level above"),
     "parent-level-with-parent": (_set("parent", 7, 0), "parent-level node with a parent link"),
     "other-document": (_set("doc", 9, 0), "another document"),
-    "duplicate-id": (lambda h, c, i: _ids(_last_named_first(i))(h, c, i),
+    "duplicate-id": (lambda nodes: _ids(_last_named_first(nodes.ids))(nodes),
                      "'a:p0' names more than one node"),
 }
+
+
+def _last_named_first(ids):
+    """The id table with the last node given the first node's id."""
+    table = json.loads(ids)
+    return json.dumps([*table[:-1], table[0]]).encode()
 
 
 class TestNodeFileFailsClosed:
@@ -419,14 +490,16 @@ class TestNodeFileFailsClosed:
         edit, message = CORRUPTIONS[name]
         save_corpus(corpus, tmp_path)
         path = tmp_path / "nodes.bin"
-        _write_nodes(path, *edit(*_read_nodes(path)))
+        nodes = _read_nodes(path)
+        edit(nodes)
+        _write_nodes(path, nodes)
         with pytest.raises(SnapshotFormatError) as exc:
             load_corpus(tmp_path)
         assert "nodes.bin" in str(exc.value) and message in str(exc.value)
         assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("cut", [0, 5, 11, 40, -1], ids=["empty", "magic", "length",
-                                                            "header", "ids"])
+                                                            "header", "documents"])
     def test_truncation_is_one_line_error(self, corpus, tmp_path, cut):
         save_corpus(corpus, tmp_path)
         path = tmp_path / "nodes.bin"
@@ -444,7 +517,7 @@ class TestNodeFileFailsClosed:
     def test_bad_magic_rejected(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)
         path = tmp_path / "nodes.bin"
-        _write_nodes(path, *_read_nodes(path), magic=b"HRRNODX\n")
+        _write_nodes(path, _read_nodes(path), magic=b"HRRNODX\n")
         with pytest.raises(SnapshotFormatError, match="bad magic"):
             load_corpus(tmp_path)
 
@@ -467,9 +540,9 @@ class TestNodeFileFailsClosed:
         multibyte = build_corpus({"u": "Été brûle. Ça va très bien."}, CFG)
         save_corpus(multibyte, tmp_path)
         path = tmp_path / "nodes.bin"
-        header, columns, ids = _read_nodes(path)
-        columns["start"][0] = 1  # inside the two bytes of "É"
-        _write_nodes(path, header, columns, ids)
+        nodes = _read_nodes(path)
+        nodes.columns["start"][0] = 1  # inside the two bytes of "É"
+        _write_nodes(path, nodes)
         with pytest.raises(SnapshotFormatError, match="cuts a UTF-8 character"):
             load_corpus(tmp_path)
 

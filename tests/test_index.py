@@ -608,10 +608,10 @@ class TestSnapshots:
         path = tmp_path / "sentence.idx"
         save_index(index, path, EMBEDDER)
         before = path.read_bytes()
-        array, dtype = index._rows.blocks()[0]
+        array = index._rows.blocks()[0]
 
         def fail_partway():
-            yield array[: len(array) // 2], dtype
+            yield array[: len(array) // 2]
             raise OSError("disk full")
 
         # The write fails partway through the body.
@@ -791,6 +791,48 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="dimension 6 differs from the configured "
                            "embedding dimension 7"):
             load_index(path, index.chunk_ids, EMBEDDER, 7)
+
+
+class TestUnitRowsAtLoad:
+    """``embed_batch`` stores only rows within its tolerance of unit norm, so
+    a bit flip that moves a row's norm is refused when the snapshot loads."""
+
+    def test_flipped_exponent_bit_in_a_csr_value(self, tmp_path):
+        index = random_index(random.Random(4), 10, 64, "csr")
+        path = tmp_path / "sentence.idx"
+        save_index(index, path, EMBEDDER)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x01  # an exponent bit of the last value: times or over 4
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotFormatError, match=r"sentence\.idx: row 'c0009' is not unit"):
+            load_index(path, index.chunk_ids, EMBEDDER, 64)
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("off", [-0.9e-6, 0.9e-6])
+    def test_rows_at_the_tolerance_load(self, tmp_path, layout, off):
+        """Rows that ``embed_batch`` passes untouched, off unit by just under
+        its tolerance, load back, at the default 384 buckets."""
+        rows = sparse_rows(random.Random(6), 20, 384) if layout == "csr" else (
+            gaussian_rows(random.Random(6), 20, 384))
+        rows = (rows.astype(np.float64) * (1.0 + off)).astype(np.float32)
+        vectors = in_layout(rows.copy(), layout)
+        assert embed_batch(StaticProvider(vectors, 384), ["t"] * 20) is vectors
+        assert np.array_equal(np.asarray(vectors), rows)  # passed through untouched
+        index = LevelIndex(Level.SENTENCE, [f"c{i}" for i in range(20)], vectors)
+        save_index(index, tmp_path / "s.idx", EMBEDDER)
+        assert len(load_index(tmp_path / "s.idx", index.chunk_ids, EMBEDDER, 384)) == 20
+
+
+class StaticProvider:
+    """A provider that returns the rows it was given."""
+
+    name = "static"
+
+    def __init__(self, vectors, dimension: int) -> None:
+        self.vectors, self.dimension = vectors, dimension
+
+    def embed_batch(self, texts):
+        return self.vectors
 
 
 def has_postings(index: LevelIndex) -> bool:

@@ -7,7 +7,13 @@ import requests
 from hrr.embedding import HashedBowEmbedder, RemoteEmbedder, embed_batch
 from hrr.engine import context_for
 from hrr.config import EngineConfig
-from hrr.errors import ConfigError, DimensionMismatchError, ProviderUnavailableError
+from hrr.corpus import Level
+from hrr.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    ProviderUnavailableError,
+    SnapshotFormatError,
+)
 from hrr.evaluation import compare
 from hrr.index import build_index, load_index, save_index
 from hrr.rerank import (
@@ -73,6 +79,23 @@ class TestRemoteEmbedder:
                 assert loaded.layout == "dense"
                 save_index(loaded, b, remote.name)
                 assert a.read_bytes() == b.read_bytes()
+
+    def test_flipped_bit_in_a_dense_row_is_refused_at_load(self, toy_corpus, tmp_path):
+        with StubServices(dimension=DIM) as stub:
+            remote = RemoteEmbedder(stub.base_url, DIM, timeout=5.0, retries=0)
+            index = build_index(toy_corpus, Level.SENTENCE, remote)
+        assert index.layout == "dense"
+        path = tmp_path / "sentence.idx"
+        save_index(index, path, remote.name)
+        data = bytearray(path.read_bytes())
+        body = len(data) - 4 * len(index) * DIM
+        first = int(np.flatnonzero(np.frombuffer(data, "<f4", offset=body))[0])
+        data[body + 4 * first + 3] ^= 0x01  # an exponent bit: times or over 4
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotFormatError, match="is not unit") as exc:
+            load_index(path, index.chunk_ids, remote.name, DIM)
+        assert repr(index.chunk_ids[first // DIM]) in str(exc.value)
+        assert "\n" not in str(exc.value)
 
     def test_wrong_dimension_raises(self):
         with StubServices(dimension=DIM, mode=MODE_WRONG_DIMENSION) as stub:
