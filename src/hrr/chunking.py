@@ -31,8 +31,11 @@ before trimmed whitespace; a hard split falls at the end of a token; and
 padding between chunks is whitespace. So, by the ``Tokenizer`` locality
 contract, a chunk's tokens are exactly the document tokens inside its
 span, and every count and hard split is read off the document's spans. A
-tokenizer that breaks the contract leaves counts that ``validate_corpus``
-reports as ``TokenCountDrift``, and ingest fails.
+tokenizer that breaks the contract leaves counts that are wrong, and ingest
+fails: at overlap 0 the corpus refuses children whose counts do not sum to
+their owner's (``InvalidCorpusError``), and ``validate_corpus``'s recount
+reports every count that differs from the node's own text's as
+``TokenCountDrift``.
 """
 
 from __future__ import annotations
@@ -217,7 +220,8 @@ def build_corpus(
         cut(Level.PARENT, fragments, (0, len(text)), -1, f"{doc_id}:")
 
     ids, *columns = zip(*hierarchy, *side) if hierarchy else [()] * 8
-    return Corpus(documents, ids, columns, config=config, tokenizer_name=tokenizer.name)
+    encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
+    return Corpus(encoded, ids, columns, config=config, tokenizer_name=tokenizer.name)
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser(
         "validate",
-        help="check token counts, budgets, coverage and token sums",
-        description="Check the ingested corpus's token counts, level budgets, coverage and "
-        "token sums. Its structure (ids, parent links, levels, spans) is checked whenever "
-        "a corpus is built or loaded.",
+        help="recount token counts and check level budgets",
+        description="Recount the ingested corpus's token counts and check its level budgets. "
+        "Its structure (ids, parent links, levels, spans and, at overlap 0, coverage and "
+        "token sums) is checked whenever a corpus is built or loaded.",
         parents=[common],
     )
     p_validate.set_defaults(func=cmd_validate)

@@ -1,7 +1,7 @@
 """Document and chunk hierarchy model.
 
-A corpus holds plain-text documents plus one table of the chunk nodes
-produced by the chunker, keyed by id and by level: parent chunks,
+A corpus holds documents, as their UTF-8 bytes, plus one table of the
+chunk nodes produced by the chunker, keyed by id and by level: parent chunks,
 intermediate chunks nested in parents, and sentence chunks nested in
 intermediates. The sub-intermediate side tier (used only by the
 child-to-parent retrieval strategy) is stored the same way; it also nests in
@@ -19,7 +19,9 @@ layout, so loading a corpus builds no per-node object.
 Chunk text is never stored on the nodes; every node carries a (start, end)
 byte span into its source document's UTF-8 encoding, and the corpus decodes
 on demand. With zero overlap the spans at each level partition the level
-above, so documents reassemble byte-for-byte from their parent chunks.
+above, so documents reassemble byte-for-byte from their parent chunks; like
+the rest of the table's structure, this is checked whenever a corpus is
+built or loaded.
 
 A corpus is saved as one file, ``nodes.bin``: the node table's columns, the
 chunk ids, then the documents' UTF-8 bytes, so one rename replaces texts and
@@ -105,11 +107,11 @@ class Violation:
     """One broken corpus invariant; data, not an exception."""
 
     rule: str
-    chunk_id: str | None
+    chunk_id: str
     detail: str
 
     def __str__(self) -> str:
-        return f"{self.rule}({self.chunk_id or '-'}: {self.detail})"
+        return f"{self.rule}({self.chunk_id}: {self.detail})"
 
 
 class _Columns(NamedTuple):
@@ -150,19 +152,27 @@ class Corpus:
     ``_EXPECTED_PARENT_LEVEL`` names (so a sentence sits exactly two hops
     below its parent chunk); every span is non-empty, inside its document
     and on UTF-8 character boundaries; every ``hard_split`` flag is 0 or 1.
-    ``validate_corpus`` checks the content.
+    At overlap 0 (``parent_overlap`` and ``intermediate_overlap`` both 0),
+    each level's spans also tile the level above: a document's parents, and
+    one node's children at one level, taken in row order, start at their
+    owner's start (0 for a document), each next one where the one before
+    ends, and the last ends at the owner's end (the document's length); and
+    those children's token counts sum to the owner's. An owner without
+    children at a level, and a document without parents, are not checked.
+    ``validate_corpus`` recounts the tokens.
     """
 
     def __init__(
         self,
-        documents: Mapping[str, str],
+        documents: Mapping[str, bytes],
         ids: Sequence[str],
         columns: Sequence[Sequence[int]],
         *,
         config: "ChunkingConfig",
         tokenizer_name: str,
     ) -> None:
-        """A corpus over ``documents`` and the node table ``ids``, ``columns``.
+        """A corpus over ``documents``, each id's UTF-8 bytes, and the node
+        table ``ids``, ``columns``.
 
         Row ``i`` is node ``ids[i]``. ``columns`` holds one sequence of ints
         per field, in this order: the node's level as its position in
@@ -179,7 +189,8 @@ class Corpus:
                                  for values, dtype in zip(columns, _DTYPES, strict=True)))
         except OverflowError as exc:
             raise InvalidCorpusError(f"a node field does not fit the node table ({exc})") from None
-        self.documents: dict[str, str] = dict(documents)
+        #: Each document id to its UTF-8 bytes, which the spans index.
+        self.documents: dict[str, bytes] = dict(documents)
         self.config = config
         self.tokenizer_name = tokenizer_name
         self._ids = ids
@@ -188,10 +199,10 @@ class Corpus:
         #: The columns as memoryviews too, whose items read as Python ints
         #: several times faster than numpy scalars; per-row lookups use them.
         self._view = _Columns(*map(memoryview, columns))
-        #: Documents by row, with their UTF-8 bytes.
+        #: Documents by row.
         self._doc_ids: list[str] = list(self.documents)
         self._doc_rows = {doc_id: row for row, doc_id in enumerate(self._doc_ids)}
-        self._doc_bytes = [text.encode("utf-8") for text in self.documents.values()]
+        self._doc_bytes: list[bytes] = list(self.documents.values())
         _check_structure(self)
         self._level_counts = np.bincount(columns.level, minlength=len(_LEVELS))
 
@@ -247,18 +258,6 @@ class Corpus:
         """Read-only view: each id to its node, built on lookup."""
         return _ChunkMap(self)
 
-    def _child_groups(self) -> tuple[np.ndarray, list[int], np.ndarray]:
-        """(owner rows ascending, group bounds, child rows grouped by owner).
-
-        Owner ``owners[g]``'s children are ``rows[bounds[g]:bounds[g + 1]]``,
-        in row order.
-        """
-        parent = self._cols.parent
-        linked = np.flatnonzero(parent >= 0)
-        rows = linked[np.argsort(parent[linked], kind="stable")]
-        owners, starts = np.unique(parent[rows], return_index=True)
-        return owners, [*starts.tolist(), len(rows)], rows
-
     def _rows_at(self, level: Level) -> np.ndarray:
         return np.flatnonzero(self._cols.level == _CODES[level])
 
@@ -303,9 +302,6 @@ class Corpus:
             if self._view.start[row] <= byte:
                 return self._ids[row]
         return None
-
-    def document_bytes(self, doc_id: str) -> bytes:
-        return self._doc_bytes[self._doc_rows[doc_id]]
 
     def chunk_text(self, chunk_id: str) -> str:
         row = self._row(chunk_id)
@@ -354,30 +350,23 @@ def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
 
 
 def validate_corpus(corpus: Corpus) -> list[Violation]:
-    """Check the corpus's content; an empty list means the corpus is sound.
+    """Recount the corpus's tokens; an empty list means the corpus is sound.
 
-    The structure (unique ids, parent links, levels, spans) is checked
+    The structure (unique ids, parent links, levels, spans and, at overlap
+    0, each level's tiling of the one above and its token sums) is checked
     whenever a corpus is built or loaded, so this checks what it does not:
     each stored token count against a recount of the node's text
-    (``TokenCountDrift``), the level budgets (``BudgetExceeded``) and, at
-    overlap 0, where spans are required to partition exactly, that each
-    level's spans cover the one above in order (``CoverageGap``,
-    ``OrderViolation``) and that children's token counts sum to their
-    owner's (``TokenSumMismatch``). Pure function: same corpus, same
-    violations, in a deterministic order. Reads the node table row by row
-    and builds no node.
+    (``TokenCountDrift``) and the level budgets (``BudgetExceeded``). The
+    recount tokenizes every node's text on its own, so it is the oracle for
+    the ``Tokenizer`` locality contract the chunker's counts rely on. Pure
+    function: same corpus, same violations, in row order. Reads the node
+    table row by row and builds no node.
     """
     violations: list[Violation] = []
     tokenizer = get_tokenizer(corpus.tokenizer_name)
-    cfg = corpus.config
-    budgets = {level: cfg.budget(level) for level in Level}
-
+    budgets = {level: corpus.config.budget(level) for level in Level}
     for row in range(len(corpus)):
         violations.extend(_check_row(corpus, row, budgets, tokenizer))
-
-    if cfg.parent_overlap == 0 and cfg.intermediate_overlap == 0:
-        violations.extend(_check_partitions(corpus))
-
     return violations
 
 
@@ -400,58 +389,6 @@ def _check_row(corpus: Corpus, row: int, budgets, tokenizer) -> list[Violation]:
         out.append(
             Violation("BudgetExceeded", chunk_id, f"{actual_tokens} tokens > {budget}")
         )
-    return out
-
-
-def _check_partitions(corpus: Corpus) -> list[Violation]:
-    """Parents cover their document, and each owner's children at one level
-    cover the owner and sum to its token count."""
-    out: list[Violation] = []
-    view = corpus._view
-
-    bounds = corpus._parent_bounds
-    parent_rows = memoryview(corpus._parent_rows)
-    for doc, doc_id in enumerate(corpus.documents):
-        rows = parent_rows[bounds[doc] : bounds[doc + 1]]
-        if len(rows):
-            out.extend(_check_cover(corpus, rows, 0, len(corpus._doc_bytes[doc]), doc_id))
-
-    owners, group_bounds, child_rows = corpus._child_groups()
-    child_rows = memoryview(child_rows)
-    for g, owner in enumerate(owners.tolist()):
-        by_level: dict[Level, list[int]] = {}
-        for child in child_rows[group_bounds[g] : group_bounds[g + 1]]:
-            by_level.setdefault(_LEVELS[view.level[child]], []).append(child)
-        owner_id = corpus._ids[owner]
-        for level, rows in by_level.items():
-            out.extend(_check_cover(corpus, rows, view.start[owner], view.end[owner], owner_id))
-            token_sum = sum(view.token_count[row] for row in rows)
-            if token_sum != view.token_count[owner]:
-                out.append(
-                    Violation(
-                        "TokenSumMismatch",
-                        owner_id,
-                        f"{level.value} children sum {token_sum} != {view.token_count[owner]}",
-                    )
-                )
-    return out
-
-
-def _check_cover(
-    corpus: Corpus, rows: Sequence[int], start: int, end: int, owner: str
-) -> list[Violation]:
-    out: list[Violation] = []
-    pos = start
-    for row in rows:
-        s, e, chunk_id = corpus._view.start[row], corpus._view.end[row], corpus._ids[row]
-        if s < pos:
-            out.append(Violation("OrderViolation", chunk_id, f"span starts at {s}, before {pos}"))
-            return out
-        if s > pos:
-            out.append(Violation("CoverageGap", chunk_id, f"gap [{pos}, {s}) under {owner}"))
-        pos = e
-    if pos != end:
-        out.append(Violation("CoverageGap", None, f"[{pos}, {end}) uncovered under {owner}"))
     return out
 
 
@@ -513,7 +450,8 @@ def load_corpus(directory: str | Path) -> Corpus:
     A ``nodes.bin`` that could not have been saved raises
     ``SnapshotFormatError`` naming it, in one line: anything
     ``read_snapshot`` refuses (another magic, a malformed header, sizes
-    that do not fill the file exactly); another format version, which asks
+    that do not fill the file exactly); a version, count or size that is
+    not a JSON integer (``json_int``); another format version, which asks
     for a re-ingest; an unknown tokenizer or invalid chunking settings;
     document ids that are not one string per length, or that name a
     document twice; a document that is not UTF-8; an id table that is not
@@ -523,8 +461,10 @@ def load_corpus(directory: str | Path) -> Corpus:
     parent row, or another node whose parent row is not an earlier row of
     the same document at the level above it; a span that is empty or
     reversed, ends beyond its document or cuts a UTF-8 character; a
-    ``hard_split`` flag other than 0 or 1), whose message the error
-    carries. Loading builds no ``ChunkNode``.
+    ``hard_split`` flag other than 0 or 1; at overlap 0, spans that do not
+    tile their owner or token counts that do not sum to it), whose message
+    the error carries. The documents are kept as the bytes read, once they
+    decode. Loading builds no ``ChunkNode``.
     """
     from .chunking import ChunkingConfig
 
@@ -536,14 +476,15 @@ def load_corpus(directory: str | Path) -> Corpus:
         )
 
     def parse(header):
-        if header["version"] != _VERSION:
+        version = json_int(header["version"], "version")
+        if version != _VERSION:
             raise SnapshotFormatError(
-                f"corpus format version {header['version']!r} is not read; re-run ingest"
+                f"corpus format version {version} is not read; re-run ingest"
             )
         config = ChunkingConfig(**header["chunking"])
         config.validate()
         get_tokenizer(header["tokenizer"])
-        count, doc_ids = int(header["count"]), header["documents"]
+        count, doc_ids = json_int(header["count"], "count"), header["documents"]
         lengths = header["document_bytes"]
         if not (isinstance(lengths, list) and _is_strings(doc_ids, len(lengths))):
             raise SnapshotFormatError("the document ids are not one string per document length")
@@ -551,7 +492,8 @@ def load_corpus(directory: str | Path) -> Corpus:
             duplicate = next(doc_id for doc_id, n in Counter(doc_ids).items() if n > 1)
             raise SnapshotFormatError(f"document id {duplicate!r} is used twice")
         sizes = [count * np.dtype(dtype).itemsize for dtype in _DTYPES]
-        sizes += [int(header["ids_bytes"]), *map(int, lengths)]
+        sizes.append(json_int(header["ids_bytes"], "ids_bytes"))
+        sizes += (json_int(n, f"document_bytes[{i}]") for i, n in enumerate(lengths))
         return (config, header["tokenizer"], count, doc_ids), sizes
 
     with closing(read_snapshot(path, _MAGIC, parse)) as snapshot:
@@ -568,15 +510,25 @@ def load_corpus(directory: str | Path) -> Corpus:
         documents = {}
         for doc_id, data in zip(doc_ids, snapshot):
             try:
-                documents[doc_id] = data.decode("utf-8")
+                data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise SnapshotFormatError(
                     f"{path}: document {doc_id!r} is not UTF-8 ({exc.reason} at byte {exc.start})"
                 ) from None
+            documents[doc_id] = data
     try:
         return Corpus(documents, ids, columns, config=config, tokenizer_name=tokenizer_name)
     except InvalidCorpusError as exc:
         raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
+
+
+def json_int(value, name: str) -> int:
+    """``value``, the header field ``name``, if it is a JSON integer; any
+    other value, a bool, float or numeric string included, raises
+    ``TypeError``, so a snapshot header's numbers are checked, not coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def _is_strings(value, count: int) -> bool:
@@ -667,21 +619,20 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
 def _check_structure(corpus: Corpus) -> None:
     """Raise ``InvalidCorpusError`` naming the first node, in row order
     within each rule, that breaks the node table's structure (the rules
-    ``Corpus`` lists)."""
+    ``Corpus`` lists); for a token sum, the node is the owner."""
     ids = corpus._ids
     if len(corpus._index) != len(ids):
         duplicate = next(chunk_id for chunk_id, n in Counter(ids).items() if n > 1)
         raise InvalidCorpusError(f"id {duplicate!r} names more than one node")
 
     def refuse(bad: np.ndarray, problem: str, rows: np.ndarray | None = None) -> None:
-        """Raise for the first true entry of ``bad``, which stands for row
-        ``rows[i]`` (row ``i`` when ``rows`` is None)."""
+        """Raise for the least row whose entry of ``bad`` is true, entry
+        ``i`` standing for row ``rows[i]`` (row ``i`` when ``rows`` is None)."""
         if bad.any():
-            row = int(np.argmax(bad))
-            row = row if rows is None else int(rows[row])
+            row = int(np.argmax(bad)) if rows is None else int(rows[bad].min())
             raise InvalidCorpusError(f"node {ids[row]!r}: {problem}")
 
-    level, doc, parent, start, end, _, hard_split = corpus._cols
+    level, doc, parent, start, end, token_count, hard_split = corpus._cols
     refuse(level >= len(_LEVELS), f"its level code is not below {len(_LEVELS)}")
     refuse(doc >= len(corpus.documents), "its document row is not one of the corpus's documents")
     top = level == _CODES[Level.PARENT]
@@ -710,6 +661,38 @@ def _check_structure(corpus: Corpus) -> None:
         cuts[rows] = ((text[start[rows]] & 0xC0) == 0x80) | ((at_end & 0xC0) == 0x80)
     refuse(cuts, "its span cuts a UTF-8 character")
     refuse(hard_split > 1, "its hard_split flag is not 0 or 1")
+    if corpus.config.parent_overlap or corpus.config.intermediate_overlap or not len(ids):
+        return
+    # At overlap 0, each document's parents, and each node's children at one
+    # level, tile their owner. Owners are numbered documents first, then
+    # nodes (n_docs + row); one stable sort on (owner, level) puts each such
+    # group together, in row order.
+    n_docs = len(sizes)
+    key = np.where(top, doc, parent.astype(np.int64) + n_docs) * len(_LEVELS) + level
+    grouped = np.argsort(key, kind="stable")
+    key = key[grouped]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    tails = np.append(heads[1:], len(key)) - 1
+    owners = key[heads] // len(_LEVELS)
+    # Where each span must start: its owner's start for a group's first (0
+    # for a document), else the end of the span before it.
+    starts, ends = start[grouped], end[grouped]
+    expected = np.empty_like(starts)
+    expected[1:] = ends[:-1]
+    expected[heads] = np.concatenate([np.zeros(n_docs, dtype=np.int64), start])[owners]
+    refuse(starts < expected, "its span overlaps the one before it or starts before its owner",
+           grouped)
+    refuse(starts > expected, "a gap comes before its span", grouped)
+    refuse(ends[tails] != np.concatenate([sizes, end])[owners],
+           "its span is the last under its owner but does not end where the owner ends",
+           grouped[tails])
+    at_node = owners >= n_docs
+    sums = np.add.reduceat(token_count[grouped], heads, dtype=np.int64)[at_node]
+    node = owners[at_node] - n_docs
+    refuse(sums != token_count[node], "its children at one level do not sum to its token count",
+           node)
 
 
 #: What reading fields from a parsed JSON record or header can raise when it

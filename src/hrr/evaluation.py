@@ -129,31 +129,33 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
     every gold parent is validated against it, and so is a ``gold_doc_id``
     beside a ``gold_parent_id``: it must name that parent's document. A
     line that is not a well-formed record raises ``SnapshotFormatError``
-    naming the file and line: one with a key other than these four, whose
-    ``query`` is not a string with non-whitespace text that UTF-8 can
-    encode, whose gold ids are not strings, whose ``gold_char_span`` is not
-    two integers ``[start, end]`` with ``start < end``, or that has a span
-    beside a ``gold_parent_id``, where it would go unused.
+    naming the file and line: one that is not UTF-8 or not JSON, one with
+    a key other than these four, whose ``query`` is not a string with
+    non-whitespace text that UTF-8 can encode, whose gold ids are not
+    strings, whose ``gold_char_span`` is not two integers ``[start, end]``
+    with ``start < end``, or that has a span beside a ``gold_parent_id``,
+    where it would go unused.
     """
     queries: list[LabeledQuery] = []
     problems: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    # Split as text files split lines (at "\n", "\r" and "\r\n"), and
+    # decoded line by line, so bytes that are not UTF-8 name their line.
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = line.decode("utf-8").strip()
             if not line:
                 continue
-            try:
-                gold = _record_to_query(json.loads(line), corpus, line_no)
-                if corpus is not None:
-                    _check_gold(gold, corpus)
-            except GoldNotInCorpusError as exc:
-                problems.append(str(exc))
-                continue
-            except MALFORMED_RECORD_ERRORS as exc:
-                raise SnapshotFormatError(
-                    f"{path} line {line_no}: malformed record ({exc})"
-                ) from None
-            queries.append(gold)
+            gold = _record_to_query(json.loads(line), corpus, line_no)
+            if corpus is not None:
+                _check_gold(gold, corpus)
+        except GoldNotInCorpusError as exc:
+            problems.append(str(exc))
+            continue
+        except MALFORMED_RECORD_ERRORS as exc:
+            raise SnapshotFormatError(
+                f"{path} line {line_no}: malformed record ({exc})"
+            ) from None
+        queries.append(gold)
     if problems:
         raise GoldNotInCorpusError(
             f"{len(problems)} bad records in {path}: " + "; ".join(problems)

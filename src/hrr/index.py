@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Level, read_snapshot, write_snapshot
+from .corpus import Corpus, Level, json_int, read_snapshot, write_snapshot
 from .embedding import (
     _NORM_TOLERANCE,
     CsrBatch,
@@ -438,7 +438,7 @@ _DTYPES = {LAYOUT_DENSE: ("<f4",), LAYOUT_CSR: ("<i8", "<u2", "<f4")}
 def _parse_header(header) -> tuple[tuple, list[int]]:
     """An index snapshot header's fields, and its body's block sizes."""
     level = Level(header["level"])
-    dimension, count, nnz = int(header["dimension"]), int(header["count"]), int(header["nnz"])
+    dimension, count, nnz = (json_int(header[key], key) for key in ("dimension", "count", "nnz"))
     layout = header["layout"]
     if dimension < 1 or not 0 <= nnz <= count * dimension:
         raise SnapshotFormatError(f"bad header sizes {header}")

@@ -277,12 +277,11 @@ def _assemble(rng: random.Random, sentences: list[str]) -> str:
 
 def _locate_needle(corpus: Corpus, needle: Needle) -> tuple[str, tuple[int, int]]:
     """Find the needle sentence's byte span and the parent chunk holding it."""
-    text = corpus.documents[needle.doc_id]
-    char_idx = text.find(needle.sentence)
-    if char_idx < 0:
+    sentence = needle.sentence.encode("utf-8")
+    byte_start = corpus.documents[needle.doc_id].find(sentence)
+    if byte_start < 0:
         raise SpecInfeasibleError(f"needle sentence lost during assembly: {needle}")
-    byte_start = len(text[:char_idx].encode("utf-8"))
-    byte_span = (byte_start, byte_start + len(needle.sentence.encode("utf-8")))
+    byte_span = (byte_start, byte_start + len(sentence))
     parent_id = corpus.parent_at(needle.doc_id, byte_start)
     if parent_id is None:
         raise SpecInfeasibleError(f"no parent chunk covers needle at byte {byte_start}")

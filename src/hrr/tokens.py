@@ -30,8 +30,10 @@ class Tokenizer(Protocol):
     and ``count_tokens`` agrees with their number. The chunker tokenizes
     each document once and counts every chunk from those spans, which is
     exact only under this property. A tokenizer that breaks it yields
-    stored counts that ``validate_corpus`` recounts as ``TokenCountDrift``,
-    so ingest fails instead of persisting them.
+    stored counts that ``validate_corpus`` recounts as ``TokenCountDrift``
+    (and, at overlap 0, children's counts that the corpus refuses when they
+    do not sum to their owner's), so ingest fails instead of persisting
+    them.
     """
 
     name: str

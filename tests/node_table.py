@@ -4,7 +4,8 @@ from hrr.corpus import ChunkNode, Corpus, Level
 
 
 def corpus_of(documents, nodes: list[ChunkNode], config, tokenizer_name="word-punct") -> Corpus:
-    """A corpus whose rows are ``nodes``, in the order given.
+    """A corpus of ``documents`` (id to text) whose rows are ``nodes``, in
+    the order given.
 
     A parent or document the corpus lacks gets a row the structure check
     refuses: a parent row of -2, a document row past the last document.
@@ -20,5 +21,6 @@ def corpus_of(documents, nodes: list[ChunkNode], config, tokenizer_name="word-pu
         [node.token_count for node in nodes],
         [node.hard_split for node in nodes],
     )
-    return Corpus(documents, [node.id for node in nodes], columns, config=config,
+    encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
+    return Corpus(encoded, [node.id for node in nodes], columns, config=config,
                   tokenizer_name=tokenizer_name)

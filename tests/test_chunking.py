@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hrr.chunking import ChunkingConfig, _byte_offsets, build_corpus
 from hrr.corpus import Level, validate_corpus
-from hrr.errors import ConfigError, EmptyDocumentError
+from hrr.errors import ConfigError, EmptyDocumentError, InvalidCorpusError
 from hrr.synth import CorpusSpec, generate
 from hrr.tokens import _TOKENIZERS, WordPunctTokenizer
 
@@ -180,11 +180,12 @@ class TestInvariantsFuzzed:
         )
         corpus = build_corpus({"doc": text}, cfg)
         assert validate_corpus(corpus) == []
-        # validate_corpus covers partitions, budgets, and token sums; spot-check
-        # the document-level reassembly here as an independent assertion
+        # The corpus checks partitions and token sums when built, and
+        # validate_corpus the counts and budgets; spot-check the
+        # document-level reassembly here as an independent assertion
         parents = [n for n in corpus.nodes if n.level is Level.PARENT]
         joined = b"".join(
-            corpus.document_bytes("doc")[n.char_span[0] : n.char_span[1]] for n in parents
+            corpus.documents["doc"][n.char_span[0] : n.char_span[1]] for n in parents
         )
         assert joined == text.encode("utf-8")
 
@@ -271,22 +272,31 @@ class TestCountsFromDocumentSpans:
             assert node.token_count == TOK.count_tokens(encoded[start:end].decode("utf-8"))
         assert validate_corpus(corpus) == []
 
+    class PairTokenizer(WordPunctTokenizer):
+        """Breaks locality: each span joins two tokens, paired from the start."""
+
+        name = "pairs"
+
+        def token_spans(self, text):
+            spans = super().token_spans(text)
+            return [(spans[i][0], spans[min(i + 1, len(spans) - 1)][1])
+                    for i in range(0, len(spans), 2)]
+
+        def count_tokens(self, text):
+            return len(self.token_spans(text))
+
+    def test_non_local_tokenizer_is_refused_at_overlap_0(self):
+        # A pair that straddles a sentence boundary lies inside no sentence,
+        # so the sentences' counts fall short of their intermediate's.
+        with pytest.raises(InvalidCorpusError,
+                           match="its children at one level do not sum to its token count"):
+            build_corpus({"d": doc_of_sentences(5, 2)}, tokenizer=self.PairTokenizer())
+
     def test_non_local_tokenizer_fails_validation(self, monkeypatch):
-        class PairTokenizer(WordPunctTokenizer):
-            """Breaks locality: each span joins two tokens, paired from the start."""
-
-            name = "pairs"
-
-            def token_spans(self, text):
-                spans = super().token_spans(text)
-                return [(spans[i][0], spans[min(i + 1, len(spans) - 1)][1])
-                        for i in range(0, len(spans), 2)]
-
-            def count_tokens(self, text):
-                return len(self.token_spans(text))
-
-        monkeypatch.setitem(_TOKENIZERS, PairTokenizer.name, PairTokenizer)
-        corpus = build_corpus({"d": doc_of_sentences(5, 2)}, tokenizer=PairTokenizer())
+        # With overlap the spans need not tile, so only the recount sees it.
+        monkeypatch.setitem(_TOKENIZERS, self.PairTokenizer.name, self.PairTokenizer)
+        config = ChunkingConfig(parent_overlap=64, intermediate_overlap=16)
+        corpus = build_corpus({"d": doc_of_sentences(5, 2)}, config, self.PairTokenizer())
         assert "TokenCountDrift" in {v.rule for v in validate_corpus(corpus)}
 
     def test_one_span_pass_per_document(self, monkeypatch):

@@ -19,7 +19,7 @@ from hrr.engine import load_context
 from hrr.errors import ConfigError
 from hrr.evaluation import load_query_set
 
-from test_corpus import _read_nodes, _write_nodes, write_v2_corpus
+from test_corpus import TILING_CORRUPTIONS, _read_nodes, _write_nodes, write_v2_corpus
 
 
 class TestConfigLoading:
@@ -458,6 +458,17 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "queries.jsonl line 2: malformed record" in err and err.count("\n") == 1
 
+    def test_query_set_not_utf8_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        good = (workdir / "synth" / "queries.jsonl").read_bytes().splitlines()[0]
+        Path("queries.jsonl").write_bytes(good + b"\n" + b"\xff\xfe" + good + b"\n")
+        capsys.readouterr()
+        code = main(["eval", "--query-set", "queries.jsonl", "--config", "engine.json"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "queries.jsonl line 2: malformed record" in err and "decode byte 0xff" in err
+        assert err.count("\n") == 1
+
     def test_query_with_lone_surrogate_is_io_error(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])
         good = json.loads((workdir / "synth" / "queries.jsonl").read_text().splitlines()[0])
@@ -484,6 +495,22 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "nodes.bin" in err and "not at the level above" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", TILING_CORRUPTIONS)
+    def test_spans_that_do_not_tile_are_io_errors(self, workdir, capsys, name):
+        """A node file whose spans break one level's tiling of the level above."""
+        edit, message = TILING_CORRUPTIONS[name]
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        edit(nodes)
+        _write_nodes(path, nodes)
+        for command in (["query", "x"], ["validate"]):
+            capsys.readouterr()
+            assert main([*command, "--config", "engine.json"]) == EXIT_IO
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert "nodes.bin" in captured.err and message in captured.err
+
     def test_malformed_corpus_line_is_io_error(self, workdir, capsys):
         """A node file cut in the middle of its columns."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
@@ -499,7 +526,8 @@ class TestCliErrors:
         """A whole, valid corpus of half the documents written over the ingested one."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
         corpus = load_corpus("corpus")
-        half = dict(list(corpus.documents.items())[: len(corpus.documents) // 2])
+        half = {doc_id: data.decode("utf-8")
+                for doc_id, data in list(corpus.documents.items())[: len(corpus.documents) // 2]}
         save_corpus(build_corpus(half, corpus.config), "corpus")
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO

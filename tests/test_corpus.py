@@ -133,7 +133,7 @@ class TestParentAt:
     def test_matches_linear_scan_at_every_byte(self, config):
         corpus = build_corpus(self.DOCS, config)
         for doc_id in (*self.DOCS, "unknown"):
-            size = len(corpus.documents.get(doc_id, "").encode("utf-8"))
+            size = len(corpus.documents.get(doc_id, b""))
             for byte in range(-2, size + 3):
                 assert corpus.parent_at(doc_id, byte) == _scan_parent_at(corpus, doc_id, byte)
 
@@ -192,11 +192,18 @@ class TestValidateCorpus:
         rules = [v.rule for v in validate_corpus(bad)]
         assert "TokenCountDrift" in rules and "BudgetExceeded" in rules
 
+    # The tiling rules are structure too: at overlap 0 a corpus that breaks
+    # them is refused when constructed; with overlap they do not apply.
+    OVERLAP = ChunkingConfig(parent_size=24, parent_overlap=4, intermediate_size=10,
+                             intermediate_overlap=2, sub_intermediate_size=5)
+
     def test_coverage_gap(self):
         doc = {"d": "abcdef ghijkl"}
         nodes = [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 6), 1)]
-        bad = corpus_of(doc, nodes, CFG)
-        assert "CoverageGap" in [v.rule for v in validate_corpus(bad)]
+        with pytest.raises(InvalidCorpusError, match="'d:p0': its span is the last under its "
+                                                     "owner but does not end where the owner"):
+            corpus_of(doc, nodes, CFG)
+        assert validate_corpus(corpus_of(doc, nodes, self.OVERLAP)) == []
 
     def test_span_out_of_bounds(self):
         doc = {"d": "tiny"}
@@ -209,14 +216,14 @@ class TestValidateCorpus:
     # whole 22-byte, 4-token document, plus a side tier under the intermediate.
     SIDE_DOC = {"d": "alpha beta gamma delta"}
 
-    def _side_corpus(self, *side_nodes):
+    def _side_corpus(self, *side_nodes, config=CFG):
         nodes = [
             ChunkNode("d:p0", Level.PARENT, "d", None, (0, 22), 4),
             ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p0", (0, 22), 4),
             ChunkNode("d:p0.i0.s0", Level.SENTENCE, "d", "d:p0.i0", (0, 22), 4),
             *side_nodes,
         ]
-        return corpus_of(self.SIDE_DOC, nodes, CFG)
+        return corpus_of(self.SIDE_DOC, nodes, config)
 
     def test_clean_side_tier(self):
         good = self._side_corpus(
@@ -232,34 +239,40 @@ class TestValidateCorpus:
             )
 
     def test_side_tier_gap(self):
-        bad = self._side_corpus(
-            ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (0, 11), 2),
-            ChunkNode("d:p0.i0.c1", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (17, 22), 1),
-        )
-        gaps = [v for v in validate_corpus(bad) if v.rule == "CoverageGap"]
-        assert [v.chunk_id for v in gaps] == ["d:p0.i0.c1"]
+        side = (ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (0, 11), 2),
+                ChunkNode("d:p0.i0.c1", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (17, 22), 1))
+        with pytest.raises(InvalidCorpusError, match="'d:p0.i0.c1': a gap comes before its span"):
+            self._side_corpus(*side)
+        assert validate_corpus(self._side_corpus(*side, config=self.OVERLAP)) == []
 
     def test_side_tier_token_sum(self):
         # The cut falls inside "beta", so the two pieces hold 2 + 3 tokens.
+        side = (ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (0, 8), 2),
+                ChunkNode("d:p0.i0.c1", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (8, 22), 3))
+        with pytest.raises(InvalidCorpusError, match="'d:p0.i0': its children at one level do "
+                                                     "not sum to its token count"):
+            self._side_corpus(*side)
+        assert validate_corpus(self._side_corpus(*side, config=self.OVERLAP)) == []
+
+    def test_recount_runs_where_the_tiling_rules_do_not(self):
+        """With overlap, a side tier that breaks the tiling constructs, and
+        the recount still reports a stored count its text does not hold."""
         bad = self._side_corpus(
-            ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (0, 8), 2),
-            ChunkNode("d:p0.i0.c1", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (8, 22), 3),
+            ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0.i0", (0, 11), 3),
+            config=self.OVERLAP,
         )
         violations = validate_corpus(bad)
-        assert [(v.rule, v.chunk_id) for v in violations] == [("TokenSumMismatch", "d:p0.i0")]
+        assert [(v.rule, v.chunk_id) for v in violations] == [("TokenCountDrift", "d:p0.i0.c0")]
 
 
 class TestRoundTrip:
     def test_parents_reassemble_document(self, corpus):
-        for doc_id, text in corpus.documents.items():
+        for doc_id, data in corpus.documents.items():
             parents = [
                 n for n in corpus.nodes if n.level is Level.PARENT and n.doc_id == doc_id
             ]
-            joined = b"".join(
-                corpus.document_bytes(doc_id)[n.char_span[0] : n.char_span[1]]
-                for n in parents
-            )
-            assert joined == text.encode("utf-8")
+            joined = b"".join(data[n.char_span[0] : n.char_span[1]] for n in parents)
+            assert joined == data
 
     def test_multibyte_spans_decode(self):
         docs = {"u": "Überall läuft code. Çok güzel çalışıyor. Ça va très bien."}
@@ -432,6 +445,63 @@ def _not_utf8(nodes):
     nodes.documents[1] = b"\x80" + nodes.documents[1][1:]
 
 
+def _row(nodes, suffix):
+    """The row of the first node whose id ends with ``suffix``."""
+    return next(row for row, chunk_id in enumerate(json.loads(nodes.ids))
+                if chunk_id.endswith(suffix))
+
+
+def _add(column, suffix, delta):
+    """Add ``delta`` to ``column`` of the first node whose id ends with ``suffix``."""
+    def edit(nodes):
+        nodes.columns[column][_row(nodes, suffix)] += delta
+
+    return edit
+
+
+def _last_sentence_short(nodes):
+    """The first intermediate's last sentence ends a byte short of it."""
+    owner = _row(nodes, ":p0.i0")
+    sentences = nodes.columns["level"] == list(Level).index(Level.SENTENCE)
+    last = np.flatnonzero(sentences & (nodes.columns["parent"] == owner))[-1]
+    nodes.columns["end"][last] -= 1
+
+
+def _document_edge(column, delta):
+    """Move by ``delta`` the ``column`` of every node of the first document
+    that has it at the document's edge (a start at 0, or an end at its
+    length), so that only the parent chunk breaks the document's tiling."""
+    def edit(nodes):
+        edge = 0 if column == "start" else nodes.header["document_bytes"][0]
+        values = nodes.columns[column]
+        values[(nodes.columns["doc"] == 0) & (values == edge)] += delta
+
+    return edit
+
+
+#: Edits of a saved node file that break how one level's spans tile the
+#: level above; each loads where the tiling is not checked. With a fragment
+#: of the one-line error.
+TILING_CORRUPTIONS = {
+    "late-sentence-start": (_add("start", ":p0.i1.s0", 4),
+                            "p0.i1.s0': a gap comes before its span"),
+    "overlapping-span": (_add("start", ":p0.i1.s0", -4),
+                         "p0.i1.s0': its span overlaps the one before it or starts before"),
+    "last-child-short": (_last_sentence_short,
+                         "its span is the last under its owner but does not end where"),
+    "token-sum": (_add("token_count", ":p0.i0.s0", 1),
+                  "p0.i0': its children at one level do not sum to its token count"),
+    "parent-not-at-0": (_document_edge("start", 1), "p0': a gap comes before its span"),
+    "last-parent-short": (_document_edge("end", -1),
+                          "its span is the last under its owner but does not end where"),
+}
+
+
+def _lengths_entry_as_string(nodes):
+    lengths = nodes.header["document_bytes"]
+    lengths[0] = str(lengths[0])
+
+
 #: Each edit of a saved node file, with a fragment of the one-line error.
 CORRUPTIONS = {
     "version": (_header(version=1), "version 1"),
@@ -475,6 +545,21 @@ CORRUPTIONS = {
     "other-document": (_set("doc", 9, 0), "another document"),
     "duplicate-id": (lambda nodes: _ids(_last_named_first(nodes.ids))(nodes),
                      "'a:p0' names more than one node"),
+    # Header numbers are JSON integers, never coerced.
+    "version-float": (_header(version=3.0), "malformed header (version 3.0 is not an integer)"),
+    "version-bool": (_header(version=True), "malformed header (version True is not an integer)"),
+    "count-string": (lambda nodes: _header(count=str(nodes.header["count"]))(nodes),
+                     "malformed header (count '20' is not an integer)"),
+    "ids-bytes-float": (lambda nodes: _header(ids_bytes=float(nodes.header["ids_bytes"]))(nodes),
+                        "ids_bytes"),
+    "document-bytes-string": (_lengths_entry_as_string,
+                              "malformed header (document_bytes[0] '84' is not an integer)"),
+    **TILING_CORRUPTIONS,
+    # A second sentence of one intermediate, against the first's end.
+    "late-second-sentence-start": (_add("start", "a:p0.i0.s1", 4),
+                                   "'a:p0.i0.s1': a gap comes before its span"),
+    "second-sentence-overlapping": (_add("start", "a:p0.i0.s1", -4),
+                                    "'a:p0.i0.s1': its span overlaps the one before it"),
 }
 
 
@@ -598,6 +683,60 @@ class TestStructureGate:
                                 + [n for n in nodes if n.level not in HIERARCHY_LEVELS])
 
 
+def _tiles(documents, nodes) -> bool:
+    """Reference for the tiling rules, one node at a time: whether each
+    document's parents, and each node's children at one level, in the order
+    given, tile their owner, the children's token counts summing to it."""
+    by_id = {node.id: node for node in nodes}
+    groups = {}
+    for node in nodes:
+        groups.setdefault((node.parent_id or node.doc_id, node.level), []).append(node)
+    for (owner_id, _), members in groups.items():
+        owner = by_id.get(owner_id)
+        if owner is None:  # a document's parents
+            pos, end, total = 0, len(documents[owner_id].encode("utf-8")), None
+        else:
+            (pos, end), total = owner.char_span, owner.token_count
+        for node in members:
+            if node.char_span[0] != pos:
+                return False
+            pos = node.char_span[1]
+        if pos != end or total not in (None, sum(node.token_count for node in members)):
+            return False
+    return True
+
+
+class TestTilingMatchesReference:
+    DOCS = {"a": "One two three four. Five six seven eight. Nine ten.",
+            "b": "Short doc here. Another line follows."}
+    MESSAGES = ("a gap comes before", "overlaps the one before", "does not end where the owner",
+                "do not sum to its token count")
+
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["start", "end", "tokens"]),
+                              st.integers(-3, 3)), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_refused_exactly_when_the_reference_finds_no_tiling(self, edits):
+        nodes = list(build_corpus(self.DOCS, CFG))
+        for row, field, delta in edits:
+            node = nodes[row % len(nodes)]
+            start, end = node.char_span
+            if field == "tokens":
+                node = replace(node, token_count=max(node.token_count + delta, 0))
+            else:
+                start, end = (start + delta, end) if field == "start" else (start, end + delta)
+                size = len(self.DOCS[node.doc_id])
+                node = replace(node, char_span=(min(max(start, 0), size - 1),
+                                                min(max(end, start + 1, 1), size)))
+            nodes[row % len(nodes)] = node
+        try:
+            corpus_of(self.DOCS, nodes, CFG)
+        except InvalidCorpusError as exc:
+            assert any(message in str(exc) for message in self.MESSAGES), exc
+            assert not _tiles(self.DOCS, nodes)
+        else:
+            assert _tiles(self.DOCS, nodes)
+
+
 def _chunker_nodes(documents, config):
     """The chunker's nodes, hierarchy first, then the side tier: the oracle,
     chunked one document at a time."""
@@ -659,7 +798,8 @@ class TestLoadMatchesChunker:
                              chunking=config).documents
         save_corpus(build_corpus(documents, config), tmp_path)
         loaded = load_corpus(tmp_path)
-        assert loaded.documents == documents
+        assert loaded.documents == {doc_id: text.encode("utf-8")
+                                    for doc_id, text in documents.items()}
         assert loaded.config == config
         _assert_matches_chunker(loaded, documents, config)
 

@@ -750,6 +750,27 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="counts 59 non-zeros, the rows hold 60"):
             load_index(path, index.chunk_ids, EMBEDDER, 6)
 
+    @pytest.mark.parametrize(
+        "rows, field, value",
+        [(10, "dimension", "6"), (10, "count", 10.0), (10, "nnz", "60"), (1, "count", True)],
+        ids=["dimension-string", "count-float", "nnz-string", "count-bool"],
+    )
+    def test_header_number_not_an_integer(self, tmp_path, rows, field, value):
+        index = random_index(random.Random(4), rows, 6)
+        path = tmp_path / "sentence.idx"
+        save_index(index, path, EMBEDDER)
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12 : 12 + header_len])
+        assert header[field] == int(value)  # the same number, in another JSON type
+        header[field] = value
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(data[:8] + len(new).to_bytes(4, "little") + new + data[12 + header_len :])
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_index(path, index.chunk_ids, EMBEDDER, 6)
+        assert f"malformed header ({field} {value!r} is not an integer)" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
     def test_trailing_garbage(self, tmp_path):
         index = random_index(random.Random(4), 4, 6)
         path = tmp_path / "g.idx"
