@@ -363,33 +363,20 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     table row by row and builds no node.
     """
     violations: list[Violation] = []
-    tokenizer = get_tokenizer(corpus.tokenizer_name)
-    budgets = {level: corpus.config.budget(level) for level in Level}
-    for row in range(len(corpus)):
-        violations.extend(_check_row(corpus, row, budgets, tokenizer))
-    return violations
-
-
-def _check_row(corpus: Corpus, row: int, budgets, tokenizer) -> list[Violation]:
-    out: list[Violation] = []
-    view = corpus._view
-    chunk_id, level = corpus._ids[row], _LEVELS[view.level[row]]
-    text = corpus._doc_bytes[view.doc[row]][view.start[row] : view.end[row]].decode("utf-8")
-    actual_tokens = tokenizer.count_tokens(text)
-    if actual_tokens != view.token_count[row]:
-        out.append(
-            Violation(
-                "TokenCountDrift",
-                chunk_id,
-                f"stored {view.token_count[row]}, counted {actual_tokens}",
+    count_tokens = get_tokenizer(corpus.tokenizer_name).count_tokens
+    budgets = [corpus.config.budget(level) for level in _LEVELS]
+    documents, view = corpus._doc_bytes, corpus._view
+    level, doc, start, end, stored = view.level, view.doc, view.start, view.end, view.token_count
+    for row, chunk_id in enumerate(corpus._ids):
+        counted = count_tokens(documents[doc[row]][start[row] : end[row]].decode("utf-8"))
+        if counted != stored[row]:
+            violations.append(
+                Violation("TokenCountDrift", chunk_id, f"stored {stored[row]}, counted {counted}")
             )
-        )
-    budget = budgets[level]
-    if budget is not None and actual_tokens > budget:
-        out.append(
-            Violation("BudgetExceeded", chunk_id, f"{actual_tokens} tokens > {budget}")
-        )
-    return out
+        budget = budgets[level[row]]
+        if budget is not None and counted > budget:
+            violations.append(Violation("BudgetExceeded", chunk_id, f"{counted} tokens > {budget}"))
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +669,15 @@ def _check_structure(corpus: Corpus) -> None:
     expected = np.empty_like(starts)
     expected[1:] = ends[:-1]
     expected[heads] = np.concatenate([np.zeros(n_docs, dtype=np.int64), start])[owners]
-    refuse(starts < expected, "its span overlaps the one before it or starts before its owner",
-           grouped)
-    refuse(starts > expected, "a gap comes before its span", grouped)
+    # Both ways a start can be wrong are one rule, which names the least row
+    # either way with its own problem: so a parent moved alone is named, not
+    # its first child, which then starts before it.
+    wrong = starts != expected
+    if wrong.any():
+        first = np.flatnonzero(wrong)[np.argmin(grouped[wrong])]
+        problem = ("a gap comes before its span" if starts[first] > expected[first]
+                   else "its span overlaps the one before it or starts before its owner")
+        raise InvalidCorpusError(f"node {ids[grouped[first]]!r}: {problem}")
     refuse(ends[tails] != np.concatenate([sizes, end])[owners],
            "its span is the last under its owner but does not end where the owner ends",
            grouped[tails])

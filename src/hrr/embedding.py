@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     InvalidInputError,
     ProviderUnavailableError,
 )
+from . import tokens
 from .tokens import WordPunctTokenizer
 
 if TYPE_CHECKING:
@@ -296,14 +298,12 @@ def _bucket(token: str, dimension: int) -> int:
     return int.from_bytes(digest, "big") % dimension
 
 
-#: Distinct tokens one hashed-bow embedder remembers the buckets of.
-_BUCKET_MEMO_SIZE = 1 << 16
-
-
 class _BucketMemo(dict):
     """Token to bucket, each computed by ``_bucket`` on first sight.
 
-    Emptied when it holds ``_BUCKET_MEMO_SIZE`` tokens, which bounds it.
+    Emptied when it holds ``tokens._MEMO_SIZE`` tokens, which bounds it. It
+    is not a ``tokens.Memo``: text of unique words misses it on every token,
+    and a miss here is kept to the bare hash.
     """
 
     def __init__(self, dimension: int) -> None:
@@ -311,7 +311,7 @@ class _BucketMemo(dict):
         self.dimension = dimension
 
     def __missing__(self, token: str) -> int:
-        if len(self) >= _BUCKET_MEMO_SIZE:
+        if len(self) >= tokens._MEMO_SIZE:
             self.clear()
         bucket = self[token] = _bucket(token, self.dimension)
         return bucket
@@ -341,6 +341,17 @@ class HashedBowEmbedder:
     bit-identical to the recipe applied one text at a time. A batch of one
     text, a query, comes back as a dense ``(1, d)`` block instead: search
     reads the query dense, and one row is built with fewer numpy calls so.
+
+    Where pieces repeat, the tokenizer runs once per distinct piece, not
+    once per text. A row's buckets are those of the ``str.split()`` pieces
+    of its lowercased text, in order, each looked up in a memo of piece to
+    bucket tuple (``hrr.tokens.Memo``) that draws on a memo of token to
+    bucket. This is the recipe's token sequence exactly: a token holds no
+    whitespace, and ``str.split`` splits where the tokenizer's ``\\s`` does
+    (see ``hrr.tokens``). The whole text is lowercased before it is split,
+    as the recipe says, so context-dependent lowercasing such as a final
+    sigma is unchanged. While the piece memo rests, a text's tokens are
+    scanned and looked up in the token memo one by one, as before it.
     """
 
     name = "hashed-bow"
@@ -349,8 +360,9 @@ class HashedBowEmbedder:
         if not 1 <= dimension <= MAX_CSR_DIMENSION:
             raise ConfigError(f"dimension must be between 1 and {MAX_CSR_DIMENSION}")
         self._dimension = dimension
-        self._tokenizer = WordPunctTokenizer()
-        self._buckets = _BucketMemo(dimension)
+        self._bucket = bucket = _BucketMemo(dimension).__getitem__
+        self._tokens = scan = WordPunctTokenizer().tokens
+        self._pieces = tokens.Memo(lambda piece: tuple(map(bucket, scan(piece))))
 
     @property
     def dimension(self) -> int:
@@ -381,7 +393,7 @@ class HashedBowEmbedder:
 
     def _embed_one(self, text: str) -> np.ndarray:
         """The ``(1, d)`` block of one text."""
-        buckets = list(map(self._buckets.__getitem__, self._tokenizer.tokens(text.lower())))
+        buckets = self._buckets_of(text)
         counts = np.bincount(buckets or [0], minlength=self._dimension)
         # An integer dot product, exact, as is its conversion to float.
         norm = math.sqrt(counts @ counts)
@@ -392,19 +404,31 @@ class HashedBowEmbedder:
 
         A text without tokens counts once in bucket 0.
         """
-        tokens = self._tokenizer.tokens
-        bucket = self._buckets.__getitem__
+        buckets_of = self._buckets_of
         flat: list[int] = []
         lengths: list[int] = []
         for text in block:
             before = len(flat)
-            flat.extend(map(bucket, tokens(text.lower())))
+            flat.extend(buckets_of(text))
             if len(flat) == before:
                 flat.append(0)
             lengths.append(len(flat) - before)
         cells = np.array(flat, dtype=np.int64)
         cells += np.repeat(np.arange(0, len(block) * self._dimension, self._dimension), lengths)
         return cells
+
+    def _buckets_of(self, text: str) -> list[int]:
+        """The bucket of each token of ``text.lower()``, in order."""
+        text, memo = text.lower(), self._pieces
+        if memo.resting > 0:
+            buckets = list(map(self._bucket, self._tokens(text)))
+            memo.resting -= len(buckets)
+            return buckets
+        misses, split = memo.misses, text.split()
+        buckets = list(chain.from_iterable(map(memo.__getitem__, split)))
+        if memo.misses != misses:
+            memo.judge(memo.misses - misses, len(split), len(buckets))
+        return buckets
 
 
 class RemoteEmbedder:

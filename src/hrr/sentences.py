@@ -33,9 +33,14 @@ ABBREVIATIONS = frozenset(
     """.split()
 )
 
-_TERMINATOR_RE = re.compile(r"[.!?]+")
+#: A run of terminators; its group is the whitespace after the run.
+_RUN_RE = re.compile(r"[.!?]+(\s*)")
 _BLANK_LINE_RE = re.compile(r"\n[ \t\r]*\n")
+_NON_SPACE_RE = re.compile(r"\S")
 _WORD_BEFORE_RE = re.compile(r"(\w+)\Z")
+#: How far back from a period the word before it is read: one character
+#: more than the longest abbreviation.
+_LOOK_BACK = 1 + max(map(len, ABBREVIATIONS))
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
@@ -43,10 +48,40 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
     Spans are (start, end) character offsets. Whitespace-only input yields
     an empty list.
+
+    Each block between blank lines is read in one pass over its terminator
+    runs, each matched with the whitespace after it, so where the next
+    sentence would start is known without a scan of its own. This keeps
+    to the module's rules exactly:
+
+    * ``\\s``, ``\\S`` and ``str.rstrip()`` are whitespace where
+      ``isspace()`` is (``hrr.tokens`` says how a test checks this), so a
+      run's whitespace ends at the next sentence's first character and the
+      last sentence of a block is trimmed as the rules say;
+    * a period's word is read at most ``_LOOK_BACK`` characters back. For
+      a longer word the window holds ``_LOOK_BACK`` word characters, which
+      lowercase to at least as many (lowercasing never empties a
+      character): too long for an abbreviation and not a single letter,
+      just as the whole word is.
     """
     spans: list[tuple[int, int]] = []
     for block_start, block_end in _blocks(text):
-        spans.extend(_split_block(text, block_start, block_end))
+        first = _NON_SPACE_RE.search(text, block_start, block_end)
+        if first is None:
+            continue
+        sent_start = first.start()
+        for run in _RUN_RE.finditer(text, sent_start, block_end):
+            run_end, nxt = run.span(1)
+            if (
+                run_end < nxt < block_end
+                and text[nxt].isupper()
+                and not (run_end - run.start() == 1 and text[run.start()] == "."
+                         and _is_abbreviation(text, run.start()))
+            ):
+                spans.append((sent_start, run_end))
+                sent_start = nxt
+        last = text[sent_start:block_end].rstrip()
+        spans.append((sent_start, sent_start + len(last)))
     return spans
 
 
@@ -61,55 +96,11 @@ def _blocks(text: str):
         yield pos, len(text)
 
 
-def _split_block(text: str, start: int, end: int) -> list[tuple[int, int]]:
-    spans: list[tuple[int, int]] = []
-    sent_start = _skip_ws(text, start, end)
-    if sent_start >= end:
-        return spans
-    for match in _TERMINATOR_RE.finditer(text, sent_start, end):
-        if match.start() < sent_start:
-            continue
-        if not _is_boundary(text, match, end):
-            continue
-        spans.append((sent_start, match.end()))
-        sent_start = _skip_ws(text, match.end(), end)
-        if sent_start >= end:
-            return spans
-    last_end = _trim_ws(text, sent_start, end)
-    if last_end > sent_start:
-        spans.append((sent_start, last_end))
-    return spans
-
-
-def _is_boundary(text: str, match: re.Match, block_end: int) -> bool:
-    run = match.group()
-    if run == "." and _is_abbreviation(text, match.start()):
-        return False
-    nxt = _skip_ws(text, match.end(), block_end)
-    if nxt == match.end():
-        return False  # terminator not followed by whitespace
-    return nxt < block_end and text[nxt].isupper()
-
-
 def _is_abbreviation(text: str, period_pos: int) -> bool:
-    # Search a bounded window so the anchored lookback stays O(1); nothing
-    # longer than the window could be an abbreviation anyway.
-    word = _WORD_BEFORE_RE.search(text, max(0, period_pos - 64), period_pos)
+    word = _WORD_BEFORE_RE.search(text, max(0, period_pos - _LOOK_BACK), period_pos)
     if word is None:
         return False
     token = word.group(1)
     if token.lower() in ABBREVIATIONS:
         return True
     return len(token) == 1 and word.start() > 0 and text[word.start() - 1] == "."
-
-
-def _skip_ws(text: str, pos: int, end: int) -> int:
-    while pos < end and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _trim_ws(text: str, start: int, end: int) -> int:
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    return end

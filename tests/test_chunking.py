@@ -3,12 +3,17 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+import reference_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_embedding import reference_vector
 
+from hrr import chunking
 from hrr.chunking import ChunkingConfig, _byte_offsets, build_corpus
 from hrr.corpus import Level, validate_corpus
+from hrr.embedding import HashedBowEmbedder
 from hrr.errors import ConfigError, EmptyDocumentError, InvalidCorpusError
 from hrr.synth import CorpusSpec, generate
 from hrr.tokens import _TOKENIZERS, WordPunctTokenizer
@@ -302,6 +307,7 @@ class TestCountsFromDocumentSpans:
     def test_one_span_pass_per_document(self, monkeypatch):
         documents = generate(CorpusSpec(seed=42)).documents
         calls = Counter()
+        split = chunking.split_sentences
         for method in ("token_spans", "count_tokens"):
             original = getattr(WordPunctTokenizer, method)
 
@@ -310,9 +316,70 @@ class TestCountsFromDocumentSpans:
                 return _original(self, text)
 
             monkeypatch.setattr(WordPunctTokenizer, method, counted)
+
+        def split_counted(text):
+            calls["split_sentences"] += 1
+            return split(text)
+
+        monkeypatch.setattr(chunking, "split_sentences", split_counted)
         corpus = build_corpus(documents)
-        assert calls == {"token_spans": len(documents)}
+        assert calls == {"token_spans": len(documents), "split_sentences": len(documents)}
         # Validation stays an independent oracle: one recount per node.
         calls.clear()
         assert validate_corpus(corpus) == []
         assert calls == {"count_tokens": len(corpus)}
+
+
+@st.composite
+def small_corpus(draw):
+    """One to three documents of multibyte sentences holding abbreviations,
+    dotted initials and terminator runs, some long enough to hard-split."""
+    documents = {}
+    for doc in range(draw(st.integers(min_value=1, max_value=3))):
+        text = draw(multi_sentence_text())
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            at = draw(st.integers(min_value=0, max_value=len(text)))
+            insert = draw(st.sampled_from([" Dr. Ng", " e.g. X", " U.S. Army", " vol. II",
+                                           " Etc. and", "?! Σ", ". É", "\n\t\r\n"]))
+            text = text[:at] + insert + text[at:]
+        documents[f"d{doc}"] = text
+    return documents
+
+
+def reference_csr(texts, dimension):
+    """The ``CsrBatch`` arrays of ``texts`` by the per-text recipe."""
+    rows = [reference_vector(text, dimension) for text in texts]
+    columns = [np.flatnonzero(row) for row in rows]
+    indptr = np.cumsum([0, *map(len, columns)], dtype=np.int64)
+    values = np.concatenate([row[cols] for row, cols in zip(rows, columns)])
+    return indptr, np.concatenate(columns).astype(np.uint16), values
+
+
+class TestIngestMatchesReference:
+    """The fast tokenizer and splitter build the corpus, and embed the rows,
+    that the regex reference tokenizer and splitter do."""
+
+    @pytest.mark.parametrize("config", [
+        ChunkingConfig(),
+        ChunkingConfig(parent_size=64, intermediate_size=16, sub_intermediate_size=8,
+                       max_sentence_tokens=5),
+    ], ids=["default", "small"])
+    @given(documents=small_corpus())
+    @settings(max_examples=40, deadline=None)
+    def test_same_node_table_and_rows(self, config, documents):
+        corpus = build_corpus(documents, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chunking, "split_sentences", reference_text.split_sentences)
+            expected = build_corpus(documents, config, reference_text.ReferenceTokenizer())
+        assert list(corpus) == list(expected)
+        assert validate_corpus(corpus) == []
+        embedder = HashedBowEmbedder()
+        for level in corpus.levels:
+            # The first text again, so that a one-chunk level is a batch of
+            # two, which comes back as CSR.
+            texts = [corpus.chunk_text(chunk_id) for chunk_id in corpus.ids_at(level)]
+            texts.append(texts[0])
+            rows = embedder.embed_batch(texts)
+            for array, want in zip((rows.indptr, rows.columns, rows.values),
+                                   reference_csr(texts, embedder.dimension)):
+                assert array.tobytes() == want.tobytes()

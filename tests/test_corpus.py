@@ -492,6 +492,9 @@ TILING_CORRUPTIONS = {
     "token-sum": (_add("token_count", ":p0.i0.s0", 1),
                   "p0.i0': its children at one level do not sum to its token count"),
     "parent-not-at-0": (_document_edge("start", 1), "p0': a gap comes before its span"),
+    # The first parent moved alone: its first child now starts before it,
+    # but the parent, the earlier row, is the one named.
+    "parent-alone-late": (_add("start", ":p0", 1), ":p0': a gap comes before its span"),
     "last-parent-short": (_document_edge("end", -1),
                           "its span is the last under its owner but does not end where"),
 }

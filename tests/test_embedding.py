@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_text import ReferenceTokenizer
 
 from hrr import embedding
 from hrr.embedding import (
@@ -16,7 +17,6 @@ from hrr.embedding import (
     ensure_unit,
 )
 from hrr.errors import DimensionMismatchError, InvalidInputError
-from hrr.tokens import WordPunctTokenizer
 
 
 def reference_bucket(token: str, dimension: int) -> int:
@@ -29,7 +29,7 @@ def reference_vector(text: str, dimension: int) -> np.ndarray:
     """The documented recipe, one float64 count per token span."""
     lowered = text.lower()
     counts = np.zeros(dimension)
-    for start, end in WordPunctTokenizer().token_spans(lowered):
+    for start, end in ReferenceTokenizer().token_spans(lowered):
         counts[reference_bucket(lowered[start:end], dimension)] += 1.0
     norm = float(np.linalg.norm(counts))
     if norm == 0.0:

@@ -1,12 +1,13 @@
 """Sentence boundary detection tests."""
 
 import pytest
+import reference_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.corpus import Level
-from hrr.sentences import split_sentences
+from hrr.sentences import _LOOK_BACK, ABBREVIATIONS, split_sentences
 
 
 def sentences_of(text):
@@ -115,3 +116,55 @@ class TestCoverageProperty:
 )
 def test_assorted_counts(text, expected):
     assert len(split_sentences(text)) == expected
+
+
+def _mixed_case(word):
+    flips = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flips.map(lambda ups: "".join(c.upper() if up else c for c, up in zip(word, ups)))
+
+
+#: Every abbreviation, in mixed case.
+ABBREVIATION = st.sampled_from(sorted(ABBREVIATIONS)).flatmap(_mixed_case)
+#: Words around the look-back's length, some ending in an abbreviation.
+LONG_WORD = st.tuples(
+    st.text(alphabet="xyzXÉ_9", min_size=_LOOK_BACK - 6, max_size=_LOOK_BACK + 2),
+    st.one_of(ABBREVIATION, st.just("")),
+).map("".join)
+#: What a splitter can get wrong: abbreviations, dotted initials, long words
+#: before a period, terminator runs, blank lines holding \r and tabs, and
+#: lines that only look blank; Unicode uppercase, a titlecase letter, and
+#: Unicode whitespace.
+PIECE = st.one_of(
+    ABBREVIATION.map(lambda word: word + "."),
+    LONG_WORD.map(lambda word: word + "."),
+    st.sampled_from(["e.g.", "i.e.", "U.S.", "A.", "x.", "a.b.c.", "Q.E.D.", "3.5", "..A"]),
+    st.sampled_from([".", "!", "?", "?!.", "...", "!!", "?."]),
+    st.sampled_from([" ", "  ", "\n", "\n\n", "\n \t\r\n", "\r\n\r\n", "\n\t\n", "\t",
+                     "\u00a0", "\u2003", "\x85", "\n\u00a0\n", "\n\x0c\n", "\n\x85\n"]),
+    st.sampled_from(["The", "the", "É", "Élan", "é", "Σ", "σ", "ǅ", "ǆ", "İt", "x", "Go"]),
+    st.text(alphabet="aZÉǅ.!? \n\t", max_size=4),
+)
+
+
+class TestMatchesReference:
+    """One pass over terminator runs splits as the run-by-run reference does."""
+
+    @given(st.one_of(st.lists(PIECE, max_size=40).map("".join), st.text(max_size=120)))
+    @settings(max_examples=600, deadline=None)
+    def test_spans_equal_the_reference(self, text):
+        assert split_sentences(text) == reference_text.split_sentences(text)
+
+    @pytest.mark.parametrize("text,expected", [
+        # Titlecase is not uppercase.
+        ("Titlecase ends. ǅemal is not upper.", ["Titlecase ends. ǅemal is not upper."]),
+        ("Wide space.\u2003Next one.\x85Last.", ["Wide space.", "Next one.", "Last."]),
+        ("Blank.\n \t\r\nlower starts a block.", ["Blank.", "lower starts a block."]),
+        # A form feed is whitespace, but not part of a blank line.
+        ("Not blank.\n\x0c\nlower stays.", ["Not blank.\n\x0c\nlower stays."]),
+        ("Word abcdefgapprox. Next.", ["Word abcdefgapprox.", "Next."]),
+        ("Ask ?!. Then go", ["Ask ?!.", "Then go"]),
+        ("Mr. X. Y. Zed. E.g. Now.", ["Mr. X.", "Y.", "Zed.", "E.g. Now."]),
+    ])
+    def test_documented_edges(self, text, expected):
+        assert sentences_of(text) == expected
+        assert split_sentences(text) == reference_text.split_sentences(text)
