@@ -10,10 +10,10 @@ with no spaces, so a piece is a paragraph) and ``b64`` (base64-like runs,
 pieces of 40-400 characters). ``stats`` builds the corpus of DOCS_DIR and
 prints, over every level's chunk texts, the pieces and distinct pieces the
 token-count memo and the embedder's piece memo see, and the share of texts
-each memo rested for; then the in-process seconds of the recount
-(``validate_corpus``) and of embedding every level with one embedder, the
-best of three. Run ``stats`` with ``PYTHONPATH`` set to each of two trees
-to compare them on one input.
+each memo rested for; then the in-process seconds of chunking
+(``build_corpus``), of the recount (``validate_corpus``) and of embedding
+every level with one embedder, the best of three. Run ``stats`` with
+``PYTHONPATH`` set to each of two trees to compare them on one input.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def best(run) -> float:
 
 
 def stats(docs: Path) -> None:
-    corpus = build_corpus(read_documents(docs))
+    documents = read_documents(docs)
+    corpus = build_corpus(documents)
     levels = [[corpus.chunk_text(i) for i in corpus.ids_at(level)] for level in corpus.levels]
     texts = [text for level in levels for text in level]
     tokenizer, embedder = WordPunctTokenizer(), HashedBowEmbedder()
@@ -108,7 +109,8 @@ def stats(docs: Path) -> None:
         for level in levels:
             fresh.embed_batch(level)
 
-    print(f"recount {best(lambda: validate_corpus(corpus)):.3f} s, embed {best(embed):.3f} s")
+    print(f"build_corpus {best(lambda: build_corpus(documents)):.3f} s, "
+          f"recount {best(lambda: validate_corpus(corpus)):.3f} s, embed {best(embed):.3f} s")
 
 
 if __name__ == "__main__":

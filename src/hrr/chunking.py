@@ -18,36 +18,46 @@ intermediate the same way, without overlap. It is a level outside
 ``HIERARCHY_LEVELS``, linked to its intermediate, and its rows of the node
 table follow every hierarchy row.
 
-One recursive ``cut`` makes every level, driven by a table that gives each
-level its id letter, budget, overlap and the levels cut from its chunks:
-parents yield intermediates, and intermediates yield sentences (the level
-without a budget: one chunk per sentence fragment), then the side tier. The
-chunker writes the node table's rows directly; a ``ChunkNode`` is built
-only when the corpus is asked for one.
+The cut works on arrays. A fragment (a sentence, or a piece of one
+hard-split at a budget) is a range ``[lo, lo + n)`` of the document's
+token indexes with its character span and whether each end fell
+mid-sentence; a level's fragments and chunks are parallel arrays. Each
+level is cut from the fragments its owners hold: split the fragments over
+its budget (one ``np.repeat``), pack each owner's, then read every
+chunk's span, count and flag off the arrays. Sentences skip the packing,
+one chunk per fragment. Packing is the greedy rule, run once per chunk on
+the prefix sums of fragment tokens: a chunk owns fragments while its
+tokens fit the budget, after first carrying the longest run of its
+predecessor's last fragments that fits the overlap, less the oldest while
+its first own fragment would not fit. No count is negative, so the sums
+never fall and a bisection stops at the fragment where the rule, adding
+one fragment at a time, stops: the cut is exact. Rows are written in the
+node table's order; a ``ChunkNode`` is built only when asked for.
 
 Each document is tokenized once. Every chunk boundary falls on a token
 boundary: a sentence ends after a terminator that whitespace follows, or
 before trimmed whitespace; a hard split falls at the end of a token; and
 padding between chunks is whitespace. So, by the ``Tokenizer`` locality
 contract, a chunk's tokens are exactly the document tokens inside its
-span, and every count and hard split is read off the document's spans. A
-tokenizer that breaks the contract leaves counts that are wrong, and ingest
-fails: at overlap 0 the corpus refuses children whose counts do not sum to
-their owner's (``InvalidCorpusError``), and ``validate_corpus``'s recount
-reports every count that differs from the node's own text's as
-``TokenCountDrift``.
+span: every count is two ``searchsorted`` calls on the document's token
+starts and ends. A tokenizer that breaks the contract leaves counts that
+are wrong, and ingest fails: at overlap 0 the corpus refuses children
+whose counts do not sum to their owner's (``InvalidCorpusError``), and
+``validate_corpus``'s recount reports every count that differs from the
+node's own text's as ``TokenCountDrift``. One that puts a sentence inside
+a single token is refused at once: that sentence's count is negative.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .corpus import _CODES, HIERARCHY_LEVELS, Corpus, Level
-from .errors import ConfigError, EmptyDocumentError
+from .corpus import _CODES, Corpus, Level
+from .errors import ConfigError, EmptyDocumentError, InvalidCorpusError
 from .sentences import split_sentences
 from .tokens import Tokenizer, WordPunctTokenizer
 
@@ -94,72 +104,126 @@ class ChunkingConfig:
         }[level]
 
 
-@dataclass
-class _Fragment:
-    # Character offsets into the document; hard-split pieces remember which
-    # side of their boundary fell mid-sentence.
-    start: int
-    end: int
-    tokens: int
-    split_head: bool = False
-    split_tail: bool = False
+class _Fragments(NamedTuple):
+    """One level's fragments of a document, as parallel arrays in text order."""
+
+    lo: np.ndarray  #: the first token's index
+    n: np.ndarray  #: token count
+    start: np.ndarray  #: character span
+    end: np.ndarray
+    head: np.ndarray  #: whether the start falls mid-sentence
+    tail: np.ndarray  #: whether the end falls mid-sentence
+
+    def split(self, budget: int, starts: np.ndarray, ends: np.ndarray) -> tuple:
+        """Hard-split each fragment of more than ``budget`` tokens at token
+        boundaries; returns the pieces and each fragment's first piece."""
+        pieces = np.where(self.n > budget, -(-self.n // budget), 1)
+        first = np.zeros(len(pieces) + 1, dtype=np.int64)
+        np.cumsum(pieces, out=first[1:])
+        source = np.repeat(np.arange(len(pieces)), pieces)
+        out = _Fragments(*(column[source] for column in self))
+        cut = np.flatnonzero(pieces[source] > 1)
+        k = cut - first[source[cut]]  # the piece's place in its fragment
+        lo = out.lo[cut] + k * budget
+        n = out.n[cut] = np.minimum(out.n[cut] - k * budget, budget)
+        out.lo[cut], out.start[cut], out.end[cut] = lo, starts[lo], ends[lo + n - 1]
+        out.head[cut] |= k > 0
+        out.tail[cut] |= k < pieces[source[cut]] - 1
+        return out, first
 
 
-@dataclass
-class _Group:
-    owned: list[_Fragment]
-    tail: list[_Fragment] = field(default_factory=list)  # overlap from predecessor
+class _Level(NamedTuple):
+    """One level's chunks of a document, as parallel arrays in text order."""
+
+    fragments: _Fragments  #: what the chunks were cut from
+    bounds: np.ndarray  #: chunk ``c`` owns ``fragments[bounds[c]:bounds[c + 1]]``
+    own_start: np.ndarray  #: the owned characters, which tile the owner's
+    end: np.ndarray  #: where the owned characters and the span end
+    start: np.ndarray | None = None  #: the span's start, the overlap tail's if any
+    owner: np.ndarray | None = None  #: the owning chunk's place in its level
+    count: np.ndarray | None = None
+    hard: np.ndarray | None = None
 
 
-class _DocTokens:
-    """One document's token starts and ends, from a single tokenizer pass.
+def _cut(above: _Level, budget: int | None, overlap: int, tokens: tuple) -> _Level:
+    """Cut a level from the fragments each chunk of ``above`` owns; a
+    ``budget`` of None makes each fragment a chunk."""
+    fragments, bounds = above.fragments, above.bounds
+    if budget is None:
+        firsts = tails = np.arange(bounds[-1])
+    else:
+        fragments, first_piece = fragments.split(budget, *tokens)
+        bounds = first_piece[bounds]
+        prefix = np.zeros(len(fragments.n) + 1, dtype=np.int64)
+        np.cumsum(fragments.n, out=prefix[1:])
+        firsts, tails = map(np.array, _pack(prefix.tolist(), bounds.tolist(), budget, overlap))
+    owner = np.searchsorted(bounds, firsts, "right") - 1
+    # Owned characters run from a chunk's first fragment to the next chunk's;
+    # an owner's first and last chunks reach to its own ends.
+    first = np.ones(len(owner), dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    last = np.append(first[1:], True)
+    own_start = fragments.start[firsts]
+    own_start[first] = above.own_start[owner[first]]
+    end = np.append(own_start[1:], 0)
+    end[last] = above.end[owner[last]]
+    start = np.where(tails < firsts, fragments.start[tails], own_start)
+    starts, ends = tokens
+    count = np.searchsorted(ends, end, "right") - np.searchsorted(starts, start, "left")
+    chunk_bounds = np.append(firsts, len(fragments.n))
+    hard = fragments.head[firsts] | fragments.tail[chunk_bounds[1:] - 1]
+    return _Level(fragments, chunk_bounds, own_start, end, start, owner, count, hard)
 
-    A region whose ends split no token holds exactly the document tokens
-    inside it (see the module docstring), found by two bisections.
-    """
 
-    def __init__(self, text: str, tokenizer: Tokenizer) -> None:
-        spans = tokenizer.token_spans(text)
-        self.starts = [s for s, _ in spans]
-        self.ends = [e for _, e in spans]
+def _pack(tokens: list[int], bounds: list[int], budget: int, overlap: int) -> tuple:
+    """Pack each owner's fragments, ``bounds[j]:bounds[j + 1]``, by the
+    greedy rule of the module docstring; ``tokens[i]`` is the tokens of the
+    fragments before fragment ``i``. Returns each chunk's first fragment and
+    its span's first (its overlap tail's when it has one)."""
+    firsts: list[int] = []
+    tails: list[int] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        i = lo
+        while i < hi:
+            tail = i
+            if overlap and i > lo:  # fit the overlap, then leave fragment i room
+                tail = bisect_left(tokens, tokens[i] - overlap, firsts[-1], i)
+                tail = bisect_left(tokens, tokens[i + 1] - budget, tail, i)
+            firsts.append(i)
+            tails.append(tail)
+            i = bisect_right(tokens, tokens[tail] + budget, i + 2, hi + 1) - 1
+    return firsts, tails
 
-    def bounds(self, start: int, end: int) -> tuple[int, int]:
-        """Indexes ``[lo, hi)`` of the document tokens inside ``[start, end)``."""
-        return bisect_left(self.starts, start), bisect_right(self.ends, end)
 
-    def count(self, start: int, end: int) -> int:
-        lo, hi = self.bounds(start, end)
-        return hi - lo
-
-
-def _byte_offsets(text: str) -> Callable[[int], int]:
-    """Maps character offsets to UTF-8 byte offsets in O(1) per query."""
+def _utf8_offsets(text: str) -> np.ndarray:
+    """The UTF-8 byte offset of each character offset, 0 to ``len(text)``."""
+    if text.isascii():
+        return np.arange(len(text) + 1)
     code_points = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
     widths = 1 + (code_points >= 0x80) + (code_points >= 0x800) + (code_points >= 0x10000)
     cumulative = np.zeros(len(code_points) + 1, dtype=np.int64)
     np.cumsum(widths, out=cumulative[1:])
-    return cumulative.item
+    return cumulative
 
 
-class _Tier(NamedTuple):
-    """How one level is cut from each chunk of the level above it."""
-
-    letter: str  #: the level's letter in chunk ids, as in ``d:p0.i1.s2``
-    budget: int | None  #: None: each sentence fragment is a chunk of its own
-    overlap: int
-    children: tuple[Level, ...]  #: the levels cut from each of its chunks, in order
+#: Each level's letter in chunk ids, as in ``d:p0.i1.s2``.
+_LETTERS = {Level.PARENT: "p", Level.INTERMEDIATE: "i", Level.SENTENCE: "s",
+            Level.SUB_INTERMEDIATE: "c"}
 
 
-def _tiers(config: ChunkingConfig) -> dict[Level, _Tier]:
-    side = () if config.sub_intermediate_size is None else (Level.SUB_INTERMEDIATE,)
-    rest = {
-        Level.PARENT: ("p", config.parent_overlap, (Level.INTERMEDIATE,)),
-        Level.INTERMEDIATE: ("i", config.intermediate_overlap, (Level.SENTENCE, *side)),
-        Level.SENTENCE: ("s", 0, ()),
-        Level.SUB_INTERMEDIATE: ("c", 0, ()),
-    }
-    return {level: _Tier(letter, config.budget(level), overlap, children)
-            for level, (letter, overlap, children) in rest.items()}
+def _part(level, chunks: _Level, prefixes, parent_rows, doc, to_bytes) -> tuple:
+    """A document's chunks at ``level`` as ids and the node table's seven
+    columns; each id is its owner's prefix, the level's letter and the
+    chunk's place among its owner's."""
+    ordinal = np.arange(len(chunks.owner)) - np.searchsorted(chunks.owner, chunks.owner)
+    ids = [f"{prefixes[o]}{_LETTERS[level]}{k}"
+           for o, k in zip(chunks.owner.tolist(), ordinal.tolist())]
+    return (ids, np.full(len(ids), _CODES[level]), np.full(len(ids), doc), parent_rows,
+            to_bytes[chunks.start], to_bytes[chunks.end], chunks.count, chunks.hard)
+
+
+def _prefixes(part: tuple) -> list[str]:
+    return [f"{chunk_id}." for chunk_id in part[0]]
 
 
 def build_corpus(
@@ -178,132 +242,68 @@ def build_corpus(
     config = config if config is not None else ChunkingConfig()
     config.validate()
     tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
-    tiers = _tiers(config)
-    # One (id, level, document, parent, start, end, tokens, hard split)
-    # tuple per row; the side tier's rows follow every hierarchy row and
-    # point only at intermediate rows, so no row number changes when the
-    # two lists are joined.
+    # Each (doc, level)'s ids and its seven columns, the hierarchy's levels
+    # one after another; ``rows`` places them in the table's order.
     hierarchy: list[tuple] = []
     side: list[tuple] = []
+    rows: list[np.ndarray] = []
+    base = 0
 
     for doc, (doc_id, text) in enumerate(documents.items()):
         sentence_spans = split_sentences(text)
         if not sentence_spans:
             raise EmptyDocumentError(f"document {doc_id!r} has no chunkable content")
-        tokens = _DocTokens(text, tokenizer)
-        to_bytes = _byte_offsets(text)
+        tokens = tokenizer.token_spans(text)
+        to_bytes = _utf8_offsets(text)
+        span = np.array(sentence_spans, dtype=np.int64)
+        lo = np.searchsorted(tokens[0], span[:, 0], "left")
+        n = np.searchsorted(tokens[1], span[:, 1], "right") - lo
+        if n.min() < 0:
+            raise InvalidCorpusError(
+                f"document {doc_id!r}: tokenizer {tokenizer.name!r} puts a whole sentence "
+                "inside one token, so it is not local"
+            )
+        flags = np.zeros(len(n), dtype=bool)
+        fragments, _ = _Fragments(lo, n, span[:, 0], span[:, 1], flags, flags).split(
+            config.max_sentence_tokens, *tokens)
+        whole = _Level(fragments, np.array([0, len(fragments.n)]), np.array([0]),
+                       np.array([len(text)]))
+        parents = _cut(whole, config.parent_size, config.parent_overlap, tokens)
+        inters = _cut(parents, config.intermediate_size, config.intermediate_overlap, tokens)
+        sentences = _cut(inters, None, 0, tokens)
 
-        def cut(level, fragments, region, parent_row, id_prefix) -> None:
-            """Cut ``level``'s chunks from the fragments owning ``region``."""
-            tier = tiers[level]
-            if tier.budget is None:
-                groups = [_Group([fragment]) for fragment in fragments]
-            else:
-                fragments = _split_to_budget(fragments, tier.budget, tokens)
-                groups = _pack(fragments, tier.budget, tier.overlap)
-            rows = hierarchy if level in HIERARCHY_LEVELS else side
-            for ordinal, (group, group_region) in enumerate(zip(groups, _regions(groups, *region))):
-                chunk_id = f"{id_prefix}{tier.letter}{ordinal}"
-                # The chunk's row, for a hierarchy level; only those have children.
-                row = len(rows)
-                start, end = group_region.span
-                rows.append((
-                    chunk_id, _CODES[level], doc, parent_row, to_bytes(start), to_bytes(end),
-                    tokens.count(start, end),
-                    group.owned[0].split_head or group.owned[-1].split_tail,
-                ))
-                for child in tier.children:
-                    cut(child, group.owned, group_region.owned, row, f"{chunk_id}.")
+        # Depth-first row numbers: an intermediate follows its parent, the
+        # intermediates before it and their sentences (bounds counts those).
+        n_parents, n_inters = len(parents.owner), len(inters.owner)
+        top = np.searchsorted(inters.owner, np.arange(n_parents))
+        inter_rows = base + inters.owner + 1 + np.arange(n_inters) + inters.bounds[:-1]
+        parent_rows = base + np.arange(n_parents) + top + inters.bounds[top]
+        rows += (parent_rows, inter_rows,
+                 inter_rows[sentences.owner] + 1 + np.arange(len(sentences.owner))
+                 - inters.bounds[sentences.owner])
+        base += n_parents + n_inters + len(sentences.owner)
 
-        fragments = [_Fragment(s, e, tokens.count(s, e)) for s, e in sentence_spans]
-        fragments = _split_to_budget(fragments, config.max_sentence_tokens, tokens)
-        cut(Level.PARENT, fragments, (0, len(text)), -1, f"{doc_id}:")
+        at = (doc, to_bytes)
+        hierarchy.append(_part(Level.PARENT, parents, [f"{doc_id}:"], np.full(n_parents, -1), *at))
+        hierarchy.append(_part(Level.INTERMEDIATE, inters, _prefixes(hierarchy[-1]),
+                               parent_rows[inters.owner], *at))
+        prefixes = _prefixes(hierarchy[-1])
+        hierarchy.append(_part(Level.SENTENCE, sentences, prefixes,
+                               inter_rows[sentences.owner], *at))
+        if config.sub_intermediate_size is not None:
+            subs = _cut(inters, config.sub_intermediate_size, 0, tokens)
+            side.append(_part(Level.SUB_INTERMEDIATE, subs, prefixes, inter_rows[subs.owner], *at))
 
-    ids, *columns = zip(*hierarchy, *side) if hierarchy else [()] * 8
+    # Row r of the table is row order[r] of the parts, laid end to end.
+    parts = hierarchy + side
+    rows.append(np.arange(base, base + sum(len(part[0]) for part in side)))
+    where = np.concatenate(rows)
+    order = np.empty_like(where)
+    order[where] = np.arange(len(where))
+    ids = [chunk_id for part in parts for chunk_id in part[0]]
+    ids = list(map(ids.__getitem__, order.tolist()))
+    empty = np.zeros(0, dtype=np.int64)  # no documents, no parts
+    columns = [np.concatenate([empty, *(part[field] for part in parts)])[order]
+               for field in range(1, 8)]
     encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
     return Corpus(encoded, ids, columns, config=config, tokenizer_name=tokenizer.name)
-
-
-# ---------------------------------------------------------------------------
-# Packing machinery
-# ---------------------------------------------------------------------------
-
-
-def _split_to_budget(
-    fragments: list[_Fragment], budget: int, tokens: _DocTokens
-) -> list[_Fragment]:
-    """Hard-split any fragment exceeding ``budget`` at token boundaries."""
-    out: list[_Fragment] = []
-    for frag in fragments:
-        if frag.tokens <= budget:
-            out.append(frag)
-            continue
-        lo, hi = tokens.bounds(frag.start, frag.end)
-        for i in range(lo, hi, budget):
-            last = min(i + budget, hi) - 1
-            out.append(
-                _Fragment(
-                    start=tokens.starts[i],
-                    end=tokens.ends[last],
-                    tokens=last + 1 - i,
-                    split_head=frag.split_head if i == lo else True,
-                    split_tail=frag.split_tail if last == hi - 1 else True,
-                )
-            )
-    return out
-
-
-def _pack(fragments: list[_Fragment], budget: int, overlap: int) -> list[_Group]:
-    """Greedily pack fragments into budgeted groups, oldest first.
-
-    Every fragment is owned by exactly one group. With overlap > 0, each
-    group after the first also carries trailing fragments of its predecessor
-    totalling at most ``overlap`` tokens; the tail is trimmed (oldest first)
-    whenever it would crowd out the next owned fragment.
-    """
-    groups: list[_Group] = []
-    i = 0
-    while i < len(fragments):
-        tail: list[_Fragment] = []
-        if groups and overlap > 0:
-            total = 0
-            for frag in reversed(groups[-1].owned):
-                if total + frag.tokens > overlap:
-                    break
-                tail.insert(0, frag)
-                total += frag.tokens
-            while tail and total + fragments[i].tokens > budget:
-                total -= tail.pop(0).tokens
-        used = sum(f.tokens for f in tail)
-        owned: list[_Fragment] = []
-        while i < len(fragments) and (
-            not owned or used + fragments[i].tokens <= budget
-        ):
-            owned.append(fragments[i])
-            used += fragments[i].tokens
-            i += 1
-        groups.append(_Group(owned, tail))
-    return groups
-
-
-@dataclass(frozen=True)
-class _Region:
-    span: tuple[int, int]  # full char span, including any overlap tail
-    owned: tuple[int, int]  # char region owned for hierarchy purposes
-
-
-def _regions(groups: list[_Group], region_start: int, region_end: int) -> list[_Region]:
-    """Pad tight group spans so owned regions partition [start, end) exactly.
-
-    Whitespace between groups attaches to the preceding group; leading
-    whitespace goes to the first group.
-    """
-    boundaries = [region_start]
-    boundaries.extend(g.owned[0].start for g in groups[1:])
-    boundaries.append(region_end)
-    out: list[_Region] = []
-    for idx, group in enumerate(groups):
-        owned = (boundaries[idx], boundaries[idx + 1])
-        span_start = group.tail[0].start if group.tail else owned[0]
-        out.append(_Region(span=(span_start, owned[1]), owned=owned))
-    return out

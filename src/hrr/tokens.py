@@ -15,8 +15,8 @@ two hot paths give exactly what scanning with that pattern gives:
   in order. While the memo rests, a text is scanned with the pattern.
 * ``token_spans`` classifies every code point as word, space or other in
   one numpy pass, from a table that the same predicates fill a block of
-  256 code points at a time as blocks are first seen, and reads each
-  token's start and end off the classes: a token starts at every other
+  256 code points at a time as blocks are first seen, and reads the arrays
+  of token starts and ends off the classes: a token starts at every other
   code point and at every word code point that follows none, and ends
   likewise.
 
@@ -102,23 +102,27 @@ class Tokenizer(Protocol):
     concatenation must never inflate counts beyond
     ``count_tokens(a) + count_tokens(b) + 1``.
 
+    ``token_spans`` returns the tokens' character offsets as two int64
+    arrays, ``(starts, ends)``, token ``i`` being ``text[starts[i]:ends[i]]``;
+    spans are non-empty and strictly increasing, and never overlap.
+
     Tokenization must also be *local*: for any cut points ``s <= e`` that
-    split no token of ``text``, ``token_spans(text[s:e])`` equals the spans
-    of ``token_spans(text)`` that lie inside ``[s, e)``, shifted by ``-s``,
-    and ``count_tokens`` agrees with their number. The chunker tokenizes
-    each document once and counts every chunk from those spans, which is
-    exact only under this property. A tokenizer that breaks it yields
-    stored counts that ``validate_corpus`` recounts as ``TokenCountDrift``
-    (and, at overlap 0, children's counts that the corpus refuses when they
-    do not sum to their owner's), so ingest fails instead of persisting
-    them.
+    split no token of ``text``, the spans of ``token_spans(text[s:e])`` are
+    the spans of ``token_spans(text)`` that lie inside ``[s, e)``, shifted
+    by ``-s``, and ``count_tokens`` agrees with their number. The chunker
+    tokenizes each document once and counts every chunk from those spans,
+    which is exact only under this property. A tokenizer that breaks it
+    yields stored counts that ``validate_corpus`` recounts as
+    ``TokenCountDrift`` (and, at overlap 0, children's counts that the
+    corpus refuses when they do not sum to their owner's), so ingest fails
+    instead of persisting them.
     """
 
     name: str
 
     def count_tokens(self, text: str) -> int: ...
 
-    def token_spans(self, text: str) -> list[tuple[int, int]]: ...
+    def token_spans(self, text: str) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 _SPACE, _WORD, _OTHER = 0, 1, 2
@@ -158,8 +162,8 @@ class WordPunctTokenizer:
       * a single non-word, non-space character (each punctuation mark is
         one token).
 
-    Whitespace never produces tokens. Spans are (start, end) character
-    offsets into the input, non-overlapping and strictly increasing. Each
+    Whitespace never produces tokens. ``token_spans`` gives the tokens'
+    character offsets into the input as ``(starts, ends)`` arrays. Each
     instance keeps its own memo of piece token counts (see the module
     docstring).
     """
@@ -181,7 +185,7 @@ class WordPunctTokenizer:
             memo.judge(memo.misses - misses, len(pieces), count)
         return count
 
-    def token_spans(self, text: str) -> list[tuple[int, int]]:
+    def token_spans(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         if not text.isascii():
             blocks = code_points >> 8
@@ -195,10 +199,10 @@ class WordPunctTokenizer:
         other = classes == _OTHER
         starts = np.flatnonzero(other | (word[1:-1] > word[:-2]))
         ends = np.flatnonzero(other | (word[1:-1] > word[2:])) + 1
-        return list(zip(starts.tolist(), ends.tolist()))
+        return starts, ends
 
     def tokens(self, text: str) -> list[str]:
-        """The token strings, ``[text[s:e] for s, e in token_spans(text)]``."""
+        """The token strings, ``text[s:e]`` for each span of ``token_spans``."""
         return _TOKEN_RE.findall(text)
 
 

@@ -1,5 +1,6 @@
 """Chunker behavior: budgets, nesting, partitions, determinism."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from test_embedding import reference_vector
 
 from hrr import chunking
-from hrr.chunking import ChunkingConfig, _byte_offsets, build_corpus
-from hrr.corpus import Level, validate_corpus
+from hrr.chunking import ChunkingConfig, _utf8_offsets, build_corpus
+from hrr.corpus import Level, save_corpus, validate_corpus
 from hrr.embedding import HashedBowEmbedder
 from hrr.errors import ConfigError, EmptyDocumentError, InvalidCorpusError
 from hrr.synth import CorpusSpec, generate
@@ -225,10 +226,10 @@ class TestByteOffsets:
     )
     @settings(max_examples=200, deadline=None)
     def test_equal_utf8_prefix_lengths(self, text):
-        to_bytes = _byte_offsets(text)
+        to_bytes = _utf8_offsets(text)
+        assert to_bytes.dtype == np.int64 and len(to_bytes) == len(text) + 1
         for i in range(len(text) + 1):
-            assert to_bytes(i) == len(text[:i].encode("utf-8"))
-            assert type(to_bytes(i)) is int  # offsets are written to JSON
+            assert to_bytes[i] == len(text[:i].encode("utf-8"))
 
 
 #: Words mixing multibyte, astral and dotted-capital letters, digits and _.
@@ -283,12 +284,11 @@ class TestCountsFromDocumentSpans:
         name = "pairs"
 
         def token_spans(self, text):
-            spans = super().token_spans(text)
-            return [(spans[i][0], spans[min(i + 1, len(spans) - 1)][1])
-                    for i in range(0, len(spans), 2)]
+            starts, ends = super().token_spans(text)
+            return starts[::2], ends[np.minimum(np.arange(1, len(ends) + 1, 2), len(ends) - 1)]
 
         def count_tokens(self, text):
-            return len(self.token_spans(text))
+            return len(self.token_spans(text)[0])
 
     def test_non_local_tokenizer_is_refused_at_overlap_0(self):
         # A pair that straddles a sentence boundary lies inside no sentence,
@@ -303,6 +303,20 @@ class TestCountsFromDocumentSpans:
         config = ChunkingConfig(parent_overlap=64, intermediate_overlap=16)
         corpus = build_corpus({"d": doc_of_sentences(5, 2)}, config, self.PairTokenizer())
         assert "TokenCountDrift" in {v.rule for v in validate_corpus(corpus)}
+
+    class OneTokenTokenizer(WordPunctTokenizer):
+        """Breaks locality the worst way: the whole text is one token."""
+
+        name = "one-token"
+
+        def token_spans(self, text):
+            return np.array([0]), np.array([len(text)])
+
+    def test_sentence_inside_one_token_is_refused(self):
+        # The middle sentence holds no token start and no token end, so its
+        # count would be -1; no budget can be packed from that.
+        with pytest.raises(InvalidCorpusError, match="puts a whole sentence inside one token"):
+            build_corpus({"d": doc_of_sentences(3)}, tokenizer=self.OneTokenTokenizer())
 
     def test_one_span_pass_per_document(self, monkeypatch):
         documents = generate(CorpusSpec(seed=42)).documents
@@ -346,6 +360,60 @@ def small_corpus(draw):
     return documents
 
 
+@st.composite
+def repeating_corpus(draw):
+    """``small_corpus``, with some documents remade from whole copies of
+    the others, so sentences and runs of sentences repeat."""
+    documents = draw(small_corpus())
+    texts = list(documents.values())
+    for doc_id in documents:
+        if draw(st.booleans()):
+            copies = draw(st.lists(st.sampled_from(texts), min_size=2, max_size=4))
+            documents[doc_id] = draw(st.sampled_from([" ", "\n\n"])).join(copies)
+    return documents
+
+
+@st.composite
+def chunking_configs(draw):
+    """Any valid budgets and overlaps, with or without the side tier; the
+    sentence cap ranges past the intermediate and parent budgets."""
+    intermediate = draw(st.integers(min_value=2, max_value=40))
+    parent = draw(st.integers(min_value=intermediate + 1, max_value=120))
+
+    def overlap(size):
+        return draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=size - 1)))
+
+    return ChunkingConfig(
+        parent_size=parent, parent_overlap=overlap(parent),
+        intermediate_size=intermediate, intermediate_overlap=overlap(intermediate),
+        sub_intermediate_size=draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=intermediate - 1))),
+        max_sentence_tokens=draw(st.integers(min_value=1, max_value=2 * parent)),
+    )
+
+
+class TestMatchesReferenceChunker:
+    """The array cut builds the node table of the recursive chunker in
+    ``reference_text``: the same ids and the same seven columns, or, under
+    a tokenizer that is not local, the same refusal."""
+
+    @given(documents=repeating_corpus(), config=chunking_configs(), local=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_same_ids_and_columns(self, documents, config, local):
+        tokenizer = WordPunctTokenizer() if local else TestCountsFromDocumentSpans.PairTokenizer()
+
+        def outcome(build):
+            try:
+                corpus = build(documents, config, tokenizer)
+            except InvalidCorpusError as exc:
+                return str(exc)
+            return list(corpus._ids), [column.tolist() for column in corpus._cols]
+
+        expected = outcome(reference_text.build_corpus)
+        assert outcome(build_corpus) == expected
+        assert local is False or not isinstance(expected, str)
+
+
 def reference_csr(texts, dimension):
     """The ``CsrBatch`` arrays of ``texts`` by the per-text recipe."""
     rows = [reference_vector(text, dimension) for text in texts]
@@ -383,3 +451,26 @@ class TestIngestMatchesReference:
             for array, want in zip((rows.indptr, rows.columns, rows.values),
                                    reference_csr(texts, embedder.dimension)):
                 assert array.tobytes() == want.tobytes()
+
+
+class TestGoldenNodeTables:
+    """sha256 of ``nodes.bin`` for the seed-42 synthetic corpus under
+    configs the CLI golden digests do not reach: overlap, hard splits (at
+    the intermediate and side budgets, then at all three), and no side
+    tier. Any change to the cut shows up here."""
+
+    @pytest.mark.parametrize("config, digest", [
+        (ChunkingConfig(parent_overlap=64, intermediate_overlap=16),
+         "e177dba037560b3f5b934187e3bbed1d800d62d531612c8a434514a6ce887e1f"),
+        (ChunkingConfig(parent_size=64, intermediate_size=8, sub_intermediate_size=3,
+                        max_sentence_tokens=1000),
+         "d343e0e4bb8f623ff9752ee8614d9cb7d5ca87671b7afd19e52e930a404763e9"),
+        (ChunkingConfig(parent_size=12, intermediate_size=5, sub_intermediate_size=2,
+                        max_sentence_tokens=1000),
+         "2b7d8d343eefd614376fa79545666bb042f2ac7eb7e6606fb547f7ec977fe9ea"),
+        (ChunkingConfig(sub_intermediate_size=None),
+         "99123b66e842a20a1e11e48ff48fd81a2cb56f964adfadbe5b44728142600faa"),
+    ], ids=["overlap-64-16", "budgets-64-8-3", "budgets-12-5-2", "no-side-tier"])
+    def test_nodes_bin_digest(self, config, digest, tmp_path):
+        save_corpus(build_corpus(generate(CorpusSpec(seed=42)).documents, config), tmp_path)
+        assert hashlib.sha256((tmp_path / "nodes.bin").read_bytes()).hexdigest() == digest

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_text import span_pairs
 
 from hrr.config import EngineConfig
 from hrr.engine import context_for
@@ -68,7 +69,8 @@ def reference_score(query: str, text: str) -> float:
 
     def token_set(s: str) -> set[str]:
         lowered = s.lower()
-        return {lowered[a:b] for a, b in WordPunctTokenizer().token_spans(lowered)}
+        spans = span_pairs(WordPunctTokenizer().token_spans(lowered))
+        return {lowered[a:b] for a, b in spans}
 
     q = token_set(query)
     return len(q & token_set(text)) / len(q) if q else 0.0
