@@ -181,6 +181,9 @@ def cmd_eval(args: argparse.Namespace, config: EngineConfig) -> int:
         raise ConfigError(f"unknown strategy in --strategies: {exc}") from None
     if not strategies:
         raise ConfigError("--strategies selected nothing")
+    for i, strategy in enumerate(strategies):
+        if strategy in strategies[:i]:
+            raise ConfigError(f"--strategies names {strategy.value!r} more than once")
     ctx = engine.load_context(config)
     query_set = args.query_set or config.paths.query_set
     queries = load_query_set(query_set, ctx.corpus)

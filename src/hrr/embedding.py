@@ -16,8 +16,9 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache, partial
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -298,25 +299,6 @@ def _bucket(token: str, dimension: int) -> int:
     return int.from_bytes(digest, "big") % dimension
 
 
-class _BucketMemo(dict):
-    """Token to bucket, each computed by ``_bucket`` on first sight.
-
-    Emptied when it holds ``tokens._MEMO_SIZE`` tokens, which bounds it. It
-    is not a ``tokens.Memo``: text of unique words misses it on every token,
-    and a miss here is kept to the bare hash.
-    """
-
-    def __init__(self, dimension: int) -> None:
-        super().__init__()
-        self.dimension = dimension
-
-    def __missing__(self, token: str) -> int:
-        if len(self) >= tokens._MEMO_SIZE:
-            self.clear()
-        bucket = self[token] = _bucket(token, self.dimension)
-        return bucket
-
-
 #: Count cells (rows times dimension) one block of a hashed-bow batch holds;
 #: the temporaries of an embed stay near 8 bytes per cell.
 _BLOCK_CELLS = 1 << 15
@@ -343,15 +325,16 @@ class HashedBowEmbedder:
     reads the query dense, and one row is built with fewer numpy calls so.
 
     Where pieces repeat, the tokenizer runs once per distinct piece, not
-    once per text. A row's buckets are those of the ``str.split()`` pieces
-    of its lowercased text, in order, each looked up in a memo of piece to
-    bucket tuple (``hrr.tokens.Memo``) that draws on a memo of token to
-    bucket. This is the recipe's token sequence exactly: a token holds no
-    whitespace, and ``str.split`` splits where the tokenizer's ``\\s`` does
-    (see ``hrr.tokens``). The whole text is lowercased before it is split,
-    as the recipe says, so context-dependent lowercasing such as a final
-    sigma is unchanged. While the piece memo rests, a text's tokens are
-    scanned and looked up in the token memo one by one, as before it.
+    once per text: a row's buckets come from the embedder's
+    ``hrr.tokens.Memo`` of piece to bucket list, over the ``str.split()``
+    pieces of the lowercased text in order, and each token's bucket from
+    an ``lru_cache`` of token to bucket. This is the recipe's token sequence
+    exactly: a token holds no whitespace, and ``str.split`` splits where the
+    tokenizer's ``\\s`` does (see ``hrr.tokens``). The whole text is
+    lowercased before it is split, as the recipe says, so context-dependent
+    lowercasing such as a final sigma is unchanged. While the memo rests, a
+    text is tokenized whole and its tokens looked up in the cache one by
+    one, as before the memo.
     """
 
     name = "hashed-bow"
@@ -360,9 +343,11 @@ class HashedBowEmbedder:
         if not 1 <= dimension <= MAX_CSR_DIMENSION:
             raise ConfigError(f"dimension must be between 1 and {MAX_CSR_DIMENSION}")
         self._dimension = dimension
-        self._bucket = bucket = _BucketMemo(dimension).__getitem__
-        self._tokens = scan = WordPunctTokenizer().tokens
-        self._pieces = tokens.Memo(lambda piece: tuple(map(bucket, scan(piece))))
+        bucket = lru_cache(tokens._MEMO_SIZE)(partial(_bucket, dimension=dimension))
+        scan = WordPunctTokenizer().tokens
+        # Lists, not tuples: CPython keeps freed short tuples on free lists,
+        # so a batch's resting texts would leave thousands of them behind.
+        self._pieces = tokens.Memo(lambda text: list(map(bucket, scan(text))), _joined)
 
     @property
     def dimension(self) -> int:
@@ -419,16 +404,11 @@ class HashedBowEmbedder:
 
     def _buckets_of(self, text: str) -> list[int]:
         """The bucket of each token of ``text.lower()``, in order."""
-        text, memo = text.lower(), self._pieces
-        if memo.resting > 0:
-            buckets = list(map(self._bucket, self._tokens(text)))
-            memo.resting -= len(buckets)
-            return buckets
-        misses, split = memo.misses, text.split()
-        buckets = list(chain.from_iterable(map(memo.__getitem__, split)))
-        if memo.misses != misses:
-            memo.judge(memo.misses - misses, len(split), len(buckets))
-        return buckets
+        return self._pieces(text.lower())
+
+
+def _joined(lists: Iterable[list[int]]) -> list[int]:
+    return list(chain.from_iterable(lists))
 
 
 class RemoteEmbedder:

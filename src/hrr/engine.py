@@ -115,10 +115,11 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     index_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
     for level in corpus.levels:
-        # Each level's index is freed before the next is built.
         path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
-        save_index(build_index(corpus, level, embedder), path, embedder.name)
-        counts[level.value] = len(corpus.ids_at(level))
+        index = build_index(corpus, level, embedder)
+        save_index(index, path, embedder.name)
+        counts[level.value] = len(index)
+        del index  # freed before the next level's index is built
     # A snapshot for a level this corpus lacks is left from an earlier ingest.
     for level in Level:
         if level not in corpus.levels:

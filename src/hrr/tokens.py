@@ -9,10 +9,11 @@ The word-punct tokenizer's rule is the pattern ``\\w+|[^\\w\\s]``, and its
 two hot paths give exactly what scanning with that pattern gives:
 
 * ``count_tokens`` splits the text at whitespace with ``str.split()`` and
-  looks each piece up in a memo of piece to token count (see ``Memo``),
-  so the pattern runs once per distinct piece instead of over every text.
-  A token holds no whitespace, so a text's tokens are its pieces' tokens
-  in order. While the memo rests, a text is scanned with the pattern.
+  sums the pieces' token counts from a memo of piece to count (see
+  ``Memo``), so the pattern runs once per distinct piece instead of over
+  every text. A token holds no whitespace, so a text's tokens are its
+  pieces' tokens in order. While the memo rests, the whole text is scanned
+  with the pattern.
 * ``token_spans`` classifies every code point as word, space or other in
   one numpy pass, from a table that the same predicates fill a block of
   256 code points at a time as blocks are first seen, and reads the arrays
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -42,38 +43,39 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 #: Keys one memo holds, and characters its keys hold, before it is emptied.
 _MEMO_SIZE = 1 << 16
 _MEMO_CHARS = 1 << 21
-#: Most tokens a memo rests for at a time.
-_MEMO_MAX_REST = 1 << 17
+#: Most characters of text a memo rests for at a time.
+_MEMO_MAX_REST = 1 << 21
 
 
 class Memo(dict):
-    """Key to ``compute(key)``, each computed on first sight.
+    """A text's value, combined from the memoized values of its pieces.
 
-    Bounded in bytes as well as in keys: it is emptied before it would hold
-    more than ``_MEMO_SIZE`` keys or keys of more than ``_MEMO_CHARS``
-    characters in all (a longer key is then kept alone).
+    ``memo(text)`` is ``combine`` over ``value(piece)`` for the pieces of
+    ``text.split()`` in order, each computed on first sight; its users pick
+    the two so that this equals ``value(text)``. It is emptied before it
+    would hold more than ``_MEMO_SIZE`` keys or keys of more than
+    ``_MEMO_CHARS`` characters in all (a longer key is then kept alone).
 
-    A memo pays only where pieces repeat. A hit is a lookup in C, but a
-    miss adds a Python call to the scan it stands for, so text of new
-    pieces (unique words, whitespace-poor text whose pieces are whole
-    sentences, a memo emptied faster than it is reused) is slower
-    through it than scanned directly. So its users look a text's pieces up
-    and report with ``judge``. After a text whose lookups missed more than
-    one time in eight the memo rests: its users scan the texts that follow
-    directly and take their tokens off ``resting`` until it is spent. The
-    rest is the text's tokens plus twice the rest before, up to
-    ``_MEMO_MAX_REST``, while such texts come in a row; a text that
-    mostly hits resets it. Resting changes no result, only which of two
-    exact paths runs.
+    A memo pays only where pieces repeat: a hit is a lookup in C, but a miss
+    adds a Python call to ``value``, so text of new pieces (unique words,
+    whitespace-poor text, a memo emptied faster than it is reused) is slower
+    through it than ``value(text)``. So after a text whose lookups missed
+    more than one time in eight the memo rests: it returns ``value(text)``
+    and takes the text's characters off ``resting`` until that is spent.
+    The rest is the text's characters plus twice the rest before, up to
+    ``_MEMO_MAX_REST``, while such texts come in a row; a text with some
+    misses, but at most one in eight, resets it. Resting changes no result,
+    only which of two exact paths runs.
     """
 
-    def __init__(self, compute: Callable[[str], Any]) -> None:
+    def __init__(self, value: Callable[[str], Any], combine: Callable[[Iterable], Any]) -> None:
         super().__init__()
-        self.compute = compute
+        self.value = value
+        self.combine = combine
         self.chars = 0
         #: Keys computed so far.
         self.misses = 0
-        #: Tokens left to scan without the memo.
+        #: Characters of text left to take ``value`` of whole.
         self.resting = 0
         self._rest = 0
 
@@ -83,15 +85,21 @@ class Memo(dict):
         if len(self) >= _MEMO_SIZE or self.chars > _MEMO_CHARS:
             self.clear()
             self.chars = len(key)
-        value = self[key] = self.compute(key)
+        value = self[key] = self.value(key)
         return value
 
-    def judge(self, misses: int, lookups: int, tokens: int) -> None:
-        """Note a text of ``tokens`` tokens whose ``lookups`` missed ``misses`` times."""
-        if 8 * misses > lookups:
-            self._rest = self.resting = min(2 * self._rest + tokens, _MEMO_MAX_REST)
-        else:
+    def __call__(self, text: str) -> Any:
+        if self.resting > 0:
+            self.resting -= len(text)
+            return self.value(text)
+        before, pieces = self.misses, text.split()
+        out = self.combine(map(self.__getitem__, pieces))
+        misses = self.misses - before
+        if 8 * misses > len(pieces):
+            self._rest = self.resting = min(2 * self._rest + len(text), _MEMO_MAX_REST)
+        elif misses:
             self._rest = 0
+        return out
 
 
 @runtime_checkable
@@ -171,19 +179,10 @@ class WordPunctTokenizer:
     name = "word-punct"
 
     def __init__(self) -> None:
-        self._counts = Memo(_piece_count)
+        self._counts = Memo(_piece_count, sum)
 
     def count_tokens(self, text: str) -> int:
-        memo = self._counts
-        if memo.resting > 0:
-            count = len(_TOKEN_RE.findall(text))
-            memo.resting -= count
-            return count
-        misses, pieces = memo.misses, text.split()
-        count = sum(map(memo.__getitem__, pieces))
-        if memo.misses != misses:
-            memo.judge(memo.misses - misses, len(pieces), count)
-        return count
+        return self._counts(text)
 
     def token_spans(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")

@@ -1,6 +1,8 @@
-"""The benchmark's tracer patches engine names by module and attribute; each
-must still exist, or the benchmark fails only when it runs."""
+"""The benchmark's tracer patches engine names by module and attribute, and
+``scripts/scan_inputs.py`` reads the token memos' counters; each must still
+exist, or the benchmark or the script fails only when it runs."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,3 +23,19 @@ def test_tracer_installs_and_the_bench_imports():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scan_inputs_stats_reads_the_memos(tmp_path, capsys):
+    """``scripts/scan_inputs.py stats`` reads the token memos' counters; a
+    memo change that drops one fails here, not only when the script runs."""
+    path = ROOT / "scripts" / "scan_inputs.py"
+    spec = importlib.util.spec_from_file_location("scan_inputs", path)
+    scan_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan_inputs)
+    (tmp_path / "a.txt").write_text("One cat sat. The cat ran!\n\nA dog, too.\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("Ünïcode wörds. 東京は大きい。\n", encoding="utf-8")
+    scan_inputs.stats(tmp_path)
+    count, embed, times = capsys.readouterr().out.splitlines()
+    for line, name in ((count, "count"), (embed, "embed")):
+        assert line.startswith(f"{name}: ") and line.endswith("of texts rested")
+    assert times.startswith("build_corpus ")

@@ -293,6 +293,13 @@ class TestCliErrors:
             main(["query", "x", "--strategy", "bm25", "--config", "engine.json"])
         assert exc.value.code == 2
 
+    def test_repeated_eval_strategy_is_config_error(self, workdir, capsys):
+        # Checked before loading, so no ingest is needed to reach it.
+        code = main(["eval", "--strategies", "hrr,base,hrr", "--config", "engine.json"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'hrr' more than once" in err and err.count("\n") == 1
+
     def test_bad_config_exit_code(self, workdir):
         Path("broken.json").write_text('{"nope": 1}')
         assert main(["validate", "--config", "broken.json"]) == EXIT_CONFIG

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_text import ReferenceTokenizer, span_pairs
+from test_embedding import reference_vector
 
 from hrr import tokens
-from hrr.embedding import HashedBowEmbedder
+from hrr.embedding import HashedBowEmbedder, encodes_as_utf8
 from hrr.errors import ConfigError
 from hrr.tokens import WordPunctTokenizer, get_tokenizer
 
@@ -28,6 +29,13 @@ EDGE_TEXT = st.text(
     alphabet="aZ09_.!' \t\n\x1c\x1d\x1e\x1f\x85\u2028\u3000\u0301\u0307²٣𝔞𐐀𐐨𝒜İΣ\ud800",
     max_size=60,
 )
+
+#: Runs of words that are mostly new to a memo.
+NEW_WORDS = st.lists(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzİΣ", min_size=3, max_size=9), max_size=30
+).map(" ".join)
+#: Whitespace-free pieces far longer than a word.
+LONG_PIECES = st.text(alphabet="aZé€𝔞😀İΣς09_!.,-'", min_size=30, max_size=300)
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +139,14 @@ class TestMatchesReference:
         monkeypatch.setattr(tokens.Memo, "clear", clear)
         monkeypatch.setattr(tokens, "_MEMO_SIZE", 3)
         # Never resting, every text goes through the memos.
-        monkeypatch.setattr(tokens.Memo, "judge", lambda memo, misses, lookups, tokens: None)
+        monkeypatch.setattr(tokens, "_MEMO_MAX_REST", 0)
         assert list(map(WordPunctTokenizer().count_tokens, texts)) == counts
         assert counts == list(map(ReferenceTokenizer().count_tokens, texts))
         assert len(clears) > len(texts)
         clears.clear()
+        # Its token-to-bucket cache holds 3 tokens too.
         small = HashedBowEmbedder(16).embed_batch(texts)
-        # The embedder's memos emptied themselves many times within the batch.
+        # The embedder's piece memo emptied itself many times within the batch.
         assert len(clears) > len(texts)
         for array in ("indptr", "columns", "values"):
             assert getattr(small, array).tobytes() == getattr(rows, array).tobytes()
@@ -155,18 +164,44 @@ class TestMatchesReference:
         # Most new texts were scanned without the memo.
         assert rested > len(new) / 2 and memo.misses < len(new) * 5 / 2
         while memo.resting > 0:
-            spent += tok.count_tokens(known)
+            assert tok.count_tokens(known) == 6
+            spent += len(known)
         assert spent <= tokens._MEMO_MAX_REST
         misses = memo.misses
         for _ in range(10):
-            assert tok.count_tokens(known) == 6 and memo.resting == 0
+            assert tok.count_tokens(known) == 6 and memo.resting <= 0
         assert memo.misses == misses
         texts = [known] * 50 + new + [known] * 5
-        rows = HashedBowEmbedder(32).embed_batch(texts)
-        monkeypatch.setattr(tokens.Memo, "judge", lambda memo, misses, lookups, tokens: None)
-        awake = HashedBowEmbedder(32).embed_batch(texts)
+        resting = HashedBowEmbedder(32)
+        rows = resting.embed_batch(texts)
+        monkeypatch.setattr(tokens, "_MEMO_MAX_REST", 0)
+        awake = HashedBowEmbedder(32)
+        awake_rows = awake.embed_batch(texts)
+        assert resting._pieces.misses < awake._pieces.misses
         for array in ("indptr", "columns", "values"):
-            assert getattr(awake, array).tobytes() == getattr(rows, array).tobytes()
+            assert getattr(awake_rows, array).tobytes() == getattr(rows, array).tobytes()
+
+    @given(st.lists(st.one_of(TRICKY_TEXT, WIDE_TEXT, EDGE_TEXT, NEW_WORDS, LONG_PIECES),
+                    min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_one_memo_across_texts_equals_the_regex(self, texts):
+        """One tokenizer and one embedder, with memos small enough that the
+        texts cross memo, rest and clear, count and embed what the regex
+        and the recipe give for each text."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tokens, "_MEMO_SIZE", 4)
+            patch.setattr(tokens, "_MEMO_CHARS", 40)
+            patch.setattr(tokens, "_MEMO_MAX_REST", 60)
+            tok, ref, embedder = WordPunctTokenizer(), ReferenceTokenizer(), HashedBowEmbedder(16)
+            for text in texts:
+                assert tok.count_tokens(text) == ref.count_tokens(text)
+            # A lone surrogate is text, but not text UTF-8 can hash.
+            texts = list(filter(encodes_as_utf8, texts))
+            expected = [reference_vector(text, 16).tobytes() for text in texts]
+            for text, row in zip(texts, expected):
+                assert embedder.embed_batch([text])[0].tobytes() == row
+            if texts:
+                assert [row.tobytes() for row in embedder.embed_batch(texts)] == expected
 
     def test_memo_is_bounded_in_characters(self, monkeypatch):
         monkeypatch.setattr(tokens, "_MEMO_CHARS", 10)
