@@ -15,8 +15,7 @@ those sentences still belong to the earlier chunk for hierarchy purposes.
 An optional side tier of sub-intermediate chunks (256 tokens, consumed
 only by the child-to-parent retrieval strategy) is cut from each
 intermediate the same way, without overlap. It is a level outside
-``HIERARCHY_LEVELS``, linked to its intermediate, and its rows of the node
-table follow every hierarchy row.
+``HIERARCHY_LEVELS``, linked to its intermediate.
 
 The cut works on arrays. A fragment (a sentence, or a piece of one
 hard-split at a budget) is a range ``[lo, lo + n)`` of the document's
@@ -31,8 +30,14 @@ tokens fit the budget, after first carrying the longest run of its
 predecessor's last fragments that fits the overlap, less the oldest while
 its first own fragment would not fit. No count is negative, so the sums
 never fall and a bisection stops at the fragment where the rule, adding
-one fragment at a time, stops: the cut is exact. Rows are written in the
-node table's order; a ``ChunkNode`` is built only when asked for.
+one fragment at a time, stops: the cut is exact.
+
+Rows are written in the order they are cut: each document's parents, then
+its intermediates, then its sentences, each in text order, and after every
+document's, the side tier, document by document. So a parent row comes
+before its children's, and a link is the row where the owners' block
+starts plus the owner's place in it. A ``ChunkNode`` is built only when
+asked for.
 
 Each document is tokenized once. Every chunk boundary falls on a token
 boundary: a sentence ends after a terminator that whitespace follows, or
@@ -234,20 +239,18 @@ def build_corpus(
     """Chunk every document (in mapping order) into the corpus's node table.
 
     Pure and deterministic: the same inputs always yield the same table.
-    Rows are the hierarchy in emission order (each parent, then each of its
-    intermediates followed by that intermediate's sentences), then the side
-    tier in the same order. Raises ``EmptyDocumentError`` for a document
-    that holds no sentences.
+    Rows come in the order the levels are cut: for each document, its
+    parents, then its intermediates, then its sentences, each in text
+    order; then the side tier, document by document. Raises
+    ``EmptyDocumentError`` for a document that holds no sentences.
     """
     config = config if config is not None else ChunkingConfig()
     config.validate()
     tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
-    # Each (doc, level)'s ids and its seven columns, the hierarchy's levels
-    # one after another; ``rows`` places them in the table's order.
+    # Each (doc, level)'s ids and its seven columns, in the table's order.
     hierarchy: list[tuple] = []
     side: list[tuple] = []
-    rows: list[np.ndarray] = []
-    base = 0
+    base = 0  # the document's first row
 
     for doc, (doc_id, text) in enumerate(documents.items()):
         sentence_spans = split_sentences(text)
@@ -272,38 +275,24 @@ def build_corpus(
         inters = _cut(parents, config.intermediate_size, config.intermediate_overlap, tokens)
         sentences = _cut(inters, None, 0, tokens)
 
-        # Depth-first row numbers: an intermediate follows its parent, the
-        # intermediates before it and their sentences (bounds counts those).
-        n_parents, n_inters = len(parents.owner), len(inters.owner)
-        top = np.searchsorted(inters.owner, np.arange(n_parents))
-        inter_rows = base + inters.owner + 1 + np.arange(n_inters) + inters.bounds[:-1]
-        parent_rows = base + np.arange(n_parents) + top + inters.bounds[top]
-        rows += (parent_rows, inter_rows,
-                 inter_rows[sentences.owner] + 1 + np.arange(len(sentences.owner))
-                 - inters.bounds[sentences.owner])
-        base += n_parents + n_inters + len(sentences.owner)
-
+        # A link is the row where the owners' block starts plus the owner's place.
+        n_parents = len(parents.owner)
+        inter_base = base + n_parents
         at = (doc, to_bytes)
         hierarchy.append(_part(Level.PARENT, parents, [f"{doc_id}:"], np.full(n_parents, -1), *at))
         hierarchy.append(_part(Level.INTERMEDIATE, inters, _prefixes(hierarchy[-1]),
-                               parent_rows[inters.owner], *at))
+                               base + inters.owner, *at))
         prefixes = _prefixes(hierarchy[-1])
         hierarchy.append(_part(Level.SENTENCE, sentences, prefixes,
-                               inter_rows[sentences.owner], *at))
+                               inter_base + sentences.owner, *at))
         if config.sub_intermediate_size is not None:
             subs = _cut(inters, config.sub_intermediate_size, 0, tokens)
-            side.append(_part(Level.SUB_INTERMEDIATE, subs, prefixes, inter_rows[subs.owner], *at))
+            side.append(_part(Level.SUB_INTERMEDIATE, subs, prefixes, inter_base + subs.owner, *at))
+        base = inter_base + len(inters.owner) + len(sentences.owner)
 
-    # Row r of the table is row order[r] of the parts, laid end to end.
     parts = hierarchy + side
-    rows.append(np.arange(base, base + sum(len(part[0]) for part in side)))
-    where = np.concatenate(rows)
-    order = np.empty_like(where)
-    order[where] = np.arange(len(where))
     ids = [chunk_id for part in parts for chunk_id in part[0]]
-    ids = list(map(ids.__getitem__, order.tolist()))
     empty = np.zeros(0, dtype=np.int64)  # no documents, no parts
-    columns = [np.concatenate([empty, *(part[field] for part in parts)])[order]
-               for field in range(1, 8)]
+    columns = [np.concatenate([empty, *(part[field] for part in parts)]) for field in range(1, 8)]
     encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
     return Corpus(encoded, ids, columns, config=config, tokenizer_name=tokenizer.name)

@@ -57,6 +57,11 @@ class PathsConfig:
     index_dir: str = "indexes"
     query_set: str = "queries.jsonl"
 
+    def validate(self) -> None:
+        for key, path in vars(self).items():
+            if "\0" in path:
+                raise ConfigError(f"paths.{key} holds a NUL character, which no path can")
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -72,6 +77,7 @@ class EngineConfig:
         self.embedding.validate()
         self.rerank.validate()
         self.retriever.validate()
+        self.paths.validate()
 
 
 _SECTIONS = {

@@ -135,18 +135,20 @@ class Corpus:
     """Immutable container for documents and one table of chunk nodes.
 
     Safe for concurrent readers once constructed. Every level, the side tier
-    included, is stored alike: ``chunks`` maps each id to its node and
-    ``nodes_at`` gives one level's nodes in emission order. ``nodes`` holds
-    the ``HIERARCHY_LEVELS`` in the chunker's emission order (parents in
-    document order, each followed by its intermediates and their sentences),
-    which downstream code relies on for deterministic iteration; iterating
-    the corpus yields those, then every other level's nodes. Each of these
-    builds its nodes when called; the corpus keeps none.
+    included, is stored alike: ``chunks`` maps each id to its node, and
+    ``nodes_at``, ``nodes`` (the ``HIERARCHY_LEVELS``) and iterating the
+    corpus give nodes in row order. Each of these builds its nodes when
+    called; the corpus keeps none.
 
-    The chunker's rows, and so a saved corpus's, are in that iteration
-    order. Construction checks the table's structure, built or loaded
-    alike, and raises ``InvalidCorpusError`` naming the first node that
-    breaks it: ids are unique; every node names one of ``documents``; a
+    The chunker's rows are each document's parents, intermediates and
+    sentences in turn, then the side tier (see ``hrr.chunking``); earlier
+    versions saved the hierarchy depth-first. Each level's rows are in
+    document and text order either way, and nothing reads more of the
+    order than the structure check below, so both load and answer alike.
+
+    Construction checks the table's structure, built or loaded alike, and
+    raises ``InvalidCorpusError`` naming the first node that breaks it:
+    ids are unique; every node names one of ``documents``; a
     parent-level node has no parent, and every other node's parent is an
     earlier node of the same document, at the level
     ``_EXPECTED_PARENT_LEVEL`` names (so a sentence sits exactly two hops
@@ -222,11 +224,8 @@ class Corpus:
         return len(self._ids)
 
     def __iter__(self) -> Iterator[ChunkNode]:
-        """Every node: ``nodes``, then each other level's, as saved."""
-        yield from self.nodes
-        for level in Level:
-            if level not in HIERARCHY_LEVELS:
-                yield from self.nodes_at(level)
+        """Every node, in row order."""
+        return map(self._node, range(len(self)))
 
     def _row(self, chunk_id: str) -> int:
         row = self._index.get(chunk_id)
@@ -270,7 +269,7 @@ class Corpus:
 
     @property
     def nodes(self) -> tuple[ChunkNode, ...]:
-        """The ``HIERARCHY_LEVELS`` nodes in emission order."""
+        """The ``HIERARCHY_LEVELS``' nodes, in row order."""
         return self._nodes(np.flatnonzero(np.isin(self._cols.level, _HIERARCHY_CODES)))
 
     @property
@@ -405,8 +404,9 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     parent row ``<i4``, -1 for none, byte ``start`` and ``end`` ``<i8``,
     ``token_count`` ``<u4``, ``hard_split`` u1), then the ids as one JSON
     array of ``ids_bytes`` bytes, then each document's UTF-8 bytes. Rows
-    are in the corpus's iteration order (the hierarchy in emission order,
-    then the side tier), so a parent row always precedes its children's.
+    are in the corpus's row order (each document's parents, intermediates
+    and sentences in turn, then the side tier, as ``build_corpus`` writes
+    them), so a parent row always precedes its children's.
     The file is replaced by one rename, so an interrupted save leaves the
     earlier corpus whole, texts and spans alike; the ``chunks.jsonl`` and
     ``documents.jsonl`` of retired formats are removed. A corpus checks its

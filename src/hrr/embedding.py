@@ -344,7 +344,7 @@ class HashedBowEmbedder:
             raise ConfigError(f"dimension must be between 1 and {MAX_CSR_DIMENSION}")
         self._dimension = dimension
         bucket = lru_cache(tokens._MEMO_SIZE)(partial(_bucket, dimension=dimension))
-        scan = WordPunctTokenizer().tokens
+        scan = WordPunctTokenizer.tokens
         # Lists, not tuples: CPython keeps freed short tuples on free lists,
         # so a batch's resting texts would leave thousands of them behind.
         self._pieces = tokens.Memo(lambda text: list(map(bucket, scan(text))), _joined)
@@ -404,7 +404,7 @@ class HashedBowEmbedder:
 
     def _buckets_of(self, text: str) -> list[int]:
         """The bucket of each token of ``text.lower()``, in order."""
-        return self._pieces(text.lower())
+        return self._pieces.of(text.lower())
 
 
 def _joined(lists: Iterable[list[int]]) -> list[int]:

@@ -62,7 +62,8 @@ def make_reranker(config: EngineConfig) -> RerankProvider:
 def read_documents(docs_dir: str | Path) -> dict[str, str]:
     """Read every ``*.txt`` file (sorted by name) as one document.
 
-    A path that is not a readable UTF-8 file, whose name is not UTF-8
+    A document is its file's bytes decoded, line ends included, so its
+    chunks' byte spans are offsets into the file. A path that is not a readable UTF-8 file, whose name is not UTF-8
     (the name is the document id), or whose text is empty or only
     whitespace, raises ``UnreadableDocumentError`` naming it.
     """
@@ -76,7 +77,7 @@ def read_documents(docs_dir: str | Path) -> dict[str, str]:
             shown = os.fsencode(path).decode("utf-8", "backslashreplace")
             raise UnreadableDocumentError(f"{shown}: the file name is not valid UTF-8")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise UnreadableDocumentError(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"

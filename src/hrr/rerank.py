@@ -92,12 +92,9 @@ class RerankProvider(Protocol):
     def score_pairs(self, query: str, texts: Sequence[str]) -> list[float]: ...
 
 
-_TOKENIZER = WordPunctTokenizer()
-
-
 def _token_set(text: str) -> frozenset[str]:
     """Lowercased token set, interned so cached sets share their strings."""
-    return frozenset(map(sys.intern, _TOKENIZER.tokens(text.lower())))
+    return frozenset(map(sys.intern, WordPunctTokenizer.tokens(text.lower())))
 
 
 class LexicalOverlapReranker:

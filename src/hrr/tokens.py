@@ -50,7 +50,7 @@ _MEMO_MAX_REST = 1 << 21
 class Memo(dict):
     """A text's value, combined from the memoized values of its pieces.
 
-    ``memo(text)`` is ``combine`` over ``value(piece)`` for the pieces of
+    ``memo.of(text)`` is ``combine`` over ``value(piece)`` for the pieces of
     ``text.split()`` in order, each computed on first sight; its users pick
     the two so that this equals ``value(text)``. It is emptied before it
     would hold more than ``_MEMO_SIZE`` keys or keys of more than
@@ -88,7 +88,7 @@ class Memo(dict):
         value = self[key] = self.value(key)
         return value
 
-    def __call__(self, text: str) -> Any:
+    def of(self, text: str) -> Any:
         if self.resting > 0:
             self.resting -= len(text)
             return self.value(text)
@@ -182,7 +182,7 @@ class WordPunctTokenizer:
         self._counts = Memo(_piece_count, sum)
 
     def count_tokens(self, text: str) -> int:
-        return self._counts(text)
+        return self._counts.of(text)
 
     def token_spans(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
@@ -200,9 +200,8 @@ class WordPunctTokenizer:
         ends = np.flatnonzero(other | (word[1:-1] > word[2:])) + 1
         return starts, ends
 
-    def tokens(self, text: str) -> list[str]:
-        """The token strings, ``text[s:e]`` for each span of ``token_spans``."""
-        return _TOKEN_RE.findall(text)
+    #: The token strings of a text, ``text[s:e]`` for each span of ``token_spans``.
+    tokens = staticmethod(_TOKEN_RE.findall)
 
 
 def _piece_count(piece: str) -> int:

@@ -206,16 +206,35 @@ def build_corpus(
     config: ChunkingConfig | None = None,
     tokenizer: Tokenizer | None = None,
 ) -> Corpus:
-    """``hrr.chunking.build_corpus``, one fragment object at a time.
+    """``hrr.chunking.build_corpus``'s nodes, one fragment object at a time,
+    in ``node_rows``' order, which is the order earlier versions saved."""
+    config = config if config is not None else ChunkingConfig()
+    config.validate()
+    tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
+    return corpus_of_rows(documents, node_rows(documents, config, tokenizer), config,
+                          tokenizer.name)
+
+
+def corpus_of_rows(documents: Mapping[str, str], rows: list[tuple], config: ChunkingConfig,
+                   tokenizer_name: str) -> Corpus:
+    """The corpus of ``documents`` whose table is ``rows``, each an id and
+    its seven columns."""
+    ids, *columns = zip(*rows) if rows else [()] * 8
+    encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
+    return Corpus(encoded, ids, columns, config=config, tokenizer_name=tokenizer_name)
+
+
+def node_rows(documents: Mapping[str, str], config: ChunkingConfig,
+              tokenizer: Tokenizer) -> list[tuple]:
+    """Every node's row, an id and its seven columns: the hierarchy
+    depth-first (each parent followed by its intermediates, each of those
+    followed by its sentences), then the side tier in the same order.
 
     One recursive ``cut`` makes every level: each chunk is packed from the
     fragments its owner holds, and its token count is two bisections on
     the document's token spans. Sentences come from
     ``hrr.sentences.split_sentences``.
     """
-    config = config if config is not None else ChunkingConfig()
-    config.validate()
-    tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
     tiers = _tiers(config)
     hierarchy: list[tuple] = []
     side: list[tuple] = []
@@ -252,9 +271,7 @@ def build_corpus(
         fragments = _split_to_budget(fragments, config.max_sentence_tokens, tokens)
         cut(Level.PARENT, fragments, (0, len(text)), -1, f"{doc_id}:")
 
-    ids, *columns = zip(*hierarchy, *side) if hierarchy else [()] * 8
-    encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
-    return Corpus(encoded, ids, columns, config=config, tokenizer_name=tokenizer.name)
+    return hierarchy + side
 
 
 def _split_to_budget(

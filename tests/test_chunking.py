@@ -392,10 +392,24 @@ def chunking_configs(draw):
     )
 
 
+def reference_in_cut_order(documents, config, tokenizer):
+    """The reference chunker's rows in the order ``build_corpus`` writes
+    them: each document's parents, intermediates and sentences in turn,
+    then the side tier. The reference's rows are depth-first, so each
+    level's are in text order, and a stable sort by (side tier, document,
+    level) puts them in that order; parent rows follow their nodes."""
+    rows = reference_text.node_rows(documents, config, tokenizer)
+    side = list(Level).index(Level.SUB_INTERMEDIATE)
+    order = sorted(range(len(rows)), key=lambda r: (rows[r][1] == side, rows[r][2], rows[r][1]))
+    moved = {old: new for new, old in enumerate(order)}
+    rows = [(*rows[r][:3], moved.get(rows[r][3], -1), *rows[r][4:]) for r in order]
+    return reference_text.corpus_of_rows(documents, rows, config, tokenizer.name)
+
+
 class TestMatchesReferenceChunker:
-    """The array cut builds the node table of the recursive chunker in
-    ``reference_text``: the same ids and the same seven columns, or, under
-    a tokenizer that is not local, the same refusal."""
+    """The array cut builds the recursive chunker's rows in ``reference_text``,
+    in cut order: the same ids and the same seven columns, or, under a
+    tokenizer that is not local, the same refusal."""
 
     @given(documents=repeating_corpus(), config=chunking_configs(), local=st.booleans())
     @settings(max_examples=120, deadline=None)
@@ -409,7 +423,7 @@ class TestMatchesReferenceChunker:
                 return str(exc)
             return list(corpus._ids), [column.tolist() for column in corpus._cols]
 
-        expected = outcome(reference_text.build_corpus)
+        expected = outcome(reference_in_cut_order)
         assert outcome(build_corpus) == expected
         assert local is False or not isinstance(expected, str)
 
@@ -461,15 +475,15 @@ class TestGoldenNodeTables:
 
     @pytest.mark.parametrize("config, digest", [
         (ChunkingConfig(parent_overlap=64, intermediate_overlap=16),
-         "e177dba037560b3f5b934187e3bbed1d800d62d531612c8a434514a6ce887e1f"),
+         "9378aed4180592e5a938154f1c7feebe69e88c380b4c48f530b2a876ad3257fd"),
         (ChunkingConfig(parent_size=64, intermediate_size=8, sub_intermediate_size=3,
                         max_sentence_tokens=1000),
-         "d343e0e4bb8f623ff9752ee8614d9cb7d5ca87671b7afd19e52e930a404763e9"),
+         "442373d1db08044b4db6235f4d5ae1cc002fe3804925726dfa41b8a609ad0a7d"),
         (ChunkingConfig(parent_size=12, intermediate_size=5, sub_intermediate_size=2,
                         max_sentence_tokens=1000),
-         "2b7d8d343eefd614376fa79545666bb042f2ac7eb7e6606fb547f7ec977fe9ea"),
+         "d9f0a47e267167743b5982d2e1a56af792da0cb8b992e562edb6d778316a79eb"),
         (ChunkingConfig(sub_intermediate_size=None),
-         "99123b66e842a20a1e11e48ff48fd81a2cb56f964adfadbe5b44728142600faa"),
+         "b0edc2eb15365668bb69e2dd3f50801fd39dddbe265dff05ea4d701420b18ca5"),
     ], ids=["overlap-64-16", "budgets-64-8-3", "budgets-12-5-2", "no-side-tier"])
     def test_nodes_bin_digest(self, config, digest, tmp_path):
         save_corpus(build_corpus(generate(CorpusSpec(seed=42)).documents, config), tmp_path)

@@ -220,6 +220,45 @@ class TestCliWorkflow:
         }
         assert first == second
 
+    def test_documents_keep_their_line_ends(self, workdir):
+        """A document is stored as its file's bytes, ``\\r\\n`` and lone
+        ``\\r`` included, so a gold span taken from the file names them."""
+        lines = [f"Line {i} holds the word{i} and some more words here." for i in range(12)]
+        data = "".join(line + ("\r\n", "\r")[i % 2] for i, line in enumerate(lines)).encode()
+        Path("crlf").mkdir()
+        Path("crlf/lines.txt").write_bytes(data)
+        assert main(["ingest", "crlf", "--config", "engine.json"]) == EXIT_OK
+        corpus = load_corpus("corpus")
+        assert corpus.documents["lines"] == data
+        start = data.index(b"word10")
+        Path("q.jsonl").write_text(json.dumps(
+            {"query": "word10", "gold_doc_id": "lines", "gold_char_span": [start, start + 6]}))
+        gold = load_query_set("q.jsonl", corpus)[0].gold_parent
+        begin, end = corpus.get(gold).char_span
+        assert begin <= start < start + 6 <= end
+        assert "word10" in corpus.chunk_text(gold)
+
+    def test_validate_reports_each_drifted_count(self, workdir, capsys):
+        """Counts raised by one along a branch keep every token sum, so the
+        corpus loads, and the recount names each of them."""
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        ids = json.loads(nodes.ids)
+        edited = ["doc000:p0", "doc000:p0.i0", "doc000:p0.i0.s0", "doc000:p0.i0.c0"]
+        counts = nodes.columns["token_count"]
+        stored = {chunk_id: int(counts[ids.index(chunk_id)]) for chunk_id in edited}
+        for chunk_id in edited:
+            counts[ids.index(chunk_id)] += 1
+        _write_nodes(path, nodes)
+        capsys.readouterr()
+        assert main(["validate", "--config", "engine.json"]) == EXIT_ERROR
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"TokenCountDrift({chunk_id}: stored {n + 1}, counted {n})"
+              for chunk_id, n in stored.items()),
+            "4 violations",
+        ]
+
 
     def test_cold_load_and_query_build_no_chunk_node(self, workdir, monkeypatch, capsys):
         assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
@@ -251,7 +290,7 @@ class TestCliWorkflow:
     #: included). Any change to chunking, serialization or the index format
     #: shows up here.
     GOLDEN_DIGESTS = {
-        "corpus/nodes.bin": "f1079eaa5a9855afad792e75bcf7a6eec3a7e4f551b88d843896d1acb80560e2",
+        "corpus/nodes.bin": "507adb151ea5f892c072b4c9c76b3ff02224fd4ea79e858ea10d35c4e1ad1177",
         "indexes/parent.idx": "fb5b122264fb1e53ef081cb240ef47c1f09136fbc4c8bc3e9fb6dbf1cf789b40",
         "indexes/intermediate.idx": "d43bc84f554ef5b0a5ffb80a589969b05a7a98436538d2977e4099f90717805a",
         "indexes/sentence.idx": "3dce58924dd4cf239ee776d55e17d5021eb57481a633760d200766caa2f2f233",
@@ -440,6 +479,25 @@ class TestCliErrors:
         assert main([*command, "--config", "bad.json"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, command", [
+        ("corpus_dir", ["query", "x"]),
+        ("index_dir", ["ingest", "synth/docs"]),
+        ("query_set", ["eval"]),
+    ])
+    def test_nul_in_a_path_is_config_error_before_any_file(self, workdir, capsys, key, command):
+        if command[0] != "ingest":
+            main(["ingest", "synth/docs", "--config", "engine.json"])
+        config = json.loads(Path("engine.json").read_text())
+        config["paths"] = {key: "bad\u0000name"}
+        Path("nul.json").write_text(json.dumps(config))
+        files = sorted(Path().rglob("*"))
+        capsys.readouterr()
+        assert main([*command, "--config", "nul.json"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"paths.{key}" in captured.err
+        assert sorted(Path().rglob("*")) == files
 
     def test_malformed_query_set_line_is_io_error(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])

@@ -34,6 +34,7 @@ from hrr.errors import (
 )
 from hrr.synth import CorpusSpec, generate
 
+import reference_text
 from node_table import corpus_of
 
 CFG = ChunkingConfig(parent_size=24, intermediate_size=10, sub_intermediate_size=5)
@@ -423,6 +424,15 @@ def _set(column, row, value):
     return lambda nodes: nodes.columns[column].__setitem__(row, value)
 
 
+def _first_sentence(column, value):
+    """Set ``column`` of the first sentence row to ``value``."""
+    def edit(nodes):
+        sentences = nodes.columns["level"] == list(Level).index(Level.SENTENCE)
+        nodes.columns[column][np.argmax(sentences)] = value
+
+    return edit
+
+
 def _ids(table):
     def edit(nodes):
         nodes.ids = table
@@ -539,10 +549,9 @@ CORRUPTIONS = {
     "negative-start": (_set("start", 0, -1), "span"),
     "beyond-document": (_set("end", 0, 10**6), "span"),
     "hard-split-flag": (_set("hard_split", 0, 2), "hard_split"),
-    # In the fixture, row 0 is "a:p0", row 2 the sentence "a:p0.i0.s0", row 7
-    # the parent chunk "b:p0", row 9 the sentence "b:p0.i0.s0" (bytes 0-16 of
-    # "b") and rows 13-19 the side tier, 13 under "a:p0.i0".
-    "sentence-to-parent-level": (_set("parent", 2, 0), "not at the level above"),
+    # In the fixture, row 0 is "a:p0", row 7 the parent chunk "b:p0", row 9
+    # the intermediate "b:p0.i1" and rows 13-19 the side tier, 13 under "a:p0.i0".
+    "sentence-to-parent-level": (_first_sentence("parent", 0), "not at the level above"),
     "side-tier-to-parent-level": (_set("parent", 13, 0), "not at the level above"),
     "parent-level-with-parent": (_set("parent", 7, 0), "parent-level node with a parent link"),
     "other-document": (_set("doc", 9, 0), "another document"),
@@ -826,3 +835,38 @@ class TestLoadMatchesChunker:
             loaded = load_corpus(directory)
         assert list(loaded.documents) == doc_ids
         _assert_matches_chunker(loaded, documents, CFG)
+
+
+def _ancestor(corpus, chunk_id, level):
+    try:
+        return resolve_parent(corpus, chunk_id, level)
+    except LevelViolationError:
+        return None
+
+
+class TestDepthFirstFilesLoad:
+    """Earlier versions saved the hierarchy depth-first, each parent followed
+    by its intermediates and each of those by its sentences, as the
+    recursive reference chunker still builds it. Such a file loads and
+    answers as the chunker's own corpus does."""
+
+    @pytest.mark.parametrize("config", [
+        ChunkingConfig(),
+        ChunkingConfig(parent_size=256, parent_overlap=60, intermediate_size=64,
+                       intermediate_overlap=10, sub_intermediate_size=32),
+    ], ids=["default", "256-64-32-overlap"])
+    def test_answers_match_chunker(self, tmp_path, config):
+        documents = generate(CorpusSpec(seed=5, n_docs=4), chunking=config).documents
+        save_corpus(reference_text.build_corpus(documents, config), tmp_path)
+        loaded, built = load_corpus(tmp_path), build_corpus(documents, config)
+        assert [n.id for n in loaded] != [n.id for n in built]
+        assert dict(loaded.chunks) == dict(built.chunks)
+        for level in Level:
+            assert loaded.ids_at(level) == built.ids_at(level)
+        for chunk_id in built.chunks:
+            assert loaded.chunk_text(chunk_id) == built.chunk_text(chunk_id)
+            for level in Level:
+                assert _ancestor(loaded, chunk_id, level) == _ancestor(built, chunk_id, level)
+        for doc_id, data in built.documents.items():
+            for byte in range(-1, len(data) + 2, 5):
+                assert loaded.parent_at(doc_id, byte) == built.parent_at(doc_id, byte)

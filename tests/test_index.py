@@ -1,7 +1,9 @@
 """Exact search vs the naive full-scan oracle, plus snapshots."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -264,8 +266,24 @@ class TestSearchNearTies:
         index = LevelIndex(Level.SENTENCE, [f"p{i:03d}" for i in range(400)], csr_batch(rows))
         assert index.layout == "csr"
         query = np.r_[np.ones(16), np.zeros(48)].astype(np.float32)
-        assert len({h.score for h in index.search(query, 400)}) >= 3
+        # The premise reads the first pass's sums, which a fixed-order
+        # bincount adds, so no BLAS kernel's choice of order can merge them.
+        sums, _ = index._rows.approx_scores(ensure_unit(query))
+        assert len(set(sums.tolist())) >= 3
         assert_matches_oracle(index, query, [1, 2, 5, 17, 50, 199, 200, 201, 399])
+
+    def test_hold_under_another_blas_kernel(self):
+        """Every other case of this class holds under OpenBLAS's Prescott
+        kernel, whose ``ddot`` sums in another order than the host's
+        default; the setting reaches only the child process."""
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestSearchNearTies", "-k", "not another_blas_kernel"],
+            cwd=Path(__file__).resolve().parents[1], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout[-3000:]
 
     def test_disjoint_buckets_tie_at_zero(self):
         # 40 rows share a bucket with the query; 220 hold only other buckets

@@ -81,11 +81,11 @@ def count_tokenized(monkeypatch) -> Counter:
     calls: Counter = Counter()
     original = WordPunctTokenizer.tokens
 
-    def counting(self, text):
+    def counting(text):
         calls[text] += 1
-        return original(self, text)
+        return original(text)
 
-    monkeypatch.setattr(WordPunctTokenizer, "tokens", counting)
+    monkeypatch.setattr(WordPunctTokenizer, "tokens", staticmethod(counting))
     return calls
 
 
