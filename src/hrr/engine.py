@@ -10,6 +10,7 @@ unchanged inputs rewrites byte-identical artifacts.
 
 from __future__ import annotations
 
+import codecs
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,10 +63,12 @@ def make_reranker(config: EngineConfig) -> RerankProvider:
 def read_documents(docs_dir: str | Path) -> dict[str, str]:
     """Read every ``*.txt`` file (sorted by name) as one document.
 
-    A document is its file's bytes decoded, line ends included, so its
-    chunks' byte spans are offsets into the file. A path that is not a readable UTF-8 file, whose name is not UTF-8
-    (the name is the document id), or whose text is empty or only
-    whitespace, raises ``UnreadableDocumentError`` naming it.
+    A document is its file's bytes decoded, line ends included, after a
+    UTF-8 byte order mark if the file starts with one, so its chunks' byte
+    spans are offsets into the file's bytes after that mark. A path that is
+    not a readable UTF-8 file, whose name is not UTF-8 (the name is the
+    document id), or whose text is empty or only whitespace, raises
+    ``UnreadableDocumentError`` naming it.
     """
     docs_dir = Path(docs_dir)
     paths = sorted(docs_dir.glob("*.txt"))
@@ -77,10 +80,13 @@ def read_documents(docs_dir: str | Path) -> dict[str, str]:
             shown = os.fsencode(path).decode("utf-8", "backslashreplace")
             raise UnreadableDocumentError(f"{shown}: the file name is not valid UTF-8")
         try:
-            text = path.read_bytes().decode("utf-8")
+            data = path.read_bytes()
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
+            # The decoder counts from after the mark; the message, from the file's start.
+            at = exc.start + (3 if data.startswith(codecs.BOM_UTF8) else 0)
             raise UnreadableDocumentError(
-                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {at})"
             ) from None
         except OSError as exc:
             raise UnreadableDocumentError(f"{path}: cannot read ({exc.strerror})") from None

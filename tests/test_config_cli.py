@@ -220,6 +220,29 @@ class TestCliWorkflow:
         }
         assert first == second
 
+    def test_byte_order_mark_is_not_part_of_the_document(self, workdir):
+        """A file that starts with a UTF-8 byte order mark ingests to the
+        bytes of the same file without it: the mark is no token and no text."""
+        artifacts = {}
+        for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            Path(name).mkdir()
+            for doc in Path("synth/docs").glob("*.txt"):
+                (Path(name) / doc.name).write_bytes(mark + doc.read_bytes())
+            assert main(["ingest", name, "--config", "engine.json"]) == EXIT_OK
+            artifacts[name] = {
+                p.name: p.read_bytes()
+                for p in [*Path("corpus").iterdir(), *Path("indexes").iterdir()]
+            }
+        assert artifacts["bom"] == artifacts["plain"]
+
+    def test_bad_byte_after_a_byte_order_mark_is_named_by_file_offset(self, workdir, capsys):
+        Path("marked").mkdir()
+        Path("marked/doc.txt").write_bytes(b"\xef\xbb\xbfCaf\xe9.\n")
+        capsys.readouterr()
+        assert main(["ingest", "marked", "--config", "engine.json"]) == EXIT_IO
+        assert "doc.txt: not valid UTF-8 (invalid continuation byte at byte 6)" in (
+            capsys.readouterr().err)
+
     def test_documents_keep_their_line_ends(self, workdir):
         """A document is stored as its file's bytes, ``\\r\\n`` and lone
         ``\\r`` included, so a gold span taken from the file names them."""

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,143 @@ class TestCsrSearchBitwise:
         q = np.zeros(d, dtype=np.float32)
         q[list(query)] = list(query.values())
         assert_hits_are(index.search(q, k), naive_top_k(index, ensure_unit(q), k))
+
+
+class TestTiesByIdRank:
+    """Rows tied with the k-th score are picked by their chunk ids' order,
+    which is not row order: ``s10`` sorts before ``s9``."""
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_ties_at_zero_and_at_a_positive_score(self, layout):
+        rng = random.Random(43)
+        positive = ensure_unit(np.r_[1.0, 1.0, np.zeros(14)])
+        zero = ensure_unit(np.r_[0.0, 0.0, 1.0, np.zeros(13)])
+        rows = np.stack([positive if rng.random() < 0.4 else zero for _ in range(60)])
+        ids = [f"s{i}" for i in rng.sample(range(60), 60)]
+        index = LevelIndex(Level.SENTENCE, ids, in_layout(rows, layout))
+        assert "_id_ranks" not in vars(index)
+        query = np.r_[1.0, np.zeros(15)].astype(np.float32)
+        for k in range(1, 60):
+            assert_hits_are(index.search(query, k), naive_top_k(index, query, k), k)
+        assert "_id_ranks" in vars(index)
+
+
+#: Stored values for the early-stop cases: few, so that lists hold exact
+#: ties and tie groups straddle the k-th score; with 0 and a tiny value, so
+#: that some cuts fall to 0 or below.
+EARLY_VALUES = st.sampled_from([0.0, 2.0**-30, 0.125, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def early_stop_cases(draw):
+    """``(dimension, query, rows, ids, k, depth)``: non-negative CSR rows,
+    each sharing 0 to 4 buckets with a query of positive weights, and the
+    depth of the early stop's first round."""
+    d = draw(st.sampled_from([4, 16, 64]))
+    buckets = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=4, unique=True))
+    query = {j: draw(st.sampled_from([0.5, 1.0, 2.0])) for j in buckets}
+    others = [j for j in range(d) if j not in query]
+    rows = []
+    for _ in range(draw(st.integers(2, 40))):
+        shared = draw(st.permutations(buckets))[: draw(st.integers(0, 4))]
+        extra = draw(st.lists(st.sampled_from(others), max_size=2, unique=True)) if others else []
+        rows.append({j: draw(EARLY_VALUES) for j in shared + extra})
+    ids = draw(st.permutations([f"r{i}" for i in range(len(rows))]))
+    return d, query, rows, ids, draw(st.integers(1, len(rows) - 1)), draw(st.integers(1, 3))
+
+
+class TestEarlyStop:
+    """The early-stopping first pass returns the full pass's hits and score
+    bits, and the full pass runs in every case the stop cannot prove."""
+
+    @given(early_stop_cases())
+    # An unread row tied with the k-th score, whose id is the lowest.
+    @example((4, {0: 1.0}, [{0: 1.0}] * 5 + [{0: 0.25}] * 2,
+              ["r1", "r2", "r3", "r4", "r0", "r5", "r6"], 2, 1))
+    # Every list read and the k-th score 0: the rows no list holds tie with it.
+    @example((4, {0: 1.0}, [{0: 0.0}] * 3 + [{1: 1.0}] * 2, ["r2", "r3", "r4", "r0", "r1"], 2, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_full_pass_bit_for_bit(self, case):
+        d, query, rows, ids, k, depth = case
+        q = np.zeros(d, dtype=np.float32)
+        q[list(query)] = list(query.values())
+        # A level's postings are built, for one path or the other, on its
+        # first search, so each path searches its own copy.
+        index = csr_index_of(d, rows, ids)
+        full = index.search(q, k)
+        with mock.patch.multiple(index_module, _EARLY_STOP_ROWS=1, _FIRST_DEPTH=depth):
+            early = csr_index_of(d, rows, ids).search(q, k)
+        assert_hits_are(early, [(h.chunk_id, h.score) for h in full])
+        assert_hits_are(full, naive_top_k(index, ensure_unit(q), k))
+
+    @pytest.fixture(scope="class")
+    def synth_level(self):
+        """A hashed-bow sentence level above the early stop's row count."""
+        synth = generate(CorpusSpec(seed=3, n_docs=50))
+        embedder = HashedBowEmbedder(dimension=384)
+        index = build_index(synth.corpus, Level.SENTENCE, embedder)
+        assert index.layout == "csr" and len(index) >= index_module._EARLY_STOP_ROWS
+        queries = [embedder.embed_batch([q.query])[0] for q in synth.queries]
+        return index, embedder, synth, queries
+
+    @pytest.fixture
+    def full_passes(self, monkeypatch):
+        """The number of full first passes run so far."""
+        calls = []
+        real = index_module._CsrRows.approx_scores
+
+        def counting(rows, query):
+            calls.append(1)
+            return real(rows, query)
+
+        monkeypatch.setattr(index_module._CsrRows, "approx_scores", counting)
+        return calls
+
+    def test_needle_queries_need_no_full_pass(self, synth_level, monkeypatch):
+        index, _, _, queries = synth_level
+        expected = [naive_top_k(index, query, 50) for query in queries]
+
+        def refuse(rows, query):
+            raise AssertionError("the full pass ran")
+
+        monkeypatch.setattr(index_module._CsrRows, "approx_scores", refuse)
+        for query, ranked in zip(queries, expected):
+            for k in (1, 10, 50):
+                assert_hits_are(index.search(query, k), ranked[:k], k)
+
+    def test_each_case_the_stop_cannot_prove_takes_the_full_pass(self, synth_level, full_passes):
+        index, embedder, synth, queries = synth_level
+        needle = queries[0]
+        # A query weight below 0.
+        signed = needle.copy()
+        signed[np.flatnonzero(signed)[0]] *= -1
+        # A needle keyword alone: fewer than k rows hold it.
+        rare = embedder.embed_batch([synth.needles[0].keywords[0]])[0]
+        assert np.count_nonzero(index.vectors[:, rare != 0]) < 10
+        # A needle keyword and, with a weight of 1e-7, the commonest bucket:
+        # the k-th score lies far below the margin, so the cut is below 0.
+        faint = rare.copy()
+        faint[np.argmax(np.bincount(index._rows.csr.columns, minlength=384))] = 1e-7
+        cases = [("negative weight", index, signed), ("fewer than k rows", index, rare),
+                 ("cut <= 0", index, faint)]
+        # A level holding a value below 0.
+        csr = index._rows.csr
+        values = csr.values.copy()
+        values[0] = -values[0]
+        negative = LevelIndex(Level.SENTENCE, index.chunk_ids,
+                              CsrBatch(csr.indptr, csr.columns, values, csr.dimension))
+        cases.append(("negative value", negative, needle))
+        for name, level, query in cases:
+            full_passes.clear()
+            hits = level.search(query, 10)
+            assert len(full_passes) == 1, name
+            assert_hits_are(hits, naive_top_k(level, ensure_unit(query), 10), name)
+        # A level below the row count.
+        with mock.patch.object(index_module, "_EARLY_STOP_ROWS", len(index) + 1):
+            small = LevelIndex(Level.SENTENCE, index.chunk_ids, index._rows.csr)
+            full_passes.clear()
+            small.search(needle, 10)
+        assert len(full_passes) == 1
 
 
 @pytest.fixture
