@@ -190,13 +190,31 @@ def ensure_unit(vector, dimension: int | None = None) -> np.ndarray:
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two unit vectors, computed in float64.
 
-    This is the one scoring routine in the package; index search rescores
-    its candidates with it so exact search is reproducible against a naive
-    rescan.
+    This is the one scoring routine in the package, defined to the bit: the
+    float64 products ``a_j * b_j``, exact for float32 inputs, are added one
+    at a time in ascending ``j`` from +0.0. So a score is the same under
+    every BLAS kernel, and it is never -0.0: no sum from +0.0 gives -0.0.
+    A zero product leaves such a partial sum's bits as they are, so a CSR
+    index's postings sum, the same additions with the zero products left
+    out, is this score too. Exact search returns this score for every hit,
+    so it is reproducible against a naive rescan.
     """
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    return float(np.dot(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)))
+    return float(cosine_similarities(a, b))
+
+
+def cosine_similarities(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cosine_similarity`` of each row of ``rows`` (along its last axis)
+    and ``b``, bit for bit, for many rows in one numpy pass."""
+    products = np.multiply(rows, b, dtype=np.float64)
+    if products.shape[-1] == 0:
+        return np.zeros(products.shape[:-1])
+    # accumulate adds strictly left to right along the axis, where np.dot
+    # and np.sum may reassociate. It starts from the first product, not from
+    # +0.0 plus it, which differs only when every product is -0.0; adding
+    # +0.0 mends that.
+    return np.add.accumulate(products, axis=-1)[..., -1] + 0.0
 
 
 def encodes_as_utf8(text: str) -> bool:

@@ -1,42 +1,42 @@
 """Per-level vector index with exact top-k search.
 
 Search is exact: it returns what a full scan would, scoring every entry
-with the package's one cosine routine and selecting the top k under the
-total order (score descending, chunk id ascending). That order makes
-results a deterministic function of (index, query, k), and the naive full
-rescan stays the correctness oracle in the tests.
-
-The scan is done in two passes, the structure of an exact flat index
-(Johnson, Douze, Jegou, arXiv 1702.08734). A first pass gives every entry
-an approximate score; only the entries whose approximate score lies within
-a proven rounding-error margin of the k-th best stay candidates, and each
-gets its canonical score. A dense candidate is rescored with the canonical
-routine. A CSR candidate whose first-pass sum added at most two stored
-entries keeps that sum, which is bit for bit the canonical score but for
-the sign of a zero; it is rescored only if it is returned with a score of
-0. ``LevelIndex.search`` holds the proof of both steps.
+with the package's one cosine routine (``cosine_similarity``: exact
+float64 products added in column order from +0.0) and selecting the top k
+under the total order (score descending, chunk id ascending). That order
+makes results a deterministic function of (index, query, k), the same
+under every BLAS kernel, and the naive full rescan stays the correctness
+oracle in the tests.
 
 Rows are kept in the layout the embedding provider returned: a
 ``CsrBatch``, as hashed bag-of-words rows come, is kept as compressed
-sparse rows (CSR), and an ``(n, d)`` block as a dense float32 matrix, whose
-first pass is one BLAS matrix-vector product. Building, saving and loading
-an index convert no rows between the two. A CSR index also keeps
-column-wise postings, so its first pass reads only the postings of the
-query's non-zero buckets: exact inverted-file scoring (Zobel and Moffat,
-"Inverted files for text search engines", ACM Computing Surveys 2006). The
-postings are built on a level's first search, so loading or building an
-index that is never searched, or only searched for all its rows, builds
-none.
+sparse rows (CSR), and an ``(n, d)`` block as a dense float32 matrix.
+Building, saving and loading an index convert no rows between the two.
+
+A CSR index keeps column-wise postings, so its search reads only the
+postings of the query's non-zero buckets: exact inverted-file scoring
+(Zobel and Moffat, "Inverted files for text search engines", ACM
+Computing Surveys 2006). A row's postings sum adds its products in the
+canonical routine's order, so it is the row's score bit for bit and no row
+is rescored. The postings are built on a level's first search, so loading
+or building an index that is never searched, or only searched for all its
+rows, builds none.
+
+A dense index is searched in two passes, the structure of an exact flat
+index (Johnson, Douze, Jegou, arXiv 1702.08734): one float32 BLAS
+matrix-vector product gives every row an approximate score, and only the
+rows within a proven rounding-error margin of the k-th best are rescored
+with the canonical routine. ``LevelIndex.search`` holds the proof.
 
 On a CSR level of at least ``_EARLY_STOP_ROWS`` rows, each bucket's
 postings are ordered by value descending (impact order, Anh and Moffat,
-SIGIR 2006), so the first pass can stop early: it reads the top of each
-query list in rounds, and stops once no unread entry can lift a row to the
-cut (the threshold algorithm of Fagin, Lotem and Naor, PODS 2001). It
-returns the full pass's candidates and sums bit for bit, and hands over to
-the full pass wherever the stop cannot be proven. Ties with the k-th score
-are broken by a per-index rank of the chunk ids, built when ties first
-need it.
+SIGIR 2006), so the search can stop early: it reads the top of each query
+list in rounds, and stops once no unread entry can lift a row to the k-th
+best score seen (the threshold algorithm of Fagin, Lotem and Naor, PODS
+2001). It returns the full pass's candidates and sums bit for bit, and
+hands over to the full pass wherever the stop cannot be proven. Ties with
+the k-th score are broken by a per-index rank of the chunk ids, built when
+ties first need it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .embedding import (
     _NORM_TOLERANCE,
     CsrBatch,
     EmbeddingProvider,
-    cosine_similarity,
+    cosine_similarities,
     embed_batch,
     ensure_unit,
 )
@@ -87,6 +87,9 @@ _EARLY_STOP_ROWS = 16384
 #: deeper each later round reads.
 _FIRST_DEPTH = 128
 _DEPTH_GROWTH = 4
+#: Dense candidates rescored at a time, which bounds the float64 products
+#: held at once.
+_RESCORE_ROWS = 1024
 
 
 def _gamma(d: int, u: float) -> float:
@@ -106,12 +109,6 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
     return -float(negated[k - 1])
 
 
-def _cut(t: float, margin: float) -> float:
-    """The least first-pass score a candidate may have, ``t - margin``
-    rounded down."""
-    return np.nextafter(t - margin, -math.inf)
-
-
 class _DenseRows:
     """Rows as one C-contiguous ``(n, d)`` float32 matrix."""
 
@@ -128,17 +125,6 @@ class _DenseRows:
 
     def squared_norms(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.matrix, self.matrix)
-
-    def approx_scores(self, query: np.ndarray) -> tuple[np.ndarray, None]:
-        """Each row's float32 ``V @ q``; no row's score is exact."""
-        return self.matrix @ query, None
-
-    def early_candidates(self, query: np.ndarray, k: int, margin: float) -> None:
-        """A dense level keeps no postings to stop early in."""
-        return None
-
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix[i]
 
     def dense(self) -> np.ndarray:
         return self.matrix
@@ -163,8 +149,6 @@ class _CsrRows:
         if problem is not None:
             raise InvalidCorpusError(problem)
         self.csr = csr
-        #: Row ``i`` as a dense float32 vector; search rescores with it.
-        self.row = csr.__getitem__
         self.count = len(csr)
         self.dimension = csr.dimension
         self.nnz = csr.nnz
@@ -219,9 +203,27 @@ class _CsrRows:
     def squared_norms(self) -> np.ndarray:
         return self.csr.squared_norms()
 
-    def approx_scores(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's float64 sum of ``x_ij q_j`` over the query's non-zero
-        buckets, and the number of stored entries that sum added."""
+    def candidates(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows scoring at least the k-th best score, and their scores.
+
+        Every row when ``k`` reaches the row count, scored from the CSR rows
+        with no postings built; else the early stop's rows, or the full
+        pass's.
+        """
+        if k >= self.count:
+            every = np.arange(self.count)
+            return every, self._row_sums(every, query.astype(np.float64))
+        found = self.early_candidates(query, k)
+        if found is not None:
+            return found
+        sums = self.approx_scores(query)
+        candidates = np.flatnonzero(sums >= _kth_largest(sums, k))
+        return candidates, sums[candidates]
+
+    def approx_scores(self, query: np.ndarray) -> np.ndarray:
+        """Each row's score, ``cosine_similarity`` of it and ``query`` bit
+        for bit: the float64 sum of ``x_ij q_j`` over the query's non-zero
+        buckets, which ``bincount`` adds in bucket order from 0.0."""
         starts, posting_rows, posting_values, _ = self._postings
         buckets = np.flatnonzero(query).tolist()
         spans = [(starts[j], starts[j + 1], float(query[j])) for j in buckets]
@@ -230,15 +232,12 @@ class _CsrRows:
         weights = np.concatenate(
             [np.multiply(posting_values[s:e], q, dtype=np.float64) for s, e, q in spans]
         )
-        sums = np.bincount(rows, weights=weights, minlength=self.count)
-        return sums, np.bincount(rows, minlength=self.count)
+        return np.bincount(rows, weights=weights, minlength=self.count)
 
-    def early_candidates(
-        self, query: np.ndarray, k: int, margin: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The full pass's candidates, rows ascending, with their sums and
-        entry counts, found by reading each query list only as deep as the
-        threshold stop needs; or None, and the caller takes the full pass.
+    def early_candidates(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The full pass's candidates, rows ascending, with their scores,
+        found by reading each query list only as deep as the threshold stop
+        needs; or None, and the caller takes the full pass.
 
         Reads the lists in rounds, ``_FIRST_DEPTH`` entries deep and
         ``_DEPTH_GROWTH`` times deeper each round, and scores every row read
@@ -270,21 +269,21 @@ class _CsrRows:
                 if exhausted:
                     return None
                 continue
-            sums, entries = self._row_sums(seen, query64)
-            cut = _cut(_kth_largest(sums, k), margin)
-            if cut <= 0:
+            sums = self._row_sums(seen, query64)
+            t_seen = _kth_largest(sums, k)
+            if t_seen <= 0:
                 return None
             if not exhausted:
                 frontier = sum(
                     w * float(posting_values[r]) for w, r, (_, e) in zip(weights, read, lists)
                     if r < e
                 )
-                if not np.nextafter(frontier * inflation, math.inf) < cut:
+                if not np.nextafter(frontier * inflation, math.inf) < t_seen:
                     continue
-            keep = np.flatnonzero(sums >= cut)
-            return seen[keep], sums[keep], entries[keep]
+            keep = np.flatnonzero(sums >= t_seen)
+            return seen[keep], sums[keep]
 
-    def _row_sums(self, rows: np.ndarray, query64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _row_sums(self, rows: np.ndarray, query64: np.ndarray) -> np.ndarray:
         """``approx_scores`` of ``rows`` only, bit for bit, from their CSR rows.
 
         Each row's exact products in the query's buckets are added in column
@@ -300,8 +299,7 @@ class _CsrRows:
         hit = np.flatnonzero(weight)
         owner, entry = owner[hit], entry[hit]
         products = csr.values[entry] * weight[hit]
-        return (np.bincount(owner, products, minlength=len(rows)),
-                np.bincount(owner, minlength=len(rows)))
+        return np.bincount(owner, products, minlength=len(rows))
 
     def dense(self) -> np.ndarray:
         return np.asarray(self.csr)
@@ -318,7 +316,7 @@ class LevelIndex:
     Built from a ``CsrBatch``, it keeps the rows as CSR; built from an
     ``(n, d)`` float32 block, it keeps them dense (``layout``). No dense
     copy of a CSR index is kept. Every row must be finite with a squared
-    norm inside float32 range; the search's error bound rests on it.
+    norm inside float32 range; the dense search's error bound rests on it.
     """
 
     def __init__(
@@ -339,9 +337,9 @@ class LevelIndex:
                 f"{chunk_ids[bad[0]]!r}"
             )
         dim = rows.dimension
-        # The float32 sum of squares is low by at most a factor (1 - gamma_d)
-        # plus d * eta / 2 of underflow; (1 + 2 gamma_d) and d * eta cover both.
-        # A CSR index sums exact float64 squares, which errs far less.
+        # The dense search's bound on the row norms. The float32 sum of
+        # squares is low by at most a factor (1 - gamma_d) plus d * eta / 2 of
+        # underflow; (1 + 2 gamma_d) and d * eta cover both.
         self._max_norm = math.sqrt(
             float(squared_norms.max()) * (1.0 + 2.0 * _gamma(dim, _U32)) + dim * _ETA32
         )
@@ -385,118 +383,95 @@ class LevelIndex:
         """Exact top-k by cosine, ties broken by chunk id ascending.
 
         Bit-identical to scoring every row with ``cosine_similarity`` and
-        sorting. Pass 1 takes an approximate score ``a_i`` of every row and
-        the k-th largest of them, ``t``: ``(V @ q)_i`` in float32 for a
-        dense index, the float64 sum of ``x_ij q_j`` over the query's
-        non-zero buckets for a CSR one. Pass 2 keeps only the rows with
-        ``a_i >= t - 2E`` as candidates, where
+        sorting. Let ``c_i`` be row i's canonical score and ``c_(k)`` the
+        k-th best. Search finds candidates that include every row with
+        ``c_i >= c_(k)`` -- the true top k and everything tied with its last
+        score -- and gives each its ``c_i``; selecting among them under the
+        same order returns the full scan's hits exactly.
 
-            E = (gamma_d(f32) + gamma_d(f64)) * max_i |x_i| * |q| + d * eta
+        A CSR level finds them with no rescoring. Its first pass gives each
+        row the float64 sum of ``x_ij q_j`` over the query's non-zero
+        buckets, added in column order from 0.0: the canonical routine's
+        additions in its order, less the zero products, each of which leaves
+        a partial sum that is never -0.0 as it is. So each sum is the row's
+        ``c_i`` bit for bit, the k-th largest sum is ``c_(k)``, and the rows
+        whose sum reaches it are the candidates.
 
-        and scores them canonically.
-
-        Why no row of the true top k is missed: let ``c_i`` be the
-        canonical score. Its float64 products of float32 inputs are exact,
-        so ``|c_i - x_i.q| <= gamma_d(f64) * sum|x_ij q_j|``. The float32
-        product errs by at most ``gamma_d(f32) * sum|x_ij q_j|`` plus
-        ``eta / 2`` of underflow per term, in any summation order (Higham,
-        Accuracy and Stability of Numerical Algorithms, 3.1). The CSR sum
-        adds at most nnz_i <= d exact float64 products, so it errs by at
-        most ``gamma_nnz(f64) * sum|x_ij q_j| <= E``. As
-        ``sum|x_ij q_j| <= |x_i| |q|``, ``|a_i - c_i| <= E`` for every row.
-        At least k rows have ``a_i >= t``, hence ``c_i >= t - E``, so the
-        k-th best canonical score ``c_(k)`` is at least ``t - E``. Every
-        row with ``c_i >= c_(k)`` -- the true top k and everything tied
-        with its last score -- has ``a_i >= c_i - E >= t - 2E`` and is a
-        candidate; every other row has ``c_i <= a_i + E < t - E <= c_(k)``
-        and could not be selected. Selecting among the candidates under
-        the same order therefore returns the full scan's hits exactly.
-        Finite rows keep every term finite. E is evaluated in float64: the
-        norm inflation in ``__init__`` leaves it a relative slack of about
-        gamma_d(f32) / 2, far above those few roundings, and the cut is
-        rounded down.
-
-        Which candidates are rescored: a dense row always; a CSR row only
-        when its sum added three or more stored entries. A CSR row that
-        shares at most two buckets with the query keeps its sum, which is
-        already its canonical score: the canonical dot of the densified row
-        holds the same one or two exact products ``p1``, ``p2`` and exact
-        zeros; adding a zero to a non-zero value is exact, and ``p1 + p2``
-        rounds once in either order, so every summation order, with FMA or
-        without, gives the same bits. Only the sign of a zero sum may differ
-        (``np.dot`` of one ``-0.0`` product can give ``-0.0`` where
-        ``bincount`` gives ``+0.0``), and signed zeros compare equal, so the
-        selection stands and each returned row whose kept sum is 0 is
-        rescored.
-
-        The early stop (``_CsrRows.early_candidates``) finds the same
-        candidates, sums and counts while reading only the top of each query
+        The early stop (``_CsrRows.early_candidates``) finds a CSR level's
+        candidates and scores while reading only the top of each query
         list: the threshold algorithm of Fagin, Lotem and Naor (PODS 2001)
         over impact-ordered postings (Anh and Moffat, SIGIR 2006). Let J be
         the query's non-zero buckets, each list holding its bucket's entries
         by value descending. Each round reads every list deeper and gives
         every row read so far its sum from its own CSR row: its exact
-        products in J's buckets added in column order from 0.0, which are
-        the full pass's additions in the full pass's order, so the sum and
-        the count are the row's ``a_i`` and count bit for bit. Once at least
-        k rows are seen, let ``t_seen`` be their k-th best sum and ``cut``
-        the cut taken from it. Let ``v_j`` be the next unread value of list
+        products in J's buckets added in column order from 0.0, the full
+        pass's additions in the full pass's order, so the sum is the row's
+        ``c_i`` bit for bit. Once at least k rows are seen, let ``t_seen``
+        be their k-th best sum. Let ``v_j`` be the next unread value of list
         j, or 0 once it is read to its end, and ``F`` the float64 sum of
         ``q_j v_j``. When every stored value and query weight is
         non-negative, an unseen row has ``x_ij <= v_j`` for every j, so with
         ``S`` the exact ``sum q_j v_j`` and ``m = |J| - 1``, both sums of at
-        most |J| non-negative exact products give ``a_i <= (1 + gamma_m) S``
+        most |J| non-negative exact products give ``c_i <= (1 + gamma_m) S``
         and ``S <= F / (1 - gamma_m)``, in float64. Their ratio
         ``1 + gamma_2m`` lies below ``1 + 2 gamma_|J|`` by about 2u, which
         covers rounding that factor and the product, so ``F (1 + 2
-        gamma_|J|)`` rounded up bounds every unseen ``a_i``. Once it lies
-        below ``cut``, or every list is read to its end (an unseen row then
-        holds none of J and scores exactly 0) and ``cut > 0``, every unseen
-        row scores below ``cut <= t_seen``. Then the k rows at or above
-        ``t_seen`` are all seen, so ``t_seen = t``, ``cut`` is the full
-        pass's cut, and the seen rows at or above it are exactly its
-        candidates. The full pass runs instead on a level of fewer than
-        ``_EARLY_STOP_ROWS`` rows, where the rounds' fixed costs outweigh
-        it; on a level holding a negative value; for a query with a
-        negative weight; when the lists run out with fewer than k rows
-        seen; and once ``cut <= 0``, since the rows that no list holds
-        score 0 and would be candidates too.
+        gamma_|J|)`` rounded up bounds every unseen ``c_i``. Once it lies
+        below ``t_seen``, or every list is read to its end (an unseen row
+        then holds none of J and scores exactly 0) and ``t_seen > 0``, every
+        unseen row scores below ``t_seen``. Then the k rows at or above
+        ``t_seen`` are all seen, so ``t_seen = c_(k)``, and the seen rows at
+        or above it are exactly the candidates. The full pass runs instead
+        on a level of fewer than ``_EARLY_STOP_ROWS`` rows, where the
+        rounds' fixed costs outweigh it; on a level holding a negative
+        value; for a query with a negative weight; when the lists run out
+        with fewer than k rows seen; and once ``t_seen <= 0``, since the
+        rows that no list holds score 0 and would be candidates too.
+
+        A dense level's first pass takes ``a_i = (V @ q)_i`` in float32 and
+        the k-th largest of them, ``t``. Only the rows with ``a_i >= t - 2E``
+        stay candidates, rescored with ``cosine_similarity``, where
+
+            E = (gamma_d(f32) + gamma_d(f64)) * max_i |x_i| * |q| + d * eta
+
+        Why no row of the true top k is missed: the canonical score's
+        float64 products of float32 inputs are exact, so
+        ``|c_i - x_i.q| <= gamma_d(f64) * sum|x_ij q_j|``. The float32
+        product errs by at most ``gamma_d(f32) * sum|x_ij q_j|`` plus
+        ``eta / 2`` of underflow per term, in any summation order (Higham,
+        Accuracy and Stability of Numerical Algorithms, 3.1). As
+        ``sum|x_ij q_j| <= |x_i| |q|``, ``|a_i - c_i| <= E`` for every row.
+        At least k rows have ``a_i >= t``, hence ``c_i >= t - E``, so
+        ``c_(k) >= t - E``. Every row with ``c_i >= c_(k)`` has
+        ``a_i >= c_i - E >= t - 2E`` and is a candidate; every other row
+        has ``c_i <= a_i + E < t - E <= c_(k)`` and could not be selected.
+        Finite rows keep every term finite. E is evaluated in float64: the
+        norm inflation in ``__init__`` leaves it a relative slack of about
+        gamma_d(f32) / 2, far above those few roundings, and the cut is
+        rounded down.
         """
         if k < 1:
             raise InvalidInputError("k must be >= 1")
         query = ensure_unit(query, self.dimension)
-        n = len(self)
-        if k >= n:
-            candidates = np.arange(n)
-            scores = np.zeros(n)
-            kept = np.zeros(n, dtype=bool)
+        rows = self._rows
+        if rows.layout == LAYOUT_CSR:
+            candidates, scores = rows.candidates(query, k)
         else:
-            d = self.dimension
-            q_norm = float(np.linalg.norm(query.astype(np.float64)))
-            bound = (_gamma(d, _U32) + _gamma(d, _U64)) * self._max_norm * q_norm + d * _ETA32
-            found = self._rows.early_candidates(query, k, 2.0 * bound)
-            if found is None:
-                approx, entries = self._rows.approx_scores(query)
-                cut = _cut(_kth_largest(approx, k), 2.0 * bound)
+            matrix = rows.matrix
+            candidates = np.arange(len(self))
+            if k < len(self):
+                d = self.dimension
+                q_norm = float(np.linalg.norm(query.astype(np.float64)))
+                bound = (_gamma(d, _U32) + _gamma(d, _U64)) * self._max_norm * q_norm + d * _ETA32
+                approx = matrix @ query
+                cut = np.nextafter(_kth_largest(approx, k) - 2.0 * bound, -math.inf)
                 candidates = np.flatnonzero(approx >= cut)
-                scores = approx[candidates].astype(np.float64, copy=False)
-                if entries is not None:
-                    entries = entries[candidates]
-            else:
-                candidates, scores, entries = found
-            if entries is None:
-                kept = np.zeros(len(candidates), dtype=bool)
-            else:
-                kept = entries <= 2
-        row = self._rows.row
-        for p in np.flatnonzero(~kept).tolist():
-            scores[p] = cosine_similarity(row(candidates[p]), query)
-        hits = []
-        for p in self._best(candidates, scores, k):
-            i = candidates[p]
-            score = cosine_similarity(row(i), query) if kept[p] and scores[p] == 0 else scores[p]
-            hits.append(ScoredCandidate(self.chunk_ids[i], float(score)))
-        return hits
+            scores = np.concatenate([
+                cosine_similarities(matrix[candidates[s : s + _RESCORE_ROWS]], query)
+                for s in range(0, len(candidates), _RESCORE_ROWS)
+            ])
+        return [ScoredCandidate(self.chunk_ids[candidates[p]], float(scores[p]))
+                for p in self._best(candidates, scores, k)]
 
     def _best(self, rows: np.ndarray, scores: np.ndarray, k: int) -> list[int]:
         """The positions of the top k ``scores``, best first, under (score
@@ -518,12 +493,13 @@ class LevelIndex:
     @functools.cached_property
     def _id_ranks(self) -> np.ndarray:
         """Each row's place in chunk id order, built when ties first need it."""
-        ranks = np.empty(len(self), dtype=np.int64)
         # An object array sorts by Python's str order, with no int per row;
         # the stable sort (timsort) runs ~4x faster over ids that come in
-        # long ascending runs, as a corpus's do.
+        # long ascending runs, as a corpus's do. The object array is freed
+        # before the int32 ranks are allocated.
         order = np.argsort(np.array(self.chunk_ids, dtype=object), kind="stable")
-        ranks[order] = np.arange(len(self))
+        ranks = np.empty(len(self), dtype=np.int32)
+        ranks[order] = np.arange(len(self), dtype=np.int32)
         return ranks
 
 

@@ -23,6 +23,7 @@ from hrr.corpus import Level
 from hrr.embedding import (
     CsrBatch,
     HashedBowEmbedder,
+    cosine_similarities,
     cosine_similarity,
     embed_batch,
     ensure_unit,
@@ -256,8 +257,8 @@ class TestSearchNearTies:
 
     def test_sparse_rows_permuting_one_set_of_values(self):
         # Every row holds the same 12 values in its own order of buckets, so
-        # the canonical dot and the postings sum add them in different
-        # orders and their scores spread over a few ulps.
+        # each row's score adds them in its own order, and the scores spread
+        # over a few ulps.
         rng = random.Random(28)
         values = [rng.gauss(0, 1) * 10.0 ** rng.randint(-12, 0) for _ in range(12)]
         rows = np.zeros((400, 64), dtype=np.float32)
@@ -269,18 +270,21 @@ class TestSearchNearTies:
         query = np.r_[np.ones(16), np.zeros(48)].astype(np.float32)
         # The premise reads the first pass's sums, which a fixed-order
         # bincount adds, so no BLAS kernel's choice of order can merge them.
-        sums, _ = index._rows.approx_scores(ensure_unit(query))
+        sums = index._rows.approx_scores(ensure_unit(query))
         assert len(set(sums.tolist())) >= 3
         assert_matches_oracle(index, query, [1, 2, 5, 17, 50, 199, 200, 201, 399])
 
     def test_hold_under_another_blas_kernel(self):
-        """Every other case of this class holds under OpenBLAS's Prescott
-        kernel, whose ``ddot`` sums in another order than the host's
+        """Every other case of this class, of ``TestSearchOracle`` and of
+        ``TestCsrSearchBitwise`` holds under OpenBLAS's Prescott kernel,
+        whose ``ddot`` and ``sgemv`` sum in another order than the host's
         default; the setting reaches only the child process."""
         env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{__file__}::TestSearchNearTies", "-k", "not another_blas_kernel"],
+             *(f"{__file__}::{name}" for name in
+               ("TestSearchOracle", "TestSearchNearTies", "TestCsrSearchBitwise")),
+             "-k", "not another_blas_kernel"],
             cwd=Path(__file__).resolve().parents[1], env=env,
             capture_output=True, text=True, timeout=300,
         )
@@ -388,9 +392,9 @@ THREE_ENTRIES = [
 
 
 class TestCsrSearchBitwise:
-    """A CSR row keeps its postings sum as its score when the sum added at
-    most two stored entries; those scores must be the canonical ones bit for
-    bit, a zero's sign included."""
+    """A CSR search returns each row's postings sum as its score, with no
+    rescoring; those scores must be the canonical ones bit for bit, a
+    zero's sign included."""
 
     @given(csr_search_cases())
     @example((1, {0: -1.0}, [{0: 0.5}, {}, {0: 0.0}, {0: -0.0}], ["a", "b", "c", "d"], 3))
@@ -402,6 +406,83 @@ class TestCsrSearchBitwise:
         q = np.zeros(d, dtype=np.float32)
         q[list(query)] = list(query.values())
         assert_hits_are(index.search(q, k), naive_top_k(index, ensure_unit(q), k))
+
+
+@st.composite
+def dot_cases(draw):
+    """``(dimension, row, query)``: two ``{column: value}`` dicts of
+    ``CSR_VALUES``, stored zeros included, sharing some columns; in some,
+    two of the shared columns' products cancel exactly."""
+    d = draw(st.sampled_from([1, 2, 16, 64, 384]))
+    columns = draw(st.lists(st.integers(0, d - 1), max_size=16, unique=True))
+    query = {j: draw(CSR_VALUES) for j in columns}
+    shared = draw(st.permutations(columns))[: draw(st.integers(0, len(columns)))]
+    others = [j for j in range(d) if j not in query]
+    extra = draw(st.lists(st.sampled_from(others), max_size=3, unique=True)) if others else []
+    row = {j: draw(CSR_VALUES) for j in shared + extra}
+    if len(shared) >= 2 and draw(st.booleans()):
+        a, b = shared[:2]  # x_b q_b = -x_a q_a, exactly
+        row[b], query[b] = -row[a], query[a]
+    return d, row, query
+
+
+def dense_of(d: int, entries: dict[int, float]) -> np.ndarray:
+    """The float32 vector of dimension ``d`` holding ``entries``."""
+    vector = np.zeros(d, dtype=np.float32)
+    vector[list(entries)] = list(entries.values())
+    return vector
+
+
+class TestCanonicalScore:
+    """``cosine_similarity`` adds the exact products one at a time in column
+    order from +0.0; ``cosine_similarities`` of a block's row and a CSR
+    row's postings sum are that score."""
+
+    @given(dot_cases())
+    # The unit query on buckets 0, 5 and 10.
+    @example((16, THREE_ENTRIES[0], dict.fromkeys([0, 5, 10], float(np.float32(3**-0.5)))))
+    @settings(max_examples=300, deadline=None)
+    def test_adds_the_products_in_column_order(self, case):
+        d, row, query = case
+        x, q = dense_of(d, row), dense_of(d, query)
+        s = 0.0
+        for a, b in zip(x, q):
+            s += float(a) * float(b)
+        assert float.hex(cosine_similarity(x, q)) == float.hex(s)
+        assert float.hex(float(cosine_similarities(np.stack([q, x]), q)[1])) == float.hex(s)
+        sums = csr_index_of(d, [row], ["r"])._rows._row_sums(np.array([0]), q.astype(np.float64))
+        assert float.hex(float(sums[0])) == float.hex(s)
+
+
+def dense_kernel_hits() -> list[list[tuple[str, str]]]:
+    """The hits, scores as ``float.hex``, of a dense level of 400 Gaussian
+    unit rows (d = 384) for 10 queries at k = 1, 10 and 50. The rows and
+    queries are made with no BLAS call, so only the search can depend on
+    the BLAS kernel."""
+    raw = np.random.default_rng(17).standard_normal((408, 384))
+    unit = (raw / np.sqrt(np.square(raw).sum(axis=1, keepdims=True))).astype(np.float32)
+    index = LevelIndex(Level.SENTENCE, [f"g{i:03d}" for i in range(400)], unit[:400])
+    queries = [*unit[400:], unit[7], unit[123]]
+    return [[(h.chunk_id, float.hex(h.score)) for h in index.search(q, k)]
+            for q in queries for k in (1, 10, 50)]
+
+
+class TestBlasKernels:
+    def test_dense_hits_match_under_another_blas_kernel(self):
+        """A dense search's hits and score bits are the same in a child
+        process under OpenBLAS's Prescott kernel, whose BLAS routines sum in
+        another order than the host's default."""
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_index; print(json.dumps(test_index.dense_kernel_hits()))"],
+            cwd=tests, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        child = [[tuple(hit) for hit in hits] for hits in json.loads(proc.stdout)]
+        assert child == dense_kernel_hits()
 
 
 class TestTiesByIdRank:
@@ -421,6 +502,23 @@ class TestTiesByIdRank:
         for k in range(1, 60):
             assert_hits_are(index.search(query, k), naive_top_k(index, query, k), k)
         assert "_id_ranks" in vars(index)
+
+    def test_rank_memory_per_row(self):
+        """Building the rank peaks at under 17 bytes a row, the int64 sort
+        order beside either the object array of ids or the int32 ranks and
+        their values, and keeps the 4-byte ranks."""
+        ids = [f"d{i // 400:03d}:p{i // 40 % 10}.i{i // 8 % 5}.s{i % 8}" for i in range(20000)]
+        n = len(ids)
+        index = LevelIndex(Level.SENTENCE, ids, CsrBatch(
+            np.arange(n + 1), np.zeros(n, np.uint16), np.ones(n, np.float32), 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(index._id_ranks) == n
+            kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * n and kept <= 4.5 * n, (peak / n, kept / n)
 
 
 #: Stored values for the early-stop cases: few, so that lists hold exact
@@ -515,14 +613,17 @@ class TestEarlyStop:
         # A needle keyword alone: fewer than k rows hold it.
         rare = embedder.embed_batch([synth.needles[0].keywords[0]])[0]
         assert np.count_nonzero(index.vectors[:, rare != 0]) < 10
-        # A needle keyword and, with a weight of 1e-7, the commonest bucket:
-        # the k-th score lies far below the margin, so the cut is below 0.
-        faint = rare.copy()
-        faint[np.argmax(np.bincount(index._rows.csr.columns, minlength=384))] = 1e-7
-        cases = [("negative weight", index, signed), ("fewer than k rows", index, rare),
-                 ("cut <= 0", index, faint)]
-        # A level holding a value below 0.
+        cases = [("negative weight", index, signed), ("fewer than k rows", index, rare)]
         csr = index._rows.csr
+        # A level whose k-th sum is 0: of the commonest bucket's stored
+        # values, all but 5 are 0, and the query holds that bucket alone.
+        common = np.argmax(np.bincount(csr.columns, minlength=384))
+        values = csr.values.copy()
+        values[np.flatnonzero(csr.columns == common)[5:]] = 0.0
+        zeroed = LevelIndex(Level.SENTENCE, index.chunk_ids,
+                            CsrBatch(csr.indptr, csr.columns, values, csr.dimension))
+        cases.append(("k-th sum 0", zeroed, np.eye(384, dtype=np.float32)[common]))
+        # A level holding a value below 0.
         values = csr.values.copy()
         values[0] = -values[0]
         negative = LevelIndex(Level.SENTENCE, index.chunk_ids,
@@ -541,71 +642,57 @@ class TestEarlyStop:
         assert len(full_passes) == 1
 
 
-@pytest.fixture
-def rescored(monkeypatch):
-    """Count ``cosine_similarity`` calls in search; ``rescored(index)`` also
-    records which rows that index's searches densify from then on."""
-    calls = []
-    real = index_module.cosine_similarity
+def counting(calls: dict[str, int], owner, name: str):
+    """Patch ``owner.name`` to count its calls in ``calls[name]``."""
+    real = getattr(owner, name)
 
-    def counting(row, query):
-        calls.append(row)
-        return real(row, query)
+    def count(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(index_module, "cosine_similarity", counting)
-
-    def recorder(index: LevelIndex) -> tuple[list[int], list[np.ndarray]]:
-        """``(rows, calls)``: the rows densified and the rows scored from now on."""
-        rows = []
-        densify = index._rows.row
-
-        def row(i):
-            rows.append(int(i))
-            return densify(i)
-
-        monkeypatch.setattr(index._rows, "row", row)
-        calls.clear()
-        return rows, calls
-
-    return recorder
+    return mock.patch.object(owner, name, count)
 
 
-class TestRescoringCount:
-    """How many rows search rescores canonically: a CSR row only when its
-    postings sum added three or more stored entries, or when it is returned
-    with a sum of 0."""
+class TestNoRescoring:
+    """A CSR search returns its first-pass sums as the scores: it rescores
+    no row with the canonical routine, densifies none, and its full pass
+    runs one ``bincount``."""
 
-    def test_query_matching_fewer_than_k_rows_rescores_at_most_k(self, rescored):
+    def test_needle_fewer_than_k_and_zero_tie_queries(self, toy_context):
+        embedder = HashedBowEmbedder(dimension=384)
         rng = random.Random(31)
         words = "budget road school grain depot canal water permit".split()
         texts = [" ".join(rng.choice(words) for _ in range(6)) for _ in range(3000)]
         for i in (17, 1400, 2999):
             texts[i] += " zorblat"
-        embedder = HashedBowEmbedder(dimension=384)
-        index = LevelIndex(Level.SENTENCE, [f"s{i:04d}" for i in range(3000)],
-                           embed_batch(embedder, texts))
-        assert index.layout == "csr"
-        query = embedder.embed_batch(["zorblat"])[0]
-        assert np.count_nonzero(index.vectors[:, query != 0]) == 3
-        rows, calls = rescored(index)
-        hits = index.search(query, 10)
-        # Only the seven returned rows that score 0 are rescored, not all 3,000.
-        assert len(calls) == len(rows) == 7
-        assert_hits_are(hits, naive_top_k(index, query, 10))
-
-    def test_needle_query_rescores_rows_with_three_shared_entries(self, toy_context, rescored):
-        index = toy_context.index(Level.SENTENCE)
-        assert index.layout == "csr"
-        query = toy_context.embedder.embed_batch(["zorblat fenwick grant money"])[0]
-        shared = np.count_nonzero(index.vectors[:, query != 0], axis=1)
-        for k in (1, 3, 10):
-            rows, calls = rescored(index)
-            hits = index.search(query, k)
-            assert_hits_are(hits, naive_top_k(index, query, k))
-            returned_zeros = {index.chunk_ids.index(h.chunk_id) for h in hits if h.score == 0}
-            assert len(calls) == len(rows) == len(set(rows))
-            assert all(shared[i] >= 3 or i in returned_zeros for i in rows)
-            assert len(rows) < len(index)
+        zorblat = LevelIndex(Level.SENTENCE, [f"s{i:04d}" for i in range(3000)],
+                             embed_batch(embedder, texts))
+        rare = embedder.embed_batch(["zorblat"])[0]
+        assert np.count_nonzero(zorblat.vectors[:, rare != 0]) == 3
+        # Three rows above 0, and rows tied at 0: stored zeros of either
+        # sign in the query's buckets, no shared bucket, products that cancel.
+        zeros = csr_index_of(4, [{0: 0.5}] * 3 + [{0: -0.0}, {0: 0.0, 2: 0.5}, {2: 1.0},
+                                                  {0: 0.25, 1: -0.25}] * 4,
+                             [f"z{i:02d}" for i in range(19, 0, -1)])
+        needle = toy_context.index(Level.SENTENCE)
+        cases = [
+            ("needle", needle, toy_context.embedder.embed_batch(["zorblat fenwick grant money"])[0], 3),
+            ("fewer than k rows", zorblat, rare, 10),
+            ("zero tie", zeros, np.array([1.0, 1.0, 0.0, 0.0], dtype=np.float32), 10),
+        ]
+        for name, index, query, k in cases:
+            assert index.layout == "csr", name
+            expected = naive_top_k(index, ensure_unit(query), k)
+            index.search(query, k)  # builds the postings
+            calls = dict.fromkeys(["cosine_similarities", "__getitem__", "__array__", "bincount"], 0)
+            with counting(calls, index_module, "cosine_similarities"), \
+                    counting(calls, CsrBatch, "__getitem__"), \
+                    counting(calls, CsrBatch, "__array__"), counting(calls, np, "bincount"):
+                hits = index.search(query, k)
+            assert calls == {"cosine_similarities": 0, "__getitem__": 0, "__array__": 0,
+                             "bincount": 1}, name
+            assert_hits_are(hits, expected, name)
+        assert [h.score for h in hits].count(0.0) == 7
 
 
 class TestSearchValidation:
