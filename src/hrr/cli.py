@@ -16,6 +16,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import engine
 from .config import EngineConfig, load_config
@@ -33,7 +34,7 @@ from .errors import (
     UnreadableDocumentError,
 )
 from .evaluation import compare, format_table, load_query_set, summaries_to_json
-from .retrievers import RetrievalResult, Strategy, retrieve
+from .retrievers import RetrievalResult, Strategy, retrieve, strategy_named
 from .synth import CorpusSpec, generate
 
 EXIT_OK = 0
@@ -46,13 +47,21 @@ FORMAT_TABLE = "table"
 FORMAT_MACHINE = "machine"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, subparsers included, whose usage errors take one
+    stderr line and exit 2 (``SystemExit``), with no usage block."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--config", default=argparse.SUPPRESS, help="path to the JSON config file"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hrr",
         description="Hierarchical retrieval engine: ingest, query, evaluate.",
         parents=[common],
@@ -175,10 +184,10 @@ def _print_result(result: RetrievalResult, ctx, *, show_trace: bool) -> None:
 
 
 def cmd_eval(args: argparse.Namespace, config: EngineConfig) -> int:
-    try:
-        strategies = [Strategy(s.strip()) for s in args.strategies.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"unknown strategy in --strategies: {exc}") from None
+    strategies = [
+        strategy_named(s.strip(), "each of --strategies") for s in args.strategies.split(",")
+        if s.strip()
+    ]
     if not strategies:
         raise ConfigError("--strategies selected nothing")
     for i, strategy in enumerate(strategies):

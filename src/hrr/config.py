@@ -17,7 +17,7 @@ from .chunking import ChunkingConfig
 from .embedding import MAX_CSR_DIMENSION
 from .errors import ConfigError
 from .rerank import PROVIDER_REMOTE, RerankProviderConfig
-from .retrievers import RetrieverConfig, Strategy
+from .retrievers import RetrieverConfig, strategy_named
 
 PROVIDER_LOCAL_EMBED = "hashed-bow"
 
@@ -116,12 +116,7 @@ def _section_from_dict(section_type, data, path: str):
         if key not in hints:
             raise ConfigError(f"unknown config key '{path}.{key}'")
         if section_type is RetrieverConfig and key == "strategy":
-            try:
-                value = Strategy(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}.strategy must be one of {[s.value for s in Strategy]}"
-                ) from None
+            value = strategy_named(value, f"{path}.strategy")
         else:
             value = _typed_value(value, hints[key], f"{path}.{key}")
         kwargs[key] = value
@@ -161,7 +156,8 @@ def load_config(path: str | Path | None) -> EngineConfig:
         config.validate()
         return config
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte order mark, as document reading does.
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None

@@ -115,23 +115,6 @@ class CsrBatch:
             return "columns are not strictly ascending within a row"
         return None
 
-    def squared_norms(self) -> np.ndarray:
-        """Each row's float64 sum of the exact squares of its entries.
-
-        Taken ``_NORM_ROWS`` rows at a time, so the temporaries stay small
-        beside the batch. Needs arrays that ``problem`` accepts.
-        """
-        out = np.zeros(len(self))
-        for start in range(0, len(self), _NORM_ROWS):
-            ptr = self.indptr[start : start + _NORM_ROWS + 1]
-            # An empty row adds nothing, so each non-empty row's run of
-            # entries ends where the next non-empty row's begins.
-            nonempty = np.flatnonzero(ptr[1:] > ptr[:-1])
-            if nonempty.size:
-                squares = np.square(self.values[ptr[0] : ptr[-1]], dtype=np.float64)
-                out[start + nonempty] = np.add.reduceat(squares, ptr[nonempty] - ptr[0])
-        return out
-
     def entry_rows(self) -> np.ndarray:
         """The row of every stored entry."""
         indptr = self.indptr
@@ -165,12 +148,41 @@ class EmbeddingProvider(Protocol):
         ...
 
 
+def gamma(d: int, u: float = 2.0**-53) -> float:
+    """Higham's gamma_d, bounding a length-d sum's relative error at roundoff u."""
+    return d * u / (1.0 - d * u)
+
+
+def squared_norms(rows: np.ndarray | CsrBatch) -> np.ndarray:
+    """Each row's float64 sum of its entries' exact squares, within ``gamma_d``
+    of exact and with no BLAS call. CSR rows must pass ``CsrBatch.problem``."""
+    if not isinstance(rows, CsrBatch):
+        # einsum casts a buffer at a time, so no float64 copy of the block is made.
+        return np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+    out = np.zeros(len(rows))
+    for start in range(0, len(rows), _NORM_ROWS):
+        ptr = rows.indptr[start : start + _NORM_ROWS + 1]
+        # An empty row adds nothing, so each non-empty row's run of
+        # entries ends where the next non-empty row's begins.
+        nonempty = np.flatnonzero(ptr[1:] > ptr[:-1])
+        if nonempty.size:
+            squares = np.square(rows.values[ptr[0] : ptr[-1]], dtype=np.float64)
+            out[start + nonempty] = np.add.reduceat(squares, ptr[nonempty] - ptr[0])
+    return out
+
+
+def unit_slack(dimension: int) -> float:
+    """How far from 1 a stored row's ``squared_norms`` may lie: ``ensure_unit``
+    held its norm to the tolerance, and ``2 gamma_d`` covers order and rounding."""
+    return (1.0 + _NORM_TOLERANCE) ** 2 * (1.0 + 2.0 * gamma(dimension)) - 1.0
+
+
 def ensure_unit(vector, dimension: int | None = None) -> np.ndarray:
     """Validate a vector at the pipeline boundary and return it unit-norm.
 
-    Vectors already within 1e-6 of unit norm pass through bit-identically;
-    anything else is renormalized. Non-finite entries and zero vectors are
-    rejected.
+    Vectors whose norm, ``sqrt(cosine_similarity(v, v))``, lies within 1e-6
+    of 1 pass through bit-identically; others are divided by it in float64
+    and rounded to float32. Non-finite entries and zero vectors are rejected.
     """
     arr = np.asarray(vector, dtype=np.float32)
     if arr.ndim != 1:
@@ -179,7 +191,7 @@ def ensure_unit(vector, dimension: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"expected dimension {dimension}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("vector has non-finite entries")
-    norm = float(np.linalg.norm(arr.astype(np.float64)))
+    norm = math.sqrt(cosine_similarity(arr, arr))
     if norm == 0.0:
         raise InvalidInputError("zero vector cannot be normalized")
     if abs(norm - 1.0) > _NORM_TOLERANCE:
@@ -210,8 +222,8 @@ def cosine_similarities(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     products = np.multiply(rows, b, dtype=np.float64)
     if products.shape[-1] == 0:
         return np.zeros(products.shape[:-1])
-    # accumulate adds strictly left to right along the axis, where np.dot
-    # and np.sum may reassociate. It starts from the first product, not from
+    # accumulate adds strictly left to right along the axis, where a BLAS
+    # dot and np.sum may reassociate. It starts from the first product, not from
     # +0.0 plus it, which differs only when every product is -0.0; adding
     # +0.0 mends that.
     return np.add.accumulate(products, axis=-1)[..., -1] + 0.0
@@ -233,16 +245,15 @@ def encodes_as_utf8(text: str) -> bool:
 def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray | CsrBatch:
     """Embed texts through ``provider`` with boundary validation.
 
-    Order-preserving: one unit-norm float32 row per input, as the
-    provider's ``(n, dimension)`` block or ``CsrBatch``. Every row comes
-    out as ``ensure_unit`` would return it, by one check over all the rows'
-    norms: the rows plainly within tolerance of unit norm pass untouched,
-    and only the others -- off unit, near the tolerance, zero or not finite
-    -- go through ``ensure_unit`` itself. A writeable float32 block and a
-    ``CsrBatch`` are validated in place and returned without a copy.
-    Rejects an empty list, empty strings and strings that UTF-8 cannot
-    encode; whitespace-only text is allowed (providers map it to a
-    documented fallback vector).
+    Order-preserving: one unit-norm float32 row per input, as the provider's
+    ``(n, dimension)`` block or ``CsrBatch``. Every row comes out as
+    ``ensure_unit`` would return it: one check over all the rows'
+    ``squared_norms`` passes those plainly unit untouched, and only the rest
+    (``_rows_off_unit``) go through ``ensure_unit`` itself. A writeable
+    float32 block and a ``CsrBatch`` are validated in place and returned
+    without a copy. Rejects an empty list, empty strings and strings that
+    UTF-8 cannot encode; whitespace-only text is allowed (providers map it
+    to a documented fallback vector).
     """
     if len(texts) == 0:
         raise InvalidInputError("embed_batch requires at least one text")
@@ -260,7 +271,7 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
     if isinstance(vectors, CsrBatch):
         _check_csr(vectors, dimension)
         indptr, columns, values = vectors.indptr, vectors.columns, vectors.values
-        for i in _rows_off_unit(vectors.squared_norms(), dimension):
+        for i in _rows_off_unit(squared_norms(vectors), dimension):
             start, end = indptr[i], indptr[i + 1]
             values[start:end] = ensure_unit(vectors[i])[columns[start:end]]
         return vectors
@@ -274,8 +285,7 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
         raise InvalidInputError(f"expected an (n, d) block of vectors, got shape {block.shape}")
     if block.shape[1] != dimension:
         raise DimensionMismatchError(f"expected dimension {dimension}, got {block.shape[1]}")
-    # einsum casts a buffer at a time, so no float64 copy of the block is made.
-    for i in _rows_off_unit(np.einsum("ij,ij->i", block, block, dtype=np.float64), dimension):
+    for i in _rows_off_unit(squared_norms(block), dimension):
         block[i] = ensure_unit(block[i])
     return block
 
@@ -291,22 +301,21 @@ def _check_csr(batch: CsrBatch, dimension: int) -> None:
         raise InvalidInputError(f"malformed CSR rows: {problem}")
 
 
-def _rows_off_unit(squared_norms: np.ndarray, dimension: int) -> np.ndarray | tuple[()]:
+def _rows_off_unit(sums: np.ndarray, dimension: int) -> np.ndarray | tuple[()]:
     """The rows ``ensure_unit`` might not pass through unchanged.
 
-    ``squared_norms`` are float64 sums of the exact squares of float32 rows,
-    in any order. Each differs from the sum ``ensure_unit`` takes by at most
-    ``2 * gamma_d(f64)`` of its value (Higham, 3.1), so a row whose norm lies
-    within the tolerance by ``d * 2**-50`` or more, a margin that also
-    covers the rounding of the square root, is one that ``ensure_unit``
-    passes through bit-identically. With ``t`` the tolerance less that
-    margin, ``|s - 1| <= 2t - t**2`` puts ``sqrt(s)`` within ``t`` of 1; near
-    1, ``s - 1`` is exact. Every other row -- off unit, near the tolerance,
-    zero or not finite -- is returned, to be handed to ``ensure_unit``.
+    ``sums`` are the rows' ``squared_norms``, each within ``2 * gamma_d`` of
+    the column-order sum ``ensure_unit`` takes, so ``ensure_unit`` passes a
+    row through bit-identically if its norm lies within the tolerance by
+    ``d * 2**-50`` or more, a margin that also covers the square root's
+    rounding. With ``t`` the tolerance less that margin, ``|s - 1| <= 2t -
+    t**2`` puts ``sqrt(s)`` within ``t`` of 1; near 1, ``s - 1`` is exact.
+    Every other row (off unit, near the tolerance, zero or not finite) is
+    returned, to be handed to ``ensure_unit``.
     """
     t = _NORM_TOLERANCE - dimension * 2.0**-50
     bound = 2.0 * t - t * t
-    off = np.abs(squared_norms - 1.0)
+    off = np.abs(sums - 1.0)
     if off.max() <= bound:
         return ()
     return np.flatnonzero(~(off <= bound))
@@ -398,8 +407,8 @@ class HashedBowEmbedder:
         """The ``(1, d)`` block of one text."""
         buckets = self._buckets_of(text)
         counts = np.bincount(buckets or [0], minlength=self._dimension)
-        # An integer dot product, exact, as is its conversion to float.
-        norm = math.sqrt(counts @ counts)
+        # An integer sum of squares, exact, as is its conversion to float.
+        norm = math.sqrt(np.square(counts).sum())
         return (counts / norm).astype(np.float32).reshape(1, -1)
 
     def _bucket_cells(self, block: Sequence[str]) -> np.ndarray:

@@ -10,6 +10,7 @@ fraction; MRR averages 1/rank with misses contributing zero, so
 
 from __future__ import annotations
 
+import codecs
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level
 from .embedding import encodes_as_utf8
 from .errors import EmptyQuerySetError, GoldNotInCorpusError, SnapshotFormatError
-from .retrievers import RetrievalContext, RetrievalResult, Strategy, retrieve
+from .retrievers import RetrievalContext, RetrievalResult, Strategy, check_levels, retrieve
 
 #: Row labels for the comparison table, matching the published layout.
 STRATEGY_LABELS = {
@@ -87,9 +88,14 @@ def compare(
     queries: Sequence[LabeledQuery],
     strategies: Sequence[Strategy],
 ) -> list[EvalSummary]:
-    """Evaluate each strategy over the same query set and providers."""
+    """Evaluate each strategy over the same query set and providers.
+
+    Every strategy's levels are checked (``check_levels``) before the first
+    query runs.
+    """
     if len(queries) == 0:
         raise EmptyQuerySetError("query set is empty")
+    check_levels(ctx.corpus, strategies)
     for gold in queries:
         _check_gold(gold, ctx.corpus)
     summaries = []
@@ -139,8 +145,10 @@ def load_query_set(path: str | Path, corpus: Corpus | None = None) -> list[Label
     queries: list[LabeledQuery] = []
     problems: list[str] = []
     # Split as text files split lines (at "\n", "\r" and "\r\n"), and
-    # decoded line by line, so bytes that are not UTF-8 name their line.
-    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+    # decoded line by line, so bytes that are not UTF-8 name their line. A
+    # leading UTF-8 byte order mark is dropped, as document reading drops it.
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    for line_no, line in enumerate(data.splitlines(), start=1):
         try:
             line = line.decode("utf-8").strip()
             if not line:

@@ -26,7 +26,9 @@ A dense index is searched in two passes, the structure of an exact flat
 index (Johnson, Douze, Jegou, arXiv 1702.08734): one float32 BLAS
 matrix-vector product gives every row an approximate score, and only the
 rows within a proven rounding-error margin of the k-th best are rescored
-with the canonical routine. ``LevelIndex.search`` holds the proof.
+with the canonical routine. ``_DenseRows.candidates`` holds the proof. That
+product is the only BLAS call on any vector path: every norm is a float64
+sum of exact squares (``embedding.squared_norms``).
 
 On a CSR level of at least ``_EARLY_STOP_ROWS`` rows, each bucket's
 postings are ordered by value descending (impact order, Anh and Moffat,
@@ -53,12 +55,15 @@ import numpy as np
 
 from .corpus import Corpus, Level, json_int, read_snapshot, write_snapshot
 from .embedding import (
-    _NORM_TOLERANCE,
     CsrBatch,
     EmbeddingProvider,
     cosine_similarities,
+    cosine_similarity,
     embed_batch,
     ensure_unit,
+    gamma,
+    squared_norms,
+    unit_slack,
 )
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
@@ -69,10 +74,9 @@ _RETIRED_MAGICS = {b"HRRIDX1\n": "v1", b"HRRIDX2\n": "v2"}
 LAYOUT_DENSE = "dense"
 LAYOUT_CSR = "csr"
 
-#: Unit roundoffs of float32 and float64, the float32 underflow unit (its
-#: smallest subnormal) and the largest finite float32.
+#: The unit roundoff of float32, its underflow unit (its smallest
+#: subnormal) and the largest finite float32.
 _U32 = 2.0**-24
-_U64 = 2.0**-53
 _ETA32 = float(np.finfo(np.float32).smallest_subnormal)
 _F32_MAX = float(np.finfo(np.float32).max)
 
@@ -90,11 +94,6 @@ _DEPTH_GROWTH = 4
 #: Dense candidates rescored at a time, which bounds the float64 products
 #: held at once.
 _RESCORE_ROWS = 1024
-
-
-def _gamma(d: int, u: float) -> float:
-    """Higham's gamma_d: bounds the relative error of a length-d dot product."""
-    return d * u / (1.0 - d * u)
 
 
 def _kth_largest(values: np.ndarray, k: int) -> float:
@@ -124,7 +123,50 @@ class _DenseRows:
         self.nnz = int(np.count_nonzero(matrix))
 
     def squared_norms(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.matrix, self.matrix)
+        # LevelIndex takes the norms once, before any search, so the bound
+        # that search puts on the row norms is kept from them here.
+        norms = squared_norms(self.matrix)
+        self._max_norm = math.sqrt(float(norms.max()))
+        return norms
+
+    def candidates(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ascending, including all that score at least the k-th best
+        score, and their canonical scores: every row if ``k`` reaches the row
+        count, else each row whose float32 first-pass score ``a_i = (V @ q)_i``
+        reaches ``t - 2E``, with ``t`` the k-th largest ``a_i`` and
+
+            E = (gamma_d(f32) + 2 gamma_d(f64)) * max_i |x_i| * |q| + d * eta
+
+        The canonical score's float64 products of float32 inputs are exact,
+        so ``|c_i - x_i.q| <= gamma_d(f64) * sum|x_ij q_j|``; the float32
+        pass errs by at most ``gamma_d(f32) * sum|x_ij q_j|`` plus ``eta / 2``
+        of underflow per term, in any summation order (Higham, Accuracy and
+        Stability of Numerical Algorithms, 3.1). As ``sum|x_ij q_j| <=
+        |x_i| |q|``, ``|a_i - c_i| <= E`` for every row. At least k rows have
+        ``a_i >= t``, hence ``c_i >= t - E``, so ``c_(k) >= t - E``. Every
+        row with ``c_i >= c_(k)`` has ``a_i >= c_i - E >= t - 2E`` and is a
+        candidate; every other row has ``c_i <= a_i + E < t - E <= c_(k)``
+        and could not be selected. Finite rows keep every term finite. E,
+        taken from the rounded roots of ``squared_norms`` (sums low by at most
+        ``gamma_(d-1)(f64)``) with six float64 roundings more, is low by a
+        relative ``(d + 7) u64`` at most, which the second ``gamma_d(f64)``
+        covers for every d up to ``2**22``, where ``gamma_d(f32) + 2
+        gamma_d(f64) <= d / (d + 7)``. The cut is rounded down.
+        """
+        matrix = self.matrix
+        candidates = np.arange(self.count)
+        if k < self.count:
+            d = self.dimension
+            q_norm = math.sqrt(cosine_similarity(query, query))
+            bound = (gamma(d, _U32) + 2.0 * gamma(d)) * self._max_norm * q_norm + d * _ETA32
+            approx = matrix @ query
+            cut = np.nextafter(_kth_largest(approx, k) - 2.0 * bound, -math.inf)
+            candidates = np.flatnonzero(approx >= cut)
+        scores = np.concatenate([
+            cosine_similarities(matrix[candidates[s : s + _RESCORE_ROWS]], query)
+            for s in range(0, len(candidates), _RESCORE_ROWS)
+        ])
+        return candidates, scores
 
     def dense(self) -> np.ndarray:
         return self.matrix
@@ -201,14 +243,12 @@ class _CsrRows:
         return starts, rows, values, by_value
 
     def squared_norms(self) -> np.ndarray:
-        return self.csr.squared_norms()
+        return squared_norms(self.csr)
 
     def candidates(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows scoring at least the k-th best score, and their scores.
-
-        Every row when ``k`` reaches the row count, scored from the CSR rows
-        with no postings built; else the early stop's rows, or the full
-        pass's.
+        """The rows scoring at least the k-th best score, and their scores:
+        every row, scored from the CSR rows with no postings built, when ``k``
+        reaches the row count; else the early stop's rows, or the full pass's.
         """
         if k >= self.count:
             every = np.arange(self.count)
@@ -253,7 +293,7 @@ class _CsrRows:
         lists = [(starts[j], starts[j + 1]) for j in buckets]
         query64 = query.astype(np.float64)
         # Both the frontier and a row's sum add at most |J| terms.
-        inflation = 1.0 + 2.0 * _gamma(len(lists), _U64)
+        inflation = 1.0 + 2.0 * gamma(len(lists))
         depth = _FIRST_DEPTH
         while True:
             read = [min(s + depth, e) for s, e in lists]
@@ -336,13 +376,6 @@ class LevelIndex:
                 f"{bad.size} index rows are not finite or overflow float32, first "
                 f"{chunk_ids[bad[0]]!r}"
             )
-        dim = rows.dimension
-        # The dense search's bound on the row norms. The float32 sum of
-        # squares is low by at most a factor (1 - gamma_d) plus d * eta / 2 of
-        # underflow; (1 + 2 gamma_d) and d * eta cover both.
-        self._max_norm = math.sqrt(
-            float(squared_norms.max()) * (1.0 + 2.0 * _gamma(dim, _U32)) + dim * _ETA32
-        )
         worst = int(np.argmax(np.abs(squared_norms - 1.0)))
         #: The row whose squared norm lies furthest from 1, and that norm;
         #: ``load_index`` refuses a snapshot whose rows are not unit.
@@ -389,13 +422,11 @@ class LevelIndex:
         score -- and gives each its ``c_i``; selecting among them under the
         same order returns the full scan's hits exactly.
 
-        A CSR level finds them with no rescoring. Its first pass gives each
-        row the float64 sum of ``x_ij q_j`` over the query's non-zero
-        buckets, added in column order from 0.0: the canonical routine's
-        additions in its order, less the zero products, each of which leaves
-        a partial sum that is never -0.0 as it is. So each sum is the row's
-        ``c_i`` bit for bit, the k-th largest sum is ``c_(k)``, and the rows
-        whose sum reaches it are the candidates.
+        A CSR level rescores nothing. Its first pass (``approx_scores``) adds
+        the canonical routine's products in its order, less the zero ones,
+        each of which leaves a partial sum that is never -0.0 as it is. So
+        each sum is the row's ``c_i`` bit for bit, and the rows whose sum
+        reaches the k-th largest are the candidates.
 
         The early stop (``_CsrRows.early_candidates``) finds a CSR level's
         candidates and scores while reading only the top of each query
@@ -428,48 +459,11 @@ class LevelIndex:
         with fewer than k rows seen; and once ``t_seen <= 0``, since the
         rows that no list holds score 0 and would be candidates too.
 
-        A dense level's first pass takes ``a_i = (V @ q)_i`` in float32 and
-        the k-th largest of them, ``t``. Only the rows with ``a_i >= t - 2E``
-        stay candidates, rescored with ``cosine_similarity``, where
-
-            E = (gamma_d(f32) + gamma_d(f64)) * max_i |x_i| * |q| + d * eta
-
-        Why no row of the true top k is missed: the canonical score's
-        float64 products of float32 inputs are exact, so
-        ``|c_i - x_i.q| <= gamma_d(f64) * sum|x_ij q_j|``. The float32
-        product errs by at most ``gamma_d(f32) * sum|x_ij q_j|`` plus
-        ``eta / 2`` of underflow per term, in any summation order (Higham,
-        Accuracy and Stability of Numerical Algorithms, 3.1). As
-        ``sum|x_ij q_j| <= |x_i| |q|``, ``|a_i - c_i| <= E`` for every row.
-        At least k rows have ``a_i >= t``, hence ``c_i >= t - E``, so
-        ``c_(k) >= t - E``. Every row with ``c_i >= c_(k)`` has
-        ``a_i >= c_i - E >= t - 2E`` and is a candidate; every other row
-        has ``c_i <= a_i + E < t - E <= c_(k)`` and could not be selected.
-        Finite rows keep every term finite. E is evaluated in float64: the
-        norm inflation in ``__init__`` leaves it a relative slack of about
-        gamma_d(f32) / 2, far above those few roundings, and the cut is
-        rounded down.
+        A dense level's margin is proven at ``_DenseRows.candidates``.
         """
         if k < 1:
             raise InvalidInputError("k must be >= 1")
-        query = ensure_unit(query, self.dimension)
-        rows = self._rows
-        if rows.layout == LAYOUT_CSR:
-            candidates, scores = rows.candidates(query, k)
-        else:
-            matrix = rows.matrix
-            candidates = np.arange(len(self))
-            if k < len(self):
-                d = self.dimension
-                q_norm = float(np.linalg.norm(query.astype(np.float64)))
-                bound = (_gamma(d, _U32) + _gamma(d, _U64)) * self._max_norm * q_norm + d * _ETA32
-                approx = matrix @ query
-                cut = np.nextafter(_kth_largest(approx, k) - 2.0 * bound, -math.inf)
-                candidates = np.flatnonzero(approx >= cut)
-            scores = np.concatenate([
-                cosine_similarities(matrix[candidates[s : s + _RESCORE_ROWS]], query)
-                for s in range(0, len(candidates), _RESCORE_ROWS)
-            ])
+        candidates, scores = self._rows.candidates(ensure_unit(query, self.dimension), k)
         return [ScoredCandidate(self.chunk_ids[candidates[p]], float(scores[p]))
                 for p in self._best(candidates, scores, k)]
 
@@ -547,8 +541,8 @@ def load_index(
     do not fit the file (all refused by ``corpus.read_snapshot``), another
     embedder or dimension, or other ids raise ``SnapshotFormatError`` naming
     the file, before the body is read; so do CSR arrays that do not form a
-    valid matrix, non-finite values, and rows that are not unit:
-    ``embed_batch`` stores only rows within its tolerance of unit norm.
+    valid matrix, non-finite values, and rows further from unit than any
+    ``embed_batch`` returns (``embedding.unit_slack``).
     """
     with closing(read_snapshot(path, _MAGIC, _parse_header, _RETIRED_MAGICS)) as blocks:
         level, stored_dimension, count, built_by, ids_sha256, layout, nnz = next(blocks)
@@ -579,14 +573,8 @@ def load_index(
         raise SnapshotFormatError(
             f"{path}: the header counts {nnz} non-zeros, the rows hold {index.nnz}"
         )
-    # The stored rows' squared norms lie within (1 +- tolerance)**2 of 1; a
-    # float32 sum of squares errs by at most gamma_d(f32) plus d * eta of
-    # underflow (a CSR one, of exact float64 squares, far less), and the
-    # doubled gamma also covers the float64 norm the tolerance was checked on.
-    d = index.dimension
-    slack = (1.0 + _NORM_TOLERANCE) ** 2 * (1.0 + 2.0 * _gamma(d, _U32)) - 1.0 + d * _ETA32
     chunk_id, squared_norm = index._least_unit_row
-    if not abs(squared_norm - 1.0) <= slack:
+    if not abs(squared_norm - 1.0) <= unit_slack(index.dimension):
         raise SnapshotFormatError(
             f"{path}: row {chunk_id!r} is not unit (squared norm {squared_norm!r})"
         )

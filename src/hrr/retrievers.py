@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .corpus import Corpus, Level, resolve_parent
 from .embedding import EmbeddingProvider, embed_batch
@@ -45,6 +45,16 @@ class Strategy(str, Enum):
     BASE = "base"
     C2P = "c2p"
     S2P = "s2p"
+
+
+def strategy_named(name: str, where: str) -> Strategy:
+    """The strategy called ``name``, or a ``ConfigError`` that says what
+    ``where`` (a config key or an option) may name instead."""
+    try:
+        return Strategy(name)
+    except ValueError:
+        known = [s.value for s in Strategy]
+        raise ConfigError(f"{where} must be one of {known}, got {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,7 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
     if len(ctx.corpus) == 0:
         raise EmptyCorpusError("corpus has no chunks")
     strategy = ctx.config.strategy
+    check_levels(ctx.corpus, [strategy])
     search_levels, rerank_level = _PLANS[strategy]
     query_vec = embed_batch(ctx.embedder, [query])[0]
 
@@ -183,6 +194,20 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
         StageTrace("parents", tuple(parents)),
     ]
     return RetrievalResult(query, strategy, tuple(parents), tuple(trace))
+
+
+def check_levels(corpus: Corpus, strategies: Iterable[Strategy]) -> None:
+    """Raise ``MissingIndexError`` if a strategy searches a level ``corpus``
+    lacks, so that a run stops before its first query. Only the side tier
+    can be missing: a corpus holds it when ingested with a side-tier size."""
+    levels = corpus.levels
+    for strategy in strategies:
+        for level in _PLANS[strategy][0]:
+            if level not in levels:
+                raise MissingIndexError(
+                    f"strategy {strategy.value!r} searches the {level.value} level, which this "
+                    f"corpus lacks; ingest with chunking.sub_intermediate_size set to build it"
+                )
 
 
 def _best_scores(candidates: list[ScoredCandidate]) -> dict[str, float]:

@@ -1,5 +1,6 @@
 """Config loading rules and the CLI workflow end to end."""
 
+import codecs
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from hrr.chunking import build_corpus
 from hrr.corpus import ChunkNode, Level, load_corpus, save_corpus
 from hrr.engine import load_context
 from hrr.errors import ConfigError
+from hrr import evaluation
 from hrr.evaluation import load_query_set
 
 from test_corpus import TILING_CORRUPTIONS, _read_nodes, _write_nodes, write_v2_corpus
@@ -354,6 +356,62 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as exc:
             main(["query", "x", "--strategy", "bm25", "--config", "engine.json"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "x", "--strategy", "bm25"],
+        ["query", "x", "--k", "abc"],
+        ["query", "x", "--format", "xml"],
+        ["query"],
+        ["frobnicate"],
+    ], ids=["strategy", "k", "format", "no-query", "subcommand"])
+    def test_usage_error_exits_2_in_one_line(self, workdir, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", "engine.json"])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ": error: " in err, err
+
+    def test_unknown_eval_strategy_names_the_known_ones(self, workdir, capsys):
+        code = main(["eval", "--strategies", "hrr,foo", "--config", "engine.json"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: each of --strategies must be one of "
+                       "['hrr', 'base', 'c2p', 's2p'], got 'foo'\n")
+
+    def test_corpus_without_side_tier_fails_before_the_first_query(
+        self, workdir, capsys, monkeypatch
+    ):
+        config = json.loads(Path("engine.json").read_text())
+        config["chunking"]["sub_intermediate_size"] = None
+        Path("no_side_tier.json").write_text(json.dumps(config))
+        assert main(["ingest", "synth/docs", "--config", "no_side_tier.json"]) == EXIT_OK
+        calls = []
+        real = evaluation.retrieve
+        monkeypatch.setattr(evaluation, "retrieve", lambda *a: calls.append(a) or real(*a))
+        capsys.readouterr()
+        code = main(["eval", "--query-set", "synth/queries.jsonl", "--config", "no_side_tier.json"])
+        assert code == EXIT_IO and calls == []
+        err = capsys.readouterr().err
+        assert err == ("error: strategy 'c2p' searches the sub_intermediate level, which this "
+                       "corpus lacks; ingest with chunking.sub_intermediate_size set to build it\n")
+        code = main(["query", "x", "--strategy", "c2p", "--config", "no_side_tier.json"])
+        assert code == EXIT_IO and capsys.readouterr().err == err
+
+    def test_byte_order_mark_starting_a_config_is_dropped(self, workdir):
+        Path("bom.json").write_bytes(codecs.BOM_UTF8 + Path("engine.json").read_bytes())
+        assert main(["ingest", "synth/docs", "--config", "bom.json"]) == EXIT_OK
+
+    def test_byte_order_mark_starting_a_query_set_is_dropped(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        lines = (workdir / "synth" / "queries.jsonl").read_bytes().splitlines(keepends=True)
+        Path("bom.jsonl").write_bytes(codecs.BOM_UTF8 + b"".join(lines))
+        capsys.readouterr()
+        assert main(["eval", "--query-set", "bom.jsonl", "--config", "engine.json"]) == EXIT_OK
+        # Line numbers still count from the file's first line.
+        Path("bom.jsonl").write_bytes(codecs.BOM_UTF8 + lines[0] + b"{\n")
+        capsys.readouterr()
+        assert main(["eval", "--query-set", "bom.jsonl", "--config", "engine.json"]) == EXIT_IO
+        assert "bom.jsonl line 2: malformed record" in capsys.readouterr().err
 
     def test_repeated_eval_strategy_is_config_error(self, workdir, capsys):
         # Checked before loading, so no ingest is needed to reach it.

@@ -1,6 +1,11 @@
 """Hashed bag-of-words embedder and vector boundary checks."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,7 +302,34 @@ class TestCosine:
             cosine_similarity(np.ones(3, dtype=np.float32), np.ones(4, dtype=np.float32))
 
 
+def ensure_unit_bits() -> list[str]:
+    """``ensure_unit``'s output bytes, as hex, for Gaussian vectors (d = 384)
+    scaled off unit by amounts from far outside to just inside its 1e-6
+    tolerance, made with no BLAS call."""
+    raw = np.random.default_rng(24).standard_normal((16, 384))
+    unit = raw / np.sqrt(np.einsum("ij,ij->i", raw, raw))[:, None]
+    offsets = [0.0, 5e-7, -5e-7, 9.99e-7, -9.99e-7, 1e-6, -1e-6, 1.001e-6, -1.001e-6,
+               2e-6, -2e-6, 1e-5, 1e-3, -1e-3, 0.5, 2.0]
+    rows = (unit * (1.0 + np.array(offsets))[:, None]).astype(np.float32)
+    return [ensure_unit(row).tobytes().hex() for row in rows]
+
+
 class TestEnsureUnit:
+    def test_same_bits_under_another_blas_kernel(self):
+        """``ensure_unit`` returns the same bits in a child process under
+        OpenBLAS's Prescott kernel, whose BLAS routines sum in another order
+        than the host's default: it takes its norm with no BLAS call."""
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_embedding; print(json.dumps(test_embedding.ensure_unit_bits()))"],
+            cwd=tests, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert json.loads(proc.stdout) == ensure_unit_bits()
+
     def test_passes_unit_vectors_through_bitwise(self):
         v = embed_batch(HashedBowEmbedder(dimension=16), ["hello there"])[0]
         assert ensure_unit(v) is not None

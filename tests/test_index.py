@@ -1072,6 +1072,21 @@ class TestUnitRowsAtLoad:
             load_index(path, index.chunk_ids, EMBEDDER, 64)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("off", [-1e-5, 1e-5])
+    def test_row_off_unit_by_1e_5_is_refused(self, tmp_path, layout, off):
+        """A row whose squared norm is off unit by 1e-5 is refused: the slack
+        ``embed_batch``'s tolerance implies is about 2.0e-6 at 384 buckets."""
+        rows = ROWS[layout](random.Random(7), 20, 384)
+        rows[3] = (rows[3].astype(np.float64) * np.sqrt(1.0 + off)).astype(np.float32)
+        squared = np.einsum("i,i", rows[3], rows[3], dtype=np.float64)
+        assert abs(squared - 1.0 - off) < 1e-6
+        index = LevelIndex(Level.SENTENCE, [f"c{i}" for i in range(20)], in_layout(rows, layout))
+        save_index(index, tmp_path / "s.idx", EMBEDDER)
+        with pytest.raises(SnapshotFormatError, match=r"s\.idx: row 'c3' is not unit \(") as exc:
+            load_index(tmp_path / "s.idx", index.chunk_ids, EMBEDDER, 384)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
     @pytest.mark.parametrize("off", [-0.9e-6, 0.9e-6])
     def test_rows_at_the_tolerance_load(self, tmp_path, layout, off):
         """Rows that ``embed_batch`` passes untouched, off unit by just under
