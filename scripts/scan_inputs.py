@@ -86,7 +86,7 @@ def best(run) -> float:
 def stats(docs: Path) -> None:
     documents = read_documents(docs)
     corpus = build_corpus(documents)
-    levels = [[corpus.chunk_text(i) for i in corpus.ids_at(level)] for level in corpus.levels]
+    levels = [corpus.texts_at(level) for level in corpus.levels]
     texts = [text for level in levels for text in level]
     tokenizer, embedder = WordPunctTokenizer(), HashedBowEmbedder()
     for name, memo, use, prepare in (

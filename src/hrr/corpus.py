@@ -18,10 +18,10 @@ layout, so loading a corpus builds no per-node object.
 
 Chunk text is never stored on the nodes; every node carries a (start, end)
 byte span into its source document's UTF-8 encoding, and the corpus decodes
-on demand. With zero overlap the spans at each level partition the level
-above, so documents reassemble byte-for-byte from their parent chunks; like
-the rest of the table's structure, this is checked whenever a corpus is
-built or loaded.
+on demand, keeping the texts it handed out most recently. With zero
+overlap the spans at each level partition the level above, so documents
+reassemble byte-for-byte from their parent chunks; like the rest of the
+table's structure, this is checked whenever a corpus is built or loaded.
 
 A corpus is saved as one file, ``nodes.bin``: the node table's columns, the
 chunk ids, then the documents' UTF-8 bytes, so one rename replaces texts and
@@ -38,6 +38,7 @@ from collections import Counter
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -50,6 +51,7 @@ from .errors import (
     SnapshotFormatError,
     UnknownChunkError,
 )
+from .rerank import TOKEN_SET_CACHE_SIZE
 from .tokens import get_tokenizer
 
 if TYPE_CHECKING:
@@ -303,9 +305,39 @@ class Corpus:
         return None
 
     def chunk_text(self, chunk_id: str) -> str:
-        row = self._row(chunk_id)
-        view = self._view
-        return self._doc_bytes[view.doc[row]][view.start[row] : view.end[row]].decode("utf-8")
+        """The text of ``chunk_id``: one shared ``str`` per chunk while the
+        chunk is among the ``TOKEN_SET_CACHE_SIZE`` most recently read.
+
+        For per-query lookups, such as the rerank pool's texts. Handing the
+        lexical reranker the same object again lets its token-set cache find
+        a text by its cached hash and identity, not by decoding, hashing and
+        comparing it anew. Whole levels are read through ``texts_at``.
+        """
+        return self._texts(self._row(chunk_id))
+
+    def texts_at(self, level: Level) -> list[str]:
+        """The texts of ``ids_at(level)``, in that order, each decoded anew.
+
+        For reading a whole level once, as ``build_index`` does: it leaves
+        the ``chunk_text`` memo unbuilt, so no level's texts outlive the call.
+        """
+        # The rows are read one at a time, so no list of them is built.
+        return list(map(partial(_decode, self._doc_bytes, self._view),
+                        memoryview(self._rows_at(level))))
+
+    @cached_property
+    def _texts(self) -> Callable[[int], str]:
+        """Each row's text, memoized; built on the first ``chunk_text`` call.
+        The memo holds the documents and columns, not the corpus, so it
+        makes no reference cycle that would keep a dropped corpus alive."""
+        return lru_cache(maxsize=TOKEN_SET_CACHE_SIZE)(
+            partial(_decode, self._doc_bytes, self._view)
+        )
+
+
+def _decode(doc_bytes: list[bytes], view: _Columns, row: int) -> str:
+    """The text of node ``row``, decoded from its document's UTF-8 bytes."""
+    return doc_bytes[view.doc[row]][view.start[row] : view.end[row]].decode("utf-8")
 
 
 class _ChunkMap(Mapping):

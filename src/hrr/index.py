@@ -464,14 +464,12 @@ class LevelIndex:
         if k < 1:
             raise InvalidInputError("k must be >= 1")
         candidates, scores = self._rows.candidates(ensure_unit(query, self.dimension), k)
-        return [ScoredCandidate(self.chunk_ids[candidates[p]], float(scores[p]))
-                for p in self._best(candidates, scores, k)]
+        return [ScoredCandidate(chunk_id, float(score))
+                for score, chunk_id in self._best(candidates, scores, k)]
 
-    def _best(self, rows: np.ndarray, scores: np.ndarray, k: int) -> list[int]:
-        """The positions of the top k ``scores``, best first, under (score
-        descending, chunk id of ``rows`` ascending)."""
-        ids = self.chunk_ids
-        keep = range(len(scores))
+    def _best(self, rows: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[float, str]]:
+        """The top k of ``scores`` as (score, chunk id of its row) pairs,
+        best first, under (score descending, chunk id ascending)."""
         if len(scores) > k:
             kth = _kth_largest(scores, k)
             above = np.flatnonzero(scores > kth)
@@ -481,8 +479,12 @@ class LevelIndex:
                 # The tied rows with the lowest chunk ids, by their ranks.
                 ranks = self._id_ranks[rows[tied]]
                 tied = tied[np.argpartition(ranks, need - 1)[:need]]
-            keep = above.tolist() + tied.tolist()
-        return sorted(keep, key=lambda p: (-scores[p], ids[rows[p]]))
+            keep = np.concatenate((above, tied))
+            rows, scores = rows[keep], scores[keep]
+        # Sorted as Python values, each read out of numpy once.
+        best = list(zip(scores.tolist(), map(self.chunk_ids.__getitem__, rows.tolist())))
+        best.sort(key=lambda hit: (-hit[0], hit[1]))
+        return best
 
     @functools.cached_property
     def _id_ranks(self) -> np.ndarray:
@@ -508,7 +510,7 @@ def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> Le
     if not ids:
         raise InvalidCorpusError(f"corpus has no chunks at level {level.value!r}")
     # The texts are freed once embedded, so the index is built beside none.
-    return LevelIndex(level, ids, embed_batch(provider, [corpus.chunk_text(i) for i in ids]))
+    return LevelIndex(level, ids, embed_batch(provider, corpus.texts_at(level)))
 
 
 def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:

@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 from ._http import auth_headers, check_http_settings, new_session, post_json
 from .errors import ConfigError, InvalidInputError, InvalidRequestError, ProviderUnavailableError
@@ -28,9 +28,12 @@ FALLBACK_PASSTHROUGH = "passthrough"
 PROVIDER_LOCAL_RERANK = "lexical-overlap"
 PROVIDER_REMOTE = "remote"
 
-#: Distinct candidate texts whose token sets one lexical reranker keeps. A
-#: four-strategy eval pass over the 20-doc synth corpus touches 243 texts and
-#: 100 warm 200-doc queries about 460, so this leaves room for a 200-doc eval.
+#: Distinct candidate texts whose token sets one lexical reranker keeps, and
+#: the chunk texts a corpus keeps for ``Corpus.chunk_text``. A four-strategy
+#: eval pass over the 20-doc synth corpus (seed 42) touches 263 chunks (243
+#: distinct texts); one over the 200-doc corpus (seed 7) touches 913 chunks
+#: (841 texts, 5.5 MB), and its 30 ``hrr`` queries 458; so both caches hold
+#: a whole 200-doc eval.
 TOKEN_SET_CACHE_SIZE = 2048
 
 
@@ -58,12 +61,15 @@ class RerankProviderConfig:
             raise ConfigError(f"rerank.mix_lambda must be finite, got {self.mix_lambda}")
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     """A chunk reference with a similarity or rerank score.
 
     ``score`` is None only in rerank passthrough fallback, where candidates
     keep their retrieval order and scores are unset.
+
+    A named tuple, since a query builds a few hundred and a tuple is built
+    faster than a frozen dataclass; like any tuple, it compares equal to a
+    plain tuple of the same values, ``("p0", 1.0) == ScoredCandidate("p0", 1.0)``.
     """
 
     chunk_id: str

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hrr.corpus as corpus_module
 from hrr.chunking import ChunkingConfig, build_corpus
+from hrr.config import EngineConfig, PathsConfig
 from hrr.corpus import (
     HIERARCHY_LEVELS,
     ChunkNode,
@@ -26,12 +27,16 @@ from hrr.corpus import (
     validate_corpus,
     write_snapshot,
 )
+from hrr.embedding import HashedBowEmbedder
+from hrr.engine import context_for, ingest, load_context
 from hrr.errors import (
     InvalidCorpusError,
     LevelViolationError,
     SnapshotFormatError,
     UnknownChunkError,
 )
+from hrr.index import build_index
+from hrr.rerank import TOKEN_SET_CACHE_SIZE, LexicalOverlapReranker
 from hrr.synth import CorpusSpec, generate
 
 import reference_text
@@ -870,3 +875,84 @@ class TestDepthFirstFilesLoad:
         for doc_id, data in built.documents.items():
             for byte in range(-1, len(data) + 2, 5):
                 assert loaded.parent_at(doc_id, byte) == built.parent_at(doc_id, byte)
+
+
+#: Two-, three- and four-byte UTF-8 characters, the last outside the BMP.
+MULTIBYTE_DOCS = {
+    "m": "Überall läuft code. Ça va très bien. 東京は大きい。 Notes: 𝄞 clef, 😀 face.",
+    "n": "Astral 𐍈 letters 𐍈𐍉 here. Plain words follow on. Ünïcode wörds end it.",
+}
+
+
+class TestChunkTexts:
+    """``chunk_text`` hands out one shared ``str`` per chunk from a memo
+    bounded like the lexical reranker's token-set cache; ``texts_at`` reads
+    a whole level past it."""
+
+    @pytest.fixture
+    def texts_built(self, monkeypatch):
+        """The corpora whose ``chunk_text`` memo gets built."""
+        built = []
+        memo = corpus_module.Corpus.__dict__["_texts"]
+
+        def spy(corpus):
+            built.append(corpus)
+            return memo.__get__(corpus, type(corpus))
+
+        monkeypatch.setattr(corpus_module.Corpus, "_texts", property(spy))
+        return built
+
+    def test_a_repeated_lookup_returns_the_same_object(self):
+        c = build_corpus(MULTIBYTE_DOCS, CFG)
+        for chunk_id in c.chunks:
+            assert c.chunk_text(chunk_id) is c.chunk_text(chunk_id)
+
+    def test_the_memo_shares_the_token_set_bound(self):
+        c = build_corpus(MULTIBYTE_DOCS, CFG)
+        assert "_texts" not in vars(c)
+        c.chunk_text("m:p0")
+        assert c._texts.cache_info().maxsize == TOKEN_SET_CACHE_SIZE
+
+    def test_ingest_and_index_builds_leave_the_memo_unbuilt(self, tmp_path, texts_built):
+        (tmp_path / "docs").mkdir()
+        for doc_id, text in MULTIBYTE_DOCS.items():
+            (tmp_path / "docs" / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+        config = EngineConfig(
+            chunking=CFG,
+            paths=PathsConfig(corpus_dir=str(tmp_path / "c"), index_dir=str(tmp_path / "i")),
+        )
+        ingest(tmp_path / "docs", config)
+        c = build_corpus(MULTIBYTE_DOCS, CFG)
+        for level in c.levels:
+            build_index(c, level, HashedBowEmbedder(dimension=64))
+        context_for(c, config)
+        ctx = load_context(config)
+        assert texts_built == []
+        ctx.corpus.chunk_text("m:p0")  # the spy sees a query's lookup
+        assert texts_built == [ctx.corpus]
+
+    def test_texts_at_matches_chunk_text(self, tmp_path):
+        built = build_corpus(MULTIBYTE_DOCS, CFG)
+        save_corpus(built, tmp_path)
+        for c in (built, load_corpus(tmp_path)):
+            assert set(c.levels) == set(Level)
+            for level in c.levels:
+                assert c.texts_at(level) == [c.chunk_text(i) for i in c.ids_at(level)]
+            assert any(len(t.encode("utf-8")) > len(t) for t in c.texts_at(Level.SENTENCE))
+            assert any(ord(ch) > 0xFFFF for t in c.texts_at(Level.PARENT) for ch in t)
+
+    def test_lexical_scores_do_not_depend_on_shared_texts(self):
+        c = build_corpus(generate(CorpusSpec(seed=3, n_docs=2)).documents, ChunkingConfig())
+        ids = c.ids_at(Level.INTERMEDIATE)
+        shared = [c.chunk_text(i) for i in ids + ids]
+        copies = [text.encode("utf-8").decode("utf-8") for text in shared]
+        assert all(a == b and a is not b for a, b in zip(shared, copies))
+        query = " ".join(shared[0].split()[:6] + shared[-1].split()[:6])
+        reranker = LexicalOverlapReranker()
+        scores = [
+            [float.hex(s) for s in scorer.score_pairs(query, texts)]
+            for scorer, texts in ((reranker, shared), (reranker, copies),
+                                  (LexicalOverlapReranker(), copies))
+        ]
+        assert scores[0] == scores[1] == scores[2]
+        assert len(set(scores[0])) > 1

@@ -277,3 +277,9 @@ class TestTopK:
     def test_k_below_one(self):
         with pytest.raises(InvalidInputError):
             top_k([ScoredCandidate("a", 1.0)], 0)
+
+
+def test_a_scored_candidate_is_a_named_tuple():
+    hit = ScoredCandidate("p0", 0.5)
+    assert (hit.chunk_id, hit.score) == hit == ("p0", 0.5)
+    assert ScoredCandidate("p0", None) == ("p0", None) != hit

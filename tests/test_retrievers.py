@@ -7,6 +7,7 @@ retriever implementations.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -14,20 +15,22 @@ import pytest
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.corpus import Level
 from hrr.embedding import HashedBowEmbedder, cosine_similarity, embed_batch
-from hrr.engine import context_for
-from hrr.config import EngineConfig
+from hrr.engine import context_for, ingest, load_context
+from hrr.config import EngineConfig, PathsConfig
 from hrr.errors import (
     EmptyCorpusError,
     InvalidInputError,
     MissingIndexError,
     ProviderUnavailableError,
 )
+from hrr.evaluation import compare
 from hrr.rerank import FALLBACK_PASSTHROUGH, LexicalOverlapReranker
 from hrr.retrievers import (
     RetrievalContext,
     Strategy,
     retrieve,
 )
+from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING
 
@@ -367,3 +370,60 @@ class TestScoreMixingIntegration:
         for cid, score in mixed_scores.items():
             expected = plain_scores[cid] + 0.5 * boosted.get(cid, 0.0)
             assert score == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The whole retrieval output, pinned
+# ---------------------------------------------------------------------------
+
+
+def _hex_scores(value):
+    """``value`` with every float replaced by its ``float.hex``, so a digest
+    tells ``-0.0`` from ``0.0`` and sees the last bit of every score."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return {key: _hex_scores(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hex_scores(item) for item in value]
+    return value
+
+
+class TestWholeOutputDigest:
+    """Every trace stage of every strategy, and ``compare()``'s summaries,
+    on the seed-42 20-doc synth corpus as ``hrr ingest`` persists it and
+    ``load_context`` reads it back: the needle queries, the one-word
+    queries ``the`` and ``modaki`` and a query of made-up words. A speed-up
+    that moves any score, id or order fails here."""
+
+    #: sha256 of the canonical JSON of the retrievals and summaries below.
+    DIGEST = "ee3b0e5f0466758a2ce6b9dbba8520c870ecb113abea35e28d0513ef9832e5ae"
+
+    def test_retrievals_and_summaries_are_unchanged(self, tmp_path):
+        synthetic = generate(CorpusSpec(seed=42, n_docs=20, n_needles=30))
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        for doc_id, text in synthetic.documents.items():
+            (docs / f"{doc_id}.txt").write_bytes(text.encode("utf-8"))
+        config = EngineConfig(
+            paths=PathsConfig(
+                corpus_dir=str(tmp_path / "corpus"), index_dir=str(tmp_path / "indexes")
+            )
+        )
+        ingest(docs, config)
+        ctx = load_context(config)
+
+        queries = [q.query for q in synthetic.queries] + ["the", "modaki", "qxzv wyplk"]
+        retrievals = [
+            _hex_scores(retrieve(query, with_strategy(ctx, strategy)).to_dict())
+            for strategy in Strategy
+            for query in queries
+        ]
+        summaries = [
+            _hex_scores(dataclasses.asdict(s))
+            for s in compare(ctx, list(synthetic.queries), list(Strategy))
+        ]
+        payload = json.dumps(
+            {"retrievals": retrievals, "summaries": summaries}, sort_keys=True
+        ).encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest() == self.DIGEST
