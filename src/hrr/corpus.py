@@ -24,10 +24,10 @@ reassemble byte-for-byte from their parent chunks; like the rest of the
 table's structure, this is checked whenever a corpus is built or loaded.
 
 A corpus is saved as one file, ``nodes.bin``: the node table's columns, the
-chunk ids, then the documents' UTF-8 bytes, so one rename replaces texts and
-spans together. Its container (magic, header length, JSON header, blocks
-whose sizes the header gives) is the one the index snapshots use too;
-``write_snapshot`` and ``read_snapshot`` frame both.
+chunk ids joined by NUL, then the documents' UTF-8 bytes, so one rename
+replaces texts and spans together. Its container (magic, header length, JSON
+header, blocks whose sizes the header gives) is the one the index snapshots
+use too; ``write_snapshot`` and ``read_snapshot`` frame both.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTu
 
 import numpy as np
 
+from .embedding import encodes_as_utf8
 from .errors import (
     ConfigError,
     InvalidCorpusError,
@@ -132,6 +133,11 @@ class _Columns(NamedTuple):
 _DTYPES = _Columns("u1", "<u4", "<i4", "<i8", "<i8", "<u4", "u1")
 _ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in _DTYPES)
 
+#: Ids joined at a time to look for a NUL or a lone surrogate. One join of
+#: every id, a transient string as large as the id table, raised ingest-200
+#: peak RSS by ~0.4 MB; a batch of this many ids is ~75 KB at 200 docs.
+_ID_CHECK_BATCH = 4096
+
 
 class Corpus:
     """Immutable container for documents and one table of chunk nodes.
@@ -150,6 +156,8 @@ class Corpus:
 
     Construction checks the table's structure, built or loaded alike, and
     raises ``InvalidCorpusError`` naming the first node that breaks it:
+    no document id or chunk id holds a NUL or a lone surrogate (which UTF-8
+    cannot encode), so the ids can be stored joined by NUL;
     ids are unique; every node names one of ``documents``; a
     parent-level node has no parent, and every other node's parent is an
     earlier node of the same document, at the level
@@ -267,7 +275,8 @@ class Corpus:
 
     def ids_at(self, level: Level) -> tuple[str, ...]:
         """The ids of ``nodes_at(level)``, without building the nodes."""
-        return tuple(map(self._ids.__getitem__, self._rows_at(level).tolist()))
+        # The rows are read one at a time, so no list of them is built.
+        return tuple(map(self._ids.__getitem__, memoryview(self._rows_at(level))))
 
     @property
     def nodes(self) -> tuple[ChunkNode, ...]:
@@ -416,9 +425,10 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 #: Format version 1 was ``chunks.jsonl``, one JSON record per node; version
-#: 2 kept the documents apart from ``nodes.bin``, in ``documents.jsonl``.
+#: 2 kept the documents apart from ``nodes.bin``, in ``documents.jsonl``;
+#: version 3 stored the chunk ids as one JSON array.
 _MAGIC = b"HRRNODE\n"
-_VERSION = 3
+_VERSION = 4
 
 NODES_FILE = "nodes.bin"
 _RETIRED_NODES_FILE = "chunks.jsonl"
@@ -434,8 +444,9 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     ``ids_bytes``. The body is each column of the node table as
     little-endian fixed-width values (``level`` u1, document row ``<u4``,
     parent row ``<i4``, -1 for none, byte ``start`` and ``end`` ``<i8``,
-    ``token_count`` ``<u4``, ``hard_split`` u1), then the ids as one JSON
-    array of ``ids_bytes`` bytes, then each document's UTF-8 bytes. Rows
+    ``token_count`` ``<u4``, ``hard_split`` u1), then the id table, the
+    chunk ids joined by NUL as UTF-8 (``ids_bytes`` bytes), then each
+    document's UTF-8 bytes. Rows
     are in the corpus's row order (each document's parents, intermediates
     and sentences in turn, then the side tier, as ``build_corpus`` writes
     them), so a parent row always precedes its children's.
@@ -447,7 +458,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    ids = json.dumps(corpus._ids, separators=(",", ":")).encode("ascii")
+    ids = "\0".join(corpus._ids).encode("utf-8")
     header = {
         "version": _VERSION,
         "tokenizer": corpus.tokenizer_name,
@@ -474,15 +485,16 @@ def load_corpus(directory: str | Path) -> Corpus:
     for a re-ingest; an unknown tokenizer or invalid chunking settings;
     document ids that are not one string per length, or that name a
     document twice; a document that is not UTF-8; an id table that is not
-    a JSON array of ``count`` strings; and a node table that breaks a rule
-    ``Corpus`` checks when constructed (a duplicate id; a level code of 4
-    or more; a document row out of range; a parent-level node with a
-    parent row, or another node whose parent row is not an earlier row of
-    the same document at the level above it; a span that is empty or
-    reversed, ends beyond its document or cuts a UTF-8 character; a
-    ``hard_split`` flag other than 0 or 1; at overlap 0, spans that do not
-    tile their owner or token counts that do not sum to it), whose message
-    the error carries. The documents are kept as the bytes read, once they
+    UTF-8 or does not split at NUL into ``count`` ids; and a node table
+    that breaks a rule ``Corpus`` checks when constructed (an id holding a
+    NUL or a lone surrogate; a duplicate id; a level code of 4 or more; a
+    document row out of range; a parent-level node with a parent row, or
+    another node whose parent row is not an earlier row of the same
+    document at the level above it; a span that is empty or reversed, ends
+    beyond its document or cuts a UTF-8 character; a ``hard_split`` flag
+    other than 0 or 1; at overlap 0, spans that do not tile their owner
+    or token counts that do not sum to it), whose message the error
+    carries. The documents are kept as the bytes read, once they
     decode. Loading builds no ``ChunkNode``.
     """
     from .chunking import ChunkingConfig
@@ -518,13 +530,17 @@ def load_corpus(directory: str | Path) -> Corpus:
     with closing(read_snapshot(path, _MAGIC, parse)) as snapshot:
         config, tokenizer_name, count, doc_ids = next(snapshot)
         columns = [np.frombuffer(next(snapshot), dtype) for dtype in _DTYPES]
+        table = next(snapshot)
         try:
-            ids = json.loads(next(snapshot).decode("utf-8"))
-        except (ValueError, RecursionError):
-            ids = None
-        if not _is_strings(ids, count):
+            # An empty table holds no id, or one empty id where the count says so.
+            ids = table.decode("utf-8").split("\0") if count or table else []
+        except UnicodeDecodeError as exc:
             raise SnapshotFormatError(
-                f"{path}: the id table is not a JSON array of {count} strings"
+                f"{path}: the id table is not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+        if len(ids) != count:
+            raise SnapshotFormatError(
+                f"{path}: the id table splits at NUL into {len(ids)} ids, not {count}"
             )
         documents = {}
         for doc_id, data in zip(doc_ids, snapshot):
@@ -640,6 +656,14 @@ def _check_structure(corpus: Corpus) -> None:
     within each rule, that breaks the node table's structure (the rules
     ``Corpus`` lists); for a token sum, the node is the owner."""
     ids = corpus._ids
+    for kind, names in (("document id", corpus._doc_ids), ("id", ids)):
+        for at in range(0, len(names), _ID_CHECK_BATCH):
+            joined = "".join(names[at : at + _ID_CHECK_BATCH])
+            if "\0" in joined or not encodes_as_utf8(joined):
+                bad = next(name for name in names if "\0" in name or not encodes_as_utf8(name))
+                raise InvalidCorpusError(
+                    f"{kind} {bad!r} holds a NUL or does not encode as UTF-8"
+                )
     if len(corpus._index) != len(ids):
         duplicate = next(chunk_id for chunk_id, n in Counter(ids).items() if n > 1)
         raise InvalidCorpusError(f"id {duplicate!r} names more than one node")
@@ -667,12 +691,15 @@ def _check_structure(corpus: Corpus) -> None:
     refuse((start < 0) | (start >= end) | (end > sizes[doc]),
            "its span is empty, reversed or ends beyond its document")
     # A span cuts a character where its start or end is a continuation byte
-    # (10xxxxxx); an end at the end of its document cuts none. Each
-    # document's rows are found from one sort by document.
+    # (10xxxxxx); an end at the end of its document cuts none, and ASCII
+    # holds no such byte. Each document's rows are found from one sort by
+    # document.
     order = np.argsort(doc, kind="stable")
     bounds = np.searchsorted(doc[order], np.arange(len(sizes) + 1)).tolist()
     cuts = np.zeros(len(ids), dtype=bool)
     for d, data in enumerate(corpus._doc_bytes):
+        if data.isascii():
+            continue
         text = np.frombuffer(data, dtype=np.uint8)
         rows = order[bounds[d] : bounds[d + 1]]
         ends = end[rows]

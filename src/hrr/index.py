@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 from contextlib import closing
 from pathlib import Path
@@ -68,8 +67,9 @@ from .embedding import (
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
 
-_MAGIC = b"HRRIDX3\n"
-_RETIRED_MAGICS = {b"HRRIDX1\n": "v1", b"HRRIDX2\n": "v2"}
+_MAGIC = b"HRRIDX4\n"
+#: v3 digested the ids as one JSON array.
+_RETIRED_MAGICS = {b"HRRIDX1\n": "v1", b"HRRIDX2\n": "v2", b"HRRIDX3\n": "v3"}
 
 LAYOUT_DENSE = "dense"
 LAYOUT_CSR = "csr"
@@ -518,15 +518,20 @@ def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:
 
     A snapshot (``corpus.write_snapshot``) whose JSON header holds the
     level, dimension, count, embedder name, ``ids_sha256``, the digest of
-    the level's chunk ids in row order, ``layout`` and ``nnz``, the number
-    of non-zeros. A dense body is the ``count x dimension`` little-endian
-    float32 matrix; a CSR body is the ``count + 1`` ``<i8`` row pointers,
-    the ``nnz`` ``<u2`` columns and the ``nnz`` ``<f4`` values. Row ``i``
-    belongs to the ``i``-th chunk id, so the ids themselves live only in
-    the corpus. An interrupted save leaves the earlier snapshot whole.
+    the level's chunk ids in row order (``_ids_digest``), ``layout`` and
+    ``nnz``, the number of non-zeros. A dense body is the ``count x
+    dimension`` little-endian float32 matrix; a CSR body is the ``count + 1``
+    ``<i8`` row pointers, the ``nnz`` ``<u2`` columns and the ``nnz``
+    ``<f4`` values. Row ``i`` belongs to the ``i``-th chunk id, so the ids
+    themselves live only in the corpus. An interrupted save leaves the
+    earlier snapshot whole. Ids of which one holds a NUL, which no corpus
+    holds, have no digest and raise ``InvalidCorpusError``.
     """
+    ids_sha256 = _ids_digest(index.chunk_ids)
+    if ids_sha256 is None:
+        raise InvalidCorpusError("a chunk id holds a NUL, which the ids' digest cannot tell apart")
     fields = {"level": index.level.value, "dimension": index.dimension, "count": len(index),
-              "embedder": embedder, "ids_sha256": _ids_digest(index.chunk_ids),
+              "embedder": embedder, "ids_sha256": ids_sha256,
               "layout": index.layout, "nnz": index.nnz}
     blocks = zip(index._rows.blocks(), _DTYPES[index.layout])
     write_snapshot(path, _MAGIC, fields, (a.astype(dtype, copy=False) for a, dtype in blocks))
@@ -541,8 +546,9 @@ def load_index(
     ``dimension`` name the provider queries will use. A file of another
     format version, a malformed header (an unknown layout, say), sizes that
     do not fit the file (all refused by ``corpus.read_snapshot``), another
-    embedder or dimension, or other ids raise ``SnapshotFormatError`` naming
-    the file, before the body is read; so do CSR arrays that do not form a
+    embedder or dimension, or other ids (by ``_ids_digest``, which ids
+    holding a NUL never match) raise ``SnapshotFormatError`` naming the
+    file, before the body is read; so do CSR arrays that do not form a
     valid matrix, non-finite values, and rows further from unit than any
     ``embed_batch`` returns (``embedding.unit_slack``).
     """
@@ -602,6 +608,17 @@ def _parse_header(header) -> tuple[tuple, list[int]]:
     return fields, sizes
 
 
-def _ids_digest(chunk_ids: Sequence[str]) -> str:
-    """sha256 of the ids as one JSON array, an encoding no id can forge."""
-    return hashlib.sha256(json.dumps(list(chunk_ids)).encode("ascii")).hexdigest()
+def _ids_digest(chunk_ids: Sequence[str]) -> str | None:
+    """sha256 of the ids joined by NUL, as UTF-8; or None where one of them
+    holds a NUL (or there are none), as their join then may be another
+    sequence's too.
+
+    The join is injective over every other sequence of ids, and a corpus's
+    ids hold no NUL. A lone surrogate, which strict UTF-8 cannot encode and
+    a corpus refuses, is encoded as its three bytes (``surrogatepass``),
+    which no other character encodes to.
+    """
+    joined = "\0".join(chunk_ids)
+    if joined.count("\0") != len(chunk_ids) - 1:
+        return None
+    return hashlib.sha256(joined.encode("utf-8", "surrogatepass")).hexdigest()

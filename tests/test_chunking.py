@@ -475,15 +475,15 @@ class TestGoldenNodeTables:
 
     @pytest.mark.parametrize("config, digest", [
         (ChunkingConfig(parent_overlap=64, intermediate_overlap=16),
-         "9378aed4180592e5a938154f1c7feebe69e88c380b4c48f530b2a876ad3257fd"),
+         "989d91a2aef03d99dc41520a89d93a4ffaa7b0d38522c5c1a4ca2bf02939611f"),
         (ChunkingConfig(parent_size=64, intermediate_size=8, sub_intermediate_size=3,
                         max_sentence_tokens=1000),
-         "442373d1db08044b4db6235f4d5ae1cc002fe3804925726dfa41b8a609ad0a7d"),
+         "e03ab2520af92495535f53f33d3081ed1e3ea5d62fddd6b853c4c3c4102d9295"),
         (ChunkingConfig(parent_size=12, intermediate_size=5, sub_intermediate_size=2,
                         max_sentence_tokens=1000),
-         "d9f0a47e267167743b5982d2e1a56af792da0cb8b992e562edb6d778316a79eb"),
+         "c2545376a6b50c25fe6d04ecf934cc5cfabd36e73fe5e33964805e99d13522fe"),
         (ChunkingConfig(sub_intermediate_size=None),
-         "b0edc2eb15365668bb69e2dd3f50801fd39dddbe265dff05ea4d701420b18ca5"),
+         "59ab47e3367b03831ed0e13945f76a5e17f2f1b1b2d8966a34ab38860eae550f"),
     ], ids=["overlap-64-16", "budgets-64-8-3", "budgets-12-5-2", "no-side-tier"])
     def test_nodes_bin_digest(self, config, digest, tmp_path):
         save_corpus(build_corpus(generate(CorpusSpec(seed=42)).documents, config), tmp_path)

@@ -21,7 +21,9 @@ from hrr.errors import ConfigError
 from hrr import evaluation
 from hrr.evaluation import load_query_set
 
-from test_corpus import TILING_CORRUPTIONS, _read_nodes, _write_nodes, write_v2_corpus
+from test_corpus import (
+    TILING_CORRUPTIONS, _read_nodes, _write_nodes, write_v2_corpus, write_v3_corpus
+)
 
 
 class TestConfigLoading:
@@ -269,7 +271,7 @@ class TestCliWorkflow:
         assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
         path = Path("corpus") / "nodes.bin"
         nodes = _read_nodes(path)
-        ids = json.loads(nodes.ids)
+        ids = nodes.id_list()
         edited = ["doc000:p0", "doc000:p0.i0", "doc000:p0.i0.s0", "doc000:p0.i0.c0"]
         counts = nodes.columns["token_count"]
         stored = {chunk_id: int(counts[ids.index(chunk_id)]) for chunk_id in edited}
@@ -315,11 +317,11 @@ class TestCliWorkflow:
     #: included). Any change to chunking, serialization or the index format
     #: shows up here.
     GOLDEN_DIGESTS = {
-        "corpus/nodes.bin": "507adb151ea5f892c072b4c9c76b3ff02224fd4ea79e858ea10d35c4e1ad1177",
-        "indexes/parent.idx": "fb5b122264fb1e53ef081cb240ef47c1f09136fbc4c8bc3e9fb6dbf1cf789b40",
-        "indexes/intermediate.idx": "d43bc84f554ef5b0a5ffb80a589969b05a7a98436538d2977e4099f90717805a",
-        "indexes/sentence.idx": "3dce58924dd4cf239ee776d55e17d5021eb57481a633760d200766caa2f2f233",
-        "indexes/sub_intermediate.idx": "2f9287d22eb11a74c85529cde4c5c5f0af1f1079b6dc3b14f0b38d500ad2f26c",
+        "corpus/nodes.bin": "2228c6a0d8f984f771138da95ac0235a62f80e3f852e219a0debdd8094d8ca6a",
+        "indexes/parent.idx": "82db905b29d703a90b249eaa4b3c52f1aa6a60b928062ee8af6acd276cfd5fd1",
+        "indexes/intermediate.idx": "d043af046eb3fc2f1a802d496382ff803994086fd38f0a5efb93be18fa2c0dfc",
+        "indexes/sentence.idx": "3cf6cfc45488f5ef972027df64fad0bd75041ef036f28f9f7f861b82a35e1962",
+        "indexes/sub_intermediate.idx": "02459ef069043d09a2b305ebb63ab5e8e1af16c0c7f04f29feba41749b38c7c5",
     }
 
     def test_ingest_artifacts_match_golden_digests(self, workdir):
@@ -710,6 +712,42 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err == (f"error: {Path('corpus') / 'nodes.bin'}: corpus format version 2 is not "
                        f"read; re-run ingest\n")
+
+    def test_v3_corpus_asks_for_reingest(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        write_v3_corpus(Path("corpus"))
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {Path('corpus') / 'nodes.bin'}: corpus format version 3 is not read; "
+            f"re-run ingest\n")
+
+    def test_v3_index_asks_for_reingest(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        snapshot = Path("indexes") / "sentence.idx"
+        snapshot.write_bytes(b"HRRIDX3\n" + snapshot.read_bytes()[8:])
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {snapshot}: snapshot format v3 is not read; re-run ingest\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ids: ids.rsplit(b"\0", 1)[0], "the id table splits at NUL into 257 ids, not 258"),
+        (lambda ids: ids.replace(b"\0", b"\0\0", 1),
+         "the id table splits at NUL into 259 ids, not 258"),
+        (lambda ids: ids[:3] + b"\xc3" + ids[4:],
+         "the id table is not UTF-8 (invalid continuation byte at byte 3)"),
+    ], ids=["one-short", "one-more", "not-utf8"])
+    def test_broken_id_table_is_io_error(self, workdir, capsys, edit, message):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        nodes.ids = edit(nodes.ids)
+        nodes.header["ids_bytes"] = len(nodes.ids)
+        _write_nodes(path, nodes)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_reingest_over_a_v2_corpus_directory_leaves_one_file(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])

@@ -19,6 +19,7 @@ from hrr.config import EngineConfig, PathsConfig
 from hrr.corpus import (
     HIERARCHY_LEVELS,
     ChunkNode,
+    Corpus,
     Level,
     load_corpus,
     read_snapshot,
@@ -366,6 +367,35 @@ class TestSerialization:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.bin"]
         assert load_corpus(tmp_path).documents == corpus.documents
 
+    def test_v3_file_asks_for_reingest(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        write_v3_corpus(tmp_path)
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value) == (
+            f"{tmp_path / 'nodes.bin'}: corpus format version 3 is not read; re-run ingest"
+        )
+
+    def test_id_table_is_the_ids_joined_by_nul(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        nodes = _read_nodes(tmp_path / "nodes.bin")
+        assert nodes.header["version"] == 4
+        assert nodes.ids == "\0".join(node.id for node in corpus).encode("utf-8")
+
+    @pytest.mark.parametrize("ids", [[], [""], ["d:p0", ""]],
+                             ids=["none", "one-empty", "empty-last"])
+    def test_id_tables_of_empty_ids_round_trip(self, tmp_path, ids):
+        """A corpus of no node stores an empty id table, which loads as no
+        id, not as one empty id; an empty id round-trips too."""
+        documents = {"d": b"alpha beta"}
+        columns = [[0] * len(ids), [0] * len(ids), [-1] * len(ids), [0] * len(ids),
+                   [10] * len(ids), [2] * len(ids), [0] * len(ids)]
+        built = Corpus(documents, ids, columns, config=replace(CFG, parent_overlap=1),
+                       tokenizer_name="word-punct")
+        save_corpus(built, tmp_path)
+        loaded = load_corpus(tmp_path)
+        assert list(loaded) == list(built) and len(loaded) == len(ids)
+
     def test_unsaveable_corpus_refused(self):
         """A corpus that could not be saved is not constructed."""
         doc = {"d": "alpha beta"}
@@ -374,10 +404,10 @@ class TestSerialization:
                       CFG)
 
 
-#: The node file (corpus format v3), spelled out apart from ``hrr.corpus``:
+#: The node file (corpus format v4), spelled out apart from ``hrr.corpus``:
 #: in the snapshot container, the header's sizes give the body's blocks,
-#: which are these columns, the ids as one JSON array, then each document's
-#: UTF-8 bytes.
+#: which are these columns, the ids joined by NUL as UTF-8, then each
+#: document's UTF-8 bytes.
 NODE_MAGIC = b"HRRNODE\n"
 NODE_COLUMNS = (("level", "u1"), ("doc", "<u4"), ("parent", "<i4"), ("start", "<i8"),
                 ("end", "<i8"), ("token_count", "<u4"), ("hard_split", "u1"))
@@ -389,6 +419,9 @@ class NodeFile:
     columns: dict[str, np.ndarray]
     ids: bytes
     documents: list[bytes]
+
+    def id_list(self) -> list[str]:
+        return self.ids.decode("utf-8").split("\0")
 
 
 def _read_nodes(path) -> NodeFile:
@@ -419,6 +452,15 @@ def write_v2_corpus(directory) -> None:
     del nodes.header["document_bytes"]
     nodes.header["version"] = 2
     _write_nodes(directory / "nodes.bin", replace(nodes, documents=[]))
+
+
+def write_v3_corpus(directory) -> None:
+    """Rewrite the ``nodes.bin`` saved in ``directory`` in format v3, whose
+    id table was one JSON array."""
+    nodes = _read_nodes(directory / "nodes.bin")
+    nodes.ids = json.dumps(nodes.id_list(), separators=(",", ":")).encode("ascii")
+    nodes.header.update(version=3, ids_bytes=len(nodes.ids))
+    _write_nodes(directory / "nodes.bin", nodes)
 
 
 def _header(**fields):
@@ -462,7 +504,7 @@ def _not_utf8(nodes):
 
 def _row(nodes, suffix):
     """The row of the first node whose id ends with ``suffix``."""
-    return next(row for row, chunk_id in enumerate(json.loads(nodes.ids))
+    return next(row for row, chunk_id in enumerate(nodes.id_list())
                 if chunk_id.endswith(suffix))
 
 
@@ -523,7 +565,7 @@ def _lengths_entry_as_string(nodes):
 #: Each edit of a saved node file, with a fragment of the one-line error.
 CORRUPTIONS = {
     "version": (_header(version=1), "version 1"),
-    "header-fields": (lambda nodes: setattr(nodes, "header", {"version": 3}), "malformed header"),
+    "header-fields": (lambda nodes: setattr(nodes, "header", {"version": 4}), "malformed header"),
     "chunking": (_header(chunking={"parent_size": "x"}), "malformed header"),
     "huge-count": (_header(count=10**13), "do not fill"),
     "count-off-by-one": (lambda nodes: _header(count=nodes.header["count"] - 1)(nodes),
@@ -537,6 +579,19 @@ CORRUPTIONS = {
     "ids-too-few": (_ids(b'["a:p0"]'), "id table"),
     "ids-not-strings": (lambda nodes: _ids(json.dumps(list(range(nodes.header["count"])))
                                            .encode())(nodes), "id table"),
+    # The v4 table: ids joined by NUL, as UTF-8.
+    "ids-one-short": (lambda nodes: _ids(nodes.ids.rsplit(b"\0", 1)[0])(nodes),
+                      "the id table splits at NUL into 19 ids, not 20"),
+    "ids-one-more": (lambda nodes: _ids(nodes.ids + b"\0b:extra")(nodes),
+                     "the id table splits at NUL into 21 ids, not 20"),
+    "ids-nul-inside-an-id": (lambda nodes: _ids(nodes.ids.replace(b"a:p0.i0", b"a:p0\0i0", 1))(
+        nodes), "the id table splits at NUL into 21 ids, not 20"),
+    "ids-not-utf8": (lambda nodes: _ids(b"\xff" + nodes.ids[1:])(nodes),
+                     "the id table is not UTF-8 (invalid start byte at byte 0)"),
+    "ids-none": (_ids(b""), "the id table splits at NUL into 1 ids, not 20"),
+    "document-id-nul": (_header(documents=["a", "b\0"]), "document id 'b\\x00' holds a NUL"),
+    "document-id-surrogate": (_header(documents=["a\udc80", "b"]),
+                              "document id 'a\\udc80' holds a NUL or does not encode"),
     "document-lengths-short": (_lengths(-1), "do not fill"),
     "document-lengths-long": (_lengths(0, 1), "do not fill"),
     # The sum stays that of the bytes the documents fill.
@@ -560,10 +615,10 @@ CORRUPTIONS = {
     "side-tier-to-parent-level": (_set("parent", 13, 0), "not at the level above"),
     "parent-level-with-parent": (_set("parent", 7, 0), "parent-level node with a parent link"),
     "other-document": (_set("doc", 9, 0), "another document"),
-    "duplicate-id": (lambda nodes: _ids(_last_named_first(nodes.ids))(nodes),
+    "duplicate-id": (lambda nodes: _ids(_last_named_first(nodes))(nodes),
                      "'a:p0' names more than one node"),
     # Header numbers are JSON integers, never coerced.
-    "version-float": (_header(version=3.0), "malformed header (version 3.0 is not an integer)"),
+    "version-float": (_header(version=4.0), "malformed header (version 4.0 is not an integer)"),
     "version-bool": (_header(version=True), "malformed header (version True is not an integer)"),
     "count-string": (lambda nodes: _header(count=str(nodes.header["count"]))(nodes),
                      "malformed header (count '20' is not an integer)"),
@@ -580,10 +635,10 @@ CORRUPTIONS = {
 }
 
 
-def _last_named_first(ids):
+def _last_named_first(nodes):
     """The id table with the last node given the first node's id."""
-    table = json.loads(ids)
-    return json.dumps([*table[:-1], table[0]]).encode()
+    table = nodes.id_list()
+    return "\0".join([*table[:-1], table[0]]).encode()
 
 
 class TestNodeFileFailsClosed:
@@ -659,6 +714,40 @@ class TestStructureGate:
         with pytest.raises(InvalidCorpusError, match="'d:p0': its span cuts a UTF-8 character"):
             corpus_of({"d": "Été"}, [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 1), 1)],
                       CFG)
+
+    def test_cut_found_in_a_document_after_an_ascii_one(self):
+        # An ASCII document holds no continuation byte, so its rows cannot
+        # cut; the next document's rows are still checked.
+        nodes = [ChunkNode("a:p0", Level.PARENT, "a", None, (0, 3), 1),
+                 ChunkNode("u:p0", Level.PARENT, "u", None, (1, 5), 1)]
+        with pytest.raises(InvalidCorpusError, match="'u:p0': its span cuts a UTF-8 character"):
+            corpus_of({"a": "abc", "u": "Été"}, nodes, CFG)
+
+    @pytest.mark.parametrize("chunk_id", ["d:p\0", "\0", "d:\udc80"])
+    def test_chunk_id_that_cannot_be_stored_is_refused(self, chunk_id):
+        with pytest.raises(InvalidCorpusError) as exc:
+            corpus_of({"d": "alpha beta"},
+                      [ChunkNode(chunk_id, Level.PARENT, "d", None, (0, 10), 2)], CFG)
+        assert str(exc.value) == f"id {chunk_id!r} holds a NUL or does not encode as UTF-8"
+
+    @pytest.mark.parametrize("bad", ["x\0", "x\udc80"])
+    def test_id_in_a_later_check_batch_is_refused(self, bad, monkeypatch):
+        built = build_corpus({"d": "One two. Three four. Five six. Seven eight."}, CFG)
+        ids = list(built._ids)
+        assert len(ids) > 4
+        ids[-1] = bad
+        monkeypatch.setattr(corpus_module, "_ID_CHECK_BATCH", 2)
+        with pytest.raises(InvalidCorpusError) as exc:
+            Corpus(built.documents, ids, built._cols, config=built.config,
+                   tokenizer_name=built.tokenizer_name)
+        assert str(exc.value) == f"id {bad!r} holds a NUL or does not encode as UTF-8"
+
+    @pytest.mark.parametrize("doc_id", ["d\0", "d\udc80"])
+    def test_document_id_that_cannot_be_stored_is_refused(self, doc_id):
+        with pytest.raises(InvalidCorpusError) as exc:
+            build_corpus({"ok": "Gamma delta.", doc_id: "alpha beta."}, CFG)
+        assert str(exc.value) == (
+            f"document id {doc_id!r} holds a NUL or does not encode as UTF-8")
 
     def test_span_one_byte_past_the_document(self):
         with pytest.raises(InvalidCorpusError, match="'d:p0': its span"):
@@ -821,7 +910,9 @@ class TestLoadMatchesChunker:
         _assert_matches_chunker(loaded, documents, config)
 
     @given(
-        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3, unique=True),
+        # Any id a corpus takes: one without a NUL, which it refuses.
+        st.lists(st.text(st.characters(exclude_characters="\0"), min_size=1, max_size=6),
+                 min_size=1, max_size=3, unique=True),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=25, deadline=None)

@@ -1,10 +1,12 @@
 """Exact search vs the naive full-scan oracle, plus snapshots."""
 
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -894,6 +896,24 @@ class TestSnapshots:
             load_index(path, ["c0000"], EMBEDDER, 6)
         assert "\n" not in str(exc.value)
 
+    def test_v3_file_asks_for_reingest(self, tmp_path):
+        """A v3 snapshot, whose ``ids_sha256`` digested the ids as one JSON
+        array, is refused by its magic before its digest is read."""
+        index = random_index(random.Random(4), 10, 6)
+        path = tmp_path / "sentence.idx"
+        save_index(index, path, EMBEDDER)
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12 : 12 + header_len])
+        header["ids_sha256"] = hashlib.sha256(
+            json.dumps(list(index.chunk_ids)).encode("ascii")).hexdigest()
+        new = json.dumps(header, sort_keys=True).encode("ascii")
+        path.write_bytes(b"HRRIDX3\n" + len(new).to_bytes(4, "little") + new
+                         + data[12 + header_len :])
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_index(path, index.chunk_ids, EMBEDDER, 6)
+        assert str(exc.value) == f"{path}: snapshot format v3 is not read; re-run ingest"
+
     def test_truncated_file(self, tmp_path):
         index = random_index(random.Random(4), 10, 6)
         path = tmp_path / "t.idx"
@@ -903,7 +923,7 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError):
             load_index(path, index.chunk_ids, EMBEDDER, 6)
 
-    # Each header but the one under test carries every field a v3 header needs.
+    # Each header but the one under test carries every field a v4 header needs.
     @pytest.mark.parametrize(
         "header",
         [b"{not json", b'{"level": "sentence"}',
@@ -934,7 +954,7 @@ class TestSnapshots:
     )
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "h.idx"
-        path.write_bytes(b"HRRIDX3\n" + len(header).to_bytes(4, "little") + header)
+        path.write_bytes(b"HRRIDX4\n" + len(header).to_bytes(4, "little") + header)
         with pytest.raises(SnapshotFormatError):
             load_index(path, ["c0000"], EMBEDDER, 6)
 
@@ -944,7 +964,7 @@ class TestSnapshots:
             b'"embedder": "hashed-bow", "ids_sha256": "", "layout": "dense", "nnz": 0}'
         )
         path = tmp_path / "c.idx"
-        path.write_bytes(b"HRRIDX3\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 64)
+        path.write_bytes(b"HRRIDX4\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 64)
         with pytest.raises(SnapshotFormatError, match="bytes, but 64 follow the header"):
             load_index(path, ["c0000"], EMBEDDER, 6)
 
@@ -1041,6 +1061,32 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
             load_index(path, ["a", "b\nc"], EMBEDDER, 4)
 
+    def test_id_digest_refuses_ids_holding_a_nul(self, tmp_path):
+        """Joined by NUL, ``["a\\0b", "c"]`` and ``["a", "b\\0c"]`` are one
+        string, so ids holding a NUL have no digest: a snapshot for them is
+        not saved, and none matches them."""
+        vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
+        path = tmp_path / "sentence.idx"
+        with pytest.raises(InvalidCorpusError, match="holds a NUL"):
+            save_index(LevelIndex(Level.SENTENCE, ["a\0b", "c"], vecs), path, EMBEDDER)
+        assert not path.exists()
+        save_index(LevelIndex(Level.SENTENCE, ["a", "c"], vecs), path, EMBEDDER)
+        with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
+            load_index(path, ["a", "b\0c"], EMBEDDER, 4)
+
+    def test_id_digest_is_the_sha256_of_the_nul_join(self, tmp_path):
+        """``ids_sha256`` is sha256 of the ids joined by NUL, as UTF-8; a lone
+        surrogate, which no corpus holds, is digested as its three bytes."""
+        vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
+        for ids, joined in [(["d:p0", "é,\"\\:p1"], "d:p0\0é,\"\\:p1".encode("utf-8")),
+                            (["x\udc80", "y"], b"x\xed\xb2\x80\0y")]:
+            path = tmp_path / "sentence.idx"
+            save_index(LevelIndex(Level.SENTENCE, ids, vecs), path, EMBEDDER)
+            data = path.read_bytes()
+            header = json.loads(data[12 : 12 + int.from_bytes(data[8:12], "little")])
+            assert header["ids_sha256"] == hashlib.sha256(joined).hexdigest()
+            assert load_index(path, ids, EMBEDDER, 4).chunk_ids == tuple(ids)
+
     def test_other_embedder_rejected(self, tmp_path):
         index = random_index(random.Random(4), 10, 6)
         path = tmp_path / "sentence.idx"
@@ -1055,6 +1101,58 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="dimension 6 differs from the configured "
                            "embedding dimension 7"):
             load_index(path, index.chunk_ids, EMBEDDER, 7)
+
+
+class TestColdLoad:
+    def test_load_context_runs_json_only_on_the_snapshot_headers(self, tmp_path, monkeypatch):
+        """A cold ``load_context`` encodes no JSON and decodes only the five
+        snapshot headers: the ids are split from ``nodes.bin`` and digested
+        from their NUL join, not read or written as JSON."""
+        synthetic = generate(CorpusSpec(seed=42))
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        for doc_id, text in synthetic.documents.items():
+            (docs / f"{doc_id}.txt").write_bytes(text.encode("utf-8"))
+        config = EngineConfig(paths=PathsConfig(corpus_dir=str(tmp_path / "corpus"),
+                                                index_dir=str(tmp_path / "indexes")))
+        ingest(docs, config)
+        encoded, decoded = [], []
+        dumps, loads = json.dumps, json.loads
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: encoded.append(a) or dumps(*a, **k))
+        monkeypatch.setattr(json, "loads",
+                            lambda *a, **k: decoded.append(loads(*a, **k)) or decoded[-1])
+        ctx = load_context(config)
+        monkeypatch.undo()
+        assert encoded == []
+        assert sorted(header.get("level", "corpus") for header in decoded) == sorted(
+            ["corpus", *(level.value for level in Level)])
+        assert [header["version"] for header in decoded if "level" not in header] == [4]
+        assert set(ctx.indices) == set(Level)
+
+    @given(st.lists(st.text(st.sampled_from("aZé中😀\"'\\,: -_"), min_size=1, max_size=10),
+                    min_size=1, max_size=3, unique=True))
+    @settings(max_examples=20, deadline=None)
+    def test_any_file_name_survives_ingest_and_load(self, doc_ids):
+        """Document ids with non-ASCII characters, quotes, backslashes,
+        commas and colons are stored in the NUL-joined id table and load
+        back, and every level's index loads against them."""
+        with tempfile.TemporaryDirectory() as directory:
+            root = Path(directory)
+            (root / "docs").mkdir()
+            for n, doc_id in enumerate(doc_ids):
+                (root / "docs" / f"{doc_id}.txt").write_text(
+                    f"Alpha beta {n} gamma. Delta epsilon zeta eta. Theta iota kappa.",
+                    encoding="utf-8")
+            config = EngineConfig(chunking=TOY_CHUNKING, paths=PathsConfig(
+                corpus_dir=str(root / "corpus"), index_dir=str(root / "indexes")))
+            ingest(root / "docs", config)
+            ctx = load_context(config)
+        corpus = ctx.corpus
+        assert sorted(corpus.documents) == sorted(doc_ids)
+        assert set(ctx.indices) == set(corpus.levels) == set(Level)
+        for level, index in ctx.indices.items():
+            assert index.chunk_ids == corpus.ids_at(level)
+        assert {corpus.get(i).doc_id for i in corpus.ids_at(Level.PARENT)} == set(doc_ids)
 
 
 class TestUnitRowsAtLoad:
