@@ -12,10 +12,21 @@ its working tree. Each pair runs one side and then the other, the side that
 goes first alternating from pair to pair. Each run is ``perfbench/run.py
 --workload W --trace 0``, untraced and of run.py's own length; its two JSON
 lines, the report and the result, are kept as printed. ``--out`` gets every
-run, and stdout a summary: per workload and end-to-end metric, each side's
-median and quartiles, the change between the medians, and in how many pairs
-this checkout's value was the lower. A run that fails ends the series: the
-runs before it are still written, with the failure, and the exit status is 1.
+run, and stdout a summary (``summary``): per workload and end-to-end metric
+(each one lower is better), each side's median and quartiles, the change
+between the medians, the pairs each side won (a tie counts for neither), the
+base's quartile distance and whether the gap between the medians exceeds it.
+A gain holds by the pair rule when this checkout won at least nine tenths of
+the pairs and its median is lower by more than that distance.
+
+Each side's code is pinned by the ``src_sha256`` its reports carry, which
+the record keeps per side: a run whose digest differs from its side's earlier
+runs (a source file edited while the series ran) ends the series. Their
+``git_sha`` cannot tell the sides apart: this checkout's reports carry its
+HEAD, the base's commit when the change is not committed, and the exported
+base has no ``.git``, so its reports carry null. A run that fails ends the
+series: the runs before it are still written, with the failure, and the exit
+status is 1.
 """
 
 from __future__ import annotations
@@ -59,7 +70,17 @@ def run(checkout: Path, workload: str, seed: int | None) -> dict:
     return {"report": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def pin_source(pins: dict[str, str], side: str, report: dict) -> None:
+    """Pin ``side``'s ``src_sha256`` to its first run's; raise ``RunFailed``
+    for a run of the side whose digest differs."""
+    digest = report["env"]["src_sha256"]
+    if pins.setdefault(side, digest) != digest:
+        raise RunFailed(f"the {side} side's src_sha256 went from {pins[side]} to {digest}: "
+                        f"its source changed during the series")
+
+
 def summary(runs: list[dict]) -> list[str]:
+    """One line per workload and metric, over the pairs that ran both sides."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -74,16 +95,24 @@ def summary(runs: list[dict]) -> list[str]:
                       for side in ("base", "change")}
             if any(v is None for vs in values.values() for v in vs):
                 continue
-            lower = sum(c < b for b, c in zip(values["base"], values["change"]))
-            shown, medians = [], []
+            won = sum(c < b for b, c in zip(values["base"], values["change"]))
+            lost = sum(c > b for b, c in zip(values["base"], values["change"]))
+            shown, quartiles = [], []
             for side in ("base", "change"):
                 vs = values[side]
                 q1, median, q3 = (statistics.quantiles(vs, n=4) if len(vs) > 1 else vs * 3)
                 shown.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
-                medians.append(median)
-            change = f"{medians[1] / medians[0] - 1:+.1%}" if medians[0] else "n/a"
-            lines.append(f"{workload} {metric}: base {shown[0]} -> change {shown[1]} "
-                         f"({change} between the medians), change lower in {lower}/{len(pairs)}")
+                quartiles.append((q1, median, q3))
+            (q1, base_median, q3), change_median = quartiles[0], quartiles[1][1]
+            spread, gap = q3 - q1, base_median - change_median
+            change = f"{change_median / base_median - 1:+.1%}" if base_median else "n/a"
+            holds = won >= 0.9 * len(pairs) and gap > spread
+            lines.append(
+                f"{workload} {metric}: base {shown[0]} -> change {shown[1]} ({change} between "
+                f"the medians); change lower in {won}/{len(pairs)}, base lower in {lost}, "
+                f"{len(pairs) - won - lost} tied; the median gap {abs(gap):.6g} "
+                f"{'exceeds' if abs(gap) > spread else 'does not exceed'} the base's quartile "
+                f"distance {spread:.6g}; a gain by the pair rule: {'yes' if holds else 'no'}")
     return lines
 
 
@@ -97,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workdir", type=Path, help="where the base is exported")
     args = parser.parse_args(argv)
 
-    runs, failure = [], None
+    runs, failure, pins = [], None, {}
     workdir = nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory(
         prefix="bench_pair_")
     with workdir as directory:
@@ -110,6 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                     order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                     for side in order:
                         outcome = run(sides[side], workload, args.seed)
+                        pin_source(pins, side, outcome["report"])
                         runs.append({"workload": workload, "pair": pair, "side": side, **outcome})
                         metrics = outcome["result"]["metrics"]
                         print(f"pair {pair} {workload} {side}: " + ", ".join(
@@ -119,10 +149,9 @@ def main(argv: list[str] | None = None) -> int:
             failure = str(exc)
             print(failure, file=sys.stderr)
     lines = summary(runs)
-    # run.py reports the checkout's HEAD as its git sha, so a change run from
-    # an uncommitted tree shows the base's; its src_sha256 tells them apart.
     record = {"argv": ["python3", "scripts/bench_pair.py", *(argv or sys.argv[1:])],
               "base": base_sha, "change": "the working tree of this checkout",
+              "src_sha256": pins,
               "seed": args.seed, "pairs": args.pairs, "failure": failure,
               "summary": lines, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -32,6 +32,7 @@ use too; ``write_snapshot`` and ``read_snapshot`` frame both.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import Counter
@@ -40,7 +41,9 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
+)
 
 import numpy as np
 
@@ -133,9 +136,10 @@ class _Columns(NamedTuple):
 _DTYPES = _Columns("u1", "<u4", "<i4", "<i8", "<i8", "<u4", "u1")
 _ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in _DTYPES)
 
-#: Ids joined at a time to look for a NUL or a lone surrogate. One join of
-#: every id, a transient string as large as the id table, raised ingest-200
-#: peak RSS by ~0.4 MB; a batch of this many ids is ~75 KB at 200 docs.
+#: Ids joined at a time to look for a NUL or a lone surrogate and to digest
+#: them. One join of every id, a transient string as large as the id table,
+#: raised ingest-200 peak RSS by ~0.4 MB; a batch of this many ids is ~75 KB
+#: at 200 docs.
 _ID_CHECK_BATCH = 4096
 
 
@@ -172,6 +176,16 @@ class Corpus:
     those children's token counts sum to the owner's. An owner without
     children at a level, and a document without parents, are not checked.
     ``validate_corpus`` recounts the tokens.
+
+    The same pass digests the table's identity: ``ids_sha256`` is the
+    sha256 of the level column (``u1``) followed by the id table, the ids
+    joined by NUL as UTF-8: the bytes ``save_corpus`` writes for them. As no
+    id holds a NUL, the table of ``n`` ids holds ``n - 1``, and the column
+    is ``n`` bytes, so those bytes name exactly one (levels, ids) sequence:
+    two splits of one byte string at ``n < m`` would need the ``m - n``
+    bytes between them to hold ``n - m`` NULs. An index is a level of its
+    corpus (``index.LevelIndex``): its snapshot stores this one digest, and
+    loads only beside a corpus whose digest it matches.
     """
 
     def __init__(
@@ -215,7 +229,8 @@ class Corpus:
         self._doc_ids: list[str] = list(self.documents)
         self._doc_rows = {doc_id: row for row, doc_id in enumerate(self._doc_ids)}
         self._doc_bytes: list[bytes] = list(self.documents.values())
-        _check_structure(self)
+        #: The digest of the level column and the id table (see above).
+        self.ids_sha256: str = _check_structure(self)
         self._level_counts = np.bincount(columns.level, minlength=len(_LEVELS))
 
         # Parent rows grouped by document, each group in row order: document
@@ -267,16 +282,21 @@ class Corpus:
         """Read-only view: each id to its node, built on lookup."""
         return _ChunkMap(self)
 
-    def _rows_at(self, level: Level) -> np.ndarray:
+    def rows_at(self, level: Level) -> np.ndarray:
+        """The rows of ``level``'s nodes, ascending, as int64."""
         return np.flatnonzero(self._cols.level == _CODES[level])
 
+    def ids_of(self, rows: np.ndarray) -> Iterator[str]:
+        """The ids of ``rows``, an int64 array, in its order, read one at a
+        time from the one id list, so no list of rows or of ids is built."""
+        return map(self._ids.__getitem__, memoryview(rows))
+
     def nodes_at(self, level: Level) -> tuple[ChunkNode, ...]:
-        return self._nodes(self._rows_at(level))
+        return self._nodes(self.rows_at(level))
 
     def ids_at(self, level: Level) -> tuple[str, ...]:
         """The ids of ``nodes_at(level)``, without building the nodes."""
-        # The rows are read one at a time, so no list of them is built.
-        return tuple(map(self._ids.__getitem__, memoryview(self._rows_at(level))))
+        return tuple(self.ids_of(self.rows_at(level)))
 
     @property
     def nodes(self) -> tuple[ChunkNode, ...]:
@@ -332,7 +352,7 @@ class Corpus:
         """
         # The rows are read one at a time, so no list of them is built.
         return list(map(partial(_decode, self._doc_bytes, self._view),
-                        memoryview(self._rows_at(level))))
+                        memoryview(self.rows_at(level))))
 
     @cached_property
     def _texts(self) -> Callable[[int], str]:
@@ -545,7 +565,9 @@ def load_corpus(directory: str | Path) -> Corpus:
         documents = {}
         for doc_id, data in zip(doc_ids, snapshot):
             try:
-                data.decode("utf-8")
+                # ASCII is UTF-8, and is found several times faster than decoded.
+                if not data.isascii():
+                    data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise SnapshotFormatError(
                     f"{path}: document {doc_id!r} is not UTF-8 ({exc.reason} at byte {exc.start})"
@@ -651,19 +673,30 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         tmp.unlink(missing_ok=True)
 
 
-def _check_structure(corpus: Corpus) -> None:
+def _check_structure(corpus: Corpus) -> str:
     """Raise ``InvalidCorpusError`` naming the first node, in row order
     within each rule, that breaks the node table's structure (the rules
-    ``Corpus`` lists); for a token sum, the node is the owner."""
-    ids = corpus._ids
-    for kind, names in (("document id", corpus._doc_ids), ("id", ids)):
-        for at in range(0, len(names), _ID_CHECK_BATCH):
-            joined = "".join(names[at : at + _ID_CHECK_BATCH])
-            if "\0" in joined or not encodes_as_utf8(joined):
-                bad = next(name for name in names if "\0" in name or not encodes_as_utf8(name))
-                raise InvalidCorpusError(
-                    f"{kind} {bad!r} holds a NUL or does not encode as UTF-8"
-                )
+    ``Corpus`` lists); for a token sum, the node is the owner. Return
+    ``ids_sha256``, taken in the pass that checks the ids."""
+    ids, doc_ids = corpus._ids, corpus._doc_ids
+    for at in range(0, len(doc_ids), _ID_CHECK_BATCH):
+        joined = "".join(doc_ids[at : at + _ID_CHECK_BATCH])
+        if "\0" in joined or not encodes_as_utf8(joined):
+            _refuse_id("document id", doc_ids)
+    digest = hashlib.sha256(corpus._cols.level.tobytes())
+    for at in range(0, len(ids), _ID_CHECK_BATCH):
+        batch = ids[at : at + _ID_CHECK_BATCH]
+        try:
+            # Strict UTF-8 encodes no lone surrogate.
+            encoded = "\0".join(batch).encode("utf-8")
+        except UnicodeEncodeError:
+            _refuse_id("id", ids)
+        # Only a NUL encodes to a 0 byte; numpy counts them ~3x faster than str.count.
+        if np.count_nonzero(np.frombuffer(encoded, dtype=np.uint8) == 0) != len(batch) - 1:
+            _refuse_id("id", ids)
+        if at:
+            digest.update(b"\0")
+        digest.update(encoded)
     if len(corpus._index) != len(ids):
         duplicate = next(chunk_id for chunk_id, n in Counter(ids).items() if n > 1)
         raise InvalidCorpusError(f"id {duplicate!r} names more than one node")
@@ -708,7 +741,7 @@ def _check_structure(corpus: Corpus) -> None:
     refuse(cuts, "its span cuts a UTF-8 character")
     refuse(hard_split > 1, "its hard_split flag is not 0 or 1")
     if corpus.config.parent_overlap or corpus.config.intermediate_overlap or not len(ids):
-        return
+        return digest.hexdigest()
     # At overlap 0, each document's parents, and each node's children at one
     # level, tile their owner. Owners are numbered documents first, then
     # nodes (n_docs + row); one stable sort on (owner, level) puts each such
@@ -745,6 +778,13 @@ def _check_structure(corpus: Corpus) -> None:
     node = owners[at_node] - n_docs
     refuse(sums != token_count[node], "its children at one level do not sum to its token count",
            node)
+    return digest.hexdigest()
+
+
+def _refuse_id(kind: str, names: Sequence[str]) -> NoReturn:
+    """Raise for the first of ``names`` that holds a NUL or a lone surrogate."""
+    bad = next(name for name in names if "\0" in name or not encodes_as_utf8(name))
+    raise InvalidCorpusError(f"{kind} {bad!r} holds a NUL or does not encode as UTF-8")
 
 
 #: What reading fields from a parsed JSON record or header can raise when it

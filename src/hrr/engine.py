@@ -143,12 +143,15 @@ def load_context(config: EngineConfig) -> RetrievalContext:
     """Load persisted artifacts into a ready-to-query retrieval context.
 
     The corpus decides which indexes load: one per level it holds, and
-    snapshots for other levels are ignored. Row ``i`` of a level's index is
-    ``corpus.ids_at(level)[i]``; loading builds no ``ChunkNode``. A missing
-    snapshot raises ``MissingIndexError``. A snapshot made by another
-    embedding provider or at another dimension than the config names, or for
-    other chunk ids (artifacts from different ingests, or a truncated
-    corpus), raises ``SnapshotFormatError``.
+    snapshots for other levels are ignored. Each index is a level of the
+    loaded corpus: row ``i`` is the corpus's ``i``-th chunk at that level,
+    and its snapshot must hold the corpus's one ``ids_sha256``. Loading
+    builds no ``ChunkNode`` and no per-level list, tuple or set of ids, and
+    hashes the ids once, as the corpus checks them. A missing snapshot
+    raises ``MissingIndexError``. A snapshot of another level (a renamed
+    file), made by another embedding provider or at another dimension than
+    the config names, or for another corpus (artifacts from different
+    ingests, or a truncated corpus), raises ``SnapshotFormatError``.
     """
     corpus = load_corpus(config.paths.corpus_dir)
     index_dir = Path(config.paths.index_dir)
@@ -157,9 +160,7 @@ def load_context(config: EngineConfig) -> RetrievalContext:
     for level in corpus.levels:
         path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
         try:
-            indices[level] = load_index(
-                path, corpus.ids_at(level), embedder.name, embedder.dimension
-            )
+            indices[level] = load_index(path, corpus, level, embedder.name, embedder.dimension)
         except FileNotFoundError:
             raise MissingIndexError(
                 f"no index snapshot {path} for the corpus's {level.value} chunks; "

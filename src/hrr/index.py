@@ -44,11 +44,10 @@ ties first need it.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from contextlib import closing
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -67,9 +66,10 @@ from .embedding import (
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
 from .rerank import ScoredCandidate
 
-_MAGIC = b"HRRIDX4\n"
-#: v3 digested the ids as one JSON array.
-_RETIRED_MAGICS = {b"HRRIDX1\n": "v1", b"HRRIDX2\n": "v2", b"HRRIDX3\n": "v3"}
+_MAGIC = b"HRRIDX5\n"
+#: v3 digested the level's ids as one JSON array, v4 as their NUL join.
+_RETIRED_MAGICS = {b"HRRIDX1\n": "v1", b"HRRIDX2\n": "v2", b"HRRIDX3\n": "v3",
+                   b"HRRIDX4\n": "v4"}
 
 LAYOUT_DENSE = "dense"
 LAYOUT_CSR = "csr"
@@ -351,7 +351,12 @@ class _CsrRows:
 
 
 class LevelIndex:
-    """Immutable (chunk id, embedding) store for one hierarchy level.
+    """Immutable embeddings of one level of a corpus, one row per chunk.
+
+    Row ``i`` is the corpus's ``i``-th chunk at ``level``. The index keeps
+    its corpus and that level's corpus rows, and reads chunk ids from the
+    corpus's one id list, so it holds no ids of its own: the corpus has
+    proved them unique, and free of a NUL and a lone surrogate.
 
     Built from a ``CsrBatch``, it keeps the rows as CSR; built from an
     ``(n, d)`` float32 block, it keeps them dense (``layout``). No dense
@@ -359,30 +364,39 @@ class LevelIndex:
     norm inside float32 range; the dense search's error bound rests on it.
     """
 
-    def __init__(
-        self, level: Level, chunk_ids: Sequence[str], vectors: np.ndarray | CsrBatch
-    ) -> None:
-        if len(chunk_ids) == 0:
+    def __init__(self, corpus: Corpus, level: Level, vectors: np.ndarray | CsrBatch) -> None:
+        corpus_rows = corpus.rows_at(level)
+        if len(corpus_rows) == 0:
             raise InvalidCorpusError(f"no entries for level {level.value!r}")
-        if len(set(chunk_ids)) != len(chunk_ids):
-            raise InvalidCorpusError("duplicate chunk ids in index")
         rows = _CsrRows(vectors) if isinstance(vectors, CsrBatch) else _DenseRows(vectors)
-        if rows.count != len(chunk_ids):
-            raise InvalidInputError(f"{rows.count} rows do not match {len(chunk_ids)} ids")
+        if rows.count != len(corpus_rows):
+            raise InvalidInputError(f"{rows.count} rows do not match {len(corpus_rows)} ids")
+        self.corpus = corpus
+        self.level = level
+        self._corpus_rows = corpus_rows
+        self._rows = rows
         squared_norms = rows.squared_norms()
         bad = np.flatnonzero(~(squared_norms <= _F32_MAX))
         if bad.size:
             raise InvalidCorpusError(
                 f"{bad.size} index rows are not finite or overflow float32, first "
-                f"{chunk_ids[bad[0]]!r}"
+                f"{next(self._ids_of(bad))!r}"
             )
-        worst = int(np.argmax(np.abs(squared_norms - 1.0)))
+        worst = np.argmax(np.abs(squared_norms - 1.0), keepdims=True)
         #: The row whose squared norm lies furthest from 1, and that norm;
         #: ``load_index`` refuses a snapshot whose rows are not unit.
-        self._least_unit_row = (chunk_ids[worst], float(squared_norms[worst]))
-        self.level = level
-        self.chunk_ids: tuple[str, ...] = tuple(chunk_ids)
-        self._rows = rows
+        self._least_unit_row = (next(self._ids_of(worst)), float(squared_norms[worst[0]]))
+
+    @functools.cached_property
+    def chunk_ids(self) -> tuple[str, ...]:
+        """The chunk ids of the rows, in row order: the corpus's ids at
+        ``level``. For inspection and tests, built on first access, so no
+        build, load, save or search path reads it."""
+        return self.corpus.ids_at(self.level)
+
+    def _ids_of(self, rows: np.ndarray) -> Iterator[str]:
+        """The chunk ids of index ``rows``, in their order."""
+        return self.corpus.ids_of(self._corpus_rows[rows])
 
     @property
     def dimension(self) -> int:
@@ -410,7 +424,7 @@ class LevelIndex:
         return matrix
 
     def __len__(self) -> int:
-        return len(self.chunk_ids)
+        return self._rows.count
 
     def search(self, query: np.ndarray, k: int) -> list[ScoredCandidate]:
         """Exact top-k by cosine, ties broken by chunk id ascending.
@@ -482,7 +496,7 @@ class LevelIndex:
             keep = np.concatenate((above, tied))
             rows, scores = rows[keep], scores[keep]
         # Sorted as Python values, each read out of numpy once.
-        best = list(zip(scores.tolist(), map(self.chunk_ids.__getitem__, rows.tolist())))
+        best = list(zip(scores.tolist(), self._ids_of(rows)))
         best.sort(key=lambda hit: (-hit[0], hit[1]))
         return best
 
@@ -491,69 +505,74 @@ class LevelIndex:
         """Each row's place in chunk id order, built when ties first need it."""
         # An object array sorts by Python's str order, with no int per row;
         # the stable sort (timsort) runs ~4x faster over ids that come in
-        # long ascending runs, as a corpus's do. The object array is freed
-        # before the int32 ranks are allocated.
-        order = np.argsort(np.array(self.chunk_ids, dtype=object), kind="stable")
+        # long ascending runs, as a corpus's do. The object array, filled
+        # from the corpus's ids with no list between, is freed before the
+        # int32 ranks are allocated.
+        ids = self.corpus.ids_of(self._corpus_rows)
+        order = np.argsort(np.fromiter(ids, dtype=object, count=len(self)), kind="stable")
         ranks = np.empty(len(self), dtype=np.int32)
         ranks[order] = np.arange(len(self), dtype=np.int32)
         return ranks
 
 
 def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> LevelIndex:
-    """Embed every chunk at ``level`` and index it, one entry per chunk.
+    """Embed every chunk at ``level`` and index it as that level of ``corpus``.
 
     The level is embedded in one ``embed_batch`` call, and the index keeps
     the rows in the layout the provider returned: a ``CsrBatch`` as CSR,
-    with no dense block of it made, and an ``(n, d)`` block dense.
+    with no dense block of it made, and an ``(n, d)`` block dense. No id is
+    read: row ``i`` is the corpus's ``i``-th chunk at ``level``.
     """
-    ids = corpus.ids_at(level)
-    if not ids:
+    if level not in corpus.levels:
         raise InvalidCorpusError(f"corpus has no chunks at level {level.value!r}")
     # The texts are freed once embedded, so the index is built beside none.
-    return LevelIndex(level, ids, embed_batch(provider, corpus.texts_at(level)))
+    return LevelIndex(corpus, level, embed_batch(provider, corpus.texts_at(level)))
 
 
 def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:
     """Write a versioned snapshot of ``index``, whose vectors ``embedder`` made.
 
     A snapshot (``corpus.write_snapshot``) whose JSON header holds the
-    level, dimension, count, embedder name, ``ids_sha256``, the digest of
-    the level's chunk ids in row order (``_ids_digest``), ``layout`` and
-    ``nnz``, the number of non-zeros. A dense body is the ``count x
-    dimension`` little-endian float32 matrix; a CSR body is the ``count + 1``
-    ``<i8`` row pointers, the ``nnz`` ``<u2`` columns and the ``nnz``
-    ``<f4`` values. Row ``i`` belongs to the ``i``-th chunk id, so the ids
-    themselves live only in the corpus. An interrupted save leaves the
-    earlier snapshot whole. Ids of which one holds a NUL, which no corpus
-    holds, have no digest and raise ``InvalidCorpusError``.
+    level, dimension, count, embedder name, ``ids_sha256``, the corpus's
+    digest of its level column and id table (``Corpus.ids_sha256``, one for
+    every level), ``layout`` and ``nnz``, the number of non-zeros. A dense
+    body is the ``count x dimension`` little-endian float32 matrix; a CSR
+    body is the ``count + 1`` ``<i8`` row pointers, the ``nnz`` ``<u2``
+    columns and the ``nnz`` ``<f4`` values. Row ``i`` belongs to the
+    corpus's ``i``-th chunk at the level, so the ids themselves live only in
+    the corpus. An interrupted save leaves the earlier snapshot whole.
     """
-    ids_sha256 = _ids_digest(index.chunk_ids)
-    if ids_sha256 is None:
-        raise InvalidCorpusError("a chunk id holds a NUL, which the ids' digest cannot tell apart")
     fields = {"level": index.level.value, "dimension": index.dimension, "count": len(index),
-              "embedder": embedder, "ids_sha256": ids_sha256,
+              "embedder": embedder, "ids_sha256": index.corpus.ids_sha256,
               "layout": index.layout, "nnz": index.nnz}
     blocks = zip(index._rows.blocks(), _DTYPES[index.layout])
     write_snapshot(path, _MAGIC, fields, (a.astype(dtype, copy=False) for a, dtype in blocks))
 
 
 def load_index(
-    path: str | Path, chunk_ids: Sequence[str], embedder: str, dimension: int
+    path: str | Path, corpus: Corpus, level: Level, embedder: str, dimension: int
 ) -> LevelIndex:
-    """Load a snapshot written by ``save_index`` for rows ``chunk_ids``.
+    """Load the snapshot ``save_index`` wrote of ``level`` of ``corpus``.
 
-    ``chunk_ids`` are the level's ids in corpus order, and ``embedder`` and
-    ``dimension`` name the provider queries will use. A file of another
-    format version, a malformed header (an unknown layout, say), sizes that
-    do not fit the file (all refused by ``corpus.read_snapshot``), another
-    embedder or dimension, or other ids (by ``_ids_digest``, which ids
-    holding a NUL never match) raise ``SnapshotFormatError`` naming the
+    ``embedder`` and ``dimension`` name the provider queries will use. A
+    file of another format version, a malformed header (an unknown layout,
+    say), sizes that do not fit the file (all refused by
+    ``corpus.read_snapshot``), a snapshot of another level (a file renamed
+    to another level's name), another embedder or dimension, or another
+    corpus (its ``ids_sha256`` is not ``corpus.ids_sha256``, or its count is
+    not the corpus's at ``level``) raise ``SnapshotFormatError`` naming the
     file, before the body is read; so do CSR arrays that do not form a
     valid matrix, non-finite values, and rows further from unit than any
-    ``embed_batch`` returns (``embedding.unit_slack``).
+    ``embed_batch`` returns (``embedding.unit_slack``). One digest covers
+    every level, so the level is checked on its own.
     """
     with closing(read_snapshot(path, _MAGIC, _parse_header, _RETIRED_MAGICS)) as blocks:
-        level, stored_dimension, count, built_by, ids_sha256, layout, nnz = next(blocks)
+        stored_level, stored_dimension, count, built_by, ids_sha256, layout, nnz = next(blocks)
+        if stored_level is not level:
+            raise SnapshotFormatError(
+                f"{path}: a snapshot of the {stored_level.value} level, not of the "
+                f"{level.value} level; re-run ingest"
+            )
         if built_by != embedder:
             raise SnapshotFormatError(
                 f"{path}: vectors from the {built_by!r} embedder, not {embedder!r}; re-run ingest"
@@ -563,10 +582,11 @@ def load_index(
                 f"{path}: index dimension {stored_dimension} differs from the "
                 f"configured embedding dimension {dimension}; re-run ingest"
             )
-        if count != len(chunk_ids) or ids_sha256 != _ids_digest(chunk_ids):
+        chunks = len(corpus.rows_at(level))
+        if ids_sha256 != corpus.ids_sha256 or count != chunks:
             raise SnapshotFormatError(
                 f"{path}: {count} {level.value} rows whose ids do not match the corpus's "
-                f"{len(chunk_ids)} chunks at that level; re-run ingest"
+                f"{chunks} chunks at that level; re-run ingest"
             )
         arrays = [np.frombuffer(block, dtype) for block, dtype in zip(blocks, _DTYPES[layout])]
     if layout == LAYOUT_DENSE:
@@ -574,7 +594,7 @@ def load_index(
     else:
         vectors = CsrBatch(*arrays, stored_dimension)
     try:
-        index = LevelIndex(level, chunk_ids, vectors)
+        index = LevelIndex(corpus, level, vectors)
     except InvalidCorpusError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from None
     if index.nnz != nnz:
@@ -606,19 +626,3 @@ def _parse_header(header) -> tuple[tuple, list[int]]:
     sizes = [n * np.dtype(dtype).itemsize for n, dtype in zip(lengths, _DTYPES[layout])]
     fields = (level, dimension, count, header["embedder"], header["ids_sha256"], layout, nnz)
     return fields, sizes
-
-
-def _ids_digest(chunk_ids: Sequence[str]) -> str | None:
-    """sha256 of the ids joined by NUL, as UTF-8; or None where one of them
-    holds a NUL (or there are none), as their join then may be another
-    sequence's too.
-
-    The join is injective over every other sequence of ids, and a corpus's
-    ids hold no NUL. A lone surrogate, which strict UTF-8 cannot encode and
-    a corpus refuses, is encoded as its three bytes (``surrogatepass``),
-    which no other character encodes to.
-    """
-    joined = "\0".join(chunk_ids)
-    if joined.count("\0") != len(chunk_ids) - 1:
-        return None
-    return hashlib.sha256(joined.encode("utf-8", "surrogatepass")).hexdigest()

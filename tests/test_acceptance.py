@@ -38,6 +38,7 @@ from hrr.rerank import (
 from hrr.retrievers import Strategy, retrieve
 from hrr.synth import CorpusSpec, generate
 
+from level_corpus import level_corpus
 from stub_services import MODE_HANG, MODE_WRONG_DIMENSION, StubServices
 
 
@@ -112,7 +113,7 @@ def test_criterion_2_search_oracle_equivalence():
         )
         vectors = np.stack([ensure_unit(row) for row in raw])
         ids = [f"c{i:03d}" for i in range(n)]
-        index = LevelIndex(Level.SENTENCE, ids, vectors)
+        index = LevelIndex(level_corpus(ids), Level.SENTENCE, vectors)
 
         if rng.random() < 0.3 and n > 1:  # exercise exact ties
             query = vectors[rng.randrange(n)].copy()

@@ -315,13 +315,14 @@ class TestCliWorkflow:
 
     #: sha256 of every artifact the workdir ingest writes (side tier
     #: included). Any change to chunking, serialization or the index format
-    #: shows up here.
+    #: shows up here. The ``.idx`` digests moved with index format v5, whose
+    #: headers hold the corpus's one ``ids_sha256``; their bodies did not.
     GOLDEN_DIGESTS = {
         "corpus/nodes.bin": "2228c6a0d8f984f771138da95ac0235a62f80e3f852e219a0debdd8094d8ca6a",
-        "indexes/parent.idx": "82db905b29d703a90b249eaa4b3c52f1aa6a60b928062ee8af6acd276cfd5fd1",
-        "indexes/intermediate.idx": "d043af046eb3fc2f1a802d496382ff803994086fd38f0a5efb93be18fa2c0dfc",
-        "indexes/sentence.idx": "3cf6cfc45488f5ef972027df64fad0bd75041ef036f28f9f7f861b82a35e1962",
-        "indexes/sub_intermediate.idx": "02459ef069043d09a2b305ebb63ab5e8e1af16c0c7f04f29feba41749b38c7c5",
+        "indexes/parent.idx": "50985658d72f991d422d60487e6b8b68d58c0b0f00555b5d8e9283c4e33b548c",
+        "indexes/intermediate.idx": "77ae959532fa9c0717f59831097eda36b38671704276e6cbc237238e20634c6e",
+        "indexes/sentence.idx": "71eb8abf1939902f771d9c0a298fc7453aa9b31cc37b620d0f1a72016b263dea",
+        "indexes/sub_intermediate.idx": "2aa2255abf8042868b222f656b43053f4d9f4985c70559d1d5303f6b8945d411",
     }
 
     def test_ingest_artifacts_match_golden_digests(self, workdir):
@@ -722,14 +723,56 @@ class TestCliErrors:
             f"error: {Path('corpus') / 'nodes.bin'}: corpus format version 3 is not read; "
             f"re-run ingest\n")
 
-    def test_v3_index_asks_for_reingest(self, workdir, capsys):
+    @pytest.mark.parametrize("version", ["3", "4"])
+    def test_retired_index_format_asks_for_reingest(self, workdir, capsys, version):
         main(["ingest", "synth/docs", "--config", "engine.json"])
         snapshot = Path("indexes") / "sentence.idx"
-        snapshot.write_bytes(b"HRRIDX3\n" + snapshot.read_bytes()[8:])
+        snapshot.write_bytes(f"HRRIDX{version}\n".encode("ascii") + snapshot.read_bytes()[8:])
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         assert capsys.readouterr().err == (
-            f"error: {snapshot}: snapshot format v3 is not read; re-run ingest\n")
+            f"error: {snapshot}: snapshot format v{version} is not read; re-run ingest\n")
+
+    def test_index_renamed_to_another_level_is_io_error(self, workdir, capsys):
+        """Every level's snapshot holds its corpus's one digest, so a
+        sentence snapshot renamed to ``parent.idx`` is refused by its level."""
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        parent = Path("indexes") / "parent.idx"
+        os.replace(Path("indexes") / "sentence.idx", parent)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {parent}: a snapshot of the sentence level, not of the parent level; "
+            f"re-run ingest\n")
+
+    def test_duplicate_chunk_id_is_io_error(self, workdir, capsys):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        table = nodes.id_list()
+        table[-1] = table[0]
+        nodes.ids = "\0".join(table).encode("utf-8")
+        nodes.header["ids_bytes"] = len(nodes.ids)
+        _write_nodes(path, nodes)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{path}: id {table[0]!r} names more than one node" in err and err.count("\n") == 1
+
+    def test_non_utf8_document_after_ascii_ones_is_io_error(self, workdir, capsys):
+        """``load_corpus`` skips decoding a document that is all ASCII, and
+        still refuses one that is not UTF-8 after ASCII ones."""
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        assert len(nodes.documents) == 3 and all(data.isascii() for data in nodes.documents)
+        last = nodes.header["documents"][-1]
+        nodes.documents[-1] = nodes.documents[-1][:5] + b"\xff" + nodes.documents[-1][6:]
+        _write_nodes(path, nodes)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {path}: document {last!r} is not UTF-8 (invalid start byte at byte 5)\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ids: ids.rsplit(b"\0", 1)[0], "the id table splits at NUL into 257 ids, not 258"),

@@ -910,8 +910,10 @@ class TestLoadMatchesChunker:
         _assert_matches_chunker(loaded, documents, config)
 
     @given(
-        # Any id a corpus takes: one without a NUL, which it refuses.
-        st.lists(st.text(st.characters(exclude_characters="\0"), min_size=1, max_size=6),
+        # Any id a corpus takes: one without a NUL or a lone surrogate, which
+        # it refuses; ``characters`` draws surrogates unless its codec is UTF-8.
+        st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\0"),
+                         min_size=1, max_size=6),
                  min_size=1, max_size=3, unique=True),
         st.integers(min_value=0, max_value=2**32 - 1),
     )

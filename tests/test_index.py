@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.cli import EXIT_OK, main
 from hrr.config import EmbeddingConfig, EngineConfig, PathsConfig
-from hrr.corpus import Level
+from hrr.corpus import _ID_CHECK_BATCH, Corpus, Level, load_corpus, save_corpus
 from hrr.embedding import (
     CsrBatch,
     HashedBowEmbedder,
@@ -44,6 +44,8 @@ from hrr.retrievers import _PLANS, Strategy, retrieve
 from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING, TOY_DOCS
+from level_corpus import level_corpus
+from test_corpus import _read_nodes
 from test_embedding import reference_vector
 
 
@@ -108,7 +110,8 @@ def dim_for(layout: str, dense_dim: int) -> int:
 
 def random_index(rng: random.Random, n: int, dim: int, layout: str = "dense") -> LevelIndex:
     ids = [f"c{i:04d}" for i in range(n)]
-    index = LevelIndex(Level.SENTENCE, ids, in_layout(ROWS[layout](rng, n, dim), layout))
+    vectors = in_layout(ROWS[layout](rng, n, dim), layout)
+    index = LevelIndex(level_corpus(ids), Level.SENTENCE, vectors)
     assert index.layout == layout
     return index
 
@@ -149,7 +152,8 @@ class TestSearchOracle:
     def test_ties_broken_by_id_ascending(self, layout):
         vec = ensure_unit(np.r_[1.0, 1.0, np.zeros(dim_for(layout, 4) - 2)])
         vectors = np.stack([vec, vec, vec])
-        index = LevelIndex(Level.SENTENCE, ["zz", "aa", "mm"], in_layout(vectors, layout))
+        index = LevelIndex(level_corpus(["zz", "aa", "mm"]), Level.SENTENCE,
+                           in_layout(vectors, layout))
         assert index.layout == layout
         hits = index.search(vec, 3)
         assert [h.chunk_id for h in hits] == ["aa", "mm", "zz"]
@@ -181,7 +185,7 @@ class TestSearchNearTies:
         base = random_index(rng, 12, 33, layout)
         rows = np.stack([base.vectors[rng.randrange(12)] for _ in range(266)])
         ids = [f"d{i:03d}" for i in range(266)]
-        index = LevelIndex(Level.SENTENCE, ids, in_layout(rows, layout))
+        index = LevelIndex(level_corpus(ids), Level.SENTENCE, in_layout(rows, layout))
         assert index.layout == layout
         probes = list(base.vectors) + [
             np.array([rng.gauss(0, 1) for _ in range(33)], dtype=np.float32) for _ in range(12)
@@ -202,7 +206,7 @@ class TestSearchNearTies:
             row[step < 0] = np.nextafter(row[step < 0], np.float32(-np.inf))
             rows.append(row)
         ids = [f"u{i:03d}" for i in range(400)]
-        index = LevelIndex(Level.SENTENCE, ids, in_layout(np.stack(rows), layout))
+        index = LevelIndex(level_corpus(ids), Level.SENTENCE, in_layout(np.stack(rows), layout))
         assert index.layout == layout
         for probe in range(8):
             assert_matches_oracle(index, base[probe], [1, 3, 50, 51, 52, 399])
@@ -212,7 +216,8 @@ class TestSearchNearTies:
         rng = random.Random(n)
         row = random_index(rng, 1, dim, layout).vectors[0]
         ids = [f"e{i:04d}" for i in range(n - 1, -1, -1)]
-        index = LevelIndex(Level.SENTENCE, ids, in_layout(np.stack([row] * n), layout))
+        index = LevelIndex(level_corpus(ids), Level.SENTENCE,
+                           in_layout(np.stack([row] * n), layout))
         assert index.layout == layout
         query = np.array([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
         for probe in (row, query):
@@ -252,7 +257,7 @@ class TestSearchNearTies:
                 row[j] = np.nextafter(row[j], np.float32(rng.choice([-np.inf, np.inf])))
             rows.append(row)
         ids = [f"b{i:03d}" for i in range(300)]
-        index = LevelIndex(Level.SENTENCE, ids, csr_batch(np.stack(rows)))
+        index = LevelIndex(level_corpus(ids), Level.SENTENCE, csr_batch(np.stack(rows)))
         assert index.layout == "csr"
         for probe in [base, rows[0], rows[1], rows[150]]:
             assert_matches_oracle(index, probe, [1, 2, 20, 149, 150, 151, 299])
@@ -267,7 +272,8 @@ class TestSearchNearTies:
         for row in rows:
             row[rng.sample(range(16), 12)] = values
         rows = np.stack([ensure_unit(row) for row in rows])
-        index = LevelIndex(Level.SENTENCE, [f"p{i:03d}" for i in range(400)], csr_batch(rows))
+        index = LevelIndex(level_corpus([f"p{i:03d}" for i in range(400)]), Level.SENTENCE,
+                           csr_batch(rows))
         assert index.layout == "csr"
         query = np.r_[np.ones(16), np.zeros(48)].astype(np.float32)
         # The premise reads the first pass's sums, which a fixed-order
@@ -301,7 +307,7 @@ class TestSearchNearTies:
         rows[40:, :8] = 0.0
         rows = np.stack([ensure_unit(row) for row in rows])
         ids = [f"z{i:03d}" for i in rng.sample(range(260), 260)]
-        index = LevelIndex(Level.SENTENCE, ids, csr_batch(rows))
+        index = LevelIndex(level_corpus(ids), Level.SENTENCE, csr_batch(rows))
         assert index.layout == "csr"
         query = ensure_unit(np.r_[np.ones(8), np.zeros(376)])
         assert_matches_oracle(index, query, [1, 39, 40, 41, 100, 259, 260, 261, 1000])
@@ -327,7 +333,8 @@ class TestSearchNearTies:
             for i in range(2400)
         ]
         vectors = embed_batch(HashedBowEmbedder(dimension=384), texts)
-        index = LevelIndex(Level.SENTENCE, [f"s{i:05d}" for i in range(2400)], vectors)
+        index = LevelIndex(level_corpus([f"s{i:05d}" for i in range(2400)]), Level.SENTENCE,
+                           vectors)
         assert index.layout == "csr"
         embedder = HashedBowEmbedder(dimension=384)
         straddled = 0
@@ -381,7 +388,7 @@ def csr_index_of(d: int, rows: list[dict[int, float]], ids) -> LevelIndex:
     entries = [(j, row[j]) for row in rows for j in sorted(row)]
     columns = np.array([j for j, _ in entries], dtype=np.uint16)
     values = np.array([v for _, v in entries], dtype=np.float32)
-    return LevelIndex(Level.SENTENCE, ids, CsrBatch(indptr, columns, values, d))
+    return LevelIndex(level_corpus(ids), Level.SENTENCE, CsrBatch(indptr, columns, values, d))
 
 
 #: Rows for a query on buckets 0, 5 and 10 of 16: the first row's three
@@ -463,7 +470,8 @@ def dense_kernel_hits() -> list[list[tuple[str, str]]]:
     the BLAS kernel."""
     raw = np.random.default_rng(17).standard_normal((408, 384))
     unit = (raw / np.sqrt(np.square(raw).sum(axis=1, keepdims=True))).astype(np.float32)
-    index = LevelIndex(Level.SENTENCE, [f"g{i:03d}" for i in range(400)], unit[:400])
+    index = LevelIndex(level_corpus([f"g{i:03d}" for i in range(400)]), Level.SENTENCE,
+                       unit[:400])
     queries = [*unit[400:], unit[7], unit[123]]
     return [[(h.chunk_id, float.hex(h.score)) for h in index.search(q, k)]
             for q in queries for k in (1, 10, 50)]
@@ -498,7 +506,7 @@ class TestTiesByIdRank:
         zero = ensure_unit(np.r_[0.0, 0.0, 1.0, np.zeros(13)])
         rows = np.stack([positive if rng.random() < 0.4 else zero for _ in range(60)])
         ids = [f"s{i}" for i in rng.sample(range(60), 60)]
-        index = LevelIndex(Level.SENTENCE, ids, in_layout(rows, layout))
+        index = LevelIndex(level_corpus(ids), Level.SENTENCE, in_layout(rows, layout))
         assert "_id_ranks" not in vars(index)
         query = np.r_[1.0, np.zeros(15)].astype(np.float32)
         for k in range(1, 60):
@@ -511,7 +519,7 @@ class TestTiesByIdRank:
         their values, and keeps the 4-byte ranks."""
         ids = [f"d{i // 400:03d}:p{i // 40 % 10}.i{i // 8 % 5}.s{i % 8}" for i in range(20000)]
         n = len(ids)
-        index = LevelIndex(Level.SENTENCE, ids, CsrBatch(
+        index = LevelIndex(level_corpus(ids), Level.SENTENCE, CsrBatch(
             np.arange(n + 1), np.zeros(n, np.uint16), np.ones(n, np.float32), 1))
         tracemalloc.start()
         try:
@@ -622,13 +630,13 @@ class TestEarlyStop:
         common = np.argmax(np.bincount(csr.columns, minlength=384))
         values = csr.values.copy()
         values[np.flatnonzero(csr.columns == common)[5:]] = 0.0
-        zeroed = LevelIndex(Level.SENTENCE, index.chunk_ids,
+        zeroed = LevelIndex(index.corpus, Level.SENTENCE,
                             CsrBatch(csr.indptr, csr.columns, values, csr.dimension))
         cases.append(("k-th sum 0", zeroed, np.eye(384, dtype=np.float32)[common]))
         # A level holding a value below 0.
         values = csr.values.copy()
         values[0] = -values[0]
-        negative = LevelIndex(Level.SENTENCE, index.chunk_ids,
+        negative = LevelIndex(index.corpus, Level.SENTENCE,
                               CsrBatch(csr.indptr, csr.columns, values, csr.dimension))
         cases.append(("negative value", negative, needle))
         for name, level, query in cases:
@@ -638,7 +646,7 @@ class TestEarlyStop:
             assert_hits_are(hits, naive_top_k(level, ensure_unit(query), 10), name)
         # A level below the row count.
         with mock.patch.object(index_module, "_EARLY_STOP_ROWS", len(index) + 1):
-            small = LevelIndex(Level.SENTENCE, index.chunk_ids, index._rows.csr)
+            small = LevelIndex(index.corpus, Level.SENTENCE, index._rows.csr)
             full_passes.clear()
             small.search(needle, 10)
         assert len(full_passes) == 1
@@ -667,7 +675,7 @@ class TestNoRescoring:
         texts = [" ".join(rng.choice(words) for _ in range(6)) for _ in range(3000)]
         for i in (17, 1400, 2999):
             texts[i] += " zorblat"
-        zorblat = LevelIndex(Level.SENTENCE, [f"s{i:04d}" for i in range(3000)],
+        zorblat = LevelIndex(level_corpus([f"s{i:04d}" for i in range(3000)]), Level.SENTENCE,
                              embed_batch(embedder, texts))
         rare = embedder.embed_batch(["zorblat"])[0]
         assert np.count_nonzero(zorblat.vectors[:, rare != 0]) == 3
@@ -769,7 +777,7 @@ class TestBuildIndex:
             expected = reference_vector(corpus.chunk_text(chunk_id), dimension)
             assert row.tobytes() == expected.tobytes()
         save_index(index, tmp_path / "a.idx", EMBEDDER)
-        loaded = load_index(tmp_path / "a.idx", index.chunk_ids, EMBEDDER, dimension)
+        loaded = load_index(tmp_path / "a.idx", index.corpus, index.level, EMBEDDER, dimension)
         assert loaded.layout == "csr"
         assert np.array_equal(loaded.vectors, index.vectors)
         save_index(loaded, tmp_path / "b.idx", EMBEDDER)
@@ -784,7 +792,7 @@ class TestBuildIndex:
         assert len(corpus.ids_at(Level.PARENT)) == 1
         index = build_index(corpus, Level.PARENT, HashedBowEmbedder(dimension=384))
         save_index(index, tmp_path / "parent.idx", EMBEDDER)
-        loaded = load_index(tmp_path / "parent.idx", index.chunk_ids, EMBEDDER, 384)
+        loaded = load_index(tmp_path / "parent.idx", index.corpus, index.level, EMBEDDER, 384)
         assert index.layout == loaded.layout == "dense"
         assert loaded.vectors[0].tobytes() == reference_vector("One two.", 384).tobytes()
 
@@ -799,7 +807,7 @@ class TestSnapshots:
         index = random_index(rng, 50, dim, layout)
         path = tmp_path / "sentence.idx"
         save_index(index, path, EMBEDDER)
-        loaded = load_index(path, index.chunk_ids, EMBEDDER, dim)
+        loaded = load_index(path, index.corpus, index.level, EMBEDDER, dim)
         assert loaded.level is index.level
         assert loaded.layout == layout
         assert loaded.chunk_ids == index.chunk_ids
@@ -812,7 +820,7 @@ class TestSnapshots:
         index = random_index(rng, 300, 33, layout)
         path = tmp_path / "sentence.idx"
         save_index(index, path, EMBEDDER)
-        loaded = load_index(path, index.chunk_ids, EMBEDDER, 33)
+        loaded = load_index(path, index.corpus, index.level, EMBEDDER, 33)
         assert loaded.layout == layout
         for _ in range(5):
             query = np.array([rng.gauss(0, 1) for _ in range(33)], dtype=np.float32)
@@ -865,14 +873,14 @@ class TestSnapshots:
             save_index(index, path, EMBEDDER)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["sentence.idx"]
-        assert np.array_equal(load_index(path, index.chunk_ids, EMBEDDER, dim).vectors,
+        assert np.array_equal(load_index(path, index.corpus, index.level, EMBEDDER, dim).vectors,
                               index.vectors)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(b"NOTANIDX" + b"\x00" * 32)
         with pytest.raises(SnapshotFormatError):
-            load_index(path, ["c0000"], EMBEDDER, 6)
+            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
 
     def test_v1_file_asks_for_reingest(self, tmp_path):
         header = b'{"count": 1, "dimension": 6, "level": "sentence"}'
@@ -882,7 +890,7 @@ class TestSnapshots:
             + (5).to_bytes(2, "little") + b"c0000" + b"\x00" * 24
         )
         with pytest.raises(SnapshotFormatError, match="re-run ingest") as exc:
-            load_index(path, ["c0000"], EMBEDDER, 6)
+            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
         assert "\n" not in str(exc.value)
 
     def test_v2_file_asks_for_reingest(self, tmp_path):
@@ -893,26 +901,42 @@ class TestSnapshots:
         path = tmp_path / "v2.idx"
         path.write_bytes(b"HRRIDX2\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 24)
         with pytest.raises(SnapshotFormatError, match="format v2 is not read; re-run ingest") as exc:
-            load_index(path, ["c0000"], EMBEDDER, 6)
+            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
         assert "\n" not in str(exc.value)
 
-    def test_v3_file_asks_for_reingest(self, tmp_path):
-        """A v3 snapshot, whose ``ids_sha256`` digested the ids as one JSON
-        array, is refused by its magic before its digest is read."""
+    @pytest.mark.parametrize("version, digest", [
+        ("v3", lambda ids: json.dumps(list(ids)).encode("ascii")),
+        ("v4", lambda ids: "\0".join(ids).encode("utf-8")),
+    ], ids=["v3", "v4"])
+    def test_retired_digest_formats_ask_for_reingest(self, tmp_path, version, digest):
+        """A v3 snapshot, whose ``ids_sha256`` digested the level's ids as one
+        JSON array, and a v4 one, which digested their NUL join, are refused
+        by their magic before their digest is read."""
         index = random_index(random.Random(4), 10, 6)
         path = tmp_path / "sentence.idx"
         save_index(index, path, EMBEDDER)
         data = path.read_bytes()
         header_len = int.from_bytes(data[8:12], "little")
         header = json.loads(data[12 : 12 + header_len])
-        header["ids_sha256"] = hashlib.sha256(
-            json.dumps(list(index.chunk_ids)).encode("ascii")).hexdigest()
+        header["ids_sha256"] = hashlib.sha256(digest(index.chunk_ids)).hexdigest()
         new = json.dumps(header, sort_keys=True).encode("ascii")
-        path.write_bytes(b"HRRIDX3\n" + len(new).to_bytes(4, "little") + new
-                         + data[12 + header_len :])
+        path.write_bytes(f"HRRIDX{version[1]}\n".encode("ascii") + len(new).to_bytes(4, "little")
+                         + new + data[12 + header_len :])
         with pytest.raises(SnapshotFormatError) as exc:
-            load_index(path, index.chunk_ids, EMBEDDER, 6)
-        assert str(exc.value) == f"{path}: snapshot format v3 is not read; re-run ingest"
+            load_index(path, index.corpus, index.level, EMBEDDER, 6)
+        assert str(exc.value) == f"{path}: snapshot format {version} is not read; re-run ingest"
+
+    def test_snapshot_of_another_level_is_refused(self, tmp_path, toy_corpus):
+        """Every level's snapshot holds the one digest of its corpus, so the
+        level in the header is checked: a sentence snapshot renamed to
+        ``parent.idx`` does not load as the parent level."""
+        sentence = build_index(toy_corpus, Level.SENTENCE, HashedBowEmbedder(dimension=64))
+        path = tmp_path / "parent.idx"
+        save_index(sentence, path, EMBEDDER)
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_index(path, toy_corpus, Level.PARENT, EMBEDDER, 64)
+        assert str(exc.value) == (f"{path}: a snapshot of the sentence level, not of the parent "
+                                  f"level; re-run ingest")
 
     def test_truncated_file(self, tmp_path):
         index = random_index(random.Random(4), 10, 6)
@@ -921,9 +945,9 @@ class TestSnapshots:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 7])
         with pytest.raises(SnapshotFormatError):
-            load_index(path, index.chunk_ids, EMBEDDER, 6)
+            load_index(path, index.corpus, index.level, EMBEDDER, 6)
 
-    # Each header but the one under test carries every field a v4 header needs.
+    # Each header but the one under test carries every field a v5 header needs.
     @pytest.mark.parametrize(
         "header",
         [b"{not json", b'{"level": "sentence"}',
@@ -954,9 +978,9 @@ class TestSnapshots:
     )
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "h.idx"
-        path.write_bytes(b"HRRIDX4\n" + len(header).to_bytes(4, "little") + header)
+        path.write_bytes(b"HRRIDX5\n" + len(header).to_bytes(4, "little") + header)
         with pytest.raises(SnapshotFormatError):
-            load_index(path, ["c0000"], EMBEDDER, 6)
+            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
 
     def test_count_beyond_file_size(self, tmp_path):
         header = (
@@ -964,9 +988,9 @@ class TestSnapshots:
             b'"embedder": "hashed-bow", "ids_sha256": "", "layout": "dense", "nnz": 0}'
         )
         path = tmp_path / "c.idx"
-        path.write_bytes(b"HRRIDX4\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 64)
+        path.write_bytes(b"HRRIDX5\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 64)
         with pytest.raises(SnapshotFormatError, match="bytes, but 64 follow the header"):
-            load_index(path, ["c0000"], EMBEDDER, 6)
+            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
 
     # Each case corrupts one array of a valid CSR body (10 rows, 3-15
     # non-zeros each, dimension 64) in a way its header sizes cannot show.
@@ -997,7 +1021,7 @@ class TestSnapshots:
         corrupt(indptr, columns, values)
         path.write_bytes(data[:body] + indptr.tobytes() + columns.tobytes() + values.tobytes())
         with pytest.raises(SnapshotFormatError, match=message) as exc:
-            load_index(path, index.chunk_ids, EMBEDDER, 64)
+            load_index(path, index.corpus, index.level, EMBEDDER, 64)
         assert "\n" not in str(exc.value)
 
     def test_nnz_disagreeing_with_dense_rows(self, tmp_path):
@@ -1011,7 +1035,7 @@ class TestSnapshots:
         new = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(data[:8] + len(new).to_bytes(4, "little") + new + data[12 + header_len :])
         with pytest.raises(SnapshotFormatError, match="counts 59 non-zeros, the rows hold 60"):
-            load_index(path, index.chunk_ids, EMBEDDER, 6)
+            load_index(path, index.corpus, index.level, EMBEDDER, 6)
 
     @pytest.mark.parametrize(
         "rows, field, value",
@@ -1030,7 +1054,7 @@ class TestSnapshots:
         new = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(data[:8] + len(new).to_bytes(4, "little") + new + data[12 + header_len :])
         with pytest.raises(SnapshotFormatError) as exc:
-            load_index(path, index.chunk_ids, EMBEDDER, 6)
+            load_index(path, index.corpus, index.level, EMBEDDER, 6)
         assert f"malformed header ({field} {value!r} is not an integer)" in str(exc.value)
         assert "\n" not in str(exc.value)
 
@@ -1040,7 +1064,7 @@ class TestSnapshots:
         save_index(index, path, EMBEDDER)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(SnapshotFormatError):
-            load_index(path, index.chunk_ids, EMBEDDER, 6)
+            load_index(path, index.corpus, index.level, EMBEDDER, 6)
 
     @pytest.mark.parametrize(
         "ids",
@@ -1052,47 +1076,62 @@ class TestSnapshots:
         path = tmp_path / "sentence.idx"
         save_index(index, path, EMBEDDER)
         with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
-            load_index(path, ids(list(index.chunk_ids)), EMBEDDER, 6)
+            load_index(path, level_corpus(ids(list(index.chunk_ids))), Level.SENTENCE, EMBEDDER, 6)
 
     def test_id_digest_is_injective_over_newlines(self, tmp_path):
         vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
         path = tmp_path / "sentence.idx"
-        save_index(LevelIndex(Level.SENTENCE, ["a\nb", "c"], vecs), path, EMBEDDER)
+        save_index(LevelIndex(level_corpus(["a\nb", "c"]), Level.SENTENCE, vecs), path, EMBEDDER)
         with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
-            load_index(path, ["a", "b\nc"], EMBEDDER, 4)
+            load_index(path, level_corpus(["a", "b\nc"]), Level.SENTENCE, EMBEDDER, 4)
 
     def test_id_digest_refuses_ids_holding_a_nul(self, tmp_path):
         """Joined by NUL, ``["a\\0b", "c"]`` and ``["a", "b\\0c"]`` are one
-        string, so ids holding a NUL have no digest: a snapshot for them is
-        not saved, and none matches them."""
-        vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
-        path = tmp_path / "sentence.idx"
-        with pytest.raises(InvalidCorpusError, match="holds a NUL"):
-            save_index(LevelIndex(Level.SENTENCE, ["a\0b", "c"], vecs), path, EMBEDDER)
-        assert not path.exists()
-        save_index(LevelIndex(Level.SENTENCE, ["a", "c"], vecs), path, EMBEDDER)
+        string, so no corpus holds an id holding a NUL, and no snapshot is
+        saved for such ids. Two corpora whose id tables are one string, their
+        ids at other levels, are told apart by the level column digested
+        before the table: a snapshot of one does not load beside the other."""
+        for ids in (["a\0b", "c"], ["a", "b\0c"]):
+            with pytest.raises(InvalidCorpusError, match="holds a NUL"):
+                level_corpus(ids)
+        sentence, side = level_corpus(["s"]), level_corpus(["s"], Level.SUB_INTERMEDIATE)
+        assert [n.id for n in sentence] == [n.id for n in side]
+        path = tmp_path / "parent.idx"
+        save_index(build_index(sentence, Level.PARENT, HashedBowEmbedder(4)), path, EMBEDDER)
+        assert len(load_index(path, sentence, Level.PARENT, EMBEDDER, 4)) == 1
         with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
-            load_index(path, ["a", "b\0c"], EMBEDDER, 4)
+            load_index(path, side, Level.PARENT, EMBEDDER, 4)
 
     def test_id_digest_is_the_sha256_of_the_nul_join(self, tmp_path):
-        """``ids_sha256`` is sha256 of the ids joined by NUL, as UTF-8; a lone
-        surrogate, which no corpus holds, is digested as its three bytes."""
+        """``ids_sha256`` is the corpus's: sha256 of its level column (``u1``)
+        followed by its ids joined by NUL, as UTF-8, which are the bytes
+        ``nodes.bin`` stores for them. A lone surrogate, which UTF-8 cannot
+        encode, is refused by the corpus, so no id is digested as one."""
         vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
-        for ids, joined in [(["d:p0", "é,\"\\:p1"], "d:p0\0é,\"\\:p1".encode("utf-8")),
-                            (["x\udc80", "y"], b"x\xed\xb2\x80\0y")]:
-            path = tmp_path / "sentence.idx"
-            save_index(LevelIndex(Level.SENTENCE, ids, vecs), path, EMBEDDER)
-            data = path.read_bytes()
-            header = json.loads(data[12 : 12 + int.from_bytes(data[8:12], "little")])
-            assert header["ids_sha256"] == hashlib.sha256(joined).hexdigest()
-            assert load_index(path, ids, EMBEDDER, 4).chunk_ids == tuple(ids)
+        ids = ["d:p0", "é,\"\\:p1"]
+        corpus = level_corpus(ids)
+        levels = bytes(list(Level).index(node.level) for node in corpus)
+        joined = "\0".join(node.id for node in corpus).encode("utf-8")
+        assert levels == bytes([0, 1, 2, 2]) and "é,\"\\:p1".encode("utf-8") in joined
+        path = tmp_path / "sentence.idx"
+        save_index(LevelIndex(corpus, Level.SENTENCE, vecs), path, EMBEDDER)
+        data = path.read_bytes()
+        header = json.loads(data[12 : 12 + int.from_bytes(data[8:12], "little")])
+        assert header["ids_sha256"] == corpus.ids_sha256 == hashlib.sha256(levels + joined).hexdigest()
+        save_corpus(corpus, tmp_path / "corpus")
+        stored = _read_nodes(tmp_path / "corpus" / "nodes.bin")
+        assert stored.columns["level"].tobytes() + stored.ids == levels + joined
+        loaded = load_corpus(tmp_path / "corpus")
+        assert load_index(path, loaded, Level.SENTENCE, EMBEDDER, 4).chunk_ids == tuple(ids)
+        with pytest.raises(InvalidCorpusError, match="does not encode as UTF-8"):
+            level_corpus(["x\udc80", "y"])
 
     def test_other_embedder_rejected(self, tmp_path):
         index = random_index(random.Random(4), 10, 6)
         path = tmp_path / "sentence.idx"
         save_index(index, path, EMBEDDER)
         with pytest.raises(SnapshotFormatError, match="'hashed-bow' embedder, not 'remote'"):
-            load_index(path, index.chunk_ids, "remote", 6)
+            load_index(path, index.corpus, index.level, "remote", 6)
 
     def test_other_dimension_rejected(self, tmp_path):
         index = random_index(random.Random(4), 10, 6)
@@ -1100,34 +1139,63 @@ class TestSnapshots:
         save_index(index, path, EMBEDDER)
         with pytest.raises(SnapshotFormatError, match="dimension 6 differs from the configured "
                            "embedding dimension 7"):
-            load_index(path, index.chunk_ids, EMBEDDER, 7)
+            load_index(path, index.corpus, index.level, EMBEDDER, 7)
 
 
 class TestColdLoad:
-    def test_load_context_runs_json_only_on_the_snapshot_headers(self, tmp_path, monkeypatch):
+    @pytest.fixture(scope="class")
+    def seed42(self, tmp_path_factory):
+        """The config of the seed-42 synth corpus, ingested."""
+        root = tmp_path_factory.mktemp("seed42")
+        (root / "docs").mkdir()
+        for doc_id, text in generate(CorpusSpec(seed=42)).documents.items():
+            (root / "docs" / f"{doc_id}.txt").write_bytes(text.encode("utf-8"))
+        config = EngineConfig(paths=PathsConfig(corpus_dir=str(root / "corpus"),
+                                                index_dir=str(root / "indexes")))
+        ingest(root / "docs", config)
+        return config
+
+    def test_load_context_runs_json_only_on_the_snapshot_headers(self, seed42, monkeypatch):
         """A cold ``load_context`` encodes no JSON and decodes only the five
         snapshot headers: the ids are split from ``nodes.bin`` and digested
         from their NUL join, not read or written as JSON."""
-        synthetic = generate(CorpusSpec(seed=42))
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        for doc_id, text in synthetic.documents.items():
-            (docs / f"{doc_id}.txt").write_bytes(text.encode("utf-8"))
-        config = EngineConfig(paths=PathsConfig(corpus_dir=str(tmp_path / "corpus"),
-                                                index_dir=str(tmp_path / "indexes")))
-        ingest(docs, config)
         encoded, decoded = [], []
         dumps, loads = json.dumps, json.loads
         monkeypatch.setattr(json, "dumps", lambda *a, **k: encoded.append(a) or dumps(*a, **k))
         monkeypatch.setattr(json, "loads",
                             lambda *a, **k: decoded.append(loads(*a, **k)) or decoded[-1])
-        ctx = load_context(config)
+        ctx = load_context(seed42)
         monkeypatch.undo()
         assert encoded == []
         assert sorted(header.get("level", "corpus") for header in decoded) == sorted(
             ["corpus", *(level.value for level in Level)])
         assert [header["version"] for header in decoded if "level" not in header] == [4]
         assert set(ctx.indices) == set(Level)
+
+    def test_load_context_builds_no_level_ids_and_hashes_them_once(self, seed42, monkeypatch):
+        """Each index of a cold ``load_context`` is a level of the loaded
+        corpus: no level's ids are gathered (``Corpus.ids_at``), and the ids
+        are hashed once, by the corpus, not once per level."""
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: hashed.append(a) or sha256(*a))
+
+        def refuse(corpus, level):
+            raise AssertionError(f"ids_at({level}) was called")
+
+        monkeypatch.setattr(Corpus, "ids_at", refuse)
+        ctx = load_context(seed42)
+        monkeypatch.undo()
+        assert len(hashed) == 1
+        # 7,593 ids, digested in two batches: the bytes nodes.bin stores.
+        stored = _read_nodes(Path(seed42.paths.corpus_dir) / "nodes.bin")
+        assert len(stored.columns["level"]) > _ID_CHECK_BATCH
+        assert ctx.corpus.ids_sha256 == hashlib.sha256(
+            stored.columns["level"].tobytes() + stored.ids).hexdigest()
+        assert set(ctx.indices) == set(Level)
+        for level, index in ctx.indices.items():
+            assert index.corpus is ctx.corpus
+            assert index.chunk_ids == ctx.corpus.ids_at(level)
 
     @given(st.lists(st.text(st.sampled_from("aZé中😀\"'\\,: -_"), min_size=1, max_size=10),
                     min_size=1, max_size=3, unique=True))
@@ -1167,7 +1235,7 @@ class TestUnitRowsAtLoad:
         data[-1] ^= 0x01  # an exponent bit of the last value: times or over 4
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match=r"sentence\.idx: row 'c0009' is not unit"):
-            load_index(path, index.chunk_ids, EMBEDDER, 64)
+            load_index(path, index.corpus, index.level, EMBEDDER, 64)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     @pytest.mark.parametrize("off", [-1e-5, 1e-5])
@@ -1178,10 +1246,11 @@ class TestUnitRowsAtLoad:
         rows[3] = (rows[3].astype(np.float64) * np.sqrt(1.0 + off)).astype(np.float32)
         squared = np.einsum("i,i", rows[3], rows[3], dtype=np.float64)
         assert abs(squared - 1.0 - off) < 1e-6
-        index = LevelIndex(Level.SENTENCE, [f"c{i}" for i in range(20)], in_layout(rows, layout))
+        index = LevelIndex(level_corpus([f"c{i}" for i in range(20)]), Level.SENTENCE,
+                           in_layout(rows, layout))
         save_index(index, tmp_path / "s.idx", EMBEDDER)
         with pytest.raises(SnapshotFormatError, match=r"s\.idx: row 'c3' is not unit \(") as exc:
-            load_index(tmp_path / "s.idx", index.chunk_ids, EMBEDDER, 384)
+            load_index(tmp_path / "s.idx", index.corpus, index.level, EMBEDDER, 384)
         assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
@@ -1195,9 +1264,9 @@ class TestUnitRowsAtLoad:
         vectors = in_layout(rows.copy(), layout)
         assert embed_batch(StaticProvider(vectors, 384), ["t"] * 20) is vectors
         assert np.array_equal(np.asarray(vectors), rows)  # passed through untouched
-        index = LevelIndex(Level.SENTENCE, [f"c{i}" for i in range(20)], vectors)
+        index = LevelIndex(level_corpus([f"c{i}" for i in range(20)]), Level.SENTENCE, vectors)
         save_index(index, tmp_path / "s.idx", EMBEDDER)
-        assert len(load_index(tmp_path / "s.idx", index.chunk_ids, EMBEDDER, 384)) == 20
+        assert len(load_index(tmp_path / "s.idx", index.corpus, index.level, EMBEDDER, 384)) == 20
 
 
 class StaticProvider:
@@ -1256,7 +1325,7 @@ class TestPostingsOnFirstSearch:
         rng = random.Random(41)
         index = random_index(rng, 3000, 64, "csr")
         save_index(index, tmp_path / "s.idx", EMBEDDER)
-        loaded = load_index(tmp_path / "s.idx", index.chunk_ids, EMBEDDER, 64)
+        loaded = load_index(tmp_path / "s.idx", index.corpus, index.level, EMBEDDER, 64)
         query = ensure_unit(np.array([rng.gauss(0, 1) for _ in range(64)], dtype=np.float32))
         barrier = threading.Barrier(4)
         results = [None] * 4
@@ -1287,23 +1356,24 @@ class TestConstruction:
     def test_row_count_other_than_ids_rejected(self, layout, rows):
         vectors = in_layout(sparse_rows(random.Random(9), rows, 64), layout)
         with pytest.raises(InvalidInputError, match=f"{rows} rows do not match 3 ids"):
-            LevelIndex(Level.PARENT, ["x", "y", "z"], vectors)
+            LevelIndex(level_corpus(["x", "y", "z"], Level.PARENT), Level.PARENT, vectors)
 
     def test_duplicate_ids_rejected(self):
         vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.ones(4))])
         with pytest.raises(InvalidCorpusError):
-            LevelIndex(Level.PARENT, ["x", "x"], vecs)
+            LevelIndex(level_corpus(["x", "x"], Level.PARENT), Level.PARENT, vecs)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidCorpusError):
-            LevelIndex(Level.PARENT, [], np.zeros((0, 4), dtype=np.float32))
+            LevelIndex(level_corpus(["x"], Level.PARENT), Level.SENTENCE,
+                       np.zeros((0, 4), dtype=np.float32))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):
         vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
         vecs[1, 2] = bad
         with pytest.raises(InvalidCorpusError, match="'y'"):
-            LevelIndex(Level.PARENT, ["x", "y"], vecs)
+            LevelIndex(level_corpus(["x", "y"], Level.PARENT), Level.PARENT, vecs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_snapshot_with_non_finite_row_rejected(self, tmp_path, bad):
@@ -1315,4 +1385,4 @@ class TestConstruction:
         data[last_entry : last_entry + 4] = np.array([bad], dtype="<f4").tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match="not finite"):
-            load_index(path, index.chunk_ids, EMBEDDER, 6)
+            load_index(path, index.corpus, index.level, EMBEDDER, 6)

@@ -75,7 +75,7 @@ class TestRemoteEmbedder:
                         assert_hits_are(index.search(query, k), naive_top_k(index, query, k))
                 a, b = tmp_path / f"{level.value}.a.idx", tmp_path / f"{level.value}.b.idx"
                 save_index(index, a, remote.name)
-                loaded = load_index(a, index.chunk_ids, remote.name, DIM)
+                loaded = load_index(a, toy_corpus, level, remote.name, DIM)
                 assert loaded.layout == "dense"
                 save_index(loaded, b, remote.name)
                 assert a.read_bytes() == b.read_bytes()
@@ -93,7 +93,7 @@ class TestRemoteEmbedder:
         data[body + 4 * first + 3] ^= 0x01  # an exponent bit: times or over 4
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match="is not unit") as exc:
-            load_index(path, index.chunk_ids, remote.name, DIM)
+            load_index(path, toy_corpus, Level.SENTENCE, remote.name, DIM)
         assert repr(index.chunk_ids[first // DIM]) in str(exc.value)
         assert "\n" not in str(exc.value)
 
