@@ -2,8 +2,10 @@
 alternating pairs, and keep every report.
 
     python3 scripts/bench_pair.py --base REV --out BENCH.json
-        [--workloads query-200 eval-20 ingest-200] [--seed N] [--pairs 1]
-        [--workdir DIR]
+        [--workloads W ...] [--seed N] [--pairs 1] [--workdir DIR]
+
+The workloads (all by default) and the end-to-end metrics are the ones
+``BENCHMARK.json`` declares, read when the script starts.
 
 The base revision is exported with ``git archive`` into ``DIR/base`` (a
 temporary directory, removed at the end, by default), so it runs from its
@@ -13,9 +15,10 @@ goes first alternating from pair to pair. Each run is ``perfbench/run.py
 --workload W --trace 0``, untraced and of run.py's own length; its two JSON
 lines, the report and the result, are kept as printed. ``--out`` gets every
 run, and stdout a summary (``summary``): per workload and end-to-end metric
-(each one lower is better), each side's median and quartiles, the change
-between the medians, the pairs each side won (a tie counts for neither), the
-base's quartile distance and whether the gap between the medians exceeds it.
+(each one lower is better, as every one ``BENCHMARK.json`` declares is),
+each side's median and quartiles, the change between the medians, the pairs
+each side won (a tie counts for neither), the base's quartile distance and
+whether the gap between the medians exceeds it.
 A gain holds by the pair rule when this checkout won at least nine tenths of
 the pairs and its median is lower by more than that distance.
 
@@ -41,8 +44,10 @@ from contextlib import nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("query-200", "eval-20", "ingest-200")
-METRICS = ("setup_s", "op_ms_calibrated", "peak_rss_mb", "bytes_stored_per_input_byte")
+#: The workloads and end-to-end metrics ``BENCHMARK.json`` declares.
+_BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(workload["name"] for workload in _BENCHMARK["workloads"])
+METRICS = tuple(metric["name"] for metric in _BENCHMARK["end_to_end"])
 
 
 def export(rev: str, dest: Path) -> str:

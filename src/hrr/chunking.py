@@ -291,8 +291,13 @@ def build_corpus(
         base = inter_base + len(inters.owner) + len(sentences.owner)
 
     parts = hierarchy + side
-    ids = [chunk_id for part in parts for chunk_id in part[0]]
+    # Joined one part at a time, so no list of every id is built; a lone
+    # surrogate passes, so the corpus names the document id that holds it.
+    id_table = b"\0".join("\0".join(part[0]).encode("utf-8", "surrogatepass") for part in parts)
     empty = np.zeros(0, dtype=np.int64)  # no documents, no parts
     columns = [np.concatenate([empty, *(part[field] for part in parts)]) for field in range(1, 8)]
+    # The corpus splits its own ids from the table: the parts' go first, so
+    # the two are never held at once.
+    del hierarchy, side, parts
     encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
-    return Corpus(encoded, ids, columns, config=config, tokenizer_name=tokenizer.name)
+    return Corpus(encoded, id_table, columns, config=config, tokenizer_name=tokenizer.name)

@@ -42,7 +42,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
+    TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence,
 )
 
 import numpy as np
@@ -136,12 +136,6 @@ class _Columns(NamedTuple):
 _DTYPES = _Columns("u1", "<u4", "<i4", "<i8", "<i8", "<u4", "u1")
 _ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in _DTYPES)
 
-#: Ids joined at a time to look for a NUL or a lone surrogate and to digest
-#: them. One join of every id, a transient string as large as the id table,
-#: raised ingest-200 peak RSS by ~0.4 MB; a batch of this many ids is ~75 KB
-#: at 200 docs.
-_ID_CHECK_BATCH = 4096
-
 
 class Corpus:
     """Immutable container for documents and one table of chunk nodes.
@@ -158,54 +152,60 @@ class Corpus:
     document and text order either way, and nothing reads more of the
     order than the structure check below, so both load and answer alike.
 
-    Construction checks the table's structure, built or loaded alike, and
-    raises ``InvalidCorpusError`` naming the first node that breaks it:
-    no document id or chunk id holds a NUL or a lone surrogate (which UTF-8
-    cannot encode), so the ids can be stored joined by NUL;
-    ids are unique; every node names one of ``documents``; a
-    parent-level node has no parent, and every other node's parent is an
-    earlier node of the same document, at the level
-    ``_EXPECTED_PARENT_LEVEL`` names (so a sentence sits exactly two hops
-    below its parent chunk); every span is non-empty, inside its document
-    and on UTF-8 character boundaries; every ``hard_split`` flag is 0 or 1.
-    At overlap 0 (``parent_overlap`` and ``intermediate_overlap`` both 0),
-    each level's spans also tile the level above: a document's parents, and
-    one node's children at one level, taken in row order, start at their
-    owner's start (0 for a document), each next one where the one before
-    ends, and the last ends at the owner's end (the document's length); and
-    those children's token counts sum to the owner's. An owner without
-    children at a level, and a document without parents, are not checked.
-    ``validate_corpus`` recounts the tokens.
+    A corpus is constructed from the blocks ``nodes.bin`` stores, built or
+    loaded alike, and construction proves each of them once. It raises
+    ``InvalidCorpusError`` for the first of these rules that is broken,
+    naming what breaks it: a value does not fit its column; a document id
+    holds a NUL or a lone surrogate (which UTF-8 cannot encode); a document
+    is not UTF-8 (the first such document); the id table is not UTF-8 or
+    does not split at NUL into one id per row (so no id holds a NUL or a
+    lone surrogate); an id names more than one node. Then, naming the first
+    node in row order within each rule: a level code is 4 or more; a document
+    row is not one of ``documents``; a parent-level node has a parent, or
+    another node's parent is not an earlier node of the same document at
+    the level ``_EXPECTED_PARENT_LEVEL`` names (so a sentence sits exactly
+    two hops below its parent chunk); a span is empty or reversed, ends
+    beyond its document or cuts a UTF-8 character; a ``hard_split`` flag is
+    not 0 or 1. At overlap 0 (``parent_overlap`` and
+    ``intermediate_overlap`` both 0), each level's spans must also tile the
+    level above: a document's parents, and one node's children at one
+    level, taken in row order, start at their owner's start (0 for a
+    document), each next one where the one before ends, and the last ends
+    at the owner's end (the document's length); and those children's token
+    counts sum to the owner's. An owner without children at a level, and a
+    document without parents, are not checked. ``validate_corpus``
+    recounts the tokens.
 
-    The same pass digests the table's identity: ``ids_sha256`` is the
-    sha256 of the level column (``u1``) followed by the id table, the ids
-    joined by NUL as UTF-8: the bytes ``save_corpus`` writes for them. As no
-    id holds a NUL, the table of ``n`` ids holds ``n - 1``, and the column
-    is ``n`` bytes, so those bytes name exactly one (levels, ids) sequence:
-    two splits of one byte string at ``n < m`` would need the ``m - n``
-    bytes between them to hold ``n - m`` NULs. An index is a level of its
-    corpus (``index.LevelIndex``): its snapshot stores this one digest, and
-    loads only beside a corpus whose digest it matches.
+    ``ids_sha256`` digests the table's identity: the sha256 of the level
+    column (``u1``) followed by the id table as handed in, the bytes
+    ``save_corpus`` writes for them. As no id holds a NUL, the table of
+    ``n`` ids holds ``n - 1``, and the column is ``n`` bytes, so those
+    bytes name exactly one (levels, ids) sequence: two splits of one byte
+    string at ``n < m`` would need the ``m - n`` bytes between them to hold
+    ``n - m`` NULs. An index is a level of its corpus
+    (``index.LevelIndex``): its snapshot stores this one digest, and loads
+    only beside a corpus whose digest it matches.
     """
 
     def __init__(
         self,
         documents: Mapping[str, bytes],
-        ids: Sequence[str],
+        id_table: bytes,
         columns: Sequence[Sequence[int]],
         *,
         config: "ChunkingConfig",
         tokenizer_name: str,
     ) -> None:
         """A corpus over ``documents``, each id's UTF-8 bytes, and the node
-        table ``ids``, ``columns``.
+        table ``id_table``, ``columns``.
 
-        Row ``i`` is node ``ids[i]``. ``columns`` holds one sequence of ints
-        per field, in this order: the node's level as its position in
-        ``Level``, its document's position in ``documents``, its parent's
-        row (-1 for none), the start and end of its byte span, its token
-        count and its hard-split flag (0 or 1). A value that does not fit
-        its column raises ``InvalidCorpusError``, as a broken structure does.
+        ``id_table`` is the chunk ids in row order, joined by NUL, as UTF-8;
+        a table of no bytes is no id, or one empty id where the columns hold
+        one row. ``columns`` holds one sequence of ints per field, in this
+        order: the node's level as its position in ``Level``, its document's
+        position in ``documents``, its parent's row (-1 for none), the start
+        and end of its byte span, its token count and its hard-split flag
+        (0 or 1).
         """
         try:
             # Converted, never cast, so an out-of-range value raises; in
@@ -219,7 +219,8 @@ class Corpus:
         self.documents: dict[str, bytes] = dict(documents)
         self.config = config
         self.tokenizer_name = tokenizer_name
-        self._ids = ids
+        is_ascii = _check_documents(self.documents)
+        self._ids = ids = _split_ids(id_table, len(columns.level))
         self._index: dict[str, int] = dict(zip(ids, range(len(ids))))
         self._cols = columns
         #: The columns as memoryviews too, whose items read as Python ints
@@ -229,8 +230,11 @@ class Corpus:
         self._doc_ids: list[str] = list(self.documents)
         self._doc_rows = {doc_id: row for row, doc_id in enumerate(self._doc_ids)}
         self._doc_bytes: list[bytes] = list(self.documents.values())
+        _check_structure(self, is_ascii)
+        digest = hashlib.sha256(columns.level.tobytes())
+        digest.update(id_table)
         #: The digest of the level column and the id table (see above).
-        self.ids_sha256: str = _check_structure(self)
+        self.ids_sha256: str = digest.hexdigest()
         self._level_counts = np.bincount(columns.level, minlength=len(_LEVELS))
 
         # Parent rows grouped by document, each group in row order: document
@@ -495,7 +499,9 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load a corpus previously written by ``save_corpus``.
+    """Load a corpus previously written by ``save_corpus``: frame the
+    blocks of ``nodes.bin`` and construct the ``Corpus`` they store, which
+    proves them. Loading builds no ``ChunkNode``.
 
     A ``nodes.bin`` that could not have been saved raises
     ``SnapshotFormatError`` naming it, in one line: anything
@@ -504,18 +510,8 @@ def load_corpus(directory: str | Path) -> Corpus:
     not a JSON integer (``json_int``); another format version, which asks
     for a re-ingest; an unknown tokenizer or invalid chunking settings;
     document ids that are not one string per length, or that name a
-    document twice; a document that is not UTF-8; an id table that is not
-    UTF-8 or does not split at NUL into ``count`` ids; and a node table
-    that breaks a rule ``Corpus`` checks when constructed (an id holding a
-    NUL or a lone surrogate; a duplicate id; a level code of 4 or more; a
-    document row out of range; a parent-level node with a parent row, or
-    another node whose parent row is not an earlier row of the same
-    document at the level above it; a span that is empty or reversed, ends
-    beyond its document or cuts a UTF-8 character; a ``hard_split`` flag
-    other than 0 or 1; at overlap 0, spans that do not tile their owner
-    or token counts that do not sum to it), whose message the error
-    carries. The documents are kept as the bytes read, once they
-    decode. Loading builds no ``ChunkNode``.
+    document twice; and any rule ``Corpus`` lists, whose message the error
+    carries, followed by "; re-run ingest".
     """
     from .chunking import ChunkingConfig
 
@@ -545,36 +541,15 @@ def load_corpus(directory: str | Path) -> Corpus:
         sizes = [count * np.dtype(dtype).itemsize for dtype in _DTYPES]
         sizes.append(json_int(header["ids_bytes"], "ids_bytes"))
         sizes += (json_int(n, f"document_bytes[{i}]") for i, n in enumerate(lengths))
-        return (config, header["tokenizer"], count, doc_ids), sizes
+        return (config, header["tokenizer"], doc_ids), sizes
 
     with closing(read_snapshot(path, _MAGIC, parse)) as snapshot:
-        config, tokenizer_name, count, doc_ids = next(snapshot)
+        config, tokenizer_name, doc_ids = next(snapshot)
         columns = [np.frombuffer(next(snapshot), dtype) for dtype in _DTYPES]
-        table = next(snapshot)
-        try:
-            # An empty table holds no id, or one empty id where the count says so.
-            ids = table.decode("utf-8").split("\0") if count or table else []
-        except UnicodeDecodeError as exc:
-            raise SnapshotFormatError(
-                f"{path}: the id table is not UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None
-        if len(ids) != count:
-            raise SnapshotFormatError(
-                f"{path}: the id table splits at NUL into {len(ids)} ids, not {count}"
-            )
-        documents = {}
-        for doc_id, data in zip(doc_ids, snapshot):
-            try:
-                # ASCII is UTF-8, and is found several times faster than decoded.
-                if not data.isascii():
-                    data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SnapshotFormatError(
-                    f"{path}: document {doc_id!r} is not UTF-8 ({exc.reason} at byte {exc.start})"
-                ) from None
-            documents[doc_id] = data
+        id_table = next(snapshot)
+        documents = dict(zip(doc_ids, snapshot))
     try:
-        return Corpus(documents, ids, columns, config=config, tokenizer_name=tokenizer_name)
+        return Corpus(documents, id_table, columns, config=config, tokenizer_name=tokenizer_name)
     except InvalidCorpusError as exc:
         raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
 
@@ -673,30 +648,48 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         tmp.unlink(missing_ok=True)
 
 
-def _check_structure(corpus: Corpus) -> str:
+def _check_documents(documents: Mapping[str, bytes]) -> list[bool]:
+    """Raise ``InvalidCorpusError`` for the first document whose id holds a
+    NUL or a lone surrogate, or whose bytes are not UTF-8; return whether
+    each document is ASCII, the one scan of its bytes the cut rule reads."""
+    verdicts = []
+    for doc_id, data in documents.items():
+        if "\0" in doc_id or not encodes_as_utf8(doc_id):
+            raise InvalidCorpusError(
+                f"document id {doc_id!r} holds a NUL or does not encode as UTF-8")
+        # ASCII is UTF-8, and is found several times faster than decoded.
+        is_ascii = data.isascii()
+        try:
+            if not is_ascii:
+                data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidCorpusError(
+                f"document {doc_id!r} is not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+        verdicts.append(is_ascii)
+    return verdicts
+
+
+def _split_ids(table: bytes, count: int) -> list[str]:
+    """The ``count`` ids of ``table``, split at NUL once it decodes as
+    strict UTF-8, which encodes no lone surrogate; else ``InvalidCorpusError``."""
+    try:
+        # An empty table holds no id, or one empty id where the count says so.
+        ids = table.decode("utf-8").split("\0") if count or table else []
+    except UnicodeDecodeError as exc:
+        raise InvalidCorpusError(
+            f"the id table is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    if len(ids) != count:
+        raise InvalidCorpusError(f"the id table splits at NUL into {len(ids)} ids, not {count}")
+    return ids
+
+
+def _check_structure(corpus: Corpus, is_ascii: Sequence[bool]) -> None:
     """Raise ``InvalidCorpusError`` naming the first node, in row order
     within each rule, that breaks the node table's structure (the rules
-    ``Corpus`` lists); for a token sum, the node is the owner. Return
-    ``ids_sha256``, taken in the pass that checks the ids."""
-    ids, doc_ids = corpus._ids, corpus._doc_ids
-    for at in range(0, len(doc_ids), _ID_CHECK_BATCH):
-        joined = "".join(doc_ids[at : at + _ID_CHECK_BATCH])
-        if "\0" in joined or not encodes_as_utf8(joined):
-            _refuse_id("document id", doc_ids)
-    digest = hashlib.sha256(corpus._cols.level.tobytes())
-    for at in range(0, len(ids), _ID_CHECK_BATCH):
-        batch = ids[at : at + _ID_CHECK_BATCH]
-        try:
-            # Strict UTF-8 encodes no lone surrogate.
-            encoded = "\0".join(batch).encode("utf-8")
-        except UnicodeEncodeError:
-            _refuse_id("id", ids)
-        # Only a NUL encodes to a 0 byte; numpy counts them ~3x faster than str.count.
-        if np.count_nonzero(np.frombuffer(encoded, dtype=np.uint8) == 0) != len(batch) - 1:
-            _refuse_id("id", ids)
-        if at:
-            digest.update(b"\0")
-        digest.update(encoded)
+    ``Corpus`` lists from the duplicate id on); for a token sum, the node is
+    the owner. ``is_ascii`` says which documents are ASCII."""
+    ids = corpus._ids
     if len(corpus._index) != len(ids):
         duplicate = next(chunk_id for chunk_id, n in Counter(ids).items() if n > 1)
         raise InvalidCorpusError(f"id {duplicate!r} names more than one node")
@@ -731,7 +724,7 @@ def _check_structure(corpus: Corpus) -> str:
     bounds = np.searchsorted(doc[order], np.arange(len(sizes) + 1)).tolist()
     cuts = np.zeros(len(ids), dtype=bool)
     for d, data in enumerate(corpus._doc_bytes):
-        if data.isascii():
+        if is_ascii[d]:
             continue
         text = np.frombuffer(data, dtype=np.uint8)
         rows = order[bounds[d] : bounds[d + 1]]
@@ -741,7 +734,7 @@ def _check_structure(corpus: Corpus) -> str:
     refuse(cuts, "its span cuts a UTF-8 character")
     refuse(hard_split > 1, "its hard_split flag is not 0 or 1")
     if corpus.config.parent_overlap or corpus.config.intermediate_overlap or not len(ids):
-        return digest.hexdigest()
+        return
     # At overlap 0, each document's parents, and each node's children at one
     # level, tile their owner. Owners are numbered documents first, then
     # nodes (n_docs + row); one stable sort on (owner, level) puts each such
@@ -778,13 +771,6 @@ def _check_structure(corpus: Corpus) -> str:
     node = owners[at_node] - n_docs
     refuse(sums != token_count[node], "its children at one level do not sum to its token count",
            node)
-    return digest.hexdigest()
-
-
-def _refuse_id(kind: str, names: Sequence[str]) -> NoReturn:
-    """Raise for the first of ``names`` that holds a NUL or a lone surrogate."""
-    bad = next(name for name in names if "\0" in name or not encodes_as_utf8(name))
-    raise InvalidCorpusError(f"{kind} {bad!r} holds a NUL or does not encode as UTF-8")
 
 
 #: What reading fields from a parsed JSON record or header can raise when it

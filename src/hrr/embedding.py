@@ -500,7 +500,10 @@ class RemoteEmbedder:
         )
         try:
             vectors = payload["vectors"]
-            reported = int(payload["dimension"])
+            reported = payload["dimension"]
+            # A JSON integer, never coerced: not a bool, float or string.
+            if type(reported) is not int:
+                raise TypeError(f"dimension {reported!r} is not an integer")
             received = len(vectors)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailableError(f"malformed embed response: {exc}") from exc

@@ -251,10 +251,12 @@ def save_query_set(path: str | Path, queries: Iterable[LabeledQuery]) -> None:
 
 
 def format_table(summaries: Sequence[EvalSummary]) -> str:
-    """Aligned text table, one row per strategy, metrics to six decimals."""
+    """Aligned text table, one row per strategy, metrics to six decimals; a
+    summary of no strategy's name is labelled with its own ``strategy``."""
     rows = []
     for summary in summaries:
-        label = STRATEGY_LABELS.get(Strategy(summary.strategy), summary.strategy)
+        # A ``Strategy`` is a ``str``, so its value finds its entry.
+        label = STRATEGY_LABELS.get(summary.strategy, summary.strategy)
         rows.append((label, f"{summary.hit_rate:.6f}", f"{summary.mrr:.6f}"))
     width = max(len("Retriever"), *(len(r[0]) for r in rows)) if rows else len("Retriever")
     lines = [f"{'Retriever':<{width}}  {'Hit Rate':>9}  {'MRR':>9}"]

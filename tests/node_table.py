@@ -22,5 +22,6 @@ def corpus_of(documents, nodes: list[ChunkNode], config, tokenizer_name="word-pu
         [node.hard_split for node in nodes],
     )
     encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
-    return Corpus(encoded, [node.id for node in nodes], columns, config=config,
-                  tokenizer_name=tokenizer_name)
+    # A lone surrogate passes, so the corpus, not this helper, refuses it.
+    table = "\0".join(node.id for node in nodes).encode("utf-8", "surrogatepass")
+    return Corpus(encoded, table, columns, config=config, tokenizer_name=tokenizer_name)

@@ -221,7 +221,8 @@ def corpus_of_rows(documents: Mapping[str, str], rows: list[tuple], config: Chun
     its seven columns."""
     ids, *columns = zip(*rows) if rows else [()] * 8
     encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
-    return Corpus(encoded, ids, columns, config=config, tokenizer_name=tokenizer_name)
+    table = "\0".join(ids).encode("utf-8", "surrogatepass")
+    return Corpus(encoded, table, columns, config=config, tokenizer_name=tokenizer_name)
 
 
 def node_rows(documents: Mapping[str, str], config: ChunkingConfig,

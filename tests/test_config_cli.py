@@ -760,8 +760,8 @@ class TestCliErrors:
         assert f"{path}: id {table[0]!r} names more than one node" in err and err.count("\n") == 1
 
     def test_non_utf8_document_after_ascii_ones_is_io_error(self, workdir, capsys):
-        """``load_corpus`` skips decoding a document that is all ASCII, and
-        still refuses one that is not UTF-8 after ASCII ones."""
+        """A corpus skips decoding a document that is all ASCII, and still
+        refuses one that is not UTF-8 after ASCII ones."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
         path = Path("corpus") / "nodes.bin"
         nodes = _read_nodes(path)
@@ -772,7 +772,8 @@ class TestCliErrors:
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         assert capsys.readouterr().err == (
-            f"error: {path}: document {last!r} is not UTF-8 (invalid start byte at byte 5)\n")
+            f"error: {path}: document {last!r} is not UTF-8 (invalid start byte at byte 5); "
+            "re-run ingest\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ids: ids.rsplit(b"\0", 1)[0], "the id table splits at NUL into 257 ids, not 258"),
@@ -790,7 +791,7 @@ class TestCliErrors:
         _write_nodes(path, nodes)
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}; re-run ingest\n"
 
     def test_reingest_over_a_v2_corpus_directory_leaves_one_file(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])

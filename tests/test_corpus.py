@@ -41,6 +41,7 @@ from hrr.rerank import TOKEN_SET_CACHE_SIZE, LexicalOverlapReranker
 from hrr.synth import CorpusSpec, generate
 
 import reference_text
+from level_corpus import level_corpus
 from node_table import corpus_of
 
 CFG = ChunkingConfig(parent_size=24, intermediate_size=10, sub_intermediate_size=5)
@@ -390,8 +391,8 @@ class TestSerialization:
         documents = {"d": b"alpha beta"}
         columns = [[0] * len(ids), [0] * len(ids), [-1] * len(ids), [0] * len(ids),
                    [10] * len(ids), [2] * len(ids), [0] * len(ids)]
-        built = Corpus(documents, ids, columns, config=replace(CFG, parent_overlap=1),
-                       tokenizer_name="word-punct")
+        built = Corpus(documents, "\0".join(ids).encode("utf-8"), columns,
+                       config=replace(CFG, parent_overlap=1), tokenizer_name="word-punct")
         save_corpus(built, tmp_path)
         loaded = load_corpus(tmp_path)
         assert list(loaded) == list(built) and len(loaded) == len(ids)
@@ -725,22 +726,40 @@ class TestStructureGate:
 
     @pytest.mark.parametrize("chunk_id", ["d:p\0", "\0", "d:\udc80"])
     def test_chunk_id_that_cannot_be_stored_is_refused(self, chunk_id):
+        """A NUL splits the id table into one id more than the rows; a lone
+        surrogate's bytes, as ``surrogatepass`` writes them, are not UTF-8."""
         with pytest.raises(InvalidCorpusError) as exc:
             corpus_of({"d": "alpha beta"},
                       [ChunkNode(chunk_id, Level.PARENT, "d", None, (0, 10), 2)], CFG)
-        assert str(exc.value) == f"id {chunk_id!r} holds a NUL or does not encode as UTF-8"
+        assert str(exc.value) == (
+            "the id table is not UTF-8 (invalid continuation byte at byte 2)"
+            if "\udc80" in chunk_id else "the id table splits at NUL into 2 ids, not 1")
 
     @pytest.mark.parametrize("bad", ["x\0", "x\udc80"])
-    def test_id_in_a_later_check_batch_is_refused(self, bad, monkeypatch):
-        built = build_corpus({"d": "One two. Three four. Five six. Seven eight."}, CFG)
-        ids = list(built._ids)
-        assert len(ids) > 4
-        ids[-1] = bad
-        monkeypatch.setattr(corpus_module, "_ID_CHECK_BATCH", 2)
+    def test_id_in_a_later_check_batch_is_refused(self, bad):
+        """A bad id last in a table of more than 4,096 ids, the batch that
+        earlier versions checked ids in, is refused: the whole table is
+        decoded and split once."""
+        ids = [f"s{i}" for i in range(4200)]
+        built = level_corpus(ids)
+        good = "\0".join(built._ids[:-1]).encode("utf-8")
+        table = good + b"\0" + bad.encode("utf-8", "surrogatepass")
         with pytest.raises(InvalidCorpusError) as exc:
-            Corpus(built.documents, ids, built._cols, config=built.config,
+            Corpus(built.documents, table, built._cols, config=built.config,
                    tokenizer_name=built.tokenizer_name)
-        assert str(exc.value) == f"id {bad!r} holds a NUL or does not encode as UTF-8"
+        n = len(built)
+        assert str(exc.value) == (
+            f"the id table splits at NUL into {n + 1} ids, not {n}" if bad == "x\0" else
+            f"the id table is not UTF-8 (invalid continuation byte at byte {len(good) + 2})")
+
+    def test_document_that_is_not_utf8_is_refused(self):
+        """The corpus proves its documents UTF-8 when constructed, built or
+        loaded alike, so no ``chunk_text`` fails to decode and no saved file
+        fails to load."""
+        with pytest.raises(InvalidCorpusError) as exc:
+            Corpus({"d": b"\xffab cd"}, b"d:p0", [[0], [0], [-1], [0], [6], [2], [0]],
+                   config=CFG, tokenizer_name="word-punct")
+        assert str(exc.value) == "document 'd' is not UTF-8 (invalid start byte at byte 0)"
 
     @pytest.mark.parametrize("doc_id", ["d\0", "d\udc80"])
     def test_document_id_that_cannot_be_stored_is_refused(self, doc_id):

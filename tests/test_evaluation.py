@@ -151,6 +151,16 @@ class TestTableFormat:
         assert "Base Retriever + Reranker" in lines[2]
         assert "0.897436" in lines[2] and "0.717521" in lines[2]
 
+    def test_a_summary_of_no_strategy_keeps_its_own_label(self):
+        """``summarize``'s default strategy, "", and a name that is no
+        strategy's are rows labelled as they are, not errors."""
+        from hrr.evaluation import EvalRecord, EvalSummary
+
+        unnamed = summarize([EvalRecord("q", "d:p0", True, 1)])
+        lines = format_table([unnamed, EvalSummary("mine", 0.5, 0.25, 8)]).splitlines()
+        assert lines[1].split() == ["1.000000", "1.000000"]
+        assert lines[2].split() == ["mine", "0.500000", "0.250000"]
+
     def test_machine_output_round_trips(self):
         from hrr.evaluation import EvalSummary
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.cli import EXIT_OK, main
 from hrr.config import EmbeddingConfig, EngineConfig, PathsConfig
-from hrr.corpus import _ID_CHECK_BATCH, Corpus, Level, load_corpus, save_corpus
+from hrr.corpus import Corpus, Level, load_corpus, save_corpus
 from hrr.embedding import (
     CsrBatch,
     HashedBowEmbedder,
@@ -1087,12 +1087,13 @@ class TestSnapshots:
 
     def test_id_digest_refuses_ids_holding_a_nul(self, tmp_path):
         """Joined by NUL, ``["a\\0b", "c"]`` and ``["a", "b\\0c"]`` are one
-        string, so no corpus holds an id holding a NUL, and no snapshot is
-        saved for such ids. Two corpora whose id tables are one string, their
+        string, which splits into one id more than the rows, so no corpus
+        holds an id holding a NUL, and no snapshot is saved for such ids. Two corpora whose id tables are one string, their
         ids at other levels, are told apart by the level column digested
         before the table: a snapshot of one does not load beside the other."""
         for ids in (["a\0b", "c"], ["a", "b\0c"]):
-            with pytest.raises(InvalidCorpusError, match="holds a NUL"):
+            # Two rows above the sentence level, then the two ids.
+            with pytest.raises(InvalidCorpusError, match="splits at NUL into 5 ids, not 4"):
                 level_corpus(ids)
         sentence, side = level_corpus(["s"]), level_corpus(["s"], Level.SUB_INTERMEDIATE)
         assert [n.id for n in sentence] == [n.id for n in side]
@@ -1123,7 +1124,7 @@ class TestSnapshots:
         assert stored.columns["level"].tobytes() + stored.ids == levels + joined
         loaded = load_corpus(tmp_path / "corpus")
         assert load_index(path, loaded, Level.SENTENCE, EMBEDDER, 4).chunk_ids == tuple(ids)
-        with pytest.raises(InvalidCorpusError, match="does not encode as UTF-8"):
+        with pytest.raises(InvalidCorpusError, match="the id table is not UTF-8"):
             level_corpus(["x\udc80", "y"])
 
     def test_other_embedder_rejected(self, tmp_path):
@@ -1187,9 +1188,8 @@ class TestColdLoad:
         ctx = load_context(seed42)
         monkeypatch.undo()
         assert len(hashed) == 1
-        # 7,593 ids, digested in two batches: the bytes nodes.bin stores.
+        # The 7,593 ids, digested as nodes.bin stores them.
         stored = _read_nodes(Path(seed42.paths.corpus_dir) / "nodes.bin")
-        assert len(stored.columns["level"]) > _ID_CHECK_BATCH
         assert ctx.corpus.ids_sha256 == hashlib.sha256(
             stored.columns["level"].tobytes() + stored.ids).hexdigest()
         assert set(ctx.indices) == set(Level)

@@ -127,8 +127,12 @@ class TestRemoteEmbedder:
     @pytest.mark.parametrize(
         "body",
         [b'{"vectors": [["a", 1]], "dimension": 2}', b'{"vectors": [[null, 1]], "dimension": 2}',
-         b'{"vectors": [[[1], 2]], "dimension": 2}', b'{"vectors": 5, "dimension": 2}'],
-        ids=["string-element", "null-element", "ragged-element", "vectors-not-a-list"],
+         b'{"vectors": [[[1], 2]], "dimension": 2}', b'{"vectors": 5, "dimension": 2}',
+         # The dimension is a JSON integer, never coerced.
+         b'{"vectors": [[1, 0]], "dimension": 1e400}', b'{"vectors": [[1, 0]], "dimension": "2"}',
+         b'{"vectors": [[1, 0]], "dimension": 2.9}', b'{"vectors": [[1, 0]], "dimension": true}'],
+        ids=["string-element", "null-element", "ragged-element", "vectors-not-a-list",
+             "dimension-overflow", "dimension-string", "dimension-float", "dimension-bool"],
     )
     def test_malformed_vectors_are_provider_error(self, body):
         with StubServices(dimension=2, raw_body=body) as stub:
