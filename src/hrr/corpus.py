@@ -9,9 +9,9 @@ intermediates, but it is a level outside ``HIERARCHY_LEVELS``, so sentence
 nodes always sit exactly two hops below their parent chunk.
 
 The table is columnar: one numpy array per node field plus one list of
-ids, row ``i`` being the ``i``-th node in iteration order. A ``ChunkNode``
-is built only when one is asked for; ancestor walks, text lookups and
-byte-to-parent lookups read the columns. This is the layout column stores
+ids, each indexed by the node's row. A ``ChunkNode`` is built only when
+one is asked for; ancestor walks, text lookups and byte-to-parent lookups
+read the columns. This is the layout column stores
 use to scan only what a query touches (Abadi, Madden and Hachem,
 "Column-Stores vs. Row-Stores", SIGMOD 2008), and it is also the on-disk
 layout, so loading a corpus builds no per-node object.
@@ -141,23 +141,25 @@ class Corpus:
     """Immutable container for documents and one table of chunk nodes.
 
     Safe for concurrent readers once constructed. Every level, the side tier
-    included, is stored alike: ``chunks`` maps each id to its node, and
-    ``nodes_at``, ``nodes`` (the ``HIERARCHY_LEVELS``) and iterating the
-    corpus give nodes in row order. Each of these builds its nodes when
-    called; the corpus keeps none.
+    included, is stored alike, and read by row and id: ``rows_at`` gives a
+    level's rows, ``ids_of`` their ids, ``texts_at`` and ``chunk_text`` their
+    texts, ``parent_at`` the parent chunk owning a byte, and ``get`` builds
+    the one ``ChunkNode`` of an id (``in`` and ``len`` as for a set of ids).
+    The node views ``chunks``, ``nodes`` and ``sub_nodes`` are kept only for
+    the benchmark harness. The corpus keeps no node.
 
     The chunker's rows are each document's parents, intermediates and
-    sentences in turn, then the side tier (see ``hrr.chunking``); earlier
-    versions saved the hierarchy depth-first. Each level's rows are in
-    document and text order either way, and nothing reads more of the
-    order than the structure check below, so both load and answer alike.
+    sentences in turn, then the side tier (see ``hrr.chunking``). Each
+    level's rows are in document and text order, and nothing reads more of
+    the order than the structure check below.
 
     A corpus is constructed from the blocks ``nodes.bin`` stores, built or
     loaded alike, and construction proves each of them once. It raises
     ``InvalidCorpusError`` for the first of these rules that is broken,
-    naming what breaks it: a value does not fit its column; a document id
-    holds a NUL or a lone surrogate (which UTF-8 cannot encode); a document
-    is not UTF-8 (the first such document); the id table is not UTF-8 or
+    naming what breaks it: a value does not fit its column; a column holds
+    more or fewer values than the level column; a document id holds a NUL
+    or a lone surrogate (which UTF-8 cannot encode); a document is not
+    UTF-8 (the first such document); the id table is not UTF-8 or
     does not split at NUL into one id per row (so no id holds a NUL or a
     lone surrogate); an id names more than one node. Then, naming the first
     node in row order within each rule: a level code is 4 or more; a document
@@ -215,6 +217,10 @@ class Corpus:
                                  for values, dtype in zip(columns, _DTYPES, strict=True)))
         except OverflowError as exc:
             raise InvalidCorpusError(f"a node field does not fit the node table ({exc})") from None
+        for name, column in zip(_Columns._fields, columns):
+            if len(column) != len(columns.level):
+                raise InvalidCorpusError(f"the {name} column holds {len(column)} values, "
+                                         f"the level column {len(columns.level)}")
         #: Each document id to its UTF-8 bytes, which the spans index.
         self.documents: dict[str, bytes] = dict(documents)
         self.config = config
@@ -252,10 +258,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __iter__(self) -> Iterator[ChunkNode]:
-        """Every node, in row order."""
-        return map(self._node, range(len(self)))
-
     def _row(self, chunk_id: str) -> int:
         row = self._index.get(chunk_id)
         if row is None:
@@ -272,19 +274,11 @@ class Corpus:
             (view.start[row], view.end[row]), view.token_count[row], bool(view.hard_split[row]),
         )
 
-    def _nodes(self, rows: np.ndarray) -> tuple[ChunkNode, ...]:
-        return tuple(map(self._node, rows.tolist()))
-
     def get(self, chunk_id: str) -> ChunkNode:
         return self._node(self._row(chunk_id))
 
     def __contains__(self, chunk_id: str) -> bool:
         return chunk_id in self._index
-
-    @property
-    def chunks(self) -> Mapping[str, ChunkNode]:
-        """Read-only view: each id to its node, built on lookup."""
-        return _ChunkMap(self)
 
     def rows_at(self, level: Level) -> np.ndarray:
         """The rows of ``level``'s nodes, ascending, as int64."""
@@ -295,12 +289,20 @@ class Corpus:
         time from the one id list, so no list of rows or of ids is built."""
         return map(self._ids.__getitem__, memoryview(rows))
 
-    def nodes_at(self, level: Level) -> tuple[ChunkNode, ...]:
-        return self._nodes(self.rows_at(level))
+    @property
+    def levels(self) -> tuple[Level, ...]:
+        """The levels that hold at least one node, top to bottom."""
+        return tuple(level for level, count in zip(_LEVELS, self._level_counts) if count)
 
-    def ids_at(self, level: Level) -> tuple[str, ...]:
-        """The ids of ``nodes_at(level)``, without building the nodes."""
-        return tuple(self.ids_of(self.rows_at(level)))
+    # -- node views that only the benchmark harness reads ----------------------
+    # ``perfbench/`` counts chunks with ``nodes`` and ``sub_nodes`` and checks
+    # hits with ``chunks``; no engine, CLI or script path reads them. They go
+    # once it reads ``len(corpus.rows_at(level))``, ``in`` and ``get``.
+
+    @property
+    def chunks(self) -> Mapping[str, ChunkNode]:
+        """Read-only view: each id to its node, built on lookup."""
+        return _ChunkMap(self)
 
     @property
     def nodes(self) -> tuple[ChunkNode, ...]:
@@ -308,14 +310,12 @@ class Corpus:
         return self._nodes(np.flatnonzero(np.isin(self._cols.level, _HIERARCHY_CODES)))
 
     @property
-    def levels(self) -> tuple[Level, ...]:
-        """The levels that hold at least one node, top to bottom."""
-        return tuple(level for level, count in zip(_LEVELS, self._level_counts) if count)
-
-    @property
     def sub_nodes(self) -> tuple[ChunkNode, ...]:
-        """The side tier, ``nodes_at(Level.SUB_INTERMEDIATE)``."""
-        return self.nodes_at(Level.SUB_INTERMEDIATE)
+        """The side tier's nodes, in row order."""
+        return self._nodes(self.rows_at(Level.SUB_INTERMEDIATE))
+
+    def _nodes(self, rows: np.ndarray) -> tuple[ChunkNode, ...]:
+        return tuple(map(self._node, rows.tolist()))
 
     # -- lookups that build no node --------------------------------------------
 
@@ -349,7 +349,8 @@ class Corpus:
         return self._texts(self._row(chunk_id))
 
     def texts_at(self, level: Level) -> list[str]:
-        """The texts of ``ids_at(level)``, in that order, each decoded anew.
+        """The texts of ``rows_at(level)``'s nodes, in row order, each
+        decoded anew.
 
         For reading a whole level once, as ``build_index`` does: it leaves
         the ``chunk_text`` memo unbuilt, so no level's texts outlive the call.
@@ -508,12 +509,14 @@ def load_corpus(directory: str | Path) -> Corpus:
     ``read_snapshot`` refuses (another magic, a malformed header, sizes
     that do not fill the file exactly); a version, count or size that is
     not a JSON integer (``json_int``); another format version, which asks
-    for a re-ingest; an unknown tokenizer or invalid chunking settings;
-    document ids that are not one string per length, or that name a
-    document twice; and any rule ``Corpus`` lists, whose message the error
-    carries, followed by "; re-run ingest".
+    for a re-ingest; an unknown tokenizer, or chunking settings that the
+    config file's ``chunking`` section would refuse (a bool or a float for
+    an integer, say); document ids that are not one string per length, or
+    that name a document twice; and any rule ``Corpus`` lists, whose
+    message the error carries, followed by "; re-run ingest".
     """
     from .chunking import ChunkingConfig
+    from .config import _section_from_dict
 
     directory = Path(directory)
     path = directory / NODES_FILE
@@ -528,7 +531,7 @@ def load_corpus(directory: str | Path) -> Corpus:
             raise SnapshotFormatError(
                 f"corpus format version {version} is not read; re-run ingest"
             )
-        config = ChunkingConfig(**header["chunking"])
+        config = _section_from_dict(ChunkingConfig, header["chunking"], "chunking")
         config.validate()
         get_tokenizer(header["tokenizer"])
         count, doc_ids = json_int(header["count"], "count"), header["documents"]

@@ -18,7 +18,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -49,9 +49,9 @@ class CsrBatch:
 
     Row ``i`` holds ``values[indptr[i]:indptr[i + 1]]`` at the columns in
     the same slice of ``columns``, ascending; its other entries are 0. The
-    batch reads as a sequence of dense rows: ``len``, ``batch[i]`` and
-    iteration give ``(dimension,)`` float32 arrays, and ``np.asarray(batch)``
-    the ``(n, dimension)`` matrix.
+    batch is a sequence of rows through ``len`` and ``batch[i]``, a dense
+    ``(dimension,)`` float32 copy of row ``i``: a query of one text reads
+    its row so.
     """
 
     __slots__ = ("indptr", "columns", "values", "dimension")
@@ -82,16 +82,6 @@ class CsrBatch:
         out = np.zeros(self.dimension, dtype=np.float32)
         out[self.columns[start:end]] = self.values[start:end]
         return out
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("a CsrBatch becomes a dense array only by a copy")
-        out = np.zeros((len(self), self.dimension), dtype=np.float32)
-        out[self.entry_rows(), self.columns] = self.values
-        return out if dtype is None else out.astype(dtype, copy=False)
 
     def problem(self) -> str | None:
         """What keeps these arrays from being a CSR matrix, or None.
@@ -270,10 +260,12 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
     dimension = provider.dimension
     if isinstance(vectors, CsrBatch):
         _check_csr(vectors, dimension)
-        indptr, columns, values = vectors.indptr, vectors.columns, vectors.values
+        indptr, values = vectors.indptr, vectors.values
         for i in _rows_off_unit(squared_norms(vectors), dimension):
             start, end = indptr[i], indptr[i + 1]
-            values[start:end] = ensure_unit(vectors[i])[columns[start:end]]
+            # The unstored entries are 0: they add nothing to the norm, and
+            # ensure_unit divides entry by entry.
+            values[start:end] = ensure_unit(values[start:end])
         return vectors
     block = vectors
     if not (isinstance(block, np.ndarray) and block.dtype == np.float32 and block.flags.writeable):

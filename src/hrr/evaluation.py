@@ -109,7 +109,7 @@ def compare(
 
 
 def _check_gold(gold: LabeledQuery, corpus: Corpus) -> None:
-    node = corpus.chunks.get(gold.gold_parent)
+    node = corpus.get(gold.gold_parent) if gold.gold_parent in corpus else None
     if node is None or node.level is not Level.PARENT:
         raise GoldNotInCorpusError(
             f"gold parent {gold.gold_parent!r} is not a parent-level chunk"

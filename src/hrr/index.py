@@ -168,9 +168,6 @@ class _DenseRows:
         ])
         return candidates, scores
 
-    def dense(self) -> np.ndarray:
-        return self.matrix
-
     def blocks(self) -> list[np.ndarray]:
         """The arrays a snapshot body holds, in file order."""
         return [self.matrix]
@@ -341,9 +338,6 @@ class _CsrRows:
         products = csr.values[entry] * weight[hit]
         return np.bincount(owner, products, minlength=len(rows))
 
-    def dense(self) -> np.ndarray:
-        return np.asarray(self.csr)
-
     def blocks(self) -> list[np.ndarray]:
         """The arrays a snapshot body holds, in file order."""
         csr = self.csr
@@ -359,9 +353,10 @@ class LevelIndex:
     proved them unique, and free of a NUL and a lone surrogate.
 
     Built from a ``CsrBatch``, it keeps the rows as CSR; built from an
-    ``(n, d)`` float32 block, it keeps them dense (``layout``). No dense
-    copy of a CSR index is kept. Every row must be finite with a squared
+    ``(n, d)`` float32 block, it keeps them dense (``layout``), and neither
+    is ever converted to the other. Every row must be finite with a squared
     norm inside float32 range; the dense search's error bound rests on it.
+    Its rows are read only by ``search`` and ``save_index``.
     """
 
     def __init__(self, corpus: Corpus, level: Level, vectors: np.ndarray | CsrBatch) -> None:
@@ -387,13 +382,6 @@ class LevelIndex:
         #: ``load_index`` refuses a snapshot whose rows are not unit.
         self._least_unit_row = (next(self._ids_of(worst)), float(squared_norms[worst[0]]))
 
-    @functools.cached_property
-    def chunk_ids(self) -> tuple[str, ...]:
-        """The chunk ids of the rows, in row order: the corpus's ids at
-        ``level``. For inspection and tests, built on first access, so no
-        build, load, save or search path reads it."""
-        return self.corpus.ids_at(self.level)
-
     def _ids_of(self, rows: np.ndarray) -> Iterator[str]:
         """The chunk ids of index ``rows``, in their order."""
         return self.corpus.ids_of(self._corpus_rows[rows])
@@ -411,17 +399,6 @@ class LevelIndex:
     def nnz(self) -> int:
         """The number of non-zero entries."""
         return self._rows.nnz
-
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """The rows as one read-only ``(n, d)`` float32 matrix.
-
-        For inspection and tests: a CSR index builds it on first access and
-        keeps it, so no build, load, save or search path reads it.
-        """
-        matrix = self._rows.dense()
-        matrix.setflags(write=False)
-        return matrix
 
     def __len__(self) -> int:
         return self._rows.count

@@ -39,6 +39,7 @@ from hrr.retrievers import Strategy, retrieve
 from hrr.synth import CorpusSpec, generate
 
 from level_corpus import level_corpus
+from reads import nodes_of
 from stub_services import MODE_HANG, MODE_WRONG_DIMENSION, StubServices
 
 
@@ -84,12 +85,12 @@ def test_criterion_1_hierarchy_invariants():
         assert violations == [], f"doc {i}: {[str(v) for v in violations[:3]]}"
 
         source = text.encode("utf-8")
-        parents = [n for n in corpus.nodes if n.level is Level.PARENT]
+        parents = nodes_of(corpus, Level.PARENT)
         joined = b"".join(source[n.char_span[0] : n.char_span[1]] for n in parents)
         assert joined == source, f"doc {i}: round-trip mismatch"
 
         budgets = {Level.PARENT: 2048, Level.INTERMEDIATE: 512}
-        for node in corpus.nodes:
+        for node in nodes_of(corpus):
             budget = budgets.get(node.level)
             if budget is not None:
                 assert node.token_count <= budget, f"doc {i}: {node.id} over budget"
@@ -217,7 +218,7 @@ def test_criterion_4_pipeline_conformance():
     k = ctx.config.similarity_top_k
 
     def scan(level):
-        nodes = corpus.nodes_at(level)
+        nodes = nodes_of(corpus, level)
         scored = [
             (n.id, cosine_similarity(embed_batch(embedder, [corpus.chunk_text(n.id)])[0], qv))
             for n in nodes
@@ -294,9 +295,9 @@ def test_criterion_5_qualitative_ordering():
     # Pre-verify gold ranks by brute-force cosine at the sentence and parent
     # levels, independent of the index implementation.
     corpus = syn.corpus
-    sentence_nodes = corpus.nodes_at(Level.SENTENCE)
+    sentence_nodes = nodes_of(corpus, Level.SENTENCE)
     sentence_vecs = embed_batch(embedder, [corpus.chunk_text(n.id) for n in sentence_nodes])
-    parent_nodes = corpus.nodes_at(Level.PARENT)
+    parent_nodes = nodes_of(corpus, Level.PARENT)
     parent_vecs = embed_batch(embedder, [corpus.chunk_text(n.id) for n in parent_nodes])
 
     parent_rank_misses = 0

@@ -1,4 +1,5 @@
-"""The benchmark's tracer patches engine names by module and attribute, and
+"""The benchmark's tracer patches engine names by module and attribute, the
+benchmark reads a corpus through its node views while it runs, and
 ``scripts/scan_inputs.py`` reads the token memos' counters; each must still
 exist, or the benchmark or the script fails only when it runs."""
 
@@ -14,13 +15,45 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
+#: What the benchmark calls on a corpus while it runs, on a 2-document
+#: spec: ``inputs.build_inputs`` and the tracer's chunk count read
+#: ``Corpus.nodes`` and ``sub_nodes``, and ``Checker.check_retrieval`` reads
+#: ``Corpus.chunks``.
+BENCH_READS = """
+import tempfile
+from pathlib import Path
+
+from tracer import Tracer, _count_chunks
+tracer = Tracer()
+tracer.install()
+import inputs, worker
+from hrr import synth
+from hrr.config import EngineConfig
+from hrr.engine import context_for
+from hrr.retrievers import Strategy, retrieve
+
+spec = {"seed": 3, "n_docs": 2, "tokens_per_doc": 600, "n_needles": 2}
+with tempfile.TemporaryDirectory() as out:
+    meta = inputs.build_inputs(Path(out), spec)
+generated = synth.generate(synth.CorpusSpec(**spec))
+corpus = generated.corpus
+_count_chunks(tracer, "chunking.build_corpus", (), {}, corpus)
+counted = {key: n for (_, key), n in tracer.counts.items() if key.startswith("chunking.chunks.")}
+expected = {level.value: len(corpus.rows_at(level)) for level in corpus.levels}
+assert meta["chunks_per_level"] == expected, meta
+assert counted == {f"chunking.chunks.{level}": n for level, n in expected.items()}, counted
+gold = generated.queries[0]
+result = retrieve(gold.query, context_for(corpus, EngineConfig()))
+assert worker.Checker(5).check_retrieval(result, corpus, gold, Strategy.HRR) == 1
+"""
+
+
 @pytest.mark.skipif(not PERFBENCH.is_dir(), reason="no perfbench/ in this tree")
 def test_tracer_installs_and_the_bench_imports():
     path = os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)])
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "from tracer import Tracer; Tracer().install(); import worker, inputs"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30,
+        [sys.executable, "-c", BENCH_READS],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
 

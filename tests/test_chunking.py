@@ -9,6 +9,7 @@ import pytest
 import reference_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reads import level_ids, nodes_of
 from test_embedding import reference_vector
 
 from hrr import chunking
@@ -35,7 +36,7 @@ def doc_of_sentences(n_sentences: int, words_per_sentence: int = 7) -> str:
 
 def chunk(text, config):
     """The chunker's nodes for one document ``d``, hierarchy then side tier."""
-    return list(build_corpus({"d": text}, config))
+    return list(nodes_of(build_corpus({"d": text}, config)))
 
 
 def levels_of(nodes):
@@ -112,10 +113,10 @@ class TestHardSplitFlagging:
             max_sentence_tokens=400,
         )
         corpus = build_corpus({"d": text}, cfg)
-        by_level = levels_of(corpus)
+        by_level = levels_of(nodes_of(corpus))
         assert all(p.token_count <= 10 for p in by_level[Level.PARENT])
         assert all(i.token_count <= 4 for i in by_level[Level.INTERMEDIATE])
-        assert any(n.hard_split for n in corpus)
+        assert any(n.hard_split for n in nodes_of(corpus))
         # nothing truncated: parents reassemble the source
         assert validate_corpus(corpus) == []
 
@@ -123,7 +124,7 @@ class TestHardSplitFlagging:
         text = "start. " + "y" * 5000 + " more words follow. The end."
         cfg = ChunkingConfig(parent_size=12, intermediate_size=6, sub_intermediate_size=None)
         corpus = build_corpus({"d": text}, cfg)
-        giant = [n for n in corpus if "y" * 5000 in corpus.chunk_text(n.id)]
+        giant = [n for n in nodes_of(corpus) if "y" * 5000 in corpus.chunk_text(n.id)]
         assert giant, "giant token must survive chunking"
         assert validate_corpus(corpus) == []
 
@@ -189,7 +190,7 @@ class TestInvariantsFuzzed:
         # The corpus checks partitions and token sums when built, and
         # validate_corpus the counts and budgets; spot-check the
         # document-level reassembly here as an independent assertion
-        parents = [n for n in corpus.nodes if n.level is Level.PARENT]
+        parents = nodes_of(corpus, Level.PARENT)
         joined = b"".join(
             corpus.documents["doc"][n.char_span[0] : n.char_span[1]] for n in parents
         )
@@ -208,7 +209,7 @@ class TestMonotoneNesting:
         text = doc_of_sentences(40)
         corpus = build_corpus({"d": text}, ChunkingConfig(parent_size=64, intermediate_size=24, sub_intermediate_size=None))
         spans_by_parent = {}
-        for node in corpus.nodes:
+        for node in nodes_of(corpus):
             if node.parent_id is not None:
                 spans_by_parent.setdefault(node.parent_id, []).append(node.char_span)
         assert spans_by_parent
@@ -273,7 +274,7 @@ class TestCountsFromDocumentSpans:
     def test_every_count_equals_a_recount(self, config, text):
         corpus = build_corpus({"d": text}, config)
         encoded = text.encode("utf-8")
-        for node in corpus:
+        for node in nodes_of(corpus):
             start, end = node.char_span
             assert node.token_count == TOK.count_tokens(encoded[start:end].decode("utf-8"))
         assert validate_corpus(corpus) == []
@@ -453,13 +454,13 @@ class TestIngestMatchesReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chunking, "split_sentences", reference_text.split_sentences)
             expected = build_corpus(documents, config, reference_text.ReferenceTokenizer())
-        assert list(corpus) == list(expected)
+        assert nodes_of(corpus) == nodes_of(expected)
         assert validate_corpus(corpus) == []
         embedder = HashedBowEmbedder()
         for level in corpus.levels:
             # The first text again, so that a one-chunk level is a batch of
             # two, which comes back as CSR.
-            texts = [corpus.chunk_text(chunk_id) for chunk_id in corpus.ids_at(level)]
+            texts = [corpus.chunk_text(chunk_id) for chunk_id in level_ids(corpus, level)]
             texts.append(texts[0])
             rows = embedder.embed_batch(texts)
             for array, want in zip((rows.indptr, rows.columns, rows.values),

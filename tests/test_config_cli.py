@@ -303,7 +303,7 @@ class TestCliWorkflow:
         for argv in (["query", query], ["query", query, "--trace", "--format", "machine"]):
             assert main([*argv, "--config", "engine.json"]) == EXIT_OK
         assert built == []
-        ctx.corpus.get(ctx.corpus.ids_at(Level.PARENT)[0])  # the count sees a build
+        ctx.corpus.get(next(ctx.corpus.ids_of(ctx.corpus.rows_at(Level.PARENT))))  # the count sees a build
         assert len(built) == 1
 
     def test_ingest_builds_no_chunk_node(self, workdir, monkeypatch):

@@ -43,6 +43,7 @@ from hrr.synth import CorpusSpec, generate
 import reference_text
 from level_corpus import level_corpus
 from node_table import corpus_of
+from reads import level_ids, nodes_of
 
 CFG = ChunkingConfig(parent_size=24, intermediate_size=10, sub_intermediate_size=5)
 
@@ -57,7 +58,7 @@ def corpus():
 
 
 def _node(corpus, level, idx=0):
-    return corpus.nodes_at(level)[idx]
+    return nodes_of(corpus, level)[idx]
 
 
 class TestResolveParent:
@@ -84,7 +85,7 @@ class TestResolveParent:
             resolve_parent(corpus, "nope:p0", Level.PARENT)
 
     def test_sub_chunk_to_parent(self, corpus):
-        sub = corpus.sub_nodes[0]
+        sub = nodes_of(corpus, Level.SUB_INTERMEDIATE)[0]
         parent = resolve_parent(corpus, sub.id, Level.PARENT)
         assert corpus.get(parent).level is Level.PARENT
 
@@ -105,7 +106,7 @@ class TestResolveParent:
         )
 
     def test_two_hop_equals_one_hop_for_all_sentences(self, corpus):
-        for node in corpus.nodes_at(Level.SENTENCE):
+        for node in nodes_of(corpus, Level.SENTENCE):
             via = resolve_parent(
                 corpus, resolve_parent(corpus, node.id, Level.INTERMEDIATE), Level.PARENT
             )
@@ -114,7 +115,7 @@ class TestResolveParent:
 
 def _scan_parent_at(corpus, doc_id, byte):
     """Reference: the first parent of the document whose span holds ``byte``."""
-    for node in corpus.nodes_at(Level.PARENT):
+    for node in nodes_of(corpus, Level.PARENT):
         if node.doc_id == doc_id and node.char_span[0] <= byte < node.char_span[1]:
             return node.id
     return None
@@ -149,7 +150,7 @@ class TestParentAt:
         config = ChunkingConfig(parent_size=40, parent_overlap=15, intermediate_size=12,
                                 sub_intermediate_size=None)
         corpus = build_corpus(self.DOCS, config)
-        p0, p1 = [n for n in corpus.nodes_at(Level.PARENT) if n.doc_id == "ascii"][:2]
+        p0, p1 = [n for n in nodes_of(corpus, Level.PARENT) if n.doc_id == "ascii"][:2]
         assert p1.char_span[0] < p0.char_span[1]  # the spans really overlap
         assert corpus.parent_at("ascii", p1.char_span[0]) == p0.id
 
@@ -277,7 +278,7 @@ class TestRoundTrip:
     def test_parents_reassemble_document(self, corpus):
         for doc_id, data in corpus.documents.items():
             parents = [
-                n for n in corpus.nodes if n.level is Level.PARENT and n.doc_id == doc_id
+                n for n in nodes_of(corpus, Level.PARENT) if n.doc_id == doc_id
             ]
             joined = b"".join(data[n.char_span[0] : n.char_span[1]] for n in parents)
             assert joined == data
@@ -286,7 +287,7 @@ class TestRoundTrip:
         docs = {"u": "Überall läuft code. Çok güzel çalışıyor. Ça va très bien."}
         c = build_corpus(docs, CFG)
         assert validate_corpus(c) == []
-        for node in c.nodes:
+        for node in nodes_of(c):
             assert c.chunk_text(node.id)  # every span decodes cleanly
 
 
@@ -295,8 +296,8 @@ class TestSerialization:
         save_corpus(corpus, tmp_path)
         loaded = load_corpus(tmp_path)
         assert loaded.documents == corpus.documents
-        assert loaded.nodes == corpus.nodes
-        assert loaded.sub_nodes == corpus.sub_nodes
+        assert nodes_of(loaded) == nodes_of(corpus)
+        assert nodes_of(loaded, Level.SUB_INTERMEDIATE) == nodes_of(corpus, Level.SUB_INTERMEDIATE)
         assert loaded.config == corpus.config
         assert validate_corpus(loaded) == []
 
@@ -335,7 +336,7 @@ class TestSerialization:
         monkeypatch.undo()
         loaded = load_corpus(tmp_path)
         assert loaded.documents == before.documents
-        parents = before.ids_at(Level.PARENT)
+        parents = level_ids(before, Level.PARENT)
         assert [loaded.chunk_text(i) for i in parents] == [before.chunk_text(i) for i in parents]
         assert (tmp_path / "nodes.bin").read_bytes() == written
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.bin"]
@@ -381,7 +382,7 @@ class TestSerialization:
         save_corpus(corpus, tmp_path)
         nodes = _read_nodes(tmp_path / "nodes.bin")
         assert nodes.header["version"] == 4
-        assert nodes.ids == "\0".join(node.id for node in corpus).encode("utf-8")
+        assert nodes.ids == "\0".join(node.id for node in nodes_of(corpus)).encode("utf-8")
 
     @pytest.mark.parametrize("ids", [[], [""], ["d:p0", ""]],
                              ids=["none", "one-empty", "empty-last"])
@@ -395,7 +396,21 @@ class TestSerialization:
                        config=replace(CFG, parent_overlap=1), tokenizer_name="word-punct")
         save_corpus(built, tmp_path)
         loaded = load_corpus(tmp_path)
-        assert list(loaded) == list(built) and len(loaded) == len(ids)
+        assert nodes_of(loaded) == nodes_of(built) and len(loaded) == len(ids)
+
+    @pytest.mark.parametrize("column, values", [("hard_split", []), ("token_count", [2, 5])],
+                             ids=["short", "long"])
+    def test_column_of_another_length_refused(self, column, values):
+        """Each column holds one value per row of the level column: with a
+        short column ``get`` would fail on the missing value, and a long one
+        would be saved as a file that does not load."""
+        columns = {"level": [0], "doc": [0], "parent": [-1], "start": [0], "end": [10],
+                   "token_count": [2], "hard_split": [0], column: values}
+        with pytest.raises(InvalidCorpusError) as exc:
+            Corpus({"d": b"alpha beta"}, b"d:p0", list(columns.values()), config=CFG,
+                   tokenizer_name="word-punct")
+        assert str(exc.value) == (
+            f"the {column} column holds {len(values)} values, the level column 1")
 
     def test_unsaveable_corpus_refused(self):
         """A corpus that could not be saved is not constructed."""
@@ -694,6 +709,24 @@ class TestNodeFileFailsClosed:
         with pytest.raises(SnapshotFormatError, match="malformed header"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [("parent_overlap", True), ("parent_size", 24.5),
+                                            ("intermediate_size", 10.0)])
+    def test_chunking_values_are_json_integers(self, corpus, tmp_path, key, value):
+        """The header's chunking settings pass the config file's own check,
+        so a bool or a float is not taken for an integer. An overlap of
+        ``true`` would switch off the tiling and token-sum rules, so an
+        intermediate whose token count was raised by 7 would load."""
+        save_corpus(corpus, tmp_path)
+        path = tmp_path / "nodes.bin"
+        nodes = _read_nodes(path)
+        nodes.header["chunking"][key] = value
+        _add("token_count", ":p0.i0", 7)(nodes)
+        _write_nodes(path, nodes)
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value) == (
+            f"{path}: malformed header (chunking.{key} must be an integer, got {json.dumps(value)})")
+
     def test_span_cutting_a_character_rejected(self, tmp_path):
         multibyte = build_corpus({"u": "Été brûle. Ça va très bien."}, CFG)
         save_corpus(multibyte, tmp_path)
@@ -782,7 +815,7 @@ class TestStructureGate:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_one_edited_field_is_refused_or_round_trips(self, data):
-        nodes = list(build_corpus(self.DOCS, CFG))
+        nodes = list(nodes_of(build_corpus(self.DOCS, CFG)))
         ids = [node.id for node in nodes]
         values = {
             "id": st.sampled_from([*ids, "fresh"]),
@@ -804,8 +837,8 @@ class TestStructureGate:
             save_corpus(corpus, directory)
             loaded = load_corpus(directory)
         # Row order: the hierarchy as given, then the side tier.
-        assert list(loaded) == ([n for n in nodes if n.level in HIERARCHY_LEVELS]
-                                + [n for n in nodes if n.level not in HIERARCHY_LEVELS])
+        assert list(nodes_of(loaded)) == ([n for n in nodes if n.level in HIERARCHY_LEVELS]
+                                          + [n for n in nodes if n.level not in HIERARCHY_LEVELS])
 
 
 def _tiles(documents, nodes) -> bool:
@@ -841,7 +874,7 @@ class TestTilingMatchesReference:
                               st.integers(-3, 3)), min_size=1, max_size=3))
     @settings(max_examples=300, deadline=None)
     def test_refused_exactly_when_the_reference_finds_no_tiling(self, edits):
-        nodes = list(build_corpus(self.DOCS, CFG))
+        nodes = list(nodes_of(build_corpus(self.DOCS, CFG)))
         for row, field, delta in edits:
             node = nodes[row % len(nodes)]
             start, end = node.char_span
@@ -866,7 +899,7 @@ def _chunker_nodes(documents, config):
     """The chunker's nodes, hierarchy first, then the side tier: the oracle,
     chunked one document at a time."""
     nodes = [n for doc_id, text in documents.items()
-             for n in build_corpus({doc_id: text}, config)]
+             for n in nodes_of(build_corpus({doc_id: text}, config))]
     return ([n for n in nodes if n.level is not Level.SUB_INTERMEDIATE]
             + [n for n in nodes if n.level is Level.SUB_INTERMEDIATE])
 
@@ -882,17 +915,19 @@ def _children(nodes):
 
 def _assert_matches_chunker(loaded, documents, config):
     expected = _chunker_nodes(documents, config)
-    assert list(loaded) == expected
-    assert loaded.nodes == tuple(n for n in expected if n.level is not Level.SUB_INTERMEDIATE)
-    assert loaded.sub_nodes == tuple(n for n in expected if n.level is Level.SUB_INTERMEDIATE)
+    hierarchy = tuple(n for n in expected if n.level is not Level.SUB_INTERMEDIATE)
+    assert nodes_of(loaded) == tuple(expected)
+    assert nodes_of(loaded)[: len(hierarchy)] == hierarchy
+    assert nodes_of(loaded)[len(hierarchy) :] == nodes_of(loaded, Level.SUB_INTERMEDIATE)
     for level in Level:
         at_level = tuple(n for n in expected if n.level is level)
-        assert loaded.nodes_at(level) == at_level
-        assert loaded.ids_at(level) == tuple(n.id for n in at_level)
-    assert loaded.levels == tuple(level for level in Level if loaded.nodes_at(level))
+        assert nodes_of(loaded, level) == at_level
+        assert level_ids(loaded, level) == tuple(n.id for n in at_level)
+    assert loaded.levels == tuple(level for level in Level if nodes_of(loaded, level))
     assert len(loaded) == len(expected)
-    assert _children(loaded.nodes + loaded.sub_nodes) == _children(expected)
-    assert dict(loaded.chunks) == {n.id: n for n in expected}
+    assert _children(nodes_of(loaded)) == _children(expected)
+    assert all(n.id in loaded for n in expected)
+    assert [loaded.get(n.id) for n in expected] == expected
     for node in expected:
         assert loaded.chunk_text(node.id) == (
             documents[node.doc_id].encode("utf-8")[slice(*node.char_span)].decode("utf-8")
@@ -976,11 +1011,13 @@ class TestDepthFirstFilesLoad:
         documents = generate(CorpusSpec(seed=5, n_docs=4), chunking=config).documents
         save_corpus(reference_text.build_corpus(documents, config), tmp_path)
         loaded, built = load_corpus(tmp_path), build_corpus(documents, config)
-        assert [n.id for n in loaded] != [n.id for n in built]
-        assert dict(loaded.chunks) == dict(built.chunks)
+        assert [n.id for n in nodes_of(loaded)] != [n.id for n in nodes_of(built)]
+        assert ({n.id: n for n in nodes_of(loaded)}
+                == {n.id: loaded.get(n.id) for n in nodes_of(built)}
+                == {n.id: n for n in nodes_of(built)})
         for level in Level:
-            assert loaded.ids_at(level) == built.ids_at(level)
-        for chunk_id in built.chunks:
+            assert level_ids(loaded, level) == level_ids(built, level)
+        for chunk_id in (n.id for n in nodes_of(built)):
             assert loaded.chunk_text(chunk_id) == built.chunk_text(chunk_id)
             for level in Level:
                 assert _ancestor(loaded, chunk_id, level) == _ancestor(built, chunk_id, level)
@@ -1016,7 +1053,7 @@ class TestChunkTexts:
 
     def test_a_repeated_lookup_returns_the_same_object(self):
         c = build_corpus(MULTIBYTE_DOCS, CFG)
-        for chunk_id in c.chunks:
+        for chunk_id in (n.id for n in nodes_of(c)):
             assert c.chunk_text(chunk_id) is c.chunk_text(chunk_id)
 
     def test_the_memo_shares_the_token_set_bound(self):
@@ -1049,13 +1086,13 @@ class TestChunkTexts:
         for c in (built, load_corpus(tmp_path)):
             assert set(c.levels) == set(Level)
             for level in c.levels:
-                assert c.texts_at(level) == [c.chunk_text(i) for i in c.ids_at(level)]
+                assert c.texts_at(level) == [c.chunk_text(i) for i in level_ids(c, level)]
             assert any(len(t.encode("utf-8")) > len(t) for t in c.texts_at(Level.SENTENCE))
             assert any(ord(ch) > 0xFFFF for t in c.texts_at(Level.PARENT) for ch in t)
 
     def test_lexical_scores_do_not_depend_on_shared_texts(self):
         c = build_corpus(generate(CorpusSpec(seed=3, n_docs=2)).documents, ChunkingConfig())
-        ids = c.ids_at(Level.INTERMEDIATE)
+        ids = level_ids(c, Level.INTERMEDIATE)
         shared = [c.chunk_text(i) for i in ids + ids]
         copies = [text.encode("utf-8").decode("utf-8") for text in shared]
         assert all(a == b and a is not b for a, b in zip(shared, copies))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -250,6 +251,94 @@ def _to_csr(rows: np.ndarray) -> CsrBatch:
     columns = np.tile(np.arange(dimension, dtype=np.uint16), count)
     indptr = np.arange(0, count * dimension + 1, dimension, dtype=np.int64)
     return CsrBatch(indptr, columns, rows.reshape(-1).copy(), dimension)
+
+
+def _stored(rows: list[dict[int, float]], dimension: int) -> tuple[CsrBatch, np.ndarray]:
+    """Rows given as ``{column: value}``, as CSR storing exactly those entries
+    (zeros included) and as the dense block of the same rows."""
+    dense = np.zeros((len(rows), dimension), dtype=np.float32)
+    for row, entries in zip(dense, rows):
+        row[list(entries)] = list(entries.values())
+    indptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    columns = np.array([c for entries in rows for c in sorted(entries)], dtype=np.uint16)
+    values = np.array([entries[c] for entries in rows for c in sorted(entries)], dtype=np.float32)
+    return CsrBatch(indptr, columns, values, dimension), dense
+
+
+#: The width of the CSR rows below.
+RENORM_DIM = 12
+#: Rows off unit by 2e-6 in norm, with a negative entry.
+_OFF = float(np.float32(0.6 * (1 + 2e-6))), float(np.float32(0.8 * (1 + 2e-6)))
+
+#: CSR rows whose stored entries ``embed_batch`` checks or renormalizes.
+RENORM_CASES = {
+    "negative": [{0: -3.0, 5: 4.0}, {2: -0.5, 3: -0.5, 7: 0.25}],
+    "stored-zeros": [{1: 0.0, 4: -0.0, 6: 2.0}, {0: -0.0, 3: 3.0, 11: 0.0}],
+    "leading-empty-columns": [{9: 1.5, 11: 2.0}, {11: 7.0}],
+    "one-entry": [{4: 0.5}, {0: -2.0}, {11: 1.0}],
+    "off-by-2e-6": [{3: -_OFF[0], 8: _OFF[1]}, {0: _OFF[0], 1: 0.0, 11: -_OFF[1]}],
+    "empty": [{1: 1.0}, {}],
+    "stored-zeros-only": [{2: 0.0, 3: -0.0}],
+    "nan": [{1: 1.0}, {1: np.nan, 2: 1.0}],
+    "inf": [{0: np.inf}],
+    "negative-inf": [{4: 1.0, 5: -np.inf}],
+}
+
+
+@st.composite
+def stored_rows(draw) -> dict[int, float]:
+    """A row's stored entries: any columns, float32 values of either sign,
+    zeros of either sign, sometimes scaled to within a few 1e-6 of unit,
+    and sometimes one NaN or infinity."""
+    columns = sorted(draw(st.sets(st.integers(0, RENORM_DIM - 1), max_size=6)))
+    value = st.one_of(st.floats(-4, 4, width=32), st.sampled_from([0.0, -0.0]))
+    values = np.array([draw(value) for _ in columns], dtype=np.float64)
+    scale = draw(st.sampled_from([None, 1.0, 1 + 2e-6, 1 - 2e-6, 1 + 5e-7]))
+    norm = math.sqrt(float(np.sum(values * values)))
+    if scale is not None and norm > 0:
+        values = values / norm * scale
+    values = values.astype(np.float32).tolist()
+    bad = draw(st.sampled_from([None] * 8 + [np.nan, np.inf, -np.inf]))
+    if bad is not None and columns:
+        values[draw(st.integers(0, len(columns) - 1))] = bad
+    return dict(zip(columns, values))
+
+
+class TestCsrRenormalization:
+    """``embed_batch`` renormalizes a CSR row from its stored values alone:
+    every row comes out as ``ensure_unit`` of its dense form, byte for byte,
+    and a row ``ensure_unit`` refuses raises what the dense layout raises."""
+
+    @staticmethod
+    def check(rows: list[dict[int, float]]) -> None:
+        csr, dense = _stored(rows, RENORM_DIM)
+        outcomes = []
+        for vectors in (csr, dense):
+            try:
+                outcomes.append(embed_batch(_stub_provider(vectors), ["t"] * len(rows)))
+            except InvalidInputError as exc:
+                outcomes.append(str(exc))
+        got, dense_got = outcomes
+        if isinstance(dense_got, str):
+            assert got == dense_got
+            return
+        assert isinstance(got, CsrBatch)
+        assert got.indptr.tobytes() == csr.indptr.tobytes()
+        assert got.columns.tobytes() == csr.columns.tobytes()
+        for i, row in enumerate(dense):
+            expected = ensure_unit(row)
+            start, end = csr.indptr[i], csr.indptr[i + 1]
+            assert got.values[start:end].tobytes() == expected[csr.columns[start:end]].tobytes()
+            assert dense_got[i].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", RENORM_CASES)
+    def test_named_rows(self, name):
+        self.check(RENORM_CASES[name])
+
+    @given(rows=st.lists(stored_rows(), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_rows(self, rows):
+        self.check(rows)
 
 
 class TestEmbedBatchValidation:

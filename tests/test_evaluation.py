@@ -29,6 +29,8 @@ from hrr.rerank import ScoredCandidate
 from hrr.retrievers import RetrievalResult, Strategy
 from hrr.synth import CorpusSpec, generate
 
+from reads import level_ids, nodes_of
+
 
 def result_with(parent_ids, query="q"):
     parents = tuple(ScoredCandidate(pid, 1.0 - i / 10) for i, pid in enumerate(parent_ids))
@@ -56,7 +58,7 @@ class TestScoreQuery:
         with pytest.raises(GoldNotInCorpusError):
             score_query(result_with(["x"]), LabeledQuery("q", "missing:p0"), toy_corpus)
         # an intermediate id is not a valid gold parent either
-        inter = next(n.id for n in toy_corpus.nodes if n.parent_id == "alpha:p0")
+        inter = next(n.id for n in nodes_of(toy_corpus) if n.parent_id == "alpha:p0")
         with pytest.raises(GoldNotInCorpusError):
             score_query(result_with(["x"]), LabeledQuery("q", inter), toy_corpus)
 
@@ -193,7 +195,7 @@ class TestQuerySetFiles:
         ]
 
     def test_span_based_gold_resolution(self, tmp_path, toy_corpus):
-        parent = toy_corpus.chunks["beta:p1"]
+        parent = toy_corpus.get("beta:p1")
         rec = {
             "query": "training sessions",
             "gold_doc_id": "beta",
@@ -337,7 +339,7 @@ class TestInvariantOnRealRuns:
         rng = random.Random(0)
         vocab = ["budget", "depot", "canal", "grant", "permit", "scheme", "training"]
         queries = []
-        parents = [n.id for n in toy_context.corpus.nodes_at(__import__("hrr").Level.PARENT)]
+        parents = list(level_ids(toy_context.corpus, __import__("hrr").Level.PARENT))
         for _ in range(12):
             queries.append(
                 LabeledQuery(

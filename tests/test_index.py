@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.cli import EXIT_OK, main
 from hrr.config import EmbeddingConfig, EngineConfig, PathsConfig
-from hrr.corpus import Corpus, Level, load_corpus, save_corpus
+from hrr.corpus import Level, load_corpus, save_corpus
 from hrr.embedding import (
     CsrBatch,
     HashedBowEmbedder,
@@ -45,14 +45,16 @@ from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING, TOY_DOCS
 from level_corpus import level_corpus
+from reads import dense_rows, index_ids, level_ids, nodes_of
 from test_corpus import _read_nodes
 from test_embedding import reference_vector
 
 
 def naive_top_k(index: LevelIndex, query: np.ndarray, k: int):
     """Full-scan oracle: score everything, sort by (score desc, id asc)."""
+    rows, ids = dense_rows(index), index_ids(index)
     scored = [
-        (index.chunk_ids[i], cosine_similarity(index.vectors[i], query))
+        (ids[i], cosine_similarity(rows[i], query))
         for i in range(len(index))
     ]
     scored.sort(key=lambda t: (-t[1], t[0]))
@@ -135,7 +137,7 @@ class TestSearchOracle:
     def test_self_match_scores_one(self, layout):
         rng = random.Random(5)
         index = random_index(rng, 20, dim_for(layout, 8), layout)
-        hits = index.search(index.vectors[7], 3)
+        hits = index.search(dense_rows(index)[7], 3)
         assert hits[0].chunk_id == "c0007"
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
@@ -183,11 +185,11 @@ class TestSearchNearTies:
         # approximate scores of one duplicate group spread over a few ulps.
         rng = random.Random(21)
         base = random_index(rng, 12, 33, layout)
-        rows = np.stack([base.vectors[rng.randrange(12)] for _ in range(266)])
+        rows = np.stack([dense_rows(base)[rng.randrange(12)] for _ in range(266)])
         ids = [f"d{i:03d}" for i in range(266)]
         index = LevelIndex(level_corpus(ids), Level.SENTENCE, in_layout(rows, layout))
         assert index.layout == layout
-        probes = list(base.vectors) + [
+        probes = list(dense_rows(base)) + [
             np.array([rng.gauss(0, 1) for _ in range(33)], dtype=np.float32) for _ in range(12)
         ]
         for probe in probes:
@@ -195,7 +197,7 @@ class TestSearchNearTies:
 
     def test_rows_one_ulp_apart(self, layout):
         rng = random.Random(22)
-        base = random_index(rng, 8, 64, layout).vectors
+        base = dense_rows(random_index(rng, 8, 64, layout))
         nprng = np.random.default_rng(22)
         rows = []
         for i in range(400):
@@ -214,7 +216,7 @@ class TestSearchNearTies:
     @pytest.mark.parametrize("n, dim", [(131, 33), (266, 64), (998, 384)])
     def test_all_equal_rows(self, n, dim, layout):
         rng = random.Random(n)
-        row = random_index(rng, 1, dim, layout).vectors[0]
+        row = dense_rows(random_index(rng, 1, dim, layout))[0]
         ids = [f"e{i:04d}" for i in range(n - 1, -1, -1)]
         index = LevelIndex(level_corpus(ids), Level.SENTENCE,
                            in_layout(np.stack([row] * n), layout))
@@ -622,7 +624,7 @@ class TestEarlyStop:
         signed[np.flatnonzero(signed)[0]] *= -1
         # A needle keyword alone: fewer than k rows hold it.
         rare = embedder.embed_batch([synth.needles[0].keywords[0]])[0]
-        assert np.count_nonzero(index.vectors[:, rare != 0]) < 10
+        assert np.count_nonzero(dense_rows(index)[:, rare != 0]) < 10
         cases = [("negative weight", index, signed), ("fewer than k rows", index, rare)]
         csr = index._rows.csr
         # A level whose k-th sum is 0: of the commonest bucket's stored
@@ -678,7 +680,7 @@ class TestNoRescoring:
         zorblat = LevelIndex(level_corpus([f"s{i:04d}" for i in range(3000)]), Level.SENTENCE,
                              embed_batch(embedder, texts))
         rare = embedder.embed_batch(["zorblat"])[0]
-        assert np.count_nonzero(zorblat.vectors[:, rare != 0]) == 3
+        assert np.count_nonzero(dense_rows(zorblat)[:, rare != 0]) == 3
         # Three rows above 0, and rows tied at 0: stored zeros of either
         # sign in the query's buckets, no shared bucket, products that cancel.
         zeros = csr_index_of(4, [{0: 0.5}] * 3 + [{0: -0.0}, {0: 0.0, 2: 0.5}, {2: 1.0},
@@ -694,13 +696,11 @@ class TestNoRescoring:
             assert index.layout == "csr", name
             expected = naive_top_k(index, ensure_unit(query), k)
             index.search(query, k)  # builds the postings
-            calls = dict.fromkeys(["cosine_similarities", "__getitem__", "__array__", "bincount"], 0)
+            calls = dict.fromkeys(["cosine_similarities", "__getitem__", "bincount"], 0)
             with counting(calls, index_module, "cosine_similarities"), \
-                    counting(calls, CsrBatch, "__getitem__"), \
-                    counting(calls, CsrBatch, "__array__"), counting(calls, np, "bincount"):
+                    counting(calls, CsrBatch, "__getitem__"), counting(calls, np, "bincount"):
                 hits = index.search(query, k)
-            assert calls == {"cosine_similarities": 0, "__getitem__": 0, "__array__": 0,
-                             "bincount": 1}, name
+            assert calls == {"cosine_similarities": 0, "__getitem__": 0, "bincount": 1}, name
             assert_hits_are(hits, expected, name)
         assert [h.score for h in hits].count(0.0) == 7
 
@@ -709,7 +709,7 @@ class TestSearchValidation:
     def test_k_below_one(self):
         index = random_index(random.Random(1), 4, 4)
         with pytest.raises(InvalidInputError):
-            index.search(index.vectors[0], 0)
+            index.search(dense_rows(index)[0], 0)
 
     def test_dimension_mismatch(self):
         index = random_index(random.Random(1), 4, 4)
@@ -723,10 +723,10 @@ class TestBuildIndex:
         corpus = build_corpus(
             docs, ChunkingConfig(parent_size=30, intermediate_size=10, sub_intermediate_size=None)
         )
-        sentences = corpus.nodes_at(Level.SENTENCE)
+        sentences = nodes_of(corpus, Level.SENTENCE)
         index = build_index(corpus, Level.SENTENCE, HashedBowEmbedder(dimension=16))
         assert len(index) == len(sentences)
-        assert set(index.chunk_ids) == {n.id for n in sentences}
+        assert set(index_ids(index)) == {n.id for n in sentences}
 
     def test_missing_level_rejected(self):
         docs = {"d": "One two. Three four."}
@@ -743,15 +743,15 @@ class TestBuildIndex:
         )
         a = build_index(corpus, Level.SENTENCE, HashedBowEmbedder(dimension=16))
         b = build_index(corpus, Level.SENTENCE, HashedBowEmbedder(dimension=16))
-        assert a.chunk_ids == b.chunk_ids
-        assert np.array_equal(a.vectors, b.vectors)
+        assert index_ids(a) == index_ids(b)
+        assert np.array_equal(dense_rows(a), dense_rows(b))
 
     def test_hashed_bow_build_makes_no_dense_block(self):
         """The sentence level of the 20-doc synth corpus, 6,845 rows: building
         its index allocates well under the (n, d) float32 block a dense embed
         would take."""
         corpus = generate(CorpusSpec()).corpus
-        n, dimension = len(corpus.ids_at(Level.SENTENCE)), 384
+        n, dimension = len(corpus.rows_at(Level.SENTENCE)), 384
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -773,13 +773,13 @@ class TestBuildIndex:
         corpus = build_corpus(TOY_DOCS, TOY_CHUNKING)
         index = build_index(corpus, Level.SENTENCE, HashedBowEmbedder(dimension))
         assert index.layout == "csr"
-        for chunk_id, row in zip(index.chunk_ids, index.vectors):
+        for chunk_id, row in zip(index_ids(index), dense_rows(index)):
             expected = reference_vector(corpus.chunk_text(chunk_id), dimension)
             assert row.tobytes() == expected.tobytes()
         save_index(index, tmp_path / "a.idx", EMBEDDER)
         loaded = load_index(tmp_path / "a.idx", index.corpus, index.level, EMBEDDER, dimension)
         assert loaded.layout == "csr"
-        assert np.array_equal(loaded.vectors, index.vectors)
+        assert np.array_equal(dense_rows(loaded), dense_rows(index))
         save_index(loaded, tmp_path / "b.idx", EMBEDDER)
         assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
 
@@ -789,12 +789,12 @@ class TestBuildIndex:
             {"d": "One two."},
             ChunkingConfig(parent_size=30, intermediate_size=10, sub_intermediate_size=None),
         )
-        assert len(corpus.ids_at(Level.PARENT)) == 1
+        assert len(corpus.rows_at(Level.PARENT)) == 1
         index = build_index(corpus, Level.PARENT, HashedBowEmbedder(dimension=384))
         save_index(index, tmp_path / "parent.idx", EMBEDDER)
         loaded = load_index(tmp_path / "parent.idx", index.corpus, index.level, EMBEDDER, 384)
         assert index.layout == loaded.layout == "dense"
-        assert loaded.vectors[0].tobytes() == reference_vector("One two.", 384).tobytes()
+        assert dense_rows(loaded)[0].tobytes() == reference_vector("One two.", 384).tobytes()
 
 
 EMBEDDER = "hashed-bow"
@@ -810,8 +810,8 @@ class TestSnapshots:
         loaded = load_index(path, index.corpus, index.level, EMBEDDER, dim)
         assert loaded.level is index.level
         assert loaded.layout == layout
-        assert loaded.chunk_ids == index.chunk_ids
-        assert np.array_equal(loaded.vectors, index.vectors)
+        assert index_ids(loaded) == index_ids(index)
+        assert np.array_equal(dense_rows(loaded), dense_rows(index))
         query = ensure_unit(np.array([rng.gauss(0, 1) for _ in range(dim)]))
         assert loaded.search(query, 10) == index.search(query, 10)
 
@@ -833,7 +833,7 @@ class TestSnapshots:
         data = path.read_bytes()
         header_len = int.from_bytes(data[8:12], "little")
         assert len(data) == 12 + header_len + 4 * 10 * 6
-        assert data[12 + header_len :] == index.vectors.astype("<f4").tobytes()
+        assert data[12 + header_len :] == dense_rows(index).astype("<f4").tobytes()
         assert b"c0003" not in data
 
     def test_hashed_bow_ingest_writes_every_level_as_csr(self, tmp_path, monkeypatch):
@@ -873,8 +873,8 @@ class TestSnapshots:
             save_index(index, path, EMBEDDER)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["sentence.idx"]
-        assert np.array_equal(load_index(path, index.corpus, index.level, EMBEDDER, dim).vectors,
-                              index.vectors)
+        assert np.array_equal(
+            dense_rows(load_index(path, index.corpus, index.level, EMBEDDER, dim)), dense_rows(index))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
@@ -918,7 +918,7 @@ class TestSnapshots:
         data = path.read_bytes()
         header_len = int.from_bytes(data[8:12], "little")
         header = json.loads(data[12 : 12 + header_len])
-        header["ids_sha256"] = hashlib.sha256(digest(index.chunk_ids)).hexdigest()
+        header["ids_sha256"] = hashlib.sha256(digest(index_ids(index))).hexdigest()
         new = json.dumps(header, sort_keys=True).encode("ascii")
         path.write_bytes(f"HRRIDX{version[1]}\n".encode("ascii") + len(new).to_bytes(4, "little")
                          + new + data[12 + header_len :])
@@ -1076,7 +1076,7 @@ class TestSnapshots:
         path = tmp_path / "sentence.idx"
         save_index(index, path, EMBEDDER)
         with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
-            load_index(path, level_corpus(ids(list(index.chunk_ids))), Level.SENTENCE, EMBEDDER, 6)
+            load_index(path, level_corpus(ids(list(index_ids(index)))), Level.SENTENCE, EMBEDDER, 6)
 
     def test_id_digest_is_injective_over_newlines(self, tmp_path):
         vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
@@ -1096,7 +1096,7 @@ class TestSnapshots:
             with pytest.raises(InvalidCorpusError, match="splits at NUL into 5 ids, not 4"):
                 level_corpus(ids)
         sentence, side = level_corpus(["s"]), level_corpus(["s"], Level.SUB_INTERMEDIATE)
-        assert [n.id for n in sentence] == [n.id for n in side]
+        assert [n.id for n in nodes_of(sentence)] == [n.id for n in nodes_of(side)]
         path = tmp_path / "parent.idx"
         save_index(build_index(sentence, Level.PARENT, HashedBowEmbedder(4)), path, EMBEDDER)
         assert len(load_index(path, sentence, Level.PARENT, EMBEDDER, 4)) == 1
@@ -1111,8 +1111,8 @@ class TestSnapshots:
         vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
         ids = ["d:p0", "é,\"\\:p1"]
         corpus = level_corpus(ids)
-        levels = bytes(list(Level).index(node.level) for node in corpus)
-        joined = "\0".join(node.id for node in corpus).encode("utf-8")
+        levels = bytes(list(Level).index(node.level) for node in nodes_of(corpus))
+        joined = "\0".join(node.id for node in nodes_of(corpus)).encode("utf-8")
         assert levels == bytes([0, 1, 2, 2]) and "é,\"\\:p1".encode("utf-8") in joined
         path = tmp_path / "sentence.idx"
         save_index(LevelIndex(corpus, Level.SENTENCE, vecs), path, EMBEDDER)
@@ -1123,7 +1123,7 @@ class TestSnapshots:
         stored = _read_nodes(tmp_path / "corpus" / "nodes.bin")
         assert stored.columns["level"].tobytes() + stored.ids == levels + joined
         loaded = load_corpus(tmp_path / "corpus")
-        assert load_index(path, loaded, Level.SENTENCE, EMBEDDER, 4).chunk_ids == tuple(ids)
+        assert index_ids(load_index(path, loaded, Level.SENTENCE, EMBEDDER, 4)) == tuple(ids)
         with pytest.raises(InvalidCorpusError, match="the id table is not UTF-8"):
             level_corpus(["x\udc80", "y"])
 
@@ -1175,16 +1175,11 @@ class TestColdLoad:
 
     def test_load_context_builds_no_level_ids_and_hashes_them_once(self, seed42, monkeypatch):
         """Each index of a cold ``load_context`` is a level of the loaded
-        corpus: no level's ids are gathered (``Corpus.ids_at``), and the ids
-        are hashed once, by the corpus, not once per level."""
+        corpus, and the ids are hashed once, by the corpus, not once per
+        level."""
         hashed = []
         sha256 = hashlib.sha256
         monkeypatch.setattr(hashlib, "sha256", lambda *a: hashed.append(a) or sha256(*a))
-
-        def refuse(corpus, level):
-            raise AssertionError(f"ids_at({level}) was called")
-
-        monkeypatch.setattr(Corpus, "ids_at", refuse)
         ctx = load_context(seed42)
         monkeypatch.undo()
         assert len(hashed) == 1
@@ -1195,7 +1190,7 @@ class TestColdLoad:
         assert set(ctx.indices) == set(Level)
         for level, index in ctx.indices.items():
             assert index.corpus is ctx.corpus
-            assert index.chunk_ids == ctx.corpus.ids_at(level)
+            assert index_ids(index) == level_ids(ctx.corpus, level)
 
     @given(st.lists(st.text(st.sampled_from("aZé中😀\"'\\,: -_"), min_size=1, max_size=10),
                     min_size=1, max_size=3, unique=True))
@@ -1219,8 +1214,8 @@ class TestColdLoad:
         assert sorted(corpus.documents) == sorted(doc_ids)
         assert set(ctx.indices) == set(corpus.levels) == set(Level)
         for level, index in ctx.indices.items():
-            assert index.chunk_ids == corpus.ids_at(level)
-        assert {corpus.get(i).doc_id for i in corpus.ids_at(Level.PARENT)} == set(doc_ids)
+            assert index_ids(index) == level_ids(corpus, level)
+        assert {corpus.get(i).doc_id for i in level_ids(corpus, Level.PARENT)} == set(doc_ids)
 
 
 class TestUnitRowsAtLoad:

@@ -27,6 +27,7 @@ from hrr.retrievers import Strategy
 from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING
+from reads import index_ids
 from test_index import assert_hits_are, naive_top_k
 from stub_services import (
     MODE_BAD_REQUEST,
@@ -94,7 +95,7 @@ class TestRemoteEmbedder:
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match="is not unit") as exc:
             load_index(path, toy_corpus, Level.SENTENCE, remote.name, DIM)
-        assert repr(index.chunk_ids[first // DIM]) in str(exc.value)
+        assert repr(index_ids(index)[first // DIM]) in str(exc.value)
         assert "\n" not in str(exc.value)
 
     def test_wrong_dimension_raises(self):

@@ -33,6 +33,7 @@ from hrr.retrievers import (
 from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING
+from reads import nodes_of
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def embed_one(ctx, text):
 
 def brute_force_hits(ctx, level, query_vec, k):
     """Score every chunk of a level directly; sort by (score desc, id asc)."""
-    nodes = ctx.corpus.nodes_at(level)
+    nodes = nodes_of(ctx.corpus, level)
     scored = [
         (n.id, cosine_similarity(embed_one(ctx, ctx.corpus.chunk_text(n.id)), query_vec))
         for n in nodes

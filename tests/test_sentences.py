@@ -9,6 +9,8 @@ from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.corpus import Level
 from hrr.sentences import _LOOK_BACK, ABBREVIATIONS, split_sentences
 
+from reads import nodes_of
+
 
 def sentences_of(text):
     return [text[s:e] for s, e in split_sentences(text)]
@@ -71,7 +73,7 @@ class TestHardSplitFallback:
         # The chunker, not the splitter, caps long sentences.
         words = " ".join(f"w{i}" for i in range(1000))  # 1000 tokens, no terminator
         corpus = build_corpus({"d": words}, ChunkingConfig(max_sentence_tokens=400))
-        sentences = list(corpus.nodes_at(Level.SENTENCE))
+        sentences = list(nodes_of(corpus, Level.SENTENCE))
         assert [n.token_count for n in sentences] == [400, 400, 200]
         assert all(n.hard_split for n in sentences)
 

@@ -9,6 +9,8 @@ from hrr.embedding import HashedBowEmbedder, cosine_similarity, embed_batch
 from hrr.errors import ConfigError, SpecInfeasibleError
 from hrr.synth import DEFAULT_EMBED_DIMENSION, CorpusSpec, generate
 
+from reads import nodes_of
+
 SMALL = CorpusSpec(seed=11, n_docs=4, tokens_per_doc=600, n_needles=6)
 
 
@@ -50,7 +52,7 @@ class TestConstruction:
 
     def test_gold_parents_resolvable_and_parent_level(self, small):
         for query in small.queries:
-            node = small.corpus.chunks[query.gold_parent]
+            node = small.corpus.get(query.gold_parent)
             assert node.level is Level.PARENT
             assert node.doc_id == query.gold_doc
 
@@ -80,7 +82,7 @@ class TestProvableRelevance:
         """For every query the planted sentence must beat all other sentences."""
         embedder = HashedBowEmbedder(dimension=DEFAULT_EMBED_DIMENSION)
         corpus = small.corpus
-        sentences = corpus.nodes_at(Level.SENTENCE)
+        sentences = nodes_of(corpus, Level.SENTENCE)
         vectors = embed_batch(
             embedder, [corpus.chunk_text(n.id) for n in sentences]
         )
