@@ -167,9 +167,9 @@ def _print_result(result: RetrievalResult, ctx, *, show_trace: bool) -> None:
     print(f"strategy: {result.strategy.value}")
     if not result.parents:
         print("no parents retrieved")
-    for rank, parent in enumerate(result.parents, start=1):
+    texts = ctx.corpus.texts_of(result.parent_rows)
+    for rank, (parent, text) in enumerate(zip(result.parents, texts), start=1):
         score = "-" if parent.score is None else f"{parent.score:.6f}"
-        text = ctx.corpus.chunk_text(parent.chunk_id)
         preview = " ".join(text.split())[:100]
         print(f"{rank}. {parent.chunk_id}  score={score}")
         print(f"   {preview}")

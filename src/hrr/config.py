@@ -7,6 +7,7 @@ typos fail loudly instead of silently falling back to defaults.
 
 from __future__ import annotations
 
+import functools
 import json
 import typing
 from dataclasses import dataclass, field
@@ -93,7 +94,7 @@ def config_from_dict(data: dict) -> EngineConfig:
     """Build an ``EngineConfig`` from parsed JSON, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    hints = typing.get_type_hints(EngineConfig)
+    hints = _hints(EngineConfig)
     kwargs = {}
     for key, value in data.items():
         if key in _SECTIONS:
@@ -107,10 +108,18 @@ def config_from_dict(data: dict) -> EngineConfig:
     return config
 
 
+@functools.cache
+def _hints(config_type) -> dict:
+    """The field types of the dataclass ``config_type``, evaluated from its
+    string annotations once per type, since every cold corpus load parses
+    its chunking settings."""
+    return typing.get_type_hints(config_type)
+
+
 def _section_from_dict(section_type, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path!r} must be an object")
-    hints = typing.get_type_hints(section_type)
+    hints = _hints(section_type)
     kwargs = {}
     for key, value in data.items():
         if key not in hints:

@@ -42,7 +42,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence,
+    TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
 )
 
 import numpy as np
@@ -141,12 +141,16 @@ class Corpus:
     """Immutable container for documents and one table of chunk nodes.
 
     Safe for concurrent readers once constructed. Every level, the side tier
-    included, is stored alike, and read by row and id: ``rows_at`` gives a
-    level's rows, ``ids_of`` their ids, ``texts_at`` and ``chunk_text`` their
-    texts, ``parent_at`` the parent chunk owning a byte, and ``get`` builds
-    the one ``ChunkNode`` of an id (``in`` and ``len`` as for a set of ids).
-    The node views ``chunks``, ``nodes`` and ``sub_nodes`` are kept only for
-    the benchmark harness. The corpus keeps no node.
+    included, is stored alike, and read by row: ``rows_at`` gives a level's
+    rows, ``ids_of`` their ids, ``ancestor_rows`` their ancestors at a level,
+    and ``texts_at`` and ``texts_of`` their texts. Retrieval reads nothing
+    else. By id, ``get`` builds the one ``ChunkNode`` of an id (``in`` and
+    ``len`` as for a set of ids) and ``chunk_text`` reads its text; the
+    id→row map they read is built on the first of them, so a corpus that is
+    only queried never builds it. ``parent_at`` names the parent chunk
+    owning a byte of a document. The node views ``chunks``, ``nodes`` and
+    ``sub_nodes`` are kept only for the benchmark harness. The corpus keeps
+    no node.
 
     The chunker's rows are each document's parents, intermediates and
     sentences in turn, then the side tier (see ``hrr.chunking``). Each
@@ -161,7 +165,8 @@ class Corpus:
     or a lone surrogate (which UTF-8 cannot encode); a document is not
     UTF-8 (the first such document); the id table is not UTF-8 or
     does not split at NUL into one id per row (so no id holds a NUL or a
-    lone surrogate); an id names more than one node. Then, naming the first
+    lone surrogate); an id names more than one node (proven by one ``set``
+    of the ids, which is dropped). Then, naming the first
     node in row order within each rule: a level code is 4 or more; a document
     row is not one of ``documents``; a parent-level node has a parent, or
     another node's parent is not an earlier node of the same document at
@@ -226,8 +231,7 @@ class Corpus:
         self.config = config
         self.tokenizer_name = tokenizer_name
         is_ascii = _check_documents(self.documents)
-        self._ids = ids = _split_ids(id_table, len(columns.level))
-        self._index: dict[str, int] = dict(zip(ids, range(len(ids))))
+        self._ids = _split_ids(id_table, len(columns.level))
         self._cols = columns
         #: The columns as memoryviews too, whose items read as Python ints
         #: several times faster than numpy scalars; per-row lookups use them.
@@ -258,6 +262,13 @@ class Corpus:
     def __len__(self) -> int:
         return len(self._ids)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Each id to its row, built on the first id lookup: retrieval reads
+        rows, so a loaded corpus that is only queried never builds it."""
+        ids = self._ids
+        return dict(zip(ids, range(len(ids))))
+
     def _row(self, chunk_id: str) -> int:
         row = self._index.get(chunk_id)
         if row is None:
@@ -284,10 +295,40 @@ class Corpus:
         """The rows of ``level``'s nodes, ascending, as int64."""
         return np.flatnonzero(self._cols.level == _CODES[level])
 
-    def ids_of(self, rows: np.ndarray) -> Iterator[str]:
-        """The ids of ``rows``, an int64 array, in its order, read one at a
-        time from the one id list, so no list of rows or of ids is built."""
-        return map(self._ids.__getitem__, memoryview(rows))
+    def ids_of(self, rows: np.ndarray | list[int]) -> Iterator[str]:
+        """The ids of ``rows``, an integer array or a list of ints, in its
+        order, read one at a time from the one id list, so no list of rows or
+        of ids is built."""
+        return map(self._ids.__getitem__, memoryview(rows) if isinstance(rows, np.ndarray)
+                   else rows)
+
+    def ancestor_rows(self, rows: Iterable[int], level: Level) -> list[int]:
+        """The row of each of ``rows``' ancestors at ``level``, in their
+        order: a row already at ``level`` is its own. Each walks the parent
+        column up from its row, reading the level column at every hop: a
+        query maps a few dozen rows, for which Python reads of the columns'
+        memoryviews cost less than numpy calls.
+
+        Every ancestor chain ends at a parent-level node, since the corpus
+        checks its structure when built or loaded, so every walk ends.
+        Raises ``LevelViolationError`` naming the first of ``rows`` whose
+        chain misses ``level`` (a row above it, or below it on another
+        branch, as the sentence and side tiers are to each other).
+        """
+        levels, parents = self._view.level, self._view.parent
+        target = _CODES[level]
+        found = []
+        for start in rows:
+            row = start
+            while levels[row] != target:
+                row = parents[row]
+                if row < 0:
+                    raise LevelViolationError(
+                        f"{self._ids[start]!r} ({_LEVELS[levels[start]].value}) has no "
+                        f"ancestor at {level.value!r}"
+                    )
+            found.append(row)
+        return found
 
     @property
     def levels(self) -> tuple[Level, ...]:
@@ -338,22 +379,27 @@ class Corpus:
         return None
 
     def chunk_text(self, chunk_id: str) -> str:
-        """The text of ``chunk_id``: one shared ``str`` per chunk while the
-        chunk is among the ``TOKEN_SET_CACHE_SIZE`` most recently read.
+        """The text of ``chunk_id``, as ``texts_of`` reads it."""
+        return self._texts(self._row(chunk_id))
+
+    def texts_of(self, rows: Iterable[int]) -> Iterator[str]:
+        """The texts of ``rows``, in their order: one shared ``str`` per row
+        while the row is among the ``TOKEN_SET_CACHE_SIZE`` most recently
+        read.
 
         For per-query lookups, such as the rerank pool's texts. Handing the
         lexical reranker the same object again lets its token-set cache find
         a text by its cached hash and identity, not by decoding, hashing and
         comparing it anew. Whole levels are read through ``texts_at``.
         """
-        return self._texts(self._row(chunk_id))
+        return map(self._texts, rows)
 
     def texts_at(self, level: Level) -> list[str]:
         """The texts of ``rows_at(level)``'s nodes, in row order, each
         decoded anew.
 
         For reading a whole level once, as ``build_index`` does: it leaves
-        the ``chunk_text`` memo unbuilt, so no level's texts outlive the call.
+        the ``texts_of`` memo unbuilt, so no level's texts outlive the call.
         """
         # The rows are read one at a time, so no list of them is built.
         return list(map(partial(_decode, self._doc_bytes, self._view),
@@ -361,9 +407,10 @@ class Corpus:
 
     @cached_property
     def _texts(self) -> Callable[[int], str]:
-        """Each row's text, memoized; built on the first ``chunk_text`` call.
-        The memo holds the documents and columns, not the corpus, so it
-        makes no reference cycle that would keep a dropped corpus alive."""
+        """Each row's text, memoized; built on the first ``texts_of`` or
+        ``chunk_text`` call. The memo holds the documents and columns, not
+        the corpus, so it makes no reference cycle that would keep a dropped
+        corpus alive."""
         return lru_cache(maxsize=TOKEN_SET_CACHE_SIZE)(
             partial(_decode, self._doc_bytes, self._view)
         )
@@ -382,36 +429,25 @@ class _ChunkMap(Mapping):
         return self._corpus._node(self._corpus._index[chunk_id])
 
     def __contains__(self, chunk_id) -> bool:
-        return chunk_id in self._corpus._index
+        return chunk_id in self._corpus
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._corpus._index)
+        return iter(self._corpus._ids)
 
     def __len__(self) -> int:
-        return len(self._corpus._index)
+        return len(self._corpus)
 
 
 def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
     """Return the id of ``chunk_id``'s unique ancestor at ``target_level``.
 
-    Identity when the levels already match. Every ancestor chain ends at a
-    parent-level node, since the corpus checks its structure when built or
-    loaded, so the walk reads only the parent and level columns. Raises
+    Identity when the levels already match. The id lookup of
+    ``Corpus.ancestor_rows``, which retrieval calls on rows: raises
     ``UnknownChunkError`` for a missing chunk and ``LevelViolationError``
     when the target level is not on the chunk's ancestor chain (anything
     below it, or the sentence and sub-intermediate tiers of other branches).
     """
-    row = start = corpus._row(chunk_id)
-    levels, parents = corpus._view.level, corpus._view.parent
-    target = _CODES[target_level]
-    while levels[row] != target:
-        row = parents[row]
-        if row < 0:
-            raise LevelViolationError(
-                f"{chunk_id!r} ({_LEVELS[levels[start]].value}) has no ancestor at "
-                f"{target_level.value!r}"
-            )
-    return corpus._ids[row]
+    return corpus._ids[corpus.ancestor_rows([corpus._row(chunk_id)], target_level)[0]]
 
 
 def validate_corpus(corpus: Corpus) -> list[Violation]:
@@ -693,7 +729,7 @@ def _check_structure(corpus: Corpus, is_ascii: Sequence[bool]) -> None:
     ``Corpus`` lists from the duplicate id on); for a token sum, the node is
     the owner. ``is_ascii`` says which documents are ASCII."""
     ids = corpus._ids
-    if len(corpus._index) != len(ids):
+    if len(set(ids)) != len(ids):
         duplicate = next(chunk_id for chunk_id, n in Counter(ids).items() if n > 1)
         raise InvalidCorpusError(f"id {duplicate!r} names more than one node")
 

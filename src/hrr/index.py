@@ -64,7 +64,6 @@ from .embedding import (
     unit_slack,
 )
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
-from .rerank import ScoredCandidate
 
 _MAGIC = b"HRRIDX5\n"
 #: v3 digested the level's ids as one JSON array, v4 as their NUL join.
@@ -403,15 +402,18 @@ class LevelIndex:
     def __len__(self) -> int:
         return self._rows.count
 
-    def search(self, query: np.ndarray, k: int) -> list[ScoredCandidate]:
-        """Exact top-k by cosine, ties broken by chunk id ascending.
+    def search(self, query: np.ndarray, k: int) -> tuple[list[int], list[float]]:
+        """Exact top-k by cosine, ties broken by chunk id ascending: the
+        hits' corpus rows and their scores, best first.
 
         Bit-identical to scoring every row with ``cosine_similarity`` and
-        sorting. Let ``c_i`` be row i's canonical score and ``c_(k)`` the
-        k-th best. Search finds candidates that include every row with
-        ``c_i >= c_(k)`` -- the true top k and everything tied with its last
-        score -- and gives each its ``c_i``; selecting among them under the
-        same order returns the full scan's hits exactly.
+        sorting. The ids are read only to order the hits; a caller reads
+        theirs with ``corpus.ids_of``. Let ``c_i`` be row i's canonical
+        score and ``c_(k)`` the k-th best. Search finds candidates that
+        include every row with ``c_i >= c_(k)`` -- the true top k and
+        everything tied with its last score -- and gives each its ``c_i``;
+        selecting among them under the same order returns the full scan's
+        hits exactly.
 
         A CSR level rescores nothing. Its first pass (``approx_scores``) adds
         the canonical routine's products in its order, less the zero ones,
@@ -455,12 +457,14 @@ class LevelIndex:
         if k < 1:
             raise InvalidInputError("k must be >= 1")
         candidates, scores = self._rows.candidates(ensure_unit(query, self.dimension), k)
-        return [ScoredCandidate(chunk_id, float(score))
-                for score, chunk_id in self._best(candidates, scores, k)]
+        return self._best(candidates, scores, k)
 
-    def _best(self, rows: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[float, str]]:
-        """The top k of ``scores`` as (score, chunk id of its row) pairs,
-        best first, under (score descending, chunk id ascending)."""
+    def _best(
+        self, rows: np.ndarray, scores: np.ndarray, k: int
+    ) -> tuple[list[int], list[float]]:
+        """The corpus rows of the top k of ``scores``, index ``rows``, and
+        their scores, best first, under (score descending, chunk id
+        ascending)."""
         if len(scores) > k:
             kth = _kth_largest(scores, k)
             above = np.flatnonzero(scores > kth)
@@ -472,10 +476,13 @@ class LevelIndex:
                 tied = tied[np.argpartition(ranks, need - 1)[:need]]
             keep = np.concatenate((above, tied))
             rows, scores = rows[keep], scores[keep]
-        # Sorted as Python values, each read out of numpy once.
-        best = list(zip(scores.tolist(), self._ids_of(rows)))
-        best.sort(key=lambda hit: (-hit[0], hit[1]))
-        return best
+        rows = self._corpus_rows[rows].tolist()
+        # Sorted as Python values, each read out of numpy once; ``bincount``
+        # adds no products, where the query's buckets hold no postings, into
+        # integer zeros, which ``float`` makes scores.
+        best = sorted(zip(scores.tolist(), self.corpus.ids_of(rows), rows),
+                      key=lambda hit: (-hit[0], hit[1]))
+        return [row for _, _, row in best], [float(score) for score, _, _ in best]
 
     @functools.cached_property
     def _id_ranks(self) -> np.ndarray:

@@ -29,7 +29,7 @@ PROVIDER_LOCAL_RERANK = "lexical-overlap"
 PROVIDER_REMOTE = "remote"
 
 #: Distinct candidate texts whose token sets one lexical reranker keeps, and
-#: the chunk texts a corpus keeps for ``Corpus.chunk_text``. A four-strategy
+#: the chunk texts a corpus keeps for ``Corpus.texts_of``. A four-strategy
 #: eval pass over the 20-doc synth corpus (seed 42) touches 263 chunks (243
 #: distinct texts); one over the 200-doc corpus (seed 7) touches 913 chunks
 #: (841 texts, 5.5 MB), and its 30 ``hrr`` queries 458; so both caches hold

@@ -18,15 +18,25 @@ Pre-rerank pools order candidates by their best originating similarity
 (a mapped candidate inherits its hit's score), ties by chunk id; dedup
 keeps the first occurrence under that order. Final parent dedup keeps the
 highest-reranked representative's score.
+
+A hit is a corpus row from search to result: search returns rows, hits map
+up by walks of the corpus's parent column (``Corpus.ancestor_rows``), and
+the pool is deduped on rows and its texts read by row. Ids are read from
+the corpus's id list only for the trace, the rerank request and the
+result, so retrieval never looks an id up (exact engines keep integer ids
+inside the same way: Johnson, Douze and Jegou, arXiv 1702.08734).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .corpus import Corpus, Level, resolve_parent
+# Retrieval maps rows with ``Corpus.ancestor_rows``; ``resolve_parent``, its
+# id lookup, is imported for the benchmark harness, which patches it here.
+from .corpus import Corpus, Level, resolve_parent  # noqa: F401
 from .embedding import EmbeddingProvider, embed_batch
 from .errors import ConfigError, EmptyCorpusError, MissingIndexError
 from .index import LevelIndex
@@ -81,6 +91,9 @@ class RetrievalResult:
     strategy: Strategy
     parents: tuple[ScoredCandidate, ...]
     trace: tuple[StageTrace, ...]
+    #: The parents' rows in the corpus they were retrieved from, so that
+    #: their texts are read by row (``Corpus.texts_of``); not in ``to_dict``.
+    parent_rows: tuple[int, ...] = ()
 
     def parent_ids(self) -> list[str]:
         return [p.chunk_id for p in self.parents]
@@ -142,29 +155,33 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
     """Run the strategy selected by ``ctx.config.strategy``.
 
     Embed the query, search each planned level, map hits up to the rerank
-    level, dedup, rerank, keep the top k, and map to unique parents.
+    level, dedup, rerank, keep the top k, and map to unique parents. Hits
+    are corpus rows from search to result; their ids are read only for the
+    trace, the rerank request and the result.
     """
     ctx.config.validate()
-    if len(ctx.corpus) == 0:
+    corpus = ctx.corpus
+    if len(corpus) == 0:
         raise EmptyCorpusError("corpus has no chunks")
     strategy = ctx.config.strategy
-    check_levels(ctx.corpus, [strategy])
+    check_levels(corpus, [strategy])
     search_levels, rerank_level = _PLANS[strategy]
     query_vec = embed_batch(ctx.embedder, [query])[0]
 
     trace: list[StageTrace] = []
-    direct: list[ScoredCandidate] = []
+    # Hits below the rerank level, as their ancestors there; and each
+    # rerank-level row's best hit score.
     mapped: list[ScoredCandidate] = []
+    best: dict[int, float] = {}
     for level in search_levels:
-        hits = ctx.index(level).search(query_vec, ctx.config.similarity_top_k)
-        trace.append(StageTrace(f"{level.value}_hits", tuple(hits)))
-        if level is rerank_level:
-            direct.extend(hits)
-        else:
-            mapped.extend(
-                ScoredCandidate(resolve_parent(ctx.corpus, c.chunk_id, rerank_level), c.score)
-                for c in hits
-            )
+        rows, scores = ctx.index(level).search(query_vec, ctx.config.similarity_top_k)
+        trace.append(StageTrace(f"{level.value}_hits", _scored(corpus, rows, scores)))
+        if level is not rerank_level:
+            rows = corpus.ancestor_rows(rows, rerank_level)
+            mapped += _scored(corpus, rows, scores)
+        for row, score in zip(rows, scores):
+            if score > best.get(row, -math.inf):
+                best[row] = score
 
     # A mid-tier rerank (hrr) shows its sentence mapping and feeds the mapped
     # sentence scores to the reranker's optional score mix.
@@ -173,10 +190,9 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
         trace.append(StageTrace("sentence_to_intermediate", tuple(mapped)))
         sentence_bonus = _best_scores(mapped)
 
-    pool = _dedup_best(mapped + direct)
-    request = RerankRequest(
-        query, tuple((c.chunk_id, ctx.corpus.chunk_text(c.chunk_id)) for c in pool)
-    )
+    pool, row_of = _pool(corpus, best)
+    texts = corpus.texts_of(row_of[c.chunk_id] for c in pool)
+    request = RerankRequest(query, tuple(zip((c.chunk_id for c in pool), texts)))
     reranked = rerank(
         ctx.reranker,
         request,
@@ -185,15 +201,15 @@ def retrieve(query: str, ctx: RetrievalContext) -> RetrievalResult:
         sentence_bonus=sentence_bonus,
     )
     reranked_top = top_k(reranked, ctx.config.rerank_top_k)
-    parents = _map_to_parents(reranked_top, ctx.corpus)
+    parents, parent_rows = _map_to_parents(reranked_top, row_of, corpus)
 
     trace += [
-        StageTrace("rerank_pool", tuple(pool)),
+        StageTrace("rerank_pool", pool),
         StageTrace("reranked", tuple(reranked)),
         StageTrace("rerank_top_k", tuple(reranked_top)),
-        StageTrace("parents", tuple(parents)),
+        StageTrace("parents", parents),
     ]
-    return RetrievalResult(query, strategy, tuple(parents), tuple(trace))
+    return RetrievalResult(query, strategy, parents, tuple(trace), parent_rows)
 
 
 def check_levels(corpus: Corpus, strategies: Iterable[Strategy]) -> None:
@@ -210,33 +226,39 @@ def check_levels(corpus: Corpus, strategies: Iterable[Strategy]) -> None:
                 )
 
 
+def _scored(corpus: Corpus, rows: list[int], scores: list[float]) -> tuple[ScoredCandidate, ...]:
+    """The candidates of ``rows``' ids, each with its score."""
+    return tuple(map(ScoredCandidate, corpus.ids_of(rows), scores))
+
+
 def _best_scores(candidates: list[ScoredCandidate]) -> dict[str, float]:
     best: dict[str, float] = {}
     for cand in candidates:
-        if cand.score is not None and cand.score > best.get(cand.chunk_id, float("-inf")):
+        if cand.score > best.get(cand.chunk_id, -math.inf):
             best[cand.chunk_id] = cand.score
     return best
 
 
-def _dedup_best(candidates: list[ScoredCandidate]) -> list[ScoredCandidate]:
-    """One candidate per id carrying its best score, sorted (score desc, id)."""
-    best = _best_scores(candidates)
-    return [
-        ScoredCandidate(cid, score)
-        for cid, score in sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
+def _pool(
+    corpus: Corpus, best: Mapping[int, float]
+) -> tuple[tuple[ScoredCandidate, ...], dict[str, int]]:
+    """The rerank pool, one candidate per row of ``best`` carrying its score,
+    sorted (score desc, id); and each candidate's row, by id."""
+    row_of = dict(zip(corpus.ids_of(list(best)), best))
+    pool = sorted(map(ScoredCandidate, row_of, best.values()),
+                  key=lambda c: (-c.score, c.chunk_id))
+    return tuple(pool), row_of
 
 
 def _map_to_parents(
-    reranked_top: list[ScoredCandidate], corpus: Corpus
-) -> list[ScoredCandidate]:
-    """Map candidates to parent chunks, keeping the first (highest-ranked)
-    representative of each parent."""
-    out: list[ScoredCandidate] = []
-    seen: set[str] = set()
-    for cand in reranked_top:
-        parent_id = resolve_parent(corpus, cand.chunk_id, Level.PARENT)
-        if parent_id not in seen:
-            seen.add(parent_id)
-            out.append(ScoredCandidate(parent_id, cand.score))
-    return out
+    reranked_top: list[ScoredCandidate], row_of: Mapping[str, int], corpus: Corpus
+) -> tuple[tuple[ScoredCandidate, ...], tuple[int, ...]]:
+    """Map candidates, whose rows ``row_of`` gives, to parent chunks,
+    keeping the first (highest-ranked) representative of each parent: the
+    parents' candidates and their rows."""
+    parent_rows = corpus.ancestor_rows((row_of[c.chunk_id] for c in reranked_top), Level.PARENT)
+    first: dict[int, ScoredCandidate] = {}
+    for cand, row, parent_id in zip(reranked_top, parent_rows, corpus.ids_of(parent_rows)):
+        if row not in first:
+            first[row] = ScoredCandidate(parent_id, cand.score)
+    return tuple(first.values()), tuple(first)

@@ -2,7 +2,8 @@
 
 A corpus is read through its one read API (``rows_at``, ``ids_of`` and
 ``get``); an index's rows are densified here from the arrays it stores, so
-an oracle that reads them does not go through the code it checks.
+an oracle that reads them does not go through the code it checks; and a
+search's hits, corpus rows and scores, are read as (chunk id, score) pairs.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from hrr.corpus import ChunkNode, Corpus, Level
 from hrr.embedding import CsrBatch
 from hrr.index import LevelIndex
+from hrr.rerank import ScoredCandidate
 
 
 def level_ids(corpus: Corpus, level: Level) -> tuple[str, ...]:
@@ -26,6 +28,12 @@ def nodes_of(corpus: Corpus, level: Level | None = None) -> tuple[ChunkNode, ...
 def index_ids(index: LevelIndex) -> tuple[str, ...]:
     """The chunk ids of ``index``'s rows, in row order."""
     return level_ids(index.corpus, index.level)
+
+
+def search_hits(index: LevelIndex, query: np.ndarray, k: int) -> list[ScoredCandidate]:
+    """``index.search``'s hits as (chunk id, score) pairs, best first."""
+    rows, scores = index.search(query, k)
+    return list(map(ScoredCandidate, index.corpus.ids_of(rows), scores))
 
 
 def dense_rows(rows: LevelIndex | CsrBatch) -> np.ndarray:

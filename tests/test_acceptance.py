@@ -39,7 +39,7 @@ from hrr.retrievers import Strategy, retrieve
 from hrr.synth import CorpusSpec, generate
 
 from level_corpus import level_corpus
-from reads import nodes_of
+from reads import nodes_of, search_hits
 from stub_services import MODE_HANG, MODE_WRONG_DIMENSION, StubServices
 
 
@@ -124,7 +124,7 @@ def test_criterion_2_search_oracle_equivalence():
             )
         k = rng.randint(1, n + 2)
 
-        hits = index.search(query, k)
+        hits = search_hits(index, query, k)
         oracle = sorted(
             ((cid, cosine_similarity(vec, query)) for cid, vec in zip(ids, vectors)),
             key=lambda t: (-t[1], t[0]),

@@ -1,7 +1,9 @@
 """The benchmark's tracer patches engine names by module and attribute, the
 benchmark reads a corpus through its node views while it runs, and
 ``scripts/scan_inputs.py`` reads the token memos' counters; each must still
-exist, or the benchmark or the script fails only when it runs."""
+exist, or the benchmark or the script fails only when it runs. The calls
+the benchmark's self-check pins per op are counted here too, so a moved
+seam fails in seconds."""
 
 import importlib.util
 import os
@@ -18,7 +20,9 @@ PERFBENCH = ROOT / "perfbench"
 #: What the benchmark calls on a corpus while it runs, on a 2-document
 #: spec: ``inputs.build_inputs`` and the tracer's chunk count read
 #: ``Corpus.nodes`` and ``sub_nodes``, and ``Checker.check_retrieval`` reads
-#: ``Corpus.chunks``.
+#: ``Corpus.chunks``. Then, with the tracer installed, one ``compare()`` over
+#: the four strategies calls ``LevelIndex.search`` 7 times and the embedder
+#: and ``retrieve`` 4 times each, and one ``hrr`` retrieve 2, 1 and 1 times.
 BENCH_READS = """
 import tempfile
 from pathlib import Path
@@ -27,7 +31,7 @@ from tracer import Tracer, _count_chunks
 tracer = Tracer()
 tracer.install()
 import inputs, worker
-from hrr import synth
+from hrr import evaluation, synth
 from hrr.config import EngineConfig
 from hrr.engine import context_for
 from hrr.retrievers import Strategy, retrieve
@@ -43,8 +47,21 @@ expected = {level.value: len(corpus.rows_at(level)) for level in corpus.levels}
 assert meta["chunks_per_level"] == expected, meta
 assert counted == {f"chunking.chunks.{level}": n for level, n in expected.items()}, counted
 gold = generated.queries[0]
-result = retrieve(gold.query, context_for(corpus, EngineConfig()))
+ctx = context_for(corpus, EngineConfig())
+result = retrieve(gold.query, ctx)
 assert worker.Checker(5).check_retrieval(result, corpus, gold, Strategy.HRR) == 1
+
+# The seams perfbench/selfcheck.py pins per op: an eval-20 op, one compare()
+# over the four strategies, and a query-200 op, one hrr retrieve.
+SEAMS = ("index.search", "embedding.embed_batch", "retrievers.retrieve")
+for phase, run, expected in (
+    ("compare", lambda: evaluation.compare(ctx, [gold], list(Strategy)), (7, 4, 4)),
+    ("query", lambda: retrieve(gold.query, ctx), (2, 1, 1)),
+):
+    with tracer.unit(phase):
+        run()
+    calls = tuple(tracer.time[(phase, name)][0] for name in SEAMS)
+    assert calls == expected, (phase, calls)
 """
 
 

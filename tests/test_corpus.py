@@ -112,6 +112,30 @@ class TestResolveParent:
             )
             assert via == resolve_parent(corpus, node.id, Level.PARENT)
 
+    @pytest.mark.parametrize("level, target", [(Level.SENTENCE, Level.INTERMEDIATE),
+                                               (Level.SENTENCE, Level.PARENT),
+                                               (Level.SUB_INTERMEDIATE, Level.PARENT),
+                                               (Level.PARENT, Level.PARENT)])
+    def test_ancestor_rows_walk_parent_ids(self, corpus, level, target):
+        """``ancestor_rows`` maps a whole level's rows at once, in their
+        order, to the ancestors the nodes' parent ids walk to."""
+        rows = corpus.rows_at(level)[::-1].tolist()
+        expected = []
+        for chunk_id in corpus.ids_of(rows):
+            node = corpus.get(chunk_id)
+            while node.level is not target:
+                node = corpus.get(node.parent_id)
+            expected.append(node.id)
+        assert list(corpus.ids_of(corpus.ancestor_rows(rows, target))) == expected
+
+    def test_ancestor_rows_name_the_first_row_without_one(self, corpus):
+        rows = np.concatenate([corpus.rows_at(Level.SENTENCE)[:2],
+                               corpus.rows_at(Level.SUB_INTERMEDIATE)[::-1]]).tolist()
+        first = next(corpus.ids_of(rows[2:]))
+        with pytest.raises(LevelViolationError, match=(
+                f"^{first!r} \\(sub_intermediate\\) has no ancestor at 'sentence'$")):
+            corpus.ancestor_rows(rows, Level.SENTENCE)
+
 
 def _scan_parent_at(corpus, doc_id, byte):
     """Reference: the first parent of the document whose span holds ``byte``."""
@@ -1079,6 +1103,14 @@ class TestChunkTexts:
         assert texts_built == []
         ctx.corpus.chunk_text("m:p0")  # the spy sees a query's lookup
         assert texts_built == [ctx.corpus]
+
+    def test_texts_of_rows_are_the_chunk_text_objects(self):
+        c = build_corpus(MULTIBYTE_DOCS, CFG)
+        rows = c.rows_at(Level.SENTENCE)[::-1].tolist()
+        texts = list(c.texts_of(rows))
+        ids = list(c.ids_of(rows))
+        assert all(t is c.chunk_text(i) for t, i in zip(texts, ids))
+        assert list(c.texts_of(rows[:3])) == c.texts_at(Level.SENTENCE)[::-1][:3]
 
     def test_texts_at_matches_chunk_text(self, tmp_path):
         built = build_corpus(MULTIBYTE_DOCS, CFG)

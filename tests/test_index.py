@@ -9,6 +9,8 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import typing
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 from pathlib import Path
@@ -45,7 +47,7 @@ from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING, TOY_DOCS
 from level_corpus import level_corpus
-from reads import dense_rows, index_ids, level_ids, nodes_of
+from reads import dense_rows, index_ids, level_ids, nodes_of, search_hits
 from test_corpus import _read_nodes
 from test_embedding import reference_vector
 
@@ -132,12 +134,12 @@ class TestSearchOracle:
             index = random_index(rng, n, dim, layout)
             query = ROWS[layout](rng, 1, dim)[0]
             k = rng.randint(1, n + 3)
-            assert_hits_are(index.search(query, k), naive_top_k(index, query, k))
+            assert_hits_are(search_hits(index, query, k), naive_top_k(index, query, k))
 
     def test_self_match_scores_one(self, layout):
         rng = random.Random(5)
         index = random_index(rng, 20, dim_for(layout, 8), layout)
-        hits = index.search(dense_rows(index)[7], 3)
+        hits = search_hits(index, dense_rows(index)[7], 3)
         assert hits[0].chunk_id == "c0007"
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
@@ -146,7 +148,7 @@ class TestSearchOracle:
         dim = dim_for(layout, 8)
         index = random_index(rng, 9, dim, layout)
         query = ROWS[layout](rng, 1, dim)[0]
-        hits = index.search(query, 50)
+        hits = search_hits(index, query, 50)
         assert len(hits) == 9
         scores = [h.score for h in hits]
         assert scores == sorted(scores, reverse=True)
@@ -157,7 +159,7 @@ class TestSearchOracle:
         index = LevelIndex(level_corpus(["zz", "aa", "mm"]), Level.SENTENCE,
                            in_layout(vectors, layout))
         assert index.layout == layout
-        hits = index.search(vec, 3)
+        hits = search_hits(index, vec, 3)
         assert [h.chunk_id for h in hits] == ["aa", "mm", "zz"]
 
     def test_duplicate_vectors_fully_deterministic(self, layout):
@@ -165,16 +167,16 @@ class TestSearchOracle:
         dim = dim_for(layout, 4)
         index = random_index(rng, 30, dim, layout)
         query = ROWS[layout](rng, 1, dim)[0]
-        first = index.search(query, 10)
+        first = search_hits(index, query, 10)
         for _ in range(3):
-            assert index.search(query, 10) == first
+            assert search_hits(index, query, 10) == first
 
 
 def assert_matches_oracle(index: LevelIndex, query: np.ndarray, ks) -> None:
     """Search equals the full scan for each k, ids and float scores alike."""
     unit = ensure_unit(query, index.dimension)
     for k in ks:
-        assert_hits_are(index.search(query, k), naive_top_k(index, unit, k), k)
+        assert_hits_are(search_hits(index, query, k), naive_top_k(index, unit, k), k)
 
 
 class TestSearchNearTies:
@@ -224,7 +226,7 @@ class TestSearchNearTies:
         query = np.array([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
         for probe in (row, query):
             assert_matches_oracle(index, probe, [1, 2, 10, n // 2, n - 1])
-        assert [h.chunk_id for h in index.search(query, 3)] == ["e0000", "e0001", "e0002"]
+        assert [h.chunk_id for h in search_hits(index, query, 3)] == ["e0000", "e0001", "e0002"]
 
     def test_k_at_or_above_row_count(self, layout):
         rng = random.Random(23)
@@ -232,7 +234,7 @@ class TestSearchNearTies:
         index = random_index(rng, 40, dim, layout)
         query = np.array([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
         assert_matches_oracle(index, query, [39, 40, 41, 1000])
-        assert len(index.search(query, 1000)) == 40
+        assert len(search_hits(index, query, 1000)) == 40
 
     def test_non_unit_query(self, layout):
         rng = random.Random(24)
@@ -313,7 +315,7 @@ class TestSearchNearTies:
         assert index.layout == "csr"
         query = ensure_unit(np.r_[np.ones(8), np.zeros(376)])
         assert_matches_oracle(index, query, [1, 39, 40, 41, 100, 259, 260, 261, 1000])
-        hits = index.search(query, 100)
+        hits = search_hits(index, query, 100)
         assert all(h.score > 0 for h in hits[:40])
         zeros = hits[40:]
         assert {h.score for h in zeros} == {0.0}
@@ -416,7 +418,7 @@ class TestCsrSearchBitwise:
         index = csr_index_of(d, rows, ids)
         q = np.zeros(d, dtype=np.float32)
         q[list(query)] = list(query.values())
-        assert_hits_are(index.search(q, k), naive_top_k(index, ensure_unit(q), k))
+        assert_hits_are(search_hits(index, q, k), naive_top_k(index, ensure_unit(q), k))
 
 
 @st.composite
@@ -475,7 +477,7 @@ def dense_kernel_hits() -> list[list[tuple[str, str]]]:
     index = LevelIndex(level_corpus([f"g{i:03d}" for i in range(400)]), Level.SENTENCE,
                        unit[:400])
     queries = [*unit[400:], unit[7], unit[123]]
-    return [[(h.chunk_id, float.hex(h.score)) for h in index.search(q, k)]
+    return [[(h.chunk_id, float.hex(h.score)) for h in search_hits(index, q, k)]
             for q in queries for k in (1, 10, 50)]
 
 
@@ -512,7 +514,7 @@ class TestTiesByIdRank:
         assert "_id_ranks" not in vars(index)
         query = np.r_[1.0, np.zeros(15)].astype(np.float32)
         for k in range(1, 60):
-            assert_hits_are(index.search(query, k), naive_top_k(index, query, k), k)
+            assert_hits_are(search_hits(index, query, k), naive_top_k(index, query, k), k)
         assert "_id_ranks" in vars(index)
 
     def test_rank_memory_per_row(self):
@@ -575,9 +577,9 @@ class TestEarlyStop:
         # A level's postings are built, for one path or the other, on its
         # first search, so each path searches its own copy.
         index = csr_index_of(d, rows, ids)
-        full = index.search(q, k)
+        full = search_hits(index, q, k)
         with mock.patch.multiple(index_module, _EARLY_STOP_ROWS=1, _FIRST_DEPTH=depth):
-            early = csr_index_of(d, rows, ids).search(q, k)
+            early = search_hits(csr_index_of(d, rows, ids), q, k)
         assert_hits_are(early, [(h.chunk_id, h.score) for h in full])
         assert_hits_are(full, naive_top_k(index, ensure_unit(q), k))
 
@@ -614,7 +616,7 @@ class TestEarlyStop:
         monkeypatch.setattr(index_module._CsrRows, "approx_scores", refuse)
         for query, ranked in zip(queries, expected):
             for k in (1, 10, 50):
-                assert_hits_are(index.search(query, k), ranked[:k], k)
+                assert_hits_are(search_hits(index, query, k), ranked[:k], k)
 
     def test_each_case_the_stop_cannot_prove_takes_the_full_pass(self, synth_level, full_passes):
         index, embedder, synth, queries = synth_level
@@ -643,7 +645,7 @@ class TestEarlyStop:
         cases.append(("negative value", negative, needle))
         for name, level, query in cases:
             full_passes.clear()
-            hits = level.search(query, 10)
+            hits = search_hits(level, query, 10)
             assert len(full_passes) == 1, name
             assert_hits_are(hits, naive_top_k(level, ensure_unit(query), 10), name)
         # A level below the row count.
@@ -699,7 +701,7 @@ class TestNoRescoring:
             calls = dict.fromkeys(["cosine_similarities", "__getitem__", "bincount"], 0)
             with counting(calls, index_module, "cosine_similarities"), \
                     counting(calls, CsrBatch, "__getitem__"), counting(calls, np, "bincount"):
-                hits = index.search(query, k)
+                hits = search_hits(index, query, k)
             assert calls == {"cosine_similarities": 0, "__getitem__": 0, "bincount": 1}, name
             assert_hits_are(hits, expected, name)
         assert [h.score for h in hits].count(0.0) == 7
@@ -813,7 +815,7 @@ class TestSnapshots:
         assert index_ids(loaded) == index_ids(index)
         assert np.array_equal(dense_rows(loaded), dense_rows(index))
         query = ensure_unit(np.array([rng.gauss(0, 1) for _ in range(dim)]))
-        assert loaded.search(query, 10) == index.search(query, 10)
+        assert search_hits(loaded, query, 10) == search_hits(index, query, 10)
 
     def test_round_trip_search_equals_naive_scan(self, tmp_path, layout):
         rng = random.Random(31)
@@ -1192,6 +1194,35 @@ class TestColdLoad:
             assert index.corpus is ctx.corpus
             assert index_ids(index) == level_ids(ctx.corpus, level)
 
+    def test_load_and_retrieval_build_no_id_map(self, seed42):
+        """Retrieval reads rows, so neither a cold ``load_context`` nor a
+        ``retrieve`` under each strategy builds the corpus's id→row map; the
+        first id lookup builds it, once, and ``get`` and ``in`` read it."""
+        ctx = load_context(seed42)
+        corpus = ctx.corpus
+        for strategy in Strategy:
+            for query in ("modaki", "the budget of the district"):
+                retrieve(query, replace(ctx, config=replace(ctx.config, strategy=strategy)))
+        assert "_index" not in vars(corpus)
+        parent = next(corpus.ids_of(corpus.rows_at(Level.PARENT)))
+        assert corpus.get(parent).level is Level.PARENT
+        built = vars(corpus)["_index"]
+        assert parent in corpus and "no such id" not in corpus
+        assert corpus.get(parent).id == parent
+        assert vars(corpus)["_index"] is built
+
+    def test_two_loads_evaluate_each_config_type_once(self, seed42, monkeypatch):
+        """The chunking settings each corpus load parses are typed by field
+        types evaluated once per config type, not once per load."""
+        evaluated = []
+        get_type_hints = typing.get_type_hints
+        monkeypatch.setattr(typing, "get_type_hints",
+                            lambda t, *a, **k: evaluated.append(t) or get_type_hints(t, *a, **k))
+        load_context(seed42)
+        load_context(seed42)
+        monkeypatch.undo()
+        assert all(n == 1 for n in Counter(evaluated).values()), evaluated
+
     @given(st.lists(st.text(st.sampled_from("aZé中😀\"'\\,: -_"), min_size=1, max_size=10),
                     min_size=1, max_size=3, unique=True))
     @settings(max_examples=20, deadline=None)
@@ -1327,7 +1358,7 @@ class TestPostingsOnFirstSearch:
 
         def first_search(slot: int) -> None:
             barrier.wait(timeout=30)
-            results[slot] = loaded.search(query, 10)
+            results[slot] = search_hits(loaded, query, 10)
 
         threads = [threading.Thread(target=first_search, args=(i,)) for i in range(4)]
         assert not has_postings(loaded)

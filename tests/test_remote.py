@@ -27,7 +27,7 @@ from hrr.retrievers import Strategy
 from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING
-from reads import index_ids
+from reads import index_ids, search_hits
 from test_index import assert_hits_are, naive_top_k
 from stub_services import (
     MODE_BAD_REQUEST,
@@ -73,7 +73,7 @@ class TestRemoteEmbedder:
                 assert index.layout == "dense"
                 for query in query_rows:
                     for k in (1, 3, len(index)):
-                        assert_hits_are(index.search(query, k), naive_top_k(index, query, k))
+                        assert_hits_are(search_hits(index, query, k), naive_top_k(index, query, k))
                 a, b = tmp_path / f"{level.value}.a.idx", tmp_path / f"{level.value}.b.idx"
                 save_index(index, a, remote.name)
                 loaded = load_index(a, toy_corpus, level, remote.name, DIM)

@@ -11,6 +11,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.corpus import Level
@@ -24,14 +26,16 @@ from hrr.errors import (
     ProviderUnavailableError,
 )
 from hrr.evaluation import compare
-from hrr.rerank import FALLBACK_PASSTHROUGH, LexicalOverlapReranker
+from hrr.rerank import FALLBACK_PASSTHROUGH, LexicalOverlapReranker, RerankProviderConfig
 from hrr.retrievers import (
     RetrievalContext,
+    RetrieverConfig,
     Strategy,
     retrieve,
 )
 from hrr.synth import CorpusSpec, generate
 
+import reference_retriever
 from conftest import TOY_CHUNKING
 from reads import nodes_of
 
@@ -428,3 +432,82 @@ class TestWholeOutputDigest:
             {"retrievals": retrievals, "summaries": summaries}, sort_keys=True
         ).encode("utf-8")
         assert hashlib.sha256(payload).hexdigest() == self.DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Every strategy against the reference retriever, on drawn corpora
+# ---------------------------------------------------------------------------
+
+#: Words with one- to four-byte characters; capitalized, the Latin ones
+#: start sentences the splitter cuts at.
+_WORDS = ("alpha", "beta", "gamma", "délta", "ωmega", "東京", "naïve", "😀ok", "zeta", "eta")
+
+
+@st.composite
+def _documents(draw) -> dict[str, str]:
+    """Two to four documents, under ids drawn in no sorted order, whose
+    sentences repeat (within and across documents, so scores tie exactly)
+    and run long enough to be hard-split."""
+    sentences = [
+        " ".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=14))).capitalize()
+        + draw(st.sampled_from([".", "!", "?"]))
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+    doc_ids = draw(st.permutations(["d", "b", "é", "a"]))[: draw(st.integers(2, 4))]
+    return {
+        doc_id: " ".join(draw(st.lists(st.sampled_from(sentences), min_size=1, max_size=9)))
+        for doc_id in doc_ids
+    }
+
+
+class TestMatchesReferenceRetriever:
+    """``retrieve(...).to_dict()`` equals ``reference_retriever.retrieve`` under
+    all four strategies, on drawn corpora, chunkings and retrieval settings.
+    The reference scans every level in full and walks parent ids."""
+
+    @given(
+        documents=_documents(),
+        sizes=st.tuples(st.integers(12, 40), st.integers(3, 11), st.integers(4, 30)),
+        side_tier=st.booleans(),
+        overlaps=st.tuples(st.integers(0, 4), st.integers(0, 2)),
+        dimension=st.sampled_from([8, 64]),
+        similarity_top_k=st.integers(1, 8),
+        rerank_top_k=st.integers(1, 6),
+        mix_lambda=st.sampled_from([0.0, 0.5, -1.25, 3.0]),
+        queries=st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4),
+                         min_size=1, max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_strategy_equals_the_reference(
+        self, documents, sizes, side_tier, overlaps, dimension, similarity_top_k,
+        rerank_top_k, mix_lambda, queries,
+    ):
+        parent_size, intermediate_size, max_sentence_tokens = sizes
+        chunking = ChunkingConfig(
+            parent_size=parent_size, intermediate_size=intermediate_size,
+            parent_overlap=overlaps[0], intermediate_overlap=overlaps[1],
+            sub_intermediate_size=2 if side_tier else None,
+            max_sentence_tokens=max_sentence_tokens,
+        )
+        config = EngineConfig(
+            chunking=chunking,
+            retriever=RetrieverConfig(similarity_top_k=similarity_top_k,
+                                      rerank_top_k=rerank_top_k),
+            rerank=RerankProviderConfig(mix_lambda=mix_lambda),
+        )
+        ctx = context_for(build_corpus(documents, chunking), config,
+                          embedder=HashedBowEmbedder(dimension),
+                          reranker=LexicalOverlapReranker())
+        nodes = reference_retriever.plain_nodes(documents, chunking)
+        settings_ = dict(dimension=dimension, similarity_top_k=similarity_top_k,
+                         rerank_top_k=rerank_top_k, mix_lambda=mix_lambda)
+        for query in [" ".join(words) for words in queries] + ["qxzv"]:
+            for strategy in Strategy:
+                strategy_ctx = with_strategy(ctx, strategy)
+                if strategy is Strategy.C2P and not side_tier:
+                    with pytest.raises(MissingIndexError):
+                        retrieve(query, strategy_ctx)
+                    continue
+                expected = reference_retriever.retrieve(nodes, query, strategy.value,
+                                                        **settings_)
+                assert retrieve(query, strategy_ctx).to_dict() == expected
