@@ -14,6 +14,7 @@ from .corpus import (
     Corpus,
     Level,
     Violation,
+    load_artifacts,
     load_corpus,
     resolve_parent,
     save_corpus,

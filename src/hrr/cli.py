@@ -20,7 +20,7 @@ from typing import NoReturn
 
 from . import engine
 from .config import EngineConfig, load_config
-from .corpus import load_corpus, validate_corpus
+from .corpus import NODES_FILE, load_corpus, validate_corpus
 from .embedding import encodes_as_utf8
 from .errors import (
     ConfigError,
@@ -128,8 +128,7 @@ def cmd_ingest(args: argparse.Namespace, config: EngineConfig) -> int:
     for level, count in summary.chunks_per_level.items():
         print(f"chunks[{level}]: {count}")
     print(f"dimension: {summary.dimension}")
-    print(f"corpus: {config.paths.corpus_dir}")
-    print(f"indexes: {config.paths.index_dir}")
+    print(f"artifacts: {Path(config.paths.corpus_dir) / NODES_FILE}")
     return EXIT_OK
 
 

@@ -54,6 +54,15 @@ class EmbeddingConfig:
 
 @dataclass(frozen=True)
 class PathsConfig:
+    """Where the artifacts and the query set live. Ingest writes the corpus
+    and every level's vectors as one file in ``corpus_dir``.
+
+    ``index_dir`` is read by nothing, and a config file that sets it is
+    refused. It stays only because ``perfbench/worker.py`` and
+    ``perfbench/inputs.py`` construct it, and goes with the benchmark's next
+    change.
+    """
+
     corpus_dir: str = "corpus"
     index_dir: str = "indexes"
     query_set: str = "queries.jsonl"
@@ -122,6 +131,9 @@ def _section_from_dict(section_type, data, path: str):
     hints = _hints(section_type)
     kwargs = {}
     for key, value in data.items():
+        if section_type is PathsConfig and key == "index_dir":
+            raise ConfigError(f"'{path}.{key}' is retired: ingest writes the corpus and its "
+                              f"vectors as one file in {path}.corpus_dir; remove the key")
         if key not in hints:
             raise ConfigError(f"unknown config key '{path}.{key}'")
         if section_type is RetrieverConfig and key == "strategy":

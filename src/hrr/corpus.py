@@ -23,20 +23,18 @@ overlap the spans at each level partition the level above, so documents
 reassemble byte-for-byte from their parent chunks; like the rest of the
 table's structure, this is checked whenever a corpus is built or loaded.
 
-A corpus is saved as one file, ``nodes.bin``: the node table's columns, the
-chunk ids joined by NUL, then the documents' UTF-8 bytes, so one rename
-replaces texts and spans together. Its container (magic, header length, JSON
-header, blocks whose sizes the header gives) is the one the index snapshots
-use too; ``write_snapshot`` and ``read_snapshot`` frame both.
+An ingest is saved as one file, ``nodes.bin``: a header, the node table's
+columns, the chunk ids joined by NUL, the documents' UTF-8 bytes, then each
+level's vectors and their footer, so one rename replaces texts, spans and
+vectors together (``save_corpus``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import Counter
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
@@ -51,6 +49,7 @@ from .embedding import encodes_as_utf8
 from .errors import (
     ConfigError,
     InvalidCorpusError,
+    InvalidInputError,
     LevelViolationError,
     SnapshotFormatError,
     UnknownChunkError,
@@ -60,6 +59,8 @@ from .tokens import get_tokenizer
 
 if TYPE_CHECKING:
     from .chunking import ChunkingConfig
+    from .embedding import EmbeddingProvider
+    from .index import LevelIndex
 
 
 class Level(str, Enum):
@@ -182,16 +183,6 @@ class Corpus:
     counts sum to the owner's. An owner without children at a level, and a
     document without parents, are not checked. ``validate_corpus``
     recounts the tokens.
-
-    ``ids_sha256`` digests the table's identity: the sha256 of the level
-    column (``u1``) followed by the id table as handed in, the bytes
-    ``save_corpus`` writes for them. As no id holds a NUL, the table of
-    ``n`` ids holds ``n - 1``, and the column is ``n`` bytes, so those
-    bytes name exactly one (levels, ids) sequence: two splits of one byte
-    string at ``n < m`` would need the ``m - n`` bytes between them to hold
-    ``n - m`` NULs. An index is a level of its corpus
-    (``index.LevelIndex``): its snapshot stores this one digest, and loads
-    only beside a corpus whose digest it matches.
     """
 
     def __init__(
@@ -241,10 +232,6 @@ class Corpus:
         self._doc_rows = {doc_id: row for row, doc_id in enumerate(self._doc_ids)}
         self._doc_bytes: list[bytes] = list(self.documents.values())
         _check_structure(self, is_ascii)
-        digest = hashlib.sha256(columns.level.tobytes())
-        digest.update(id_table)
-        #: The digest of the level column and the id table (see above).
-        self.ids_sha256: str = digest.hexdigest()
         self._level_counts = np.bincount(columns.level, minlength=len(_LEVELS))
 
         # Parent rows grouped by document, each group in row order: document
@@ -481,8 +468,7 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one nodes.bin per corpus, in the snapshot container that
-# the index snapshots share
+# Serialization: one nodes.bin per ingest, the corpus and its levels' vectors
 # ---------------------------------------------------------------------------
 
 #: Format version 1 was ``chunks.jsonl``, one JSON record per node; version
@@ -490,33 +476,53 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 #: version 3 stored the chunk ids as one JSON array.
 _MAGIC = b"HRRNODE\n"
 _VERSION = 4
+#: Ends the vectors' footer. Before it, each level's vectors were kept in a
+#: ``<level>.idx`` snapshot of their own, which is no longer read.
+_VECTORS_MAGIC = b"HRRVEC1\n"
 
 NODES_FILE = "nodes.bin"
 _RETIRED_NODES_FILE = "chunks.jsonl"
 _RETIRED_DOCUMENTS_FILE = "documents.jsonl"
 
 
-def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    """Write the corpus as the one file ``nodes.bin``.
+def save_corpus(
+    corpus: Corpus,
+    directory: str | Path,
+    indexes: Iterable["LevelIndex"] = (),
+    embedder: "EmbeddingProvider | None" = None,
+) -> None:
+    """Write the corpus, and the vectors of ``indexes``, as the one file
+    ``nodes.bin``.
 
-    It is a snapshot (``write_snapshot``) whose JSON header holds the format
-    version, tokenizer, chunking settings, node count, the document ids in
-    row order, each document's length in bytes (``document_bytes``) and
-    ``ids_bytes``. The body is each column of the node table as
-    little-endian fixed-width values (``level`` u1, document row ``<u4``,
-    parent row ``<i4``, -1 for none, byte ``start`` and ``end`` ``<i8``,
-    ``token_count`` ``<u4``, ``hard_split`` u1), then the id table, the
-    chunk ids joined by NUL as UTF-8 (``ids_bytes`` bytes), then each
-    document's UTF-8 bytes. Rows
+    It starts with ``_MAGIC``, a ``<u4`` header length and the JSON header
+    (sorted keys): the format version, tokenizer, chunking settings, node
+    count, the document ids in row order, each document's length in bytes
+    (``document_bytes``) and ``ids_bytes``. Then come each column of the
+    node table as little-endian fixed-width values (``level`` u1, document
+    row ``<u4``, parent row ``<i4``, -1 for none, byte ``start`` and ``end``
+    ``<i8``, ``token_count`` ``<u4``, ``hard_split`` u1), the id table (the
+    chunk ids joined by NUL as UTF-8) and each document's UTF-8 bytes. Rows
     are in the corpus's row order (each document's parents, intermediates
     and sentences in turn, then the side tier, as ``build_corpus`` writes
     them), so a parent row always precedes its children's.
-    The file is replaced by one rename, so an interrupted save leaves the
-    earlier corpus whole, texts and spans alike; the ``chunks.jsonl`` and
-    ``documents.jsonl`` of retired formats are removed. A corpus checks its
-    structure when constructed, so every corpus saves, and what is saved
-    loads back.
+
+    Each index's blocks (``index.save_index``) follow, then the vectors'
+    footer: JSON holding ``embedder``'s name and dimension and each index's
+    entry, its ``<u4`` length and ``_VECTORS_MAGIC``. It comes last, as a
+    Parquet file's footer does, because an entry is known only once its
+    level is embedded. ``indexes``, ``embedder``'s indexes of this corpus,
+    one per level at most, are drawn once the corpus is written, and each is
+    dropped before the next is drawn, so a generator that builds them holds
+    one level at a time. A corpus saved with no index ends with its blocks.
+
+    The file is replaced by one rename: a save that stops, by a crash or by
+    an index that fails to build, leaves the earlier file whole, corpus and
+    vectors alike. The ``chunks.jsonl`` and ``documents.jsonl`` of retired
+    formats are removed. A corpus checks its structure when constructed, so
+    every corpus saves, and what is saved loads back.
     """
+    from .index import save_index
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ids = "\0".join(corpus._ids).encode("utf-8")
@@ -529,30 +535,67 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
         "document_bytes": list(map(len, corpus._doc_bytes)),
         "ids_bytes": len(ids),
     }
-    columns = [column.astype(dtype, copy=False) for column, dtype in zip(corpus._cols, _DTYPES)]
-    write_snapshot(directory / NODES_FILE, _MAGIC, header, [*columns, ids, *corpus._doc_bytes])
+    header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
+    levels: list[dict] = []
+    with replacing(directory / NODES_FILE) as fh:
+        fh.writelines([_MAGIC, len(header_bytes).to_bytes(4, "little"), header_bytes])
+        fh.writelines(column.astype(dtype, copy=False)
+                      for column, dtype in zip(corpus._cols, _DTYPES))
+        fh.writelines([ids, *corpus._doc_bytes])
+        del ids  # freed before the first index is drawn
+        for index in indexes:
+            if (index.corpus is not corpus or index.dimension != embedder.dimension
+                    or index.level.value in {entry["level"] for entry in levels}):
+                raise InvalidInputError(
+                    f"the {index.level.value} index is not of this corpus, at "
+                    f"{embedder.name!r}'s dimension, or its level's only one")
+            entry, blocks = save_index(index)
+            fh.writelines(blocks)
+            levels.append(entry)
+            del index, blocks  # freed before the next index is drawn
+        if levels:
+            footer = json.dumps({"embedder": embedder.name, "dimension": embedder.dimension,
+                                 "levels": levels}, sort_keys=True).encode("ascii")
+            fh.writelines([footer, len(footer).to_bytes(4, "little"), _VECTORS_MAGIC])
     for retired in (_RETIRED_NODES_FILE, _RETIRED_DOCUMENTS_FILE):
         (directory / retired).unlink(missing_ok=True)
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load a corpus previously written by ``save_corpus``: frame the
-    blocks of ``nodes.bin`` and construct the ``Corpus`` they store, which
-    proves them. Loading builds no ``ChunkNode``.
+    """Load the corpus ``save_corpus`` wrote, as ``load_artifacts`` does,
+    reading none of the vectors stored after it."""
+    return load_artifacts(directory)[0]
+
+
+def load_artifacts(
+    directory: str | Path, embedder: "EmbeddingProvider | None" = None
+) -> tuple[Corpus, dict[Level, "LevelIndex"]]:
+    """Load the ``nodes.bin`` that ``save_corpus`` wrote in ``directory``:
+    the ``Corpus`` its blocks store, which construction proves, and, given
+    ``embedder``, the index of each level whose vectors it stores
+    (``index.load_index``). Without one, no vector block is read. Loading
+    builds no ``ChunkNode``.
 
     A ``nodes.bin`` that could not have been saved raises
-    ``SnapshotFormatError`` naming it, in one line: anything
-    ``read_snapshot`` refuses (another magic, a malformed header, sizes
-    that do not fill the file exactly); a version, count or size that is
-    not a JSON integer (``json_int``); another format version, which asks
-    for a re-ingest; an unknown tokenizer, or chunking settings that the
-    config file's ``chunking`` section would refuse (a bool or a float for
-    an integer, say); document ids that are not one string per length, or
-    that name a document twice; and any rule ``Corpus`` lists, whose
-    message the error carries, followed by "; re-run ingest".
+    ``SnapshotFormatError`` naming it, in one line, before any block is
+    read: another magic; a header length or header that the file cannot
+    hold; a malformed header or vectors' footer; a version, count or size
+    that is not a JSON integer (``json_int``); another format version,
+    which asks for a re-ingest; an unknown tokenizer, or chunking settings
+    that the config file's ``chunking`` section would refuse (a bool or a
+    float for an integer, say); document ids that are not one string per
+    length, or that name a document twice; a level entry that
+    ``index.parse_level`` refuses, or a level stored twice; a negative
+    size; and sizes that do not fill the file exactly (bytes after the
+    corpus that do not end with a footer included). Given ``embedder``, so
+    do a file with no vectors, as ingests wrote before the footer, which
+    asks for a re-ingest, and vectors of another embedder or dimension.
+    Then a rule ``Corpus`` lists raises it with the rule's message and "; re-run
+    ingest", and ``index.load_index``'s refusal of a level with its own.
     """
     from .chunking import ChunkingConfig
     from .config import _section_from_dict
+    from .index import load_index, parse_level
 
     directory = Path(directory)
     path = directory / NODES_FILE
@@ -582,21 +625,95 @@ def load_corpus(directory: str | Path) -> Corpus:
         sizes += (json_int(n, f"document_bytes[{i}]") for i, n in enumerate(lengths))
         return (config, header["tokenizer"], doc_ids), sizes
 
-    with closing(read_snapshot(path, _MAGIC, parse)) as snapshot:
-        config, tokenizer_name, doc_ids = next(snapshot)
-        columns = [np.frombuffer(next(snapshot), dtype) for dtype in _DTYPES]
-        id_table = next(snapshot)
-        documents = dict(zip(doc_ids, snapshot))
+    def parse_footer(footer):
+        levels = [parse_level(entry, footer["dimension"]) for entry in footer["levels"]]
+        stored = [fields[0] for fields, _ in levels]
+        if len(set(stored)) != len(stored):
+            raise SnapshotFormatError("a level's vectors are stored twice")
+        return footer["embedder"], footer["dimension"], levels
+
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        found = fh.read(len(_MAGIC))
+        if found != _MAGIC:
+            raise SnapshotFormatError(f"{path}: bad magic {found!r}")
+        length = fh.read(4)
+        header_len = int.from_bytes(length, "little")
+        if len(length) != 4 or header_len > size - fh.tell():
+            raise SnapshotFormatError(f"{path}: truncated snapshot")
+        (config, tokenizer_name, doc_ids), sizes = _parsed(
+            path, "header", parse, fh.read(header_len))
+        start = fh.tell()
+        # The corpus blocks, then the vectors and their footer if the file
+        # ends with one.
+        taken, built_by, dimension, levels = sum(sizes), None, None, []
+        tail = 4 + len(_VECTORS_MAGIC)
+        if size - start > taken + tail:
+            fh.seek(size - tail)
+            footer_len = int.from_bytes(fh.read(4), "little")
+            if fh.read() == _VECTORS_MAGIC and footer_len <= size - start - taken - tail:
+                fh.seek(size - tail - footer_len)
+                built_by, dimension, levels = _parsed(
+                    path, "vectors' footer", parse_footer, fh.read(footer_len))
+                sizes += (n for _, level_sizes in levels for n in level_sizes)
+                taken = sum(sizes) + footer_len + tail
+        if min(sizes) < 0:
+            raise SnapshotFormatError(f"{path}: its header gives a negative size")
+        if taken != size - start:
+            raise SnapshotFormatError(
+                f"{path}: its header's sizes do not fill the file: they take {taken} bytes, "
+                f"but {size - start} follow the header"
+            )
+        if embedder is None:
+            levels = []
+        elif not levels:
+            raise SnapshotFormatError(
+                f"{path}: no vectors follow the corpus (an ingest before this format kept "
+                "them in <level>.idx files, which are not read); re-run ingest")
+        elif built_by != embedder.name:
+            raise SnapshotFormatError(f"{path}: vectors from the {built_by!r} embedder, "
+                                      f"not {embedder.name!r}; re-run ingest")
+        elif dimension != embedder.dimension:
+            raise SnapshotFormatError(
+                f"{path}: index dimension {dimension} differs from the configured "
+                f"embedding dimension {embedder.dimension}; re-run ingest"
+            )
+        fh.seek(start)
+        columns = [np.frombuffer(fh.read(n), dtype) for n, dtype in zip(sizes, _DTYPES)]
+        id_table = fh.read(sizes[len(_DTYPES)])
+        documents = {doc_id: fh.read(n) for doc_id, n in zip(doc_ids, sizes[len(_DTYPES) + 1 :])}
+        try:
+            corpus = Corpus(documents, id_table, columns, config=config,
+                            tokenizer_name=tokenizer_name)
+        except InvalidCorpusError as exc:
+            raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
+        del id_table  # split into the corpus's ids, and freed before a level is read
+        indices = {}
+        for fields, level_sizes in levels:
+            try:
+                index = load_index(corpus, fields, [fh.read(n) for n in level_sizes])
+            except (InvalidCorpusError, InvalidInputError) as exc:
+                raise SnapshotFormatError(f"{path}: {exc}") from None
+            indices[index.level] = index
+    return corpus, indices
+
+
+def _parsed(path: Path, what: str, parse: Callable, data: bytes):
+    """``parse`` of the JSON ``data``, ``path``'s header or footer (``what``);
+    what it refuses, or what reading a malformed record raises, is a
+    one-line ``SnapshotFormatError`` naming ``path``."""
     try:
-        return Corpus(documents, id_table, columns, config=config, tokenizer_name=tokenizer_name)
-    except InvalidCorpusError as exc:
-        raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
+        return parse(json.loads(data.decode("utf-8")))
+    except (*MALFORMED_RECORD_ERRORS, ConfigError) as exc:
+        raise SnapshotFormatError(f"{path}: malformed {what} ({exc})") from None
+    except SnapshotFormatError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from None
 
 
 def json_int(value, name: str) -> int:
     """``value``, the header field ``name``, if it is a JSON integer; any
     other value, a bool, float or numeric string included, raises
-    ``TypeError``, so a snapshot header's numbers are checked, not coerced."""
+    ``TypeError``, so a header's numbers are checked, not coerced."""
     if type(value) is not int:
         raise TypeError(f"{name} {value!r} is not an integer")
     return value
@@ -605,72 +722,6 @@ def json_int(value, name: str) -> int:
 def _is_strings(value, count: int) -> bool:
     """Whether ``value`` is a list of ``count`` strings."""
     return isinstance(value, list) and len(value) == count and set(map(type, value)) <= {str}
-
-
-def write_snapshot(path: str | Path, magic: bytes, header: Mapping, blocks) -> None:
-    """Write a snapshot: ``magic``, a ``<I`` header length, ``header`` as
-    JSON with sorted keys, then each of ``blocks`` (bytes-like, arrays
-    already in their file dtypes) as it is. The file is written under a
-    temporary name and renamed into place, so an interrupted write leaves
-    the earlier file whole."""
-    header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
-    with replacing(path) as fh:
-        fh.write(magic)
-        fh.write(len(header_bytes).to_bytes(4, "little"))
-        fh.write(header_bytes)
-        for block in blocks:
-            fh.write(block)
-
-
-def read_snapshot(
-    path: str | Path, magic: bytes, parse: Callable, retired: Mapping[bytes, str] = {}
-) -> Iterator:
-    """Read a snapshot ``write_snapshot`` wrote, as a generator: its first
-    value is the header's fields, each later one a block of the body as
-    ``bytes``, read only when it is asked for, so a caller can check the
-    fields before any block is read. A caller that may stop early closes it
-    (``contextlib.closing``), which closes the file.
-
-    ``parse`` takes the decoded header and returns ``(fields, sizes)``,
-    the values its caller needs and the byte size of each block; it raises
-    ``SnapshotFormatError`` for a header it refuses, and what reading a
-    malformed record raises for one that lacks a field. Every failure is a
-    one-line ``SnapshotFormatError`` naming ``path``, raised before the
-    fields are given: a magic of ``retired`` (which names the retired
-    format and asks for a re-ingest) or another magic; a header length or
-    header that the file cannot hold; a malformed header; a negative size;
-    and sizes that do not fill the rest of the file exactly, so no block is
-    read from a file that could not have been written.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        found = fh.read(len(magic))
-        if found in retired:
-            raise SnapshotFormatError(f"{path}: snapshot format {retired[found]} is not read; "
-                                      "re-run ingest")
-        if found != magic:
-            raise SnapshotFormatError(f"{path}: bad magic {found!r}")
-        length = fh.read(4)
-        header_len = int.from_bytes(length, "little")
-        if len(length) != 4 or header_len > size - fh.tell():
-            raise SnapshotFormatError(f"{path}: truncated snapshot")
-        try:
-            fields, sizes = parse(json.loads(fh.read(header_len).decode("utf-8")))
-        except (*MALFORMED_RECORD_ERRORS, ConfigError) as exc:
-            raise SnapshotFormatError(f"{path}: malformed header ({exc})") from None
-        except SnapshotFormatError as exc:
-            raise SnapshotFormatError(f"{path}: {exc}") from None
-        remaining = size - fh.tell()
-        if min(sizes, default=0) < 0:
-            raise SnapshotFormatError(f"{path}: its header gives a negative size")
-        if sum(sizes) != remaining:
-            raise SnapshotFormatError(
-                f"{path}: its header's sizes do not fill the file: they take {sum(sizes)} bytes, "
-                f"but {remaining} follow the header"
-            )
-        yield fields
-        for n in sizes:
-            yield fh.read(n)
 
 
 @contextmanager
@@ -757,20 +808,21 @@ def _check_structure(corpus: Corpus, is_ascii: Sequence[bool]) -> None:
            "its span is empty, reversed or ends beyond its document")
     # A span cuts a character where its start or end is a continuation byte
     # (10xxxxxx); an end at the end of its document cuts none, and ASCII
-    # holds no such byte. Each document's rows are found from one sort by
-    # document.
-    order = np.argsort(doc, kind="stable")
-    bounds = np.searchsorted(doc[order], np.arange(len(sizes) + 1)).tolist()
-    cuts = np.zeros(len(ids), dtype=bool)
-    for d, data in enumerate(corpus._doc_bytes):
-        if is_ascii[d]:
-            continue
-        text = np.frombuffer(data, dtype=np.uint8)
-        rows = order[bounds[d] : bounds[d + 1]]
-        ends = end[rows]
-        at_end = np.where(ends < len(text), text[np.minimum(ends, len(text) - 1)], 0)
-        cuts[rows] = ((text[start[rows]] & 0xC0) == 0x80) | ((at_end & 0xC0) == 0x80)
-    refuse(cuts, "its span cuts a UTF-8 character")
+    # holds no such byte. Where some document is not ASCII, each document's
+    # rows are found from one sort by document.
+    if not all(is_ascii):
+        order = np.argsort(doc, kind="stable")
+        bounds = np.searchsorted(doc[order], np.arange(len(sizes) + 1)).tolist()
+        cuts = np.zeros(len(ids), dtype=bool)
+        for d, data in enumerate(corpus._doc_bytes):
+            if is_ascii[d]:
+                continue
+            text = np.frombuffer(data, dtype=np.uint8)
+            rows = order[bounds[d] : bounds[d + 1]]
+            ends = end[rows]
+            at_end = np.where(ends < len(text), text[np.minimum(ends, len(text) - 1)], 0)
+            cuts[rows] = ((text[start[rows]] & 0xC0) == 0x80) | ((at_end & 0xC0) == 0x80)
+        refuse(cuts, "its span cuts a UTF-8 character")
     refuse(hard_split > 1, "its hard_split flag is not 0 or 1")
     if corpus.config.parent_overlap or corpus.config.intermediate_overlap or not len(ids):
         return

@@ -1,11 +1,10 @@
 """Ingest and artifact orchestration shared by the CLI and tests.
 
 Ingest reads plain-text documents, chunks them, validates the hierarchy,
-builds one index per level the corpus holds, and persists everything,
-removing the snapshots of levels an earlier ingest held and this one lacks;
-loading reverses it, and the loaded corpus decides which indexes load.
-All steps are pure functions of (config, inputs), so re-running ingest on
-unchanged inputs rewrites byte-identical artifacts.
+and saves the corpus and one index per level it holds as one file, replaced
+by one rename; loading reads them back from that one file. All steps are
+pure functions of (config, inputs), so re-running ingest on unchanged
+inputs rewrites a byte-identical file.
 """
 
 from __future__ import annotations
@@ -17,20 +16,18 @@ from pathlib import Path
 
 from .chunking import build_corpus
 from .config import PROVIDER_LOCAL_EMBED, EngineConfig
-from .corpus import Corpus, Level, load_corpus, save_corpus, validate_corpus
-from .embedding import EmbeddingProvider, HashedBowEmbedder, RemoteEmbedder, encodes_as_utf8
-from .errors import (
-    InvalidCorpusError,
-    MissingIndexError,
-    NoDocumentsError,
-    UnreadableDocumentError,
+# Ingest and load call ``save_corpus`` and ``load_artifacts``; ``load_corpus``,
+# ``save_index`` and ``load_index`` are imported for the benchmark harness,
+# which patches them here.
+from .corpus import (  # noqa: F401
+    Corpus, load_artifacts, load_corpus, save_corpus, validate_corpus,
 )
-from .index import build_index, load_index, save_index
+from .embedding import EmbeddingProvider, HashedBowEmbedder, RemoteEmbedder, encodes_as_utf8
+from .errors import InvalidCorpusError, NoDocumentsError, UnreadableDocumentError
+from .index import build_index, load_index, save_index  # noqa: F401
 from .rerank import PROVIDER_LOCAL_RERANK, LexicalOverlapReranker, RemoteReranker, RerankProvider
 from .retrievers import RetrievalContext
 from .tokens import get_tokenizer
-
-_INDEX_SUFFIX = ".idx"
 
 
 def make_embedder(config: EngineConfig) -> EmbeddingProvider:
@@ -104,7 +101,10 @@ class IngestSummary:
 
 
 def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
-    """Chunk, validate, embed, index, and persist a document directory."""
+    """Chunk, validate, embed, index, and persist a document directory as
+    the one file ``save_corpus`` writes in ``paths.corpus_dir``. Each level
+    is built as the save draws it, once the corpus is written, and freed
+    before the next; an ingest that stops leaves the earlier file whole."""
     documents = read_documents(docs_dir)
     tokenizer = get_tokenizer(config.tokenizer)
     corpus = build_corpus(documents, config.chunking, tokenizer)
@@ -115,57 +115,27 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
         raise InvalidCorpusError(f"{len(violations)} corpus violations: {details}")
 
     embedder = make_embedder(config)
-    corpus_dir = Path(config.paths.corpus_dir)
-    save_corpus(corpus, corpus_dir)
-
-    index_dir = Path(config.paths.index_dir)
-    index_dir.mkdir(parents=True, exist_ok=True)
-    counts: dict[str, int] = {}
-    for level in corpus.levels:
-        path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
-        index = build_index(corpus, level, embedder)
-        save_index(index, path, embedder.name)
-        counts[level.value] = len(index)
-        del index  # freed before the next level's index is built
-    # A snapshot for a level this corpus lacks is left from an earlier ingest.
-    for level in Level:
-        if level not in corpus.levels:
-            (index_dir / f"{level.value}{_INDEX_SUFFIX}").unlink(missing_ok=True)
-
+    indexes = (build_index(corpus, level, embedder) for level in corpus.levels)
+    save_corpus(corpus, config.paths.corpus_dir, indexes, embedder)
     return IngestSummary(
         documents=len(documents),
-        chunks_per_level=counts,
+        chunks_per_level={level.value: len(corpus.rows_at(level)) for level in corpus.levels},
         dimension=embedder.dimension,
     )
 
 
 def load_context(config: EngineConfig) -> RetrievalContext:
-    """Load persisted artifacts into a ready-to-query retrieval context.
+    """Load the file ``ingest`` wrote into a ready-to-query retrieval context.
 
-    The corpus decides which indexes load: one per level it holds, and
-    snapshots for other levels are ignored. Each index is a level of the
-    loaded corpus: row ``i`` is the corpus's ``i``-th chunk at that level,
-    and its snapshot must hold the corpus's one ``ids_sha256``. Loading
-    builds no ``ChunkNode`` and no per-level list, tuple or set of ids, and
-    hashes the ids once, as the corpus checks them. A missing snapshot
-    raises ``MissingIndexError``. A snapshot of another level (a renamed
-    file), made by another embedding provider or at another dimension than
-    the config names, or for another corpus (artifacts from different
-    ingests, or a truncated corpus), raises ``SnapshotFormatError``.
+    The corpus and each level's index are read from the one open file
+    (``corpus.load_artifacts``); row ``i`` of an index is the corpus's
+    ``i``-th chunk at its level. Loading builds no ``ChunkNode`` and no
+    per-level list, tuple or set of ids. Vectors made by another embedding
+    provider or at another dimension than the config names raise
+    ``SnapshotFormatError``.
     """
-    corpus = load_corpus(config.paths.corpus_dir)
-    index_dir = Path(config.paths.index_dir)
     embedder = make_embedder(config)
-    indices = {}
-    for level in corpus.levels:
-        path = index_dir / f"{level.value}{_INDEX_SUFFIX}"
-        try:
-            indices[level] = load_index(path, corpus, level, embedder.name, embedder.dimension)
-        except FileNotFoundError:
-            raise MissingIndexError(
-                f"no index snapshot {path} for the corpus's {level.value} chunks; "
-                f"run ingest first"
-            ) from None
+    corpus, indices = load_artifacts(config.paths.corpus_dir, embedder)
     return RetrievalContext(
         corpus=corpus,
         indices=indices,

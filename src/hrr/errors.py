@@ -38,7 +38,8 @@ class InvalidCorpusError(HrrError):
 
 
 class SnapshotFormatError(HrrError):
-    """Persisted index snapshot is corrupt or from an unknown format version."""
+    """The artifact file is corrupt, of another format version, or made by
+    another embedder than the config names."""
 
 
 class MissingIndexError(HrrError):

@@ -45,13 +45,11 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import closing
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus, Level, json_int, read_snapshot, write_snapshot
+from .corpus import Corpus, Level, json_int
 from .embedding import (
     CsrBatch,
     EmbeddingProvider,
@@ -64,11 +62,6 @@ from .embedding import (
     unit_slack,
 )
 from .errors import InvalidCorpusError, InvalidInputError, SnapshotFormatError
-
-_MAGIC = b"HRRIDX5\n"
-#: v3 digested the level's ids as one JSON array, v4 as their NUL join.
-_RETIRED_MAGICS = {b"HRRIDX1\n": "v1", b"HRRIDX2\n": "v2", b"HRRIDX3\n": "v3",
-                   b"HRRIDX4\n": "v4"}
 
 LAYOUT_DENSE = "dense"
 LAYOUT_CSR = "csr"
@@ -168,7 +161,7 @@ class _DenseRows:
         return candidates, scores
 
     def blocks(self) -> list[np.ndarray]:
-        """The arrays a snapshot body holds, in file order."""
+        """The arrays the level's stored blocks hold, in file order."""
         return [self.matrix]
 
 
@@ -338,7 +331,7 @@ class _CsrRows:
         return np.bincount(owner, products, minlength=len(rows))
 
     def blocks(self) -> list[np.ndarray]:
-        """The arrays a snapshot body holds, in file order."""
+        """The arrays the level's stored blocks hold, in file order."""
         csr = self.csr
         return [csr.indptr, csr.columns, csr.values]
 
@@ -378,7 +371,7 @@ class LevelIndex:
             )
         worst = np.argmax(np.abs(squared_norms - 1.0), keepdims=True)
         #: The row whose squared norm lies furthest from 1, and that norm;
-        #: ``load_index`` refuses a snapshot whose rows are not unit.
+        #: ``load_index`` refuses stored rows that are not unit.
         self._least_unit_row = (next(self._ids_of(worst)), float(squared_norms[worst[0]]))
 
     def _ids_of(self, rows: np.ndarray) -> Iterator[str]:
@@ -513,100 +506,66 @@ def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> Le
     return LevelIndex(corpus, level, embed_batch(provider, corpus.texts_at(level)))
 
 
-def save_index(index: LevelIndex, path: str | Path, embedder: str) -> None:
-    """Write a versioned snapshot of ``index``, whose vectors ``embedder`` made.
+def save_index(index: LevelIndex) -> tuple[dict, list[np.ndarray]]:
+    """The header entry and the blocks, in file order and file dtypes, that
+    store ``index`` in its corpus's file (``corpus.save_corpus``).
 
-    A snapshot (``corpus.write_snapshot``) whose JSON header holds the
-    level, dimension, count, embedder name, ``ids_sha256``, the corpus's
-    digest of its level column and id table (``Corpus.ids_sha256``, one for
-    every level), ``layout`` and ``nnz``, the number of non-zeros. A dense
-    body is the ``count x dimension`` little-endian float32 matrix; a CSR
-    body is the ``count + 1`` ``<i8`` row pointers, the ``nnz`` ``<u2``
-    columns and the ``nnz`` ``<f4`` values. Row ``i`` belongs to the
-    corpus's ``i``-th chunk at the level, so the ids themselves live only in
-    the corpus. An interrupted save leaves the earlier snapshot whole.
+    The entry holds the level, ``layout``, ``count`` and ``nnz``, the number
+    of non-zeros. A dense level's block is the ``count x dimension``
+    little-endian float32 matrix; a CSR level's are the ``count + 1``
+    ``<i8`` row pointers, the ``nnz`` ``<u2`` columns and the ``nnz``
+    ``<f4`` values. Row ``i`` belongs to the corpus's ``i``-th chunk at the
+    level, so the ids live only in the corpus.
     """
-    fields = {"level": index.level.value, "dimension": index.dimension, "count": len(index),
-              "embedder": embedder, "ids_sha256": index.corpus.ids_sha256,
-              "layout": index.layout, "nnz": index.nnz}
+    entry = {"level": index.level.value, "layout": index.layout, "count": len(index),
+             "nnz": index.nnz}
     blocks = zip(index._rows.blocks(), _DTYPES[index.layout])
-    write_snapshot(path, _MAGIC, fields, (a.astype(dtype, copy=False) for a, dtype in blocks))
+    return entry, [array.astype(dtype, copy=False) for array, dtype in blocks]
 
 
-def load_index(
-    path: str | Path, corpus: Corpus, level: Level, embedder: str, dimension: int
-) -> LevelIndex:
-    """Load the snapshot ``save_index`` wrote of ``level`` of ``corpus``.
-
-    ``embedder`` and ``dimension`` name the provider queries will use. A
-    file of another format version, a malformed header (an unknown layout,
-    say), sizes that do not fit the file (all refused by
-    ``corpus.read_snapshot``), a snapshot of another level (a file renamed
-    to another level's name), another embedder or dimension, or another
-    corpus (its ``ids_sha256`` is not ``corpus.ids_sha256``, or its count is
-    not the corpus's at ``level``) raise ``SnapshotFormatError`` naming the
-    file, before the body is read; so do CSR arrays that do not form a
-    valid matrix, non-finite values, and rows further from unit than any
-    ``embed_batch`` returns (``embedding.unit_slack``). One digest covers
-    every level, so the level is checked on its own.
-    """
-    with closing(read_snapshot(path, _MAGIC, _parse_header, _RETIRED_MAGICS)) as blocks:
-        stored_level, stored_dimension, count, built_by, ids_sha256, layout, nnz = next(blocks)
-        if stored_level is not level:
-            raise SnapshotFormatError(
-                f"{path}: a snapshot of the {stored_level.value} level, not of the "
-                f"{level.value} level; re-run ingest"
-            )
-        if built_by != embedder:
-            raise SnapshotFormatError(
-                f"{path}: vectors from the {built_by!r} embedder, not {embedder!r}; re-run ingest"
-            )
-        if stored_dimension != dimension:
-            raise SnapshotFormatError(
-                f"{path}: index dimension {stored_dimension} differs from the "
-                f"configured embedding dimension {dimension}; re-run ingest"
-            )
-        chunks = len(corpus.rows_at(level))
-        if ids_sha256 != corpus.ids_sha256 or count != chunks:
-            raise SnapshotFormatError(
-                f"{path}: {count} {level.value} rows whose ids do not match the corpus's "
-                f"{chunks} chunks at that level; re-run ingest"
-            )
-        arrays = [np.frombuffer(block, dtype) for block, dtype in zip(blocks, _DTYPES[layout])]
-    if layout == LAYOUT_DENSE:
-        vectors = arrays[0].reshape(count, stored_dimension)
-    else:
-        vectors = CsrBatch(*arrays, stored_dimension)
-    try:
-        index = LevelIndex(corpus, level, vectors)
-    except InvalidCorpusError as exc:
-        raise SnapshotFormatError(f"{path}: {exc}") from None
-    if index.nnz != nnz:
-        raise SnapshotFormatError(
-            f"{path}: the header counts {nnz} non-zeros, the rows hold {index.nnz}"
-        )
-    chunk_id, squared_norm = index._least_unit_row
-    if not abs(squared_norm - 1.0) <= unit_slack(index.dimension):
-        raise SnapshotFormatError(
-            f"{path}: row {chunk_id!r} is not unit (squared norm {squared_norm!r})"
-        )
-    return index
-
-
-#: Each layout's body blocks, as file dtypes, in file order.
-_DTYPES = {LAYOUT_DENSE: ("<f4",), LAYOUT_CSR: ("<i8", "<u2", "<f4")}
-
-
-def _parse_header(header) -> tuple[tuple, list[int]]:
-    """An index snapshot header's fields, and its body's block sizes."""
-    level = Level(header["level"])
-    dimension, count, nnz = (json_int(header[key], key) for key in ("dimension", "count", "nnz"))
-    layout = header["layout"]
+def parse_level(entry, dimension) -> tuple[tuple, list[int]]:
+    """A level's header entry, as ``save_index`` wrote it beside the file's
+    ``dimension``: its fields ``(level, layout, count, dimension, nnz)`` and
+    the byte size of each of its blocks. Raises ``SnapshotFormatError`` for
+    an unknown layout or sizes no index has, and what reading a malformed
+    record raises for anything else."""
+    level = Level(entry["level"])
+    count, nnz = json_int(entry["count"], "count"), json_int(entry["nnz"], "nnz")
+    dimension, layout = json_int(dimension, "dimension"), entry["layout"]
     if dimension < 1 or not 0 <= nnz <= count * dimension:
-        raise SnapshotFormatError(f"bad header sizes {header}")
+        raise SnapshotFormatError(f"bad {level.value} level sizes {entry}")
     if layout not in _DTYPES:
         raise SnapshotFormatError(f"unknown layout {layout!r}")
     lengths = [count * dimension] if layout == LAYOUT_DENSE else [count + 1, nnz, nnz]
     sizes = [n * np.dtype(dtype).itemsize for n, dtype in zip(lengths, _DTYPES[layout])]
-    fields = (level, dimension, count, header["embedder"], header["ids_sha256"], layout, nnz)
-    return fields, sizes
+    return (level, layout, count, dimension, nnz), sizes
+
+
+def load_index(corpus: Corpus, fields: tuple, blocks: list[bytes]) -> LevelIndex:
+    """The index of one level of ``corpus`` that ``save_index`` stored, from
+    its ``parse_level`` fields and its blocks.
+
+    Raises ``InvalidCorpusError`` (``InvalidInputError`` for a row count
+    other than the corpus's at the level) for what no ``save_index`` wrote:
+    CSR arrays that do not form a valid matrix, non-finite values, a number
+    of non-zeros other than the entry's, and rows further from unit than
+    any ``embed_batch`` returns (``embedding.unit_slack``).
+    """
+    level, layout, count, dimension, nnz = fields
+    arrays = [np.frombuffer(block, dtype) for block, dtype in zip(blocks, _DTYPES[layout])]
+    if layout == LAYOUT_DENSE:
+        vectors = arrays[0].reshape(count, dimension)
+    else:
+        vectors = CsrBatch(*arrays, dimension)
+    index = LevelIndex(corpus, level, vectors)
+    if index.nnz != nnz:
+        raise InvalidCorpusError(
+            f"the {level.value} header entry counts {nnz} non-zeros, the rows hold {index.nnz}")
+    chunk_id, squared_norm = index._least_unit_row
+    if not abs(squared_norm - 1.0) <= unit_slack(index.dimension):
+        raise InvalidCorpusError(f"row {chunk_id!r} is not unit (squared norm {squared_norm!r})")
+    return index
+
+
+#: Each layout's blocks, as file dtypes, in file order.
+_DTYPES = {LAYOUT_DENSE: ("<f4",), LAYOUT_CSR: ("<i8", "<u2", "<f4")}

@@ -373,9 +373,8 @@ def test_criterion_6_determinism(tmp_path, monkeypatch, capsys):
         ) == EXIT_OK
         table = capsys.readouterr().out
         artifacts = {"eval_stdout": table.encode("utf-8")}
-        for sub in ("corpus", "indexes"):
-            for path in sorted((run_dir / sub).iterdir()):
-                artifacts[f"{sub}/{path.name}"] = path.read_bytes()
+        for path in sorted((run_dir / "corpus").iterdir()):
+            artifacts[f"corpus/{path.name}"] = path.read_bytes()
         artifacts["results.json"] = (run_dir / "results.json").read_bytes()
         return artifacts
 

@@ -2,8 +2,10 @@
 
 import codecs
 import hashlib
+import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +19,10 @@ from hrr.config import config_from_dict, load_config
 from hrr.chunking import build_corpus
 from hrr.corpus import ChunkNode, Level, load_corpus, save_corpus
 from hrr.engine import load_context
-from hrr.errors import ConfigError
+from hrr.embedding import HashedBowEmbedder
+from hrr.errors import ConfigError, ProviderUnavailableError
 from hrr import evaluation
+import hrr.corpus as corpus_module
 from hrr.evaluation import load_query_set
 
 from test_corpus import (
@@ -136,6 +140,7 @@ class TestCliWorkflow:
         assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "documents: 3" in out and "chunks[sentence]:" in out
+        assert out.splitlines()[-1] == f"artifacts: {Path('corpus') / 'nodes.bin'}"
 
         assert main(["validate", "--config", "engine.json"]) == EXIT_OK
         assert "corpus OK" in capsys.readouterr().out
@@ -215,12 +220,12 @@ class TestCliWorkflow:
         main(["ingest", "synth/docs", "--config", "engine.json"])
         first = {
             p.name: p.read_bytes()
-            for p in [*Path("corpus").iterdir(), *Path("indexes").iterdir()]
+            for p in Path("corpus").iterdir()
         }
         main(["ingest", "synth/docs", "--config", "engine.json"])
         second = {
             p.name: p.read_bytes()
-            for p in [*Path("corpus").iterdir(), *Path("indexes").iterdir()]
+            for p in Path("corpus").iterdir()
         }
         assert first == second
 
@@ -235,7 +240,7 @@ class TestCliWorkflow:
             assert main(["ingest", name, "--config", "engine.json"]) == EXIT_OK
             artifacts[name] = {
                 p.name: p.read_bytes()
-                for p in [*Path("corpus").iterdir(), *Path("indexes").iterdir()]
+                for p in Path("corpus").iterdir()
             }
         assert artifacts["bom"] == artifacts["plain"]
 
@@ -306,6 +311,50 @@ class TestCliWorkflow:
         ctx.corpus.get(next(ctx.corpus.ids_of(ctx.corpus.rows_at(Level.PARENT))))  # the count sees a build
         assert len(built) == 1
 
+    def test_validate_and_inspect_read_no_vector_block(self, workdir, monkeypatch, capsys):
+        """``hrr validate`` and ``hrr inspect`` read the corpus's blocks and
+        the footer, and no byte of the levels' vectors; ``hrr query`` reads
+        them all."""
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
+        path = Path("corpus") / "nodes.bin"
+        data = path.read_bytes()
+        # The vectors end where the footer, its length and its magic begin.
+        end = len(data) - 12 - int.from_bytes(data[-12:-8], "little")
+        vectors = range(end - len(_read_nodes(path).vectors), end)
+        assert len(vectors) > 0
+        reads = []
+
+        class Spy:
+            """A file whose reads are recorded as byte ranges."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def read(self, n=-1):
+                start = self._fh.tell()
+                data = self._fh.read(n)
+                reads.append(range(start, start + len(data)))
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        monkeypatch.setattr(corpus_module, "open", lambda *a: Spy(open(*a)), raising=False)
+        for argv, reads_vectors in ((["validate"], False), (["inspect", "doc000:p0.i0.s0"], False),
+                                    (["query", "x"], True)):
+            reads.clear()
+            assert main([*argv, "--config", "engine.json"]) == EXIT_OK
+            overlaps = [r for r in reads if r.start < vectors.stop and vectors.start < r.stop]
+            assert bool(overlaps) is reads_vectors, argv
+            assert reads[0].start == 0 and any(r.stop == len(data) for r in reads), argv
+        capsys.readouterr()
+
     def test_ingest_builds_no_chunk_node(self, workdir, monkeypatch):
         def refuse(self, *args, **kwargs):
             raise AssertionError("ingest built a ChunkNode")
@@ -315,21 +364,16 @@ class TestCliWorkflow:
 
     #: sha256 of every artifact the workdir ingest writes (side tier
     #: included). Any change to chunking, serialization or the index format
-    #: shows up here. The ``.idx`` digests moved with index format v5, whose
-    #: headers hold the corpus's one ``ids_sha256``; their bodies did not.
+    #: shows up here. The digest moved when the levels' vectors joined
+    #: ``nodes.bin``: its corpus part is the bytes it held before, and the
+    #: vectors are the bodies of the four ``<level>.idx`` files it replaced.
     GOLDEN_DIGESTS = {
-        "corpus/nodes.bin": "2228c6a0d8f984f771138da95ac0235a62f80e3f852e219a0debdd8094d8ca6a",
-        "indexes/parent.idx": "50985658d72f991d422d60487e6b8b68d58c0b0f00555b5d8e9283c4e33b548c",
-        "indexes/intermediate.idx": "77ae959532fa9c0717f59831097eda36b38671704276e6cbc237238e20634c6e",
-        "indexes/sentence.idx": "71eb8abf1939902f771d9c0a298fc7453aa9b31cc37b620d0f1a72016b263dea",
-        "indexes/sub_intermediate.idx": "2aa2255abf8042868b222f656b43053f4d9f4985c70559d1d5303f6b8945d411",
+        "corpus/nodes.bin": "fd37444b4fb2f3fdf9539a570e7c31d0f43372e428113a58d73f30fe40a28481",
     }
 
     def test_ingest_artifacts_match_golden_digests(self, workdir):
         assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
-        written = sorted(
-            p.as_posix() for p in [*Path("corpus").iterdir(), *Path("indexes").iterdir()]
-        )
+        written = sorted(p.as_posix() for p in Path("corpus").iterdir())
         assert written == sorted(self.GOLDEN_DIGESTS)
         digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in written}
         assert digests == self.GOLDEN_DIGESTS
@@ -480,7 +524,7 @@ class TestCliErrors:
         assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
         assert "d\\xff.txt: the file name is not valid UTF-8" in err and err.count("\n") == 1
-        assert not Path("corpus").exists() and not Path("indexes").exists()
+        assert not Path("corpus").exists()
 
     def test_infeasible_synth_spec_is_usage_error(self, tmp_path, capsys):
         capsys.readouterr()
@@ -583,6 +627,23 @@ class TestCliErrors:
         assert f"paths.{key}" in captured.err
         assert sorted(Path().rglob("*")) == files
 
+    def test_retired_index_dir_is_config_error(self, workdir, capsys):
+        """Ingest writes the vectors into ``paths.corpus_dir``'s one file, so
+        a config that still names an index directory is refused, in one
+        line, before any file is written."""
+        config = json.loads(Path("engine.json").read_text())
+        config["paths"] = {"corpus_dir": "corpus", "index_dir": "indexes"}
+        Path("old.json").write_text(json.dumps(config))
+        files = sorted(Path().rglob("*"))
+        capsys.readouterr()
+        assert main(["ingest", "synth/docs", "--config", "old.json"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: 'paths.index_dir' is retired: ingest writes the corpus and its "
+            "vectors as one file in paths.corpus_dir; remove the key\n")
+        assert sorted(Path().rglob("*")) == files
+
     def test_malformed_query_set_line_is_io_error(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])
         good = (workdir / "synth" / "queries.jsonl").read_text().splitlines()[0]
@@ -681,29 +742,42 @@ class TestCliErrors:
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
-        assert "do not match the corpus" in err and err.count("\n") == 1
+        assert "no vectors follow the corpus" in err and err.count("\n") == 1
+
+    @staticmethod
+    def _edit_level(level: Level, edit) -> None:
+        """Apply ``edit`` to the bytes that the ingested file stores for
+        ``level``'s CSR vectors."""
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        start = 0
+        for entry in nodes.footer["levels"]:
+            size = 8 * (entry["count"] + 1) + 6 * entry["nnz"]
+            if entry["level"] == level.value:
+                data = bytearray(nodes.vectors[start : start + size])
+                edit(data)
+                nodes.vectors = nodes.vectors[:start] + data + nodes.vectors[start + size :]
+            start += size
+        _write_nodes(path, nodes)
 
     def test_non_finite_index_row_is_io_error(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])
-        snapshot = Path("indexes") / "parent.idx"
-        data = bytearray(snapshot.read_bytes())
-        data[-4:] = bytes.fromhex("0000c07f")  # little-endian float32 NaN
-        snapshot.write_bytes(bytes(data))
+        # The parent level's last value: a little-endian float32 NaN.
+        self._edit_level(Level.PARENT, lambda data: data.__setitem__(
+            slice(-4, None), bytes.fromhex("0000c07f")))
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
-        assert "parent.idx" in err and "not finite" in err and err.count("\n") == 1
+        assert "nodes.bin" in err and "not finite" in err and err.count("\n") == 1
 
     def test_index_row_made_not_unit_is_io_error(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])
-        snapshot = Path("indexes") / "sentence.idx"
-        data = bytearray(snapshot.read_bytes())
-        data[-1] ^= 0x01  # an exponent bit of the last CSR value: times or over 4
-        snapshot.write_bytes(bytes(data))
+        # An exponent bit of the sentence level's last value: times or over 4.
+        self._edit_level(Level.SENTENCE, lambda data: data.__setitem__(-1, data[-1] ^ 0x01))
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         err = capsys.readouterr().err
-        assert "sentence.idx" in err and "is not unit" in err and err.count("\n") == 1
+        assert "nodes.bin" in err and "is not unit" in err and err.count("\n") == 1
 
     def test_v2_corpus_directory_asks_for_reingest(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])
@@ -723,27 +797,56 @@ class TestCliErrors:
             f"error: {Path('corpus') / 'nodes.bin'}: corpus format version 3 is not read; "
             f"re-run ingest\n")
 
-    @pytest.mark.parametrize("version", ["3", "4"])
-    def test_retired_index_format_asks_for_reingest(self, workdir, capsys, version):
+    @pytest.mark.parametrize("command", [["query", "x"], ["eval"]])
+    def test_v4_layout_asks_for_reingest(self, workdir, capsys, command):
+        """The layout of the earlier ingests, a ``nodes.bin`` of the corpus
+        alone beside one ``<level>.idx`` per level in ``indexes/``, asks
+        for a re-ingest in one line; the ``.idx`` files are not read."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
-        snapshot = Path("indexes") / "sentence.idx"
-        snapshot.write_bytes(f"HRRIDX{version}\n".encode("ascii") + snapshot.read_bytes()[8:])
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        nodes.vectors, nodes.footer = b"", None
+        _write_nodes(path, nodes)
+        Path("indexes").mkdir()
+        (Path("indexes") / "sentence.idx").write_bytes(b"HRRIDX5\n")
         capsys.readouterr()
-        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        assert main([*command, "--config", "engine.json"]) == EXIT_IO
         assert capsys.readouterr().err == (
-            f"error: {snapshot}: snapshot format v{version} is not read; re-run ingest\n")
+            f"error: {path}: no vectors follow the corpus (an ingest before this format kept "
+            "them in <level>.idx files, which are not read); re-run ingest\n")
+        assert main(["validate", "--config", "engine.json"]) == EXIT_OK
 
     def test_index_renamed_to_another_level_is_io_error(self, workdir, capsys):
-        """Every level's snapshot holds its corpus's one digest, so a
-        sentence snapshot renamed to ``parent.idx`` is refused by its level."""
+        """Sentence vectors whose footer entry names the parent level, sizes
+        kept whole, are refused by the parent level's chunk count."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
-        parent = Path("indexes") / "parent.idx"
-        os.replace(Path("indexes") / "sentence.idx", parent)
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        for entry in nodes.footer["levels"]:
+            entry["level"] = {"parent": "sentence", "sentence": "parent"}.get(
+                entry["level"], entry["level"])
+        _write_nodes(path, nodes)
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
         assert capsys.readouterr().err == (
-            f"error: {parent}: a snapshot of the sentence level, not of the parent level; "
-            f"re-run ingest\n")
+            f"error: {path}: 18 rows do not match 61 ids\n")
+
+    def test_missing_index_for_corpus_level_is_io_error(self, workdir, capsys):
+        """A file that stores no vectors for a level its corpus holds, here
+        the side tier, answers the strategies that do not search it and
+        stops the one that does with one line."""
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        side = nodes.footer["levels"].pop()
+        assert side["level"] == "sub_intermediate"
+        nodes.vectors = nodes.vectors[: -(8 * (side["count"] + 1) + 6 * side["nnz"])]
+        _write_nodes(path, nodes)
+        assert main(["query", "x", "--strategy", "hrr", "--config", "engine.json"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["query", "x", "--strategy", "c2p", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "no index for level 'sub_intermediate'" in err and err.count("\n") == 1
 
     def test_duplicate_chunk_id_is_io_error(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])
@@ -807,7 +910,6 @@ class TestCliErrors:
         config["chunking"]["sub_intermediate_size"] = None
         Path("no_side_tier.json").write_text(json.dumps(config))
         assert main(["ingest", "synth/docs", "--config", "no_side_tier.json"]) == EXIT_OK
-        assert not (Path("indexes") / "sub_intermediate.idx").exists()  # removed by the second
         capsys.readouterr()
         assert main(["query", "x", "--config", "no_side_tier.json"]) == EXIT_OK
         capsys.readouterr()
@@ -815,15 +917,6 @@ class TestCliErrors:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert "sub_intermediate" in err and err.count("\n") == 1
-
-    def test_missing_index_for_corpus_level_is_io_error(self, workdir, capsys):
-        main(["ingest", "synth/docs", "--config", "engine.json"])
-        (Path("indexes") / "sub_intermediate.idx").unlink()
-        capsys.readouterr()
-        # hrr never searches the side tier, yet the corpus has it, so loading fails.
-        assert main(["query", "x", "--strategy", "hrr", "--config", "engine.json"]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert "sub_intermediate.idx" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["query", "x"], ["eval", "--query-set", "synth/queries.jsonl"]])
     def test_index_dimension_differs_from_config_is_io_error(self, workdir, capsys, command):
@@ -849,14 +942,14 @@ class TestCliErrors:
         capsys.readouterr()
         assert main(["query", "x", "--config", "remote.json"]) == EXIT_IO
         err = capsys.readouterr().err
-        assert ".idx" in err and "'hashed-bow'" in err and err.count("\n") == 1
+        assert "nodes.bin" in err and "'hashed-bow'" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "artifact, command",
-        [(Path("indexes") / "parent.idx", ["query", "x"]),
-         (Path("corpus") / "nodes.bin", ["query", "x"]),
-         (Path("corpus") / "nodes.bin", ["validate"])],
-        ids=["index-query", "chunks-query", "chunks-validate"],
+        [(Path("corpus") / "nodes.bin", ["query", "x"]),
+         (Path("corpus") / "nodes.bin", ["validate"]),
+         (Path("corpus") / "nodes.bin", ["inspect", "doc000:p0"])],
+        ids=["chunks-query", "chunks-validate", "chunks-inspect"],
     )
     def test_directory_in_place_of_artifact_is_io_error(self, workdir, capsys, artifact, command):
         main(["ingest", "synth/docs", "--config", "engine.json"])
@@ -912,3 +1005,103 @@ class TestCliErrors:
         }
         Path("remote.json").write_text(json.dumps(config))
         assert main(["ingest", "synth/docs", "--config", "remote.json"]) == EXIT_PROVIDER
+
+
+class TestReingestThatStops:
+    """A re-ingest that stops part way leaves artifacts that answer as a
+    whole ingest of the old text does, and one that finishes as a whole
+    ingest of the new text does, never new text beside old vectors. The edit of one of three seed-42 documents, every
+    "likely" made "zzqvx", keeps every chunk id, so nothing but the text
+    tells the two ingests apart. It stops at each rename in turn, and at
+    each level's embedding in turn. A new corpus beside old vectors scores
+    hits by the old text's words and reranks them by the new text's, so
+    the queries for both words tell it from either whole ingest."""
+
+    @pytest.fixture()
+    def answers(self, tmp_path, monkeypatch, capsys):
+        """The synth documents, their edited copy and the answer of a whole
+        ingest of each, with the old one's artifacts kept in ``old``."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--seed", "42", "--docs", "3", "--out", "synth"]) == EXIT_OK
+        shutil.copytree("synth/docs", "edited")
+        doc = Path("edited/doc001.txt")
+        text = doc.read_text(encoding="utf-8")
+        assert "likely" in text
+        doc.write_text(text.replace("likely", "zzqvx"), encoding="utf-8")
+        answers = {}
+        for name, docs in (("new", "edited"), ("old", "synth/docs")):
+            Path(name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["ingest", str(tmp_path / docs)]) == EXIT_OK
+            answers[name] = self.answer(capsys)
+            monkeypatch.chdir(tmp_path)
+        assert answers["old"] != answers["new"]
+        old, new = (load_corpus(Path(name) / "corpus") for name in ("old", "new"))
+        assert list(old.ids_of(range(len(old)))) == list(new.ids_of(range(len(new))))
+        return answers
+
+    @staticmethod
+    def answer(capsys) -> list[tuple[int, str]]:
+        """What ``hrr query`` answers, trace included, for the new word and
+        for the word it replaced."""
+        answers = []
+        for word in ("zzqvx", "likely"):
+            capsys.readouterr()
+            code = main(["query", word, "--trace", "--format", "machine"])
+            answers.append((code, capsys.readouterr().out))
+        return answers
+
+    def reingest(self, tmp_path, monkeypatch, fault, name: str, value) -> bool:
+        """Re-ingest the edited documents over a copy of the old artifacts
+        with ``fault`` patched in; whether the fault fired."""
+        work = tmp_path / f"{name}-{value}"
+        shutil.copytree(tmp_path / "old", work)
+        monkeypatch.chdir(work)
+        fired = []
+        with monkeypatch.context() as patched:
+            fault(patched, fired)
+            code = main(["ingest", str(tmp_path / "edited")])
+        assert code == (EXIT_OK if not fired else fired[0]), (name, value)
+        return bool(fired)
+
+    def test_a_rename_that_fails_leaves_the_old(self, tmp_path, monkeypatch, capsys, answers):
+        real = os.replace
+        for n in itertools.count(1):
+            def fault(patched, fired, n=n):
+                calls = []
+
+                def replace(src, dst):
+                    calls.append(dst)
+                    if len(calls) == n:
+                        fired.append(EXIT_IO)
+                        raise OSError(28, "No space left on device")
+                    return real(src, dst)
+
+                patched.setattr(os, "replace", replace)
+
+            fired = self.reingest(tmp_path, monkeypatch, fault, "rename", n)
+            assert self.answer(capsys) == answers["old" if fired else "new"], n
+            if not fired:
+                break
+
+    def test_a_level_that_fails_to_embed_leaves_the_old(
+        self, tmp_path, monkeypatch, capsys, answers,
+    ):
+        real = HashedBowEmbedder.embed_batch
+        for k in itertools.count(1):
+            def fault(patched, fired, k=k):
+                calls = []
+
+                def embed_batch(self, texts):
+                    calls.append(len(texts))
+                    if len(calls) == k:
+                        fired.append(EXIT_PROVIDER)
+                        raise ProviderUnavailableError("the embedder went away")
+                    return real(self, texts)
+
+                patched.setattr(HashedBowEmbedder, "embed_batch", embed_batch)
+
+            fired = self.reingest(tmp_path, monkeypatch, fault, "embed", k)
+            assert self.answer(capsys) == answers["old" if fired else "new"], k
+            if not fired:
+                break

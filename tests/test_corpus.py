@@ -21,12 +21,11 @@ from hrr.corpus import (
     ChunkNode,
     Corpus,
     Level,
+    load_artifacts,
     load_corpus,
-    read_snapshot,
     resolve_parent,
     save_corpus,
     validate_corpus,
-    write_snapshot,
 )
 from hrr.embedding import HashedBowEmbedder
 from hrr.engine import context_for, ingest, load_context
@@ -365,6 +364,55 @@ class TestSerialization:
         assert (tmp_path / "nodes.bin").read_bytes() == written
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.bin"]
 
+    def test_a_save_stopped_after_any_block_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        """A save stopped after any number of the blocks it writes, of the
+        corpus, of a level's vectors or of the footer, leaves the earlier
+        file byte for byte, so it loads the earlier corpus and vectors."""
+        embedder = HashedBowEmbedder(dimension=64)
+
+        def save(text):
+            corpus = build_corpus({"a": text}, CFG)
+            indexes = (build_index(corpus, level, embedder) for level in corpus.levels)
+            save_corpus(corpus, tmp_path, indexes, embedder)
+
+        save("Omega alpha beta. Gamma delta epsilon. Theta kappa.")
+        written = (tmp_path / "nodes.bin").read_bytes()
+        replacing = corpus_module.replacing
+
+        class Stopping:
+            """A file that takes ``blocks`` blocks, then fails."""
+
+            def __init__(self, fh, blocks):
+                self._fh, self._left = fh, blocks
+
+            def writelines(self, blocks):
+                for block in blocks:
+                    if self._left == 0:
+                        raise OSError(28, "No space left on device")
+                    self._left -= 1
+                    self._fh.write(block)
+
+        for blocks in range(1, 100):
+            @contextmanager
+            def stopping(path, blocks=blocks):
+                with replacing(path) as fh:
+                    yield Stopping(fh, blocks)
+
+            monkeypatch.setattr(corpus_module, "replacing", stopping)
+            try:
+                save("Omega alpha beta. Gamma delta epsilon. Theta kappa mu.")
+            except OSError:
+                assert (tmp_path / "nodes.bin").read_bytes() == written, blocks
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.bin"]
+                continue
+            break
+        # The first save to finish wrote every block: the magic, header
+        # length and header, 7 columns, the id table and the one document;
+        # the one-chunk parent level's dense matrix, 3 arrays of each CSR
+        # level; the footer, its length and its magic.
+        assert blocks == 3 + 7 + 1 + 1 + 1 + 3 * 3 + 3
+        assert load_artifacts(tmp_path, embedder)[0].documents["a"].endswith(b"mu.")
+
     def test_bad_header_rejected(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)
         nodes = _read_nodes(tmp_path / "nodes.bin")
@@ -445,10 +493,13 @@ class TestSerialization:
 
 
 #: The node file (corpus format v4), spelled out apart from ``hrr.corpus``:
-#: in the snapshot container, the header's sizes give the body's blocks,
-#: which are these columns, the ids joined by NUL as UTF-8, then each
-#: document's UTF-8 bytes.
+#: the magic, the header's length (``<I``) and the JSON header, whose sizes
+#: give the blocks that follow: these columns, the ids joined by NUL as
+#: UTF-8, then each document's UTF-8 bytes. An ingest's file goes on with
+#: its levels' vectors, kept here as one run of bytes, and their footer: the
+#: JSON footer, its length and ``VECTORS_MAGIC``.
 NODE_MAGIC = b"HRRNODE\n"
+VECTORS_MAGIC = b"HRRVEC1\n"
 NODE_COLUMNS = (("level", "u1"), ("doc", "<u4"), ("parent", "<i4"), ("start", "<i8"),
                 ("end", "<i8"), ("token_count", "<u4"), ("hard_split", "u1"))
 
@@ -459,26 +510,45 @@ class NodeFile:
     columns: dict[str, np.ndarray]
     ids: bytes
     documents: list[bytes]
+    #: The levels' blocks and the footer, of a file that stores vectors.
+    vectors: bytes = b""
+    footer: dict | None = None
 
     def id_list(self) -> list[str]:
         return self.ids.decode("utf-8").split("\0")
 
 
 def _read_nodes(path) -> NodeFile:
-    def sizes(header):
-        columns = [header["count"] * np.dtype(dtype).itemsize for _, dtype in NODE_COLUMNS]
-        return header, [*columns, header["ids_bytes"], *header["document_bytes"]]
-
-    snapshot = read_snapshot(path, NODE_MAGIC, sizes)
-    header = next(snapshot)
-    columns = {name: np.frombuffer(next(snapshot), dtype).copy() for name, dtype in NODE_COLUMNS}
-    ids, *documents = snapshot
-    return NodeFile(header, columns, ids, documents)
+    data = Path(path).read_bytes()
+    assert data[:8] == NODE_MAGIC
+    (length,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + length])
+    sizes = [header["count"] * np.dtype(dtype).itemsize for _, dtype in NODE_COLUMNS]
+    blocks, rest = [], data[12 + length :]
+    for n in [*sizes, header["ids_bytes"], *header["document_bytes"]]:
+        blocks.append(rest[:n])
+        rest = rest[n:]
+    columns = {name: np.frombuffer(block, dtype).copy()
+               for (name, dtype), block in zip(NODE_COLUMNS, blocks)}
+    ids, *documents = blocks[len(NODE_COLUMNS):]
+    footer = None
+    if rest:
+        assert rest[-8:] == VECTORS_MAGIC
+        (length,) = struct.unpack("<I", rest[-12:-8])
+        footer = json.loads(rest[-12 - length : -12])
+        rest = rest[: -12 - length]
+    return NodeFile(header, columns, ids, documents, rest, footer)
 
 
 def _write_nodes(path, nodes: NodeFile, *, magic=NODE_MAGIC):
-    columns = [nodes.columns[name].astype(dtype) for name, dtype in NODE_COLUMNS]
-    write_snapshot(path, magic, nodes.header, [*columns, nodes.ids, *nodes.documents])
+    header = json.dumps(nodes.header, sort_keys=True).encode("ascii")
+    columns = [nodes.columns[name].astype(dtype).tobytes() for name, dtype in NODE_COLUMNS]
+    parts = [magic, struct.pack("<I", len(header)), header, *columns, nodes.ids,
+             *nodes.documents, nodes.vectors]
+    if nodes.footer is not None:
+        footer = json.dumps(nodes.footer, sort_keys=True).encode("ascii")
+        parts += [footer, struct.pack("<I", len(footer)), VECTORS_MAGIC]
+    Path(path).write_bytes(b"".join(parts))
 
 
 def write_v2_corpus(directory) -> None:

@@ -1,4 +1,4 @@
-"""Exact search vs the naive full-scan oracle, plus snapshots."""
+"""Exact search vs the naive full-scan oracle, plus stored levels."""
 
 import hashlib
 import json
@@ -12,8 +12,9 @@ import tracemalloc
 import typing
 from collections import Counter
 from dataclasses import replace
-from unittest import mock
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.cli import EXIT_OK, main
 from hrr.config import EmbeddingConfig, EngineConfig, PathsConfig
-from hrr.corpus import Level, load_corpus, save_corpus
+from hrr.corpus import Level, load_artifacts, save_corpus
 from hrr.embedding import (
     CsrBatch,
     HashedBowEmbedder,
@@ -41,14 +42,14 @@ from hrr.errors import (
 )
 from hrr.engine import ingest, load_context
 import hrr.index as index_module
-from hrr.index import LevelIndex, build_index, load_index, save_index
+from hrr.index import LevelIndex, build_index
 from hrr.retrievers import _PLANS, Strategy, retrieve
 from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING, TOY_DOCS
 from level_corpus import level_corpus
 from reads import dense_rows, index_ids, level_ids, nodes_of, search_hits
-from test_corpus import _read_nodes
+from test_corpus import _read_nodes, _write_nodes
 from test_embedding import reference_vector
 
 
@@ -778,12 +779,11 @@ class TestBuildIndex:
         for chunk_id, row in zip(index_ids(index), dense_rows(index)):
             expected = reference_vector(corpus.chunk_text(chunk_id), dimension)
             assert row.tobytes() == expected.tobytes()
-        save_index(index, tmp_path / "a.idx", EMBEDDER)
-        loaded = load_index(tmp_path / "a.idx", index.corpus, index.level, EMBEDDER, dimension)
+        first = saved(index, tmp_path / "a")
+        loaded = reloaded(tmp_path / "a", dimension)
         assert loaded.layout == "csr"
         assert np.array_equal(dense_rows(loaded), dense_rows(index))
-        save_index(loaded, tmp_path / "b.idx", EMBEDDER)
-        assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
+        assert first.read_bytes() == saved(loaded, tmp_path / "b").read_bytes()
 
     def test_one_chunk_level_loads_back_dense(self, tmp_path):
         # One text comes back as one dense row, and the index keeps it so.
@@ -793,8 +793,8 @@ class TestBuildIndex:
         )
         assert len(corpus.rows_at(Level.PARENT)) == 1
         index = build_index(corpus, Level.PARENT, HashedBowEmbedder(dimension=384))
-        save_index(index, tmp_path / "parent.idx", EMBEDDER)
-        loaded = load_index(tmp_path / "parent.idx", index.corpus, index.level, EMBEDDER, 384)
+        saved(index, tmp_path)
+        loaded = reloaded(tmp_path, 384)
         assert index.layout == loaded.layout == "dense"
         assert dense_rows(loaded)[0].tobytes() == reference_vector("One two.", 384).tobytes()
 
@@ -802,14 +802,52 @@ class TestBuildIndex:
 EMBEDDER = "hashed-bow"
 
 
+def provider(dimension: int, name: str = EMBEDDER) -> SimpleNamespace:
+    """What the file records of an embedder, and what a load checks against
+    it: its name and dimension."""
+    return SimpleNamespace(name=name, dimension=dimension)
+
+
+def saved(index: LevelIndex, directory: Path) -> Path:
+    """Save ``index``'s corpus in ``directory``, with ``index`` as its one
+    stored level, made by ``EMBEDDER``; return the file written."""
+    save_corpus(index.corpus, directory, [index], provider(index.dimension))
+    return Path(directory) / "nodes.bin"
+
+
+def reloaded(directory: Path, dimension: int, name: str = EMBEDDER) -> LevelIndex:
+    """The one index stored in ``directory``'s file, loaded for the embedder
+    ``name`` at ``dimension``."""
+    (index,) = load_artifacts(directory, provider(dimension, name))[1].values()
+    return index
+
+
+def edited(path: Path, edit) -> None:
+    """Rewrite the file at ``path`` after ``edit`` of it as a
+    ``test_corpus.NodeFile``, whose ``vectors`` are the stored levels' blocks."""
+    nodes = _read_nodes(path)
+    edit(nodes)
+    _write_nodes(path, nodes)
+
+
+def with_footer(path: Path, footer: bytes) -> None:
+    """Put ``footer``'s bytes in place of the file's vectors' footer."""
+    data = path.read_bytes()
+    length = int.from_bytes(data[-12:-8], "little")
+    path.write_bytes(data[: -12 - length] + footer + len(footer).to_bytes(4, "little")
+                     + data[-8:])
+
+
 class TestSnapshots:
+    """An index is stored as one level of its corpus's file
+    (``corpus.save_corpus``), and loaded back from it."""
+
     def test_round_trip_preserves_search(self, tmp_path, layout):
         rng = random.Random(3)
         dim = dim_for(layout, 12)
         index = random_index(rng, 50, dim, layout)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
-        loaded = load_index(path, index.corpus, index.level, EMBEDDER, dim)
+        saved(index, tmp_path)
+        loaded = reloaded(tmp_path, dim)
         assert loaded.level is index.level
         assert loaded.layout == layout
         assert index_ids(loaded) == index_ids(index)
@@ -820,48 +858,43 @@ class TestSnapshots:
     def test_round_trip_search_equals_naive_scan(self, tmp_path, layout):
         rng = random.Random(31)
         index = random_index(rng, 300, 33, layout)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
-        loaded = load_index(path, index.corpus, index.level, EMBEDDER, 33)
+        saved(index, tmp_path)
+        loaded = reloaded(tmp_path, 33)
         assert loaded.layout == layout
         for _ in range(5):
             query = np.array([rng.gauss(0, 1) for _ in range(33)], dtype=np.float32)
             assert_matches_oracle(loaded, query, [1, 10, 299, 300])
 
     def test_file_holds_header_and_matrix_only(self, tmp_path):
+        """A dense level stores its matrix and a header entry that names no
+        id: the ids live only in the corpus's id table."""
         index = random_index(random.Random(4), 10, 6)
-        path = tmp_path / "s.idx"
-        save_index(index, path, EMBEDDER)
-        data = path.read_bytes()
-        header_len = int.from_bytes(data[8:12], "little")
-        assert len(data) == 12 + header_len + 4 * 10 * 6
-        assert data[12 + header_len :] == dense_rows(index).astype("<f4").tobytes()
-        assert b"c0003" not in data
+        nodes = _read_nodes(saved(index, tmp_path))
+        assert nodes.vectors == dense_rows(index).astype("<f4").tobytes()
+        assert nodes.footer == {"dimension": 6, "embedder": EMBEDDER, "levels": [
+            {"count": 10, "layout": "dense", "level": "sentence", "nnz": 60}]}
 
     def test_hashed_bow_ingest_writes_every_level_as_csr(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["synth", "--seed", "42", "--out", "synth"]) == EXIT_OK
         assert main(["ingest", "synth/docs"]) == EXIT_OK
-        paths = sorted(Path("indexes").iterdir())
-        assert len(paths) == 4
-        for path in paths:
-            data = path.read_bytes()
-            header_len = int.from_bytes(data[8:12], "little")
-            header = json.loads(data[12 : 12 + header_len])
-            assert header["layout"] == "csr", path
-            assert len(data) == 12 + header_len + 8 * (header["count"] + 1) + 6 * header["nnz"]
+        assert [p.name for p in Path("corpus").iterdir()] == ["nodes.bin"]
+        nodes = _read_nodes(Path("corpus") / "nodes.bin")
+        levels = nodes.footer["levels"]
+        assert [entry["level"] for entry in levels] == [level.value for level in Level]
+        assert all(entry["layout"] == "csr" for entry in levels)
+        assert len(nodes.vectors) == sum(8 * (entry["count"] + 1) + 6 * entry["nnz"]
+                                         for entry in levels)
 
     def test_rewrite_is_byte_identical(self, tmp_path, layout):
         index = random_index(random.Random(4), 10, dim_for(layout, 6), layout)
-        save_index(index, tmp_path / "a.idx", EMBEDDER)
-        save_index(index, tmp_path / "b.idx", EMBEDDER)
-        assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
+        first = saved(index, tmp_path / "a").read_bytes()
+        assert saved(index, tmp_path / "b").read_bytes() == first
 
     def test_interrupted_save_keeps_the_earlier_snapshot(self, tmp_path, layout, monkeypatch):
         dim = dim_for(layout, 6)
         index = random_index(random.Random(5), 10, dim, layout)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
+        path = saved(index, tmp_path)
         before = path.read_bytes()
         array = index._rows.blocks()[0]
 
@@ -869,132 +902,102 @@ class TestSnapshots:
             yield array[: len(array) // 2]
             raise OSError("disk full")
 
-        # The write fails partway through the body.
+        # The write fails after the corpus blocks, partway through the level's.
         monkeypatch.setattr(index._rows, "blocks", fail_partway)
         with pytest.raises(OSError, match="disk full"):
-            save_index(index, path, EMBEDDER)
+            saved(index, tmp_path)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["sentence.idx"]
-        assert np.array_equal(
-            dense_rows(load_index(path, index.corpus, index.level, EMBEDDER, dim)), dense_rows(index))
+        assert [p.name for p in tmp_path.iterdir()] == ["nodes.bin"]
+        assert np.array_equal(dense_rows(reloaded(tmp_path, dim)), dense_rows(index))
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.idx"
-        path.write_bytes(b"NOTANIDX" + b"\x00" * 32)
+        (tmp_path / "nodes.bin").write_bytes(b"NOTANIDX" + b"\x00" * 32)
         with pytest.raises(SnapshotFormatError):
-            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
-
-    def test_v1_file_asks_for_reingest(self, tmp_path):
-        header = b'{"count": 1, "dimension": 6, "level": "sentence"}'
-        path = tmp_path / "v1.idx"
-        path.write_bytes(
-            b"HRRIDX1\n" + len(header).to_bytes(4, "little") + header
-            + (5).to_bytes(2, "little") + b"c0000" + b"\x00" * 24
-        )
-        with pytest.raises(SnapshotFormatError, match="re-run ingest") as exc:
-            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
-        assert "\n" not in str(exc.value)
-
-    def test_v2_file_asks_for_reingest(self, tmp_path):
-        header = (
-            b'{"count": 1, "dimension": 6, "embedder": "hashed-bow", "ids_sha256": "", '
-            b'"level": "sentence"}'
-        )
-        path = tmp_path / "v2.idx"
-        path.write_bytes(b"HRRIDX2\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 24)
-        with pytest.raises(SnapshotFormatError, match="format v2 is not read; re-run ingest") as exc:
-            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
-        assert "\n" not in str(exc.value)
-
-    @pytest.mark.parametrize("version, digest", [
-        ("v3", lambda ids: json.dumps(list(ids)).encode("ascii")),
-        ("v4", lambda ids: "\0".join(ids).encode("utf-8")),
-    ], ids=["v3", "v4"])
-    def test_retired_digest_formats_ask_for_reingest(self, tmp_path, version, digest):
-        """A v3 snapshot, whose ``ids_sha256`` digested the level's ids as one
-        JSON array, and a v4 one, which digested their NUL join, are refused
-        by their magic before their digest is read."""
-        index = random_index(random.Random(4), 10, 6)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
-        data = path.read_bytes()
-        header_len = int.from_bytes(data[8:12], "little")
-        header = json.loads(data[12 : 12 + header_len])
-        header["ids_sha256"] = hashlib.sha256(digest(index_ids(index))).hexdigest()
-        new = json.dumps(header, sort_keys=True).encode("ascii")
-        path.write_bytes(f"HRRIDX{version[1]}\n".encode("ascii") + len(new).to_bytes(4, "little")
-                         + new + data[12 + header_len :])
-        with pytest.raises(SnapshotFormatError) as exc:
-            load_index(path, index.corpus, index.level, EMBEDDER, 6)
-        assert str(exc.value) == f"{path}: snapshot format {version} is not read; re-run ingest"
+            reloaded(tmp_path, 6)
 
     def test_snapshot_of_another_level_is_refused(self, tmp_path, toy_corpus):
-        """Every level's snapshot holds the one digest of its corpus, so the
-        level in the header is checked: a sentence snapshot renamed to
-        ``parent.idx`` does not load as the parent level."""
-        sentence = build_index(toy_corpus, Level.SENTENCE, HashedBowEmbedder(dimension=64))
-        path = tmp_path / "parent.idx"
-        save_index(sentence, path, EMBEDDER)
+        """Sentence vectors whose footer entry names the parent level do not
+        load as the parent level: their rows are not the corpus's parent
+        chunks."""
+        embedder = HashedBowEmbedder(dimension=64)
+        sentence = build_index(toy_corpus, Level.SENTENCE, embedder)
+        save_corpus(toy_corpus, tmp_path, [sentence], embedder)
+        edited(tmp_path / "nodes.bin",
+               lambda nodes: nodes.footer["levels"][0].update(level="parent"))
         with pytest.raises(SnapshotFormatError) as exc:
-            load_index(path, toy_corpus, Level.PARENT, EMBEDDER, 64)
-        assert str(exc.value) == (f"{path}: a snapshot of the sentence level, not of the parent "
-                                  f"level; re-run ingest")
+            reloaded(tmp_path, 64)
+        assert str(exc.value) == (f"{tmp_path / 'nodes.bin'}: {len(sentence)} rows do not "
+                                  f"match {len(toy_corpus.rows_at(Level.PARENT))} ids")
+
+    @pytest.mark.parametrize("other", ["corpus", "dimension", "level-twice"])
+    def test_only_the_corpus_own_levels_are_saved(self, tmp_path, toy_corpus, other):
+        """``save_corpus`` stores each index as a level of its corpus, at its
+        embedder's dimension, once: an index of another corpus (the state a
+        crash between two files' renames used to leave), of another
+        dimension or of a level already saved is refused, and the earlier
+        file is kept."""
+        embedder = HashedBowEmbedder(dimension=64)
+        path = saved(build_index(toy_corpus, Level.PARENT, embedder), tmp_path)
+        before = path.read_bytes()
+        if other == "corpus":
+            corpus = build_corpus(TOY_DOCS, replace(TOY_CHUNKING, parent_size=41))
+            indexes = [build_index(corpus, Level.PARENT, embedder)]
+        elif other == "dimension":
+            indexes = [build_index(toy_corpus, Level.PARENT, HashedBowEmbedder(dimension=32))]
+        else:
+            indexes = [build_index(toy_corpus, Level.PARENT, embedder)] * 2
+        with pytest.raises(InvalidInputError, match="the parent index is not of this corpus"):
+            save_corpus(toy_corpus, tmp_path, indexes, embedder)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["nodes.bin"]
 
     def test_truncated_file(self, tmp_path):
-        index = random_index(random.Random(4), 10, 6)
-        path = tmp_path / "t.idx"
-        save_index(index, path, EMBEDDER)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 7])
+        path = saved(random_index(random.Random(4), 10, 6), tmp_path)
+        path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(SnapshotFormatError):
-            load_index(path, index.corpus, index.level, EMBEDDER, 6)
+            reloaded(tmp_path, 6)
 
-    # Each header but the one under test carries every field a v5 header needs.
+    # Each case edits the vectors' footer of a one-row dense level
+    # (dimension 6) or replaces it; every field but the one under test stays
+    # valid.
     @pytest.mark.parametrize(
         "header",
-        [b"{not json", b'{"level": "sentence"}',
-         b'{"level":"leaf","dimension":6,"count":1,"embedder":"hashed-bow","ids_sha256":"",'
-         b'"layout":"dense","nnz":6}',
-         b'{"level": "sentence", "dimension": -6, "count": 1, "embedder": "hashed-bow", '
-         b'"ids_sha256": "", "layout": "dense", "nnz": 6}',
-         b'{"embedder": "hashed-bow", "level": "sentence", "dimension": 6, "count": 1, '
-         b'"layout": "dense", "nnz": 6}',
-         b'{"ids_sha256": "", "level": "sentence", "dimension": 6, "count": 1, '
-         b'"layout": "dense", "nnz": 6}',
-         b'{"level": "sentence", "dimension": 6, "count": 1, "embedder": "hashed-bow", '
-         b'"ids_sha256": "", "nnz": 6}',
-         b'{"level": "sentence", "dimension": 6, "count": 1, "embedder": "hashed-bow", '
-         b'"ids_sha256": "", "layout": "dense"}',
-         b'{"level": "sentence", "dimension": 6, "count": 1, "embedder": "hashed-bow", '
-         b'"ids_sha256": "", "layout": "coo", "nnz": 6}',
-         b'{"level": "sentence", "dimension": 6, "count": 1, "embedder": "hashed-bow", '
-         b'"ids_sha256": "", "layout": "csr", "nnz": -1}',
-         b'{"level": "sentence", "dimension": 6, "count": 1, "embedder": "hashed-bow", '
-         b'"ids_sha256": "", "layout": "csr", "nnz": 7}',
-         b'{"level": "sentence", "dimension": 6, "count": 1, "embedder": "hashed-bow", '
-         b'"ids_sha256": "", "layout": "csr", "nnz": 1e400}',
-         b"\xff\xfe", b"[1, 2]"],
-        ids=["not-json", "level-only", "bad-level", "bad-dimension", "no-ids-digest",
-             "no-embedder", "no-layout", "no-nnz", "bad-layout", "negative-nnz",
-             "nnz-beyond-matrix", "nnz-infinite", "not-utf8", "not-object"],
+        [b"{not json",
+         lambda h: h["levels"][0].clear() or h["levels"][0].update(level="sentence"),
+         lambda h: h["levels"][0].update(level="leaf"),
+         lambda h: h.update(dimension=-6),
+         lambda h: h.pop("embedder"),
+         lambda h: h["levels"][0].pop("layout"),
+         lambda h: h["levels"][0].pop("nnz"),
+         lambda h: h["levels"][0].update(layout="coo"),
+         lambda h: h["levels"][0].update(layout="csr", nnz=-1),
+         lambda h: h["levels"][0].update(layout="csr", nnz=7),
+         lambda h: h["levels"][0].update(layout="csr", nnz=float("inf")),
+         b"\xff\xfe", b"[1, 2]",
+         lambda h: h.pop("levels"),
+         lambda h: h["levels"].append(h["levels"][0])],
+        ids=["not-json", "level-only", "bad-level", "bad-dimension", "no-embedder",
+             "no-layout", "no-nnz", "bad-layout", "negative-nnz", "nnz-beyond-matrix",
+             "nnz-infinite", "not-utf8", "not-object", "no-levels", "level-twice"],
     )
     def test_malformed_header(self, tmp_path, header):
-        path = tmp_path / "h.idx"
-        path.write_bytes(b"HRRIDX5\n" + len(header).to_bytes(4, "little") + header)
-        with pytest.raises(SnapshotFormatError):
-            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
+        path = saved(random_index(random.Random(4), 1, 6), tmp_path)
+        if callable(header):
+            fields = _read_nodes(path).footer
+            header(fields)
+            header = json.dumps(fields).encode("ascii")
+        with_footer(path, header)
+        with pytest.raises(SnapshotFormatError) as exc:
+            reloaded(tmp_path, 6)
+        assert "\n" not in str(exc.value)
 
     def test_count_beyond_file_size(self, tmp_path):
-        header = (
-            b'{"level": "sentence", "dimension": 6, "count": 10000000000000, '
-            b'"embedder": "hashed-bow", "ids_sha256": "", "layout": "dense", "nnz": 0}'
-        )
-        path = tmp_path / "c.idx"
-        path.write_bytes(b"HRRIDX5\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 64)
-        with pytest.raises(SnapshotFormatError, match="bytes, but 64 follow the header"):
-            load_index(path, level_corpus(["c0000"]), Level.SENTENCE, EMBEDDER, 6)
+        path = saved(random_index(random.Random(4), 1, 6), tmp_path)
+        edited(path, lambda nodes: nodes.footer["levels"][0].update(count=10**13, nnz=0))
+        with pytest.raises(SnapshotFormatError, match="do not fill"):
+            reloaded(tmp_path, 6)
 
-    # Each case corrupts one array of a valid CSR body (10 rows, 3-15
+    # Each case corrupts one array of a valid CSR level (10 rows, 3-15
     # non-zeros each, dimension 64) in a way its header sizes cannot show.
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -1013,31 +1016,25 @@ class TestSnapshots:
     )
     def test_malformed_csr_body(self, tmp_path, corrupt, message):
         index = random_index(random.Random(8), 10, 64, "csr")
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
-        data = path.read_bytes()
-        body = 12 + int.from_bytes(data[8:12], "little")
-        indptr = np.frombuffer(data, "<i8", 11, body).copy()
-        columns = np.frombuffer(data, "<u2", index.nnz, body + 88).copy()
-        values = np.frombuffer(data, "<f4", index.nnz, body + 88 + 2 * index.nnz).copy()
-        corrupt(indptr, columns, values)
-        path.write_bytes(data[:body] + indptr.tobytes() + columns.tobytes() + values.tobytes())
+
+        def edit(nodes):
+            data = nodes.vectors
+            indptr = np.frombuffer(data, "<i8", 11).copy()
+            columns = np.frombuffer(data, "<u2", index.nnz, 88).copy()
+            values = np.frombuffer(data, "<f4", index.nnz, 88 + 2 * index.nnz).copy()
+            corrupt(indptr, columns, values)
+            nodes.vectors = indptr.tobytes() + columns.tobytes() + values.tobytes()
+
+        edited(saved(index, tmp_path), edit)
         with pytest.raises(SnapshotFormatError, match=message) as exc:
-            load_index(path, index.corpus, index.level, EMBEDDER, 64)
+            reloaded(tmp_path, 64)
         assert "\n" not in str(exc.value)
 
     def test_nnz_disagreeing_with_dense_rows(self, tmp_path):
-        index = random_index(random.Random(4), 10, 6)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
-        data = path.read_bytes()
-        header_len = int.from_bytes(data[8:12], "little")
-        header = json.loads(data[12 : 12 + header_len])
-        header["nnz"] -= 1
-        new = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(data[:8] + len(new).to_bytes(4, "little") + new + data[12 + header_len :])
+        path = saved(random_index(random.Random(4), 10, 6), tmp_path)
+        edited(path, lambda nodes: nodes.footer["levels"][0].update(nnz=59))
         with pytest.raises(SnapshotFormatError, match="counts 59 non-zeros, the rows hold 60"):
-            load_index(path, index.corpus, index.level, EMBEDDER, 6)
+            reloaded(tmp_path, 6)
 
     @pytest.mark.parametrize(
         "rows, field, value",
@@ -1045,104 +1042,51 @@ class TestSnapshots:
         ids=["dimension-string", "count-float", "nnz-string", "count-bool"],
     )
     def test_header_number_not_an_integer(self, tmp_path, rows, field, value):
-        index = random_index(random.Random(4), rows, 6)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
-        data = path.read_bytes()
-        header_len = int.from_bytes(data[8:12], "little")
-        header = json.loads(data[12 : 12 + header_len])
-        assert header[field] == int(value)  # the same number, in another JSON type
-        header[field] = value
-        new = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(data[:8] + len(new).to_bytes(4, "little") + new + data[12 + header_len :])
+        path = saved(random_index(random.Random(4), rows, 6), tmp_path)
+
+        def edit(nodes):
+            # The dimension is the file's; the count and nnz, the level's.
+            fields = nodes.footer if field == "dimension" else nodes.footer["levels"][0]
+            assert fields[field] == int(value)  # the same number, in another JSON type
+            fields[field] = value
+
+        edited(path, edit)
         with pytest.raises(SnapshotFormatError) as exc:
-            load_index(path, index.corpus, index.level, EMBEDDER, 6)
-        assert f"malformed header ({field} {value!r} is not an integer)" in str(exc.value)
+            reloaded(tmp_path, 6)
+        assert f"malformed vectors' footer ({field} {value!r} is not an integer)" in str(
+            exc.value)
         assert "\n" not in str(exc.value)
 
     def test_trailing_garbage(self, tmp_path):
-        index = random_index(random.Random(4), 4, 6)
-        path = tmp_path / "g.idx"
-        save_index(index, path, EMBEDDER)
+        path = saved(random_index(random.Random(4), 4, 6), tmp_path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(SnapshotFormatError):
-            load_index(path, index.corpus, index.level, EMBEDDER, 6)
+            reloaded(tmp_path, 6)
 
-    @pytest.mark.parametrize(
-        "ids",
-        [lambda ids: ids[1:] + ids[:1], lambda ids: ids[:-1], lambda ids: ids + ["c9999"]],
-        ids=["reordered", "fewer", "more"],
-    )
-    def test_other_chunk_ids_rejected(self, tmp_path, ids):
-        index = random_index(random.Random(4), 10, 6)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
-        with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
-            load_index(path, level_corpus(ids(list(index_ids(index)))), Level.SENTENCE, EMBEDDER, 6)
+    @pytest.mark.parametrize("rows", [-1, 1], ids=["fewer", "more"])
+    def test_other_chunk_ids_rejected(self, tmp_path, rows):
+        """A level stored with rows for fewer or more chunks than its corpus
+        holds at the level, its sizes kept consistent, is refused."""
+        path = saved(random_index(random.Random(4), 10, 6), tmp_path)
 
-    def test_id_digest_is_injective_over_newlines(self, tmp_path):
-        vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
-        path = tmp_path / "sentence.idx"
-        save_index(LevelIndex(level_corpus(["a\nb", "c"]), Level.SENTENCE, vecs), path, EMBEDDER)
-        with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
-            load_index(path, level_corpus(["a", "b\nc"]), Level.SENTENCE, EMBEDDER, 4)
+        def edit(nodes):
+            nodes.footer["levels"][0].update(count=10 + rows, nnz=60 + 6 * rows)
+            nodes.vectors = nodes.vectors[: 24 * (10 + rows)] + nodes.vectors[-24:] * (rows > 0)
 
-    def test_id_digest_refuses_ids_holding_a_nul(self, tmp_path):
-        """Joined by NUL, ``["a\\0b", "c"]`` and ``["a", "b\\0c"]`` are one
-        string, which splits into one id more than the rows, so no corpus
-        holds an id holding a NUL, and no snapshot is saved for such ids. Two corpora whose id tables are one string, their
-        ids at other levels, are told apart by the level column digested
-        before the table: a snapshot of one does not load beside the other."""
-        for ids in (["a\0b", "c"], ["a", "b\0c"]):
-            # Two rows above the sentence level, then the two ids.
-            with pytest.raises(InvalidCorpusError, match="splits at NUL into 5 ids, not 4"):
-                level_corpus(ids)
-        sentence, side = level_corpus(["s"]), level_corpus(["s"], Level.SUB_INTERMEDIATE)
-        assert [n.id for n in nodes_of(sentence)] == [n.id for n in nodes_of(side)]
-        path = tmp_path / "parent.idx"
-        save_index(build_index(sentence, Level.PARENT, HashedBowEmbedder(4)), path, EMBEDDER)
-        assert len(load_index(path, sentence, Level.PARENT, EMBEDDER, 4)) == 1
-        with pytest.raises(SnapshotFormatError, match="do not match the corpus"):
-            load_index(path, side, Level.PARENT, EMBEDDER, 4)
-
-    def test_id_digest_is_the_sha256_of_the_nul_join(self, tmp_path):
-        """``ids_sha256`` is the corpus's: sha256 of its level column (``u1``)
-        followed by its ids joined by NUL, as UTF-8, which are the bytes
-        ``nodes.bin`` stores for them. A lone surrogate, which UTF-8 cannot
-        encode, is refused by the corpus, so no id is digested as one."""
-        vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
-        ids = ["d:p0", "é,\"\\:p1"]
-        corpus = level_corpus(ids)
-        levels = bytes(list(Level).index(node.level) for node in nodes_of(corpus))
-        joined = "\0".join(node.id for node in nodes_of(corpus)).encode("utf-8")
-        assert levels == bytes([0, 1, 2, 2]) and "é,\"\\:p1".encode("utf-8") in joined
-        path = tmp_path / "sentence.idx"
-        save_index(LevelIndex(corpus, Level.SENTENCE, vecs), path, EMBEDDER)
-        data = path.read_bytes()
-        header = json.loads(data[12 : 12 + int.from_bytes(data[8:12], "little")])
-        assert header["ids_sha256"] == corpus.ids_sha256 == hashlib.sha256(levels + joined).hexdigest()
-        save_corpus(corpus, tmp_path / "corpus")
-        stored = _read_nodes(tmp_path / "corpus" / "nodes.bin")
-        assert stored.columns["level"].tobytes() + stored.ids == levels + joined
-        loaded = load_corpus(tmp_path / "corpus")
-        assert index_ids(load_index(path, loaded, Level.SENTENCE, EMBEDDER, 4)) == tuple(ids)
-        with pytest.raises(InvalidCorpusError, match="the id table is not UTF-8"):
-            level_corpus(["x\udc80", "y"])
+        edited(path, edit)
+        with pytest.raises(SnapshotFormatError, match=f"{10 + rows} rows do not match 10 ids"):
+            reloaded(tmp_path, 6)
 
     def test_other_embedder_rejected(self, tmp_path):
-        index = random_index(random.Random(4), 10, 6)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
+        saved(random_index(random.Random(4), 10, 6), tmp_path)
         with pytest.raises(SnapshotFormatError, match="'hashed-bow' embedder, not 'remote'"):
-            load_index(path, index.corpus, index.level, "remote", 6)
+            reloaded(tmp_path, 6, "remote")
 
     def test_other_dimension_rejected(self, tmp_path):
-        index = random_index(random.Random(4), 10, 6)
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
+        saved(random_index(random.Random(4), 10, 6), tmp_path)
         with pytest.raises(SnapshotFormatError, match="dimension 6 differs from the configured "
                            "embedding dimension 7"):
-            load_index(path, index.corpus, index.level, EMBEDDER, 7)
+            reloaded(tmp_path, 7)
 
 
 class TestColdLoad:
@@ -1153,15 +1097,14 @@ class TestColdLoad:
         (root / "docs").mkdir()
         for doc_id, text in generate(CorpusSpec(seed=42)).documents.items():
             (root / "docs" / f"{doc_id}.txt").write_bytes(text.encode("utf-8"))
-        config = EngineConfig(paths=PathsConfig(corpus_dir=str(root / "corpus"),
-                                                index_dir=str(root / "indexes")))
+        config = EngineConfig(paths=PathsConfig(corpus_dir=str(root / "corpus")))
         ingest(root / "docs", config)
         return config
 
     def test_load_context_runs_json_only_on_the_snapshot_headers(self, seed42, monkeypatch):
-        """A cold ``load_context`` encodes no JSON and decodes only the five
-        snapshot headers: the ids are split from ``nodes.bin`` and digested
-        from their NUL join, not read or written as JSON."""
+        """A cold ``load_context`` encodes no JSON and decodes only the header
+        and the vectors' footer of ``nodes.bin``: the ids are split from
+        their NUL join, not read or written as JSON."""
         encoded, decoded = [], []
         dumps, loads = json.dumps, json.loads
         monkeypatch.setattr(json, "dumps", lambda *a, **k: encoded.append(a) or dumps(*a, **k))
@@ -1170,25 +1113,21 @@ class TestColdLoad:
         ctx = load_context(seed42)
         monkeypatch.undo()
         assert encoded == []
-        assert sorted(header.get("level", "corpus") for header in decoded) == sorted(
-            ["corpus", *(level.value for level in Level)])
-        assert [header["version"] for header in decoded if "level" not in header] == [4]
+        header, footer = decoded
+        assert header["version"] == 4
+        assert [entry["level"] for entry in footer["levels"]] == [level.value for level in Level]
         assert set(ctx.indices) == set(Level)
 
-    def test_load_context_builds_no_level_ids_and_hashes_them_once(self, seed42, monkeypatch):
+    def test_load_context_builds_no_level_ids_and_hashes_none(self, seed42, monkeypatch):
         """Each index of a cold ``load_context`` is a level of the loaded
-        corpus, and the ids are hashed once, by the corpus, not once per
-        level."""
+        corpus, read from the corpus's own file, so no id is hashed to tie
+        the two together."""
         hashed = []
         sha256 = hashlib.sha256
         monkeypatch.setattr(hashlib, "sha256", lambda *a: hashed.append(a) or sha256(*a))
         ctx = load_context(seed42)
         monkeypatch.undo()
-        assert len(hashed) == 1
-        # The 7,593 ids, digested as nodes.bin stores them.
-        stored = _read_nodes(Path(seed42.paths.corpus_dir) / "nodes.bin")
-        assert ctx.corpus.ids_sha256 == hashlib.sha256(
-            stored.columns["level"].tobytes() + stored.ids).hexdigest()
+        assert hashed == []
         assert set(ctx.indices) == set(Level)
         for level, index in ctx.indices.items():
             assert index.corpus is ctx.corpus
@@ -1238,7 +1177,7 @@ class TestColdLoad:
                     f"Alpha beta {n} gamma. Delta epsilon zeta eta. Theta iota kappa.",
                     encoding="utf-8")
             config = EngineConfig(chunking=TOY_CHUNKING, paths=PathsConfig(
-                corpus_dir=str(root / "corpus"), index_dir=str(root / "indexes")))
+                corpus_dir=str(root / "corpus")))
             ingest(root / "docs", config)
             ctx = load_context(config)
         corpus = ctx.corpus
@@ -1255,13 +1194,15 @@ class TestUnitRowsAtLoad:
 
     def test_flipped_exponent_bit_in_a_csr_value(self, tmp_path):
         index = random_index(random.Random(4), 10, 64, "csr")
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, EMBEDDER)
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0x01  # an exponent bit of the last value: times or over 4
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotFormatError, match=r"sentence\.idx: row 'c0009' is not unit"):
-            load_index(path, index.corpus, index.level, EMBEDDER, 64)
+
+        def edit(nodes):
+            data = bytearray(nodes.vectors)
+            data[-1] ^= 0x01  # an exponent bit of the last value: times or over 4
+            nodes.vectors = bytes(data)
+
+        edited(saved(index, tmp_path), edit)
+        with pytest.raises(SnapshotFormatError, match=r"nodes\.bin: row 'c0009' is not unit"):
+            reloaded(tmp_path, 64)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     @pytest.mark.parametrize("off", [-1e-5, 1e-5])
@@ -1274,9 +1215,9 @@ class TestUnitRowsAtLoad:
         assert abs(squared - 1.0 - off) < 1e-6
         index = LevelIndex(level_corpus([f"c{i}" for i in range(20)]), Level.SENTENCE,
                            in_layout(rows, layout))
-        save_index(index, tmp_path / "s.idx", EMBEDDER)
-        with pytest.raises(SnapshotFormatError, match=r"s\.idx: row 'c3' is not unit \(") as exc:
-            load_index(tmp_path / "s.idx", index.corpus, index.level, EMBEDDER, 384)
+        saved(index, tmp_path)
+        with pytest.raises(SnapshotFormatError, match=r"nodes\.bin: row 'c3' is not unit \(") as exc:
+            reloaded(tmp_path, 384)
         assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
@@ -1291,8 +1232,8 @@ class TestUnitRowsAtLoad:
         assert embed_batch(StaticProvider(vectors, 384), ["t"] * 20) is vectors
         assert np.array_equal(np.asarray(vectors), rows)  # passed through untouched
         index = LevelIndex(level_corpus([f"c{i}" for i in range(20)]), Level.SENTENCE, vectors)
-        save_index(index, tmp_path / "s.idx", EMBEDDER)
-        assert len(load_index(tmp_path / "s.idx", index.corpus, index.level, EMBEDDER, 384)) == 20
+        saved(index, tmp_path)
+        assert len(reloaded(tmp_path, 384)) == 20
 
 
 class StaticProvider:
@@ -1322,7 +1263,7 @@ class TestPostingsOnFirstSearch:
         config = EngineConfig(
             chunking=TOY_CHUNKING,
             embedding=EmbeddingConfig(dimension=64),
-            paths=PathsConfig(corpus_dir=str(root / "corpus"), index_dir=str(root / "indexes")),
+            paths=PathsConfig(corpus_dir=str(root / "corpus")),
         )
         ingest(root / "docs", config)
         return config
@@ -1342,16 +1283,15 @@ class TestPostingsOnFirstSearch:
         assert {level for level, index in indices.items() if has_postings(index)} == searched
 
     def test_build_and_save_build_none(self, tmp_path, toy_corpus):
-        for level in toy_corpus.levels:
-            index = build_index(toy_corpus, level, HashedBowEmbedder(dimension=64))
-            save_index(index, tmp_path / f"{level.value}.idx", EMBEDDER)
-            assert index.layout == "csr" and not has_postings(index)
+        embedder = HashedBowEmbedder(dimension=64)
+        indexes = [build_index(toy_corpus, level, embedder) for level in toy_corpus.levels]
+        save_corpus(toy_corpus, tmp_path, indexes, embedder)
+        assert all(index.layout == "csr" and not has_postings(index) for index in indexes)
 
     def test_concurrent_first_searches_match_the_scan(self, tmp_path):
         rng = random.Random(41)
-        index = random_index(rng, 3000, 64, "csr")
-        save_index(index, tmp_path / "s.idx", EMBEDDER)
-        loaded = load_index(tmp_path / "s.idx", index.corpus, index.level, EMBEDDER, 64)
+        saved(random_index(rng, 3000, 64, "csr"), tmp_path)
+        loaded = reloaded(tmp_path, 64)
         query = ensure_unit(np.array([rng.gauss(0, 1) for _ in range(64)], dtype=np.float32))
         barrier = threading.Barrier(4)
         results = [None] * 4
@@ -1403,12 +1343,11 @@ class TestConstruction:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_snapshot_with_non_finite_row_rejected(self, tmp_path, bad):
-        index = random_index(random.Random(4), 10, 6)
-        path = tmp_path / "nan.idx"
-        save_index(index, path, EMBEDDER)
-        data = bytearray(path.read_bytes())
-        last_entry = len(data) - 4 * 6
-        data[last_entry : last_entry + 4] = np.array([bad], dtype="<f4").tobytes()
-        path.write_bytes(bytes(data))
+        def edit(nodes):
+            last_entry = len(nodes.vectors) - 4 * 6
+            nodes.vectors = (nodes.vectors[:last_entry] + np.array([bad], dtype="<f4").tobytes()
+                             + nodes.vectors[last_entry + 4 :])
+
+        edited(saved(random_index(random.Random(4), 10, 6), tmp_path), edit)
         with pytest.raises(SnapshotFormatError, match="not finite"):
-            load_index(path, index.corpus, index.level, EMBEDDER, 6)
+            reloaded(tmp_path, 6)

@@ -7,7 +7,7 @@ import requests
 from hrr.embedding import HashedBowEmbedder, RemoteEmbedder, embed_batch
 from hrr.engine import context_for
 from hrr.config import EngineConfig
-from hrr.corpus import Level
+from hrr.corpus import Level, load_artifacts, save_corpus
 from hrr.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -15,7 +15,7 @@ from hrr.errors import (
     SnapshotFormatError,
 )
 from hrr.evaluation import compare
-from hrr.index import build_index, load_index, save_index
+from hrr.index import build_index
 from hrr.rerank import (
     FALLBACK_PASSTHROUGH,
     LexicalOverlapReranker,
@@ -74,27 +74,29 @@ class TestRemoteEmbedder:
                 for query in query_rows:
                     for k in (1, 3, len(index)):
                         assert_hits_are(search_hits(index, query, k), naive_top_k(index, query, k))
-                a, b = tmp_path / f"{level.value}.a.idx", tmp_path / f"{level.value}.b.idx"
-                save_index(index, a, remote.name)
-                loaded = load_index(a, toy_corpus, level, remote.name, DIM)
-                assert loaded.layout == "dense"
-                save_index(loaded, b, remote.name)
-                assert a.read_bytes() == b.read_bytes()
+                a, b = tmp_path / f"{level.value}.a", tmp_path / f"{level.value}.b"
+                save_corpus(toy_corpus, a, [index], remote)
+                corpus, indices = load_artifacts(a, remote)
+                assert indices[level].layout == "dense"
+                save_corpus(corpus, b, indices.values(), remote)
+                assert (a / "nodes.bin").read_bytes() == (b / "nodes.bin").read_bytes()
 
     def test_flipped_bit_in_a_dense_row_is_refused_at_load(self, toy_corpus, tmp_path):
         with StubServices(dimension=DIM) as stub:
             remote = RemoteEmbedder(stub.base_url, DIM, timeout=5.0, retries=0)
             index = build_index(toy_corpus, Level.SENTENCE, remote)
         assert index.layout == "dense"
-        path = tmp_path / "sentence.idx"
-        save_index(index, path, remote.name)
+        save_corpus(toy_corpus, tmp_path, [index], remote)
+        path = tmp_path / "nodes.bin"
         data = bytearray(path.read_bytes())
-        body = len(data) - 4 * len(index) * DIM
-        first = int(np.flatnonzero(np.frombuffer(data, "<f4", offset=body))[0])
+        # The level's rows end where the header, its length and the magic begin.
+        end = len(data) - 12 - int.from_bytes(data[-12:-8], "little")
+        body = end - 4 * len(index) * DIM
+        first = int(np.flatnonzero(np.frombuffer(data[body:end], "<f4"))[0])
         data[body + 4 * first + 3] ^= 0x01  # an exponent bit: times or over 4
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match="is not unit") as exc:
-            load_index(path, toy_corpus, Level.SENTENCE, remote.name, DIM)
+            load_artifacts(tmp_path, remote)
         assert repr(index_ids(index)[first // DIM]) in str(exc.value)
         assert "\n" not in str(exc.value)
 

@@ -9,16 +9,19 @@ retriever implementations.
 import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.corpus import Level
 from hrr.embedding import HashedBowEmbedder, cosine_similarity, embed_batch
 from hrr.engine import context_for, ingest, load_context
-from hrr.config import EngineConfig, PathsConfig
+from hrr.config import EmbeddingConfig, EngineConfig, PathsConfig
 from hrr.errors import (
     EmptyCorpusError,
     InvalidInputError,
@@ -26,6 +29,7 @@ from hrr.errors import (
     ProviderUnavailableError,
 )
 from hrr.evaluation import compare
+import hrr.index as index_module
 from hrr.rerank import FALLBACK_PASSTHROUGH, LexicalOverlapReranker, RerankProviderConfig
 from hrr.retrievers import (
     RetrievalContext,
@@ -460,54 +464,106 @@ def _documents(draw) -> dict[str, str]:
     }
 
 
-class TestMatchesReferenceRetriever:
-    """``retrieve(...).to_dict()`` equals ``reference_retriever.retrieve`` under
-    all four strategies, on drawn corpora, chunkings and retrieval settings.
-    The reference scans every level in full and walks parent ids."""
+#: Drawn corpora, chunkings and retrieval settings for the comparisons below.
+_DRAWN = dict(
+    documents=_documents(),
+    sizes=st.tuples(st.integers(12, 40), st.integers(3, 11), st.integers(4, 30)),
+    side_tier=st.booleans(),
+    overlaps=st.tuples(st.integers(0, 4), st.integers(0, 2)),
+    dimension=st.sampled_from([8, 64]),
+    similarity_top_k=st.integers(1, 8),
+    rerank_top_k=st.integers(1, 6),
+    mix_lambda=st.sampled_from([0.0, 0.5, -1.25, 3.0]),
+    queries=st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4),
+                     min_size=1, max_size=2),
+)
 
-    @given(
-        documents=_documents(),
-        sizes=st.tuples(st.integers(12, 40), st.integers(3, 11), st.integers(4, 30)),
-        side_tier=st.booleans(),
-        overlaps=st.tuples(st.integers(0, 4), st.integers(0, 2)),
-        dimension=st.sampled_from([8, 64]),
-        similarity_top_k=st.integers(1, 8),
-        rerank_top_k=st.integers(1, 6),
-        mix_lambda=st.sampled_from([0.0, 0.5, -1.25, 3.0]),
-        queries=st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4),
-                         min_size=1, max_size=2),
+
+def _ingested(documents: dict[str, str], config: EngineConfig) -> RetrievalContext:
+    """The context ``load_context`` reads back once ``ingest`` has persisted
+    ``documents``, each as a file named by its id, under ``config``."""
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        (root / "docs").mkdir()
+        for doc_id, text in documents.items():
+            (root / "docs" / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+        config = dataclasses.replace(config, paths=PathsConfig(corpus_dir=str(root / "corpus")))
+        ingest(root / "docs", config)
+        return load_context(config)
+
+
+def _assert_matches_reference(
+    documents, sizes, side_tier, overlaps, dimension, similarity_top_k, rerank_top_k,
+    mix_lambda, queries, through_files=False,
+) -> None:
+    """Every strategy's ``retrieve(...).to_dict()`` on the drawn corpus, built
+    in memory or, ``through_files``, ingested and loaded back, equals the
+    reference's."""
+    parent_size, intermediate_size, max_sentence_tokens = sizes
+    chunking = ChunkingConfig(
+        parent_size=parent_size, intermediate_size=intermediate_size,
+        parent_overlap=overlaps[0], intermediate_overlap=overlaps[1],
+        sub_intermediate_size=2 if side_tier else None,
+        max_sentence_tokens=max_sentence_tokens,
     )
-    @settings(max_examples=100, deadline=None)
-    def test_every_strategy_equals_the_reference(
-        self, documents, sizes, side_tier, overlaps, dimension, similarity_top_k,
-        rerank_top_k, mix_lambda, queries,
-    ):
-        parent_size, intermediate_size, max_sentence_tokens = sizes
-        chunking = ChunkingConfig(
-            parent_size=parent_size, intermediate_size=intermediate_size,
-            parent_overlap=overlaps[0], intermediate_overlap=overlaps[1],
-            sub_intermediate_size=2 if side_tier else None,
-            max_sentence_tokens=max_sentence_tokens,
-        )
-        config = EngineConfig(
-            chunking=chunking,
-            retriever=RetrieverConfig(similarity_top_k=similarity_top_k,
-                                      rerank_top_k=rerank_top_k),
-            rerank=RerankProviderConfig(mix_lambda=mix_lambda),
-        )
+    config = EngineConfig(
+        chunking=chunking,
+        embedding=EmbeddingConfig(dimension=dimension),
+        retriever=RetrieverConfig(similarity_top_k=similarity_top_k,
+                                  rerank_top_k=rerank_top_k),
+        rerank=RerankProviderConfig(mix_lambda=mix_lambda),
+    )
+    if through_files:
+        ctx = _ingested(documents, config)
+    else:
         ctx = context_for(build_corpus(documents, chunking), config,
                           embedder=HashedBowEmbedder(dimension),
                           reranker=LexicalOverlapReranker())
-        nodes = reference_retriever.plain_nodes(documents, chunking)
-        settings_ = dict(dimension=dimension, similarity_top_k=similarity_top_k,
-                         rerank_top_k=rerank_top_k, mix_lambda=mix_lambda)
-        for query in [" ".join(words) for words in queries] + ["qxzv"]:
-            for strategy in Strategy:
-                strategy_ctx = with_strategy(ctx, strategy)
-                if strategy is Strategy.C2P and not side_tier:
-                    with pytest.raises(MissingIndexError):
-                        retrieve(query, strategy_ctx)
-                    continue
-                expected = reference_retriever.retrieve(nodes, query, strategy.value,
-                                                        **settings_)
-                assert retrieve(query, strategy_ctx).to_dict() == expected
+    nodes = reference_retriever.plain_nodes(documents, chunking)
+    settings_ = dict(dimension=dimension, similarity_top_k=similarity_top_k,
+                     rerank_top_k=rerank_top_k, mix_lambda=mix_lambda)
+    for query in [" ".join(words) for words in queries] + ["qxzv"]:
+        for strategy in Strategy:
+            strategy_ctx = with_strategy(ctx, strategy)
+            if strategy is Strategy.C2P and not side_tier:
+                with pytest.raises(MissingIndexError):
+                    retrieve(query, strategy_ctx)
+                continue
+            expected = reference_retriever.retrieve(nodes, query, strategy.value, **settings_)
+            assert retrieve(query, strategy_ctx).to_dict() == expected
+
+
+class TestMatchesReferenceRetriever:
+    """``retrieve(...).to_dict()`` equals ``reference_retriever.retrieve`` under
+    all four strategies, on drawn corpora, chunkings and retrieval settings.
+    The reference scans every level in full and walks parent ids. One in
+    four drawn corpora goes through ``ingest`` and ``load_context``, and so
+    through the artifact file, first."""
+
+    @given(**_DRAWN, through_files=st.sampled_from([True, False, False, False]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_strategy_equals_the_reference(self, through_files, **drawn):
+        _assert_matches_reference(**drawn, through_files=through_files)
+
+
+class TestEarlyStopMatchesReference:
+    """The same comparison with the CSR early stop tried at every level of
+    more than ``similarity_top_k`` rows, reading one entry of each query
+    list in its first round and twice as deep in each next one. So drawn
+    corpora take ``_CsrRows.early_candidates`` and its threshold proof,
+    which the default settings leave to levels of 16,384 rows or more."""
+
+    @given(**_DRAWN)
+    @settings(max_examples=60, deadline=None)
+    def test_every_strategy_equals_the_reference(self, **drawn):
+        original = index_module._CsrRows.early_candidates
+
+        def counted(rows, query, k):
+            found = original(rows, query, k)
+            event("early stop taken" if found is not None else "full pass taken")
+            return found
+
+        with mock.patch.multiple(index_module, _EARLY_STOP_ROWS=1, _FIRST_DEPTH=1,
+                                 _DEPTH_GROWTH=2), \
+                mock.patch.object(index_module._CsrRows, "early_candidates", counted):
+            _assert_matches_reference(**drawn)
