@@ -9,11 +9,13 @@ input's whitespace pieces repeat.
 with no spaces, so a piece is a paragraph) and ``b64`` (base64-like runs,
 pieces of 40-400 characters). ``stats`` builds the corpus of DOCS_DIR and
 prints, over every level's chunk texts, the pieces and distinct pieces the
-token-count memo and the embedder's piece memo see, and the share of texts
-each memo rested for; then the in-process seconds of chunking
-(``build_corpus``), of the recount (``validate_corpus``) and of embedding
-every level with one embedder, the best of three. Run ``stats`` with
-``PYTHONPATH`` set to each of two trees to compare them on one input.
+token-count memo and the embedder's batches see, the pieces each computed
+and the share of texts each scanned whole (rested for); then the in-process
+seconds of chunking (``build_corpus``) and of the sentence split within it
+(``split_sentences`` over every document), of the recount
+(``validate_corpus``) and of embedding every level with one embedder, the
+best of three. Run ``stats`` with ``PYTHONPATH`` set to each of two trees
+to compare them on one input.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from hrr.chunking import build_corpus
 from hrr.corpus import validate_corpus
 from hrr.embedding import HashedBowEmbedder
 from hrr.engine import read_documents
+from hrr.sentences import split_sentences
 from hrr.tokens import WordPunctTokenizer
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -89,10 +92,13 @@ def stats(docs: Path) -> None:
     levels = [corpus.texts_at(level) for level in corpus.levels]
     texts = [text for level in levels for text in level]
     tokenizer, embedder = WordPunctTokenizer(), HashedBowEmbedder()
+    table = getattr(embedder, "_table", None)
     for name, memo, use, prepare in (
         ("count", getattr(tokenizer, "_counts", None), tokenizer.count_tokens, str),
-        ("embed", getattr(embedder, "_pieces", None), getattr(embedder, "_buckets_of", None),
-         str.lower),
+        # A tree whose batches use a piece table reports it; an older tree,
+        # its memo of pieces one text at a time.
+        ("embed", None if table is not None else getattr(embedder, "_pieces", None),
+         getattr(embedder, "_buckets_of", None), str.lower),
     ):
         pieces = [piece for text in texts for piece in prepare(text).split()]
         line = f"{name}: {len(pieces)} pieces, {len(set(pieces))} distinct"
@@ -102,6 +108,11 @@ def stats(docs: Path) -> None:
                 rested += memo.resting > 0
                 use(text)
             line += f", {memo.misses} computed, {rested / len(texts):.1%} of texts rested"
+        elif name == "embed" and table is not None:
+            for level in levels:
+                embedder.embed_batch(level)
+            line += (f", {table.misses} computed, "
+                     f"{table.scanned / len(texts):.1%} of texts rested")
         print(line)
 
     def embed() -> None:
@@ -109,7 +120,12 @@ def stats(docs: Path) -> None:
         for level in levels:
             fresh.embed_batch(level)
 
-    print(f"build_corpus {best(lambda: build_corpus(documents)):.3f} s, "
+    def split() -> None:
+        for text in documents.values():
+            split_sentences(text)
+
+    print(f"build_corpus {best(lambda: build_corpus(documents)):.3f} s "
+          f"(split_sentences {best(split):.3f} s), "
           f"recount {best(lambda: validate_corpus(corpus)):.3f} s, embed {best(embed):.3f} s")
 
 

@@ -258,7 +258,7 @@ def build_corpus(
             raise EmptyDocumentError(f"document {doc_id!r} has no chunkable content")
         tokens = tokenizer.token_spans(text)
         to_bytes = _utf8_offsets(text)
-        span = np.array(sentence_spans, dtype=np.int64)
+        span = np.asarray(sentence_spans, dtype=np.int64)
         lo = np.searchsorted(tokens[0], span[:, 0], "left")
         n = np.searchsorted(tokens[1], span[:, 1], "right") - lo
         if n.min() < 0:

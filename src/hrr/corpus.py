@@ -511,9 +511,10 @@ def save_corpus(
     entry, its ``<u4`` length and ``_VECTORS_MAGIC``. It comes last, as a
     Parquet file's footer does, because an entry is known only once its
     level is embedded. ``indexes``, ``embedder``'s indexes of this corpus,
-    one per level at most, are drawn once the corpus is written, and each is
-    dropped before the next is drawn, so a generator that builds them holds
-    one level at a time. A corpus saved with no index ends with its blocks.
+    one per level it holds, are drawn once the corpus is written, and each
+    is dropped before the next is drawn, so a generator that builds them
+    holds one level at a time; a set that misses a level is refused. A
+    corpus saved with no index ends with its blocks.
 
     The file is replaced by one rename: a save that stops, by a crash or by
     an index that fails to build, leaves the earlier file whole, corpus and
@@ -554,6 +555,12 @@ def save_corpus(
             levels.append(entry)
             del index, blocks  # freed before the next index is drawn
         if levels:
+            saved = {entry["level"] for entry in levels}
+            missing = [level.value for level in corpus.levels if level.value not in saved]
+            if missing:
+                raise InvalidInputError(
+                    f"no {missing[0]} index among those saved: the file stores the "
+                    "vectors of every level of its corpus, or of none")
             footer = json.dumps({"embedder": embedder.name, "dimension": embedder.dimension,
                                  "levels": levels}, sort_keys=True).encode("ascii")
             fh.writelines([footer, len(footer).to_bytes(4, "little"), _VECTORS_MAGIC])
@@ -591,7 +598,9 @@ def load_artifacts(
     do a file with no vectors, as ingests wrote before the footer, which
     asks for a re-ingest, and vectors of another embedder or dimension.
     Then a rule ``Corpus`` lists raises it with the rule's message and "; re-run
-    ingest", and ``index.load_index``'s refusal of a level with its own.
+    ingest", as does, given ``embedder``, a level the corpus holds that the
+    footer stores no vectors for; and ``index.load_index``'s refusal of a
+    level with its own.
     """
     from .chunking import ChunkingConfig
     from .config import _section_from_dict
@@ -688,6 +697,11 @@ def load_artifacts(
         except InvalidCorpusError as exc:
             raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
         del id_table  # split into the corpus's ids, and freed before a level is read
+        stored = {fields[0] for fields, _ in levels}
+        missing = [level.value for level in corpus.levels if level not in stored]
+        if levels and missing:
+            raise SnapshotFormatError(
+                f"{path}: no vectors for the {missing[0]} level its corpus holds; re-run ingest")
         indices = {}
         for fields, level_sizes in levels:
             try:

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from itertools import chain
+from operator import methodcaller
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -318,9 +321,128 @@ def _bucket(token: str, dimension: int) -> int:
     return int.from_bytes(digest, "big") % dimension
 
 
-#: Count cells (rows times dimension) one block of a hashed-bow batch holds;
-#: the temporaries of an embed stay near 8 bytes per cell.
+def _buckets(tokens: list[str], dimension: int) -> np.ndarray:
+    """``_bucket`` of each token, with no Python call per token."""
+    hashes = map(partial(hashlib.blake2b, digest_size=8), map(str.encode, tokens))
+    return np.frombuffer(b"".join(map(methodcaller("digest"), hashes)), dtype=">u8") % dimension
+
+
+#: Count cells (rows times dimension), and characters of text, one block of
+#: a hashed-bow batch holds (or one longer text); the temporaries of an
+#: embed stay near 8 bytes per cell and 20 per character.
 _BLOCK_CELLS = 1 << 15
+_BLOCK_CHARS = 1 << 16
+
+
+class PieceTable(dict):
+    """A hashed-bow embedder's batch state: each distinct whitespace piece's
+    run of buckets, stored once, and each token's bucket.
+
+    ``table[piece]`` is the piece's id, given on first sight; once the block
+    that saw it is looked up, id ``i``'s buckets, one per token in order,
+    are ``store[bounds[i]:bounds[i + 1]]``. Before a block, the table is
+    emptied if it holds more than ``tokens._MEMO_SIZE`` pieces or pieces of
+    more than ``tokens._MEMO_CHARS`` characters, so it is bounded by those
+    plus one block's pieces; ``token_buckets`` is bounded so too.
+
+    Looking pieces up pays only where they repeat; a block of new pieces is
+    cheaper scanned whole. So the table counts, over a window of roughly
+    the last ``_BLOCK_CHARS`` characters looked up, how many belonged to
+    new pieces. While more than half did, it rests: the next blocks, for as
+    many characters as that window plus twice the rest before (up to
+    ``tokens._MEMO_MAX_REST``), are scanned whole, and then a block is
+    looked up again. Resting changes no result, only which of two exact
+    paths runs.
+    """
+
+    def __init__(self, dimension: int) -> None:
+        super().__init__()
+        self.dimension = dimension
+        #: Pieces given an id since the last block was looked up.
+        self.new: list[str] = []
+        self.bounds = array("q", [0])
+        self.store = array("H")
+        self.chars = 0
+        self.token_buckets: dict[str, int] = {}
+        #: Pieces whose buckets were computed, and texts scanned whole.
+        self.misses = 0
+        self.scanned = 0
+        #: Characters looked up, and those of new pieces, in the window.
+        self.looked = 0
+        self.missed = 0
+        #: Characters of text left to scan whole.
+        self.resting = 0
+        self._rest = 0
+
+    def __missing__(self, piece: str) -> int:
+        self.new.append(piece)
+        piece_id = self[piece] = len(self)
+        return piece_id
+
+    def buckets(self, texts: list[str], chars: int) -> tuple[np.ndarray, np.ndarray]:
+        """The bucket of every token of ``texts``, lowercased texts of
+        ``chars`` characters in all, in order, and each text's token count."""
+        if self.resting > 0:
+            self.resting -= chars
+            self.scanned += len(texts)
+            return self.scan(texts)
+        if len(self) > tokens._MEMO_SIZE or self.chars > tokens._MEMO_CHARS:
+            self.clear()
+            self.bounds, self.store, self.chars = array("q", [0]), array("H"), 0
+        pieces = list(map(str.split, texts))
+        per_text = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+        ids = np.fromiter(map(self.__getitem__, chain.from_iterable(pieces)),
+                          dtype=np.int64, count=int(per_text.sum()))
+        del pieces
+        self._learn(chars)
+        bounds = np.frombuffer(self.bounds, dtype=np.int64)
+        first = bounds[ids]
+        lengths = bounds[ids + 1] - first
+        del bounds  # a view of ``self.bounds``, which cannot grow while it lives
+        # Each piece's run, gathered from the store in text order.
+        before = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=before[1:])
+        at = np.repeat(first - before[:-1], lengths)
+        at += np.arange(len(at))
+        piece_ends = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(per_text, out=piece_ends[1:])
+        return np.frombuffer(self.store, dtype=np.uint16)[at], np.diff(before[piece_ends])
+
+    def scan(self, strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The bucket of every token of ``strings``, each tokenized whole, in
+        order, and each string's token count."""
+        found = list(map(WordPunctTokenizer.tokens, strings))
+        counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+        found = list(chain.from_iterable(found))
+        known = self.token_buckets
+        if len(known) > tokens._MEMO_SIZE:
+            known.clear()
+        new = [token for token in dict.fromkeys(found) if token not in known]
+        if new:
+            known.update(zip(new, _buckets(new, self.dimension).tolist()))
+        return np.fromiter(map(known.__getitem__, found), dtype=np.uint16, count=len(found)), counts
+
+    def _learn(self, looked: int) -> None:
+        """Store the new pieces' bucket runs, out of a block of ``looked``
+        characters, and judge whether to rest."""
+        new, self.new = self.new, []
+        missed = 0
+        if new:
+            buckets, counts = self.scan(new)
+            self.store.frombytes(buckets.tobytes())
+            self.bounds.frombytes((np.cumsum(counts) + self.bounds[-1]).tobytes())
+            missed = sum(map(len, new))
+            self.chars += missed
+            self.misses += len(new)
+        self.looked += looked
+        self.missed += missed
+        if 2 * self.missed > self.looked:
+            self._rest = self.resting = min(2 * self._rest + self.looked, tokens._MEMO_MAX_REST)
+        else:
+            self._rest = 0
+        if self.looked > _BLOCK_CHARS:
+            self.looked //= 2
+            self.missed //= 2
 
 
 class HashedBowEmbedder:
@@ -335,25 +457,30 @@ class HashedBowEmbedder:
     basis vector. The dimension lies in ``1..MAX_CSR_DIMENSION``, so that
     every bucket fits a ``<u2`` CSR column.
 
-    A batch comes back as a ``CsrBatch``, built a block of rows at a time:
-    one ``np.bincount`` counts every (row, bucket) pair of the block, so no
-    dense row is made. Each value is ``float32(count / norm)`` with the
-    norm taken over exact float64 integer squares, so the rows are
-    bit-identical to the recipe applied one text at a time. A batch of one
-    text, a query, comes back as a dense ``(1, d)`` block instead: search
-    reads the query dense, and one row is built with fewer numpy calls so.
+    A batch comes back as a ``CsrBatch``, built a block of rows at a time
+    (at most ``_BLOCK_CELLS`` cells and ``_BLOCK_CHARS`` characters, or one
+    text): one ``np.bincount`` counts every (row, bucket) pair of the block,
+    so no dense row is made. Each value is ``float32(count / norm)`` with
+    the norm taken over exact float64 integer squares, so the rows are
+    bit-identical to the recipe applied one text at a time.
 
-    Where pieces repeat, the tokenizer runs once per distinct piece, not
-    once per text: a row's buckets come from the embedder's
-    ``hrr.tokens.Memo`` of piece to bucket list, over the ``str.split()``
-    pieces of the lowercased text in order, and each token's bucket from
-    an ``lru_cache`` of token to bucket. This is the recipe's token sequence
-    exactly: a token holds no whitespace, and ``str.split`` splits where the
-    tokenizer's ``\\s`` does (see ``hrr.tokens``). The whole text is
-    lowercased before it is split, as the recipe says, so context-dependent
-    lowercasing such as a final sigma is unchanged. While the memo rests, a
-    text is tokenized whole and its tokens looked up in the cache one by
-    one, as before the memo.
+    A block's buckets come from the embedder's ``PieceTable``: each text is
+    lowercased whole, as the recipe says (so context-dependent lowercasing
+    such as a final sigma is unchanged), and split with ``str.split()``;
+    the pieces' ids gather their runs of buckets with numpy, so no Python
+    int is made per token, and the tokenizer runs once per distinct piece,
+    not once per text. This is the recipe's token sequence exactly: a token
+    holds no whitespace, and ``str.split`` splits where the tokenizer's
+    ``\\s`` does (see ``hrr.tokens``). While the table rests, each text is
+    tokenized whole instead. New tokens are hashed a list at a time
+    (``_buckets``, equal to ``_bucket``). Batches share the table, so one
+    runs at a time.
+
+    A batch of one text, a query, comes back as a dense ``(1, d)`` block
+    instead: search reads the query dense, and one row is built with fewer
+    numpy calls so. Its buckets come from a ``hrr.tokens.Memo`` of piece to
+    bucket list, which rests on the text's own misses, and an ``lru_cache``
+    of token to bucket.
     """
 
     name = "hashed-bow"
@@ -367,6 +494,9 @@ class HashedBowEmbedder:
         # Lists, not tuples: CPython keeps freed short tuples on free lists,
         # so a batch's resting texts would leave thousands of them behind.
         self._pieces = tokens.Memo(lambda text: list(map(bucket, scan(text))), _joined)
+        self._table = PieceTable(dimension)
+        # The table is shared state: one batch uses it at a time.
+        self._table_lock = threading.Lock()
 
     @property
     def dimension(self) -> int:
@@ -375,22 +505,33 @@ class HashedBowEmbedder:
     def embed_batch(self, texts: Sequence[str]) -> CsrBatch | np.ndarray:
         if len(texts) == 1:
             return self._embed_one(texts[0])
+        with self._table_lock:
+            return self._embed_rows(texts)
+
+    def _embed_rows(self, texts: Sequence[str]) -> CsrBatch:
         dimension = self._dimension
-        step = max(1, _BLOCK_CELLS // dimension)
+        rows = max(1, _BLOCK_CELLS // dimension)
+        ends = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)))
         indptr = np.zeros(len(texts) + 1, dtype=np.int64)
         columns, values = [], []
-        for start in range(0, len(texts), step):
-            block = texts[start : start + step]
-            counts = np.bincount(self._bucket_cells(block))
+        start = 0
+        while start < len(texts):
+            # One text or more: at most ``rows`` of them, of ``_BLOCK_CHARS``.
+            taken = int(ends[start - 1]) if start else 0
+            stop = int(np.searchsorted(ends, taken + _BLOCK_CHARS, "right"))
+            stop = min(start + rows, max(start + 1, stop))
+            block = texts[start:stop]
+            counts = np.bincount(self._bucket_cells(block, int(ends[stop - 1]) - taken))
             cells = np.flatnonzero(counts)
-            rows, cols = np.divmod(cells, dimension)
+            block_rows, cols = np.divmod(cells, dimension)
             counts = counts[cells].astype(np.float64)
-            norms = np.sqrt(np.bincount(rows, weights=counts * counts))
-            values.append((counts / norms[rows]).astype(np.float32))
+            norms = np.sqrt(np.bincount(block_rows, weights=counts * counts))
+            values.append((counts / norms[block_rows]).astype(np.float32))
             columns.append(cols.astype(np.uint16))
-            row_ends = indptr[start + 1 : start + 1 + len(block)]
-            np.cumsum(np.bincount(rows, minlength=len(block)), out=row_ends)
+            row_ends = indptr[start + 1 : stop + 1]
+            np.cumsum(np.bincount(block_rows, minlength=len(block)), out=row_ends)
             row_ends += indptr[start]
+            start = stop
         # One array joined at a time, its pieces freed before the next.
         values = np.concatenate(values)
         return CsrBatch(indptr, np.concatenate(columns), values, dimension)
@@ -403,22 +544,18 @@ class HashedBowEmbedder:
         norm = math.sqrt(np.square(counts).sum())
         return (counts / norm).astype(np.float32).reshape(1, -1)
 
-    def _bucket_cells(self, block: Sequence[str]) -> np.ndarray:
-        """``row * dimension + bucket`` for every token of every text in ``block``.
+    def _bucket_cells(self, block: Sequence[str], chars: int) -> np.ndarray:
+        """``row * dimension + bucket`` for every token of every text in
+        ``block``, which holds ``chars`` characters.
 
         A text without tokens counts once in bucket 0.
         """
-        buckets_of = self._buckets_of
-        flat: list[int] = []
-        lengths: list[int] = []
-        for text in block:
-            before = len(flat)
-            flat.extend(buckets_of(text))
-            if len(flat) == before:
-                flat.append(0)
-            lengths.append(len(flat) - before)
-        cells = np.array(flat, dtype=np.int64)
-        cells += np.repeat(np.arange(0, len(block) * self._dimension, self._dimension), lengths)
+        buckets, counts = self._table.buckets(list(map(str.lower, block)), chars)
+        cells = np.repeat(np.arange(0, len(block) * self._dimension, self._dimension), counts)
+        cells += buckets
+        tokenless = np.flatnonzero(counts == 0)
+        if len(tokenless):
+            cells = np.concatenate([cells, tokenless * self._dimension])
         return cells
 
     def _buckets_of(self, text: str) -> list[int]:

@@ -108,6 +108,7 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     documents = read_documents(docs_dir)
     tokenizer = get_tokenizer(config.tokenizer)
     corpus = build_corpus(documents, config.chunking, tokenizer)
+    del documents  # the corpus holds their bytes; the text is not held while levels embed
 
     violations = validate_corpus(corpus)
     if violations:
@@ -118,7 +119,7 @@ def ingest(docs_dir: str | Path, config: EngineConfig) -> IngestSummary:
     indexes = (build_index(corpus, level, embedder) for level in corpus.levels)
     save_corpus(corpus, config.paths.corpus_dir, indexes, embedder)
     return IngestSummary(
-        documents=len(documents),
+        documents=len(corpus.documents),
         chunks_per_level={level.value: len(corpus.rows_at(level)) for level in corpus.levels},
         dimension=embedder.dimension,
     )

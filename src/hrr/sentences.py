@@ -21,7 +21,9 @@ input.
 
 from __future__ import annotations
 
-import re
+import numpy as np
+
+from .tokens import _SPACE, _WORD, classify
 
 #: Words whose trailing period does not end a sentence. Single letters are
 #: suppressed by rule and need not be listed.
@@ -33,74 +35,167 @@ ABBREVIATIONS = frozenset(
     """.split()
 )
 
-#: A run of terminators; its group is the whitespace after the run.
-_RUN_RE = re.compile(r"[.!?]+(\s*)")
-_BLANK_LINE_RE = re.compile(r"\n[ \t\r]*\n")
-_NON_SPACE_RE = re.compile(r"\S")
-_WORD_BEFORE_RE = re.compile(r"(\w+)\Z")
 #: How far back from a period the word before it is read: one character
 #: more than the longest abbreviation.
 _LOOK_BACK = 1 + max(map(len, ABBREVIATIONS))
 
+_PERIOD, _NEWLINE = ord("."), ord("\n")
 
-def split_sentences(text: str) -> list[tuple[int, int]]:
+
+def _table(chars: bytes) -> np.ndarray:
+    """Whether each of the code points 0-255 is one of ``chars``."""
+    table = np.zeros(256, dtype=bool)
+    table[list(chars)] = True
+    return table
+
+
+_TERMINATOR = _table(b".!?")
+#: What a blank line may hold between its two newlines.
+_BLANK_FILL = _table(b" \t\r")
+
+
+def _is(table: np.ndarray, code_points: np.ndarray) -> np.ndarray:
+    """``table``'s entry for each code point, False past 255."""
+    if code_points.dtype == np.uint8:
+        return table[code_points]
+    return table[np.minimum(code_points, 255)] & (code_points < 256)
+
+
+#: Each abbreviation's ASCII codes read as one big-endian integer, sorted.
+#: A window's word, its codes right-aligned with 0 before them, reads as
+#: one of these exactly when it is an abbreviation (``_is_abbreviation``).
+_ABBREVIATION_KEYS = np.array(
+    sorted(int.from_bytes(word.encode("ascii"), "big") for word in ABBREVIATIONS),
+    dtype=np.uint64)
+
+
+class SentenceSpans:
+    """Sentence spans as one ``(n, 2)`` int64 array, ``array[i]`` being
+    sentence ``i``'s ``(start, end)``.
+
+    It reads as a sequence of ``(start, end)`` int pairs and equals a list
+    of the same pairs; ``np.asarray`` gives the array itself, so the chunker
+    makes no tuple per sentence.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self):
+        return map(tuple, self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.array if dtype is None else self.array.astype(dtype, copy=False)
+
+    def __repr__(self) -> str:
+        return f"SentenceSpans({list(self)!r})"
+
+
+def split_sentences(text: str) -> SentenceSpans:
     """Split ``text`` into ordered, non-overlapping sentence spans.
 
     Spans are (start, end) character offsets. Whitespace-only input yields
-    an empty list.
+    no span.
 
-    Each block between blank lines is read in one pass over its terminator
-    runs, each matched with the whitespace after it, so where the next
-    sentence would start is known without a scan of its own. This keeps
-    to the module's rules exactly:
+    A sentence ends inside a run of whitespace, so the rules reduce to
+    which whitespace runs break, and a few array passes over the text's
+    code points (``tokens.classify``: its bytes when it is ASCII) find
+    them: the runs come from the positions of every whitespace character;
+    a run breaks if it holds a blank line, or if a terminator run ends
+    where it starts and an uppercase letter follows it, the period's word
+    being read off a window of the ``_LOOK_BACK`` code points before it.
+    Each sentence then runs from the end of one breaking run to the start
+    of the next. This keeps to the rules exactly:
 
-    * ``\\s``, ``\\S`` and ``str.rstrip()`` are whitespace where
-      ``isspace()`` is (``hrr.tokens`` says how a test checks this), so a
-      run's whitespace ends at the next sentence's first character and the
-      last sentence of a block is trimmed as the rules say;
-    * a period's word is read at most ``_LOOK_BACK`` characters back. For
-      a longer word the window holds ``_LOOK_BACK`` word characters, which
-      lowercase to at least as many (lowercasing never empties a
-      character): too long for an abbreviation and not a single letter,
-      just as the whole word is.
+    * ``isspace()`` is whitespace, as ``\\s`` and ``str.strip()`` are
+      (``hrr.tokens`` says how a test checks this), so the spans are tight;
+    * a blank line is a newline whose next character other than a space,
+      tab or ``\\r`` is a newline, so it lies inside one whitespace run;
+    * a period's word is at most ``_LOOK_BACK`` characters: for a longer
+      word the window holds ``_LOOK_BACK`` word characters, too many for an
+      abbreviation and not a single letter, just as the whole word is. A
+      word holding a non-ASCII character is no abbreviation: no such
+      character lowercases to ASCII but the Kelvin sign, to a ``k`` that
+      no abbreviation holds (a test checks every code point). An ASCII
+      word's lowercase is its codes with ``A``-``Z`` moved down.
     """
-    spans: list[tuple[int, int]] = []
-    for block_start, block_end in _blocks(text):
-        first = _NON_SPACE_RE.search(text, block_start, block_end)
-        if first is None:
-            continue
-        sent_start = first.start()
-        for run in _RUN_RE.finditer(text, sent_start, block_end):
-            run_end, nxt = run.span(1)
-            if (
-                run_end < nxt < block_end
-                and text[nxt].isupper()
-                and not (run_end - run.start() == 1 and text[run.start()] == "."
-                         and _is_abbreviation(text, run.start()))
-            ):
-                spans.append((sent_start, run_end))
-                sent_start = nxt
-        last = text[sent_start:block_end].rstrip()
-        spans.append((sent_start, sent_start + len(last)))
-    return spans
+    code_points, classes = classify(text)
+    size = len(code_points)
+    gaps = np.flatnonzero(classes == _SPACE)
+    # Whitespace run r covers [run_start[r], run_end[r]); run_of[g] is the
+    # run of gaps[g].
+    apart = gaps[1:] - 1 != gaps[:-1]
+    starts_run, ends_run = np.ones((2, len(gaps)), dtype=bool)
+    starts_run[1:] = ends_run[:-1] = apart
+    run_start, run_end = gaps[starts_run], gaps[ends_run] + 1
+    head = run_end[0] if len(gaps) and run_start[0] == 0 else 0
+    tail = run_start[-1] if len(gaps) and run_end[-1] == size else size
+    if head >= tail:
+        return SentenceSpans(np.zeros((0, 2), dtype=np.int64))
+    inner = np.flatnonzero((run_start > 0) & (run_end < size))
+
+    # Runs holding a blank line: two newlines with only blank fill between.
+    run_of = np.cumsum(starts_run) - 1
+    hard = np.flatnonzero(~_is(_BLANK_FILL, code_points[gaps]))
+    newline = code_points[gaps[hard]] == _NEWLINE
+    pair = newline[:-1] & newline[1:] & (run_of[hard[:-1]] == run_of[hard[1:]])
+    blank = run_of[hard[:-1][pair]]
+
+    # Runs after a terminator run and before an uppercase letter.
+    after = inner[_is(_TERMINATOR, code_points[run_start[inner] - 1])]
+    after = after[_is_upper(code_points[run_end[after]])]
+    period = run_start[after] - 1
+    single = code_points[period] == _PERIOD
+    single[single] = (period[single] < 1) | ~_is(_TERMINATOR, code_points[period[single] - 1])
+    single[single] = _is_abbreviation(code_points, classes, period[single])
+    breaking = np.zeros(len(run_start), dtype=bool)
+    breaking[blank] = breaking[after[~single]] = True
+    breaks = np.flatnonzero(breaking)
+    breaks = breaks[(run_start[breaks] > 0) & (run_end[breaks] < size)]
+    spans = np.empty((len(breaks) + 1, 2), dtype=np.int64)
+    spans[0, 0], spans[-1, 1] = head, tail
+    spans[1:, 0], spans[:-1, 1] = run_end[breaks], run_start[breaks]
+    return SentenceSpans(spans)
 
 
-def _blocks(text: str):
-    """Yield (start, end) of regions separated by blank lines."""
-    pos = 0
-    for match in _BLANK_LINE_RE.finditer(text):
-        if match.start() > pos:
-            yield pos, match.start()
-        pos = match.end()
-    if pos < len(text):
-        yield pos, len(text)
+def _is_upper(code_points: np.ndarray) -> np.ndarray:
+    """Whether each code point is an uppercase character."""
+    upper = (code_points >= ord("A")) & (code_points <= ord("Z"))
+    wide = np.flatnonzero(code_points >= 0x80)
+    if len(wide):
+        values, inverse = np.unique(code_points[wide], return_inverse=True)
+        upper[wide] = np.array([chr(c).isupper() for c in values.tolist()])[inverse]
+    return upper
 
 
-def _is_abbreviation(text: str, period_pos: int) -> bool:
-    word = _WORD_BEFORE_RE.search(text, max(0, period_pos - _LOOK_BACK), period_pos)
-    if word is None:
-        return False
-    token = word.group(1)
-    if token.lower() in ABBREVIATIONS:
-        return True
-    return len(token) == 1 and word.start() > 0 and text[word.start() - 1] == "."
+def _is_abbreviation(
+    code_points: np.ndarray, classes: np.ndarray, periods: np.ndarray
+) -> np.ndarray:
+    """Whether the word before each single period is an abbreviation, or a
+    single letter directly preceded by another period."""
+    at = periods[:, None] + np.arange(-_LOOK_BACK, 0)
+    inside = at >= 0
+    at = np.where(inside, at, 0)
+    # The word is the run of word characters that ends at the period.
+    word = np.cumprod((inside & (classes[at] == _WORD))[:, ::-1], axis=1)[:, ::-1].astype(bool)
+    length = word.sum(axis=1)
+    codes = np.where(word, code_points[at], 0)
+    ascii_word = (codes < 0x80).all(axis=1)
+    codes = codes + 32 * ((codes >= ord("A")) & (codes <= ord("Z")))
+    # Each window's lowercased word, right-aligned in 8 bytes, read as one integer.
+    rows = np.zeros((len(codes), 8), dtype=np.uint8)
+    rows[:, 8 - _LOOK_BACK :] = codes & 0xFF
+    keys = rows.view(">u8")[:, 0].astype(np.uint64)
+    found = _ABBREVIATION_KEYS[np.searchsorted(_ABBREVIATION_KEYS[:-1], keys)]
+    abbreviation = ascii_word & (found == keys)
+    letter = (length == 1) & (periods >= 2)
+    letter[letter] = code_points[periods[letter] - 2] == _PERIOD
+    return abbreviation | letter

@@ -161,6 +161,20 @@ def _learn(blocks: list[int]) -> None:
 _learn([0])
 
 
+def classify(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The code points of ``text`` (its bytes, ``uint8``, when it is ASCII,
+    else ``<u4``) and the class of each, ``_SPACE``, ``_WORD`` or ``_OTHER``."""
+    if text.isascii():
+        code_points = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        blocks = code_points >> 8
+        new = blocks[~_KNOWN[blocks]]
+        if len(new):
+            _learn(new.tolist())
+    return code_points, _CLASSES.take(code_points)
+
+
 class WordPunctTokenizer:
     """Whitespace-and-punctuation tokenizer.
 
@@ -185,13 +199,7 @@ class WordPunctTokenizer:
         return self._counts.of(text)
 
     def token_spans(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        if not text.isascii():
-            blocks = code_points >> 8
-            new = blocks[~_KNOWN[blocks]]
-            if len(new):
-                _learn(new.tolist())
-        classes = _CLASSES.take(code_points)
+        classes = classify(text)[1]
         # ``word`` is padded with a non-word entry at each end.
         word = np.zeros(len(classes) + 2, dtype=bool)
         np.equal(classes, _WORD, out=word[1:-1])

@@ -833,8 +833,8 @@ class TestCliErrors:
 
     def test_missing_index_for_corpus_level_is_io_error(self, workdir, capsys):
         """A file that stores no vectors for a level its corpus holds, here
-        the side tier, answers the strategies that do not search it and
-        stops the one that does with one line."""
+        the side tier, is refused at load under every strategy, searched or
+        not, with one line that names it and asks for a re-ingest."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
         path = Path("corpus") / "nodes.bin"
         nodes = _read_nodes(path)
@@ -842,11 +842,13 @@ class TestCliErrors:
         assert side["level"] == "sub_intermediate"
         nodes.vectors = nodes.vectors[: -(8 * (side["count"] + 1) + 6 * side["nnz"])]
         _write_nodes(path, nodes)
-        assert main(["query", "x", "--strategy", "hrr", "--config", "engine.json"]) == EXIT_OK
         capsys.readouterr()
-        assert main(["query", "x", "--strategy", "c2p", "--config", "engine.json"]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert "no index for level 'sub_intermediate'" in err and err.count("\n") == 1
+        for strategy in ("hrr", "base", "c2p", "s2p"):
+            assert main(["query", "x", "--strategy", strategy, "--config", "engine.json"]) \
+                == EXIT_IO
+            assert capsys.readouterr().err == (
+                f"error: {path}: no vectors for the sub_intermediate level its corpus holds; "
+                "re-run ingest\n")
 
     def test_duplicate_chunk_id_is_io_error(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +104,21 @@ class TestHashedBow:
 #: sharp s, astral letters and symbols, punctuation and whitespace.
 TRICKY = "İiΣσςßẞ𐐀𐐨𝔘😀a1_.,!?-—'\" \t\n"
 
+#: Texts a piece table can get wrong: a NUL, whitespace only (no token), a
+#: dotted capital I, a final sigma, a sharp s and astral characters, within
+#: a piece and alone.
+EDGE_TEXTS = st.sampled_from([
+    "a\x00b", "\x00", " \x00 ", " ", "\t\n\r\x0c ", "\x85\u2003", "İ", "İstanbul İi",
+    "ΟΔΟΣ", "aΣ", "ΣΑΣ σας", "straße", "STRASSE ß ẞ", "𐐀𐐨 𝔘", "😀", "a😀b 😀!", "𝔘𝔫𝔦\x00𐐀",
+])
+
 #: Non-empty texts: tricky characters, runs of punctuation, whitespace only.
 TEXTS = st.one_of(
     st.text(alphabet=TRICKY, min_size=1, max_size=40),
     st.text(min_size=1, max_size=40),
     st.text(alphabet="?!.,;:-", min_size=1, max_size=12),
     st.text(alphabet=" \t\n\r", min_size=1, max_size=5),
+    EDGE_TEXTS,
 )
 
 
@@ -118,16 +129,56 @@ class TestBatchOracle:
         texts=st.lists(TEXTS, min_size=1, max_size=12),
         dimension=st.sampled_from([16, 384]),
         block_rows=st.integers(1, 5),
+        block_chars=st.one_of(st.integers(1, 80), st.just(embedding._BLOCK_CHARS)),
     )
     @settings(max_examples=150, deadline=None)
-    def test_rows_equal_reference_across_block_edges(self, texts, dimension, block_rows):
+    def test_rows_equal_reference_across_block_edges(self, texts, dimension, block_rows,
+                                                     block_chars):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(embedding, "_BLOCK_CELLS", block_rows * dimension)
+            mp.setattr(embedding, "_BLOCK_CHARS", block_chars)
             rows = embed_batch(HashedBowEmbedder(dimension), texts)
         assert len(rows) == len(texts)
         for text, row in zip(texts, rows):
             assert row.dtype == np.float32
             assert row.tobytes() == reference_vector(text, dimension).tobytes()
+
+    @pytest.mark.parametrize("block_chars", [1, 40, 1 << 18])
+    def test_a_batch_of_only_new_pieces(self, block_chars, monkeypatch):
+        """After a batch of other words, a batch whose every piece is new
+        to the piece table, looked up or scanned whole, is the recipe too."""
+        monkeypatch.setattr(embedding, "_BLOCK_CHARS", block_chars)
+        embedder = HashedBowEmbedder(64)
+        known = [f"old{i} word{i % 3}." for i in range(20)]
+        new = [f"NEW{i}x ÜBER{i}Σ 𐐀{i}, ß{i}" for i in range(30)]
+        for batch in (known, new, known + new):
+            rows = embed_batch(embedder, batch)
+            expected = [reference_vector(text, 64).tobytes() for text in batch]
+            assert [row.tobytes() for row in rows] == expected
+
+    def test_threads_embedding_at_once_get_the_recipe(self, monkeypatch):
+        """Threads that embed batches through one embedder at once, as a
+        service does, each get the recipe's rows: batches share the piece
+        table, so one runs at a time."""
+        monkeypatch.setattr(embedding, "_BLOCK_CHARS", 50)
+        embedder = HashedBowEmbedder(32)
+        batches = [[f"w{i}x{j} shared{j % 5}. Σ{i}" for j in range(150)] for i in range(8)]
+        expected = [[reference_vector(text, 32).tobytes() for text in batch] for batch in batches]
+        start = threading.Barrier(len(batches))
+
+        def embed(batch):
+            start.wait(timeout=60)
+            return embedder.embed_batch(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+                futures = [pool.submit(embed, batch) for batch in batches]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [[row.tobytes() for row in rows] for rows in results] == expected
 
     def test_multi_text_batch_is_csr(self):
         rows = embed_batch(HashedBowEmbedder(384), ["alpha beta", "gamma", " "])

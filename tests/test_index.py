@@ -116,7 +116,8 @@ def dim_for(layout: str, dense_dim: int) -> int:
 def random_index(rng: random.Random, n: int, dim: int, layout: str = "dense") -> LevelIndex:
     ids = [f"c{i:04d}" for i in range(n)]
     vectors = in_layout(ROWS[layout](rng, n, dim), layout)
-    index = LevelIndex(level_corpus(ids), Level.SENTENCE, vectors)
+    # Parents alone make a corpus, so the index is its one level.
+    index = LevelIndex(level_corpus(ids, Level.PARENT), Level.PARENT, vectors)
     assert index.layout == layout
     return index
 
@@ -808,18 +809,31 @@ def provider(dimension: int, name: str = EMBEDDER) -> SimpleNamespace:
     return SimpleNamespace(name=name, dimension=dimension)
 
 
+def every_level(index: LevelIndex) -> list[LevelIndex]:
+    """``index``, then an index of each other level of its corpus, in its
+    layout and dimension, each row the first basis vector: a file stores
+    every level of its corpus."""
+    others = []
+    for level in index.corpus.levels:
+        if level != index.level:
+            rows = np.zeros((len(index.corpus.rows_at(level)), index.dimension), np.float32)
+            rows[:, 0] = 1.0
+            others.append(LevelIndex(index.corpus, level, in_layout(rows, index.layout)))
+    return [index, *others]
+
+
 def saved(index: LevelIndex, directory: Path) -> Path:
-    """Save ``index``'s corpus in ``directory``, with ``index`` as its one
-    stored level, made by ``EMBEDDER``; return the file written."""
-    save_corpus(index.corpus, directory, [index], provider(index.dimension))
+    """Save ``index``'s corpus in ``directory``, with ``index`` as its first
+    stored level (``every_level``), made by ``EMBEDDER``; return the file
+    written."""
+    save_corpus(index.corpus, directory, every_level(index), provider(index.dimension))
     return Path(directory) / "nodes.bin"
 
 
 def reloaded(directory: Path, dimension: int, name: str = EMBEDDER) -> LevelIndex:
-    """The one index stored in ``directory``'s file, loaded for the embedder
-    ``name`` at ``dimension``."""
-    (index,) = load_artifacts(directory, provider(dimension, name))[1].values()
-    return index
+    """The first index stored in ``directory``'s file, loaded for the
+    embedder ``name`` at ``dimension``."""
+    return next(iter(load_artifacts(directory, provider(dimension, name))[1].values()))
 
 
 def edited(path: Path, edit) -> None:
@@ -872,7 +886,7 @@ class TestSnapshots:
         nodes = _read_nodes(saved(index, tmp_path))
         assert nodes.vectors == dense_rows(index).astype("<f4").tobytes()
         assert nodes.footer == {"dimension": 6, "embedder": EMBEDDER, "levels": [
-            {"count": 10, "layout": "dense", "level": "sentence", "nnz": 60}]}
+            {"count": 10, "layout": "dense", "level": "parent", "nnz": 60}]}
 
     def test_hashed_bow_ingest_writes_every_level_as_csr(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -916,14 +930,19 @@ class TestSnapshots:
             reloaded(tmp_path, 6)
 
     def test_snapshot_of_another_level_is_refused(self, tmp_path, toy_corpus):
-        """Sentence vectors whose footer entry names the parent level do not
-        load as the parent level: their rows are not the corpus's parent
-        chunks."""
+        """Sentence vectors whose footer entry names the parent level (and
+        parent vectors named the sentence level) do not load as the parent
+        level: their rows are not the corpus's parent chunks."""
         embedder = HashedBowEmbedder(dimension=64)
         sentence = build_index(toy_corpus, Level.SENTENCE, embedder)
-        save_corpus(toy_corpus, tmp_path, [sentence], embedder)
-        edited(tmp_path / "nodes.bin",
-               lambda nodes: nodes.footer["levels"][0].update(level="parent"))
+        save_corpus(toy_corpus, tmp_path, every_level(sentence), embedder)
+
+        def swap(nodes):
+            first, parent = nodes.footer["levels"][:2]
+            assert (first["level"], parent["level"]) == ("sentence", "parent")
+            first["level"], parent["level"] = "parent", "sentence"
+
+        edited(tmp_path / "nodes.bin", swap)
         with pytest.raises(SnapshotFormatError) as exc:
             reloaded(tmp_path, 64)
         assert str(exc.value) == (f"{tmp_path / 'nodes.bin'}: {len(sentence)} rows do not "
@@ -950,6 +969,18 @@ class TestSnapshots:
             save_corpus(toy_corpus, tmp_path, indexes, embedder)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["nodes.bin"]
+
+    def test_a_set_missing_a_level_is_refused(self, tmp_path, toy_corpus):
+        """Given indexes, ``save_corpus`` stores one of each level its corpus
+        holds: a set that misses one is refused, and the earlier file kept."""
+        embedder = HashedBowEmbedder(dimension=64)
+        path = saved(build_index(toy_corpus, Level.PARENT, embedder), tmp_path)
+        before = path.read_bytes()
+        *kept, missing = toy_corpus.levels
+        indexes = [build_index(toy_corpus, level, embedder) for level in kept]
+        with pytest.raises(InvalidInputError, match=f"no {missing.value} index among those saved"):
+            save_corpus(toy_corpus, tmp_path, indexes, embedder)
+        assert path.read_bytes() == before
 
     def test_truncated_file(self, tmp_path):
         path = saved(random_index(random.Random(4), 10, 6), tmp_path)

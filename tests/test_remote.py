@@ -68,25 +68,28 @@ class TestRemoteEmbedder:
         query_rows = embed_batch(HashedBowEmbedder(dimension=DIM), queries)
         with StubServices(dimension=DIM) as stub:
             remote = RemoteEmbedder(stub.base_url, DIM, timeout=5.0, retries=0)
-            for level in toy_corpus.levels:
-                index = build_index(toy_corpus, level, remote)
-                assert index.layout == "dense"
-                for query in query_rows:
-                    for k in (1, 3, len(index)):
-                        assert_hits_are(search_hits(index, query, k), naive_top_k(index, query, k))
-                a, b = tmp_path / f"{level.value}.a", tmp_path / f"{level.value}.b"
-                save_corpus(toy_corpus, a, [index], remote)
-                corpus, indices = load_artifacts(a, remote)
-                assert indices[level].layout == "dense"
-                save_corpus(corpus, b, indices.values(), remote)
-                assert (a / "nodes.bin").read_bytes() == (b / "nodes.bin").read_bytes()
+            indexes = [build_index(toy_corpus, level, remote) for level in toy_corpus.levels]
+        for index in indexes:
+            assert index.layout == "dense"
+            for query in query_rows:
+                for k in (1, 3, len(index)):
+                    assert_hits_are(search_hits(index, query, k), naive_top_k(index, query, k))
+        a, b = tmp_path / "a", tmp_path / "b"
+        save_corpus(toy_corpus, a, indexes, remote)
+        corpus, indices = load_artifacts(a, remote)
+        assert [index.layout for index in indices.values()] == ["dense"] * len(indexes)
+        save_corpus(corpus, b, indices.values(), remote)
+        assert (a / "nodes.bin").read_bytes() == (b / "nodes.bin").read_bytes()
 
     def test_flipped_bit_in_a_dense_row_is_refused_at_load(self, toy_corpus, tmp_path):
         with StubServices(dimension=DIM) as stub:
             remote = RemoteEmbedder(stub.base_url, DIM, timeout=5.0, retries=0)
+            # The sentence level is stored last, after every other level.
+            indexes = [build_index(toy_corpus, level, remote) for level in toy_corpus.levels
+                       if level != Level.SENTENCE]
             index = build_index(toy_corpus, Level.SENTENCE, remote)
         assert index.layout == "dense"
-        save_corpus(toy_corpus, tmp_path, [index], remote)
+        save_corpus(toy_corpus, tmp_path, [*indexes, index], remote)
         path = tmp_path / "nodes.bin"
         data = bytearray(path.read_bytes())
         # The level's rows end where the header, its length and the magic begin.

@@ -1,5 +1,8 @@
 """Sentence boundary detection tests."""
 
+import sys
+
+import numpy as np
 import pytest
 import reference_text
 from hypothesis import given, settings
@@ -146,6 +149,68 @@ PIECE = st.one_of(
     st.sampled_from(["The", "the", "É", "Élan", "é", "Σ", "σ", "ǅ", "ǆ", "İt", "x", "Go"]),
     st.text(alphabet="aZÉǅ.!? \n\t", max_size=4),
 )
+
+
+#: Words of 1-7 letters before a period, abbreviations and dotted ones among
+#: them, the window's length and one more.
+PERIOD_WORD = st.one_of(
+    st.text(alphabet="abcdeXYZ", min_size=1, max_size=_LOOK_BACK),
+    ABBREVIATION,
+    st.sampled_from(["e.g", "i.e", "U.S", "a.b.c", "xapprox", "Approx", "St", "no"]),
+).map(lambda word: word + ".")
+#: ASCII documents: periods after words, other terminator runs, \r\n, a lone
+#: \r, form feeds and blank lines holding tabs, spaces and \r.
+ASCII_PIECE = st.one_of(
+    PERIOD_WORD,
+    st.sampled_from(["!", "?", "?!", "...", ".", "3.5", "A", "The", "next", "Go", "x", '"']),
+    st.sampled_from([" ", "  ", "\n", "\r\n", "\r", "\x0c", "\x0b", "\t", "\n\n",
+                     "\r\n\r\n", "\n\t\n", "\n \t\r\n", "\n\x0c\n", "\r\r"]),
+)
+#: What only the non-ASCII path reads: \x85 and other Unicode whitespace, and
+#: uppercase, titlecase and lowercase letters after a terminator.
+WIDE_ONLY = st.sampled_from(["\x85", "\u2003", "\xa0", "\n\x85\n", "É", "Élan", "İ",
+                             "İt", "ǅ", "ǅemal", "é", "Σ", ". É", "? İt", "! ǅ", "ÉTÉ."])
+WIDE_PIECE = st.one_of(ASCII_PIECE, WIDE_ONLY)
+
+
+class TestWholeDocuments:
+    """Drawn documents split as the reference splits them, on the path that
+    reads a document's bytes and on the one that reads its code points."""
+
+    @given(st.lists(ASCII_PIECE, max_size=80).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_ascii_documents(self, text):
+        assert text.isascii()
+        assert split_sentences(text) == reference_text.split_sentences(text)
+
+    @given(st.tuples(st.lists(WIDE_PIECE, max_size=40), WIDE_ONLY,
+                     st.lists(WIDE_PIECE, max_size=40)))
+    @settings(max_examples=400, deadline=None)
+    def test_non_ascii_documents(self, parts):
+        before, wide, after = parts
+        text = "".join(before) + wide + "".join(after)
+        assert not text.isascii()
+        assert split_sentences(text) == reference_text.split_sentences(text)
+
+    def test_spans_are_one_int64_array(self):
+        spans = split_sentences("One. Two.\n\nThree")
+        array = np.asarray(spans)
+        assert array.dtype == np.int64 and array.shape == (3, 2)
+        assert array.tolist() == [[0, 4], [5, 9], [11, 16]] and spans == [(0, 4), (5, 9), (11, 16)]
+
+
+def test_no_non_ascii_word_character_lowercases_into_an_abbreviation():
+    """The splitter reads a word holding a non-ASCII character as no
+    abbreviation. That is exact only if no such character lowercases to
+    ASCII letters an abbreviation holds; the Kelvin sign, to ``k``, is the
+    one that lowercases to ASCII at all."""
+    letters = set("".join(ABBREVIATIONS))
+    to_ascii = {}
+    for code in range(0x80, sys.maxunicode + 1):
+        char = chr(code)
+        if (char.isalnum() or char == "_") and char.lower().isascii():
+            to_ascii[char] = char.lower()
+    assert to_ascii == {"\u212a": "k"} and "k" not in letters
 
 
 class TestMatchesReference:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from reference_text import ReferenceTokenizer, span_pairs
 from test_embedding import reference_vector
 
-from hrr import tokens
+from hrr import embedding, tokens
 from hrr.embedding import HashedBowEmbedder, encodes_as_utf8
 from hrr.errors import ConfigError
 from hrr.tokens import WordPunctTokenizer, get_tokenizer
@@ -144,10 +144,13 @@ class TestMatchesReference:
         assert counts == list(map(ReferenceTokenizer().count_tokens, texts))
         assert len(clears) > len(texts)
         clears.clear()
-        # Its token-to-bucket cache holds 3 tokens too.
+        # Its token-to-bucket cache holds 3 tokens too, and with each text a
+        # block of its own, its piece table empties between the blocks.
+        monkeypatch.setattr(embedding.PieceTable, "clear", clear)
+        monkeypatch.setattr(embedding, "_BLOCK_CHARS", 1)
         small = HashedBowEmbedder(16).embed_batch(texts)
-        # The embedder's piece memo emptied itself many times within the batch.
-        assert len(clears) > len(texts)
+        # The embedder's piece table emptied itself many times within the batch.
+        assert len(clears) > len(texts) / 2
         for array in ("indptr", "columns", "values"):
             assert getattr(small, array).tobytes() == getattr(rows, array).tobytes()
 
@@ -171,13 +174,17 @@ class TestMatchesReference:
         for _ in range(10):
             assert tok.count_tokens(known) == 6 and memo.resting <= 0
         assert memo.misses == misses
+        # The embedder's piece table judges reuse over blocks, here of ~200
+        # characters: blocks of new words make it rest, scanning texts whole.
         texts = [known] * 50 + new + [known] * 5
+        monkeypatch.setattr(embedding, "_BLOCK_CHARS", 200)
         resting = HashedBowEmbedder(32)
         rows = resting.embed_batch(texts)
         monkeypatch.setattr(tokens, "_MEMO_MAX_REST", 0)
         awake = HashedBowEmbedder(32)
         awake_rows = awake.embed_batch(texts)
-        assert resting._pieces.misses < awake._pieces.misses
+        assert resting._table.scanned > len(new) / 2 and awake._table.scanned == 0
+        assert resting._table.misses < awake._table.misses
         for array in ("indptr", "columns", "values"):
             assert getattr(awake_rows, array).tobytes() == getattr(rows, array).tobytes()
 
