@@ -8,10 +8,11 @@ input's whitespace pieces repeat.
 ``unique`` (sentences of words that never recur), ``cjk`` (CJK sentences
 with no spaces, so a piece is a paragraph) and ``b64`` (base64-like runs,
 pieces of 40-400 characters). ``stats`` builds the corpus of DOCS_DIR and
-prints, over every level's chunk texts, the pieces and distinct pieces the
-token-count memo and the embedder's batches see, the pieces each computed
-and the share of texts each scanned whole (rested for); then the in-process
-seconds of chunking (``build_corpus``) and of the sentence split within it
+prints, over every level's chunk texts, the characters and tokens the
+recount counts (one ``count_each`` call), and the pieces and distinct
+pieces the embedder's batches see, the pieces it computed and the share of
+texts it scanned whole (rested for); then the in-process seconds of
+chunking (``build_corpus``) and of the sentence split within it
 (``split_sentences`` over every document), of the recount
 (``validate_corpus``) and of embedding every level with one embedder, the
 best of three. Run ``stats`` with ``PYTHONPATH`` set to each of two trees
@@ -91,29 +92,18 @@ def stats(docs: Path) -> None:
     corpus = build_corpus(documents)
     levels = [corpus.texts_at(level) for level in corpus.levels]
     texts = [text for level in levels for text in level]
-    tokenizer, embedder = WordPunctTokenizer(), HashedBowEmbedder()
-    table = getattr(embedder, "_table", None)
-    for name, memo, use, prepare in (
-        ("count", getattr(tokenizer, "_counts", None), tokenizer.count_tokens, str),
-        # A tree whose batches use a piece table reports it; an older tree,
-        # its memo of pieces one text at a time.
-        ("embed", None if table is not None else getattr(embedder, "_pieces", None),
-         getattr(embedder, "_buckets_of", None), str.lower),
-    ):
-        pieces = [piece for text in texts for piece in prepare(text).split()]
-        line = f"{name}: {len(pieces)} pieces, {len(set(pieces))} distinct"
-        if memo is not None:  # a tree with the piece memos
-            rested = 0
-            for text in texts:
-                rested += memo.resting > 0
-                use(text)
-            line += f", {memo.misses} computed, {rested / len(texts):.1%} of texts rested"
-        elif name == "embed" and table is not None:
-            for level in levels:
-                embedder.embed_batch(level)
-            line += (f", {table.misses} computed, "
-                     f"{table.scanned / len(texts):.1%} of texts rested")
-        print(line)
+    tokenizer = WordPunctTokenizer()
+    # A tree before ``count_each`` counts one text at a time.
+    counted = (tokenizer.count_each(texts).sum() if hasattr(tokenizer, "count_each")
+               else sum(map(tokenizer.count_tokens, texts)))
+    print(f"count: {len(texts)} texts, {sum(map(len, texts))} characters, {counted} tokens")
+    embedder = HashedBowEmbedder()
+    for level in levels:
+        embedder.embed_batch(level)
+    pieces = [piece for text in texts for piece in text.lower().split()]
+    print(f"embed: {len(pieces)} pieces, {len(set(pieces))} distinct, "
+          f"{embedder._table.misses} computed, "
+          f"{embedder._table.scanned / len(texts):.1%} of texts rested")
 
     def embed() -> None:
         fresh = HashedBowEmbedder()

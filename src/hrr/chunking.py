@@ -49,8 +49,11 @@ starts and ends. A tokenizer that breaks the contract leaves counts that
 are wrong, and ingest fails: at overlap 0 the corpus refuses children
 whose counts do not sum to their owner's (``InvalidCorpusError``), and
 ``validate_corpus``'s recount reports every count that differs from the
-node's own text's as ``TokenCountDrift``. One that puts a sentence inside
-a single token is refused at once: that sentence's count is negative.
+node's own text's as ``TokenCountDrift``. The recount never reads these
+spans: it decodes each node's bytes and counts the texts with the
+tokenizer's ``count_each``, a batch of them per call, each text on its own.
+One that puts a sentence inside a single token is refused at once: that
+sentence's count is negative.
 """
 
 from __future__ import annotations

@@ -437,6 +437,12 @@ def resolve_parent(corpus: Corpus, chunk_id: str, target_level: Level) -> str:
     return corpus._ids[corpus.ancestor_rows([corpus._row(chunk_id)], target_level)[0]]
 
 
+#: Most bytes of node text ``validate_corpus`` recounts with one
+#: ``count_each`` call, so at most as many characters (a longer node is
+#: counted alone).
+_RECOUNT_BYTES = 1 << 18
+
+
 def validate_corpus(corpus: Corpus) -> list[Violation]:
     """Recount the corpus's tokens; an empty list means the corpus is sound.
 
@@ -445,25 +451,43 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     whenever a corpus is built or loaded, so this checks what it does not:
     each stored token count against a recount of the node's text
     (``TokenCountDrift``) and the level budgets (``BudgetExceeded``). The
-    recount tokenizes every node's text on its own, so it is the oracle for
-    the ``Tokenizer`` locality contract the chunker's counts rely on. Pure
-    function: same corpus, same violations, in row order. Reads the node
-    table row by row and builds no node.
+    recount decodes every node's text from its own bytes and counts it on
+    its own, so it is the oracle for the ``Tokenizer`` locality contract
+    the chunker's counts rely on: the texts go to the tokenizer's
+    ``count_each`` in row order, in batches of at most ``_RECOUNT_BYTES``,
+    and the counts are checked with array compares. Pure function: same
+    corpus, same violations, in row order, a node's drift before its
+    budget. Builds a ``Violation`` only for a node that fails, and no node.
     """
-    violations: list[Violation] = []
-    count_tokens = get_tokenizer(corpus.tokenizer_name).count_tokens
+    count_each = get_tokenizer(corpus.tokenizer_name).count_each
+    columns, documents = corpus._cols, corpus._doc_bytes
+    counted = np.empty(len(corpus), dtype=np.int64)
+    # A batch ends before the first row past ``_RECOUNT_BYTES`` more bytes.
+    ends = np.cumsum(columns.end - columns.start)
+    low = 0
+    while low < len(counted):
+        before = ends[low - 1] if low else 0
+        high = max(int(np.searchsorted(ends, before + _RECOUNT_BYTES, "right")), low + 1)
+        spans = (column[low:high].tolist() for column in (columns.doc, columns.start, columns.end))
+        counted[low:high] = count_each(
+            [documents[doc][start:end].decode("utf-8") for doc, start, end in zip(*spans)]
+        )
+        low = high
     budgets = [corpus.config.budget(level) for level in _LEVELS]
-    documents, view = corpus._doc_bytes, corpus._view
-    level, doc, start, end, stored = view.level, view.doc, view.start, view.end, view.token_count
-    for row, chunk_id in enumerate(corpus._ids):
-        counted = count_tokens(documents[doc[row]][start[row] : end[row]].decode("utf-8"))
-        if counted != stored[row]:
+    limits = np.array([np.iinfo(np.int64).max if b is None else b for b in budgets])
+    stored = columns.token_count
+    drift = counted != stored
+    over = counted > limits[columns.level]
+    violations: list[Violation] = []
+    for row in np.flatnonzero(drift | over).tolist():
+        chunk_id, count = corpus._ids[row], int(counted[row])
+        if drift[row]:
             violations.append(
-                Violation("TokenCountDrift", chunk_id, f"stored {stored[row]}, counted {counted}")
+                Violation("TokenCountDrift", chunk_id, f"stored {stored[row]}, counted {count}")
             )
-        budget = budgets[level[row]]
-        if budget is not None and counted > budget:
-            violations.append(Violation("BudgetExceeded", chunk_id, f"{counted} tokens > {budget}"))
+        if over[row]:
+            budget = budgets[columns.level[row]]
+            violations.append(Violation("BudgetExceeded", chunk_id, f"{count} tokens > {budget}"))
     return violations
 
 

@@ -6,33 +6,34 @@ can be swapped in through configuration when budgets should track a specific
 model's tokenizer instead.
 
 The word-punct tokenizer's rule is the pattern ``\\w+|[^\\w\\s]``, and its
-two hot paths give exactly what scanning with that pattern gives:
+two hot paths give exactly what scanning with that pattern gives. Both
+classify every code point as word, space or other in one numpy pass, from
+a table that the same predicates fill a block of 256 code points at a time
+as blocks are first seen; a token starts at every other code point and at
+every word code point that follows none, and ends likewise:
 
-* ``count_tokens`` splits the text at whitespace with ``str.split()`` and
-  sums the pieces' token counts from a memo of piece to count (see
-  ``Memo``), so the pattern runs once per distinct piece instead of over
-  every text. A token holds no whitespace, so a text's tokens are its
-  pieces' tokens in order. While the memo rests, the whole text is scanned
-  with the pattern.
-* ``token_spans`` classifies every code point as word, space or other in
-  one numpy pass, from a table that the same predicates fill a block of
-  256 code points at a time as blocks are first seen, and reads the arrays
-  of token starts and ends off the classes: a token starts at every other
-  code point and at every word code point that follows none, and ends
-  likewise.
+* ``token_spans`` reads the arrays of one text's token starts and ends off
+  the classes;
+* ``count_each`` counts the tokens of each of many texts with one pass
+  over their concatenation, where a word code point that begins a text is
+  a start too, so no word run carries over from one text to the next; one
+  ``searchsorted`` of the texts' bounds in the starts gives every count.
+  ``count_tokens`` is its one-text case.
 
 Both are exact because ``re``'s ``\\w`` matches exactly the code points for
 which ``isalnum()`` is true or that are ``_``, and ``\\s`` exactly those for
-which ``isspace()`` is true, which is also where ``str.split()`` splits. A
-tier-1 test checks both over every code point, so an interpreter whose
-Unicode tables disagree fails the tests instead of changing artifacts.
+which ``isspace()`` is true, which is also where ``str.split()`` splits, so
+a whitespace piece's tokens are its text's tokens inside it (which the
+embedder's ``Memo`` of pieces relies on). A tier-1 test checks both over
+every code point, so an interpreter whose Unicode tables disagree fails the
+tests instead of changing artifacts.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -110,6 +111,10 @@ class Tokenizer(Protocol):
     concatenation must never inflate counts beyond
     ``count_tokens(a) + count_tokens(b) + 1``.
 
+    ``count_each(texts)`` returns an int64 array equal to
+    ``[count_tokens(text) for text in texts]``: each text is counted on its
+    own, whatever its neighbours in the sequence hold.
+
     ``token_spans`` returns the tokens' character offsets as two int64
     arrays, ``(starts, ends)``, token ``i`` being ``text[starts[i]:ends[i]]``;
     spans are non-empty and strictly increasing, and never overlap.
@@ -129,6 +134,8 @@ class Tokenizer(Protocol):
     name: str
 
     def count_tokens(self, text: str) -> int: ...
+
+    def count_each(self, texts: Sequence[str]) -> np.ndarray: ...
 
     def token_spans(self, text: str) -> tuple[np.ndarray, np.ndarray]: ...
 
@@ -185,18 +192,28 @@ class WordPunctTokenizer:
         one token).
 
     Whitespace never produces tokens. ``token_spans`` gives the tokens'
-    character offsets into the input as ``(starts, ends)`` arrays. Each
-    instance keeps its own memo of piece token counts (see the module
-    docstring).
+    character offsets into the input as ``(starts, ends)`` arrays, and
+    ``count_each`` the token counts of many texts from one class scan (see
+    the module docstring).
     """
 
     name = "word-punct"
 
-    def __init__(self) -> None:
-        self._counts = Memo(_piece_count, sum)
-
     def count_tokens(self, text: str) -> int:
-        return self._counts.of(text)
+        return int(self.count_each((text,))[0])
+
+    def count_each(self, texts: Sequence[str]) -> np.ndarray:
+        classes = classify("".join(texts))[1]
+        bounds = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts)), out=bounds[1:])
+        word = classes == _WORD
+        starts = classes == _OTHER
+        np.logical_or(starts[1:], word[1:] > word[:-1], out=starts[1:])
+        # A text's first code point starts a token if it is a word one,
+        # whatever the text before ends with (empty texts share the next's).
+        firsts = bounds[: np.searchsorted(bounds, len(classes))]
+        starts[firsts] |= word[firsts]
+        return np.diff(np.searchsorted(np.flatnonzero(starts), bounds))
 
     def token_spans(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         classes = classify(text)[1]
@@ -210,10 +227,6 @@ class WordPunctTokenizer:
 
     #: The token strings of a text, ``text[s:e]`` for each span of ``token_spans``.
     tokens = staticmethod(_TOKEN_RE.findall)
-
-
-def _piece_count(piece: str) -> int:
-    return len(_TOKEN_RE.findall(piece))
 
 
 _TOKENIZERS = {WordPunctTokenizer.name: WordPunctTokenizer}

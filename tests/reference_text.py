@@ -1,10 +1,11 @@
-"""Reference tokenizer, sentence splitter and chunker.
+"""Reference tokenizer, sentence splitter, chunker and corpus recount.
 
 These are the plain versions the engine's fast paths must equal: the
 word-punct tokenizer run as one ``\\w+|[^\\w\\s]`` scan over the whole
 text, the splitter that checks each terminator run with its own
-look-back and whitespace loops, and the chunker that packs one fragment
-object at a time and cuts each level by recursion. Tests compare the
+look-back and whitespace loops, the chunker that packs one fragment
+object at a time and cuts each level by recursion, and the recount that
+counts one node's text per ``count_tokens`` call. Tests compare the
 engine with them output for output, and can patch the tokenizer and
 splitter into the chunker in place of the engine's.
 """
@@ -20,10 +21,10 @@ import numpy as np
 
 from hrr import sentences
 from hrr.chunking import ChunkingConfig
-from hrr.corpus import _CODES, HIERARCHY_LEVELS, Corpus, Level
+from hrr.corpus import _CODES, HIERARCHY_LEVELS, Corpus, Level, Violation
 from hrr.errors import EmptyDocumentError
 from hrr.sentences import ABBREVIATIONS
-from hrr.tokens import Tokenizer, WordPunctTokenizer
+from hrr.tokens import Tokenizer, WordPunctTokenizer, get_tokenizer
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -126,6 +127,25 @@ def _trim_ws(text: str, start: int, end: int) -> int:
     while end > start and text[end - 1].isspace():
         end -= 1
     return end
+
+
+def reference_validate(corpus: Corpus) -> list[Violation]:
+    """``validate_corpus`` one node at a time: each node, in row order,
+    read through ``Corpus.get``, its text decoded from its document's bytes
+    and counted by one ``count_tokens`` call of the corpus's tokenizer."""
+    violations: list[Violation] = []
+    count_tokens = get_tokenizer(corpus.tokenizer_name).count_tokens
+    for chunk_id in corpus.ids_of(np.arange(len(corpus))):
+        node = corpus.get(chunk_id)
+        start, end = node.char_span
+        counted = count_tokens(corpus.documents[node.doc_id][start:end].decode("utf-8"))
+        if counted != node.token_count:
+            violations.append(Violation("TokenCountDrift", chunk_id,
+                                        f"stored {node.token_count}, counted {counted}"))
+        budget = corpus.config.budget(node.level)
+        if budget is not None and counted > budget:
+            violations.append(Violation("BudgetExceeded", chunk_id, f"{counted} tokens > {budget}"))
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The benchmark's tracer patches engine names by module and attribute, the
 benchmark reads a corpus through its node views while it runs, and
-``scripts/scan_inputs.py`` reads the token memos' counters; each must still
-exist, or the benchmark or the script fails only when it runs. The calls
-the benchmark's self-check pins per op are counted here too, so a moved
-seam fails in seconds."""
+``scripts/scan_inputs.py`` calls ``count_each`` and reads the embedder's
+piece table's counters; each must still exist, or the benchmark or the
+script fails only when it runs. The calls the benchmark's self-check pins
+per op are counted here too, so a moved seam fails in seconds."""
 
 import importlib.util
 import os
@@ -12,6 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from reference_text import ReferenceTokenizer
+
+from hrr.chunking import build_corpus
+from hrr.engine import read_documents
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -76,8 +80,9 @@ def test_tracer_installs_and_the_bench_imports():
 
 
 def test_scan_inputs_stats_reads_the_memos(tmp_path, capsys):
-    """``scripts/scan_inputs.py stats`` reads the token memos' counters; a
-    memo change that drops one fails here, not only when the script runs."""
+    """``scripts/scan_inputs.py stats`` counts every level's texts with
+    ``count_each`` and reads the piece table's counters; a change that drops
+    one fails here, not only when the script runs."""
     path = ROOT / "scripts" / "scan_inputs.py"
     spec = importlib.util.spec_from_file_location("scan_inputs", path)
     scan_inputs = importlib.util.module_from_spec(spec)
@@ -86,6 +91,9 @@ def test_scan_inputs_stats_reads_the_memos(tmp_path, capsys):
     (tmp_path / "b.txt").write_text("Ünïcode wörds. 東京は大きい。\n", encoding="utf-8")
     scan_inputs.stats(tmp_path)
     count, embed, times = capsys.readouterr().out.splitlines()
-    for line, name in ((count, "count"), (embed, "embed")):
-        assert line.startswith(f"{name}: ") and line.endswith("of texts rested")
+    corpus = build_corpus(read_documents(tmp_path))
+    texts = [text for level in corpus.levels for text in corpus.texts_at(level)]
+    tokens = sum(map(ReferenceTokenizer().count_tokens, texts))
+    assert count == f"count: {len(texts)} texts, {sum(map(len, texts))} characters, {tokens} tokens"
+    assert embed.startswith("embed: ") and embed.endswith("of texts rested")
     assert times.startswith("build_corpus ")

@@ -291,6 +291,9 @@ class TestCountsFromDocumentSpans:
         def count_tokens(self, text):
             return len(self.token_spans(text)[0])
 
+        def count_each(self, texts):
+            return np.array(list(map(self.count_tokens, texts)), dtype=np.int64)
+
     def test_non_local_tokenizer_is_refused_at_overlap_0(self):
         # A pair that straddles a sentence boundary lies inside no sentence,
         # so the sentences' counts fall short of their intermediate's.
@@ -313,6 +316,9 @@ class TestCountsFromDocumentSpans:
         def token_spans(self, text):
             return np.array([0]), np.array([len(text)])
 
+        def count_each(self, texts):
+            return np.ones(len(texts), dtype=np.int64)
+
     def test_sentence_inside_one_token_is_refused(self):
         # The middle sentence holds no token start and no token end, so its
         # count would be -1; no budget can be packed from that.
@@ -321,14 +327,16 @@ class TestCountsFromDocumentSpans:
 
     def test_one_span_pass_per_document(self, monkeypatch):
         documents = generate(CorpusSpec(seed=42)).documents
-        calls = Counter()
+        calls, recounted = Counter(), []
         split = chunking.split_sentences
-        for method in ("token_spans", "count_tokens"):
+        for method in ("token_spans", "count_tokens", "count_each"):
             original = getattr(WordPunctTokenizer, method)
 
-            def counted(self, text, _original=original, _method=method):
+            def counted(self, text_or_texts, _original=original, _method=method):
                 calls[_method] += 1
-                return _original(self, text)
+                if _method == "count_each":
+                    recounted.extend(text_or_texts)
+                return _original(self, text_or_texts)
 
             monkeypatch.setattr(WordPunctTokenizer, method, counted)
 
@@ -339,10 +347,15 @@ class TestCountsFromDocumentSpans:
         monkeypatch.setattr(chunking, "split_sentences", split_counted)
         corpus = build_corpus(documents)
         assert calls == {"token_spans": len(documents), "split_sentences": len(documents)}
-        # Validation stays an independent oracle: one recount per node.
+        # Validation stays an independent oracle: it recounts every node's
+        # own decoded text, in row order, and never reads a document's spans.
         calls.clear()
         assert validate_corpus(corpus) == []
-        assert calls == {"count_tokens": len(corpus)}
+        assert set(calls) == {"count_each"}
+        assert recounted == [
+            corpus.documents[node.doc_id][slice(*node.char_span)].decode("utf-8")
+            for node in nodes_of(corpus)
+        ]
 
 
 @st.composite

@@ -38,6 +38,7 @@ from hrr.errors import (
 from hrr.index import build_index
 from hrr.rerank import TOKEN_SET_CACHE_SIZE, LexicalOverlapReranker
 from hrr.synth import CorpusSpec, generate
+from hrr.tokens import WordPunctTokenizer
 
 import reference_text
 from level_corpus import level_corpus
@@ -295,6 +296,64 @@ class TestValidateCorpus:
         )
         violations = validate_corpus(bad)
         assert [(v.rule, v.chunk_id) for v in violations] == [("TokenCountDrift", "d:p0.i0.c0")]
+
+    def test_no_rows_validate_clean(self):
+        assert validate_corpus(corpus_of({}, [], CFG)) == []
+        assert validate_corpus(corpus_of({"d": "no chunk of mine"}, [], self.OVERLAP)) == []
+
+    #: Multibyte, astral and case-changing words in sentences longer than
+    #: ``max_sentence_tokens``; the documents end in a word, so a document's
+    #: last rows end in one where the next document's first row begins.
+    MIXED_DOCS = {
+        "a": " ".join(f"Ünïcode wörds{i} İstanbul ΣΟΦΙΑ straße 𝔞𝔟{i} 東京 naïve-café ok{i}."
+                      for i in range(12)) + " Σ",
+        "b": " ".join(f"Alpha beta{i} gamma delta epsilon zeta eta theta iota {i}!"
+                      for i in range(10)) + " end",
+        "c": "Tiny tail",
+    }
+
+    @pytest.mark.parametrize("bound", [1, 60, 400, 1 << 18])
+    def test_equals_the_per_row_loop(self, monkeypatch, bound):
+        """Planted drifts and budget overruns, in batches of ``bound``
+        bytes, give the per-row loop's violations: rules, order, messages."""
+        cut = ChunkingConfig(parent_size=40, parent_overlap=6, intermediate_size=12,
+                             intermediate_overlap=3, sub_intermediate_size=6,
+                             max_sentence_tokens=5)
+        rng = random.Random(bound)
+        nodes = [replace(node, token_count=max(0, node.token_count + rng.choice((-1, 1, 2))))
+                 if rng.random() < 0.2 else node
+                 for node in nodes_of(build_corpus(self.MIXED_DOCS, cut))]
+        # Budgets below the ones cut to, so some nodes exceed them as well.
+        tight = replace(cut, parent_size=30, intermediate_size=9, sub_intermediate_size=4)
+        corpus = corpus_of(self.MIXED_DOCS, nodes, tight)
+        batches = []
+        count_each = WordPunctTokenizer.count_each
+
+        def recorded(self, texts):
+            batches.append(list(texts))
+            return count_each(self, texts)
+
+        monkeypatch.setattr(WordPunctTokenizer, "count_each", recorded)
+        monkeypatch.setattr(corpus_module, "_RECOUNT_BYTES", bound)
+        violations = validate_corpus(corpus)
+        monkeypatch.undo()
+        assert violations == reference_text.reference_validate(corpus)
+        assert {v.rule for v in violations} == {"TokenCountDrift", "BudgetExceeded"}
+        # Some node both drifts and exceeds its budget.
+        assert len({v.chunk_id for v in violations}) < len(violations)
+        texts = [text for batch in batches for text in batch]
+        assert texts == list(corpus.texts_of(range(len(corpus))))
+        assert any(a[-1:].isalnum() and b[:1].isalnum() for a, b in zip(texts, texts[1:]))
+        for batch in batches:
+            assert len(batch) == 1 or len("".join(batch).encode("utf-8")) <= bound
+        if bound < 1 << 18:
+            # The violations straddle batches.
+            first_rows = np.cumsum([0] + [len(batch) for batch in batches])
+            ids = list(corpus.ids_of(np.arange(len(corpus))))
+            rows = [ids.index(v.chunk_id) for v in violations]
+            assert len(set(np.searchsorted(first_rows, rows, "right"))) > 1
+        else:
+            assert len(batches) == 1
 
 
 class TestRoundTrip:

@@ -36,6 +36,21 @@ NEW_WORDS = st.lists(
 ).map(" ".join)
 #: Whitespace-free pieces far longer than a word.
 LONG_PIECES = st.text(alphabet="aZé€𝔞😀İΣς09_!.,-'", min_size=30, max_size=300)
+#: Texts for one ``count_each`` batch: beside the above, word runs that
+#: would join if two texts were scanned as one, empty and whitespace-only
+#: texts, and ASCII texts that a non-ASCII one turns into code points.
+BATCH_TEXT = st.one_of(
+    TRICKY_TEXT, WIDE_TEXT, EDGE_TEXT,
+    st.sampled_from(["", " ", "\t\n", "\u3000", "foo", "bar", "_", "9", "x.", "İ", "Σ", "ß",
+                     "𝔞", "東京"]),
+    st.text(alphabet="ab_9 ", max_size=6),
+)
+
+
+def count_memo() -> tokens.Memo:
+    """A memo of piece token counts: ``of(text)`` sums its whitespace
+    pieces' counts, which equals the text's."""
+    return tokens.Memo(WordPunctTokenizer().count_tokens, sum)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +127,23 @@ class TestContract:
         assert span_pairs(tok.token_spans(text)) == span_pairs(tok.token_spans(text))
 
 
+class TestCountEach:
+    """``count_each`` counts each text of a batch on its own."""
+
+    @given(st.lists(BATCH_TEXT, max_size=30))
+    @settings(max_examples=400, deadline=None)
+    def test_each_count_equals_the_regex(self, texts):
+        counts = WordPunctTokenizer().count_each(texts)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == list(map(ReferenceTokenizer().count_tokens, texts))
+
+    def test_word_runs_do_not_join_across_texts(self, tok):
+        assert tok.count_each(["foo", "bar"]).tolist() == [1, 1]
+        texts = ["", "foo", "", "bar", " ", "_9", "é"]
+        assert tok.count_each(texts).tolist() == [0, 1, 0, 1, 0, 1, 1]
+        assert tok.count_each([]).tolist() == []
+
+
 class TestMatchesReference:
     """The memo and numpy paths equal one regex scan over the whole text."""
 
@@ -128,7 +160,7 @@ class TestMatchesReference:
 
     def test_memos_overflowing_mid_batch_change_nothing(self, monkeypatch):
         texts = [f"Wörd{i}, x{i % 7}. İ{i}Σ_{i}! ok" for i in range(40)] + [" \t", "a", "ok"]
-        counts = list(map(WordPunctTokenizer().count_tokens, texts))
+        counts = list(map(count_memo().of, texts))
         rows = HashedBowEmbedder(16).embed_batch(texts)
         clears = []
 
@@ -140,7 +172,7 @@ class TestMatchesReference:
         monkeypatch.setattr(tokens, "_MEMO_SIZE", 3)
         # Never resting, every text goes through the memos.
         monkeypatch.setattr(tokens, "_MEMO_MAX_REST", 0)
-        assert list(map(WordPunctTokenizer().count_tokens, texts)) == counts
+        assert list(map(count_memo().of, texts)) == counts
         assert counts == list(map(ReferenceTokenizer().count_tokens, texts))
         assert len(clears) > len(texts)
         clears.clear()
@@ -157,22 +189,22 @@ class TestMatchesReference:
     def test_resting_memos_change_nothing(self, monkeypatch):
         """Texts of new words make a memo rest, known words wake it again,
         and counts and rows equal those of memos that never rest."""
-        tok, ref = WordPunctTokenizer(), ReferenceTokenizer()
-        memo, known = tok._counts, "the cat, the dog."
+        ref = ReferenceTokenizer()
+        memo, known = count_memo(), "the cat, the dog."
         new = [" ".join(f"w{i}x{j}" for j in range(5)) + "." for i in range(300)]
         rested = spent = 0
         for text in [known] * 50 + new:
             rested += memo.resting > 0
-            assert tok.count_tokens(text) == ref.count_tokens(text)
+            assert memo.of(text) == ref.count_tokens(text)
         # Most new texts were scanned without the memo.
         assert rested > len(new) / 2 and memo.misses < len(new) * 5 / 2
         while memo.resting > 0:
-            assert tok.count_tokens(known) == 6
+            assert memo.of(known) == 6
             spent += len(known)
         assert spent <= tokens._MEMO_MAX_REST
         misses = memo.misses
         for _ in range(10):
-            assert tok.count_tokens(known) == 6 and memo.resting <= 0
+            assert memo.of(known) == 6 and memo.resting <= 0
         assert memo.misses == misses
         # The embedder's piece table judges reuse over blocks, here of ~200
         # characters: blocks of new words make it rest, scanning texts whole.
@@ -192,16 +224,16 @@ class TestMatchesReference:
                     min_size=1, max_size=40))
     @settings(max_examples=150, deadline=None)
     def test_one_memo_across_texts_equals_the_regex(self, texts):
-        """One tokenizer and one embedder, with memos small enough that the
+        """One count memo and one embedder, with memos small enough that the
         texts cross memo, rest and clear, count and embed what the regex
         and the recipe give for each text."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tokens, "_MEMO_SIZE", 4)
             patch.setattr(tokens, "_MEMO_CHARS", 40)
             patch.setattr(tokens, "_MEMO_MAX_REST", 60)
-            tok, ref, embedder = WordPunctTokenizer(), ReferenceTokenizer(), HashedBowEmbedder(16)
+            memo, ref, embedder = count_memo(), ReferenceTokenizer(), HashedBowEmbedder(16)
             for text in texts:
-                assert tok.count_tokens(text) == ref.count_tokens(text)
+                assert memo.of(text) == ref.count_tokens(text)
             # A lone surrogate is text, but not text UTF-8 can hash.
             texts = list(filter(encodes_as_utf8, texts))
             expected = [reference_vector(text, 16).tobytes() for text in texts]
@@ -212,14 +244,13 @@ class TestMatchesReference:
 
     def test_memo_is_bounded_in_characters(self, monkeypatch):
         monkeypatch.setattr(tokens, "_MEMO_CHARS", 10)
-        tok, pieces = WordPunctTokenizer(), ["ab,c", "defg", "hi", "a" * 12, "jk"]
+        memo, pieces = count_memo(), ["ab,c", "defg", "hi", "a" * 12, "jk"]
         for piece in pieces:
-            assert tok.count_tokens(piece) == ReferenceTokenizer().count_tokens(piece)
-            memo = tok._counts
+            assert memo.of(piece) == ReferenceTokenizer().count_tokens(piece)
             assert memo.chars == sum(map(len, memo)) and (memo.chars <= 10 or len(memo) == 1)
             memo.resting = 0
         assert list(memo) == ["jk"]
-        assert tok.count_tokens("ab,c jk") == 4 and memo.misses == len(pieces) + 1
+        assert memo.of("ab,c jk") == 4 and memo.misses == len(pieces) + 1
 
 
 def test_regex_classes_are_the_str_predicates():
