@@ -10,8 +10,12 @@ with no spaces, so a piece is a paragraph) and ``b64`` (base64-like runs,
 pieces of 40-400 characters). ``stats`` builds the corpus of DOCS_DIR and
 prints, over every level's chunk texts, the characters and tokens the
 recount counts (one ``count_each`` call), and the pieces and distinct
-pieces the embedder's batches see, the pieces it computed and the share of
-texts it scanned whole (rested for); then the in-process seconds of
+pieces in them; then, from embedding every level with one embedder, the
+pieces its piece table computed, the documents it tokenized into token
+streams, the rows it embedded from their own text instead (a document
+that fails the stream's proof, or a span that cuts a token), and the
+texts (document slices and those rows) the table scanned whole (rested
+for); then the in-process seconds of
 chunking (``build_corpus``) and of the sentence split within it
 (``split_sentences`` over every document), of the recount
 (``validate_corpus``) and of embedding every level with one embedder, the
@@ -101,9 +105,12 @@ def stats(docs: Path) -> None:
     for level in levels:
         embedder.embed_batch(level)
     pieces = [piece for text in texts for piece in text.lower().split()]
+    # A tree before the token streams embeds every row from its text.
+    streamed = getattr(embedder, "streamed", 0)
+    per_text = getattr(embedder, "fallback_rows", len(texts))
     print(f"embed: {len(pieces)} pieces, {len(set(pieces))} distinct, "
-          f"{embedder._table.misses} computed, "
-          f"{embedder._table.scanned / len(texts):.1%} of texts rested")
+          f"{embedder._table.misses} computed, {streamed} documents streamed, "
+          f"{per_text} rows per text, {embedder._table.scanned} texts rested")
 
     def embed() -> None:
         fresh = HashedBowEmbedder()

@@ -45,7 +45,6 @@ from typing import (
 
 import numpy as np
 
-from .embedding import encodes_as_utf8
 from .errors import (
     ConfigError,
     InvalidCorpusError,
@@ -365,6 +364,19 @@ class Corpus:
                 return self._ids[row]
         return None
 
+    def parent_doc(self, chunk_id: str) -> str | None:
+        """The document of the parent chunk ``chunk_id``, or None when no
+        parent-level chunk has that id. It reads a map of the parent rows'
+        ids alone, built on the first call, so checking a gold parent builds
+        no map of every id."""
+        row = self._parent_index.get(chunk_id)
+        return None if row is None else self._doc_ids[self._view.doc[row]]
+
+    @cached_property
+    def _parent_index(self) -> dict[str, int]:
+        rows = self._parent_rows
+        return dict(zip(self.ids_of(rows), rows.tolist()))
+
     def chunk_text(self, chunk_id: str) -> str:
         """The text of ``chunk_id``, as ``texts_of`` reads it."""
         return self._texts(self._row(chunk_id))
@@ -381,16 +393,22 @@ class Corpus:
         """
         return map(self._texts, rows)
 
-    def texts_at(self, level: Level) -> list[str]:
-        """The texts of ``rows_at(level)``'s nodes, in row order, each
-        decoded anew.
+    def texts_at(self, level: Level) -> "LevelTexts":
+        """The texts of ``rows_at(level)``'s nodes, in row order, as a
+        ``LevelTexts``: each text is decoded anew when read, and the
+        sequence names each one's document row and byte span.
 
         For reading a whole level once, as ``build_index`` does: it leaves
         the ``texts_of`` memo unbuilt, so no level's texts outlive the call.
+        The hashed-bow embedder reads the spans instead of the texts: it
+        tokenizes each document once per ingest, lowercased whole, and
+        counts each row from the tokens inside its span. That is the
+        per-text recipe for a document that holds neither ``İ`` (U+0130,
+        whose lowercase is two code points) nor ``Σ`` (U+03A3, which
+        lowercases by context) and for a row whose span cuts no token of the
+        lowercased document; any other row falls back to its decoded text.
         """
-        # The rows are read one at a time, so no list of them is built.
-        return list(map(partial(_decode, self._doc_bytes, self._view),
-                        memoryview(self.rows_at(level))))
+        return LevelTexts(self, level)
 
     @cached_property
     def _texts(self) -> Callable[[int], str]:
@@ -406,6 +424,56 @@ class Corpus:
 def _decode(doc_bytes: list[bytes], view: _Columns, row: int) -> str:
     """The text of node ``row``, decoded from its document's UTF-8 bytes."""
     return doc_bytes[view.doc[row]][view.start[row] : view.end[row]].decode("utf-8")
+
+
+class LevelTexts(Sequence):
+    """The texts of one level of a corpus, decoded when read.
+
+    A sequence of ``str`` through ``len``, indexing, slicing (a list) and
+    iteration, as any provider reads a batch. ``rows`` are the level's
+    corpus rows, and ``doc``, ``start`` and ``end`` name each text's
+    document row and UTF-8 byte span in ``documents``; the corpus proved
+    every span non-empty UTF-8 when it was built or loaded. The hashed-bow
+    embedder reads these to count rows from each document's one token
+    stream (``hrr.embedding.HashedBowEmbedder``).
+    """
+
+    __slots__ = ("corpus", "level", "rows", "_decode")
+
+    def __init__(self, corpus: Corpus, level: Level) -> None:
+        self.corpus = corpus
+        self.level = level
+        self.rows = corpus.rows_at(level)
+        self._decode = partial(_decode, corpus._doc_bytes, corpus._view)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._decode, memoryview(self.rows[i])))
+        return self._decode(int(self.rows[i]))
+
+    def __iter__(self) -> Iterator[str]:
+        # The rows are read one at a time, so no list of them is built.
+        return map(self._decode, memoryview(self.rows))
+
+    @property
+    def documents(self) -> list[bytes]:
+        """The corpus's documents' UTF-8 bytes, by document row."""
+        return self.corpus._doc_bytes
+
+    @property
+    def doc(self) -> np.ndarray:
+        return self.corpus._cols.doc[self.rows]
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.corpus._cols.start[self.rows]
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.corpus._cols.end[self.rows]
 
 
 class _ChunkMap(Mapping):
@@ -780,6 +848,8 @@ def _check_documents(documents: Mapping[str, bytes]) -> list[bool]:
     """Raise ``InvalidCorpusError`` for the first document whose id holds a
     NUL or a lone surrogate, or whose bytes are not UTF-8; return whether
     each document is ASCII, the one scan of its bytes the cut rule reads."""
+    from .embedding import encodes_as_utf8  # ``hrr.embedding`` imports this module
+
     verdicts = []
     for doc_id, data in documents.items():
         if "\0" in doc_id or not encodes_as_utf8(doc_id):

@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+import weakref
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from itertools import chain
 from operator import methodcaller
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -33,10 +34,13 @@ from .errors import (
     ProviderUnavailableError,
 )
 from . import tokens
+from .corpus import LevelTexts
 from .tokens import WordPunctTokenizer
 
 if TYPE_CHECKING:
     import requests
+
+    from .corpus import Corpus
 
 _NORM_TOLERANCE = 1e-6
 
@@ -246,11 +250,13 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
     float32 block and a ``CsrBatch`` are validated in place and returned
     without a copy. Rejects an empty list, empty strings and strings that
     UTF-8 cannot encode; whitespace-only text is allowed (providers map it
-    to a documented fallback vector).
+    to a documented fallback vector). A corpus level's texts
+    (``hrr.corpus.LevelTexts``) are not read for these checks: the corpus
+    proved every span non-empty UTF-8 when it was built or loaded.
     """
     if len(texts) == 0:
         raise InvalidInputError("embed_batch requires at least one text")
-    for i, text in enumerate(texts):
+    for i, text in enumerate(() if isinstance(texts, LevelTexts) else texts):
         if not isinstance(text, str) or text == "":
             raise InvalidInputError(f"texts[{i}] is not a non-empty string")
         if not encodes_as_utf8(text):
@@ -327,6 +333,16 @@ def _buckets(tokens: list[str], dimension: int) -> np.ndarray:
     return np.frombuffer(b"".join(map(methodcaller("digest"), hashes)), dtype=">u8") % dimension
 
 
+def _runs(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indexes of runs ``first[i]`` to ``first[i] + lengths[i]``, one
+    run after another, and where each run starts among them (and the end)."""
+    before = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=before[1:])
+    at = np.repeat(first - before[:-1], lengths)
+    at += np.arange(len(at))
+    return at, before
+
+
 #: Count cells (rows times dimension), and characters of text, one block of
 #: a hashed-bow batch holds (or one longer text); the temporaries of an
 #: embed stay near 8 bytes per cell and 20 per character.
@@ -400,10 +416,7 @@ class PieceTable(dict):
         lengths = bounds[ids + 1] - first
         del bounds  # a view of ``self.bounds``, which cannot grow while it lives
         # Each piece's run, gathered from the store in text order.
-        before = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=before[1:])
-        at = np.repeat(first - before[:-1], lengths)
-        at += np.arange(len(at))
+        at, before = _runs(first, lengths)
         piece_ends = np.zeros(len(texts) + 1, dtype=np.int64)
         np.cumsum(per_text, out=piece_ends[1:])
         return np.frombuffer(self.store, dtype=np.uint16)[at], np.diff(before[piece_ends])
@@ -458,23 +471,40 @@ class HashedBowEmbedder:
     every bucket fits a ``<u2`` CSR column.
 
     A batch comes back as a ``CsrBatch``, built a block of rows at a time
-    (at most ``_BLOCK_CELLS`` cells and ``_BLOCK_CHARS`` characters, or one
-    text): one ``np.bincount`` counts every (row, bucket) pair of the block,
-    so no dense row is made. Each value is ``float32(count / norm)`` with
-    the norm taken over exact float64 integer squares, so the rows are
-    bit-identical to the recipe applied one text at a time.
+    (at most ``_BLOCK_CELLS`` cells and ``_BLOCK_CHARS`` characters or
+    tokens, or one row): one ``np.bincount`` counts every (row, bucket) pair
+    of the block, so no dense row is made. Each value is ``float32(count /
+    norm)`` with the norm taken over exact float64 integer squares, so the
+    rows are bit-identical to the recipe applied one text at a time,
+    whichever way their buckets were found.
 
-    A block's buckets come from the embedder's ``PieceTable``: each text is
-    lowercased whole, as the recipe says (so context-dependent lowercasing
-    such as a final sigma is unchanged), and split with ``str.split()``;
-    the pieces' ids gather their runs of buckets with numpy, so no Python
-    int is made per token, and the tokenizer runs once per distinct piece,
-    not once per text. This is the recipe's token sequence exactly: a token
-    holds no whitespace, and ``str.split`` splits where the tokenizer's
-    ``\\s`` does (see ``hrr.tokens``). While the table rests, each text is
-    tokenized whole instead. New tokens are hashed a list at a time
-    (``_buckets``, equal to ``_bucket``). Batches share the table, so one
-    runs at a time.
+    A corpus level (``hrr.corpus.LevelTexts``) is counted from token
+    streams: each document is tokenized once per ingest, on the first of
+    its corpus's levels, and the stream is kept only until every level of
+    more than one row has been embedded. A document's stream is its text
+    lowercased whole, one bucket per token (through the ``PieceTable``),
+    and each row's range of tokens, the tokens inside its span. That is the
+    recipe's token sequence for the row when lowercasing and tokenizing are
+    both local there, which a cheap proof checks: the document is ASCII or
+    holds neither ``İ`` (U+0130, whose lowercase is two code points) nor
+    ``Σ`` (U+03A3, which lowercases by context), so each code point
+    lowercases alone to one; and neither end of the row's span falls inside
+    a token of the lowercased document. A row of any other document, or
+    whose span cuts a token, falls back to the per-text path below on its
+    decoded text; so do queries and every plain sequence of texts.
+
+    On the per-text path a block's buckets come from the embedder's
+    ``PieceTable``: each text is lowercased whole, as the recipe says (so
+    context-dependent lowercasing such as a final sigma is unchanged), and
+    split with ``str.split()``; the pieces' ids gather their runs of
+    buckets with numpy, so no Python int is made per token, and the
+    tokenizer runs once per distinct piece, not once per text. This is the
+    recipe's token sequence exactly: a token holds no whitespace, and
+    ``str.split`` splits where the tokenizer's ``\\s`` does (see
+    ``hrr.tokens``). While the table rests, each text is tokenized whole
+    instead. New tokens are hashed a list at a time (``_buckets``, equal to
+    ``_bucket``). Batches share the table and the stream, so one runs at a
+    time.
 
     A batch of one text, a query, comes back as a dense ``(1, d)`` block
     instead: search reads the query dense, and one row is built with fewer
@@ -495,7 +525,13 @@ class HashedBowEmbedder:
         # so a batch's resting texts would leave thousands of them behind.
         self._pieces = tokens.Memo(lambda text: list(map(bucket, scan(text))), _joined)
         self._table = PieceTable(dimension)
-        # The table is shared state: one batch uses it at a time.
+        #: The streams of the corpus whose levels are being embedded.
+        self._stream: _Stream | None = None
+        #: Documents tokenized into a stream, and level rows that fell back
+        #: to their text, over the embedder's life.
+        self.streamed = 0
+        self.fallback_rows = 0
+        # The table and the stream are shared state: one batch uses them at a time.
         self._table_lock = threading.Lock()
 
     @property
@@ -506,22 +542,30 @@ class HashedBowEmbedder:
         if len(texts) == 1:
             return self._embed_one(texts[0])
         with self._table_lock:
-            return self._embed_rows(texts)
+            if isinstance(texts, LevelTexts):
+                return self._embed_level(texts)
+            sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+            return self._embed_rows(sizes, partial(self._bucket_cells, texts))
 
-    def _embed_rows(self, texts: Sequence[str]) -> CsrBatch:
+    def _embed_rows(
+        self, sizes: np.ndarray, cells_of: Callable[[int, int, int], np.ndarray]
+    ) -> CsrBatch:
+        """The rows of a batch whose row ``i`` weighs ``sizes[i]`` characters
+        or tokens, a block at a time: ``cells_of(start, stop, size)`` gives
+        ``(row - start) * dimension + bucket`` for every token of rows
+        ``start`` to ``stop``, which weigh ``size`` in all."""
         dimension = self._dimension
         rows = max(1, _BLOCK_CELLS // dimension)
-        ends = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)))
-        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+        ends = np.cumsum(sizes)
+        indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
         columns, values = [], []
         start = 0
-        while start < len(texts):
-            # One text or more: at most ``rows`` of them, of ``_BLOCK_CHARS``.
+        while start < len(sizes):
+            # One row or more: at most ``rows`` of them, of ``_BLOCK_CHARS``.
             taken = int(ends[start - 1]) if start else 0
             stop = int(np.searchsorted(ends, taken + _BLOCK_CHARS, "right"))
             stop = min(start + rows, max(start + 1, stop))
-            block = texts[start:stop]
-            counts = np.bincount(self._bucket_cells(block, int(ends[stop - 1]) - taken))
+            counts = np.bincount(cells_of(start, stop, int(ends[stop - 1]) - taken))
             cells = np.flatnonzero(counts)
             block_rows, cols = np.divmod(cells, dimension)
             counts = counts[cells].astype(np.float64)
@@ -529,12 +573,43 @@ class HashedBowEmbedder:
             values.append((counts / norms[block_rows]).astype(np.float32))
             columns.append(cols.astype(np.uint16))
             row_ends = indptr[start + 1 : stop + 1]
-            np.cumsum(np.bincount(block_rows, minlength=len(block)), out=row_ends)
+            np.cumsum(np.bincount(block_rows, minlength=stop - start), out=row_ends)
             row_ends += indptr[start]
             start = stop
         # One array joined at a time, its pieces freed before the next.
         values = np.concatenate(values)
         return CsrBatch(indptr, np.concatenate(columns), values, dimension)
+
+    def _embed_level(self, texts: LevelTexts) -> CsrBatch:
+        """The rows of a corpus level of more than one row, counted from its
+        documents' streams where the proof holds (see the class docstring)."""
+        stream = self._stream
+        if stream is None or not stream.holds(texts):
+            stream = self._stream = _Stream(texts.corpus, self._table)
+            self.streamed += stream.streamed
+        token_lo, token_hi, fallback = stream.ranges.pop(texts.level)
+        if not stream.ranges:
+            self._stream = None
+        buckets = stream.buckets
+        del stream
+        self.fallback_rows += int(fallback.sum())
+        # A row that falls back weighs its bytes, which are at least its characters.
+        sizes = np.where(fallback, texts.end - texts.start, token_hi - token_lo)
+
+        def cells_of(start: int, stop: int, _size: int) -> np.ndarray:
+            fell = fallback[start:stop]
+            own = np.flatnonzero(~fell)
+            lo = token_lo[start:stop][own]
+            counts = token_hi[start:stop][own] - lo
+            cells = self._cells(own, counts, buckets[_runs(lo, counts)[0]])
+            back = np.flatnonzero(fell)
+            if len(back):
+                lowered = [texts[start + row].lower() for row in back.tolist()]
+                found, per_text = self._table.buckets(lowered, sum(map(len, lowered)))
+                cells = np.concatenate([cells, self._cells(back, per_text, found)])
+            return cells
+
+        return self._embed_rows(sizes, cells_of)
 
     def _embed_one(self, text: str) -> np.ndarray:
         """The ``(1, d)`` block of one text."""
@@ -544,16 +619,19 @@ class HashedBowEmbedder:
         norm = math.sqrt(np.square(counts).sum())
         return (counts / norm).astype(np.float32).reshape(1, -1)
 
-    def _bucket_cells(self, block: Sequence[str], chars: int) -> np.ndarray:
-        """``row * dimension + bucket`` for every token of every text in
-        ``block``, which holds ``chars`` characters.
+    def _bucket_cells(self, texts: Sequence[str], start: int, stop: int, chars: int) -> np.ndarray:
+        """``(row - start) * dimension + bucket`` for every token of every
+        text in ``texts[start:stop]``, which hold ``chars`` characters."""
+        buckets, counts = self._table.buckets(list(map(str.lower, texts[start:stop])), chars)
+        return self._cells(np.arange(stop - start), counts, buckets)
 
-        A text without tokens counts once in bucket 0.
-        """
-        buckets, counts = self._table.buckets(list(map(str.lower, block)), chars)
-        cells = np.repeat(np.arange(0, len(block) * self._dimension, self._dimension), counts)
+    def _cells(self, rows: np.ndarray, counts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+        """``row * dimension + bucket`` for every token: row ``rows[i]`` holds
+        the next ``counts[i]`` of ``buckets``. A row without tokens counts
+        once in bucket 0."""
+        cells = np.repeat(rows * self._dimension, counts)
         cells += buckets
-        tokenless = np.flatnonzero(counts == 0)
+        tokenless = rows[counts == 0]
         if len(tokenless):
             cells = np.concatenate([cells, tokenless * self._dimension])
         return cells
@@ -561,6 +639,91 @@ class HashedBowEmbedder:
     def _buckets_of(self, text: str) -> list[int]:
         """The bucket of each token of ``text.lower()``, in order."""
         return self._pieces.of(text.lower())
+
+
+#: The code points whose lowercase is not one code point found alone: ``İ``
+#: lowercases to two, and ``Σ`` to ``σ`` or ``ς`` by what surrounds it. A
+#: tier-1 test checks every code point.
+_NOT_LOCAL_LOWER = ("İ", "Σ")
+
+_TOKENIZER = WordPunctTokenizer()
+
+
+class _Stream:
+    """The token streams of one corpus's documents, and each row's range of
+    them, for every level of more than one row; a level's ranges leave
+    ``ranges`` as the level is embedded.
+
+    ``buckets`` holds, document after document, the bucket of each token
+    of the document lowercased whole. ``ranges[level]`` holds, for each row
+    of the level, the first of its tokens in ``buckets`` and the one after
+    its last, and whether it falls back to its text: its document fails the
+    proof, or an end of its span lies inside a token. Only each document's
+    text, tokens and buckets are held while it is tokenized; no row's text
+    is decoded.
+    """
+
+    def __init__(self, corpus: "Corpus", table: PieceTable) -> None:
+        self.corpus = weakref.ref(corpus)
+        levels = [corpus.texts_at(level) for level in corpus.levels]
+        levels = [texts for texts in levels if len(texts) > 1]
+        doc, start, end = (np.concatenate([getattr(texts, name) for texts in levels])
+                           for name in ("doc", "start", "end"))
+        token_lo = np.zeros(len(doc), dtype=np.int64)
+        token_hi = np.zeros(len(doc), dtype=np.int64)
+        fallback = np.ones(len(doc), dtype=bool)
+        order = np.argsort(doc, kind="stable")
+        documents = levels[0].documents
+        bounds = np.searchsorted(doc[order], np.arange(len(documents) + 1)).tolist()
+        found: list[np.ndarray] = []
+        base = self.streamed = 0
+        for row, data in enumerate(documents):
+            rows = order[bounds[row] : bounds[row + 1]]
+            if not len(rows):
+                continue
+            text = data.decode("utf-8")
+            if not text.isascii() and any(char in text for char in _NOT_LOCAL_LOWER):
+                continue
+            lowered = text.lower()
+            del text
+            starts, ends = _TOKENIZER.token_spans(lowered)
+            found.append(_stream_buckets(table, lowered, starts))
+            del lowered
+            low, high = start[rows], end[rows]
+            if not data.isascii():  # byte offsets to code point offsets
+                leads = np.flatnonzero((np.frombuffer(data, dtype=np.uint8) & 0xC0) != 0x80)
+                low, high = np.searchsorted(leads, low), np.searchsorted(leads, high)
+            # The tokens starting inside the span; with no token cut, those
+            # are the tokens inside it.
+            lo, hi = np.searchsorted(starts, low), np.searchsorted(starts, high)
+            # ``before[i]`` is where token ``i - 1`` ends (0 for the first),
+            # so ``before[lo]`` is where the last token starting before the
+            # span's start ends: past the start, that token is cut.
+            before = np.zeros(len(ends) + 1, dtype=np.int64)
+            before[1:] = ends
+            token_lo[rows], token_hi[rows] = lo + base, hi + base
+            fallback[rows] = (before[lo] > low) | (before[hi] > high)
+            base += len(starts)
+            self.streamed += 1
+        self.buckets = np.concatenate(found) if found else np.zeros(0, dtype=np.uint16)
+        at = np.cumsum([0, *map(len, levels)]).tolist()
+        self.ranges = {texts.level: (token_lo[a:b], token_hi[a:b], fallback[a:b])
+                       for texts, a, b in zip(levels, at, at[1:])}
+
+    def holds(self, texts: LevelTexts) -> bool:
+        """Whether ``texts``'s ranges are here, not yet embedded."""
+        return self.corpus() is texts.corpus and texts.level in self.ranges
+
+
+def _stream_buckets(table: PieceTable, lowered: str, starts: np.ndarray) -> np.ndarray:
+    """The bucket of each token of ``lowered``, whose tokens start at
+    ``starts``, looked up in ``table`` a slice of about ``_BLOCK_CHARS``
+    characters at a time. A slice is cut at a token's start, where no token
+    is cut, so its tokens are the text's."""
+    cuts = np.searchsorted(starts, np.arange(_BLOCK_CHARS, len(lowered), _BLOCK_CHARS))
+    cuts = [0, *np.unique(starts[cuts[cuts < len(starts)]]).tolist(), len(lowered)]
+    return np.concatenate([table.buckets([lowered[a:b]], b - a)[0]
+                           for a, b in zip(cuts, cuts[1:])])
 
 
 def _joined(lists: Iterable[list[int]]) -> list[int]:

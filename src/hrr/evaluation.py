@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import MALFORMED_RECORD_ERRORS, Corpus, Level
+from .corpus import MALFORMED_RECORD_ERRORS, Corpus
 from .embedding import encodes_as_utf8
 from .errors import EmptyQuerySetError, GoldNotInCorpusError, SnapshotFormatError
 from .retrievers import RetrievalContext, RetrievalResult, Strategy, check_levels, retrieve
@@ -109,14 +109,16 @@ def compare(
 
 
 def _check_gold(gold: LabeledQuery, corpus: Corpus) -> None:
-    node = corpus.get(gold.gold_parent) if gold.gold_parent in corpus else None
-    if node is None or node.level is not Level.PARENT:
+    """Check ``gold`` against the corpus's parent rows alone, so that no map
+    of every chunk id is built (``Corpus.parent_doc``)."""
+    doc_id = corpus.parent_doc(gold.gold_parent)
+    if doc_id is None:
         raise GoldNotInCorpusError(
             f"gold parent {gold.gold_parent!r} is not a parent-level chunk"
         )
-    if gold.gold_doc is not None and gold.gold_doc != node.doc_id:
+    if gold.gold_doc is not None and gold.gold_doc != doc_id:
         raise GoldNotInCorpusError(
-            f"gold parent {gold.gold_parent!r} is in document {node.doc_id!r}, "
+            f"gold parent {gold.gold_parent!r} is in document {doc_id!r}, "
             f"not {gold.gold_doc!r}"
         )
 

@@ -495,14 +495,16 @@ class LevelIndex:
 def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> LevelIndex:
     """Embed every chunk at ``level`` and index it as that level of ``corpus``.
 
-    The level is embedded in one ``embed_batch`` call, and the index keeps
-    the rows in the layout the provider returned: a ``CsrBatch`` as CSR,
-    with no dense block of it made, and an ``(n, d)`` block dense. No id is
-    read: row ``i`` is the corpus's ``i``-th chunk at ``level``.
+    The level is embedded in one ``embed_batch`` call of its
+    ``Corpus.texts_at`` sequence, and the index keeps the rows in the layout
+    the provider returned: a ``CsrBatch`` as CSR, with no dense block of it
+    made, and an ``(n, d)`` block dense. No id is read: row ``i`` is the
+    corpus's ``i``-th chunk at ``level``.
     """
     if level not in corpus.levels:
         raise InvalidCorpusError(f"corpus has no chunks at level {level.value!r}")
-    # The texts are freed once embedded, so the index is built beside none.
+    # The texts are decoded only as the provider reads them, so the index is
+    # built beside none of them.
     return LevelIndex(corpus, level, embed_batch(provider, corpus.texts_at(level)))
 
 

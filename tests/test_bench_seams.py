@@ -24,9 +24,11 @@ PERFBENCH = ROOT / "perfbench"
 #: What the benchmark calls on a corpus while it runs, on a 2-document
 #: spec: ``inputs.build_inputs`` and the tracer's chunk count read
 #: ``Corpus.nodes`` and ``sub_nodes``, and ``Checker.check_retrieval`` reads
-#: ``Corpus.chunks``. Then, with the tracer installed, one ``compare()`` over
-#: the four strategies calls ``LevelIndex.search`` 7 times and the embedder
-#: and ``retrieve`` 4 times each, and one ``hrr`` retrieve 2, 1 and 1 times.
+#: ``Corpus.chunks``. With the tracer installed, one ingest embeds each
+#: level in one call of all its rows and splits each document once; one
+#: ``compare()`` over the four strategies calls ``LevelIndex.search`` 7 times
+#: and the embedder and ``retrieve`` 4 times each, and one ``hrr`` retrieve
+#: 2, 1 and 1 times.
 BENCH_READS = """
 import tempfile
 from pathlib import Path
@@ -35,18 +37,36 @@ from tracer import Tracer, _count_chunks
 tracer = Tracer()
 tracer.install()
 import inputs, worker
-from hrr import evaluation, synth
-from hrr.config import EngineConfig
+from hrr import engine, evaluation, index, synth
+from hrr.config import EngineConfig, PathsConfig
 from hrr.engine import context_for
 from hrr.retrievers import Strategy, retrieve
 
 spec = {"seed": 3, "n_docs": 2, "tokens_per_doc": 600, "n_needles": 2}
+# An ingest-200 op, one ingest: one embed per level, of its every row, and
+# one sentence split per document.
+embedded = []
+traced_embed = index.embed_batch
+index.embed_batch = lambda provider, texts: embedded.append(len(texts)) or traced_embed(
+    provider, texts)
 with tempfile.TemporaryDirectory() as out:
     meta = inputs.build_inputs(Path(out), spec)
+    config = EngineConfig(paths=PathsConfig(corpus_dir=str(Path(out) / "corpus")))
+    with tracer.unit("ingest"):
+        engine.ingest(Path(out) / "docs", config)
+index.embed_batch = traced_embed
+ingested = (tracer.time[("ingest", "embedding.embed_batch")][0],
+            tracer.counts[("ingest", "embedding.texts")],
+            tracer.time[("ingest", "sentences.split_sentences")][0])
 generated = synth.generate(synth.CorpusSpec(**spec))
 corpus = generated.corpus
-_count_chunks(tracer, "chunking.build_corpus", (), {}, corpus)
-counted = {key: n for (_, key), n in tracer.counts.items() if key.startswith("chunking.chunks.")}
+rows = [len(corpus.rows_at(level)) for level in corpus.levels]
+assert embedded == rows, (embedded, rows)
+assert ingested == (len(rows), sum(rows), spec["n_docs"]), ingested
+with tracer.unit("chunks"):
+    _count_chunks(tracer, "chunking.build_corpus", (), {}, corpus)
+counted = {key: n for (phase, key), n in tracer.counts.items()
+           if phase == "chunks" and key.startswith("chunking.chunks.")}
 expected = {level.value: len(corpus.rows_at(level)) for level in corpus.levels}
 assert meta["chunks_per_level"] == expected, meta
 assert counted == {f"chunking.chunks.{level}": n for level, n in expected.items()}, counted
@@ -95,5 +115,7 @@ def test_scan_inputs_stats_reads_the_memos(tmp_path, capsys):
     texts = [text for level in corpus.levels for text in corpus.texts_at(level)]
     tokens = sum(map(ReferenceTokenizer().count_tokens, texts))
     assert count == f"count: {len(texts)} texts, {sum(map(len, texts))} characters, {tokens} tokens"
-    assert embed.startswith("embed: ") and embed.endswith("of texts rested")
+    assert embed.startswith("embed: ") and embed.endswith("texts rested")
+    # Each document is tokenized once; ``b.txt`` holds no İ or Σ.
+    assert ", 2 documents streamed, 0 rows per text, " in embed
     assert times.startswith("build_corpus ")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from reads import level_ids, nodes_of
 from test_embedding import reference_vector
 
-from hrr import chunking
+from hrr import chunking, embedding
 from hrr.chunking import ChunkingConfig, _utf8_offsets, build_corpus
 from hrr.corpus import Level, save_corpus, validate_corpus
 from hrr.embedding import HashedBowEmbedder
@@ -479,6 +479,131 @@ class TestIngestMatchesReference:
             for array, want in zip((rows.indptr, rows.columns, rows.values),
                                    reference_csr(texts, embedder.dimension)):
                 assert array.tobytes() == want.tobytes()
+
+
+class CodePointTokenizer(WordPunctTokenizer):
+    """Local, and finer than the embedder's tokenizer: every code point,
+    whitespace too, is a token. So a hard split can fall inside a word, and
+    a chunk can hold only whitespace, which the embedder finds no token in."""
+
+    name = "code-points"
+
+    def token_spans(self, text):
+        starts = np.arange(len(text))
+        return starts, starts + 1
+
+    def count_each(self, texts):
+        return np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+
+
+#: Words for the stream oracle: the two code points whose lowercase is not
+#: local (``İ`` and ``Σ``), both small sigmas, ``ß`` and ``ẞ``, astral
+#: letters, underscores and punctuation runs, alone and glued to words.
+STREAM_WORDS = ["alpha", "Beta", "GAMMA", "naïve", "東京", "İ", "İstanbul", "Σ", "ΑΣ", "ΑΣ.Β",
+                "ς", "σοφία", "ß", "STRAẞE", "𐐀𐐨", "𐍈x", "_", "__init__", "a_b", "...", "?!",
+                "--", "x.y", "Ǆ", "K"]
+
+
+def proof_holds(text: str) -> bool:
+    """The embedder's proof for a document: ASCII, or neither ``İ`` nor ``Σ``."""
+    return text.isascii() or not ("İ" in text or "Σ" in text)
+
+
+@st.composite
+def stream_corpus(draw):
+    """Two to four documents of sentences of ``STREAM_WORDS``, glued or
+    spaced; the first passes the embedder's proof and the second fails it."""
+    documents = {}
+    for doc in range(draw(st.integers(min_value=2, max_value=4))):
+        words = STREAM_WORDS if doc else [w for w in STREAM_WORDS if proof_holds(w)]
+        sentences = []
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            sentence = "".join(
+                word + draw(st.sampled_from([" ", " ", "", "\n"]))
+                for word in draw(st.lists(st.sampled_from(words), min_size=1, max_size=10)))
+            sentences.append(sentence.strip() + draw(st.sampled_from([".", "!", "?", "...", ""])))
+        if doc == 1:
+            at = draw(st.integers(min_value=0, max_value=len(sentences)))
+            sentences.insert(at, draw(st.sampled_from(["İt.", "ΟΔΟΣ.", "ΑΣ.Β"])))
+        documents[f"d{doc}"] = draw(st.sampled_from([" ", "\n\n", "  "])).join(sentences)
+    return documents
+
+
+def embedded_as_recipe(corpus, embedder):
+    """Embed every level of ``corpus`` through ``embedder`` from
+    ``texts_at``, as ingest does, and whether each level's rows are the
+    per-text recipe's bits (``reference_csr``, or one dense row)."""
+    same, dimension = [], embedder.dimension
+    for level in corpus.levels:
+        texts = corpus.texts_at(level)
+        rows, plain = embedder.embed_batch(texts), list(texts)
+        if len(plain) == 1:
+            same.append(rows[0].tobytes() == reference_vector(plain[0], dimension).tobytes())
+            continue
+        arrays = (rows.indptr, rows.columns, rows.values)
+        same.append(all(array.tobytes() == expected.tobytes()
+                        for array, expected in zip(arrays, reference_csr(plain, dimension))))
+    return same
+
+
+class TestStreamMatchesRecipe:
+    """The rows the hashed-bow embedder counts from each document's token
+    stream are the per-text recipe's, bit for bit, at every level; rows
+    that the proof cannot cover fall back to their text."""
+
+    @given(documents=stream_corpus(), config=chunking_configs(),
+           tokenizer=st.sampled_from([WordPunctTokenizer(), CodePointTokenizer()]),
+           dimension=st.sampled_from([8, 384]),
+           block_chars=st.one_of(st.integers(min_value=1, max_value=80),
+                                 st.just(embedding._BLOCK_CHARS)))
+    @settings(max_examples=120, deadline=None)
+    def test_every_level_is_the_recipe(self, documents, config, tokenizer, dimension,
+                                       block_chars):
+        corpus = build_corpus(documents, config, tokenizer)
+        embedder = HashedBowEmbedder(dimension)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embedding, "_BLOCK_CHARS", block_chars)
+            assert all(embedded_as_recipe(corpus, embedder))
+        streamed = [level for level in corpus.levels if len(corpus.rows_at(level)) > 1]
+        if streamed:
+            # Every document holds rows at every level, so each one that
+            # passes the proof is streamed once, and every row of the others
+            # falls back.
+            assert embedder.streamed == sum(map(proof_holds, documents.values()))
+            failing = [row for row, text in enumerate(documents.values()) if not proof_holds(text)]
+            assert embedder.fallback_rows >= sum(
+                int(np.isin(corpus.texts_at(level).doc, failing).sum()) for level in streamed)
+        assert embedder._stream is None
+
+    def test_each_fallback_and_a_tokenless_row(self):
+        """A document that fails the proof, a row whose span cuts a word and
+        rows of only whitespace, in one corpus, are each the recipe."""
+        documents = {"plain": "Alpha beta gamma.  Delta σοφία x.", "sigma": "ΑΣ.Β naïve. Σ!"}
+        config = ChunkingConfig(parent_size=12, intermediate_size=6, sub_intermediate_size=3,
+                                max_sentence_tokens=1)
+        corpus = build_corpus(documents, config, CodePointTokenizer())
+        assert " " in list(corpus.texts_at(Level.SENTENCE))  # no token
+        assert "Alpha beta g" in list(corpus.texts_at(Level.PARENT))  # ends inside a word
+        embedder = HashedBowEmbedder(384)
+        assert all(embedded_as_recipe(corpus, embedder))
+        assert embedder.streamed == 1
+        sigma_rows = sum(int((corpus.texts_at(level).doc == 1).sum()) for level in corpus.levels)
+        assert embedder.fallback_rows > sigma_rows
+
+    def test_a_stream_that_skips_the_proof_fails_the_oracle(self, monkeypatch):
+        """Lowercased whole, ``ΑΣ.Β`` reads a medial ``σ``, where the row
+        ``ΑΣ`` alone ends in a final ``ς``: a stream taken without the proof
+        gives that row another bucket than the recipe."""
+        documents = {"d": "ΑΣ.Β γ. ΑΣ.Β δ."}
+        config = ChunkingConfig(parent_size=12, intermediate_size=6, sub_intermediate_size=None,
+                                max_sentence_tokens=1)
+        corpus = build_corpus(documents, config)
+        assert "ΑΣ" in list(corpus.texts_at(Level.SENTENCE))
+        assert all(embedded_as_recipe(corpus, HashedBowEmbedder(384)))
+        monkeypatch.setattr(embedding, "_NOT_LOCAL_LOWER", ())
+        skipped = HashedBowEmbedder(384)
+        assert not all(embedded_as_recipe(corpus, skipped))
+        assert skipped.streamed == 1
 
 
 class TestGoldenNodeTables:

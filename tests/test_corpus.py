@@ -1247,7 +1247,13 @@ class TestChunkTexts:
         for c in (built, load_corpus(tmp_path)):
             assert set(c.levels) == set(Level)
             for level in c.levels:
-                assert c.texts_at(level) == [c.chunk_text(i) for i in level_ids(c, level)]
+                texts, expected = c.texts_at(level), [c.chunk_text(i) for i in level_ids(c, level)]
+                assert list(texts) == [texts[i] for i in range(len(texts))] == expected
+                assert texts[1:3] == expected[1:3] and texts[-1] == expected[-1]
+                nodes = [c.get(i) for i in level_ids(c, level)]
+                assert [texts.documents[d][s:e] for d, s, e in zip(texts.doc, texts.start,
+                                                                     texts.end)] == [
+                    c.documents[n.doc_id][n.char_span[0]:n.char_span[1]] for n in nodes]
             assert any(len(t.encode("utf-8")) > len(t) for t in c.texts_at(Level.SENTENCE))
             assert any(ord(ch) > 0xFFFF for t in c.texts_at(Level.PARENT) for ch in t)
 

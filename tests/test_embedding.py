@@ -24,7 +24,14 @@ from hrr.embedding import (
     embed_batch,
     ensure_unit,
 )
+from hrr.chunking import build_corpus
+from hrr.config import EngineConfig, PathsConfig
+from hrr.corpus import Level
+from hrr.engine import ingest, load_context
 from hrr.errors import DimensionMismatchError, InvalidInputError
+from hrr.evaluation import compare
+from hrr.retrievers import Strategy, retrieve
+from hrr.synth import CorpusSpec, generate
 
 
 def reference_bucket(token: str, dimension: int) -> int:
@@ -196,6 +203,89 @@ class TestBatchOracle:
         assert rows[-1].tobytes() == dense[2].tobytes()
         with pytest.raises(IndexError):
             rows[3]
+
+
+class TestStream:
+    """The proof the token stream rests on, and how long a stream lives."""
+
+    def test_lowercasing_is_local_but_for_two_code_points(self):
+        """Every code point but ``İ`` and ``Σ`` lowercases to one code point,
+        whatever surrounds it, so a document without them lowercases whole
+        to its code points' lowercases, one each. An interpreter whose
+        Unicode tables disagree fails here instead of changing vectors."""
+        others = [chr(c) for c in range(sys.maxunicode + 1)
+                  if not 0xD800 <= c < 0xE000 and chr(c) not in embedding._NOT_LOCAL_LOWER]
+        lowered = [char.lower() for char in others]
+        assert all(len(char) == 1 for char in lowered)
+        for glue in ("", " ", "A", "a."):
+            assert glue.join(others).lower() == glue.lower().join(lowered)
+        assert len("İ".lower()) == 2
+        assert "ΑΣ".lower() != "Α".lower() + "Σ".lower()
+
+    def test_a_stream_lives_while_its_corpus_levels_embed(self, monkeypatch):
+        corpus = build_corpus(generate(CorpusSpec(seed=3, n_docs=2)).documents)
+        built = []
+        real = embedding._Stream
+        monkeypatch.setattr(embedding, "_Stream", lambda *args: built.append(args) or real(*args))
+        embedder = HashedBowEmbedder(64)
+        for level in corpus.levels:
+            rows = embed_batch(embedder, corpus.texts_at(level))
+            assert isinstance(rows, CsrBatch)
+            assert (embedder._stream is None) == (level is corpus.levels[-1])
+        assert len(built) == 1 and embedder.streamed == 2 and embedder.fallback_rows == 0
+        # A level embedded again, or another corpus, takes a new stream.
+        embedder.embed_batch(corpus.texts_at(Level.SENTENCE))
+        other = build_corpus(generate(CorpusSpec(seed=4, n_docs=1)).documents)
+        embedder.embed_batch(other.texts_at(Level.SENTENCE))
+        assert len(built) == 3 and built[-1][0] is other
+
+    def test_threads_embedding_levels_at_once_get_the_recipe(self):
+        """Threads that embed the levels of two corpora through one embedder
+        at once, in any order, each get the per-text rows: the stream is
+        shared state, so one level embeds at a time."""
+        corpora = [build_corpus(generate(CorpusSpec(seed=seed, n_docs=2)).documents)
+                   for seed in (3, 4)]
+        jobs = [(corpus, level) for corpus in corpora for level in corpus.levels] * 2
+
+        def arrays(rows):
+            return [array.tobytes() for array in (rows.indptr, rows.columns, rows.values)]
+
+        expected = [arrays(HashedBowEmbedder(32).embed_batch(list(corpus.texts_at(level))))
+                    for corpus, level in jobs]
+        embedder = HashedBowEmbedder(32)
+        start = threading.Barrier(len(jobs))
+
+        def embed(job):
+            start.wait(timeout=60)
+            return arrays(embedder.embed_batch(job[0].texts_at(job[1])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(embed, job) for job in jobs]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+
+    def test_load_context_and_queries_build_no_stream(self, tmp_path, monkeypatch):
+        synthetic = generate(CorpusSpec(seed=3, n_docs=2, n_needles=4))
+        (tmp_path / "docs").mkdir()
+        for doc_id, text in synthetic.documents.items():
+            (tmp_path / "docs" / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+        config = EngineConfig(paths=PathsConfig(corpus_dir=str(tmp_path / "c")))
+        ingest(tmp_path / "docs", config)
+
+        def no_stream(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(embedding, "_Stream", no_stream)
+        ctx = load_context(config)
+        compare(ctx, synthetic.queries, list(Strategy))
+        for query in synthetic.queries:
+            retrieve(query.query, ctx)
+        assert ctx.embedder._stream is None and ctx.embedder.streamed == 0
 
 
 def _stub_provider(rows):

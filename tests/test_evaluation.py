@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrr.cli import EXIT_OK, main
-from hrr.config import EngineConfig
-from hrr.engine import context_for
+from hrr.config import EngineConfig, PathsConfig
+from hrr.engine import context_for, ingest, load_context
 from hrr.errors import EmptyQuerySetError, GoldNotInCorpusError, SnapshotFormatError
 from hrr.evaluation import (
     EvalRecord,
@@ -134,6 +134,27 @@ class TestCompare:
     def test_empty_query_set_rejected(self, toy_context):
         with pytest.raises(EmptyQuerySetError):
             compare(toy_context, [], [Strategy.HRR])
+
+    def test_a_loaded_corpus_compares_without_an_id_map(self, tmp_path):
+        """Golds are checked against the parent rows alone: after a cold
+        load, loading the query set and ``compare()`` build no map of every
+        chunk id."""
+        synthetic = generate(CorpusSpec(seed=42, n_docs=3, n_needles=6))
+        (tmp_path / "docs").mkdir()
+        for doc_id, text in synthetic.documents.items():
+            (tmp_path / "docs" / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+        save_query_set(tmp_path / "q.jsonl", synthetic.queries)
+        config = EngineConfig(paths=PathsConfig(corpus_dir=str(tmp_path / "c")))
+        ingest(tmp_path / "docs", config)
+        ctx = load_context(config)
+        queries = load_query_set(tmp_path / "q.jsonl", ctx.corpus)
+        summaries = compare(ctx, queries, list(Strategy))
+        assert [s.n for s in summaries] == [len(synthetic.queries)] * len(Strategy)
+        assert "_index" not in vars(ctx.corpus)
+        with pytest.raises(GoldNotInCorpusError, match="is not a parent-level chunk"):
+            compare(ctx, [replace(queries[0], gold_parent=queries[0].gold_parent + ".i0")],
+                    [Strategy.HRR])
+        assert "_index" not in vars(ctx.corpus)
 
 
 class TestTableFormat:
