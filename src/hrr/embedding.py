@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from itertools import chain
 from operator import methodcaller
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import (
     InvalidInputError,
     ProviderUnavailableError,
 )
-from . import tokens
 from .corpus import LevelTexts
 from .tokens import WordPunctTokenizer
 
@@ -343,32 +342,40 @@ def _runs(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return at, before
 
 
-#: Count cells (rows times dimension), and characters of text, one block of
-#: a hashed-bow batch holds (or one longer text); the temporaries of an
-#: embed stay near 8 bytes per cell and 20 per character.
-_BLOCK_CELLS = 1 << 15
-_BLOCK_CHARS = 1 << 16
+#: Characters of text, or tokens, in one block of a hashed-bow batch's rows
+#: (or one longer row), in one document slice the piece table looks up, and
+#: in its window. Building the 20-doc synth corpus's sentence index peaks
+#: at 2.2 MB under tracemalloc at this bound, and at 3.1 MB at twice it.
+_BLOCK_CHARS = 1 << 14
+
+#: Pieces a piece table holds, and characters its pieces hold, before it is
+#: emptied (the first also bounds its token buckets and the query path's
+#: token cache); and the most characters of text it rests for at a time.
+_MEMO_SIZE = 1 << 16
+_MEMO_CHARS = 1 << 21
+_MEMO_MAX_REST = 1 << 21
 
 
 class PieceTable(dict):
-    """A hashed-bow embedder's batch state: each distinct whitespace piece's
-    run of buckets, stored once, and each token's bucket.
+    """A hashed-bow embedder's batch state, and its one memo of pieces: each
+    distinct whitespace piece's run of buckets, stored once, and each
+    token's bucket. Batches of texts and document slices go through it; a
+    query does not.
 
     ``table[piece]`` is the piece's id, given on first sight; once the block
     that saw it is looked up, id ``i``'s buckets, one per token in order,
     are ``store[bounds[i]:bounds[i + 1]]``. Before a block, the table is
-    emptied if it holds more than ``tokens._MEMO_SIZE`` pieces or pieces of
-    more than ``tokens._MEMO_CHARS`` characters, so it is bounded by those
-    plus one block's pieces; ``token_buckets`` is bounded so too.
+    emptied if it holds more than ``_MEMO_SIZE`` pieces or pieces of more
+    than ``_MEMO_CHARS`` characters, so it is bounded by those plus one
+    block's pieces; ``token_buckets`` is bounded so too.
 
     Looking pieces up pays only where they repeat; a block of new pieces is
     cheaper scanned whole. So the table counts, over a window of roughly
     the last ``_BLOCK_CHARS`` characters looked up, how many belonged to
     new pieces. While more than half did, it rests: the next blocks, for as
     many characters as that window plus twice the rest before (up to
-    ``tokens._MEMO_MAX_REST``), are scanned whole, and then a block is
-    looked up again. Resting changes no result, only which of two exact
-    paths runs.
+    ``_MEMO_MAX_REST``), are scanned whole, and then a block is looked up
+    again. Resting changes no result, only which of two exact paths runs.
     """
 
     def __init__(self, dimension: int) -> None:
@@ -402,7 +409,7 @@ class PieceTable(dict):
             self.resting -= chars
             self.scanned += len(texts)
             return self.scan(texts)
-        if len(self) > tokens._MEMO_SIZE or self.chars > tokens._MEMO_CHARS:
+        if len(self) > _MEMO_SIZE or self.chars > _MEMO_CHARS:
             self.clear()
             self.bounds, self.store, self.chars = array("q", [0]), array("H"), 0
         pieces = list(map(str.split, texts))
@@ -428,7 +435,7 @@ class PieceTable(dict):
         counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
         found = list(chain.from_iterable(found))
         known = self.token_buckets
-        if len(known) > tokens._MEMO_SIZE:
+        if len(known) > _MEMO_SIZE:
             known.clear()
         new = [token for token in dict.fromkeys(found) if token not in known]
         if new:
@@ -450,7 +457,7 @@ class PieceTable(dict):
         self.looked += looked
         self.missed += missed
         if 2 * self.missed > self.looked:
-            self._rest = self.resting = min(2 * self._rest + self.looked, tokens._MEMO_MAX_REST)
+            self._rest = self.resting = min(2 * self._rest + self.looked, _MEMO_MAX_REST)
         else:
             self._rest = 0
         if self.looked > _BLOCK_CHARS:
@@ -471,12 +478,14 @@ class HashedBowEmbedder:
     every bucket fits a ``<u2`` CSR column.
 
     A batch comes back as a ``CsrBatch``, built a block of rows at a time
-    (at most ``_BLOCK_CELLS`` cells and ``_BLOCK_CHARS`` characters or
-    tokens, or one row): one ``np.bincount`` counts every (row, bucket) pair
-    of the block, so no dense row is made. Each value is ``float32(count /
-    norm)`` with the norm taken over exact float64 integer squares, so the
-    rows are bit-identical to the recipe applied one text at a time,
-    whichever way their buckets were found.
+    (at most ``_BLOCK_CHARS`` characters or tokens, or one row): the
+    block's ``row * dimension + bucket`` keys, one per token, are sorted,
+    and each run of equal keys is one stored entry and its count, so no
+    dense row is made and the cost does not grow with the dimension. Each
+    value is ``float32(count / norm)``, the norm taken over exact float64
+    integer squares added in ascending column order, so the rows are
+    bit-identical to the recipe applied one text at a time, whichever way
+    their buckets were found.
 
     A corpus level (``hrr.corpus.LevelTexts``) is counted from token
     streams: each document is tokenized once per ingest, on the first of
@@ -508,9 +517,8 @@ class HashedBowEmbedder:
 
     A batch of one text, a query, comes back as a dense ``(1, d)`` block
     instead: search reads the query dense, and one row is built with fewer
-    numpy calls so. Its buckets come from a ``hrr.tokens.Memo`` of piece to
-    bucket list, which rests on the text's own misses, and an ``lru_cache``
-    of token to bucket.
+    numpy calls so. Its text is lowercased and tokenized whole, and each
+    token's bucket comes through an ``lru_cache`` of token to bucket.
     """
 
     name = "hashed-bow"
@@ -519,11 +527,7 @@ class HashedBowEmbedder:
         if not 1 <= dimension <= MAX_CSR_DIMENSION:
             raise ConfigError(f"dimension must be between 1 and {MAX_CSR_DIMENSION}")
         self._dimension = dimension
-        bucket = lru_cache(tokens._MEMO_SIZE)(partial(_bucket, dimension=dimension))
-        scan = WordPunctTokenizer.tokens
-        # Lists, not tuples: CPython keeps freed short tuples on free lists,
-        # so a batch's resting texts would leave thousands of them behind.
-        self._pieces = tokens.Memo(lambda text: list(map(bucket, scan(text))), _joined)
+        self._bucket = lru_cache(_MEMO_SIZE)(partial(_bucket, dimension=dimension))
         self._table = PieceTable(dimension)
         #: The streams of the corpus whose levels are being embedded.
         self._stream: _Stream | None = None
@@ -553,22 +557,23 @@ class HashedBowEmbedder:
         """The rows of a batch whose row ``i`` weighs ``sizes[i]`` characters
         or tokens, a block at a time: ``cells_of(start, stop, size)`` gives
         ``(row - start) * dimension + bucket`` for every token of rows
-        ``start`` to ``stop``, which weigh ``size`` in all."""
+        ``start`` to ``stop``, which weigh ``size`` in all, in an array of
+        its own, which is sorted in place."""
         dimension = self._dimension
-        rows = max(1, _BLOCK_CELLS // dimension)
         ends = np.cumsum(sizes)
         indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
         columns, values = [], []
         start = 0
         while start < len(sizes):
-            # One row or more: at most ``rows`` of them, of ``_BLOCK_CHARS``.
+            # One row or more, of at most ``_BLOCK_CHARS`` in all.
             taken = int(ends[start - 1]) if start else 0
-            stop = int(np.searchsorted(ends, taken + _BLOCK_CHARS, "right"))
-            stop = min(start + rows, max(start + 1, stop))
-            counts = np.bincount(cells_of(start, stop, int(ends[stop - 1]) - taken))
-            cells = np.flatnonzero(counts)
-            block_rows, cols = np.divmod(cells, dimension)
-            counts = counts[cells].astype(np.float64)
+            stop = max(start + 1, int(np.searchsorted(ends, taken + _BLOCK_CHARS, "right")))
+            keys = cells_of(start, stop, int(ends[stop - 1]) - taken)
+            # Each run of equal keys, sorted, is one cell and its count.
+            keys.sort()
+            firsts = np.flatnonzero(np.diff(keys, prepend=-1))
+            counts = np.diff(firsts, append=len(keys)).astype(np.float64)
+            block_rows, cols = np.divmod(keys[firsts], dimension)
             norms = np.sqrt(np.bincount(block_rows, weights=counts * counts))
             values.append((counts / norms[block_rows]).astype(np.float32))
             columns.append(cols.astype(np.uint16))
@@ -613,7 +618,7 @@ class HashedBowEmbedder:
 
     def _embed_one(self, text: str) -> np.ndarray:
         """The ``(1, d)`` block of one text."""
-        buckets = self._buckets_of(text)
+        buckets = list(map(self._bucket, WordPunctTokenizer.tokens(text.lower())))
         counts = np.bincount(buckets or [0], minlength=self._dimension)
         # An integer sum of squares, exact, as is its conversion to float.
         norm = math.sqrt(np.square(counts).sum())
@@ -635,10 +640,6 @@ class HashedBowEmbedder:
         if len(tokenless):
             cells = np.concatenate([cells, tokenless * self._dimension])
         return cells
-
-    def _buckets_of(self, text: str) -> list[int]:
-        """The bucket of each token of ``text.lower()``, in order."""
-        return self._pieces.of(text.lower())
 
 
 #: The code points whose lowercase is not one code point found alone: ``İ``
@@ -721,13 +722,11 @@ def _stream_buckets(table: PieceTable, lowered: str, starts: np.ndarray) -> np.n
     characters at a time. A slice is cut at a token's start, where no token
     is cut, so its tokens are the text's."""
     cuts = np.searchsorted(starts, np.arange(_BLOCK_CHARS, len(lowered), _BLOCK_CHARS))
-    cuts = [0, *np.unique(starts[cuts[cuts < len(starts)]]).tolist(), len(lowered)]
+    # A token longer than a slice is found for more than one cut; keep it once
+    # (not with np.unique, which imports numpy.ma, ~1 MB, on first use).
+    cuts = [0, *dict.fromkeys(starts[cuts[cuts < len(starts)]].tolist()), len(lowered)]
     return np.concatenate([table.buckets([lowered[a:b]], b - a)[0]
                            for a, b in zip(cuts, cuts[1:])])
-
-
-def _joined(lists: Iterable[list[int]]) -> list[int]:
-    return list(chain.from_iterable(lists))
 
 
 class RemoteEmbedder:

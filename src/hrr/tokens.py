@@ -24,83 +24,22 @@ Both are exact because ``re``'s ``\\w`` matches exactly the code points for
 which ``isalnum()`` is true or that are ``_``, and ``\\s`` exactly those for
 which ``isspace()`` is true, which is also where ``str.split()`` splits, so
 a whitespace piece's tokens are its text's tokens inside it (which the
-embedder's ``Memo`` of pieces relies on). A tier-1 test checks both over
-every code point, so an interpreter whose Unicode tables disagree fails the
-tests instead of changing artifacts.
+hashed-bow embedder's ``PieceTable`` relies on). A tier-1 test checks
+both over every code point, so an interpreter whose Unicode tables
+disagree fails the tests instead of changing artifacts.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .errors import ConfigError
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-
-#: Keys one memo holds, and characters its keys hold, before it is emptied.
-_MEMO_SIZE = 1 << 16
-_MEMO_CHARS = 1 << 21
-#: Most characters of text a memo rests for at a time.
-_MEMO_MAX_REST = 1 << 21
-
-
-class Memo(dict):
-    """A text's value, combined from the memoized values of its pieces.
-
-    ``memo.of(text)`` is ``combine`` over ``value(piece)`` for the pieces of
-    ``text.split()`` in order, each computed on first sight; its users pick
-    the two so that this equals ``value(text)``. It is emptied before it
-    would hold more than ``_MEMO_SIZE`` keys or keys of more than
-    ``_MEMO_CHARS`` characters in all (a longer key is then kept alone).
-
-    A memo pays only where pieces repeat: a hit is a lookup in C, but a miss
-    adds a Python call to ``value``, so text of new pieces (unique words,
-    whitespace-poor text, a memo emptied faster than it is reused) is slower
-    through it than ``value(text)``. So after a text whose lookups missed
-    more than one time in eight the memo rests: it returns ``value(text)``
-    and takes the text's characters off ``resting`` until that is spent.
-    The rest is the text's characters plus twice the rest before, up to
-    ``_MEMO_MAX_REST``, while such texts come in a row; a text with some
-    misses, but at most one in eight, resets it. Resting changes no result,
-    only which of two exact paths runs.
-    """
-
-    def __init__(self, value: Callable[[str], Any], combine: Callable[[Iterable], Any]) -> None:
-        super().__init__()
-        self.value = value
-        self.combine = combine
-        self.chars = 0
-        #: Keys computed so far.
-        self.misses = 0
-        #: Characters of text left to take ``value`` of whole.
-        self.resting = 0
-        self._rest = 0
-
-    def __missing__(self, key: str) -> Any:
-        self.misses += 1
-        self.chars += len(key)
-        if len(self) >= _MEMO_SIZE or self.chars > _MEMO_CHARS:
-            self.clear()
-            self.chars = len(key)
-        value = self[key] = self.value(key)
-        return value
-
-    def of(self, text: str) -> Any:
-        if self.resting > 0:
-            self.resting -= len(text)
-            return self.value(text)
-        before, pieces = self.misses, text.split()
-        out = self.combine(map(self.__getitem__, pieces))
-        misses = self.misses - before
-        if 8 * misses > len(pieces):
-            self._rest = self.resting = min(2 * self._rest + len(text), _MEMO_MAX_REST)
-        elif misses:
-            self._rest = 0
-        return out
 
 
 @runtime_checkable

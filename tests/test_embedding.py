@@ -134,17 +134,24 @@ class TestBatchOracle:
 
     @given(
         texts=st.lists(TEXTS, min_size=1, max_size=12),
-        dimension=st.sampled_from([16, 384]),
-        block_rows=st.integers(1, 5),
+        dimension=st.sampled_from([16, 384, 65_536]),
         block_chars=st.one_of(st.integers(1, 80), st.just(embedding._BLOCK_CHARS)),
     )
     @settings(max_examples=150, deadline=None)
-    def test_rows_equal_reference_across_block_edges(self, texts, dimension, block_rows,
-                                                     block_chars):
+    def test_rows_equal_reference_across_block_edges(self, texts, dimension, block_chars):
+        blocks = []
+        buckets = embedding.PieceTable.buckets
+
+        def looked_up(table, block, chars):
+            blocks.append((len(block), chars))
+            return buckets(table, block, chars)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embedding, "_BLOCK_CELLS", block_rows * dimension)
             mp.setattr(embedding, "_BLOCK_CHARS", block_chars)
+            mp.setattr(embedding.PieceTable, "buckets", looked_up)
             rows = embed_batch(HashedBowEmbedder(dimension), texts)
+        # A block is one row, or rows of at most the bound in all.
+        assert all(n == 1 or chars <= block_chars for n, chars in blocks)
         assert len(rows) == len(texts)
         for text, row in zip(texts, rows):
             assert row.dtype == np.float32

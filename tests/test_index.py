@@ -750,12 +750,13 @@ class TestBuildIndex:
         assert index_ids(a) == index_ids(b)
         assert np.array_equal(dense_rows(a), dense_rows(b))
 
-    def test_hashed_bow_build_makes_no_dense_block(self):
-        """The sentence level of the 20-doc synth corpus, 6,845 rows: building
-        its index allocates well under the (n, d) float32 block a dense embed
-        would take."""
+    @pytest.mark.parametrize("dimension", [384, 65_536])
+    def test_hashed_bow_build_makes_no_dense_block(self, dimension):
+        """The sentence level of the 20-doc synth corpus, 6,863 rows: building
+        its index allocates well under the (n, 384) float32 block a dense
+        embed would take, and no more at the widest dimension."""
         corpus = generate(CorpusSpec()).corpus
-        n, dimension = len(corpus.rows_at(Level.SENTENCE)), 384
+        n = len(corpus.rows_at(Level.SENTENCE))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -764,7 +765,7 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         assert len(index) == n > 5000 and index.layout == "csr"
-        assert peak < n * dimension * 4 / 4
+        assert peak < n * 384 * 4 / 4
 
     def test_dimension_beyond_u2_columns_rejected(self):
         with pytest.raises(ConfigError, match="between 1 and 65536"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from reference_text import ReferenceTokenizer, span_pairs
 from test_embedding import reference_vector
 
-from hrr import embedding, tokens
+from hrr import embedding
 from hrr.embedding import HashedBowEmbedder, encodes_as_utf8
 from hrr.errors import ConfigError
 from hrr.tokens import WordPunctTokenizer, get_tokenizer
@@ -45,12 +45,6 @@ BATCH_TEXT = st.one_of(
                      "𝔞", "東京"]),
     st.text(alphabet="ab_9 ", max_size=6),
 )
-
-
-def count_memo() -> tokens.Memo:
-    """A memo of piece token counts: ``of(text)`` sums its whitespace
-    pieces' counts, which equals the text's."""
-    return tokens.Memo(WordPunctTokenizer().count_tokens, sum)
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +154,6 @@ class TestMatchesReference:
 
     def test_memos_overflowing_mid_batch_change_nothing(self, monkeypatch):
         texts = [f"Wörd{i}, x{i % 7}. İ{i}Σ_{i}! ok" for i in range(40)] + [" \t", "a", "ok"]
-        counts = list(map(count_memo().of, texts))
         rows = HashedBowEmbedder(16).embed_batch(texts)
         clears = []
 
@@ -168,14 +161,9 @@ class TestMatchesReference:
             clears.append(len(memo))
             dict.clear(memo)
 
-        monkeypatch.setattr(tokens.Memo, "clear", clear)
-        monkeypatch.setattr(tokens, "_MEMO_SIZE", 3)
-        # Never resting, every text goes through the memos.
-        monkeypatch.setattr(tokens, "_MEMO_MAX_REST", 0)
-        assert list(map(count_memo().of, texts)) == counts
-        assert counts == list(map(ReferenceTokenizer().count_tokens, texts))
-        assert len(clears) > len(texts)
-        clears.clear()
+        monkeypatch.setattr(embedding, "_MEMO_SIZE", 3)
+        # Never resting, every text goes through the piece table.
+        monkeypatch.setattr(embedding, "_MEMO_MAX_REST", 0)
         # Its token-to-bucket cache holds 3 tokens too, and with each text a
         # block of its own, its piece table empties between the blocks.
         monkeypatch.setattr(embedding.PieceTable, "clear", clear)
@@ -187,32 +175,16 @@ class TestMatchesReference:
             assert getattr(small, array).tobytes() == getattr(rows, array).tobytes()
 
     def test_resting_memos_change_nothing(self, monkeypatch):
-        """Texts of new words make a memo rest, known words wake it again,
-        and counts and rows equal those of memos that never rest."""
-        ref = ReferenceTokenizer()
-        memo, known = count_memo(), "the cat, the dog."
+        """The embedder's piece table judges reuse over blocks, here of ~200
+        characters: blocks of new words make it rest, scanning texts whole,
+        and its rows equal those of a table that never rests."""
+        known = "the cat, the dog."
         new = [" ".join(f"w{i}x{j}" for j in range(5)) + "." for i in range(300)]
-        rested = spent = 0
-        for text in [known] * 50 + new:
-            rested += memo.resting > 0
-            assert memo.of(text) == ref.count_tokens(text)
-        # Most new texts were scanned without the memo.
-        assert rested > len(new) / 2 and memo.misses < len(new) * 5 / 2
-        while memo.resting > 0:
-            assert memo.of(known) == 6
-            spent += len(known)
-        assert spent <= tokens._MEMO_MAX_REST
-        misses = memo.misses
-        for _ in range(10):
-            assert memo.of(known) == 6 and memo.resting <= 0
-        assert memo.misses == misses
-        # The embedder's piece table judges reuse over blocks, here of ~200
-        # characters: blocks of new words make it rest, scanning texts whole.
         texts = [known] * 50 + new + [known] * 5
         monkeypatch.setattr(embedding, "_BLOCK_CHARS", 200)
         resting = HashedBowEmbedder(32)
         rows = resting.embed_batch(texts)
-        monkeypatch.setattr(tokens, "_MEMO_MAX_REST", 0)
+        monkeypatch.setattr(embedding, "_MEMO_MAX_REST", 0)
         awake = HashedBowEmbedder(32)
         awake_rows = awake.embed_batch(texts)
         assert resting._table.scanned > len(new) / 2 and awake._table.scanned == 0
@@ -224,16 +196,14 @@ class TestMatchesReference:
                     min_size=1, max_size=40))
     @settings(max_examples=150, deadline=None)
     def test_one_memo_across_texts_equals_the_regex(self, texts):
-        """One count memo and one embedder, with memos small enough that the
-        texts cross memo, rest and clear, count and embed what the regex
-        and the recipe give for each text."""
+        """One embedder, with a piece table and a token cache small enough
+        that the texts cross rest and clear, embeds what the recipe gives
+        for each text, one at a time and as one batch."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tokens, "_MEMO_SIZE", 4)
-            patch.setattr(tokens, "_MEMO_CHARS", 40)
-            patch.setattr(tokens, "_MEMO_MAX_REST", 60)
-            memo, ref, embedder = count_memo(), ReferenceTokenizer(), HashedBowEmbedder(16)
-            for text in texts:
-                assert memo.of(text) == ref.count_tokens(text)
+            patch.setattr(embedding, "_MEMO_SIZE", 4)
+            patch.setattr(embedding, "_MEMO_CHARS", 40)
+            patch.setattr(embedding, "_MEMO_MAX_REST", 60)
+            embedder = HashedBowEmbedder(16)
             # A lone surrogate is text, but not text UTF-8 can hash.
             texts = list(filter(encodes_as_utf8, texts))
             expected = [reference_vector(text, 16).tobytes() for text in texts]
@@ -241,16 +211,6 @@ class TestMatchesReference:
                 assert embedder.embed_batch([text])[0].tobytes() == row
             if texts:
                 assert [row.tobytes() for row in embedder.embed_batch(texts)] == expected
-
-    def test_memo_is_bounded_in_characters(self, monkeypatch):
-        monkeypatch.setattr(tokens, "_MEMO_CHARS", 10)
-        memo, pieces = count_memo(), ["ab,c", "defg", "hi", "a" * 12, "jk"]
-        for piece in pieces:
-            assert memo.of(piece) == ReferenceTokenizer().count_tokens(piece)
-            assert memo.chars == sum(map(len, memo)) and (memo.chars <= 10 or len(memo) == 1)
-            memo.resting = 0
-        assert list(memo) == ["jk"]
-        assert memo.of("ab,c jk") == 4 and memo.misses == len(pieces) + 1
 
 
 def test_regex_classes_are_the_str_predicates():
