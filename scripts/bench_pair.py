@@ -18,7 +18,8 @@ run, and stdout a summary (``summary``): per workload and end-to-end metric
 (each one lower is better, as every one ``BENCHMARK.json`` declares is),
 each side's median and quartiles, the change between the medians, the pairs
 each side won (a tie counts for neither), the base's quartile distance and
-whether the gap between the medians exceeds it.
+whether the gap between the medians exceeds it; and first, per workload,
+whether every run of both sides carried one ``results_sha256`` (``digests``).
 A gain holds by the pair rule when this checkout won at least nine tenths of
 the pairs and its median is lower by more than that distance.
 
@@ -27,9 +28,12 @@ the record keeps per side: a run whose digest differs from its side's earlier
 runs (a source file edited while the series ran) ends the series. Their
 ``git_sha`` cannot tell the sides apart: this checkout's reports carry its
 HEAD, the base's commit when the change is not committed, and the exported
-base has no ``.git``, so its reports carry null. A run that fails ends the
-series: the runs before it are still written, with the failure, and the exit
-status is 1.
+base has no ``.git``, so its reports carry null. Each workload's
+``results_sha256`` is pinned across both sides the same way: a run whose
+digest differs from the workload's earlier runs (the two sides, or two runs
+of one side, returned different results) is kept, and ends the series. A run
+that fails ends the series: the runs before it are still written, with the
+failure, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -84,6 +88,31 @@ def pin_source(pins: dict[str, str], side: str, report: dict) -> None:
                         f"its source changed during the series")
 
 
+def pin_results(pins: dict[str, str], workload: str, report: dict) -> None:
+    """Pin ``workload``'s ``results_sha256`` to its first run's, of either
+    side; raise ``RunFailed`` for a run whose digest differs."""
+    digest = report["results_sha256"]
+    if pins.setdefault(workload, digest) != digest:
+        raise RunFailed(f"{workload}'s results_sha256 went from {pins[workload]} to {digest}: "
+                        f"the runs returned different results")
+
+
+def digests(runs: list[dict]) -> list[str]:
+    """One line per workload: whether every run of both sides carried one
+    ``results_sha256``, and the digests each side's runs carried."""
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        carried = {side: sorted({r["report"]["results_sha256"] for r in runs
+                                 if r["workload"] == workload and r["side"] == side})
+                   for side in ("base", "change")}
+        every = {digest for side in carried.values() for digest in side}
+        lines.append(
+            f"{workload} results_sha256: every run of both sides carried one: "
+            f"{'yes' if len(every) == 1 else 'no'}; "
+            + "; ".join(f"{side} {', '.join(ds) or 'none'}" for side, ds in carried.items()))
+    return lines
+
+
 def summary(runs: list[dict]) -> list[str]:
     """One line per workload and metric, over the pairs that ran both sides."""
     lines = []
@@ -131,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workdir", type=Path, help="where the base is exported")
     args = parser.parse_args(argv)
 
-    runs, failure, pins = [], None, {}
+    runs, failure, pins, results = [], None, {}, {}
     workdir = nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory(
         prefix="bench_pair_")
     with workdir as directory:
@@ -150,13 +179,14 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"pair {pair} {workload} {side}: " + ", ".join(
                             f"{m} {metrics[m]['value']:.6g}" for m in METRICS
                             if metrics.get(m, {}).get("value") is not None), file=sys.stderr)
+                        pin_results(results, workload, outcome["report"])
         except RunFailed as exc:
             failure = str(exc)
             print(failure, file=sys.stderr)
-    lines = summary(runs)
+    lines = digests(runs) + summary(runs)
     record = {"argv": ["python3", "scripts/bench_pair.py", *(argv or sys.argv[1:])],
               "base": base_sha, "change": "the working tree of this checkout",
-              "src_sha256": pins,
+              "src_sha256": pins, "results_sha256": results,
               "seed": args.seed, "pairs": args.pairs, "failure": failure,
               "summary": lines, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

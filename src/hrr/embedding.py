@@ -111,12 +111,6 @@ class CsrBatch:
             return "columns are not strictly ascending within a row"
         return None
 
-    def entry_rows(self) -> np.ndarray:
-        """The row of every stored entry."""
-        indptr = self.indptr
-        dtype = np.int32 if len(indptr) <= 2**31 else np.int64
-        return np.repeat(np.arange(len(indptr) - 1, dtype=dtype), indptr[1:] - indptr[:-1])
-
 
 @runtime_checkable
 class EmbeddingProvider(Protocol):

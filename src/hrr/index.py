@@ -18,9 +18,10 @@ postings of the query's non-zero buckets: exact inverted-file scoring
 (Zobel and Moffat, "Inverted files for text search engines", ACM
 Computing Surveys 2006). A row's postings sum adds its products in the
 canonical routine's order, so it is the row's score bit for bit and no row
-is rescored. The postings are built on a level's first search, so loading
-or building an index that is never searched, or only searched for all its
-rows, builds none.
+is rescored. Each bucket's postings are built the first time a search
+reads that bucket, so a search builds only its query's buckets, and
+loading or building an index, or searching it for all its rows, builds
+none.
 
 A dense index is searched in two passes, the structure of an exact flat
 index (Johnson, Douze, Jegou, arXiv 1702.08734): one float32 BLAS
@@ -169,8 +170,8 @@ class _CsrRows:
     """Compressed sparse rows plus column-wise postings.
 
     The arrays are checked here (``CsrBatch.problem``), so that no search
-    can index out of range. The postings are built by the first search
-    that reads them and kept.
+    can index out of range. Each bucket's postings are built the first time
+    a search reads that bucket, and kept (``_list``).
     """
 
     layout = LAYOUT_CSR
@@ -183,60 +184,56 @@ class _CsrRows:
         self.count = len(csr)
         self.dimension = csr.dimension
         self.nnz = csr.nnz
+        #: Each bucket's postings that a search has read (``_list``).
+        self._lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @functools.cached_property
-    def _postings(self) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
-        """``(starts, rows, values, by_value)``: bucket j's entries are
-        ``rows`` and ``values`` ``[starts[j]:starts[j + 1]]``. On a level
-        the early stop may read, of at least ``_EARLY_STOP_ROWS`` rows with
-        no stored value below 0 (``by_value``), they are by value descending
-        (+0.0 before -0.0), then row ascending; on another, by row, as only
-        the full pass reads them. The full pass's sums do not depend on that
-        order: a row holds at most one entry per bucket, and ``bincount``
-        adds them in bucket order.
+    def _by_value(self) -> bool:
+        """Whether the early stop may read this level: it holds at least
+        ``_EARLY_STOP_ROWS`` rows and no stored value below 0. Its buckets'
+        lists are then by value descending, else by row."""
+        values = self.csr.values
+        return self.count >= _EARLY_STOP_ROWS and (values.size == 0 or bool(values.min() >= 0))
 
-        Built on the level's first search, as one tuple stored at once, so a
-        concurrent first search sees either none or all of it.
+    def _list(self, bucket: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket ``bucket``'s postings ``(rows, values)``, built the first
+        time a search reads it and kept. On a ``_by_value`` level they are by
+        value descending (+0.0 before -0.0), then row ascending; on another,
+        by row, as only the full pass reads them. The full pass's sums do
+        not depend on that order: a row holds at most one entry per bucket,
+        and ``bincount`` adds them in bucket order.
+
+        Stored by one assignment, so a concurrent first search sees either
+        none or all of it; two that both build it build the same lists.
         """
-        csr, dimension = self.csr, self.dimension
-        # The bincount, which takes a wide copy of the columns, runs first,
-        # while no other temporary is held.
-        starts = np.zeros(dimension + 1, dtype=np.int64)
-        np.cumsum(np.bincount(csr.columns, minlength=dimension), out=starts[1:])
-        order = np.argsort(csr.columns, kind="stable")
-        rows, values = csr.entry_rows()[order], csr.values[order]
-        del order
-        starts = starts.tolist()
-        nonnegative = values.size == 0 or values.min() >= 0
-        by_value = bool(nonnegative and self.count >= _EARLY_STOP_ROWS)
-        if by_value:
+        found = self._lists.get(bucket)
+        if found is not None:
+            return found
+        csr = self.csr
+        # The entries come out row ascending.
+        entries = np.flatnonzero(csr.columns == bucket)
+        rows = np.searchsorted(csr.indptr, entries, "right") - 1
+        values = csr.values[entries]
+        if len(entries) > 1 and self._by_value:
             # A non-negative float32's bits with all but the sign flipped
-            # sort, unsigned, in descending value order. Each bucket is one
-            # sort of unique (value key, row) pairs, worked in two buffers
-            # the size of the longest bucket, allocated once.
-            key_buffer = np.empty(int(np.diff(starts).max()), dtype=np.uint64)
-            low_buffer = np.empty_like(key_buffer)
-            for s, e in zip(starts, starts[1:]):
-                if e - s > 1:
-                    key, low = key_buffer[: e - s], low_buffer[: e - s]
-                    np.bitwise_xor(values[s:e].view(np.uint32), 0x7FFFFFFF, out=key)
-                    key <<= 32
-                    low[:] = rows[s:e]
-                    key |= low
-                    key.sort()
-                    np.bitwise_and(key, 0xFFFFFFFF, out=low)
-                    rows[s:e] = low
-                    key >>= 32
-                    key ^= 0x7FFFFFFF
-                    values[s:e].view(np.uint32)[:] = key
-        return starts, rows, values, by_value
+            # sort, unsigned, in descending value order; one sort of the
+            # unique (value key, row) pairs orders the bucket.
+            key = np.bitwise_xor(values.view(np.uint32), 0x7FFFFFFF).astype(np.uint64)
+            key <<= 32
+            key |= rows.astype(np.uint64)
+            key.sort()
+            rows = (key & 0xFFFFFFFF).astype(rows.dtype)
+            key >>= 32
+            values = (key ^ 0x7FFFFFFF).astype(np.uint32).view(np.float32)
+        self._lists[bucket] = found = (rows, values)
+        return found
 
     def squared_norms(self) -> np.ndarray:
         return squared_norms(self.csr)
 
     def candidates(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows scoring at least the k-th best score, and their scores:
-        every row, scored from the CSR rows with no postings built, when ``k``
+        every row, scored from the CSR rows with no postings read, when ``k``
         reaches the row count; else the early stop's rows, or the full pass's.
         """
         if k >= self.count:
@@ -253,13 +250,12 @@ class _CsrRows:
         """Each row's score, ``cosine_similarity`` of it and ``query`` bit
         for bit: the float64 sum of ``x_ij q_j`` over the query's non-zero
         buckets, which ``bincount`` adds in bucket order from 0.0."""
-        starts, posting_rows, posting_values, _ = self._postings
         buckets = np.flatnonzero(query).tolist()
-        spans = [(starts[j], starts[j + 1], float(query[j])) for j in buckets]
-        rows = np.concatenate([posting_rows[s:e] for s, e, _ in spans])
+        lists = [(*self._list(j), float(query[j])) for j in buckets]
+        rows = np.concatenate([rows for rows, _, _ in lists])
         # Products of float32 values are exact in float64.
         weights = np.concatenate(
-            [np.multiply(posting_values[s:e], q, dtype=np.float64) for s, e, q in spans]
+            [np.multiply(values, q, dtype=np.float64) for _, values, q in lists]
         )
         return np.bincount(rows, weights=weights, minlength=self.count)
 
@@ -274,26 +270,26 @@ class _CsrRows:
         bounds the earlier ones'. ``LevelIndex.search`` holds the proof of
         the stop and lists when it returns None.
         """
-        starts, posting_rows, posting_values, by_value = self._postings
         buckets = np.flatnonzero(query).tolist()
         weights = [float(query[j]) for j in buckets]
-        if not by_value or min(weights) < 0:
+        if not self._by_value or min(weights) < 0:
             return None
-        lists = [(starts[j], starts[j + 1]) for j in buckets]
+        lists = [self._list(j) for j in buckets]
+        ends = [len(rows) for rows, _ in lists]
         query64 = query.astype(np.float64)
         # Both the frontier and a row's sum add at most |J| terms.
         inflation = 1.0 + 2.0 * gamma(len(lists))
         depth = _FIRST_DEPTH
         while True:
-            read = [min(s + depth, e) for s, e in lists]
+            read = [min(depth, e) for e in ends]
             depth *= _DEPTH_GROWTH
-            seen = np.concatenate([posting_rows[s:r] for (s, _), r in zip(lists, read)])
+            seen = np.concatenate([rows[:r] for (rows, _), r in zip(lists, read)])
             # A row read from two lists is kept once, and rows ascend.
             seen.sort()
             once = np.ones(len(seen), dtype=bool)
             np.not_equal(seen[1:], seen[:-1], out=once[1:])
             seen = seen[once]
-            exhausted = read == [e for _, e in lists]
+            exhausted = read == ends
             if len(seen) < k:
                 if exhausted:
                     return None
@@ -304,8 +300,8 @@ class _CsrRows:
                 return None
             if not exhausted:
                 frontier = sum(
-                    w * float(posting_values[r]) for w, r, (_, e) in zip(weights, read, lists)
-                    if r < e
+                    w * float(values[r]) for w, r, (_, values) in zip(weights, read, lists)
+                    if r < len(values)
                 )
                 if not np.nextafter(frontier * inflation, math.inf) < t_seen:
                     continue

@@ -2,6 +2,7 @@
 pins each side's source; checked on hand-made run records, running nothing."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,47 @@ class TestSourcePins:
         with pytest.raises(bench_pair.RunFailed, match="the change side's src_sha256 went from"):
             bench_pair.pin_source(pins, "change", {"env": {"src_sha256": "c" * 64}})
         assert pins == {"base": "a" * 64, "change": "b" * 64}
+
+
+def digested(runs: list[dict], *digests: str) -> list[dict]:
+    """``runs``, each report carrying the next of ``digests`` as its
+    ``results_sha256``."""
+    return [{**run, "report": {**run["report"], "results_sha256": digest}}
+            for run, digest in zip(runs, digests, strict=True)]
+
+
+class TestResultsPins:
+    def test_one_digest_over_both_sides_is_said_so(self):
+        runs = digested(records([1.0, 2.0], [1.0, 2.0]), *["a" * 64] * 4)
+        (line,) = bench_pair.digests(runs)
+        assert line == (f"query-200 results_sha256: every run of both sides carried one: yes; "
+                        f"base {'a' * 64}; change {'a' * 64}")
+
+    def test_a_second_digest_is_named_with_its_side(self):
+        runs = digested(records([1.0, 2.0], [1.0, 2.0]), "a" * 64, "a" * 64, "a" * 64, "b" * 64)
+        (line,) = bench_pair.digests(runs)
+        assert line == (f"query-200 results_sha256: every run of both sides carried one: no; "
+                        f"base {'a' * 64}; change {'a' * 64}, {'b' * 64}")
+
+    def test_a_run_of_other_results_ends_the_series(self, tmp_path, monkeypatch):
+        # Each side's runs in its order; the change's second run differs.
+        runs = digested(records([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), *["a" * 64] * 3, "b" * 64,
+                        *["a" * 64] * 2)
+        outcomes = {side: iter({"report": r["report"], "result": r["result"]}
+                               for r in runs if r["side"] == side) for side in ("base", "change")}
+        monkeypatch.setattr(bench_pair, "export", lambda rev, dest: "f" * 40)
+        monkeypatch.setattr(bench_pair, "run", lambda checkout, workload, seed: next(
+            outcomes["change" if checkout == bench_pair.ROOT else "base"]))
+        out = tmp_path / "bench.json"
+        argv = ["--base", "HEAD", "--out", str(out), "--workloads", "query-200",
+                "--pairs", "3", "--workdir", str(tmp_path)]
+        assert bench_pair.main(argv) == 1
+        record = json.loads(out.read_text())
+        assert record["failure"].startswith(
+            f"query-200's results_sha256 went from {'a' * 64} to {'b' * 64}")
+        # The run that differs is kept, and no run follows it.
+        assert [(r["pair"], r["side"]) for r in record["runs"]] == [
+            (0, "base"), (0, "change"), (1, "change")]
+        assert record["results_sha256"] == {"query-200": "a" * 64}
+        assert record["summary"][0].startswith(
+            "query-200 results_sha256: every run of both sides carried one: no")

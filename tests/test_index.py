@@ -1280,9 +1280,30 @@ class StaticProvider:
         return self.vectors
 
 
+def built_buckets(index: LevelIndex) -> set[int]:
+    """The buckets whose postings a CSR index has built."""
+    return set(index._rows._lists)
+
+
 def has_postings(index: LevelIndex) -> bool:
-    """Whether a CSR index has built its column postings."""
-    return "_postings" in vars(index._rows)
+    """Whether a CSR index has built any bucket's postings."""
+    return bool(built_buckets(index))
+
+
+def nonnegative_csr_index(rng: random.Random, n: int, dim: int) -> LevelIndex:
+    """A CSR index like ``random_index``'s whose stored values are all at
+    least 0, so that it orders its postings by value once the early stop
+    may read it."""
+    ids = [f"c{i:04d}" for i in range(n)]
+    rows = np.abs(sparse_rows(rng, n, dim))
+    return LevelIndex(level_corpus(ids, Level.PARENT), Level.PARENT, csr_batch(rows))
+
+
+def bucket_query(weights: dict[int, float], dim: int) -> np.ndarray:
+    """The unit query holding ``weights`` in its buckets, 0 elsewhere."""
+    query = np.zeros(dim, dtype=np.float32)
+    query[list(weights)] = list(weights.values())
+    return ensure_unit(query)
 
 
 class TestPostingsOnFirstSearch:
@@ -1313,6 +1334,9 @@ class TestPostingsOnFirstSearch:
         k = ctx.config.similarity_top_k
         searched = {level for level in _PLANS[strategy][0] if len(indices[level]) > k}
         assert {level for level, index in indices.items() if has_postings(index)} == searched
+        query = embed_batch(ctx.embedder, ["zorblat fenwick grant"])[0]
+        for level in searched:
+            assert built_buckets(indices[level]) == set(np.flatnonzero(query).tolist()), level
 
     def test_build_and_save_build_none(self, tmp_path, toy_corpus):
         embedder = HashedBowEmbedder(dimension=64)
@@ -1320,32 +1344,110 @@ class TestPostingsOnFirstSearch:
         save_corpus(toy_corpus, tmp_path, indexes, embedder)
         assert all(index.layout == "csr" and not has_postings(index) for index in indexes)
 
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_a_search_builds_its_query_buckets_only(self, by_value):
+        rng = random.Random(43)
+        index = (nonnegative_csr_index(rng, 400, 64) if by_value
+                 else random_index(rng, 400, 64, "csr"))
+        with mock.patch.object(index_module, "_EARLY_STOP_ROWS", 1):
+            # A search for k >= n rows reads no postings.
+            index.search(bucket_query({3: 1.0}, 64), len(index))
+            assert not has_postings(index)
+            first = bucket_query({3: 1.0, 17: 0.5, 40: 2.0}, 64)
+            assert_hits_are(search_hits(index, first, 5), naive_top_k(index, first, 5))
+            assert built_buckets(index) == {3, 17, 40}
+            assert index._rows._by_value is by_value
+            kept = dict(index._rows._lists)
+            second = bucket_query({17: 1.0, 40: 1.0, 41: 0.25, 63: 1.0}, 64)
+            assert_hits_are(search_hits(index, second, 5), naive_top_k(index, second, 5))
+        assert built_buckets(index) == {3, 17, 40, 41, 63}
+        # The buckets the first search built are kept, not built again.
+        assert all(index._rows._lists[j] is lists for j, lists in kept.items())
+
     def test_concurrent_first_searches_match_the_scan(self, tmp_path):
         rng = random.Random(41)
-        saved(random_index(rng, 3000, 64, "csr"), tmp_path)
-        loaded = reloaded(tmp_path, 64)
-        query = ensure_unit(np.array([rng.gauss(0, 1) for _ in range(64)], dtype=np.float32))
-        barrier = threading.Barrier(4)
-        results = [None] * 4
+        levels = [("signed", random_index(rng, 3000, 64, "csr")),
+                  ("non-negative", nonnegative_csr_index(rng, 3000, 64))]
+        # Each thread's buckets overlap the next thread's but differ from them.
+        queries = [bucket_query({j: rng.uniform(0.1, 1.0) for j in range(8 * i, 8 * i + 24)}, 64)
+                   for i in range(4)]
+        for name, index in levels:
+            directory = tmp_path / name
+            saved(index, directory)
+            loaded = reloaded(directory, 64)
+            barrier = threading.Barrier(4)
+            results = [None] * 4
 
-        def first_search(slot: int) -> None:
-            barrier.wait(timeout=30)
-            results[slot] = search_hits(loaded, query, 10)
+            def first_search(slot: int) -> None:
+                barrier.wait(timeout=30)
+                results[slot] = search_hits(loaded, queries[slot], 10)
 
-        threads = [threading.Thread(target=first_search, args=(i,)) for i in range(4)]
-        assert not has_postings(loaded)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for hits in results:
-            assert_hits_are(hits, naive_top_k(loaded, query, 10))
+            threads = [threading.Thread(target=first_search, args=(i,)) for i in range(4)]
+            assert not has_postings(loaded)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with mock.patch.object(index_module, "_EARLY_STOP_ROWS", 1):
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert loaded._rows._by_value is (name == "non-negative")
+            assert built_buckets(loaded) == set(range(48)), name
+            for query, hits in zip(queries, results):
+                assert_hits_are(hits, naive_top_k(loaded, query, 10), name)
+
+
+@st.composite
+def query_runs(draw):
+    """``(by_value, queries, depth)``: 1 to 6 queries of 1 to 6 buckets each,
+    in the order they run, each with its k, and the early stop's first depth.
+    The buckets come from the first 12 of 64, so that queries share some;
+    on a by-value level, each weight is below 0 one time in ten."""
+    by_value = draw(st.booleans())
+    weight = st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, -1.0] if by_value
+                             else [0.5, -1.0, 2.0])
+    bucket_sets = st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True)
+    queries = draw(st.lists(
+        st.tuples(st.dictionaries(st.integers(0, 11), weight, min_size=1, max_size=6)
+                  | bucket_sets.map(lambda js: dict.fromkeys(js, 1.0)),
+                  st.integers(1, 40)),
+        min_size=1, max_size=6))
+    return by_value, queries, draw(st.integers(1, 3))
+
+
+class TestBucketsBuiltAsRead:
+    """A bucket's postings answer the same whether an earlier search built
+    them or the search builds them afresh."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        """Each kind of level's saved directory: by value, and by row."""
+        rng = random.Random(47)
+        directories = {}
+        for by_value, index in ((True, nonnegative_csr_index(rng, 300, 64)),
+                                (False, random_index(rng, 300, 64, "csr"))):
+            directories[by_value] = tmp_path_factory.mktemp(f"by_value_{by_value}")
+            saved(index, directories[by_value])
+        return directories
+
+    @given(query_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_queries_in_drawn_order_match_a_fresh_load(self, stored, run):
+        by_value, queries, depth = run
+        directory = stored[by_value]
+        with mock.patch.multiple(index_module, _EARLY_STOP_ROWS=1, _FIRST_DEPTH=depth):
+            shared = reloaded(directory, 64)
+            for weights, k in queries:
+                query = bucket_query(weights, 64)
+                fresh = search_hits(reloaded(directory, 64), query, k)
+                assert_hits_are(search_hits(shared, query, k),
+                                [(h.chunk_id, h.score) for h in fresh], weights, k)
+        assert shared._rows._by_value is by_value
+        assert built_buckets(shared) == {j for weights, _ in queries for j in weights}
 
 
 class TestConstruction:
