@@ -3,6 +3,7 @@ alternating pairs, and keep every report.
 
     python3 scripts/bench_pair.py --base REV --out BENCH.json
         [--workloads W ...] [--seed N] [--pairs 1] [--workdir DIR]
+        [--expect-results WORKLOAD=DIGEST ...]
 
 The workloads (all by default) and the end-to-end metrics are the ones
 ``BENCHMARK.json`` declares, read when the script starts.
@@ -31,9 +32,14 @@ HEAD, the base's commit when the change is not committed, and the exported
 base has no ``.git``, so its reports carry null. Each workload's
 ``results_sha256`` is pinned across both sides the same way: a run whose
 digest differs from the workload's earlier runs (the two sides, or two runs
-of one side, returned different results) is kept, and ends the series. A run
-that fails ends the series: the runs before it are still written, with the
-failure, and the exit status is 1.
+of one side, returned different results) is kept, and ends the series. A
+change that means to alter a workload's results (a new artifact format
+changes the digest of the file an ingest writes, say) declares the digest
+its runs return with ``--expect-results WORKLOAD=DIGEST`` (repeatable): that
+workload's change runs are pinned to DIGEST, and its base runs to the base's
+first run, in place of the pin across both sides. A run that fails ends the
+series: the runs before it are still written, with the failure, and the
+exit status is 1.
 """
 
 from __future__ import annotations
@@ -88,29 +94,52 @@ def pin_source(pins: dict[str, str], side: str, report: dict) -> None:
                         f"its source changed during the series")
 
 
-def pin_results(pins: dict[str, str], workload: str, report: dict) -> None:
+def pin_results(pins: dict[str, str], workload: str, side: str, report: dict,
+                expected: str | None = None) -> None:
     """Pin ``workload``'s ``results_sha256`` to its first run's, of either
-    side; raise ``RunFailed`` for a run whose digest differs."""
+    side; or, given the digest its change runs are ``expected`` to carry,
+    pin its change runs to that and its base runs to the base's first run
+    (each kept under ``"WORKLOAD (SIDE)"``). Raise ``RunFailed`` for a run
+    whose digest differs."""
     digest = report["results_sha256"]
-    if pins.setdefault(workload, digest) != digest:
-        raise RunFailed(f"{workload}'s results_sha256 went from {pins[workload]} to {digest}: "
+    key = workload if expected is None else f"{workload} ({side})"
+    if expected is not None and side == "change" and digest != expected:
+        raise RunFailed(f"{workload}'s change run carried results_sha256 {digest}, not the "
+                        f"expected {expected}")
+    if pins.setdefault(key, digest) != digest:
+        raise RunFailed(f"{key}'s results_sha256 went from {pins[key]} to {digest}: "
                         f"the runs returned different results")
 
 
-def digests(runs: list[dict]) -> list[str]:
+def digests(runs: list[dict], expected: dict[str, str] | None = None) -> list[str]:
     """One line per workload: whether every run of both sides carried one
-    ``results_sha256``, and the digests each side's runs carried."""
+    ``results_sha256``, and the digests each side's runs carried; for a
+    workload whose change runs are ``expected`` to carry a digest, whether
+    every one did."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         carried = {side: sorted({r["report"]["results_sha256"] for r in runs
                                  if r["workload"] == workload and r["side"] == side})
                    for side in ("base", "change")}
         every = {digest for side in carried.values() for digest in side}
-        lines.append(
-            f"{workload} results_sha256: every run of both sides carried one: "
-            f"{'yes' if len(every) == 1 else 'no'}; "
-            + "; ".join(f"{side} {', '.join(ds) or 'none'}" for side, ds in carried.items()))
+        line = (f"{workload} results_sha256: every run of both sides carried one: "
+                f"{'yes' if len(every) == 1 else 'no'}; "
+                + "; ".join(f"{side} {', '.join(ds) or 'none'}" for side, ds in carried.items()))
+        if workload in (expected or {}):
+            line += (f"; every change run carried the expected {expected[workload]}: "
+                     f"{'yes' if carried['change'] == [expected[workload]] else 'no'}")
+        lines.append(line)
     return lines
+
+
+def expectation(value: str) -> tuple[str, str]:
+    """``WORKLOAD=DIGEST``, a declared workload and a sha256 in hex."""
+    workload, _, digest = value.partition("=")
+    if workload not in WORKLOADS or len(digest) != 64 or digest.strip("0123456789abcdef"):
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not WORKLOAD=DIGEST, a workload of {', '.join(WORKLOADS)} and a "
+            f"sha256 in lowercase hex")
+    return workload, digest
 
 
 def summary(runs: list[dict]) -> list[str]:
@@ -158,7 +187,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="synth seed (default: each workload's)")
     parser.add_argument("--pairs", type=int, default=1)
     parser.add_argument("--workdir", type=Path, help="where the base is exported")
+    parser.add_argument("--expect-results", type=expectation, action="append", default=[],
+                        metavar="WORKLOAD=DIGEST",
+                        help="the results_sha256 the change's runs of WORKLOAD must carry, "
+                             "in place of the base's (repeatable)")
     args = parser.parse_args(argv)
+    expected = dict(args.expect_results)
 
     runs, failure, pins, results = [], None, {}, {}
     workdir = nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory(
@@ -179,14 +213,15 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"pair {pair} {workload} {side}: " + ", ".join(
                             f"{m} {metrics[m]['value']:.6g}" for m in METRICS
                             if metrics.get(m, {}).get("value") is not None), file=sys.stderr)
-                        pin_results(results, workload, outcome["report"])
+                        pin_results(results, workload, side, outcome["report"],
+                                    expected.get(workload))
         except RunFailed as exc:
             failure = str(exc)
             print(failure, file=sys.stderr)
-    lines = digests(runs) + summary(runs)
+    lines = digests(runs, expected) + summary(runs)
     record = {"argv": ["python3", "scripts/bench_pair.py", *(argv or sys.argv[1:])],
               "base": base_sha, "change": "the working tree of this checkout",
-              "src_sha256": pins, "results_sha256": results,
+              "src_sha256": pins, "results_sha256": results, "expect_results": expected,
               "seed": args.seed, "pairs": args.pairs, "failure": failure,
               "summary": lines, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

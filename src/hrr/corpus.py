@@ -31,6 +31,7 @@ vectors together (``save_corpus``).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import Counter
@@ -132,9 +133,9 @@ class _Columns(NamedTuple):
     hard_split: np.ndarray  #: 0 or 1
 
 
-#: Each column's dtype, in file order.
+#: Each column's dtype in memory; the file stores each at its data's width
+#: (``save_corpus``).
 _DTYPES = _Columns("u1", "<u4", "<i4", "<i8", "<i8", "<u4", "u1")
-_ROW_BYTES = sum(np.dtype(dtype).itemsize for dtype in _DTYPES)
 
 
 class Corpus:
@@ -192,6 +193,7 @@ class Corpus:
         *,
         config: "ChunkingConfig",
         tokenizer_name: str,
+        document_sha256: Sequence[str] | None = None,
     ) -> None:
         """A corpus over ``documents``, each id's UTF-8 bytes, and the node
         table ``id_table``, ``columns``.
@@ -202,7 +204,9 @@ class Corpus:
         order: the node's level as its position in ``Level``, its document's
         position in ``documents``, its parent's row (-1 for none), the start
         and end of its byte span, its token count and its hard-split flag
-        (0 or 1).
+        (0 or 1). ``document_sha256``, the hex sha256 of each document's
+        bytes as a file recorded them, is kept for ``validate_corpus`` to
+        check; nothing else reads it.
         """
         try:
             # Converted, never cast, so an out-of-range value raises; in
@@ -220,6 +224,7 @@ class Corpus:
         self.documents: dict[str, bytes] = dict(documents)
         self.config = config
         self.tokenizer_name = tokenizer_name
+        self.document_sha256 = document_sha256
         is_ascii = _check_documents(self.documents)
         self._ids = _split_ids(id_table, len(columns.level))
         self._cols = columns
@@ -512,7 +517,8 @@ _RECOUNT_BYTES = 1 << 18
 
 
 def validate_corpus(corpus: Corpus) -> list[Violation]:
-    """Recount the corpus's tokens; an empty list means the corpus is sound.
+    """Check the corpus's documents against the digests its file recorded,
+    and recount its tokens; an empty list means the corpus is sound.
 
     The structure (unique ids, parent links, levels, spans and, at overlap
     0, each level's tiling of the one above and its token sums) is checked
@@ -526,9 +532,21 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     and the counts are checked with array compares. Pure function: same
     corpus, same violations, in row order, a node's drift before its
     budget. Builds a ``Violation`` only for a node that fails, and no node.
+
+    A loaded corpus (``document_sha256`` recorded) first has each
+    document's bytes hashed: a document whose sha256 is not the one its
+    file recorded is one ``DocumentDigestMismatch``, in document order,
+    before any node's violation. Only this check hashes the documents; a
+    load does not.
     """
     count_each = get_tokenizer(corpus.tokenizer_name).count_each
     columns, documents = corpus._cols, corpus._doc_bytes
+    violations: list[Violation] = []
+    for doc_id, data, recorded in zip(corpus._doc_ids, documents, corpus.document_sha256 or ()):
+        found = hashlib.sha256(data).hexdigest()
+        if found != recorded:
+            violations.append(Violation("DocumentDigestMismatch", doc_id,
+                                        f"recorded sha256 {recorded}, its bytes hash to {found}"))
     counted = np.empty(len(corpus), dtype=np.int64)
     # A batch ends before the first row past ``_RECOUNT_BYTES`` more bytes.
     ends = np.cumsum(columns.end - columns.start)
@@ -546,7 +564,6 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     stored = columns.token_count
     drift = counted != stored
     over = counted > limits[columns.level]
-    violations: list[Violation] = []
     for row in np.flatnonzero(drift | over).tolist():
         chunk_id, count = corpus._ids[row], int(counted[row])
         if drift[row]:
@@ -565,9 +582,10 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 
 #: Format version 1 was ``chunks.jsonl``, one JSON record per node; version
 #: 2 kept the documents apart from ``nodes.bin``, in ``documents.jsonl``;
-#: version 3 stored the chunk ids as one JSON array.
+#: version 3 stored the chunk ids as one JSON array; version 4 stored every
+#: node column, row pointer and CSR value at one fixed width.
 _MAGIC = b"HRRNODE\n"
-_VERSION = 4
+_VERSION = 5
 #: Ends the vectors' footer. Before it, each level's vectors were kept in a
 #: ``<level>.idx`` snapshot of their own, which is no longer read.
 _VECTORS_MAGIC = b"HRRVEC1\n"
@@ -575,6 +593,25 @@ _VECTORS_MAGIC = b"HRRVEC1\n"
 NODES_FILE = "nodes.bin"
 _RETIRED_NODES_FILE = "chunks.jsonl"
 _RETIRED_DOCUMENTS_FILE = "documents.jsonl"
+
+#: The widths an integer block is stored at, narrowest first: node
+#: columns, CSR row lengths and counts.
+WIDTHS = ("u1", "<u2", "<u4", "<u8")
+
+
+def narrowest(values: np.ndarray) -> str:
+    """The narrowest of ``WIDTHS`` that holds every one of ``values``,
+    integers of at least 0."""
+    top = int(values.max()) if len(values) else 0
+    return next(width for width in WIDTHS if top <= np.iinfo(width).max)
+
+
+def stored_width(value, what: str) -> str:
+    """``value``, a header's dtype for ``what``, if it is one of ``WIDTHS``;
+    else ``SnapshotFormatError``."""
+    if not (isinstance(value, str) and value in WIDTHS):
+        raise SnapshotFormatError(f"{what} dtype {value!r} is not one of {', '.join(WIDTHS)}")
+    return value
 
 
 def save_corpus(
@@ -589,14 +626,19 @@ def save_corpus(
     It starts with ``_MAGIC``, a ``<u4`` header length and the JSON header
     (sorted keys): the format version, tokenizer, chunking settings, node
     count, the document ids in row order, each document's length in bytes
-    (``document_bytes``) and ``ids_bytes``. Then come each column of the
-    node table as little-endian fixed-width values (``level`` u1, document
-    row ``<u4``, parent row ``<i4``, -1 for none, byte ``start`` and ``end``
-    ``<i8``, ``token_count`` ``<u4``, ``hard_split`` u1), the id table (the
-    chunk ids joined by NUL as UTF-8) and each document's UTF-8 bytes. Rows
-    are in the corpus's row order (each document's parents, intermediates
-    and sentences in turn, then the side tier, as ``build_corpus`` writes
-    them), so a parent row always precedes its children's.
+    (``document_bytes``) and the hex sha256 of its bytes
+    (``document_sha256``, which only ``validate_corpus`` checks),
+    ``ids_bytes``, and ``columns``, the dtype each node column is stored
+    at. Then come the node table's columns in the order ``level``,
+    ``doc`` (document row), ``parent``, byte ``start`` and ``end``,
+    ``token_count`` and ``hard_split``, each as little-endian unsigned
+    integers of the narrowest of ``WIDTHS`` that holds its values
+    (``narrowest``); ``parent`` is stored as the parent's row plus 1, 0 for
+    none. Then the id table (the chunk ids joined by NUL as UTF-8) and
+    each document's UTF-8 bytes. Rows are in the corpus's row order (each
+    document's parents, intermediates and sentences in turn, then the side
+    tier, as ``build_corpus`` writes them), so a parent row always precedes
+    its children's.
 
     Each index's blocks (``index.save_index``) follow, then the vectors'
     footer: JSON holding ``embedder``'s name and dimension and each index's
@@ -619,6 +661,8 @@ def save_corpus(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ids = "\0".join(corpus._ids).encode("utf-8")
+    columns = corpus._cols._replace(parent=corpus._cols.parent.astype(np.int64) + 1)
+    widths = _Columns(*map(narrowest, columns))
     header = {
         "version": _VERSION,
         "tokenizer": corpus.tokenizer_name,
@@ -626,14 +670,17 @@ def save_corpus(
         "count": len(corpus),
         "documents": list(corpus.documents),
         "document_bytes": list(map(len, corpus._doc_bytes)),
+        "document_sha256": [hashlib.sha256(data).hexdigest() for data in corpus._doc_bytes],
         "ids_bytes": len(ids),
+        "columns": widths._asdict(),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
     levels: list[dict] = []
     with replacing(directory / NODES_FILE) as fh:
         fh.writelines([_MAGIC, len(header_bytes).to_bytes(4, "little"), header_bytes])
-        fh.writelines(column.astype(dtype, copy=False)
-                      for column, dtype in zip(corpus._cols, _DTYPES))
+        fh.writelines(column.astype(width, copy=False)
+                      for column, width in zip(columns, widths))
+        del columns
         fh.writelines([ids, *corpus._doc_bytes])
         del ids  # freed before the first index is drawn
         for index in indexes:
@@ -675,6 +722,11 @@ def load_artifacts(
     (``index.load_index``). Without one, no vector block is read. Loading
     builds no ``ChunkNode``.
 
+    Each node column is widened from the width it is stored at to its
+    in-memory dtype (``_DTYPES``), the parent column less 1. The documents
+    are not hashed: ``validate_corpus`` checks them against the header's
+    ``document_sha256``, which the corpus keeps.
+
     A ``nodes.bin`` that could not have been saved raises
     ``SnapshotFormatError`` naming it, in one line, before any block is
     read: another magic; a header length or header that the file cannot
@@ -683,13 +735,16 @@ def load_artifacts(
     which asks for a re-ingest; an unknown tokenizer, or chunking settings
     that the config file's ``chunking`` section would refuse (a bool or a
     float for an integer, say); document ids that are not one string per
-    length, or that name a document twice; a level entry that
+    length, or that name a document twice; document digests that are not
+    one string per document; ``columns`` that do not name one dtype of
+    ``WIDTHS`` for each node column; a level entry that
     ``index.parse_level`` refuses, or a level stored twice; a negative
     size; and sizes that do not fill the file exactly (bytes after the
     corpus that do not end with a footer included). Given ``embedder``, so
     do a file with no vectors, as ingests wrote before the footer, which
     asks for a re-ingest, and vectors of another embedder or dimension.
-    Then a rule ``Corpus`` lists raises it with the rule's message and "; re-run
+    Then a column value that its in-memory dtype cannot hold, or a rule
+    ``Corpus`` lists, raises it with the rule's message and "; re-run
     ingest", as does, given ``embedder``, a level the corpus holds that the
     footer stores no vectors for; and ``index.load_index``'s refusal of a
     level with its own.
@@ -721,10 +776,18 @@ def load_artifacts(
         if len(set(doc_ids)) != len(doc_ids):
             duplicate = next(doc_id for doc_id, n in Counter(doc_ids).items() if n > 1)
             raise SnapshotFormatError(f"document id {duplicate!r} is used twice")
-        sizes = [count * np.dtype(dtype).itemsize for dtype in _DTYPES]
+        digests = header["document_sha256"]
+        if not _is_strings(digests, len(doc_ids)):
+            raise SnapshotFormatError("the document digests are not one string per document")
+        widths = header["columns"]
+        if not (isinstance(widths, dict) and sorted(widths) == sorted(_Columns._fields)):
+            raise SnapshotFormatError("the header does not name one dtype per node column")
+        widths = _Columns(*(stored_width(widths[name], f"the {name} column's")
+                            for name in _Columns._fields))
+        sizes = [count * np.dtype(width).itemsize for width in widths]
         sizes.append(json_int(header["ids_bytes"], "ids_bytes"))
         sizes += (json_int(n, f"document_bytes[{i}]") for i, n in enumerate(lengths))
-        return (config, header["tokenizer"], doc_ids), sizes
+        return (config, header["tokenizer"], doc_ids, digests, widths), sizes
 
     def parse_footer(footer):
         levels = [parse_level(entry, footer["dimension"]) for entry in footer["levels"]]
@@ -742,7 +805,7 @@ def load_artifacts(
         header_len = int.from_bytes(length, "little")
         if len(length) != 4 or header_len > size - fh.tell():
             raise SnapshotFormatError(f"{path}: truncated snapshot")
-        (config, tokenizer_name, doc_ids), sizes = _parsed(
+        (config, tokenizer_name, doc_ids, digests, widths), sizes = _parsed(
             path, "header", parse, fh.read(header_len))
         start = fh.tell()
         # The corpus blocks, then the vectors and their footer if the file
@@ -780,12 +843,14 @@ def load_artifacts(
                 f"embedding dimension {embedder.dimension}; re-run ingest"
             )
         fh.seek(start)
-        columns = [np.frombuffer(fh.read(n), dtype) for n, dtype in zip(sizes, _DTYPES)]
-        id_table = fh.read(sizes[len(_DTYPES)])
-        documents = {doc_id: fh.read(n) for doc_id, n in zip(doc_ids, sizes[len(_DTYPES) + 1 :])}
         try:
+            columns = [_widened(fh.read(n), width, name)
+                       for n, width, name in zip(sizes, widths, _Columns._fields)]
+            id_table = fh.read(sizes[len(widths)])
+            documents = {doc_id: fh.read(n)
+                         for doc_id, n in zip(doc_ids, sizes[len(widths) + 1 :])}
             corpus = Corpus(documents, id_table, columns, config=config,
-                            tokenizer_name=tokenizer_name)
+                            tokenizer_name=tokenizer_name, document_sha256=digests)
         except InvalidCorpusError as exc:
             raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
         del id_table  # split into the corpus's ids, and freed before a level is read
@@ -802,6 +867,20 @@ def load_artifacts(
                 raise SnapshotFormatError(f"{path}: {exc}") from None
             indices[index.level] = index
     return corpus, indices
+
+
+def _widened(data: bytes, width: str, name: str) -> np.ndarray:
+    """The node column ``name``, stored in ``data`` at ``width``, at its
+    in-memory dtype: the parent column less 1. Raises ``InvalidCorpusError``
+    for a value that dtype cannot hold."""
+    column = np.frombuffer(data, width)
+    dtype = np.dtype(getattr(_DTYPES, name)).newbyteorder("=")
+    if name == "parent":
+        column = column.astype(np.int64) - 1
+    top = int(column.max()) if len(column) else 0
+    if top > np.iinfo(dtype).max:
+        raise InvalidCorpusError(f"the {name} column holds {top}, beyond its {dtype} range")
+    return column.astype(dtype, copy=False)
 
 
 def _parsed(path: Path, what: str, parse: Callable, data: bytes):

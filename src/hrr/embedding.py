@@ -33,7 +33,7 @@ from .errors import (
     InvalidInputError,
     ProviderUnavailableError,
 )
-from .corpus import LevelTexts
+from .corpus import LevelTexts, narrowest
 from .tokens import WordPunctTokenizer
 
 if TYPE_CHECKING:
@@ -58,22 +58,42 @@ class CsrBatch:
     batch is a sequence of rows through ``len`` and ``batch[i]``, a dense
     ``(dimension,)`` float32 copy of row ``i``: a query of one text reads
     its row so.
+
+    A batch of integer ``counts`` (one per entry, as the hashed-bow embedder
+    counts its rows and as a counts level loads) has ``values`` that are
+    ``unit_values`` of them. Given ``values`` of None, they are decoded
+    whole the first time they are read, and stored by one assignment, so a
+    concurrent reader sees either none or all of them; two that both decode
+    them decode the same array.
     """
 
-    __slots__ = ("indptr", "columns", "values", "dimension")
+    __slots__ = ("indptr", "columns", "dimension", "counts", "_values")
 
     def __init__(
-        self, indptr: np.ndarray, columns: np.ndarray, values: np.ndarray, dimension: int
+        self, indptr: np.ndarray, columns: np.ndarray, values: np.ndarray | None,
+        dimension: int, counts: np.ndarray | None = None,
     ) -> None:
         self.indptr = indptr
         self.columns = columns
-        self.values = values
+        self._values = values
         self.dimension = dimension
+        self.counts = counts
+
+    @property
+    def values(self) -> np.ndarray:
+        values = self._values
+        if values is None:
+            self._values = values = unit_values(self.counts, self.indptr)
+        return values
+
+    @values.setter
+    def values(self, values: np.ndarray) -> None:
+        self._values = values
 
     @property
     def nnz(self) -> int:
         """The number of stored entries."""
-        return len(self.values)
+        return len(self.columns)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -93,12 +113,16 @@ class CsrBatch:
         """What keeps these arrays from being a CSR matrix, or None.
 
         The row pointers must rise from 0 to ``nnz``, with one column index
-        per value, and each row's columns must be strictly ascending and in
-        ``[0, dimension)``, so that no row can index out of range.
+        per value and per count, and each row's columns must be strictly
+        ascending and in ``[0, dimension)``, so that no row can index out of
+        range. A batch of counts must also hold no count of 0 and no empty
+        row, so that each of its rows decodes to a unit row. Values not yet
+        decoded are not read.
         """
         indptr, columns, nnz = self.indptr, self.columns, self.nnz
-        if len(columns) != nnz:
-            return f"{len(columns)} column indexes for {nnz} values"
+        for name, stored in (("values", self._values), ("counts", self.counts)):
+            if stored is not None and len(stored) != nnz:
+                return f"{nnz} column indexes for {len(stored)} {name}"
         if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
             return f"row pointers do not rise from 0 to the {nnz} stored non-zeros"
         if nnz and not (0 <= int(columns.min()) and int(columns.max()) < self.dimension):
@@ -109,7 +133,43 @@ class CsrBatch:
         descending[starts - 1] = False
         if descending.any():
             return "columns are not strictly ascending within a row"
+        if self.counts is not None:
+            if nnz and not self.counts.min() >= 1:
+                return "a stored count is 0"
+            if (indptr[1:] == indptr[:-1]).any():
+                return "a row of counts is empty"
         return None
+
+
+#: Counts ``unit_values`` decodes at a time (or one longer row), which
+#: bounds its float64 temporaries.
+_DECODE_COUNTS = 1 << 15
+
+
+def unit_values(counts: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The float32 values of CSR rows of integer ``counts``, row ``i``
+    holding ``counts[indptr[i]:indptr[i + 1]]``: each count ``c`` of a row
+    becomes ``float32(c / sqrt(sum of the row's c**2))``, divided in
+    float64. Every row must hold a count.
+
+    The one routine from counts to values: the hashed-bow embedder builds
+    its rows with it, and a counts level decodes its rows with it when
+    loaded, so the loaded rows are the built rows bit for bit. Each square
+    is an exact integer in float64, and so is each row's sum (below
+    ``2**53``), whatever order adds them.
+    """
+    out = np.empty(len(counts), dtype=np.float32)
+    rows, start = len(indptr) - 1, 0
+    while start < rows:
+        # Whole rows of at most ``_DECODE_COUNTS`` counts, or one row.
+        stop = int(np.searchsorted(indptr, indptr[start] + _DECODE_COUNTS, "right")) - 1
+        ptr = indptr[start : max(stop, start + 1) + 1]
+        block = counts[ptr[0] : ptr[-1]].astype(np.float64)
+        norms = np.sqrt(np.add.reduceat(block * block, ptr[:-1] - ptr[0]))
+        block /= np.repeat(norms, np.diff(ptr))
+        out[ptr[0] : ptr[-1]] = block  # rounded to float32 as ``astype`` rounds
+        start += len(ptr) - 1
+    return out
 
 
 @runtime_checkable
@@ -475,11 +535,11 @@ class HashedBowEmbedder:
     (at most ``_BLOCK_CHARS`` characters or tokens, or one row): the
     block's ``row * dimension + bucket`` keys, one per token, are sorted,
     and each run of equal keys is one stored entry and its count, so no
-    dense row is made and the cost does not grow with the dimension. Each
-    value is ``float32(count / norm)``, the norm taken over exact float64
-    integer squares added in ascending column order, so the rows are
-    bit-identical to the recipe applied one text at a time, whichever way
-    their buckets were found.
+    dense row is made and the cost does not grow with the dimension. The
+    batch carries its counts, and each value is ``float32(count / norm)``
+    (``unit_values``), the norm taken over exact float64 integer squares,
+    so the rows are bit-identical to the recipe applied one text at a time,
+    whichever way their buckets were found.
 
     A corpus level (``hrr.corpus.LevelTexts``) is counted from token
     streams: each document is tokenized once per ingest, on the first of
@@ -556,7 +616,7 @@ class HashedBowEmbedder:
         dimension = self._dimension
         ends = np.cumsum(sizes)
         indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-        columns, values = [], []
+        columns, counts, values = [], [], []
         start = 0
         while start < len(sizes):
             # One row or more, of at most ``_BLOCK_CHARS`` in all.
@@ -566,18 +626,20 @@ class HashedBowEmbedder:
             # Each run of equal keys, sorted, is one cell and its count.
             keys.sort()
             firsts = np.flatnonzero(np.diff(keys, prepend=-1))
-            counts = np.diff(firsts, append=len(keys)).astype(np.float64)
+            block_counts = np.diff(firsts, append=len(keys))
             block_rows, cols = np.divmod(keys[firsts], dimension)
-            norms = np.sqrt(np.bincount(block_rows, weights=counts * counts))
-            values.append((counts / norms[block_rows]).astype(np.float32))
+            block_ptr = np.zeros(stop - start + 1, dtype=np.int64)
+            np.cumsum(np.bincount(block_rows, minlength=stop - start), out=block_ptr[1:])
+            values.append(unit_values(block_counts, block_ptr))
+            counts.append(block_counts.astype(narrowest(block_counts)))
             columns.append(cols.astype(np.uint16))
-            row_ends = indptr[start + 1 : stop + 1]
-            np.cumsum(np.bincount(block_rows, minlength=stop - start), out=row_ends)
-            row_ends += indptr[start]
+            indptr[start + 1 : stop + 1] = block_ptr[1:] + indptr[start]
             start = stop
-        # One array joined at a time, its pieces freed before the next.
+        # One array joined at a time, its pieces freed before the next; the
+        # counts at the widest of their blocks' widths.
         values = np.concatenate(values)
-        return CsrBatch(indptr, np.concatenate(columns), values, dimension)
+        counts = np.concatenate(counts)
+        return CsrBatch(indptr, np.concatenate(columns), values, dimension, counts)
 
     def _embed_level(self, texts: LevelTexts) -> CsrBatch:
         """The rows of a corpus level of more than one row, counted from its

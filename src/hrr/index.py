@@ -50,7 +50,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus, Level, json_int
+from .corpus import WIDTHS, Corpus, Level, json_int, narrowest, stored_width
 from .embedding import (
     CsrBatch,
     EmbeddingProvider,
@@ -190,10 +190,15 @@ class _CsrRows:
     @functools.cached_property
     def _by_value(self) -> bool:
         """Whether the early stop may read this level: it holds at least
-        ``_EARLY_STOP_ROWS`` rows and no stored value below 0. Its buckets'
-        lists are then by value descending, else by row."""
+        ``_EARLY_STOP_ROWS`` rows and no stored value below 0, as no value
+        of counts is. Its buckets' lists are then by value descending, else
+        by row."""
+        if self.count < _EARLY_STOP_ROWS:
+            return False
+        if self.csr.counts is not None:
+            return True
         values = self.csr.values
-        return self.count >= _EARLY_STOP_ROWS and (values.size == 0 or bool(values.min() >= 0))
+        return values.size == 0 or bool(values.min() >= 0)
 
     def _list(self, bucket: int) -> tuple[np.ndarray, np.ndarray]:
         """Bucket ``bucket``'s postings ``(rows, values)``, built the first
@@ -327,9 +332,11 @@ class _CsrRows:
         return np.bincount(owner, products, minlength=len(rows))
 
     def blocks(self) -> list[np.ndarray]:
-        """The arrays the level's stored blocks hold, in file order."""
+        """The arrays the level's stored blocks hold, in file order: the row
+        lengths, the columns, and the counts, or the values of a batch
+        without counts."""
         csr = self.csr
-        return [csr.indptr, csr.columns, csr.values]
+        return [np.diff(csr.indptr), csr.columns, csr.values if csr.counts is None else csr.counts]
 
 
 class LevelIndex:
@@ -344,7 +351,10 @@ class LevelIndex:
     ``(n, d)`` float32 block, it keeps them dense (``layout``), and neither
     is ever converted to the other. Every row must be finite with a squared
     norm inside float32 range; the dense search's error bound rests on it.
-    Its rows are read only by ``search`` and ``save_index``.
+    A batch of counts is not read for that: its rows, ``unit_values`` of
+    counts of at least 1 (``CsrBatch.problem``), are finite and unit by
+    construction, so its values are left to be decoded when a search first
+    reads them. Its rows are read only by ``search`` and ``save_index``.
     """
 
     def __init__(self, corpus: Corpus, level: Level, vectors: np.ndarray | CsrBatch) -> None:
@@ -358,6 +368,12 @@ class LevelIndex:
         self.level = level
         self._corpus_rows = corpus_rows
         self._rows = rows
+        #: The row whose squared norm lies furthest from 1, and that norm;
+        #: ``load_index`` refuses stored rows that are not unit. None for
+        #: counts, whose rows are unit by construction.
+        self._least_unit_row: tuple[str, float] | None = None
+        if isinstance(vectors, CsrBatch) and vectors.counts is not None:
+            return
         squared_norms = rows.squared_norms()
         bad = np.flatnonzero(~(squared_norms <= _F32_MAX))
         if bad.size:
@@ -366,8 +382,6 @@ class LevelIndex:
                 f"{next(self._ids_of(bad))!r}"
             )
         worst = np.argmax(np.abs(squared_norms - 1.0), keepdims=True)
-        #: The row whose squared norm lies furthest from 1, and that norm;
-        #: ``load_index`` refuses stored rows that are not unit.
         self._least_unit_row = (next(self._ids_of(worst)), float(squared_norms[worst[0]]))
 
     def _ids_of(self, rows: np.ndarray) -> Iterator[str]:
@@ -510,60 +524,87 @@ def save_index(index: LevelIndex) -> tuple[dict, list[np.ndarray]]:
 
     The entry holds the level, ``layout``, ``count`` and ``nnz``, the number
     of non-zeros. A dense level's block is the ``count x dimension``
-    little-endian float32 matrix; a CSR level's are the ``count + 1``
-    ``<i8`` row pointers, the ``nnz`` ``<u2`` columns and the ``nnz``
-    ``<f4`` values. Row ``i`` belongs to the corpus's ``i``-th chunk at the
-    level, so the ids live only in the corpus.
+    little-endian float32 matrix. A CSR level's are the ``count`` row
+    lengths, the ``nnz`` ``<u2`` columns, and the ``nnz`` integer counts of
+    a batch that carries them (every hashed-bow level), whose values are
+    derived (``embedding.unit_values``), or else the ``nnz`` ``<f4``
+    values. Lengths and counts are each stored at the narrowest of
+    ``corpus.WIDTHS`` that holds them, which the entry names (``lengths``,
+    and ``counts`` for a counts level). Row ``i`` belongs to the corpus's
+    ``i``-th chunk at the level, so the ids live only in the corpus.
     """
     entry = {"level": index.level.value, "layout": index.layout, "count": len(index),
              "nnz": index.nnz}
-    blocks = zip(index._rows.blocks(), _DTYPES[index.layout])
-    return entry, [array.astype(dtype, copy=False) for array, dtype in blocks]
+    blocks = index._rows.blocks()
+    if index.layout == LAYOUT_DENSE:
+        return entry, [array.astype("<f4", copy=False) for array in blocks]
+    lengths, columns, stored = blocks
+    entry["lengths"] = narrowest(lengths)
+    dtypes = [entry["lengths"], "<u2", "<f4"]
+    if index._rows.csr.counts is not None:
+        entry["counts"] = dtypes[2] = narrowest(stored)
+    return entry, [array.astype(dtype, copy=False) for array, dtype in zip(blocks, dtypes)]
 
 
 def parse_level(entry, dimension) -> tuple[tuple, list[int]]:
     """A level's header entry, as ``save_index`` wrote it beside the file's
-    ``dimension``: its fields ``(level, layout, count, dimension, nnz)`` and
-    the byte size of each of its blocks. Raises ``SnapshotFormatError`` for
-    an unknown layout or sizes no index has, and what reading a malformed
+    ``dimension``: its fields ``(level, layout, count, dimension, nnz,
+    dtypes)``, ``dtypes`` its blocks' dtypes in file order, and the byte
+    size of each of its blocks. Raises ``SnapshotFormatError`` for an
+    unknown layout, a CSR ``lengths`` or ``counts`` dtype not among
+    ``corpus.WIDTHS`` and sizes no index has, and what reading a malformed
     record raises for anything else."""
     level = Level(entry["level"])
     count, nnz = json_int(entry["count"], "count"), json_int(entry["nnz"], "nnz")
     dimension, layout = json_int(dimension, "dimension"), entry["layout"]
     if dimension < 1 or not 0 <= nnz <= count * dimension:
         raise SnapshotFormatError(f"bad {level.value} level sizes {entry}")
-    if layout not in _DTYPES:
+    if layout == LAYOUT_DENSE:
+        lengths, dtypes = [count * dimension], ("<f4",)
+    elif layout == LAYOUT_CSR:
+        what = f"the {level.value} level's"
+        dtypes = (stored_width(entry["lengths"], f"{what} lengths"), "<u2",
+                  stored_width(entry["counts"], f"{what} counts") if "counts" in entry else "<f4")
+        lengths = [count, nnz, nnz]
+    else:
         raise SnapshotFormatError(f"unknown layout {layout!r}")
-    lengths = [count * dimension] if layout == LAYOUT_DENSE else [count + 1, nnz, nnz]
-    sizes = [n * np.dtype(dtype).itemsize for n, dtype in zip(lengths, _DTYPES[layout])]
-    return (level, layout, count, dimension, nnz), sizes
+    sizes = [n * np.dtype(dtype).itemsize for n, dtype in zip(lengths, dtypes)]
+    return (level, layout, count, dimension, nnz, dtypes), sizes
 
 
 def load_index(corpus: Corpus, fields: tuple, blocks: list[bytes]) -> LevelIndex:
     """The index of one level of ``corpus`` that ``save_index`` stored, from
     its ``parse_level`` fields and its blocks.
 
-    Raises ``InvalidCorpusError`` (``InvalidInputError`` for a row count
-    other than the corpus's at the level) for what no ``save_index`` wrote:
-    CSR arrays that do not form a valid matrix, non-finite values, a number
-    of non-zeros other than the entry's, and rows further from unit than
-    any ``embed_batch`` returns (``embedding.unit_slack``).
+    A CSR level's row pointers are the running sums of its row lengths; a
+    counts level's values are decoded when a search first reads them
+    (``embedding.CsrBatch``). Raises ``InvalidCorpusError``
+    (``InvalidInputError`` for a row count other than the corpus's at the
+    level) for what no ``save_index`` wrote: CSR arrays that do not form a
+    valid matrix (row lengths that do not sum to ``nnz`` among them), a
+    count of 0 or a row of counts that is empty, non-finite values, a
+    number of non-zeros other than the entry's, and float rows further
+    from unit than any ``embed_batch`` returns (``embedding.unit_slack``).
+    Counts are not held to that last check: they decode to unit rows.
     """
-    level, layout, count, dimension, nnz = fields
-    arrays = [np.frombuffer(block, dtype) for block, dtype in zip(blocks, _DTYPES[layout])]
+    level, layout, count, dimension, nnz, dtypes = fields
+    arrays = [np.frombuffer(block, dtype) for block, dtype in zip(blocks, dtypes)]
     if layout == LAYOUT_DENSE:
         vectors = arrays[0].reshape(count, dimension)
     else:
-        vectors = CsrBatch(*arrays, dimension)
+        lengths, columns, stored = arrays
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        # Lengths past the int64 range wrap below 0, which ``problem`` refuses.
+        np.cumsum(lengths.astype(np.int64), out=indptr[1:])
+        vectors = (CsrBatch(indptr, columns, None, dimension, stored) if dtypes[2] in WIDTHS
+                   else CsrBatch(indptr, columns, stored, dimension))
     index = LevelIndex(corpus, level, vectors)
     if index.nnz != nnz:
         raise InvalidCorpusError(
             f"the {level.value} header entry counts {nnz} non-zeros, the rows hold {index.nnz}")
-    chunk_id, squared_norm = index._least_unit_row
-    if not abs(squared_norm - 1.0) <= unit_slack(index.dimension):
-        raise InvalidCorpusError(f"row {chunk_id!r} is not unit (squared norm {squared_norm!r})")
+    if index._least_unit_row is not None:
+        chunk_id, squared_norm = index._least_unit_row
+        if not abs(squared_norm - 1.0) <= unit_slack(index.dimension):
+            raise InvalidCorpusError(
+                f"row {chunk_id!r} is not unit (squared norm {squared_norm!r})")
     return index
-
-
-#: Each layout's blocks, as file dtypes, in file order.
-_DTYPES = {LAYOUT_DENSE: ("<f4",), LAYOUT_CSR: ("<i8", "<u2", "<f4")}

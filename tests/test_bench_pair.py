@@ -92,8 +92,9 @@ class TestResultsPins:
         # Each side's runs in its order; the change's second run differs.
         runs = digested(records([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), *["a" * 64] * 3, "b" * 64,
                         *["a" * 64] * 2)
-        outcomes = {side: iter({"report": r["report"], "result": r["result"]}
-                               for r in runs if r["side"] == side) for side in ("base", "change")}
+        outcomes = {side: iter([{"report": r["report"], "result": r["result"]}
+                                for r in runs if r["side"] == side])
+                    for side in ("base", "change")}
         monkeypatch.setattr(bench_pair, "export", lambda rev, dest: "f" * 40)
         monkeypatch.setattr(bench_pair, "run", lambda checkout, workload, seed: next(
             outcomes["change" if checkout == bench_pair.ROOT else "base"]))
@@ -110,3 +111,67 @@ class TestResultsPins:
         assert record["results_sha256"] == {"query-200": "a" * 64}
         assert record["summary"][0].startswith(
             "query-200 results_sha256: every run of both sides carried one: no")
+
+
+class TestExpectedResults:
+    """``--expect-results WORKLOAD=DIGEST`` pins a declared workload's change
+    runs to DIGEST and its base runs to the base's first run."""
+
+    @staticmethod
+    def series(tmp_path, monkeypatch, runs, *expect):
+        """``main`` over ``runs``' outcomes, each side's in its order, with
+        ``--expect-results`` given each of ``expect``; its exit status and
+        record."""
+        outcomes = {side: iter([{"report": r["report"], "result": r["result"]}
+                                for r in runs if r["side"] == side])
+                    for side in ("base", "change")}
+        monkeypatch.setattr(bench_pair, "export", lambda rev, dest: "f" * 40)
+        monkeypatch.setattr(bench_pair, "run", lambda checkout, workload, seed: next(
+            outcomes["change" if checkout == bench_pair.ROOT else "base"]))
+        out = tmp_path / "bench.json"
+        argv = ["--base", "HEAD", "--out", str(out), "--workloads", "query-200",
+                "--pairs", str(len(runs) // 2), "--workdir", str(tmp_path)]
+        for value in expect:
+            argv += ["--expect-results", value]
+        code = bench_pair.main(argv)
+        return code, json.loads(out.read_text())
+
+    def test_change_runs_carry_the_declared_digest(self, tmp_path, monkeypatch):
+        # Pair 0 runs base then change, pair 1 change then base.
+        runs = digested(records([1.0, 2.0], [1.0, 2.0]), "a" * 64, "b" * 64, "a" * 64, "b" * 64)
+        code, record = self.series(tmp_path, monkeypatch, runs, f"query-200={'b' * 64}")
+        assert code == 0 and record["failure"] is None
+        assert record["results_sha256"] == {"query-200 (base)": "a" * 64,
+                                            "query-200 (change)": "b" * 64}
+        assert record["expect_results"] == {"query-200": "b" * 64}
+        assert record["summary"][0].endswith(
+            f"every change run carried the expected {'b' * 64}: yes")
+
+    def test_a_change_run_of_another_digest_ends_the_series(self, tmp_path, monkeypatch):
+        runs = digested(records([1.0, 2.0], [1.0, 2.0]), "a" * 64, "a" * 64, "a" * 64, "a" * 64)
+        code, record = self.series(tmp_path, monkeypatch, runs, f"query-200={'b' * 64}")
+        assert code == 1
+        assert record["failure"] == (f"query-200's change run carried results_sha256 {'a' * 64}, "
+                                     f"not the expected {'b' * 64}")
+        assert [(r["pair"], r["side"]) for r in record["runs"]] == [(0, "base"), (0, "change")]
+
+    def test_the_base_side_stays_pinned_to_its_own_first_run(self, tmp_path, monkeypatch):
+        runs = digested(records([1.0, 2.0], [1.0, 2.0]), "a" * 64, "b" * 64, "c" * 64, "b" * 64)
+        code, record = self.series(tmp_path, monkeypatch, runs, f"query-200={'b' * 64}")
+        assert code == 1
+        assert record["failure"].startswith(
+            f"query-200 (base)'s results_sha256 went from {'a' * 64} to {'c' * 64}")
+
+    def test_an_undeclared_workload_keeps_the_pin_across_sides(self):
+        pins = {}
+        bench_pair.pin_results(pins, "eval-20", "base", {"results_sha256": "a" * 64})
+        with pytest.raises(bench_pair.RunFailed, match="eval-20's results_sha256 went from"):
+            bench_pair.pin_results(pins, "eval-20", "change", {"results_sha256": "b" * 64})
+
+    @pytest.mark.parametrize("value", ["query-200", "query-201=" + "a" * 64, "query-200=abc",
+                                       "query-200=" + "A" * 64])
+    def test_a_malformed_expectation_is_a_usage_error(self, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            bench_pair.main(["--base", "HEAD", "--out", str(tmp_path / "b.json"),
+                             "--expect-results", value])
+        assert exc.value.code == 2

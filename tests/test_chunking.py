@@ -610,19 +610,22 @@ class TestGoldenNodeTables:
     """sha256 of ``nodes.bin`` for the seed-42 synthetic corpus under
     configs the CLI golden digests do not reach: overlap, hard splits (at
     the intermediate and side budgets, then at all three), and no side
-    tier. Any change to the cut shows up here."""
+    tier. Any change to the cut shows up here. The digests moved with
+    format v5, whose node columns are stored at their data's width and
+    whose header records each document's sha256; the columns, ids and
+    documents they store are the v4 file's."""
 
     @pytest.mark.parametrize("config, digest", [
         (ChunkingConfig(parent_overlap=64, intermediate_overlap=16),
-         "989d91a2aef03d99dc41520a89d93a4ffaa7b0d38522c5c1a4ca2bf02939611f"),
+         "9fd1ede1886eb2231e0b45a6e82111051c40d6e15bd4ea9a9668ac5a12f74cd9"),
         (ChunkingConfig(parent_size=64, intermediate_size=8, sub_intermediate_size=3,
                         max_sentence_tokens=1000),
-         "e03ab2520af92495535f53f33d3081ed1e3ea5d62fddd6b853c4c3c4102d9295"),
+         "443e152db24d25a707c80a9a1e95b94a757a58b15640f2cb34d9e56bc31db5c6"),
         (ChunkingConfig(parent_size=12, intermediate_size=5, sub_intermediate_size=2,
                         max_sentence_tokens=1000),
-         "c2545376a6b50c25fe6d04ecf934cc5cfabd36e73fe5e33964805e99d13522fe"),
+         "68bdcce350f73987b51cf6962c8e52ef977c03258b57962c4d87854ce107d11a"),
         (ChunkingConfig(sub_intermediate_size=None),
-         "59ab47e3367b03831ed0e13945f76a5e17f2f1b1b2d8966a34ab38860eae550f"),
+         "d5c4f5b8e8d013926ac22e72c12cd0357d31fc33484c3ae3d6e4d0afa10e44be"),
     ], ids=["overlap-64-16", "budgets-64-8-3", "budgets-12-5-2", "no-side-tier"])
     def test_nodes_bin_digest(self, config, digest, tmp_path):
         save_corpus(build_corpus(generate(CorpusSpec(seed=42)).documents, config), tmp_path)

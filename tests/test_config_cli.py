@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 
@@ -26,7 +27,8 @@ import hrr.corpus as corpus_module
 from hrr.evaluation import load_query_set
 
 from test_corpus import (
-    TILING_CORRUPTIONS, _read_nodes, _write_nodes, write_v2_corpus, write_v3_corpus
+    TILING_CORRUPTIONS, _read_nodes, _write_nodes, level_blocks, level_dtypes, set_level_blocks,
+    write_v2_corpus, write_v3_corpus
 )
 
 
@@ -292,6 +294,29 @@ class TestCliWorkflow:
         ]
 
 
+    def test_validate_reports_a_document_changed_after_ingest(self, workdir, capsys):
+        """A document's bytes changed in the file, its spans still whole,
+        load and query as before; ``hrr validate`` names the document whose
+        sha256 is not the one ingest recorded, in one violation line."""
+        assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        recorded = nodes.header["document_sha256"][1]
+        assert recorded == hashlib.sha256(nodes.documents[1]).hexdigest()
+        at = nodes.documents[1].index(b"a")
+        nodes.documents[1] = nodes.documents[1][:at] + b"e" + nodes.documents[1][at + 1 :]
+        _write_nodes(path, nodes)
+        found = hashlib.sha256(nodes.documents[1]).hexdigest()
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["validate", "--config", "engine.json"]) == EXIT_ERROR
+        assert capsys.readouterr().out.splitlines() == [
+            f"DocumentDigestMismatch({nodes.header['documents'][1]}: recorded sha256 "
+            f"{recorded}, its bytes hash to {found})",
+            "1 violations",
+        ]
+
     def test_cold_load_and_query_build_no_chunk_node(self, workdir, monkeypatch, capsys):
         assert main(["ingest", "synth/docs", "--config", "engine.json"]) == EXIT_OK
         query = load_query_set(workdir / "synth" / "queries.jsonl", load_corpus("corpus"))[0].query
@@ -367,8 +392,12 @@ class TestCliWorkflow:
     #: shows up here. The digest moved when the levels' vectors joined
     #: ``nodes.bin``: its corpus part is the bytes it held before, and the
     #: vectors are the bodies of the four ``<level>.idx`` files it replaced.
+    #: It moved again with format v5, which stores the node columns, row
+    #: lengths and counts at their data's width and each document's sha256:
+    #: the same columns, ids and documents, and counts that decode to the
+    #: v4 file's values bit for bit.
     GOLDEN_DIGESTS = {
-        "corpus/nodes.bin": "fd37444b4fb2f3fdf9539a570e7c31d0f43372e428113a58d73f30fe40a28481",
+        "corpus/nodes.bin": "7903f0482e3ae14e7da48a4a3470adfbeb5a230915e6cac9a9d4bf4bbe0708ea",
     }
 
     def test_ingest_artifacts_match_golden_digests(self, workdir):
@@ -746,18 +775,24 @@ class TestCliErrors:
 
     @staticmethod
     def _edit_level(level: Level, edit) -> None:
-        """Apply ``edit`` to the bytes that the ingested file stores for
-        ``level``'s CSR vectors."""
+        """Store ``level``'s CSR vectors in the ingested file as float
+        values, not as their counts, and apply ``edit`` to the bytes stored
+        for the level: its row lengths, columns and values."""
         path = Path("corpus") / "nodes.bin"
         nodes = _read_nodes(path)
-        start = 0
-        for entry in nodes.footer["levels"]:
-            size = 8 * (entry["count"] + 1) + 6 * entry["nnz"]
+        found = level_blocks(nodes)
+        for entry, blocks in zip(nodes.footer["levels"], found):
             if entry["level"] == level.value:
-                data = bytearray(nodes.vectors[start : start + size])
+                lengths, _, counts = blocks
+                squares = np.square(counts.astype(np.float64))
+                starts = np.cumsum(lengths, dtype=np.int64) - lengths
+                norms = np.sqrt(np.add.reduceat(squares, starts))
+                blocks[2] = (counts / np.repeat(norms, lengths)).astype("<f4")
+                del entry["counts"]
+                data = bytearray(b"".join(block.tobytes() for block in blocks))
                 edit(data)
-                nodes.vectors = nodes.vectors[:start] + data + nodes.vectors[start + size :]
-            start += size
+                blocks[:] = [np.frombuffer(data, "u1")]
+        set_level_blocks(nodes, found)
         _write_nodes(path, nodes)
 
     def test_non_finite_index_row_is_io_error(self, workdir, capsys):
@@ -796,6 +831,84 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             f"error: {Path('corpus') / 'nodes.bin'}: corpus format version 3 is not read; "
             f"re-run ingest\n")
+
+    def test_format_v4_file_asks_for_reingest(self, workdir, capsys):
+        """A ``nodes.bin`` of format v4, whose blocks were all of one width,
+        asks for a re-ingest in one line."""
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        nodes.header["version"] = 4
+        _write_nodes(path, nodes)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {path}: corpus format version 4 is not read; re-run ingest\n")
+
+    @staticmethod
+    def _edit_counts(edit) -> None:
+        """Apply ``edit(nodes, entry, blocks)`` to the ingested file's
+        sentence level, a counts level: ``blocks`` are its row lengths,
+        columns and counts, as arrays that are written back."""
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        found = level_blocks(nodes)
+        for entry, blocks in zip(nodes.footer["levels"], found):
+            if entry["level"] == "sentence":
+                assert entry["counts"] == "u1"
+                edit(nodes, entry, blocks)
+        set_level_blocks(nodes, found)
+        _write_nodes(path, nodes)
+
+    @staticmethod
+    def _empty_a_row(nodes, entry, blocks) -> None:
+        """Drop the first row's entries, and count the non-zeros left, so the
+        row is empty and every other rule holds."""
+        lengths, columns, counts = blocks
+        first = int(lengths[0])
+        blocks[1:] = [columns[first:], counts[first:]]
+        lengths[0] = 0
+        entry["nnz"] -= first
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda nodes, entry, blocks: blocks[2].__setitem__(-1, 0), "a stored count is 0"),
+        ("_empty_a_row", "a row of counts is empty"),
+        (lambda nodes, entry, blocks: blocks[0].__setitem__(-1, blocks[0][-1] - 1),
+         "row pointers do not rise from 0 to the"),
+        (lambda nodes, entry, blocks: entry.update(counts="<f8"),
+         "the sentence level's counts dtype '<f8' is not one of u1, <u2, <u4, <u8"),
+        (lambda nodes, entry, blocks: entry.update(lengths="u2"),
+         "the sentence level's lengths dtype 'u2' is not one of u1, <u2, <u4, <u8"),
+        (lambda nodes, entry, blocks: nodes.columns["parent"].__setitem__(
+            -1, len(nodes.columns["parent"]) + 4), "its parent row is not an earlier row"),
+        (lambda nodes, entry, blocks: blocks.__setitem__(2, blocks[2][:-3]),
+         "its header's sizes do not fill the file"),
+    ], ids=["count-zero", "empty-row", "lengths-short-of-nnz", "count-dtype", "lengths-dtype",
+            "parent-past-the-rows", "counts-truncated"])
+    def test_malformed_counts_level_is_io_error(self, workdir, capsys, edit, message):
+        """Each block of a counts level fails closed: ``hrr query`` exits 3
+        with one line that names the file, and no traceback."""
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        self._edit_counts(getattr(self, edit) if isinstance(edit, str) else edit)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {Path('corpus') / 'nodes.bin'}: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("widths, message", [
+        ({"doc": "<i4"}, "the doc column's dtype '<i4' is not one of u1, <u2, <u4, <u8"),
+        ({"hard_split": "bool"}, "the hard_split column's dtype 'bool' is not one of"),
+    ], ids=["signed", "not-a-width"])
+    def test_node_column_dtype_not_on_the_list_is_io_error(self, workdir, capsys, widths,
+                                                           message):
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        _write_nodes(path, _read_nodes(path), widths=widths)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["query", "x"], ["eval"]])
     def test_v4_layout_asks_for_reingest(self, workdir, capsys, command):
@@ -840,7 +953,8 @@ class TestCliErrors:
         nodes = _read_nodes(path)
         side = nodes.footer["levels"].pop()
         assert side["level"] == "sub_intermediate"
-        nodes.vectors = nodes.vectors[: -(8 * (side["count"] + 1) + 6 * side["nnz"])]
+        nodes.vectors = nodes.vectors[: -sum(n * np.dtype(dtype).itemsize for dtype, n in
+                                             level_dtypes(side, nodes.footer["dimension"]))]
         _write_nodes(path, nodes)
         capsys.readouterr()
         for strategy in ("hrr", "base", "c2p", "s2p"):

@@ -512,7 +512,7 @@ class TestSerialization:
     def test_id_table_is_the_ids_joined_by_nul(self, corpus, tmp_path):
         save_corpus(corpus, tmp_path)
         nodes = _read_nodes(tmp_path / "nodes.bin")
-        assert nodes.header["version"] == 4
+        assert nodes.header["version"] == 5
         assert nodes.ids == "\0".join(node.id for node in nodes_of(corpus)).encode("utf-8")
 
     @pytest.mark.parametrize("ids", [[], [""], ["d:p0", ""]],
@@ -551,21 +551,31 @@ class TestSerialization:
                       CFG)
 
 
-#: The node file (corpus format v4), spelled out apart from ``hrr.corpus``:
+#: The node file (corpus format v5), spelled out apart from ``hrr.corpus``:
 #: the magic, the header's length (``<I``) and the JSON header, whose sizes
-#: give the blocks that follow: these columns, the ids joined by NUL as
-#: UTF-8, then each document's UTF-8 bytes. An ingest's file goes on with
-#: its levels' vectors, kept here as one run of bytes, and their footer: the
-#: JSON footer, its length and ``VECTORS_MAGIC``.
+#: give the blocks that follow: these columns, each stored at the unsigned
+#: width the header's ``columns`` names (the parent column as the parent's
+#: row plus 1, 0 for none), the ids joined by NUL as UTF-8, then each
+#: document's UTF-8 bytes. An ingest's file goes on with its levels'
+#: vectors, kept here as one run of bytes (``level_blocks`` splits it), and
+#: their footer: the JSON footer, its length and ``VECTORS_MAGIC``.
 NODE_MAGIC = b"HRRNODE\n"
 VECTORS_MAGIC = b"HRRVEC1\n"
-NODE_COLUMNS = (("level", "u1"), ("doc", "<u4"), ("parent", "<i4"), ("start", "<i8"),
-                ("end", "<i8"), ("token_count", "<u4"), ("hard_split", "u1"))
+NODE_COLUMNS = ("level", "doc", "parent", "start", "end", "token_count", "hard_split")
+#: The widths an integer block may be stored at, narrowest first.
+WIDTHS = ("u1", "<u2", "<u4", "<u8")
+
+
+def narrowest(values) -> str:
+    """The narrowest of ``WIDTHS`` holding the largest of ``values``."""
+    top = max(values, default=0)
+    return next(width for width in WIDTHS if top < 256 ** np.dtype(width).itemsize)
 
 
 @dataclass
 class NodeFile:
     header: dict
+    #: Each column's values as int64, the parent column as rows, -1 for none.
     columns: dict[str, np.ndarray]
     ids: bytes
     documents: list[bytes]
@@ -582,13 +592,15 @@ def _read_nodes(path) -> NodeFile:
     assert data[:8] == NODE_MAGIC
     (length,) = struct.unpack("<I", data[8:12])
     header = json.loads(data[12 : 12 + length])
-    sizes = [header["count"] * np.dtype(dtype).itemsize for _, dtype in NODE_COLUMNS]
+    widths = [header["columns"][name] for name in NODE_COLUMNS]
+    sizes = [header["count"] * np.dtype(width).itemsize for width in widths]
     blocks, rest = [], data[12 + length :]
     for n in [*sizes, header["ids_bytes"], *header["document_bytes"]]:
         blocks.append(rest[:n])
         rest = rest[n:]
-    columns = {name: np.frombuffer(block, dtype).copy()
-               for (name, dtype), block in zip(NODE_COLUMNS, blocks)}
+    columns = {name: np.frombuffer(block, width).astype(np.int64)
+               for name, width, block in zip(NODE_COLUMNS, widths, blocks)}
+    columns["parent"] -= 1
     ids, *documents = blocks[len(NODE_COLUMNS):]
     footer = None
     if rest:
@@ -599,15 +611,52 @@ def _read_nodes(path) -> NodeFile:
     return NodeFile(header, columns, ids, documents, rest, footer)
 
 
-def _write_nodes(path, nodes: NodeFile, *, magic=NODE_MAGIC):
+def _write_nodes(path, nodes: NodeFile, *, magic=NODE_MAGIC, widths=None):
+    """Write ``nodes``, each column at the narrowest width that holds its
+    values, or at the one ``widths`` names for it; a value below 0 wraps
+    around as ``astype`` wraps it."""
+    stored = {name: nodes.columns[name] + (name == "parent") for name in NODE_COLUMNS}
+    chosen = {name: narrowest(values.tolist()) for name, values in stored.items()}
+    chosen.update(widths or {})
+    nodes.header["columns"] = chosen
     header = json.dumps(nodes.header, sort_keys=True).encode("ascii")
-    columns = [nodes.columns[name].astype(dtype).tobytes() for name, dtype in NODE_COLUMNS]
+    columns = [stored[name].astype(chosen[name]).tobytes() for name in NODE_COLUMNS]
     parts = [magic, struct.pack("<I", len(header)), header, *columns, nodes.ids,
              *nodes.documents, nodes.vectors]
     if nodes.footer is not None:
         footer = json.dumps(nodes.footer, sort_keys=True).encode("ascii")
         parts += [footer, struct.pack("<I", len(footer)), VECTORS_MAGIC]
     Path(path).write_bytes(b"".join(parts))
+
+
+def level_dtypes(entry: dict, dimension: int) -> list[tuple[str, int]]:
+    """Each block of a footer ``entry``'s level, at the file's
+    ``dimension``: its dtype and its length. A dense level stores its rows,
+    one after another; a CSR level its row lengths, its ``<u2`` columns,
+    then its counts or, without a ``counts`` dtype, its ``<f4`` values."""
+    if entry["layout"] == "dense":
+        return [("<f4", entry["count"] * dimension)]
+    return [(entry["lengths"], entry["count"]), ("<u2", entry["nnz"]),
+            (entry.get("counts", "<f4"), entry["nnz"])]
+
+
+def level_blocks(nodes: NodeFile) -> list[list[np.ndarray]]:
+    """Each stored level's blocks, in footer order, as writable arrays."""
+    found, at = [], 0
+    for entry in nodes.footer["levels"]:
+        blocks = []
+        for dtype, n in level_dtypes(entry, nodes.footer["dimension"]):
+            size = n * np.dtype(dtype).itemsize
+            blocks.append(np.frombuffer(nodes.vectors[at : at + size], dtype).copy())
+            at += size
+        found.append(blocks)
+    return found
+
+
+def set_level_blocks(nodes: NodeFile, found: list[list[np.ndarray]]) -> None:
+    """Store ``found``, blocks as ``level_blocks`` gives them, as the
+    levels' vectors, each block at the dtype its array holds."""
+    nodes.vectors = b"".join(block.tobytes() for blocks in found for block in blocks)
 
 
 def write_v2_corpus(directory) -> None:
@@ -734,7 +783,7 @@ def _lengths_entry_as_string(nodes):
 #: Each edit of a saved node file, with a fragment of the one-line error.
 CORRUPTIONS = {
     "version": (_header(version=1), "version 1"),
-    "header-fields": (lambda nodes: setattr(nodes, "header", {"version": 4}), "malformed header"),
+    "header-fields": (lambda nodes: setattr(nodes, "header", {"version": 5}), "malformed header"),
     "chunking": (_header(chunking={"parent_size": "x"}), "malformed header"),
     "huge-count": (_header(count=10**13), "do not fill"),
     "count-off-by-one": (lambda nodes: _header(count=nodes.header["count"] - 1)(nodes),

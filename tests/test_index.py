@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hrr.chunking import ChunkingConfig, build_corpus
@@ -32,6 +32,8 @@ from hrr.embedding import (
     cosine_similarity,
     embed_batch,
     ensure_unit,
+    squared_norms,
+    unit_slack,
 )
 from hrr.errors import (
     ConfigError,
@@ -49,7 +51,7 @@ from hrr.synth import CorpusSpec, generate
 from conftest import TOY_CHUNKING, TOY_DOCS
 from level_corpus import level_corpus
 from reads import dense_rows, index_ids, level_ids, nodes_of, search_hits
-from test_corpus import _read_nodes, _write_nodes
+from test_corpus import _read_nodes, _write_nodes, level_blocks, level_dtypes, set_level_blocks
 from test_embedding import reference_vector
 
 
@@ -897,9 +899,9 @@ class TestSnapshots:
         nodes = _read_nodes(Path("corpus") / "nodes.bin")
         levels = nodes.footer["levels"]
         assert [entry["level"] for entry in levels] == [level.value for level in Level]
-        assert all(entry["layout"] == "csr" for entry in levels)
-        assert len(nodes.vectors) == sum(8 * (entry["count"] + 1) + 6 * entry["nnz"]
-                                         for entry in levels)
+        assert all(entry["layout"] == "csr" and "counts" in entry for entry in levels)
+        assert len(nodes.vectors) == sum(n * np.dtype(dtype).itemsize for entry in levels
+                                         for dtype, n in level_dtypes(entry, 384))
 
     def test_rewrite_is_byte_identical(self, tmp_path, layout):
         index = random_index(random.Random(4), 10, dim_for(layout, 6), layout)
@@ -1050,12 +1052,14 @@ class TestSnapshots:
         index = random_index(random.Random(8), 10, 64, "csr")
 
         def edit(nodes):
-            data = nodes.vectors
-            indptr = np.frombuffer(data, "<i8", 11).copy()
-            columns = np.frombuffer(data, "<u2", index.nnz, 88).copy()
-            values = np.frombuffer(data, "<f4", index.nnz, 88 + 2 * index.nnz).copy()
+            # The row pointers are stored as row lengths; a length below 0
+            # wraps around in its width.
+            found = level_blocks(nodes)
+            lengths, columns, values = found[0]
+            indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
             corrupt(indptr, columns, values)
-            nodes.vectors = indptr.tobytes() + columns.tobytes() + values.tobytes()
+            found[0][0] = np.diff(indptr).astype(lengths.dtype)
+            set_level_blocks(nodes, found)
 
         edited(saved(index, tmp_path), edit)
         with pytest.raises(SnapshotFormatError, match=message) as exc:
@@ -1121,6 +1125,171 @@ class TestSnapshots:
             reloaded(tmp_path, 7)
 
 
+#: Words of one to four UTF-8 bytes, for drawn documents.
+_WORDS = ("alpha", "beta", "gamma", "délta", "東京", "naïve", "😀ok", "zeta")
+
+
+@st.composite
+def count_documents(draw) -> dict[str, str]:
+    """One to three documents of drawn sentences: short ones of a few words,
+    one word said 250 to 300 times (a count past 255 where it is 256 or
+    more), or 375 words none of which repeats (at 384 and 65,536 buckets,
+    a row of 256 or more buckets at the parent level, and at the others too
+    at 65,536)."""
+    unique = iter(range(10**6))
+
+    def sentence(kind: str) -> str:
+        if kind == "short":
+            words = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=8))
+        elif kind == "repeated":
+            words = [draw(st.sampled_from(_WORDS))] * draw(st.integers(250, 300))
+        else:
+            words = [f"w{next(unique)}" for _ in range(375)]
+        return " ".join(words).capitalize() + "."
+
+    kinds = st.sampled_from(["short", "short", "short", "repeated", "distinct"])
+    return {f"d{n}": " ".join(sentence(kind) for kind in draw(st.lists(kinds, min_size=1,
+                                                                        max_size=6)))
+            for n in range(draw(st.integers(1, 3)))}
+
+
+def ingested_and_built(documents: dict[str, str], dimension: int, tmp: Path):
+    """``documents`` ingested at ``dimension`` into ``tmp`` and loaded back:
+    the file's ``NodeFile``, the loaded corpus and indexes, and each level
+    of that corpus built afresh."""
+    (tmp / "docs").mkdir()
+    for doc_id, text in documents.items():
+        (tmp / "docs" / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+    config = EngineConfig(embedding=EmbeddingConfig(dimension=dimension),
+                          paths=PathsConfig(corpus_dir=str(tmp / "corpus")))
+    ingest(tmp / "docs", config)
+    corpus, loaded = load_artifacts(tmp / "corpus", HashedBowEmbedder(dimension))
+    embedder = HashedBowEmbedder(dimension)
+    built = {level: build_index(corpus, level, embedder) for level in corpus.levels}
+    return _read_nodes(tmp / "corpus" / "nodes.bin"), corpus, loaded, built
+
+
+def assert_loaded_as_built(loaded: dict, built: dict) -> None:
+    """Every loaded level holds the built level's rows bit for bit: a counts
+    level's row pointers, columns and counts, and the values it decodes
+    when first read, compared as ``uint32``; each of its rows lies within
+    ``unit_slack`` of unit."""
+    assert set(loaded) == set(built)
+    for level, index in loaded.items():
+        rows, fresh = index._rows, built[level]._rows
+        assert rows.layout == fresh.layout
+        if rows.layout == "dense":
+            assert rows.matrix.tobytes() == fresh.matrix.tobytes()
+            continue
+        csr, want = rows.csr, fresh.csr
+        assert csr._values is None  # not decoded until read
+        assert np.array_equal(csr.indptr, want.indptr)
+        assert np.array_equal(csr.columns, want.columns)
+        assert np.array_equal(csr.counts, want.counts) and csr.counts.dtype == want.counts.dtype
+        assert np.array_equal(csr.values.view(np.uint32), want.values.view(np.uint32)), level
+        slack = unit_slack(csr.dimension)
+        assert np.all(np.abs(squared_norms(csr) - 1.0) <= slack), level
+
+
+class TestCountsRoundTrip:
+    """A hashed-bow level is stored as its counts, and the values a load
+    decodes from them are the values ``build_index`` made, bit for bit."""
+
+    @given(documents=count_documents(), dimension=st.sampled_from([16, 384, 65536]))
+    @settings(max_examples=50, deadline=None)
+    def test_drawn_documents_load_as_built(self, documents, dimension):
+        with tempfile.TemporaryDirectory() as directory:
+            nodes, corpus, loaded, built = ingested_and_built(documents, dimension,
+                                                              Path(directory))
+        assert_loaded_as_built(loaded, built)
+        for entry in nodes.footer["levels"]:
+            event(f"counts {entry.get('counts')}, lengths {entry.get('lengths')}")
+
+    @pytest.mark.parametrize("dimension", [16, 384, 65536])
+    def test_a_count_past_255_is_stored_u2(self, tmp_path, dimension):
+        documents = {"d": "Alpha beta. " + " ".join(["gamma"] * 300) + ". Zeta eta.",
+                     "e": "Theta iota. Kappa lambda."}
+        nodes, _, loaded, built = ingested_and_built(documents, dimension, tmp_path)
+        # The side tier's budget of 256 tokens cuts the 300 in two.
+        widths = {entry["level"]: entry["counts"] for entry in nodes.footer["levels"]}
+        assert widths == {"parent": "<u2", "intermediate": "<u2", "sentence": "<u2",
+                          "sub_intermediate": "u1"}
+        assert_loaded_as_built(loaded, built)
+
+    @pytest.mark.parametrize("dimension", [384, 65536])
+    def test_a_row_of_256_or_more_buckets_stores_u2_lengths(self, tmp_path, dimension):
+        """1,500 words, none repeated, in one parent: at 384 buckets it
+        holds some 376 of them, and at 65,536 nearly every word its own."""
+        text = " ".join(" ".join(f"w{i}" for i in range(k, k + 375)).capitalize() + "."
+                        for k in range(0, 1500, 375))
+        nodes, _, loaded, built = ingested_and_built({"d": text, "e": "Theta iota."}, dimension,
+                                                     tmp_path)
+        (parent,) = [entry for entry in nodes.footer["levels"] if entry["level"] == "parent"]
+        assert parent["lengths"] == "<u2" and parent["counts"] == "u1"
+        assert_loaded_as_built(loaded, built)
+
+    def test_node_columns_of_a_document_over_64_kib_round_trip(self, tmp_path):
+        text = " ".join(f"Alpha beta {n} gamma délta." for n in range(3000))
+        assert len(text.encode("utf-8")) > 1 << 16
+        nodes, corpus, loaded, built = ingested_and_built({"d": text, "e": "Zeta eta."}, 64,
+                                                          tmp_path)
+        widths = nodes.header["columns"]
+        assert widths["start"] == widths["end"] == "<u4"
+        assert widths["level"] == widths["doc"] == widths["hard_split"] == "u1"
+        assert widths["token_count"] == "<u2"
+        rebuilt = build_corpus({"d": text, "e": "Zeta eta."}, ChunkingConfig())
+        assert nodes_of(corpus) == nodes_of(rebuilt)
+        assert nodes_of(corpus, Level.SUB_INTERMEDIATE) == nodes_of(rebuilt,
+                                                                   Level.SUB_INTERMEDIATE)
+        assert_loaded_as_built(loaded, built)
+
+
+@st.composite
+def counts_levels(draw):
+    """A stored counts level's fields and blocks, over 1 to 12 rows, drawn
+    to be mostly well formed: each row's columns ascending below the
+    dimension, its counts drawn from 0 to 2**64 - 1, a row now and then
+    empty, and the lengths and counts at drawn widths that hold them."""
+    dimension = draw(st.sampled_from([1, 16, 384, 65536]))
+    count = draw(st.integers(1, 12))
+    rows = [sorted(draw(st.sets(st.integers(0, dimension - 1), max_size=min(dimension, 6))))
+            for _ in range(count)]
+    counts = draw(st.lists(st.integers(0, 2**64 - 1) | st.integers(1, 300),
+                           min_size=sum(map(len, rows)), max_size=sum(map(len, rows))))
+    lengths = [len(row) for row in rows]
+
+    def width_of(values: list[int]) -> str:
+        return draw(st.sampled_from([width for width in ("u1", "<u2", "<u4", "<u8")
+                                     if max(values, default=0) < 256 ** np.dtype(width).itemsize]))
+
+    dtypes = (width_of(lengths), "<u2", width_of(counts))
+    blocks = [np.array(lengths, dtypes[0]).tobytes(),
+              np.array([c for row in rows for c in row], "<u2").tobytes(),
+              np.array(counts, dtypes[2]).tobytes()]
+    fields = (Level.SENTENCE, "csr", count, dimension, len(counts), dtypes)
+    return fields, blocks, lengths, counts
+
+
+class TestCountsAtLoad:
+    @given(counts_levels())
+    @settings(max_examples=200, deadline=None)
+    def test_every_counts_block_load_accepts_decodes_to_unit_rows(self, level):
+        """A counts level loads unless it holds a count of 0 or an empty
+        row, and every level that loads decodes to finite rows within
+        ``unit_slack`` of unit."""
+        fields, blocks, lengths, counts = level
+        corpus = level_corpus([f"c{i}" for i in range(fields[2])])
+        try:
+            index = index_module.load_index(corpus, fields, blocks)
+        except InvalidCorpusError as exc:
+            assert 0 in counts or 0 in lengths, exc
+            return
+        assert 0 not in counts and 0 not in lengths
+        csr = index._rows.csr
+        assert np.all(np.isfinite(csr.values))
+        assert np.all(np.abs(squared_norms(csr) - 1.0) <= unit_slack(fields[3]))
+
+
 class TestColdLoad:
     @pytest.fixture(scope="class")
     def seed42(self, tmp_path_factory):
@@ -1146,7 +1315,7 @@ class TestColdLoad:
         monkeypatch.undo()
         assert encoded == []
         header, footer = decoded
-        assert header["version"] == 4
+        assert header["version"] == 5
         assert [entry["level"] for entry in footer["levels"]] == [level.value for level in Level]
         assert set(ctx.indices) == set(Level)
 
