@@ -12,7 +12,8 @@ to round, runs one fresh process that times a cold ``engine.load_context``
 and, in the same process, the first query of the synth query set under
 each strategy in turn (hrr, base, c2p, s2p): a strategy's query pays for
 whatever its levels build when first searched. Each process also reports
-its peak RSS. Per tree, it prints the file's size and the median of each
+its resident set right after the load (``rss_after_load_mb``, read from
+``/proc/self/status``) and its peak RSS. Per tree, it prints the file's size and the median of each
 time over the rounds, in ms; the medians are wall-clock numbers of this
 host, taken one process at a time.
 """
@@ -44,6 +45,9 @@ config = EngineConfig(paths=PathsConfig(corpus_dir=sys.argv[1]))
 start = time.perf_counter_ns()
 ctx = engine.load_context(config)
 times = {"load": (time.perf_counter_ns() - start) / 1e6}
+with open("/proc/self/status") as status:
+    times["rss_after_load_mb"] = next(int(line.split()[1]) / 1024 for line in status
+                                      if line.startswith("VmRSS:"))
 query = load_query_set(sys.argv[2], ctx.corpus)[0].query
 for strategy in Strategy:
     strategy_ctx = replace(ctx, config=replace(ctx.config, strategy=strategy))

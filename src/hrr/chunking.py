@@ -35,9 +35,10 @@ one fragment at a time, stops: the cut is exact.
 Rows are written in the order they are cut: each document's parents, then
 its intermediates, then its sentences, each in text order, and after every
 document's, the side tier, document by document. So a parent row comes
-before its children's, and a link is the row where the owners' block
-starts plus the owner's place in it. A ``ChunkNode`` is built only when
-asked for.
+before its children's, a link is the row where the owners' block
+starts plus the owner's place in it, and each owner's children at one
+level are one run of rows, from which the corpus derives their ids. A
+``ChunkNode`` is built only when asked for.
 
 Each document is tokenized once. Every chunk boundary falls on a token
 boundary: a sentence ends after a terminator that whitespace follows, or
@@ -214,24 +215,11 @@ def _utf8_offsets(text: str) -> np.ndarray:
     return cumulative
 
 
-#: Each level's letter in chunk ids, as in ``d:p0.i1.s2``.
-_LETTERS = {Level.PARENT: "p", Level.INTERMEDIATE: "i", Level.SENTENCE: "s",
-            Level.SUB_INTERMEDIATE: "c"}
-
-
-def _part(level, chunks: _Level, prefixes, parent_rows, doc, to_bytes) -> tuple:
-    """A document's chunks at ``level`` as ids and the node table's seven
-    columns; each id is its owner's prefix, the level's letter and the
-    chunk's place among its owner's."""
-    ordinal = np.arange(len(chunks.owner)) - np.searchsorted(chunks.owner, chunks.owner)
-    ids = [f"{prefixes[o]}{_LETTERS[level]}{k}"
-           for o, k in zip(chunks.owner.tolist(), ordinal.tolist())]
-    return (ids, np.full(len(ids), _CODES[level]), np.full(len(ids), doc), parent_rows,
+def _part(level, chunks: _Level, parent_rows, doc, to_bytes) -> tuple:
+    """A document's chunks at ``level`` as the node table's seven columns."""
+    n = len(chunks.owner)
+    return (np.full(n, _CODES[level]), np.full(n, doc), parent_rows,
             to_bytes[chunks.start], to_bytes[chunks.end], chunks.count, chunks.hard)
-
-
-def _prefixes(part: tuple) -> list[str]:
-    return [f"{chunk_id}." for chunk_id in part[0]]
 
 
 def build_corpus(
@@ -250,7 +238,7 @@ def build_corpus(
     config = config if config is not None else ChunkingConfig()
     config.validate()
     tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
-    # Each (doc, level)'s ids and its seven columns, in the table's order.
+    # Each (doc, level)'s seven columns, in the table's order.
     hierarchy: list[tuple] = []
     side: list[tuple] = []
     base = 0  # the document's first row
@@ -282,25 +270,17 @@ def build_corpus(
         n_parents = len(parents.owner)
         inter_base = base + n_parents
         at = (doc, to_bytes)
-        hierarchy.append(_part(Level.PARENT, parents, [f"{doc_id}:"], np.full(n_parents, -1), *at))
-        hierarchy.append(_part(Level.INTERMEDIATE, inters, _prefixes(hierarchy[-1]),
-                               base + inters.owner, *at))
-        prefixes = _prefixes(hierarchy[-1])
-        hierarchy.append(_part(Level.SENTENCE, sentences, prefixes,
-                               inter_base + sentences.owner, *at))
+        hierarchy.append(_part(Level.PARENT, parents, np.full(n_parents, -1), *at))
+        hierarchy.append(_part(Level.INTERMEDIATE, inters, base + inters.owner, *at))
+        hierarchy.append(_part(Level.SENTENCE, sentences, inter_base + sentences.owner, *at))
         if config.sub_intermediate_size is not None:
             subs = _cut(inters, config.sub_intermediate_size, 0, tokens)
-            side.append(_part(Level.SUB_INTERMEDIATE, subs, prefixes, inter_base + subs.owner, *at))
+            side.append(_part(Level.SUB_INTERMEDIATE, subs, inter_base + subs.owner, *at))
         base = inter_base + len(inters.owner) + len(sentences.owner)
 
     parts = hierarchy + side
-    # Joined one part at a time, so no list of every id is built; a lone
-    # surrogate passes, so the corpus names the document id that holds it.
-    id_table = b"\0".join("\0".join(part[0]).encode("utf-8", "surrogatepass") for part in parts)
     empty = np.zeros(0, dtype=np.int64)  # no documents, no parts
-    columns = [np.concatenate([empty, *(part[field] for part in parts)]) for field in range(1, 8)]
-    # The corpus splits its own ids from the table: the parts' go first, so
-    # the two are never held at once.
+    columns = [np.concatenate([empty, *(part[field] for part in parts)]) for field in range(7)]
     del hierarchy, side, parts
     encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
-    return Corpus(encoded, id_table, columns, config=config, tokenizer_name=tokenizer.name)
+    return Corpus(encoded, columns, config=config, tokenizer_name=tokenizer.name)

@@ -1,20 +1,30 @@
 """Document and chunk hierarchy model.
 
 A corpus holds documents, as their UTF-8 bytes, plus one table of the
-chunk nodes produced by the chunker, keyed by id and by level: parent chunks,
-intermediate chunks nested in parents, and sentence chunks nested in
-intermediates. The sub-intermediate side tier (used only by the
-child-to-parent retrieval strategy) is stored the same way; it also nests in
-intermediates, but it is a level outside ``HIERARCHY_LEVELS``, so sentence
-nodes always sit exactly two hops below their parent chunk.
+chunk nodes produced by the chunker, by level: parent chunks, intermediate
+chunks nested in parents, and sentence chunks nested in intermediates. The
+sub-intermediate side tier (used only by the child-to-parent retrieval
+strategy) is stored the same way; it also nests in intermediates, but it is
+a level outside ``HIERARCHY_LEVELS``, so sentence nodes always sit exactly
+two hops below their parent chunk.
 
-The table is columnar: one numpy array per node field plus one list of
-ids, each indexed by the node's row. A ``ChunkNode`` is built only when
-one is asked for; ancestor walks, text lookups and byte-to-parent lookups
-read the columns. This is the layout column stores
-use to scan only what a query touches (Abadi, Madden and Hachem,
-"Column-Stores vs. Row-Stores", SIGMOD 2008), and it is also the on-disk
-layout, so loading a corpus builds no per-node object.
+The table is columnar: one numpy array per node field, each indexed by the
+node's row. A ``ChunkNode`` is built only when one is asked for; ancestor
+walks, text lookups and byte-to-parent lookups read the columns. This is
+the layout column stores use to scan only what a query touches (Abadi,
+Madden and Hachem, "Column-Stores vs. Row-Stores", SIGMOD 2008), and it is
+also the on-disk layout, so loading a corpus builds no per-node object.
+
+No chunk id is stored. The three tiers form a tree, so an id is a Dewey
+path (Tatarinov et al., SIGMOD 2002; O'Neil et al., "ORDPATHs", SIGMOD
+2004): its owner's id (``doc_id:`` for a parent chunk, else the parent's id
+and ``.``), the level's letter (``p``, ``i``, ``s``, or ``c`` in the side
+tier) and the node's ordinal among its owner's children at its level, as in
+``doc:p0.i1.s2``. The columns determine it, because each owner's children
+at one level are one run of rows, which the structure check proves: the
+ordinal is the row's offset from the run's first row. An id is derived when
+it is read and kept in one memo per corpus; an id is looked up by parsing
+it and walking down the runs.
 
 Chunk text is never stored on the nodes; every node carries a (start, end)
 byte span into its source document's UTF-8 encoding, and the corpus decodes
@@ -24,9 +34,9 @@ reassemble byte-for-byte from their parent chunks; like the rest of the
 table's structure, this is checked whenever a corpus is built or loaded.
 
 An ingest is saved as one file, ``nodes.bin``: a header, the node table's
-columns, the chunk ids joined by NUL, the documents' UTF-8 bytes, then each
-level's vectors and their footer, so one rename replaces texts, spans and
-vectors together (``save_corpus``).
+columns, the documents' UTF-8 bytes, then each level's vectors and their
+footer, so one rename replaces texts, spans and vectors together
+(``save_corpus``).
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -87,6 +98,8 @@ _EXPECTED_PARENT_LEVEL = {
 }
 #: The same by level code, -1 for none.
 _PARENT_CODES = np.array([_CODES.get(_EXPECTED_PARENT_LEVEL.get(level), -1) for level in _LEVELS])
+#: Each level's letter in chunk ids, by level code, as in ``d:p0.i1.s2``.
+_LETTERS = "pisc"
 
 
 @dataclass(frozen=True)
@@ -143,15 +156,17 @@ class Corpus:
 
     Safe for concurrent readers once constructed. Every level, the side tier
     included, is stored alike, and read by row: ``rows_at`` gives a level's
-    rows, ``ids_of`` their ids, ``ancestor_rows`` their ancestors at a level,
-    and ``texts_at`` and ``texts_of`` their texts. Retrieval reads nothing
-    else. By id, ``get`` builds the one ``ChunkNode`` of an id (``in`` and
-    ``len`` as for a set of ids) and ``chunk_text`` reads its text; the
-    id→row map they read is built on the first of them, so a corpus that is
-    only queried never builds it. ``parent_at`` names the parent chunk
-    owning a byte of a document. The node views ``chunks``, ``nodes`` and
-    ``sub_nodes`` are kept only for the benchmark harness. The corpus keeps
-    no node.
+    rows, ``ids_of`` their ids, ``id_ranks`` their places in id order,
+    ``ancestor_rows`` their ancestors at a level, and ``texts_at`` and
+    ``texts_of`` their texts. Retrieval reads nothing else. By id, ``get``
+    builds the one ``ChunkNode`` of an id (``in`` and ``len`` as for a set
+    of ids) and ``chunk_text`` reads its text. The corpus holds no id table
+    and builds no id→row map: an id is derived from the tree when it is
+    read, and kept in one memo of the ids read so far, which a load leaves
+    empty; a lookup parses the id from the right and walks down the runs of
+    rows (``_find``). ``parent_at`` names the parent chunk owning a byte of
+    a document. The node views ``chunks``, ``nodes`` and ``sub_nodes`` are
+    kept only for the benchmark harness. The corpus keeps no node.
 
     The chunker's rows are each document's parents, intermediates and
     sentences in turn, then the side tier (see ``hrr.chunking``). Each
@@ -164,31 +179,33 @@ class Corpus:
     naming what breaks it: a value does not fit its column; a column holds
     more or fewer values than the level column; a document id holds a NUL
     or a lone surrogate (which UTF-8 cannot encode); a document is not
-    UTF-8 (the first such document); the id table is not UTF-8 or
-    does not split at NUL into one id per row (so no id holds a NUL or a
-    lone surrogate); an id names more than one node (proven by one ``set``
-    of the ids, which is dropped). Then, naming the first
-    node in row order within each rule: a level code is 4 or more; a document
-    row is not one of ``documents``; a parent-level node has a parent, or
-    another node's parent is not an earlier node of the same document at
-    the level ``_EXPECTED_PARENT_LEVEL`` names (so a sentence sits exactly
-    two hops below its parent chunk); a span is empty or reversed, ends
-    beyond its document or cuts a UTF-8 character; a ``hard_split`` flag is
-    not 0 or 1. At overlap 0 (``parent_overlap`` and
+    UTF-8 (the first such document). Then, naming the first node in row
+    order within each rule, by its row: a level code is 4 or more; a
+    document row is not one of ``documents``; a parent-level node has a
+    parent, or another node's parent is not an earlier node of the same
+    document at the level ``_EXPECTED_PARENT_LEVEL`` names (so a sentence
+    sits exactly two hops below its parent chunk); one owner's children at
+    one level (a document's parents, or one node's children at one level)
+    are not one run of rows, the row named starting the second run. That
+    run proof makes every id well defined, and it is also the proof that
+    no two nodes share an id: the part of an id after its last ``:`` holds
+    no ``:``, so an id names its document, whose id is unique, and within a
+    document two nodes share an id only if they share every ordinal on
+    their paths. Then, naming the node by its id: a span is empty or
+    reversed, ends beyond its document or cuts a UTF-8 character; a
+    ``hard_split`` flag is not 0 or 1. At overlap 0 (``parent_overlap`` and
     ``intermediate_overlap`` both 0), each level's spans must also tile the
-    level above: a document's parents, and one node's children at one
-    level, taken in row order, start at their owner's start (0 for a
-    document), each next one where the one before ends, and the last ends
-    at the owner's end (the document's length); and those children's token
-    counts sum to the owner's. An owner without children at a level, and a
-    document without parents, are not checked. ``validate_corpus``
-    recounts the tokens.
+    level above: each run of one owner's children, in row order, starts at
+    its owner's start (0 for a document), each next one where the one
+    before ends, and the last ends at the owner's end (the document's
+    length); and those children's token counts sum to the owner's. An
+    owner without children at a level, and a document without parents, are
+    not checked. ``validate_corpus`` recounts the tokens.
     """
 
     def __init__(
         self,
         documents: Mapping[str, bytes],
-        id_table: bytes,
         columns: Sequence[Sequence[int]],
         *,
         config: "ChunkingConfig",
@@ -196,17 +213,15 @@ class Corpus:
         document_sha256: Sequence[str] | None = None,
     ) -> None:
         """A corpus over ``documents``, each id's UTF-8 bytes, and the node
-        table ``id_table``, ``columns``.
+        table ``columns``.
 
-        ``id_table`` is the chunk ids in row order, joined by NUL, as UTF-8;
-        a table of no bytes is no id, or one empty id where the columns hold
-        one row. ``columns`` holds one sequence of ints per field, in this
-        order: the node's level as its position in ``Level``, its document's
-        position in ``documents``, its parent's row (-1 for none), the start
-        and end of its byte span, its token count and its hard-split flag
-        (0 or 1). ``document_sha256``, the hex sha256 of each document's
-        bytes as a file recorded them, is kept for ``validate_corpus`` to
-        check; nothing else reads it.
+        ``columns`` holds one sequence of ints per field, in this order: the
+        node's level as its position in ``Level``, its document's position
+        in ``documents``, its parent's row (-1 for none), the start and end
+        of its byte span, its token count and its hard-split flag (0 or 1).
+        ``document_sha256``, the hex sha256 of each document's bytes as a
+        file recorded them, is kept for ``validate_corpus`` to check;
+        nothing else reads it.
         """
         try:
             # Converted, never cast, so an out-of-range value raises; in
@@ -226,7 +241,6 @@ class Corpus:
         self.tokenizer_name = tokenizer_name
         self.document_sha256 = document_sha256
         is_ascii = _check_documents(self.documents)
-        self._ids = _split_ids(id_table, len(columns.level))
         self._cols = columns
         #: The columns as memoryviews too, whose items read as Python ints
         #: several times faster than numpy scalars; per-row lookups use them.
@@ -235,44 +249,67 @@ class Corpus:
         self._doc_ids: list[str] = list(self.documents)
         self._doc_rows = {doc_id: row for row, doc_id in enumerate(self._doc_ids)}
         self._doc_bytes: list[bytes] = list(self.documents.values())
+        # Proves the structure, and sets the runs (``_runs``) and the memo
+        # of derived ids (``_ids``) that it names nodes by.
         _check_structure(self, is_ascii)
         self._level_counts = np.bincount(columns.level, minlength=len(_LEVELS))
-
-        # Parent rows grouped by document, each group in row order: document
-        # d's are _parent_rows[_parent_bounds[d]:_parent_bounds[d + 1]].
-        parent_rows = np.flatnonzero(columns.level == _CODES[Level.PARENT])
-        parent_rows = parent_rows[np.argsort(columns.doc[parent_rows], kind="stable")]
-        self._parent_rows = parent_rows
-        self._parent_ends = columns.end[parent_rows]
-        self._parent_bounds = np.searchsorted(
-            columns.doc[parent_rows], np.arange(len(self._doc_ids) + 1)
-        ).tolist()
 
     # -- the table ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._cols.level)
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        """Each id to its row, built on the first id lookup: retrieval reads
-        rows, so a loaded corpus that is only queried never builds it."""
-        ids = self._ids
-        return dict(zip(ids, range(len(ids))))
+    def _find(self, chunk_id: str) -> int | None:
+        """The row whose id is ``chunk_id``, or None. The id is parsed from
+        the right: the document id before its last ``:``, then one part
+        per level, each a level's letter and an ordinal in canonical ASCII
+        decimal, which walks down from the document to that child of its
+        owner's run. The row found is confirmed by deriving its id, so no
+        other spelling of an ordinal finds it."""
+        if not isinstance(chunk_id, str):
+            return None
+        doc_id, colon, path = chunk_id.rpartition(":")
+        doc = self._doc_rows.get(doc_id) if colon else None
+        if doc is None:
+            return None
+        owner, level = doc, -1
+        for part in path.split("."):
+            code, digits = _LETTERS.find(part[:1]), part[1:]
+            # An empty part finds code 0 and no digits.
+            if (code < 0 or _PARENT_CODES[code] != level or not digits.isdigit()
+                    or not digits.isascii() or len(digits) > 18
+                    or (digits[0] == "0" and len(digits) > 1)):
+                return None
+            run = self._run(owner, code)
+            if run is None or int(digits) >= len(run):
+                return None
+            row = run[int(digits)]
+            owner, level = len(self._doc_ids) + row, code
+        return row if self._ids[row] == chunk_id else None
+
+    def _run(self, owner: int, code: int) -> range | None:
+        """The rows of ``owner``'s children at the level of ``code``, or
+        None when it has none; ``owner`` is a document's row, or the number
+        of documents plus a node's row."""
+        runs, key = self._runs, owner * len(_LEVELS) + code
+        i = bisect_left(runs.keys, key)
+        if i == len(runs.keys) or runs.keys[i] != key:
+            return None
+        return range(runs.starts[i], runs.ends[i])
 
     def _row(self, chunk_id: str) -> int:
-        row = self._index.get(chunk_id)
+        row = self._find(chunk_id)
         if row is None:
             raise UnknownChunkError(f"no chunk {chunk_id!r} in corpus")
         return row
 
     def _node(self, row: int) -> ChunkNode:
         """The node at ``row``, built from the columns."""
-        view, ids = self._view, self._ids
+        view = self._view
         parent = view.parent[row]
         return ChunkNode(
-            ids[row], _LEVELS[view.level[row]], self._doc_ids[view.doc[row]],
-            ids[parent] if parent >= 0 else None,
+            self._ids[row], _LEVELS[view.level[row]], self._doc_ids[view.doc[row]],
+            self._ids[parent] if parent >= 0 else None,
             (view.start[row], view.end[row]), view.token_count[row], bool(view.hard_split[row]),
         )
 
@@ -280,18 +317,87 @@ class Corpus:
         return self._node(self._row(chunk_id))
 
     def __contains__(self, chunk_id: str) -> bool:
-        return chunk_id in self._index
+        return self._find(chunk_id) is not None
 
     def rows_at(self, level: Level) -> np.ndarray:
         """The rows of ``level``'s nodes, ascending, as int64."""
         return np.flatnonzero(self._cols.level == _CODES[level])
 
-    def ids_of(self, rows: np.ndarray | list[int]) -> Iterator[str]:
-        """The ids of ``rows``, an integer array or a list of ints, in its
-        order, read one at a time from the one id list, so no list of rows or
-        of ids is built."""
-        return map(self._ids.__getitem__, memoryview(rows) if isinstance(rows, np.ndarray)
-                   else rows)
+    def ids_of(self, rows: np.ndarray | Iterable[int]) -> Iterator[str]:
+        """The ids of ``rows``, an integer array or an iterable of ints, in
+        its order, each derived on its first read (``_Ids``), so no list of
+        rows or of ids is built."""
+        return map(self._ids.__getitem__,
+                   memoryview(rows) if isinstance(rows, np.ndarray) else rows)
+
+    def id_ranks(self, rows: np.ndarray) -> np.ndarray:
+        """Each of ``rows``' place, as int32, when ``rows``, distinct rows of
+        one level, are sorted by id as strings, read from the tree.
+
+        Ids of one level share their shape, so id order is the order of
+        (document, each path part in turn): a document by its ``doc_id:``
+        in string order, and a part by its ordinal's decimal string in
+        string order (``s10`` sorts before ``s2``); one ``np.lexsort`` of
+        those narrow keys orders the rows. Where one document's ``doc_id:``
+        is a prefix of another's (``a`` and ``a:b``), their ids interleave,
+        so only those documents' rows are ordered by their derived ids; no
+        other id is derived.
+        """
+        cols, heads, table = self._cols, np.asarray(self._runs.heads), self._decimal_ranks
+        keys = []  # least significant first, as ``np.lexsort`` reads them
+        chain = rows
+        while len(chain):
+            keys.append(_part_ranks(chain, heads, table))
+            chain = cols.parent[chain]
+            if chain[0] < 0:
+                break
+        del chain
+        block, tangled = self._doc_blocks
+        doc = cols.doc[rows]
+        if tangled.any():
+            mine = np.flatnonzero(tangled[doc])
+            strings = list(self.ids_of(rows[mine]))
+            order = sorted(range(len(strings)), key=strings.__getitem__)
+            within = np.zeros(len(rows), dtype=np.int32)
+            within[mine[order]] = np.arange(1, len(order) + 1, dtype=np.int32)
+            keys.append(within)
+        keys.append(block[doc])
+        del doc
+        order = np.lexsort(keys)
+        del keys
+        ranks = np.empty(len(rows), dtype=np.int32)
+        ranks[order] = np.arange(len(rows), dtype=np.int32)
+        return ranks
+
+    @cached_property
+    def _decimal_ranks(self) -> np.ndarray:
+        """Each ordinal a run holds, 0 to the longest run's last, to its
+        place in the string order of their decimal strings, at the
+        narrowest width that holds it."""
+        runs = self._runs
+        top = int(np.max(np.subtract(runs.ends, runs.starts), initial=0))
+        table = np.empty(top, dtype=narrowest(np.array([top])))
+        table[sorted(range(top), key=str)] = np.arange(top)
+        return table
+
+    @cached_property
+    def _doc_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each document's place in the order of its ``doc_id:``, and
+        whether it shares that place: documents whose ``doc_id:`` starts
+        with another's share the other's place, since their ids interleave.
+        Every string that sorts between ``P`` and ``P + x`` starts with
+        ``P``, so each such block is a run of the sorted order."""
+        names = [f"{doc_id}:" for doc_id in self._doc_ids]
+        block = np.empty(len(names), dtype=np.uint32)
+        shared = np.zeros(len(names), dtype=bool)
+        place, root, first = -1, None, None
+        for doc in sorted(range(len(names)), key=names.__getitem__):
+            if root is not None and names[doc].startswith(root):
+                shared[[first, doc]] = True
+            else:
+                place, root, first = place + 1, names[doc], doc
+            block[doc] = place
+        return block.astype(narrowest(block), copy=False), shared
 
     def ancestor_rows(self, rows: Iterable[int], level: Level) -> list[int]:
         """The row of each of ``rows``' ancestors at ``level``, in their
@@ -354,33 +460,29 @@ class Corpus:
     def parent_at(self, doc_id: str, byte: int) -> str | None:
         """Id of the parent chunk owning byte offset ``byte`` of ``doc_id``.
 
-        A document's parent spans end in strictly increasing order, even with
-        overlap, so the first span ending after ``byte`` owns it, provided
-        that span starts at or before it. None when no parent covers it.
+        A document's parents are one run of rows whose spans end in strictly
+        increasing order, even with overlap, so the first span ending after
+        ``byte`` owns it, provided that span starts at or before it. None
+        when no parent covers it.
         """
         doc = self._doc_rows.get(doc_id)
         if doc is None or not 0 <= byte < len(self._doc_bytes[doc]):
             return None
-        lo, hi = self._parent_bounds[doc], self._parent_bounds[doc + 1]
-        i = lo + int(np.searchsorted(self._parent_ends[lo:hi], byte, side="right"))
-        if i < hi:
-            row = int(self._parent_rows[i])
-            if self._view.start[row] <= byte:
-                return self._ids[row]
+        run = self._run(doc, _CODES[Level.PARENT])
+        if run is None:
+            return None
+        row = run.start + int(np.searchsorted(self._cols.end[run.start : run.stop], byte, "right"))
+        if row < run.stop and self._view.start[row] <= byte:
+            return self._ids[row]
         return None
 
     def parent_doc(self, chunk_id: str) -> str | None:
         """The document of the parent chunk ``chunk_id``, or None when no
-        parent-level chunk has that id. It reads a map of the parent rows'
-        ids alone, built on the first call, so checking a gold parent builds
-        no map of every id."""
-        row = self._parent_index.get(chunk_id)
-        return None if row is None else self._doc_ids[self._view.doc[row]]
-
-    @cached_property
-    def _parent_index(self) -> dict[str, int]:
-        rows = self._parent_rows
-        return dict(zip(self.ids_of(rows), rows.tolist()))
+        parent-level chunk has that id; the id is parsed, as by ``get``."""
+        row = self._find(chunk_id)
+        if row is None or self._view.level[row] != _CODES[Level.PARENT]:
+            return None
+        return self._doc_ids[self._view.doc[row]]
 
     def chunk_text(self, chunk_id: str) -> str:
         """The text of ``chunk_id``, as ``texts_of`` reads it."""
@@ -424,6 +526,22 @@ class Corpus:
         return lru_cache(maxsize=TOKEN_SET_CACHE_SIZE)(
             partial(_decode, self._doc_bytes, self._view)
         )
+
+
+#: Rows whose ordinals ``_part_ranks`` finds at a time.
+_RANK_BLOCK = 4096
+
+
+def _part_ranks(rows: np.ndarray, heads: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table``'s entry for each of ``rows``' ordinals, its offset from the
+    head of its run (``heads``), found a block of rows at a time, so that no
+    int64 array of every row is built."""
+    ranks = np.empty(len(rows), dtype=table.dtype)
+    for low in range(0, len(rows), _RANK_BLOCK):
+        block = rows[low : low + _RANK_BLOCK]
+        ranks[low : low + _RANK_BLOCK] = table[
+            block - heads[np.searchsorted(heads, block, "right") - 1]]
+    return ranks
 
 
 def _decode(doc_bytes: list[bytes], view: _Columns, row: int) -> str:
@@ -486,13 +604,16 @@ class _ChunkMap(Mapping):
         self._corpus = corpus
 
     def __getitem__(self, chunk_id: str) -> ChunkNode:
-        return self._corpus._node(self._corpus._index[chunk_id])
+        row = self._corpus._find(chunk_id)
+        if row is None:
+            raise KeyError(chunk_id)
+        return self._corpus._node(row)
 
     def __contains__(self, chunk_id) -> bool:
         return chunk_id in self._corpus
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._corpus._ids)
+        return self._corpus.ids_of(range(len(self._corpus)))
 
     def __len__(self) -> int:
         return len(self._corpus)
@@ -520,7 +641,7 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     """Check the corpus's documents against the digests its file recorded,
     and recount its tokens; an empty list means the corpus is sound.
 
-    The structure (unique ids, parent links, levels, spans and, at overlap
+    The structure (parent links, levels, runs, spans and, at overlap
     0, each level's tiling of the one above and its token sums) is checked
     whenever a corpus is built or loaded, so this checks what it does not:
     each stored token count against a recount of the node's text
@@ -583,9 +704,13 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 #: Format version 1 was ``chunks.jsonl``, one JSON record per node; version
 #: 2 kept the documents apart from ``nodes.bin``, in ``documents.jsonl``;
 #: version 3 stored the chunk ids as one JSON array; version 4 stored every
-#: node column, row pointer and CSR value at one fixed width.
+#: node column, row pointer and CSR value at one fixed width; version 5
+#: stored the chunk ids, joined by NUL.
 _MAGIC = b"HRRNODE\n"
-_VERSION = 5
+_VERSION = 6
+#: The header's fields; any other is refused.
+_HEADER_FIELDS = frozenset({"version", "tokenizer", "chunking", "count", "documents",
+                            "document_bytes", "document_sha256", "columns"})
 #: Ends the vectors' footer. Before it, each level's vectors were kept in a
 #: ``<level>.idx`` snapshot of their own, which is no longer read.
 _VECTORS_MAGIC = b"HRRVEC1\n"
@@ -627,22 +752,23 @@ def save_corpus(
     (sorted keys): the format version, tokenizer, chunking settings, node
     count, the document ids in row order, each document's length in bytes
     (``document_bytes``) and the hex sha256 of its bytes
-    (``document_sha256``, which only ``validate_corpus`` checks),
-    ``ids_bytes``, and ``columns``, the dtype each node column is stored
-    at. Then come the node table's columns in the order ``level``,
+    (``document_sha256``, which only ``validate_corpus`` checks), and
+    ``columns``, the dtype each node column is stored at. Then come the node table's columns in the order ``level``,
     ``doc`` (document row), ``parent``, byte ``start`` and ``end``,
     ``token_count`` and ``hard_split``, each as little-endian unsigned
     integers of the narrowest of ``WIDTHS`` that holds its values
     (``narrowest``); ``parent`` is stored as the parent's row plus 1, 0 for
-    none. Then the id table (the chunk ids joined by NUL as UTF-8) and
-    each document's UTF-8 bytes. Rows are in the corpus's row order (each
-    document's parents, intermediates and sentences in turn, then the side
-    tier, as ``build_corpus`` writes them), so a parent row always precedes
-    its children's.
+    none. Then each document's UTF-8 bytes. No chunk id is stored: each is
+    derived from the columns (see ``Corpus``). Rows are in the corpus's row
+    order (each document's parents, intermediates and sentences in turn,
+    then the side tier, as ``build_corpus`` writes them), so a parent row
+    always precedes its children's, and each owner's children at one level
+    are one run.
 
     Each index's blocks (``index.save_index``) follow, then the vectors'
-    footer: JSON holding ``embedder``'s name and dimension and each index's
-    entry, its ``<u4`` length and ``_VECTORS_MAGIC``. It comes last, as a
+    footer: JSON holding ``embedder``'s name and dimension, the
+    ``base_url`` of a remote embedder (none for a local one), and each
+    index's entry, then its ``<u4`` length and ``_VECTORS_MAGIC``. It comes last, as a
     Parquet file's footer does, because an entry is known only once its
     level is embedded. ``indexes``, ``embedder``'s indexes of this corpus,
     one per level it holds, are drawn once the corpus is written, and each
@@ -660,7 +786,6 @@ def save_corpus(
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    ids = "\0".join(corpus._ids).encode("utf-8")
     columns = corpus._cols._replace(parent=corpus._cols.parent.astype(np.int64) + 1)
     widths = _Columns(*map(narrowest, columns))
     header = {
@@ -671,7 +796,6 @@ def save_corpus(
         "documents": list(corpus.documents),
         "document_bytes": list(map(len, corpus._doc_bytes)),
         "document_sha256": [hashlib.sha256(data).hexdigest() for data in corpus._doc_bytes],
-        "ids_bytes": len(ids),
         "columns": widths._asdict(),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("ascii")
@@ -681,8 +805,7 @@ def save_corpus(
         fh.writelines(column.astype(width, copy=False)
                       for column, width in zip(columns, widths))
         del columns
-        fh.writelines([ids, *corpus._doc_bytes])
-        del ids  # freed before the first index is drawn
+        fh.writelines(corpus._doc_bytes)
         for index in indexes:
             if (index.corpus is not corpus or index.dimension != embedder.dimension
                     or index.level.value in {entry["level"] for entry in levels}):
@@ -700,8 +823,11 @@ def save_corpus(
                 raise InvalidInputError(
                     f"no {missing[0]} index among those saved: the file stores the "
                     "vectors of every level of its corpus, or of none")
-            footer = json.dumps({"embedder": embedder.name, "dimension": embedder.dimension,
-                                 "levels": levels}, sort_keys=True).encode("ascii")
+            footer = {"embedder": embedder.name, "dimension": embedder.dimension,
+                      "levels": levels}
+            if getattr(embedder, "base_url", None) is not None:
+                footer["base_url"] = embedder.base_url
+            footer = json.dumps(footer, sort_keys=True).encode("ascii")
             fh.writelines([footer, len(footer).to_bytes(4, "little"), _VECTORS_MAGIC])
     for retired in (_RETIRED_NODES_FILE, _RETIRED_DOCUMENTS_FILE):
         (directory / retired).unlink(missing_ok=True)
@@ -720,7 +846,8 @@ def load_artifacts(
     the ``Corpus`` its blocks store, which construction proves, and, given
     ``embedder``, the index of each level whose vectors it stores
     (``index.load_index``). Without one, no vector block is read. Loading
-    builds no ``ChunkNode``.
+    builds no ``ChunkNode`` and derives no chunk id: the file stores none,
+    and the structure check's run proof stands in for proving them unique.
 
     Each node column is widened from the width it is stored at to its
     in-memory dtype (``_DTYPES``), the parent column less 1. The documents
@@ -732,7 +859,9 @@ def load_artifacts(
     read: another magic; a header length or header that the file cannot
     hold; a malformed header or vectors' footer; a version, count or size
     that is not a JSON integer (``json_int``); another format version,
-    which asks for a re-ingest; an unknown tokenizer, or chunking settings
+    which asks for a re-ingest (v5 and earlier stored an id table); a
+    header field that v6 does not store, such as v5's ``ids_bytes``; an
+    unknown tokenizer, or chunking settings
     that the config file's ``chunking`` section would refuse (a bool or a
     float for an integer, say); document ids that are not one string per
     length, or that name a document twice; document digests that are not
@@ -742,7 +871,9 @@ def load_artifacts(
     size; and sizes that do not fill the file exactly (bytes after the
     corpus that do not end with a footer included). Given ``embedder``, so
     do a file with no vectors, as ingests wrote before the footer, which
-    asks for a re-ingest, and vectors of another embedder or dimension.
+    asks for a re-ingest, and vectors of another embedder or dimension, or
+    from another service's ``base_url`` than ``embedder``'s (a local
+    embedder has none).
     Then a column value that its in-memory dtype cannot hold, or a rule
     ``Corpus`` lists, raises it with the rule's message and "; re-run
     ingest", as does, given ``embedder``, a level the corpus holds that the
@@ -766,6 +897,10 @@ def load_artifacts(
             raise SnapshotFormatError(
                 f"corpus format version {version} is not read; re-run ingest"
             )
+        unknown = sorted(set(header) - _HEADER_FIELDS)
+        if unknown:
+            raise SnapshotFormatError(
+                f"the header holds {unknown[0]!r}, which format v{_VERSION} does not store")
         config = _section_from_dict(ChunkingConfig, header["chunking"], "chunking")
         config.validate()
         get_tokenizer(header["tokenizer"])
@@ -785,7 +920,6 @@ def load_artifacts(
         widths = _Columns(*(stored_width(widths[name], f"the {name} column's")
                             for name in _Columns._fields))
         sizes = [count * np.dtype(width).itemsize for width in widths]
-        sizes.append(json_int(header["ids_bytes"], "ids_bytes"))
         sizes += (json_int(n, f"document_bytes[{i}]") for i, n in enumerate(lengths))
         return (config, header["tokenizer"], doc_ids, digests, widths), sizes
 
@@ -794,7 +928,7 @@ def load_artifacts(
         stored = [fields[0] for fields, _ in levels]
         if len(set(stored)) != len(stored):
             raise SnapshotFormatError("a level's vectors are stored twice")
-        return footer["embedder"], footer["dimension"], levels
+        return footer["embedder"], footer["dimension"], footer.get("base_url"), levels
 
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -810,14 +944,14 @@ def load_artifacts(
         start = fh.tell()
         # The corpus blocks, then the vectors and their footer if the file
         # ends with one.
-        taken, built_by, dimension, levels = sum(sizes), None, None, []
+        taken, built_by, dimension, base_url, levels = sum(sizes), None, None, None, []
         tail = 4 + len(_VECTORS_MAGIC)
         if size - start > taken + tail:
             fh.seek(size - tail)
             footer_len = int.from_bytes(fh.read(4), "little")
             if fh.read() == _VECTORS_MAGIC and footer_len <= size - start - taken - tail:
                 fh.seek(size - tail - footer_len)
-                built_by, dimension, levels = _parsed(
+                built_by, dimension, base_url, levels = _parsed(
                     path, "vectors' footer", parse_footer, fh.read(footer_len))
                 sizes += (n for _, level_sizes in levels for n in level_sizes)
                 taken = sum(sizes) + footer_len + tail
@@ -842,18 +976,19 @@ def load_artifacts(
                 f"{path}: index dimension {dimension} differs from the configured "
                 f"embedding dimension {embedder.dimension}; re-run ingest"
             )
+        elif base_url != (configured := getattr(embedder, "base_url", None)):
+            raise SnapshotFormatError(f"{path}: vectors from the service at {base_url!r}, "
+                                      f"not the configured {configured!r}; re-run ingest")
         fh.seek(start)
         try:
             columns = [_widened(fh.read(n), width, name)
                        for n, width, name in zip(sizes, widths, _Columns._fields)]
-            id_table = fh.read(sizes[len(widths)])
             documents = {doc_id: fh.read(n)
-                         for doc_id, n in zip(doc_ids, sizes[len(widths) + 1 :])}
-            corpus = Corpus(documents, id_table, columns, config=config,
+                         for doc_id, n in zip(doc_ids, sizes[len(widths) :])}
+            corpus = Corpus(documents, columns, config=config,
                             tokenizer_name=tokenizer_name, document_sha256=digests)
         except InvalidCorpusError as exc:
             raise SnapshotFormatError(f"{path}: {exc}; re-run ingest") from None
-        del id_table  # split into the corpus's ids, and freed before a level is read
         stored = {fields[0] for fields, _ in levels}
         missing = [level.value for level in corpus.levels if level not in stored]
         if levels and missing:
@@ -947,49 +1082,97 @@ def _check_documents(documents: Mapping[str, bytes]) -> list[bool]:
     return verdicts
 
 
-def _split_ids(table: bytes, count: int) -> list[str]:
-    """The ``count`` ids of ``table``, split at NUL once it decodes as
-    strict UTF-8, which encodes no lone surrogate; else ``InvalidCorpusError``."""
-    try:
-        # An empty table holds no id, or one empty id where the count says so.
-        ids = table.decode("utf-8").split("\0") if count or table else []
-    except UnicodeDecodeError as exc:
-        raise InvalidCorpusError(
-            f"the id table is not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    if len(ids) != count:
-        raise InvalidCorpusError(f"the id table splits at NUL into {len(ids)} ids, not {count}")
-    return ids
+class _Ids(dict):
+    """Each chunk id derived so far, by row, one memo per corpus; a row's id
+    is derived when first read: its owner's id and ``.`` (``doc_id:`` for a
+    parent chunk), the level's letter, and its offset from the first row of
+    its run. No bound empties it, so a row read again is never derived
+    again. It holds the corpus's columns, not the corpus, so it makes no
+    reference cycle."""
+
+    __slots__ = ("_doc_ids", "_view", "_heads")
+
+    def __init__(self, doc_ids: list[str], view: "_Columns", heads: memoryview) -> None:
+        super().__init__()
+        self._doc_ids, self._view, self._heads = doc_ids, view, heads
+
+    def __missing__(self, row: int) -> str:
+        view, heads = self._view, self._heads
+        parent = view.parent[row]
+        owner = f"{self[parent]}." if parent >= 0 else f"{self._doc_ids[view.doc[row]]}:"
+        ordinal = row - heads[bisect_right(heads, row) - 1]
+        chunk_id = self[row] = f"{owner}{_LETTERS[view.level[row]]}{ordinal}"
+        return chunk_id
+
+
+class _Runs(NamedTuple):
+    """The runs of rows that the structure check proves: each owner's
+    children at one level are one run. An owner is a document, for parent
+    chunks, or a node; a run's key is ``owner * 4 + level code``, the owner
+    being a document's row or the number of documents plus a node's row.
+    Each field is a memoryview of int64, whose items read as Python ints."""
+
+    heads: memoryview  #: each run's first row, ascending
+    keys: memoryview  #: each run's key, ascending
+    starts: memoryview  #: the first row of each of ``keys``' runs
+    ends: memoryview  #: one past its last row
 
 
 def _check_structure(corpus: Corpus, is_ascii: Sequence[bool]) -> None:
     """Raise ``InvalidCorpusError`` naming the first node, in row order
     within each rule, that breaks the node table's structure (the rules
-    ``Corpus`` lists from the duplicate id on); for a token sum, the node is
-    the owner. ``is_ascii`` says which documents are ASCII."""
-    ids = corpus._ids
-    if len(set(ids)) != len(ids):
-        duplicate = next(chunk_id for chunk_id, n in Counter(ids).items() if n > 1)
-        raise InvalidCorpusError(f"id {duplicate!r} names more than one node")
+    ``Corpus`` lists from the level code on), by its row until the run
+    proof makes every id well defined and by its id after it; for a token
+    sum, the node is the owner. ``is_ascii`` says which documents are
+    ASCII. Once the run proof holds, sets ``corpus._runs``, which ids are
+    derived and parsed by, and ``corpus._ids``, the memo of derived ids."""
+    n = len(corpus)
 
-    def refuse(bad: np.ndarray, problem: str, rows: np.ndarray | None = None) -> None:
+    def refuse(bad: np.ndarray, problem: str, rows: np.ndarray | None = None,
+               named: bool = True) -> None:
         """Raise for the least row whose entry of ``bad`` is true, entry
-        ``i`` standing for row ``rows[i]`` (row ``i`` when ``rows`` is None)."""
+        ``i`` standing for row ``rows[i]`` (row ``i`` when ``rows`` is None),
+        naming it by its id, or by its row where not ``named``."""
         if bad.any():
             row = int(np.argmax(bad)) if rows is None else int(rows[bad].min())
-            raise InvalidCorpusError(f"node {ids[row]!r}: {problem}")
+            name = repr(corpus._ids[row]) if named else f"at row {row}"
+            raise InvalidCorpusError(f"node {name}: {problem}")
 
     level, doc, parent, start, end, token_count, hard_split = corpus._cols
-    refuse(level >= len(_LEVELS), f"its level code is not below {len(_LEVELS)}")
-    refuse(doc >= len(corpus.documents), "its document row is not one of the corpus's documents")
+    n_docs = len(corpus.documents)
+    refuse(level >= len(_LEVELS), f"its level code is not below {len(_LEVELS)}", named=False)
+    refuse(doc >= n_docs, "its document row is not one of the corpus's documents", named=False)
     top = level == _CODES[Level.PARENT]
-    refuse(top & (parent != -1), "it is a parent-level node with a parent link")
-    refuse(~top & (parent == -1), "its parent link is missing")
+    refuse(top & (parent != -1), "it is a parent-level node with a parent link", named=False)
+    refuse(~top & (parent == -1), "its parent link is missing", named=False)
     linked = np.flatnonzero(~top)
     up = parent[linked]
-    refuse((up < 0) | (up >= linked), "its parent row is not an earlier row", linked)
+    refuse((up < 0) | (up >= linked), "its parent row is not an earlier row", linked, False)
     refuse(level[up] != _PARENT_CODES[level[linked]],
-           "its parent is not at the level above it", linked)
-    refuse(doc[up] != doc[linked], "its parent is in another document", linked)
+           "its parent is not at the level above it", linked, False)
+    refuse(doc[up] != doc[linked], "its parent is in another document", linked, False)
+    # The run proof: a run starts wherever a row's (owner, level) key is not
+    # the row before's, and no two runs share a key. One sort of the runs'
+    # keys, not of the rows', finds a key used twice; ids are parsed by it.
+    key = np.where(top, doc, parent.astype(np.int64) + n_docs)
+    key *= len(_LEVELS)
+    key += level
+    new = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    run_keys = key[heads]
+    del key, new
+    by_key = np.argsort(run_keys, kind="stable")
+    keys = run_keys[by_key]
+    again = keys[1:] == keys[:-1]
+    if again.any():
+        row = int(heads[by_key[1:][again]].min())
+        raise InvalidCorpusError(
+            f"node at row {row}: it starts a second run of rows of its owner's children at "
+            "its level")
+    ends = np.append(heads[1:], n)
+    corpus._runs = _Runs(*map(memoryview, (heads, keys, heads[by_key], ends[by_key])))
+    corpus._ids = _Ids(corpus._doc_ids, corpus._view, corpus._runs.heads)
     sizes = np.array([len(data) for data in corpus._doc_bytes], dtype=np.int64)
     refuse((start < 0) | (start >= end) | (end > sizes[doc]),
            "its span is empty, reversed or ends beyond its document")
@@ -999,53 +1182,41 @@ def _check_structure(corpus: Corpus, is_ascii: Sequence[bool]) -> None:
     # rows are found from one sort by document.
     if not all(is_ascii):
         order = np.argsort(doc, kind="stable")
-        bounds = np.searchsorted(doc[order], np.arange(len(sizes) + 1)).tolist()
-        cuts = np.zeros(len(ids), dtype=bool)
+        bounds = np.searchsorted(doc[order], np.arange(n_docs + 1)).tolist()
+        cuts = np.zeros(n, dtype=bool)
         for d, data in enumerate(corpus._doc_bytes):
             if is_ascii[d]:
                 continue
             text = np.frombuffer(data, dtype=np.uint8)
             rows = order[bounds[d] : bounds[d + 1]]
-            ends = end[rows]
-            at_end = np.where(ends < len(text), text[np.minimum(ends, len(text) - 1)], 0)
+            ends_at = end[rows]
+            at_end = np.where(ends_at < len(text), text[np.minimum(ends_at, len(text) - 1)], 0)
             cuts[rows] = ((text[start[rows]] & 0xC0) == 0x80) | ((at_end & 0xC0) == 0x80)
         refuse(cuts, "its span cuts a UTF-8 character")
     refuse(hard_split > 1, "its hard_split flag is not 0 or 1")
-    if corpus.config.parent_overlap or corpus.config.intermediate_overlap or not len(ids):
+    if corpus.config.parent_overlap or corpus.config.intermediate_overlap or not n:
         return
-    # At overlap 0, each document's parents, and each node's children at one
-    # level, tile their owner. Owners are numbered documents first, then
-    # nodes (n_docs + row); one stable sort on (owner, level) puts each such
-    # group together, in row order.
-    n_docs = len(sizes)
-    key = np.where(top, doc, parent.astype(np.int64) + n_docs) * len(_LEVELS) + level
-    grouped = np.argsort(key, kind="stable")
-    key = key[grouped]
-    new = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    heads = np.flatnonzero(new)
-    tails = np.append(heads[1:], len(key)) - 1
-    owners = key[heads] // len(_LEVELS)
-    # Where each span must start: its owner's start for a group's first (0
-    # for a document), else the end of the span before it.
-    starts, ends = start[grouped], end[grouped]
-    expected = np.empty_like(starts)
-    expected[1:] = ends[:-1]
+    # At overlap 0, each run of one owner's children tiles its owner: in row
+    # order, a run's first span starts at its owner's start (0 for a
+    # document), and every other span where the row before it ends.
+    owners = run_keys // len(_LEVELS)
+    expected = np.empty_like(start)
+    expected[1:] = end[:-1]
     expected[heads] = np.concatenate([np.zeros(n_docs, dtype=np.int64), start])[owners]
     # Both ways a start can be wrong are one rule, which names the least row
     # either way with its own problem: so a parent moved alone is named, not
     # its first child, which then starts before it.
-    wrong = starts != expected
+    wrong = start != expected
     if wrong.any():
-        first = np.flatnonzero(wrong)[np.argmin(grouped[wrong])]
-        problem = ("a gap comes before its span" if starts[first] > expected[first]
+        first = int(np.argmax(wrong))
+        problem = ("a gap comes before its span" if start[first] > expected[first]
                    else "its span overlaps the one before it or starts before its owner")
-        raise InvalidCorpusError(f"node {ids[grouped[first]]!r}: {problem}")
-    refuse(ends[tails] != np.concatenate([sizes, end])[owners],
-           "its span is the last under its owner but does not end where the owner ends",
-           grouped[tails])
+        raise InvalidCorpusError(f"node {corpus._ids[first]!r}: {problem}")
+    tails = ends - 1
+    refuse(end[tails] != np.concatenate([sizes, end])[owners],
+           "its span is the last under its owner but does not end where the owner ends", tails)
     at_node = owners >= n_docs
-    sums = np.add.reduceat(token_count[grouped], heads, dtype=np.int64)[at_node]
+    sums = np.add.reduceat(token_count, heads, dtype=np.int64)[at_node]
     node = owners[at_node] - n_docs
     refuse(sums != token_count[node], "its children at one level do not sum to its token count",
            node)

@@ -810,7 +810,9 @@ class RemoteEmbedder:
         api_key_env: str | None = None,
         session: requests.Session | None = None,
     ) -> None:
-        self._url = base_url.rstrip("/") + "/embed"
+        #: The service's URL, as the file's footer records it.
+        self.base_url = base_url.rstrip("/")
+        self._url = self.base_url + "/embed"
         self._dimension = dimension
         self._timeout = timeout
         self._retries = retries

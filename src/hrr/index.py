@@ -344,8 +344,8 @@ class LevelIndex:
 
     Row ``i`` is the corpus's ``i``-th chunk at ``level``. The index keeps
     its corpus and that level's corpus rows, and reads chunk ids from the
-    corpus's one id list, so it holds no ids of its own: the corpus has
-    proved them unique, and free of a NUL and a lone surrogate.
+    corpus, which derives them from its tree, so it holds no ids of its
+    own: the corpus's run proof makes them unique.
 
     Built from a ``CsrBatch``, it keeps the rows as CSR; built from an
     ``(n, d)`` float32 block, it keeps them dense (``layout``), and neither
@@ -371,7 +371,7 @@ class LevelIndex:
         #: The row whose squared norm lies furthest from 1, and that norm;
         #: ``load_index`` refuses stored rows that are not unit. None for
         #: counts, whose rows are unit by construction.
-        self._least_unit_row: tuple[str, float] | None = None
+        self._least_unit_row: tuple[int, float] | None = None
         if isinstance(vectors, CsrBatch) and vectors.counts is not None:
             return
         squared_norms = rows.squared_norms()
@@ -381,8 +381,8 @@ class LevelIndex:
                 f"{bad.size} index rows are not finite or overflow float32, first "
                 f"{next(self._ids_of(bad))!r}"
             )
-        worst = np.argmax(np.abs(squared_norms - 1.0), keepdims=True)
-        self._least_unit_row = (next(self._ids_of(worst)), float(squared_norms[worst[0]]))
+        worst = int(np.argmax(np.abs(squared_norms - 1.0)))
+        self._least_unit_row = (worst, float(squared_norms[worst]))
 
     def _ids_of(self, rows: np.ndarray) -> Iterator[str]:
         """The chunk ids of index ``rows``, in their order."""
@@ -489,17 +489,9 @@ class LevelIndex:
 
     @functools.cached_property
     def _id_ranks(self) -> np.ndarray:
-        """Each row's place in chunk id order, built when ties first need it."""
-        # An object array sorts by Python's str order, with no int per row;
-        # the stable sort (timsort) runs ~4x faster over ids that come in
-        # long ascending runs, as a corpus's do. The object array, filled
-        # from the corpus's ids with no list between, is freed before the
-        # int32 ranks are allocated.
-        ids = self.corpus.ids_of(self._corpus_rows)
-        order = np.argsort(np.fromiter(ids, dtype=object, count=len(self)), kind="stable")
-        ranks = np.empty(len(self), dtype=np.int32)
-        ranks[order] = np.arange(len(self), dtype=np.int32)
-        return ranks
+        """Each row's place in chunk id order, built when ties first need it,
+        from the corpus's tree (``Corpus.id_ranks``), not from id strings."""
+        return self.corpus.id_ranks(self._corpus_rows)
 
 
 def build_index(corpus: Corpus, level: Level, provider: EmbeddingProvider) -> LevelIndex:
@@ -603,8 +595,8 @@ def load_index(corpus: Corpus, fields: tuple, blocks: list[bytes]) -> LevelIndex
         raise InvalidCorpusError(
             f"the {level.value} header entry counts {nnz} non-zeros, the rows hold {index.nnz}")
     if index._least_unit_row is not None:
-        chunk_id, squared_norm = index._least_unit_row
+        row, squared_norm = index._least_unit_row
         if not abs(squared_norm - 1.0) <= unit_slack(index.dimension):
-            raise InvalidCorpusError(
-                f"row {chunk_id!r} is not unit (squared norm {squared_norm!r})")
+            raise InvalidCorpusError(f"row {next(index._ids_of([row]))!r} is not unit "
+                                     f"(squared norm {squared_norm!r})")
     return index

@@ -21,10 +21,11 @@ highest-reranked representative's score.
 
 A hit is a corpus row from search to result: search returns rows, hits map
 up by walks of the corpus's parent column (``Corpus.ancestor_rows``), and
-the pool is deduped on rows and its texts read by row. Ids are read from
-the corpus's id list only for the trace, the rerank request and the
-result, so retrieval never looks an id up (exact engines keep integer ids
-inside the same way: Johnson, Douze and Jegou, arXiv 1702.08734).
+the pool is deduped on rows and its texts read by row. Ids are derived
+from the corpus's tree (``Corpus.ids_of``) only for the trace, the rerank
+request and the result, so retrieval never looks an id up (exact engines
+keep integer ids inside the same way: Johnson, Douze and Jegou, arXiv
+1702.08734).
 """
 
 from __future__ import annotations

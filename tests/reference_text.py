@@ -227,7 +227,10 @@ def build_corpus(
     tokenizer: Tokenizer | None = None,
 ) -> Corpus:
     """``hrr.chunking.build_corpus``'s nodes, one fragment object at a time,
-    in ``node_rows``' order, which is the order earlier versions saved."""
+    in ``node_rows``' order, which is the order earlier versions saved. A
+    corpus refuses that order where an owner's children at one level are
+    not one run of rows, as they are not once a parent has two
+    intermediates."""
     config = config if config is not None else ChunkingConfig()
     config.validate()
     tokenizer = tokenizer if tokenizer is not None else WordPunctTokenizer()
@@ -238,11 +241,13 @@ def build_corpus(
 def corpus_of_rows(documents: Mapping[str, str], rows: list[tuple], config: ChunkingConfig,
                    tokenizer_name: str) -> Corpus:
     """The corpus of ``documents`` whose table is ``rows``, each an id and
-    its seven columns."""
+    its seven columns. The corpus stores no id, so each row's id must be
+    the one the corpus derives, which is asserted."""
     ids, *columns = zip(*rows) if rows else [()] * 8
     encoded = {doc_id: text.encode("utf-8") for doc_id, text in documents.items()}
-    table = "\0".join(ids).encode("utf-8", "surrogatepass")
-    return Corpus(encoded, table, columns, config=config, tokenizer_name=tokenizer_name)
+    corpus = Corpus(encoded, columns, config=config, tokenizer_name=tokenizer_name)
+    assert tuple(corpus.ids_of(range(len(ids)))) == ids
+    return corpus
 
 
 def node_rows(documents: Mapping[str, str], config: ChunkingConfig,

@@ -113,7 +113,8 @@ def test_criterion_2_search_oracle_equivalence():
             [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(n)], dtype=np.float32
         )
         vectors = np.stack([ensure_unit(row) for row in raw])
-        ids = [f"c{i:03d}" for i in range(n)]
+        # One intermediate's sentences, whose id order is not row order.
+        ids = [f"c:p0.i0.s{i}" for i in range(n)]
         index = LevelIndex(level_corpus(ids), Level.SENTENCE, vectors)
 
         if rng.random() < 0.3 and n > 1:  # exercise exact ties

@@ -420,14 +420,25 @@ def reference_in_cut_order(documents, config, tokenizer):
     return reference_text.corpus_of_rows(documents, rows, config, tokenizer.name)
 
 
+#: Document ids drawn from few characters, so that they hold ``:`` and
+#: ``.``, non-ASCII text, and prefixes of each other, such as ``a`` and
+#: ``a:p0``, whose chunk ids interleave.
+DOCUMENT_IDS = st.lists(st.text(st.sampled_from("a:.p0é"), min_size=1, max_size=4),
+                        min_size=3, max_size=3, unique=True)
+
+
 class TestMatchesReferenceChunker:
     """The array cut builds the recursive chunker's rows in ``reference_text``,
     in cut order: the same ids and the same seven columns, or, under a
-    tokenizer that is not local, the same refusal."""
+    tokenizer that is not local, the same refusal. The corpus derives its
+    ids from its columns, and ``reference_text.corpus_of_rows`` asserts them
+    equal to the reference's id strings, under any document ids."""
 
-    @given(documents=repeating_corpus(), config=chunking_configs(), local=st.booleans())
+    @given(documents=repeating_corpus(), config=chunking_configs(), local=st.booleans(),
+           doc_ids=DOCUMENT_IDS)
     @settings(max_examples=120, deadline=None)
-    def test_same_ids_and_columns(self, documents, config, local):
+    def test_same_ids_and_columns(self, documents, config, local, doc_ids):
+        documents = dict(zip(doc_ids, documents.values()))
         tokenizer = WordPunctTokenizer() if local else TestCountsFromDocumentSpans.PairTokenizer()
 
         def outcome(build):
@@ -435,7 +446,8 @@ class TestMatchesReferenceChunker:
                 corpus = build(documents, config, tokenizer)
             except InvalidCorpusError as exc:
                 return str(exc)
-            return list(corpus._ids), [column.tolist() for column in corpus._cols]
+            return list(corpus.ids_of(range(len(corpus)))), [column.tolist()
+                                                              for column in corpus._cols]
 
         expected = outcome(reference_in_cut_order)
         assert outcome(build_corpus) == expected
@@ -613,19 +625,21 @@ class TestGoldenNodeTables:
     tier. Any change to the cut shows up here. The digests moved with
     format v5, whose node columns are stored at their data's width and
     whose header records each document's sha256; the columns, ids and
-    documents they store are the v4 file's."""
+    documents they store are the v4 file's. They moved again with format
+    v6, which stores no id table: decoded, every other block and header
+    field is the v5 file's."""
 
     @pytest.mark.parametrize("config, digest", [
         (ChunkingConfig(parent_overlap=64, intermediate_overlap=16),
-         "9fd1ede1886eb2231e0b45a6e82111051c40d6e15bd4ea9a9668ac5a12f74cd9"),
+         "c7ee560f2c605d18c46d4e965bfe71b1d71a1c7942d773aa1990be5d782b2f0f"),
         (ChunkingConfig(parent_size=64, intermediate_size=8, sub_intermediate_size=3,
                         max_sentence_tokens=1000),
-         "443e152db24d25a707c80a9a1e95b94a757a58b15640f2cb34d9e56bc31db5c6"),
+         "5d59b2f67ae4da9e9eda4ccd650595d221fdd3a3941f3581d52cc8f56bca6bb5"),
         (ChunkingConfig(parent_size=12, intermediate_size=5, sub_intermediate_size=2,
                         max_sentence_tokens=1000),
-         "68bdcce350f73987b51cf6962c8e52ef977c03258b57962c4d87854ce107d11a"),
+         "95464062ea5b04ba49c988caaaa3aaa35111e68c6987defab545f160d31b87d0"),
         (ChunkingConfig(sub_intermediate_size=None),
-         "d5c4f5b8e8d013926ac22e72c12cd0357d31fc33484c3ae3d6e4d0afa10e44be"),
+         "7e69b51e8a5a45c35e54f509fdd3a5dc44e704f8e9ed1c6ce65fc7cd21305d05"),
     ], ids=["overlap-64-16", "budgets-64-8-3", "budgets-12-5-2", "no-side-tier"])
     def test_nodes_bin_digest(self, config, digest, tmp_path):
         save_corpus(build_corpus(generate(CorpusSpec(seed=42)).documents, config), tmp_path)

@@ -27,8 +27,8 @@ import hrr.corpus as corpus_module
 from hrr.evaluation import load_query_set
 
 from test_corpus import (
-    TILING_CORRUPTIONS, _read_nodes, _write_nodes, level_blocks, level_dtypes, set_level_blocks,
-    write_v2_corpus, write_v3_corpus
+    TILING_CORRUPTIONS, _as_v5, _read_nodes, _write_nodes, level_blocks, level_dtypes,
+    set_level_blocks, write_v2_corpus, write_v3_corpus
 )
 
 
@@ -218,6 +218,20 @@ class TestCliWorkflow:
         assert "level=intermediate" in out
         assert "level=parent" in out
 
+    @pytest.mark.parametrize("chunk_id", [
+        "doc000:p01", "doc000:p+1", "doc000:p1_0", "doc000:p١", "doc000:p1 ", "doc000:p0.i0.",
+        "doc000:p0.i0.c99", "doc000:p99"])
+    def test_inspect_of_a_non_canonical_id_is_io_error(self, workdir, capsys, chunk_id):
+        """``hrr inspect`` parses the id as the corpus derives it: another
+        spelling of an ordinal, a sentence path under the side tier's
+        letter or an ordinal past the owner's children names no chunk."""
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        capsys.readouterr()
+        assert main(["inspect", "doc000:p1", "--config", "engine.json"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["inspect", chunk_id, "--config", "engine.json"]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: no chunk {chunk_id!r} in corpus\n"
+
     def test_ingest_rerun_byte_identical(self, workdir):
         main(["ingest", "synth/docs", "--config", "engine.json"])
         first = {
@@ -395,9 +409,11 @@ class TestCliWorkflow:
     #: It moved again with format v5, which stores the node columns, row
     #: lengths and counts at their data's width and each document's sha256:
     #: the same columns, ids and documents, and counts that decode to the
-    #: v4 file's values bit for bit.
+    #: v4 file's values bit for bit. It moved again with format v6, which
+    #: stores no id table: decoded, every other block, header field and the
+    #: vectors' footer are the v5 file's.
     GOLDEN_DIGESTS = {
-        "corpus/nodes.bin": "7903f0482e3ae14e7da48a4a3470adfbeb5a230915e6cac9a9d4bf4bbe0708ea",
+        "corpus/nodes.bin": "cfe85a6090c899630b33345e9a21a6c9e2d725814a6c900cc3214758b63fce7a",
     }
 
     def test_ingest_artifacts_match_golden_digests(self, workdir):
@@ -964,19 +980,36 @@ class TestCliErrors:
                 f"error: {path}: no vectors for the sub_intermediate level its corpus holds; "
                 "re-run ingest\n")
 
-    def test_duplicate_chunk_id_is_io_error(self, workdir, capsys):
+    def test_split_run_is_io_error(self, workdir, capsys):
+        """The first sentence moved under the third intermediate splits that
+        intermediate's sentences into two runs of rows, with the second
+        intermediate's between them, so the file names no id for them: one
+        line, exit 3, naming the row that starts the second run."""
         main(["ingest", "synth/docs", "--config", "engine.json"])
         path = Path("corpus") / "nodes.bin"
         nodes = _read_nodes(path)
-        table = nodes.id_list()
-        table[-1] = table[0]
-        nodes.ids = "\0".join(table).encode("utf-8")
-        nodes.header["ids_bytes"] = len(nodes.ids)
+        ids = nodes.id_list()
+        first, second = ids.index("doc000:p0.i0.s0"), ids.index("doc000:p0.i2.s0")
+        nodes.columns["parent"][first] = ids.index("doc000:p0.i2")
         _write_nodes(path, nodes)
         capsys.readouterr()
         assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert f"{path}: id {table[0]!r} names more than one node" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: node at row {second}: it starts a second run of rows of its "
+            "owner's children at its level; re-run ingest\n")
+
+    def test_v5_file_is_io_error(self, workdir, capsys):
+        """A file of format v5, which stored an id table, asks for a
+        re-ingest in one line."""
+        main(["ingest", "synth/docs", "--config", "engine.json"])
+        path = Path("corpus") / "nodes.bin"
+        nodes = _read_nodes(path)
+        _as_v5(nodes)
+        _write_nodes(path, nodes)
+        capsys.readouterr()
+        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {path}: corpus format version 5 is not read; re-run ingest\n")
 
     def test_non_utf8_document_after_ascii_ones_is_io_error(self, workdir, capsys):
         """A corpus skips decoding a document that is all ASCII, and still
@@ -993,24 +1026,6 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             f"error: {path}: document {last!r} is not UTF-8 (invalid start byte at byte 5); "
             "re-run ingest\n")
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda ids: ids.rsplit(b"\0", 1)[0], "the id table splits at NUL into 257 ids, not 258"),
-        (lambda ids: ids.replace(b"\0", b"\0\0", 1),
-         "the id table splits at NUL into 259 ids, not 258"),
-        (lambda ids: ids[:3] + b"\xc3" + ids[4:],
-         "the id table is not UTF-8 (invalid continuation byte at byte 3)"),
-    ], ids=["one-short", "one-more", "not-utf8"])
-    def test_broken_id_table_is_io_error(self, workdir, capsys, edit, message):
-        main(["ingest", "synth/docs", "--config", "engine.json"])
-        path = Path("corpus") / "nodes.bin"
-        nodes = _read_nodes(path)
-        nodes.ids = edit(nodes.ids)
-        nodes.header["ids_bytes"] = len(nodes.ids)
-        _write_nodes(path, nodes)
-        capsys.readouterr()
-        assert main(["query", "x", "--config", "engine.json"]) == EXIT_IO
-        assert capsys.readouterr().err == f"error: {path}: {message}; re-run ingest\n"
 
     def test_reingest_over_a_v2_corpus_directory_leaves_one_file(self, workdir, capsys):
         main(["ingest", "synth/docs", "--config", "engine.json"])

@@ -5,6 +5,7 @@ import random
 import struct
 import tempfile
 from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from hrr.tokens import WordPunctTokenizer
 
 import reference_text
 from level_corpus import level_corpus
-from node_table import corpus_of
+from node_table import corpus_of, table_of
 from reads import level_ids, nodes_of
 
 CFG = ChunkingConfig(parent_size=24, intermediate_size=10, sub_intermediate_size=5)
@@ -197,16 +198,20 @@ class TestValidateCorpus:
             # sentence wired straight to the parent-level node
             ChunkNode("d:p0.i0.s0", Level.SENTENCE, "d", "d:p0", (0, 10), 2),
         ]
-        with pytest.raises(InvalidCorpusError, match="'d:p0.i0.s0': its parent is not at"):
+        with pytest.raises(InvalidCorpusError, match="node at row 2: its parent is not at"):
             corpus_of(doc, nodes, CFG)
 
-    def test_duplicate_id(self):
-        doc = {"d": "alpha beta"}
+    def test_split_run(self):
+        """Document ``d``'s parents in two runs of rows: their ordinals, and
+        so their ids, are not defined, and the second run is named."""
+        doc = {"d": "alpha beta", "e": "gamma"}
         nodes = [
-            ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
-            ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
+            ChunkNode("d:p0", Level.PARENT, "d", None, (0, 6), 1),
+            ChunkNode("e:p0", Level.PARENT, "e", None, (0, 5), 1),
+            ChunkNode("d:p1", Level.PARENT, "d", None, (6, 10), 1),
         ]
-        with pytest.raises(InvalidCorpusError, match="'d:p0' names more than one node"):
+        with pytest.raises(InvalidCorpusError, match="node at row 2: it starts a second run of "
+                                                     "rows of its owner's children at its level"):
             corpus_of(doc, nodes, CFG)
 
     def test_dangling_parent(self):
@@ -215,7 +220,7 @@ class TestValidateCorpus:
             ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
             ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2),
         ]
-        with pytest.raises(InvalidCorpusError, match="'d:p0.i0': its parent row is not"):
+        with pytest.raises(InvalidCorpusError, match="node at row 1: its parent row is not"):
             corpus_of(doc, nodes, CFG)
 
     def test_budget_and_drift(self):
@@ -266,7 +271,7 @@ class TestValidateCorpus:
         assert validate_corpus(good) == []
 
     def test_side_tier_linked_to_parent(self):
-        with pytest.raises(InvalidCorpusError, match="'d:p0.i0.c0': its parent is not at"):
+        with pytest.raises(InvalidCorpusError, match="node at row 3: its parent is not at"):
             self._side_corpus(
                 ChunkNode("d:p0.i0.c0", Level.SUB_INTERMEDIATE, "d", "d:p0", (0, 22), 4),
             )
@@ -354,6 +359,75 @@ class TestValidateCorpus:
             assert len(set(np.searchsorted(first_rows, rows, "right"))) > 1
         else:
             assert len(batches) == 1
+
+
+class TestIdsParsed:
+    """An id is found by parsing it and walking down the tree, so only the
+    spelling the corpus derives is found: ordinals in canonical ASCII
+    decimal, each under its level's letter, within its owner's children."""
+
+    # Sentences of 2 tokens: 12 to a parent, 5 to an intermediate and 2 to
+    # a side-tier chunk.
+    DOCS = {"doc": " ".join(f"W{i}." for i in range(200))}
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return build_corpus(self.DOCS, CFG)
+
+    def _not_found(self, corpus, chunk_id):
+        assert chunk_id not in corpus and chunk_id not in corpus.chunks
+        with pytest.raises(UnknownChunkError, match="no chunk"):
+            corpus.get(chunk_id)
+        with pytest.raises(UnknownChunkError):
+            corpus.chunk_text(chunk_id)
+        assert corpus.parent_doc(chunk_id) is None
+
+    def test_non_canonical_spellings_are_not_found(self, tree):
+        assert "doc:p1" in tree and "doc:p0.i0" in tree
+        # ``int()`` reads "1_0" as 10 and "١" (Arabic-Indic one) as 1.
+        assert int("1_0") == 10 and int("١") == 1 and "doc:p10" in tree
+        for chunk_id in ("doc:p01", "doc:p+1", "doc:p1_0", "doc:p١", "doc:p1 ", " doc:p1",
+                         "doc:p0.i0.", "doc:p0..i0", "doc:p", "doc:", "doc", "doc:i0",
+                         "doc:p0.s0", "doc:p0.i0.i0", "doc:P1", "doc:p-0", "doc:p1e0",
+                         "doc:p" + "9" * 5000, "other:p0", "doc:p0:p0", ""):
+            self._not_found(tree, chunk_id)
+
+    def test_a_sentence_path_under_the_side_tier_letter_is_not_found(self, tree):
+        sentences = [chunk_id for chunk_id in level_ids(tree, Level.SENTENCE)
+                     if chunk_id.startswith("doc:p0.i0.")]
+        sides = [chunk_id for chunk_id in level_ids(tree, Level.SUB_INTERMEDIATE)
+                 if chunk_id.startswith("doc:p0.i0.")]
+        assert len(sentences) > len(sides)
+        self._not_found(tree, sentences[-1].replace(".s", ".c"))
+        assert sides[-1].replace(".c", ".s") in tree
+
+    def test_an_ordinal_one_past_the_owners_last_child_is_not_found(self, tree):
+        for level in Level:
+            last = level_ids(tree, level)[-1]  # its owner's last child
+            head = last.rstrip("0123456789")
+            assert last in tree
+            self._not_found(tree, head + str(int(last[len(head):]) + 1))
+
+    @pytest.mark.parametrize("doc_ids", [
+        ["a", "a:", "a:b", "a.b", "é:ü", "a:p0", "a:p0.i0", "", ":", "日本"],
+        ["x", "x:p1", "x:p10", "x0", "x:"],
+    ], ids=["colons-dots-non-ascii", "prefixes"])
+    def test_every_id_round_trips_through_get(self, doc_ids, tmp_path):
+        documents = {doc_id: self.DOCS["doc"][: 80 + 40 * n] + "."
+                     for n, doc_id in enumerate(doc_ids)}
+        save_corpus(build_corpus(documents, CFG), tmp_path)
+        corpus = load_corpus(tmp_path)
+        ids = list(corpus.ids_of(range(len(corpus))))
+        assert len(set(ids)) == len(ids)
+        for row, chunk_id in enumerate(ids):
+            node = corpus.get(chunk_id)
+            assert node.id == chunk_id and chunk_id in corpus
+            assert node == corpus._node(row)
+            assert corpus.chunks[chunk_id] == node
+            assert corpus.parent_doc(chunk_id) == (
+                node.doc_id if node.level is Level.PARENT else None)
+            digits = chunk_id[len(chunk_id.rstrip("0123456789")):]
+            assert chunk_id[: -len(digits)] + "0" + digits not in corpus
 
 
 class TestRoundTrip:
@@ -466,10 +540,10 @@ class TestSerialization:
                 continue
             break
         # The first save to finish wrote every block: the magic, header
-        # length and header, 7 columns, the id table and the one document;
-        # the one-chunk parent level's dense matrix, 3 arrays of each CSR
-        # level; the footer, its length and its magic.
-        assert blocks == 3 + 7 + 1 + 1 + 1 + 3 * 3 + 3
+        # length and header, 7 columns and the one document; the one-chunk
+        # parent level's dense matrix, 3 arrays of each CSR level; the
+        # footer, its length and its magic.
+        assert blocks == 3 + 7 + 1 + 1 + 3 * 3 + 3
         assert load_artifacts(tmp_path, embedder)[0].documents["a"].endswith(b"mu.")
 
     def test_bad_header_rejected(self, corpus, tmp_path):
@@ -509,25 +583,28 @@ class TestSerialization:
             f"{tmp_path / 'nodes.bin'}: corpus format version 3 is not read; re-run ingest"
         )
 
-    def test_id_table_is_the_ids_joined_by_nul(self, corpus, tmp_path):
+    def test_file_stores_no_id_table(self, corpus, tmp_path):
+        """The columns and the documents fill the corpus's part of the file:
+        every id is derived, here as ``NodeFile.id_list`` derives it."""
         save_corpus(corpus, tmp_path)
         nodes = _read_nodes(tmp_path / "nodes.bin")
-        assert nodes.header["version"] == 5
-        assert nodes.ids == "\0".join(node.id for node in nodes_of(corpus)).encode("utf-8")
+        assert nodes.header["version"] == 6 and "ids_bytes" not in nodes.header
+        assert nodes.id_list() == [node.id for node in nodes_of(corpus)]
+        _write_nodes(tmp_path / "nodes.bin", nodes)
+        assert nodes_of(load_corpus(tmp_path)) == nodes_of(corpus)
 
-    @pytest.mark.parametrize("ids", [[], [""], ["d:p0", ""]],
-                             ids=["none", "one-empty", "empty-last"])
-    def test_id_tables_of_empty_ids_round_trip(self, tmp_path, ids):
-        """A corpus of no node stores an empty id table, which loads as no
-        id, not as one empty id; an empty id round-trips too."""
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_corpora_of_few_nodes_round_trip(self, tmp_path, rows):
+        """A corpus of no node, or of parents alone, saves and loads back."""
         documents = {"d": b"alpha beta"}
-        columns = [[0] * len(ids), [0] * len(ids), [-1] * len(ids), [0] * len(ids),
-                   [10] * len(ids), [2] * len(ids), [0] * len(ids)]
-        built = Corpus(documents, "\0".join(ids).encode("utf-8"), columns,
-                       config=replace(CFG, parent_overlap=1), tokenizer_name="word-punct")
+        columns = [[0] * rows, [0] * rows, [-1] * rows, [0] * rows, [10] * rows, [2] * rows,
+                   [0] * rows]
+        built = Corpus(documents, columns, config=replace(CFG, parent_overlap=1),
+                       tokenizer_name="word-punct")
         save_corpus(built, tmp_path)
         loaded = load_corpus(tmp_path)
-        assert nodes_of(loaded) == nodes_of(built) and len(loaded) == len(ids)
+        assert nodes_of(loaded) == nodes_of(built) and len(loaded) == rows
+        assert [node.id for node in nodes_of(loaded)] == ["d:p0", "d:p1"][:rows]
 
     @pytest.mark.parametrize("column, values", [("hard_split", []), ("token_count", [2, 5])],
                              ids=["short", "long"])
@@ -538,7 +615,7 @@ class TestSerialization:
         columns = {"level": [0], "doc": [0], "parent": [-1], "start": [0], "end": [10],
                    "token_count": [2], "hard_split": [0], column: values}
         with pytest.raises(InvalidCorpusError) as exc:
-            Corpus({"d": b"alpha beta"}, b"d:p0", list(columns.values()), config=CFG,
+            Corpus({"d": b"alpha beta"}, list(columns.values()), config=CFG,
                    tokenizer_name="word-punct")
         assert str(exc.value) == (
             f"the {column} column holds {len(values)} values, the level column 1")
@@ -546,19 +623,20 @@ class TestSerialization:
     def test_unsaveable_corpus_refused(self):
         """A corpus that could not be saved is not constructed."""
         doc = {"d": "alpha beta"}
-        with pytest.raises(InvalidCorpusError, match="'d:p0.i0'"):
+        with pytest.raises(InvalidCorpusError, match="node at row 0: its parent row"):
             corpus_of(doc, [ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", "d:p9", (0, 10), 2)],
                       CFG)
 
 
-#: The node file (corpus format v5), spelled out apart from ``hrr.corpus``:
+#: The node file (corpus format v6), spelled out apart from ``hrr.corpus``:
 #: the magic, the header's length (``<I``) and the JSON header, whose sizes
 #: give the blocks that follow: these columns, each stored at the unsigned
 #: width the header's ``columns`` names (the parent column as the parent's
-#: row plus 1, 0 for none), the ids joined by NUL as UTF-8, then each
-#: document's UTF-8 bytes. An ingest's file goes on with its levels'
-#: vectors, kept here as one run of bytes (``level_blocks`` splits it), and
-#: their footer: the JSON footer, its length and ``VECTORS_MAGIC``.
+#: row plus 1, 0 for none), then each document's UTF-8 bytes. No chunk id
+#: is stored (``NodeFile.id_list`` derives them). An ingest's file goes on
+#: with its levels' vectors, kept here as one run of bytes
+#: (``level_blocks`` splits it), and their footer: the JSON footer, its
+#: length and ``VECTORS_MAGIC``.
 NODE_MAGIC = b"HRRNODE\n"
 VECTORS_MAGIC = b"HRRVEC1\n"
 NODE_COLUMNS = ("level", "doc", "parent", "start", "end", "token_count", "hard_split")
@@ -577,14 +655,25 @@ class NodeFile:
     header: dict
     #: Each column's values as int64, the parent column as rows, -1 for none.
     columns: dict[str, np.ndarray]
-    ids: bytes
     documents: list[bytes]
     #: The levels' blocks and the footer, of a file that stores vectors.
     vectors: bytes = b""
     footer: dict | None = None
+    #: The id table of format v5 and earlier, between the columns and the
+    #: documents; v6 stores none.
+    ids: bytes = b""
 
     def id_list(self) -> list[str]:
-        return self.ids.decode("utf-8").split("\0")
+        """Each row's chunk id, one row at a time: its owner's id and ``.``
+        (``doc_id:`` for a parent chunk), the level's letter, and how many
+        earlier rows share its owner and level."""
+        ids, seen = [], Counter()
+        columns = zip(*(self.columns[name].tolist() for name in ("level", "doc", "parent")))
+        for level, doc, parent in columns:
+            owner = f"{self.header['documents'][doc]}:" if parent < 0 else f"{ids[parent]}."
+            ids.append(f"{owner}{'pisc'[level]}{seen[owner, level]}")
+            seen[owner, level] += 1
+        return ids
 
 
 def _read_nodes(path) -> NodeFile:
@@ -595,20 +684,20 @@ def _read_nodes(path) -> NodeFile:
     widths = [header["columns"][name] for name in NODE_COLUMNS]
     sizes = [header["count"] * np.dtype(width).itemsize for width in widths]
     blocks, rest = [], data[12 + length :]
-    for n in [*sizes, header["ids_bytes"], *header["document_bytes"]]:
+    for n in [*sizes, *header["document_bytes"]]:
         blocks.append(rest[:n])
         rest = rest[n:]
     columns = {name: np.frombuffer(block, width).astype(np.int64)
                for name, width, block in zip(NODE_COLUMNS, widths, blocks)}
     columns["parent"] -= 1
-    ids, *documents = blocks[len(NODE_COLUMNS):]
+    documents = blocks[len(NODE_COLUMNS):]
     footer = None
     if rest:
         assert rest[-8:] == VECTORS_MAGIC
         (length,) = struct.unpack("<I", rest[-12:-8])
         footer = json.loads(rest[-12 - length : -12])
         rest = rest[: -12 - length]
-    return NodeFile(header, columns, ids, documents, rest, footer)
+    return NodeFile(header, columns, documents, rest, footer)
 
 
 def _write_nodes(path, nodes: NodeFile, *, magic=NODE_MAGIC, widths=None):
@@ -698,14 +787,6 @@ def _first_sentence(column, value):
     return edit
 
 
-def _ids(table):
-    def edit(nodes):
-        nodes.ids = table
-        nodes.header["ids_bytes"] = len(table)
-
-    return edit
-
-
 def _lengths(*deltas):
     """Add ``deltas`` to the documents' lengths in the header."""
     def edit(nodes):
@@ -775,6 +856,12 @@ TILING_CORRUPTIONS = {
 }
 
 
+def _as_v5(nodes):
+    """The file as format v5 wrote it: the ids joined by NUL after the columns."""
+    nodes.ids = "\0".join(nodes.id_list()).encode("utf-8")
+    nodes.header.update(version=5, ids_bytes=len(nodes.ids))
+
+
 def _lengths_entry_as_string(nodes):
     lengths = nodes.header["document_bytes"]
     lengths[0] = str(lengths[0])
@@ -783,30 +870,12 @@ def _lengths_entry_as_string(nodes):
 #: Each edit of a saved node file, with a fragment of the one-line error.
 CORRUPTIONS = {
     "version": (_header(version=1), "version 1"),
-    "header-fields": (lambda nodes: setattr(nodes, "header", {"version": 5}), "malformed header"),
+    "header-fields": (lambda nodes: setattr(nodes, "header", {"version": 6}), "malformed header"),
     "chunking": (_header(chunking={"parent_size": "x"}), "malformed header"),
     "huge-count": (_header(count=10**13), "do not fill"),
     "count-off-by-one": (lambda nodes: _header(count=nodes.header["count"] - 1)(nodes),
                          "do not fill"),
-    "ids-bytes": (lambda nodes: _header(ids_bytes=nodes.header["ids_bytes"] + 1)(nodes),
-                  "do not fill"),
-    "ids-not-json": (_ids(b"[\"a:p0\""), "id table"),
-    "ids-nested-deep": (_ids(b"[" * 100_000 + b"]" * 100_000), "id table"),
     "tokenizer": (_header(tokenizer=["word-punct"]), "malformed header"),
-    "ids-not-array": (_ids(b'{"a:p0": 1}'), "id table"),
-    "ids-too-few": (_ids(b'["a:p0"]'), "id table"),
-    "ids-not-strings": (lambda nodes: _ids(json.dumps(list(range(nodes.header["count"])))
-                                           .encode())(nodes), "id table"),
-    # The v4 table: ids joined by NUL, as UTF-8.
-    "ids-one-short": (lambda nodes: _ids(nodes.ids.rsplit(b"\0", 1)[0])(nodes),
-                      "the id table splits at NUL into 19 ids, not 20"),
-    "ids-one-more": (lambda nodes: _ids(nodes.ids + b"\0b:extra")(nodes),
-                     "the id table splits at NUL into 21 ids, not 20"),
-    "ids-nul-inside-an-id": (lambda nodes: _ids(nodes.ids.replace(b"a:p0.i0", b"a:p0\0i0", 1))(
-        nodes), "the id table splits at NUL into 21 ids, not 20"),
-    "ids-not-utf8": (lambda nodes: _ids(b"\xff" + nodes.ids[1:])(nodes),
-                     "the id table is not UTF-8 (invalid start byte at byte 0)"),
-    "ids-none": (_ids(b""), "the id table splits at NUL into 1 ids, not 20"),
     "document-id-nul": (_header(documents=["a", "b\0"]), "document id 'b\\x00' holds a NUL"),
     "document-id-surrogate": (_header(documents=["a\udc80", "b"]),
                               "document id 'a\\udc80' holds a NUL or does not encode"),
@@ -833,15 +902,18 @@ CORRUPTIONS = {
     "side-tier-to-parent-level": (_set("parent", 13, 0), "not at the level above"),
     "parent-level-with-parent": (_set("parent", 7, 0), "parent-level node with a parent link"),
     "other-document": (_set("doc", 9, 0), "another document"),
-    "duplicate-id": (lambda nodes: _ids(_last_named_first(nodes))(nodes),
-                     "'a:p0' names more than one node"),
+    # Row 3, "a:p0.i0.s0", moved under "a:p0.i1": rows 3, 5 and 6 are that
+    # intermediate's sentences, in two runs, the second from row 5.
+    "run-split": (_set("parent", 3, 2), "node at row 5: it starts a second run of rows of its "
+                                        "owner's children at its level"),
+    "v5-file": (_as_v5, "corpus format version 5 is not read; re-run ingest"),
+    "ids-bytes-at-v6": (_header(ids_bytes=0),
+                        "the header holds 'ids_bytes', which format v6 does not store"),
     # Header numbers are JSON integers, never coerced.
     "version-float": (_header(version=4.0), "malformed header (version 4.0 is not an integer)"),
     "version-bool": (_header(version=True), "malformed header (version True is not an integer)"),
     "count-string": (lambda nodes: _header(count=str(nodes.header["count"]))(nodes),
                      "malformed header (count '20' is not an integer)"),
-    "ids-bytes-float": (lambda nodes: _header(ids_bytes=float(nodes.header["ids_bytes"]))(nodes),
-                        "ids_bytes"),
     "document-bytes-string": (_lengths_entry_as_string,
                               "malformed header (document_bytes[0] '84' is not an integer)"),
     **TILING_CORRUPTIONS,
@@ -851,12 +923,6 @@ CORRUPTIONS = {
     "second-sentence-overlapping": (_add("start", "a:p0.i0.s1", -4),
                                     "'a:p0.i0.s1': its span overlaps the one before it"),
 }
-
-
-def _last_named_first(nodes):
-    """The id table with the last node given the first node's id."""
-    table = nodes.id_list()
-    return "\0".join([*table[:-1], table[0]]).encode()
 
 
 class TestNodeFileFailsClosed:
@@ -959,40 +1025,12 @@ class TestStructureGate:
         with pytest.raises(InvalidCorpusError, match="'u:p0': its span cuts a UTF-8 character"):
             corpus_of({"a": "abc", "u": "Été"}, nodes, CFG)
 
-    @pytest.mark.parametrize("chunk_id", ["d:p\0", "\0", "d:\udc80"])
-    def test_chunk_id_that_cannot_be_stored_is_refused(self, chunk_id):
-        """A NUL splits the id table into one id more than the rows; a lone
-        surrogate's bytes, as ``surrogatepass`` writes them, are not UTF-8."""
-        with pytest.raises(InvalidCorpusError) as exc:
-            corpus_of({"d": "alpha beta"},
-                      [ChunkNode(chunk_id, Level.PARENT, "d", None, (0, 10), 2)], CFG)
-        assert str(exc.value) == (
-            "the id table is not UTF-8 (invalid continuation byte at byte 2)"
-            if "\udc80" in chunk_id else "the id table splits at NUL into 2 ids, not 1")
-
-    @pytest.mark.parametrize("bad", ["x\0", "x\udc80"])
-    def test_id_in_a_later_check_batch_is_refused(self, bad):
-        """A bad id last in a table of more than 4,096 ids, the batch that
-        earlier versions checked ids in, is refused: the whole table is
-        decoded and split once."""
-        ids = [f"s{i}" for i in range(4200)]
-        built = level_corpus(ids)
-        good = "\0".join(built._ids[:-1]).encode("utf-8")
-        table = good + b"\0" + bad.encode("utf-8", "surrogatepass")
-        with pytest.raises(InvalidCorpusError) as exc:
-            Corpus(built.documents, table, built._cols, config=built.config,
-                   tokenizer_name=built.tokenizer_name)
-        n = len(built)
-        assert str(exc.value) == (
-            f"the id table splits at NUL into {n + 1} ids, not {n}" if bad == "x\0" else
-            f"the id table is not UTF-8 (invalid continuation byte at byte {len(good) + 2})")
-
     def test_document_that_is_not_utf8_is_refused(self):
         """The corpus proves its documents UTF-8 when constructed, built or
         loaded alike, so no ``chunk_text`` fails to decode and no saved file
         fails to load."""
         with pytest.raises(InvalidCorpusError) as exc:
-            Corpus({"d": b"\xffab cd"}, b"d:p0", [[0], [0], [-1], [0], [6], [2], [0]],
+            Corpus({"d": b"\xffab cd"}, [[0], [0], [-1], [0], [6], [2], [0]],
                    config=CFG, tokenizer_name="word-punct")
         assert str(exc.value) == "document 'd' is not UTF-8 (invalid start byte at byte 0)"
 
@@ -1011,7 +1049,7 @@ class TestStructureGate:
     def test_intermediate_without_parent_link(self):
         nodes = [ChunkNode("d:p0", Level.PARENT, "d", None, (0, 10), 2),
                  ChunkNode("d:p0.i0", Level.INTERMEDIATE, "d", None, (0, 10), 2)]
-        with pytest.raises(InvalidCorpusError, match="'d:p0.i0': its parent link is missing"):
+        with pytest.raises(InvalidCorpusError, match="node at row 1: its parent link is missing"):
             corpus_of({"d": "alpha beta"}, nodes, CFG)
 
     @given(st.data())
@@ -1020,7 +1058,6 @@ class TestStructureGate:
         nodes = list(nodes_of(build_corpus(self.DOCS, CFG)))
         ids = [node.id for node in nodes]
         values = {
-            "id": st.sampled_from([*ids, "fresh"]),
             "level": st.sampled_from(Level),
             "doc_id": st.sampled_from([*self.DOCS, "missing"]),
             "parent_id": st.sampled_from([None, "missing", *ids]),
@@ -1032,15 +1069,23 @@ class TestStructureGate:
         field = data.draw(st.sampled_from(sorted(values)), label="field")
         nodes[row] = replace(nodes[row], **{field: data.draw(values[field], label="value")})
         try:
-            corpus = corpus_of(self.DOCS, nodes, CFG)
+            # The edited node may now derive another id, so the table is
+            # read without ``corpus_of``'s check of the ids.
+            corpus = Corpus(*table_of(self.DOCS, nodes), config=CFG, tokenizer_name="word-punct")
         except InvalidCorpusError:
             return
         with tempfile.TemporaryDirectory() as directory:
             save_corpus(corpus, directory)
             loaded = load_corpus(directory)
+        # Every corpus the structure check accepts derives distinct ids.
+        ids = list(corpus.ids_of(range(len(corpus))))
+        assert len(set(ids)) == len(ids)
         # Row order: the hierarchy as given, then the side tier.
-        assert list(nodes_of(loaded)) == ([n for n in nodes if n.level in HIERARCHY_LEVELS]
-                                          + [n for n in nodes if n.level not in HIERARCHY_LEVELS])
+        built = nodes_of(corpus)
+        assert list(nodes_of(loaded)) == ([n for n in built if n.level in HIERARCHY_LEVELS]
+                                          + [n for n in built if n.level not in HIERARCHY_LEVELS])
+        assert [(n.level, n.doc_id, n.char_span, n.token_count, n.hard_split) for n in built] == [
+            (n.level, n.doc_id, n.char_span, n.token_count, n.hard_split) for n in nodes]
 
 
 def _tiles(documents, nodes) -> bool:
@@ -1198,34 +1243,30 @@ def _ancestor(corpus, chunk_id, level):
         return None
 
 
-class TestDepthFirstFilesLoad:
+class TestDepthFirstTablesRefused:
     """Earlier versions saved the hierarchy depth-first, each parent followed
     by its intermediates and each of those by its sentences, as the
-    recursive reference chunker still builds it. Such a file loads and
-    answers as the chunker's own corpus does."""
+    recursive reference chunker still builds it. There a parent's
+    intermediates are not one run of rows, so no id is derived from their
+    offsets: such a table is refused, naming the row that starts an
+    owner's second run, here the second intermediate of the first parent."""
 
     @pytest.mark.parametrize("config", [
         ChunkingConfig(),
         ChunkingConfig(parent_size=256, parent_overlap=60, intermediate_size=64,
                        intermediate_overlap=10, sub_intermediate_size=32),
     ], ids=["default", "256-64-32-overlap"])
-    def test_answers_match_chunker(self, tmp_path, config):
+    def test_refused_naming_the_second_run(self, config):
         documents = generate(CorpusSpec(seed=5, n_docs=4), chunking=config).documents
-        save_corpus(reference_text.build_corpus(documents, config), tmp_path)
-        loaded, built = load_corpus(tmp_path), build_corpus(documents, config)
-        assert [n.id for n in nodes_of(loaded)] != [n.id for n in nodes_of(built)]
-        assert ({n.id: n for n in nodes_of(loaded)}
-                == {n.id: loaded.get(n.id) for n in nodes_of(built)}
-                == {n.id: n for n in nodes_of(built)})
-        for level in Level:
-            assert level_ids(loaded, level) == level_ids(built, level)
-        for chunk_id in (n.id for n in nodes_of(built)):
-            assert loaded.chunk_text(chunk_id) == built.chunk_text(chunk_id)
-            for level in Level:
-                assert _ancestor(loaded, chunk_id, level) == _ancestor(built, chunk_id, level)
-        for doc_id, data in built.documents.items():
-            for byte in range(-1, len(data) + 2, 5):
-                assert loaded.parent_at(doc_id, byte) == built.parent_at(doc_id, byte)
+        rows = reference_text.node_rows(documents, config, WordPunctTokenizer())
+        second = next(row for row, (chunk_id, *_) in enumerate(rows)
+                      if chunk_id.endswith(":p0.i1"))
+        assert rows[second - 1][1] == list(Level).index(Level.SENTENCE)
+        with pytest.raises(InvalidCorpusError) as exc:
+            reference_text.build_corpus(documents, config)
+        assert str(exc.value) == (
+            f"node at row {second}: it starts a second run of rows of its owner's children "
+            "at its level")
 
 
 #: Two-, three- and four-byte UTF-8 characters, the last outside the BMP.

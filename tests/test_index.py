@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hrr.chunking import ChunkingConfig, build_corpus
 from hrr.cli import EXIT_OK, main
 from hrr.config import EmbeddingConfig, EngineConfig, PathsConfig
-from hrr.corpus import Level, load_artifacts, save_corpus
+from hrr.corpus import ChunkNode, Level, load_artifacts, save_corpus
 from hrr.embedding import (
     CsrBatch,
     HashedBowEmbedder,
@@ -42,7 +42,7 @@ from hrr.errors import (
     InvalidInputError,
     SnapshotFormatError,
 )
-from hrr.engine import ingest, load_context
+from hrr.engine import context_for, ingest, load_context
 import hrr.index as index_module
 from hrr.index import LevelIndex, build_index
 from hrr.retrievers import _PLANS, Strategy, retrieve
@@ -50,6 +50,7 @@ from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING, TOY_DOCS
 from level_corpus import level_corpus
+from node_table import corpus_of
 from reads import dense_rows, index_ids, level_ids, nodes_of, search_hits
 from test_corpus import _read_nodes, _write_nodes, level_blocks, level_dtypes, set_level_blocks
 from test_embedding import reference_vector
@@ -144,7 +145,7 @@ class TestSearchOracle:
         rng = random.Random(5)
         index = random_index(rng, 20, dim_for(layout, 8), layout)
         hits = search_hits(index, dense_rows(index)[7], 3)
-        assert hits[0].chunk_id == "c0007"
+        assert hits[0].chunk_id == "c0007:p0"
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
     def test_k_saturation_returns_all_sorted(self, layout):
@@ -164,7 +165,7 @@ class TestSearchOracle:
                            in_layout(vectors, layout))
         assert index.layout == layout
         hits = search_hits(index, vec, 3)
-        assert [h.chunk_id for h in hits] == ["aa", "mm", "zz"]
+        assert [h.chunk_id for h in hits] == ["aa:p0.i0.s0", "mm:p0.i0.s0", "zz:p0.i0.s0"]
 
     def test_duplicate_vectors_fully_deterministic(self, layout):
         rng = random.Random(11)
@@ -230,7 +231,8 @@ class TestSearchNearTies:
         query = np.array([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
         for probe in (row, query):
             assert_matches_oracle(index, probe, [1, 2, 10, n // 2, n - 1])
-        assert [h.chunk_id for h in search_hits(index, query, 3)] == ["e0000", "e0001", "e0002"]
+        assert [h.chunk_id for h in search_hits(index, query, 3)] == [
+            f"e000{i}:p0.i0.s0" for i in range(3)]
 
     def test_k_at_or_above_row_count(self, layout):
         rng = random.Random(23)
@@ -1304,8 +1306,7 @@ class TestColdLoad:
 
     def test_load_context_runs_json_only_on_the_snapshot_headers(self, seed42, monkeypatch):
         """A cold ``load_context`` encodes no JSON and decodes only the header
-        and the vectors' footer of ``nodes.bin``: the ids are split from
-        their NUL join, not read or written as JSON."""
+        and the vectors' footer of ``nodes.bin``, which stores no id."""
         encoded, decoded = [], []
         dumps, loads = json.dumps, json.loads
         monkeypatch.setattr(json, "dumps", lambda *a, **k: encoded.append(a) or dumps(*a, **k))
@@ -1315,7 +1316,7 @@ class TestColdLoad:
         monkeypatch.undo()
         assert encoded == []
         header, footer = decoded
-        assert header["version"] == 5
+        assert header["version"] == 6
         assert [entry["level"] for entry in footer["levels"]] == [level.value for level in Level]
         assert set(ctx.indices) == set(Level)
 
@@ -1335,21 +1336,28 @@ class TestColdLoad:
             assert index_ids(index) == level_ids(ctx.corpus, level)
 
     def test_load_and_retrieval_build_no_id_map(self, seed42):
-        """Retrieval reads rows, so neither a cold ``load_context`` nor a
-        ``retrieve`` under each strategy builds the corpus's id→row map; the
-        first id lookup builds it, once, and ``get`` and ``in`` read it."""
+        """No id→row map is built: neither a cold ``load_context`` nor a
+        ``retrieve`` under each strategy builds one, and ``get`` and ``in``
+        parse the id and walk down the runs of rows."""
         ctx = load_context(seed42)
         corpus = ctx.corpus
         for strategy in Strategy:
             for query in ("modaki", "the budget of the district"):
                 retrieve(query, replace(ctx, config=replace(ctx.config, strategy=strategy)))
-        assert "_index" not in vars(corpus)
         parent = next(corpus.ids_of(corpus.rows_at(Level.PARENT)))
         assert corpus.get(parent).level is Level.PARENT
-        built = vars(corpus)["_index"]
         assert parent in corpus and "no such id" not in corpus
         assert corpus.get(parent).id == parent
-        assert vars(corpus)["_index"] is built
+        assert not [name for name, value in vars(corpus).items()
+                    if isinstance(value, dict) and parent in value]
+
+    def test_load_context_derives_no_id_and_holds_no_row_strings(self, seed42):
+        """A cold load derives no chunk id, and the corpus holds no ``str``
+        per row: the strings reachable from it are the documents' ids and
+        the header's, far fewer than its rows."""
+        corpus = load_context(seed42).corpus
+        assert corpus._ids == {}
+        assert len(_strings_held(corpus)) < 10 * len(corpus.documents) < len(corpus)
 
     def test_two_loads_evaluate_each_config_type_once(self, seed42, monkeypatch):
         """The chunking settings each corpus load parses are typed by field
@@ -1368,8 +1376,8 @@ class TestColdLoad:
     @settings(max_examples=20, deadline=None)
     def test_any_file_name_survives_ingest_and_load(self, doc_ids):
         """Document ids with non-ASCII characters, quotes, backslashes,
-        commas and colons are stored in the NUL-joined id table and load
-        back, and every level's index loads against them."""
+        commas and colons are stored in the header, every chunk id is
+        derived from them, and every level's index loads against them."""
         with tempfile.TemporaryDirectory() as directory:
             root = Path(directory)
             (root / "docs").mkdir()
@@ -1389,6 +1397,84 @@ class TestColdLoad:
         assert {corpus.get(i).doc_id for i in level_ids(corpus, Level.PARENT)} == set(doc_ids)
 
 
+def _strings_held(root) -> list[str]:
+    """Every ``str`` reachable from ``root`` through containers, named
+    tuples and objects' attributes; numpy arrays and memoryviews hold none."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or isinstance(value, (np.ndarray, memoryview, bytes, int, float)):
+            continue
+        seen.add(id(value))
+        if isinstance(value, str):
+            found.append(value)
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__") and not isinstance(value, type):
+            stack.extend(vars(value).values())
+    return found
+
+
+class TestIdsDerivedWhenRead:
+    """Ids are derived from the tree when read, kept in one memo that no
+    bound empties, and never derived to rank a level's rows."""
+
+    @pytest.fixture(scope="class")
+    def seed7(self):
+        synthetic = generate(CorpusSpec(seed=7, n_docs=200))
+        corpus = synthetic.corpus
+        corpus._ids.clear()  # the generator read its gold parents' ids
+        return context_for(corpus, EngineConfig()), synthetic.queries
+
+    def test_a_second_pass_over_the_needles_derives_no_id(self, seed7):
+        ctx, queries = seed7
+        corpus = ctx.corpus
+        assert len(queries) == 30
+
+        def one_pass():
+            return [retrieve(gold.query, ctx).parents for gold in queries]
+
+        first = one_pass()
+        derived = dict(corpus._ids)
+        assert 0 < len(derived) < len(corpus) // 10
+        assert one_pass() == first
+        assert corpus._ids == derived
+
+    def test_ranks_of_a_level_derive_no_id(self, seed7):
+        corpus = seed7[0].corpus
+        before = dict(corpus._ids)
+        rows = corpus.rows_at(Level.SENTENCE)
+        ranks = corpus.id_ranks(rows)
+        assert corpus._ids == before
+        ids = list(corpus.ids_of(rows))
+        assert [ids[i] for i in np.argsort(ranks)] == sorted(ids)
+
+    def test_first_tied_search_derives_only_interleaving_documents(self):
+        """The ids of documents ``a`` and ``a:p1`` interleave (``a:p1``,
+        ``a:p10``, ``a:p1:p0``, ``a:p2``), so only their rows are ordered by
+        derived ids; ``c`` and ``c0`` do not, as ``c:`` prefixes no other."""
+        text = " ".join(f"Word{i} alpha beta gamma." for i in range(60))
+        corpus = build_corpus({doc_id: text for doc_id in ("c0", "a", "c", "a:p1")},
+                              ChunkingConfig(parent_size=24, intermediate_size=10,
+                                             sub_intermediate_size=5))
+        n = len(corpus.rows_at(Level.PARENT))
+        index = LevelIndex(corpus, Level.PARENT, CsrBatch(
+            np.arange(n + 1), np.zeros(n, np.uint16), np.ones(n, np.float32), 1))
+        assert "_id_ranks" not in vars(index) and corpus._ids == {}
+        ranks = index._id_ranks
+        derived = list(corpus._ids.values())
+        assert {corpus.get(chunk_id).doc_id for chunk_id in derived} == {"a", "a:p1"}
+        ids = index_ids(index)
+        assert [ids[i] for i in np.argsort(ranks)] == sorted(ids)
+        order = sorted(ids)
+        assert order.index("a:p10") < order.index("a:p1:p0") < order.index("a:p2")
+        hits = search_hits(index, np.ones(1, dtype=np.float32), n - 1)
+        assert [h.chunk_id for h in hits] == sorted(ids)[: n - 1]
+
+
 class TestUnitRowsAtLoad:
     """``embed_batch`` stores only rows within its tolerance of unit norm, so
     a bit flip that moves a row's norm is refused when the snapshot loads."""
@@ -1402,7 +1488,7 @@ class TestUnitRowsAtLoad:
             nodes.vectors = bytes(data)
 
         edited(saved(index, tmp_path), edit)
-        with pytest.raises(SnapshotFormatError, match=r"nodes\.bin: row 'c0009' is not unit"):
+        with pytest.raises(SnapshotFormatError, match=r"nodes\.bin: row 'c0009:p0' is not unit"):
             reloaded(tmp_path, 64)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
@@ -1417,7 +1503,7 @@ class TestUnitRowsAtLoad:
         index = LevelIndex(level_corpus([f"c{i}" for i in range(20)]), Level.SENTENCE,
                            in_layout(rows, layout))
         saved(index, tmp_path)
-        with pytest.raises(SnapshotFormatError, match=r"nodes\.bin: row 'c3' is not unit \(") as exc:
+        with pytest.raises(SnapshotFormatError, match=r"nodes\.bin: row 'c3:p0\.i0\.s0' is not unit \(") as exc:
             reloaded(tmp_path, 384)
         assert "\n" not in str(exc.value)
 
@@ -1627,10 +1713,14 @@ class TestConstruction:
         with pytest.raises(InvalidInputError, match=f"{rows} rows do not match 3 ids"):
             LevelIndex(level_corpus(["x", "y", "z"], Level.PARENT), Level.PARENT, vectors)
 
-    def test_duplicate_ids_rejected(self):
-        vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.ones(4))])
-        with pytest.raises(InvalidCorpusError):
-            LevelIndex(level_corpus(["x", "x"], Level.PARENT), Level.PARENT, vecs)
+    def test_rows_that_would_share_an_id_rejected(self):
+        """Document ``x``'s parents in two runs would derive ``x:p0`` twice;
+        the corpus refuses them, so no index is built over them."""
+        nodes = [ChunkNode("x:p0", Level.PARENT, "x", None, (0, 1), 1),
+                 ChunkNode("y:p0", Level.PARENT, "y", None, (0, 1), 1),
+                 ChunkNode("x:p1", Level.PARENT, "x", None, (1, 2), 1)]
+        with pytest.raises(InvalidCorpusError, match="node at row 2: it starts a second run"):
+            corpus_of({"x": "ab", "y": "c"}, nodes, ChunkingConfig())
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidCorpusError):
@@ -1641,7 +1731,7 @@ class TestConstruction:
     def test_non_finite_row_rejected(self, bad):
         vecs = np.stack([ensure_unit(np.ones(4)), ensure_unit(np.arange(1, 5))])
         vecs[1, 2] = bad
-        with pytest.raises(InvalidCorpusError, match="'y'"):
+        with pytest.raises(InvalidCorpusError, match="'y:p0'"):
             LevelIndex(level_corpus(["x", "y"], Level.PARENT), Level.PARENT, vecs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,9 +1,13 @@
 """Remote embed/rerank clients against an in-process stub service."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import requests
 
+from hrr.cli import EXIT_IO, EXIT_OK, main
 from hrr.embedding import HashedBowEmbedder, RemoteEmbedder, embed_batch
 from hrr.engine import context_for
 from hrr.config import EngineConfig
@@ -28,6 +32,7 @@ from hrr.synth import CorpusSpec, generate
 
 from conftest import TOY_CHUNKING
 from reads import index_ids, search_hits
+from test_corpus import _read_nodes
 from test_index import assert_hits_are, naive_top_k
 from stub_services import (
     MODE_BAD_REQUEST,
@@ -274,3 +279,46 @@ class TestEndToEndOverTheWire:
             )
             remote = compare(remote_ctx, list(syn.queries), strategies)
         assert remote == local
+
+
+class TestServiceUrlInTheFooter:
+    """The footer of a file a remote service embedded records the service's
+    ``base_url``, and a local embedder's file records none. Loading with a
+    config that names another URL refuses the file in one line naming both,
+    exit 3, before any request; the same URL loads."""
+
+    CONFIG = {"chunking": {"parent_size": 48, "intermediate_size": 16,
+                           "sub_intermediate_size": 8},
+              "embedding": {"provider": "remote", "dimension": DIM, "retries": 0}}
+
+    def test_the_same_url_loads_and_another_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with StubServices(dimension=DIM) as stub:
+            config = json.loads(json.dumps(self.CONFIG))
+            config["embedding"]["base_url"] = stub.base_url
+            Path("remote.json").write_text(json.dumps(config))
+            config["embedding"]["base_url"] = "http://127.0.0.1:9"  # a request would exit 4
+            Path("other.json").write_text(json.dumps(config))
+            assert main(["synth", "--seed", "5", "--docs", "2", "--tokens", "220",
+                         "--needles", "2", "--out", "synth", "--config", "remote.json"]) == EXIT_OK
+            assert main(["ingest", "synth/docs", "--config", "remote.json"]) == EXIT_OK
+            path = Path("corpus") / "nodes.bin"
+            assert _read_nodes(path).footer["base_url"] == stub.base_url
+            load_artifacts("corpus", RemoteEmbedder(stub.base_url + "/", DIM))
+            capsys.readouterr()
+            assert main(["query", "alpha", "--config", "remote.json"]) == EXIT_OK
+            requests_made = stub.request_count
+            capsys.readouterr()
+            assert main(["query", "alpha", "--config", "other.json"]) == EXIT_IO
+            assert capsys.readouterr().err == (
+                f"error: {path}: vectors from the service at {stub.base_url!r}, not the "
+                "configured 'http://127.0.0.1:9'; re-run ingest\n")
+            assert stub.request_count == requests_made
+
+    def test_a_local_file_records_no_url(self, toy_corpus, tmp_path):
+        embedder = HashedBowEmbedder(dimension=DIM)
+        save_corpus(toy_corpus, tmp_path,
+                    (build_index(toy_corpus, level, embedder) for level in toy_corpus.levels),
+                    embedder)
+        assert "base_url" not in _read_nodes(tmp_path / "nodes.bin").footer
+        load_artifacts(tmp_path, embedder)
