@@ -13,9 +13,12 @@ and, in the same process, the first query of the synth query set under
 each strategy in turn (hrr, base, c2p, s2p): a strategy's query pays for
 whatever its levels build when first searched. Each process also reports
 its resident set right after the load (``rss_after_load_mb``, read from
-``/proc/self/status``) and its peak RSS. Per tree, it prints the file's size and the median of each
-time over the rounds, in ms; the medians are wall-clock numbers of this
-host, taken one process at a time.
+``/proc/self/status``) and its peak RSS after those first queries; then it
+runs ``hrr`` once more over the whole query set and reports its resident set
+after that pass (``rss_after_needles_mb``), which shows what the read path
+keeps once a query set has run. Per tree, it prints the file's size and the
+median of each figure over the rounds (times in ms, sizes in MB); the times
+are wall-clock numbers of the host, taken one process at a time.
 """
 
 from __future__ import annotations
@@ -41,20 +44,26 @@ from hrr.config import EngineConfig, PathsConfig
 from hrr.evaluation import load_query_set
 from hrr.retrievers import Strategy, retrieve
 
+def rss_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) / 1024 for line in status
+                    if line.startswith("VmRSS:"))
+
 config = EngineConfig(paths=PathsConfig(corpus_dir=sys.argv[1]))
 start = time.perf_counter_ns()
 ctx = engine.load_context(config)
-times = {"load": (time.perf_counter_ns() - start) / 1e6}
-with open("/proc/self/status") as status:
-    times["rss_after_load_mb"] = next(int(line.split()[1]) / 1024 for line in status
-                                      if line.startswith("VmRSS:"))
-query = load_query_set(sys.argv[2], ctx.corpus)[0].query
+times = {"load": (time.perf_counter_ns() - start) / 1e6, "rss_after_load_mb": rss_mb()}
+golds = load_query_set(sys.argv[2], ctx.corpus)
 for strategy in Strategy:
     strategy_ctx = replace(ctx, config=replace(ctx.config, strategy=strategy))
     start = time.perf_counter_ns()
-    retrieve(query, strategy_ctx)
+    retrieve(golds[0].query, strategy_ctx)
     times[f"first {strategy.value}"] = (time.perf_counter_ns() - start) / 1e6
 times["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+hrr_ctx = replace(ctx, config=replace(ctx.config, strategy=Strategy.HRR))
+for gold in golds:
+    retrieve(gold.query, hrr_ctx)
+times["rss_after_needles_mb"] = rss_mb()
 print(json.dumps(times))
 """
 

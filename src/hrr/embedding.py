@@ -60,14 +60,13 @@ class CsrBatch:
     its row so.
 
     A batch of integer ``counts`` (one per entry, as the hashed-bow embedder
-    counts its rows and as a counts level loads) has ``values`` that are
-    ``unit_values`` of them. Given ``values`` of None, they are decoded
-    whole the first time they are read, and stored by one assignment, so a
-    concurrent reader sees either none or all of them; two that both decode
-    them decode the same array.
+    counts its rows and as a counts level loads) holds no float values, in
+    memory or in flight: a value is derived from its count and its row's
+    norm when it is read (``values_of``). Only the rows' float64 norms are
+    kept, taken the first time a value is read.
     """
 
-    __slots__ = ("indptr", "columns", "dimension", "counts", "_values")
+    __slots__ = ("indptr", "columns", "dimension", "counts", "_values", "_norms")
 
     def __init__(
         self, indptr: np.ndarray, columns: np.ndarray, values: np.ndarray | None,
@@ -75,20 +74,40 @@ class CsrBatch:
     ) -> None:
         self.indptr = indptr
         self.columns = columns
+        #: The stored float32 values; None for a batch of counts.
         self._values = values
         self.dimension = dimension
         self.counts = counts
+        self._norms: np.ndarray | None = None
 
     @property
     def values(self) -> np.ndarray:
-        values = self._values
-        if values is None:
-            self._values = values = unit_values(self.counts, self.indptr)
-        return values
+        """Every entry's float32 value: the stored array, or a batch of
+        counts' values derived afresh (``values_of``) and kept nowhere.
+        Search and save never read a batch of counts so."""
+        if self.counts is None:
+            return self._values
+        entry_rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        return self.values_of(np.arange(self.nnz), entry_rows)
 
     @values.setter
     def values(self, values: np.ndarray) -> None:
         self._values = values
+
+    def values_of(self, entries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The float32 values of ``entries``, entry ``entries[i]`` lying in
+        row ``rows[i]``, in any order. The one routine from counts to
+        values: a count ``c`` becomes ``float32(c / norm)``, divided in
+        float64, ``norm`` the square root of the row's sum of ``c**2``
+        (``_row_norms``), so a value is the same bits whoever reads it."""
+        if self.counts is None:
+            return self._values[entries]
+        norms = self._norms
+        if norms is None:
+            # Stored by one assignment, so a concurrent reader sees none or
+            # all of them; two that both take them take the same array.
+            self._norms = norms = _row_norms(self.counts, self.indptr)
+        return (self.counts[entries] / norms[rows]).astype(np.float32)
 
     @property
     def nnz(self) -> int:
@@ -106,7 +125,8 @@ class CsrBatch:
         # Past the last row, indptr[i + 1] raises the IndexError.
         start, end = self.indptr[i], self.indptr[i + 1]
         out = np.zeros(self.dimension, dtype=np.float32)
-        out[self.columns[start:end]] = self.values[start:end]
+        out[self.columns[start:end]] = self.values_of(np.arange(start, end),
+                                                      np.full(end - start, i))
         return out
 
     def problem(self) -> str | None:
@@ -116,8 +136,7 @@ class CsrBatch:
         per value and per count, and each row's columns must be strictly
         ascending and in ``[0, dimension)``, so that no row can index out of
         range. A batch of counts must also hold no count of 0 and no empty
-        row, so that each of its rows decodes to a unit row. Values not yet
-        decoded are not read.
+        row, so that each of its rows derives a unit row.
         """
         indptr, columns, nnz = self.indptr, self.columns, self.nnz
         for name, stored in (("values", self._values), ("counts", self.counts)):
@@ -141,33 +160,26 @@ class CsrBatch:
         return None
 
 
-#: Counts ``unit_values`` decodes at a time (or one longer row), which
+#: Counts ``_row_norms`` squares at a time (or one longer row), which
 #: bounds its float64 temporaries.
 _DECODE_COUNTS = 1 << 15
 
 
-def unit_values(counts: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """The float32 values of CSR rows of integer ``counts``, row ``i``
-    holding ``counts[indptr[i]:indptr[i + 1]]``: each count ``c`` of a row
-    becomes ``float32(c / sqrt(sum of the row's c**2))``, divided in
-    float64. Every row must hold a count.
-
-    The one routine from counts to values: the hashed-bow embedder builds
-    its rows with it, and a counts level decodes its rows with it when
-    loaded, so the loaded rows are the built rows bit for bit. Each square
-    is an exact integer in float64, and so is each row's sum (below
-    ``2**53``), whatever order adds them.
-    """
-    out = np.empty(len(counts), dtype=np.float32)
+def _row_norms(counts: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The float64 norm of each CSR row of integer ``counts``, row ``i``
+    holding ``counts[indptr[i]:indptr[i + 1]]``: the square root of the sum
+    of its counts' squares. Each square is an exact integer in float64, and
+    so is each row's sum (below ``2**53``), whatever order adds them. Every
+    row must hold a count."""
+    out = np.empty(len(indptr) - 1)
     rows, start = len(indptr) - 1, 0
     while start < rows:
         # Whole rows of at most ``_DECODE_COUNTS`` counts, or one row.
         stop = int(np.searchsorted(indptr, indptr[start] + _DECODE_COUNTS, "right")) - 1
         ptr = indptr[start : max(stop, start + 1) + 1]
         block = counts[ptr[0] : ptr[-1]].astype(np.float64)
-        norms = np.sqrt(np.add.reduceat(block * block, ptr[:-1] - ptr[0]))
-        block /= np.repeat(norms, np.diff(ptr))
-        out[ptr[0] : ptr[-1]] = block  # rounded to float32 as ``astype`` rounds
+        block *= block
+        out[start : start + len(ptr) - 1] = np.sqrt(np.add.reduceat(block, ptr[:-1] - ptr[0]))
         start += len(ptr) - 1
     return out
 
@@ -301,9 +313,11 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
     ``squared_norms`` passes those plainly unit untouched, and only the rest
     (``_rows_off_unit``) go through ``ensure_unit`` itself. A writeable
     float32 block and a ``CsrBatch`` are validated in place and returned
-    without a copy. Rejects an empty list, empty strings and strings that
-    UTF-8 cannot encode; whitespace-only text is allowed (providers map it
-    to a documented fallback vector). A corpus level's texts
+    without a copy. A batch of counts is not read for that: ``problem``
+    proves each of its rows derives a unit row (``CsrBatch.values_of``).
+    Rejects an empty list, empty strings and strings that UTF-8 cannot
+    encode; whitespace-only text is allowed (providers map it to a
+    documented fallback vector). A corpus level's texts
     (``hrr.corpus.LevelTexts``) are not read for these checks: the corpus
     proved every span non-empty UTF-8 when it was built or loaded.
     """
@@ -322,6 +336,8 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
     dimension = provider.dimension
     if isinstance(vectors, CsrBatch):
         _check_csr(vectors, dimension)
+        if vectors.counts is not None:
+            return vectors
         indptr, values = vectors.indptr, vectors.values
         for i in _rows_off_unit(squared_norms(vectors), dimension):
             start, end = indptr[i], indptr[i + 1]
@@ -345,10 +361,11 @@ def embed_batch(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray
 
 
 def _check_csr(batch: CsrBatch, dimension: int) -> None:
-    """Reject CSR rows of another dimension, not float32, or not a CSR matrix."""
+    """Reject CSR rows of another dimension, values not float32, or not a CSR
+    matrix."""
     if batch.dimension != dimension:
         raise DimensionMismatchError(f"expected dimension {dimension}, got {batch.dimension}")
-    if batch.values.dtype != np.float32:
+    if batch.counts is None and batch.values.dtype != np.float32:
         raise InvalidInputError(f"CSR values must be float32, got {batch.values.dtype}")
     problem = batch.problem()
     if problem is not None:
@@ -536,10 +553,11 @@ class HashedBowEmbedder:
     block's ``row * dimension + bucket`` keys, one per token, are sorted,
     and each run of equal keys is one stored entry and its count, so no
     dense row is made and the cost does not grow with the dimension. The
-    batch carries its counts, and each value is ``float32(count / norm)``
-    (``unit_values``), the norm taken over exact float64 integer squares,
-    so the rows are bit-identical to the recipe applied one text at a time,
-    whichever way their buckets were found.
+    batch carries its counts and no values: each value is
+    ``float32(count / norm)`` (``CsrBatch.values_of``), the norm taken over
+    exact float64 integer squares, so the rows are bit-identical to the
+    recipe applied one text at a time, whichever way their buckets were
+    found.
 
     A corpus level (``hrr.corpus.LevelTexts``) is counted from token
     streams: each document is tokenized once per ingest, on the first of
@@ -616,7 +634,7 @@ class HashedBowEmbedder:
         dimension = self._dimension
         ends = np.cumsum(sizes)
         indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-        columns, counts, values = [], [], []
+        columns, counts = [], []
         start = 0
         while start < len(sizes):
             # One row or more, of at most ``_BLOCK_CHARS`` in all.
@@ -628,18 +646,14 @@ class HashedBowEmbedder:
             firsts = np.flatnonzero(np.diff(keys, prepend=-1))
             block_counts = np.diff(firsts, append=len(keys))
             block_rows, cols = np.divmod(keys[firsts], dimension)
-            block_ptr = np.zeros(stop - start + 1, dtype=np.int64)
-            np.cumsum(np.bincount(block_rows, minlength=stop - start), out=block_ptr[1:])
-            values.append(unit_values(block_counts, block_ptr))
             counts.append(block_counts.astype(narrowest(block_counts)))
             columns.append(cols.astype(np.uint16))
-            indptr[start + 1 : stop + 1] = block_ptr[1:] + indptr[start]
+            block_ptr = indptr[start + 1 : stop + 1]
+            np.cumsum(np.bincount(block_rows, minlength=stop - start), out=block_ptr)
+            block_ptr += indptr[start]
             start = stop
-        # One array joined at a time, its pieces freed before the next; the
-        # counts at the widest of their blocks' widths.
-        values = np.concatenate(values)
-        counts = np.concatenate(counts)
-        return CsrBatch(indptr, np.concatenate(columns), values, dimension, counts)
+        # The counts at the widest of their blocks' widths.
+        return CsrBatch(indptr, np.concatenate(columns), None, dimension, np.concatenate(counts))
 
     def _embed_level(self, texts: LevelTexts) -> CsrBatch:
         """The rows of a corpus level of more than one row, counted from its

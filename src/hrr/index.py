@@ -171,12 +171,18 @@ class _CsrRows:
 
     The arrays are checked here (``CsrBatch.problem``), so that no search
     can index out of range. Each bucket's postings are built the first time
-    a search reads that bucket, and kept (``_list``).
+    a search reads that bucket, and kept (``_list``), their rows as
+    ``int32``, so a level holds fewer than ``2**31`` rows. Values are read
+    only through ``CsrBatch.values_of``, so a level of counts derives only
+    the values a search reads.
     """
 
     layout = LAYOUT_CSR
 
     def __init__(self, csr: CsrBatch) -> None:
+        if len(csr) >= 1 << 31:
+            raise InvalidCorpusError(f"a CSR level of {len(csr)} rows passes the 2**31 - 1 "
+                                     "its postings address")
         problem = csr.problem()
         if problem is not None:
             raise InvalidCorpusError(problem)
@@ -218,7 +224,8 @@ class _CsrRows:
         # The entries come out row ascending.
         entries = np.flatnonzero(csr.columns == bucket)
         rows = np.searchsorted(csr.indptr, entries, "right") - 1
-        values = csr.values[entries]
+        values = csr.values_of(entries, rows)
+        rows = rows.astype(np.int32)
         if len(entries) > 1 and self._by_value:
             # A non-negative float32's bits with all but the sign flipped
             # sort, unsigned, in descending value order; one sort of the
@@ -328,7 +335,7 @@ class _CsrRows:
         weight = query64[csr.columns[entry]]
         hit = np.flatnonzero(weight)
         owner, entry = owner[hit], entry[hit]
-        products = csr.values[entry] * weight[hit]
+        products = csr.values_of(entry, rows[owner]) * weight[hit]
         return np.bincount(owner, products, minlength=len(rows))
 
     def blocks(self) -> list[np.ndarray]:
@@ -351,10 +358,11 @@ class LevelIndex:
     ``(n, d)`` float32 block, it keeps them dense (``layout``), and neither
     is ever converted to the other. Every row must be finite with a squared
     norm inside float32 range; the dense search's error bound rests on it.
-    A batch of counts is not read for that: its rows, ``unit_values`` of
-    counts of at least 1 (``CsrBatch.problem``), are finite and unit by
-    construction, so its values are left to be decoded when a search first
-    reads them. Its rows are read only by ``search`` and ``save_index``.
+    A batch of counts is not read for that: its rows, derived from counts
+    of at least 1 (``CsrBatch.problem``), are finite and unit by
+    construction, and it holds no values: a search derives only those it
+    reads (``CsrBatch.values_of``). Its rows are read only by ``search`` and
+    ``save_index``.
     """
 
     def __init__(self, corpus: Corpus, level: Level, vectors: np.ndarray | CsrBatch) -> None:
@@ -518,11 +526,11 @@ def save_index(index: LevelIndex) -> tuple[dict, list[np.ndarray]]:
     of non-zeros. A dense level's block is the ``count x dimension``
     little-endian float32 matrix. A CSR level's are the ``count`` row
     lengths, the ``nnz`` ``<u2`` columns, and the ``nnz`` integer counts of
-    a batch that carries them (every hashed-bow level), whose values are
-    derived (``embedding.unit_values``), or else the ``nnz`` ``<f4``
-    values. Lengths and counts are each stored at the narrowest of
-    ``corpus.WIDTHS`` that holds them, which the entry names (``lengths``,
-    and ``counts`` for a counts level). Row ``i`` belongs to the corpus's
+    a batch that carries them (every hashed-bow level), which holds no
+    values to store (``CsrBatch.values_of`` derives them), or else the
+    ``nnz`` ``<f4`` values. Lengths and counts are each stored at the
+    narrowest of ``corpus.WIDTHS`` that holds them, which the entry names
+    (``lengths``, and ``counts`` for a counts level). Row ``i`` belongs to the corpus's
     ``i``-th chunk at the level, so the ids live only in the corpus.
     """
     entry = {"level": index.level.value, "layout": index.layout, "count": len(index),
@@ -569,15 +577,16 @@ def load_index(corpus: Corpus, fields: tuple, blocks: list[bytes]) -> LevelIndex
     its ``parse_level`` fields and its blocks.
 
     A CSR level's row pointers are the running sums of its row lengths; a
-    counts level's values are decoded when a search first reads them
-    (``embedding.CsrBatch``). Raises ``InvalidCorpusError``
-    (``InvalidInputError`` for a row count other than the corpus's at the
-    level) for what no ``save_index`` wrote: CSR arrays that do not form a
-    valid matrix (row lengths that do not sum to ``nnz`` among them), a
-    count of 0 or a row of counts that is empty, non-finite values, a
-    number of non-zeros other than the entry's, and float rows further
-    from unit than any ``embed_batch`` returns (``embedding.unit_slack``).
-    Counts are not held to that last check: they decode to unit rows.
+    counts level holds no values, and a search derives each value it reads
+    from its count and its row's norm (``CsrBatch.values_of``). Raises
+    ``InvalidCorpusError`` (``InvalidInputError`` for a row count other than
+    the corpus's at the level) for what no ``save_index`` wrote: CSR arrays
+    that do not form a valid matrix (row lengths that do not sum to ``nnz``
+    among them), a count of 0 or a row of counts that is empty, non-finite
+    values, a number of non-zeros other than the entry's, and float rows
+    further from unit than any ``embed_batch`` returns
+    (``embedding.unit_slack``).
+    Counts are not held to that last check: they derive unit rows.
     """
     level, layout, count, dimension, nnz, dtypes = fields
     arrays = [np.frombuffer(block, dtype) for block, dtype in zip(blocks, dtypes)]

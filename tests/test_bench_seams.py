@@ -1,8 +1,9 @@
 """The benchmark's tracer patches engine names by module and attribute, the
 benchmark reads a corpus through its node views while it runs, and
 ``scripts/scan_inputs.py`` calls ``count_each`` and reads the embedder's
-piece table's counters; each must still exist, or the benchmark or the
-script fails only when it runs. The calls the benchmark's self-check pins
+piece table's counters, and ``scripts/cold_path.py`` runs the engine in a
+child process; each must still exist, or the benchmark or the script fails
+only when it runs. The calls the benchmark's self-check pins
 per op are counted here too, so a moved seam fails in seconds."""
 
 import importlib.util
@@ -119,3 +120,19 @@ def test_scan_inputs_stats_reads_the_memos(tmp_path, capsys):
     # Each document is tokenized once; ``b.txt`` holds no İ or Σ.
     assert ", 2 documents streamed, 0 rows per text, " in embed
     assert times.startswith("build_corpus ")
+
+
+def test_cold_path_reports_rss_after_the_needles(capsys):
+    """``scripts/cold_path.py`` runs its child process to the end and prints,
+    per tree, the median of every figure, ``rss_after_needles_mb`` among
+    them: the resident set after one more ``hrr`` pass over the query set."""
+    path = ROOT / "scripts" / "cold_path.py"
+    spec = importlib.util.spec_from_file_location("cold_path", path)
+    cold_path = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cold_path)
+    assert cold_path.main(["--docs", "2", "--needles", "3", "--processes", "1"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    figures = dict(item.rsplit(" ", 1) for item in line.split("processes: ")[1].split(", "))
+    assert list(figures) == ["load", "rss_after_load_mb", "first hrr", "first base",
+                             "first c2p", "first s2p", "peak_rss_mb", "rss_after_needles_mb"]
+    assert float(figures["rss_after_load_mb"]) > 0 and float(figures["rss_after_needles_mb"]) > 0

@@ -9,6 +9,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -509,6 +510,102 @@ class TestEmbedBatchValidation:
         singles = [embed_batch(provider, [t])[0] for t in texts]
         for got, want in zip(vectors, singles):
             assert np.array_equal(got, want)
+
+
+def reference_counts_values(lengths: list[int], counts: list[int],
+                            entries: list[int]) -> np.ndarray:
+    """The float32 values of ``entries`` of CSR rows of ``counts``, row ``i``
+    holding the next ``lengths[i]`` of them, written out one entry at a time:
+    the count divided in float64 by the square root of its row's exact
+    integer sum of squares, then rounded to float32."""
+    norms, row_of = [], []
+    for row, length in enumerate(lengths):
+        start = sum(lengths[:row])
+        norms.append(math.sqrt(sum(c * c for c in counts[start : start + length])))
+        row_of += [row] * length
+    return np.array([counts[e] / norms[row_of[e]] for e in entries]).astype(np.float32)
+
+
+@st.composite
+def counts_reads(draw):
+    """A batch of 1 to 6 rows of ``u1`` or ``<u2`` counts (one-count rows
+    among them, and counts at 1 and at the width's top), the entries to read
+    in a drawn order, repeats allowed, and a bound on the counts squared at
+    a time that a row may pass."""
+    dtype = draw(st.sampled_from(["u1", "<u2"]))
+    top = np.iinfo(np.dtype(dtype)).max
+    lengths = draw(st.lists(st.just(1) | st.integers(1, 40), min_size=1, max_size=6))
+    columns = [c for n in lengths
+               for c in sorted(draw(st.sets(st.integers(0, 63), min_size=n, max_size=n)))]
+    counts = draw(st.lists(st.sampled_from([1, top]) | st.integers(1, top),
+                           min_size=len(columns), max_size=len(columns)))
+    entries = draw(st.lists(st.integers(0, len(counts) - 1), min_size=1,
+                            max_size=2 * len(counts)))
+    bound = draw(st.sampled_from([1, 2, 3, 7, embedding._DECODE_COUNTS]))
+    batch = CsrBatch(np.cumsum([0, *lengths]), np.array(columns, np.uint16), None, 64,
+                     np.array(counts, dtype))
+    return batch, lengths, counts, entries, bound
+
+
+class TestCountsValues:
+    """A batch of counts derives each value it reads (``values_of``) as the
+    count divided by its row's norm, bit for bit, whatever it reads first."""
+
+    @given(counts_reads())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_reads_match_the_reference(self, read):
+        batch, lengths, counts, entries, bound = read
+        assert batch.problem() is None
+        rows = np.searchsorted(batch.indptr, entries, "right") - 1
+        want = reference_counts_values(lengths, counts, entries)
+        with mock.patch.object(embedding, "_DECODE_COUNTS", bound):
+            got = batch.values_of(np.array(entries), rows)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert batch._values is None and batch._norms.dtype == np.float64
+        every = reference_counts_values(lengths, counts, range(len(counts)))
+        assert batch.values.tobytes() == every.tobytes()
+        row = int(rows[0])
+        dense = np.zeros(64, np.float32)
+        span = slice(batch.indptr[row], batch.indptr[row + 1])
+        dense[batch.columns[span]] = every[span]
+        assert batch[row].tobytes() == dense.tobytes()
+
+    def test_a_row_longer_than_the_bound_read_backwards(self):
+        """A row of 40,000 ``<u2`` counts, past ``_DECODE_COUNTS``, between
+        rows of one count, read from its last entry to its first."""
+        long = [1 + (i * 7919) % 65535 for i in range(40_000)]
+        lengths, counts = [1, len(long), 1], [3, *long, 65535]
+        assert len(long) > embedding._DECODE_COUNTS
+        columns = [5, *range(len(long)), 0]
+        batch = CsrBatch(np.cumsum([0, *lengths]), np.array(columns, np.uint16), None, 65536,
+                         np.array(counts, "<u2"))
+        entries = list(range(len(counts)))[::-1]
+        rows = np.searchsorted(batch.indptr, entries, "right") - 1
+        want = reference_counts_values(lengths, counts, entries)
+        assert batch.values_of(np.array(entries), rows).tobytes() == want.tobytes()
+
+
+class TestLevelEmbedsToCounts:
+    def test_a_level_returns_counts_and_takes_no_norm_of_them(self, monkeypatch):
+        """A hashed-bow level comes back from ``embed_batch`` as counts with
+        no float values, and ``squared_norms`` never reads a batch of counts:
+        ``problem`` proves its rows unit."""
+        corpus = build_corpus(generate(CorpusSpec(seed=3, n_docs=2)).documents)
+        read = []
+        squared_norms = embedding.squared_norms
+        monkeypatch.setattr(embedding, "squared_norms",
+                            lambda rows: read.append(rows) or squared_norms(rows))
+        embedder = HashedBowEmbedder(64)
+        for level in corpus.levels:
+            rows = embed_batch(embedder, corpus.texts_at(level))
+            if len(rows) == 1:
+                continue
+            assert rows.counts is not None and rows.counts.dtype.kind == "u", level
+            assert rows._values is None and rows._norms is None, level
+        assert not [rows for rows in read if isinstance(rows, CsrBatch)]
+        # A batch of float values is still checked.
+        embed_batch(_stub_provider(_to_csr(np.eye(2, dtype=np.float32))), ["a", "b"])
+        assert isinstance(read[-1], CsrBatch)
 
 
 class TestCosine:

@@ -1705,6 +1705,75 @@ class TestBucketsBuiltAsRead:
         assert built_buckets(shared) == {j for weights, _ in queries for j in weights}
 
 
+def float_arrays_of_size(owner, size: int) -> list[str]:
+    """The attributes of ``owner`` (slots or instance dict) holding a float
+    array of ``size`` entries."""
+    names = [*getattr(type(owner), "__slots__", ()), *getattr(owner, "__dict__", {})]
+    return [name for name in names
+            if isinstance(getattr(owner, name, None), np.ndarray)
+            and getattr(owner, name).dtype.kind == "f" and getattr(owner, name).size == size]
+
+
+class TestCountsDerivedWhenRead:
+    """A loaded counts level holds no float values, and a search derives only
+    the values of the buckets it builds and of the rows it rescores."""
+
+    @pytest.fixture(scope="class")
+    def needles(self, tmp_path_factory):
+        """The seed-7 20-doc synth corpus, ingested, and its needle queries."""
+        root = tmp_path_factory.mktemp("needles")
+        synthetic = generate(CorpusSpec(seed=7, n_docs=20))
+        (root / "docs").mkdir()
+        for doc_id, text in synthetic.documents.items():
+            (root / "docs" / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+        config = EngineConfig(paths=PathsConfig(corpus_dir=str(root / "corpus")))
+        ingest(root / "docs", config)
+        return config, synthetic.queries
+
+    def test_needle_searches_derive_only_what_they_read(self, needles):
+        config, queries = needles
+        ctx = load_context(config)
+        index = ctx.indices[Level.SENTENCE]
+        rows, csr = index._rows, index._rows.csr
+        assert csr.counts is not None and csr._norms is None
+        derived, rescored = [], []
+        values_of, row_sums = CsrBatch.values_of, index_module._CsrRows._row_sums
+
+        def counting_values_of(batch, entries, entry_rows):
+            if batch is csr:
+                derived.append(len(entries))
+            return values_of(batch, entries, entry_rows)
+
+        def counting_row_sums(self, seen, query64):
+            if self is rows:
+                # The entries of the rescored rows in the query's buckets.
+                rescored.append(sum(
+                    np.count_nonzero(query64[csr.columns[csr.indptr[r] : csr.indptr[r + 1]]])
+                    for r in seen.tolist()))
+            return row_sums(self, seen, query64)
+
+        vectors = [embed_batch(ctx.embedder, [gold.query])[0] for gold in queries[:8]]
+        with mock.patch.object(CsrBatch, "values_of", counting_values_of), \
+                mock.patch.object(index_module._CsrRows, "_row_sums", counting_row_sums), \
+                mock.patch.object(index_module, "_EARLY_STOP_ROWS", 1):
+            hits = [search_hits(index, query, 10) for query in vectors]
+        assert rescored, "the early stop rescored no row"
+        assert float_arrays_of_size(csr, csr.nnz) == []
+        assert float_arrays_of_size(rows, csr.nnz) == []
+        built = sum(len(bucket_rows) for bucket_rows, _ in rows._lists.values())
+        assert 0 < sum(derived) <= built + sum(rescored) < csr.nnz
+        assert all(bucket_rows.dtype == np.int32 for bucket_rows, _ in rows._lists.values())
+        for query, found in zip(vectors, hits):
+            assert_hits_are(found, naive_top_k(index, query, 10))
+
+    def test_a_level_of_2_31_rows_is_refused(self):
+        # Zero strides: 2**31 + 1 row pointers that take no memory.
+        indptr = np.broadcast_to(np.zeros(1, np.int64), (2**31 + 1,))
+        batch = CsrBatch(indptr, np.zeros(0, np.uint16), np.zeros(0, np.float32), 4)
+        with pytest.raises(InvalidCorpusError, match=r"2147483648 rows passes the 2\*\*31 - 1"):
+            index_module._CsrRows(batch)
+
+
 class TestConstruction:
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     @pytest.mark.parametrize("rows", [2, 4])
